@@ -1,14 +1,71 @@
 //! **Ablation A2** (DESIGN.md): sensitivity of the VS-Block decision to
 //! the supernode-size threshold (§4.2's hand-tuned 160), swept on two
-//! contrasting matrices — one supernode-rich, one supernode-poor.
+//! contrasting matrices — one supernode-rich, one supernode-poor —
+//! and, for LU, the crossover behind `BlockLu::Auto`'s per-panel rule:
+//! the flops-per-accumulator-entry threshold below which a wide panel is
+//! dissolved into scalar columns, swept from "every panel dense"
+//! (`BlockLu::On`) to "none" (`BlockLu::Off`) on a fill-free and a
+//! heavy-fill circuit and two suite problems.
 //!
 //! Usage: `cargo run -p sympiler-bench --release --bin ablation_thresholds [--test]`
 
-use sympiler_bench::engines::RUNS;
+use sympiler_bench::engines::{time_lu_factorizer, RUNS};
 use sympiler_bench::harness::{median_time, Table};
 use sympiler_bench::workloads::prepare_subset;
+use sympiler_core::plan::lu::{LuPlan, LuWorkspace};
+use sympiler_core::plan::lu_supernodal::{SupernodalLuPlan, DENSE_PANEL_MIN_FLOPS_PER_ENTRY};
 use sympiler_core::plan::tri::{TriScratch, TriSolvePlan, TriVariant};
+use sympiler_core::{Ordering, SympilerOptions};
 use sympiler_sparse::suite::SuiteScale;
+use sympiler_sparse::{gen, CscMatrix};
+
+/// Sweep the dense-panel threshold on one COLAMD-ordered pattern: per
+/// threshold the surviving dense panels, the structural flop share
+/// they carry, what the dense path executes for it, and the median
+/// factor time through a reused workspace.
+fn lu_threshold_sweep(t: &mut Table, name: &str, a: &CscMatrix) {
+    let o = SympilerOptions::default();
+    let plan = LuPlan::build_ordered(a, o.low_level, o.peel_col_count, Ordering::Colamd)
+        .expect("suite patterns compile");
+    let detected = SupernodalLuPlan::detect_panels(&plan, o.max_panel, o.relax_fill, o.relax_cols);
+    let mut ws = LuWorkspace::new();
+    let t_scalar = time_lu_factorizer(|| plan.factor(a).expect("factor"));
+    for threshold in [0.0, 0.5, 1.0, 2.0, 3.0, 4.0, 6.0, 8.0, 12.0, f64::INFINITY] {
+        let panels = SupernodalLuPlan::dissolve_thin_panels(&plan, &detected, threshold);
+        let sup = SupernodalLuPlan::from_panels(plan.clone(), panels, 1);
+        // The box is noisy and the plateau is flat: more runs than the
+        // paper's five keep the crossover readable.
+        let time = median_time(4 * RUNS + 1, || {
+            std::hint::black_box(sup.factor_with(a, &mut ws).expect("factor"));
+        });
+        let structural = sup.dense_structural_flops();
+        let label = if threshold == 0.0 {
+            "0 (BlockLu::On)".to_string()
+        } else if threshold.is_infinite() {
+            "inf (no dense panel)".to_string()
+        } else if threshold == DENSE_PANEL_MIN_FLOPS_PER_ENTRY {
+            format!("{threshold} (BlockLu::Auto)")
+        } else {
+            threshold.to_string()
+        };
+        t.row(vec![
+            name.to_string(),
+            label,
+            format!("{} of {}", sup.n_wide_panels(), sup.n_panels()),
+            format!("{:.1}%", sup.dense_flop_share() * 100.0),
+            if structural == 0 {
+                "-".to_string()
+            } else {
+                format!(
+                    "{:.2}x",
+                    sup.dense_executed_flops() as f64 / structural as f64
+                )
+            },
+            format!("{:.3} ms", time.as_secs_f64() * 1e3),
+            format!("{:.3} ms", t_scalar.as_secs_f64() * 1e3),
+        ]);
+    }
+}
 
 fn main() {
     let scale = if std::env::args().any(|a| a == "--test") {
@@ -63,4 +120,35 @@ fn main() {
         ]);
     }
     t.emit(Some("ablation_thresholds.csv"));
+
+    let mut lu = Table::new(
+        "Ablation: LU dense-panel threshold (structural flops per accumulator entry moved), COLAMD",
+        &[
+            "matrix",
+            "threshold",
+            "dense panels",
+            "dense flop share",
+            "executed / structural",
+            "supernodal factor",
+            "scalar plan (BlockLu::Off)",
+        ],
+    );
+    let (n_sparse, n_dense) = match scale {
+        SuiteScale::Test => (2000, 300),
+        SuiteScale::Bench => (20000, 1200),
+    };
+    lu_threshold_sweep(
+        &mut lu,
+        "circuit fill-free",
+        &gen::circuit_unsym(n_sparse, 1, 0, 71),
+    );
+    lu_threshold_sweep(
+        &mut lu,
+        "circuit heavy-fill",
+        &gen::circuit_unsym(n_dense, 4, 2, 72),
+    );
+    for p in sympiler_bench::workloads::prepare_lu_subset(scale, &[1, 4]) {
+        lu_threshold_sweep(&mut lu, p.name, &p.a);
+    }
+    lu.emit(Some("ablation_lu_thresholds.csv"));
 }

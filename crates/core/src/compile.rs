@@ -19,16 +19,19 @@ pub use sympiler_graph::transversal::PrePivot;
 /// column-parallel plans. See [`SympilerOptions::block_lu`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum BlockLu {
-    /// Detect panels and engage the supernodal engine when blocking
-    /// pays: mean panel width ≥ 2 (at least half the columns sit in
-    /// wide panels). Otherwise compile the scalar serial/parallel
-    /// plan — the default, mirroring the paper's supernode-size
-    /// threshold for VS-Block.
+    /// Detect panels and keep dense only those that pay: a wide panel
+    /// whose structural flops per accumulator entry moved fall below
+    /// [`crate::plan::lu_supernodal::DENSE_PANEL_MIN_FLOPS_PER_ENTRY`]
+    /// is dissolved into scalar columns, and the supernodal engine is
+    /// compiled only when a dense panel survives — otherwise the
+    /// scalar serial/parallel plan. The default, the paper's
+    /// supernode-size threshold for VS-Block applied panel by panel.
     #[default]
     Auto,
-    /// Always compile the supernodal engine (singleton panels still
-    /// execute through the scalar column kernel, so this is safe on
-    /// any pattern — just pointless when nothing blocks).
+    /// Always compile the supernodal engine with every detected panel
+    /// dense (singleton panels still execute through the scalar column
+    /// kernel, so this is safe on any pattern — just slower where
+    /// panels are thin).
     On,
     /// Never block: serial or column-parallel execution only.
     Off,
@@ -100,9 +103,11 @@ pub struct SympilerOptions {
     pub ordering: Ordering,
     /// Supernodal (VS-Block) LU: detect column panels in the predicted
     /// `L` and route the numeric phase through dense GETRF/TRSM/GEMM
-    /// kernels panel by panel. [`BlockLu::Auto`] (the default) engages
-    /// the engine only when the mean panel width reaches 2 — patterns
-    /// that never block keep the cheaper scalar plans. With
+    /// kernels panel by panel. [`BlockLu::Auto`] (the default) keeps
+    /// dense only the panels with enough flops per accumulator entry
+    /// moved to pay for it, and engages the engine only if one
+    /// survives — patterns that never block keep the cheaper scalar
+    /// plans. With
     /// `n_threads > 1` the supernodal engine levels the **panel** DAG
     /// instead of the column DAG.
     pub block_lu: BlockLu,
@@ -481,40 +486,35 @@ impl SympilerLu {
         } else {
             plan
         };
-        // Supernodal tier: under `Auto`, engage only when blocking
-        // pays (mean panel width ≥ 2 — the VS-Block threshold idea
-        // applied to LU). The threshold needs only the O(nnz) panel
-        // detection — run with the same relaxation budget the
-        // supernodal plan would use, so amalgamated widths count — and
-        // the full leveled panel schedule is built just for patterns
-        // that actually block.
-        let engage = match opts.block_lu {
-            BlockLu::Off => false,
-            BlockLu::On => true,
+        // Supernodal tier. Panel detection runs once; under `Auto`
+        // every wide panel too thin to pay for the dense path is
+        // dissolved into scalar columns, and the tier engages only if
+        // a dense panel survives — otherwise the scalar executors,
+        // which carry no panel tables at all, run the same columns.
+        use crate::plan::lu_supernodal::{SupernodalLuPlan, DENSE_PANEL_MIN_FLOPS_PER_ENTRY};
+        let detect = || {
+            SupernodalLuPlan::detect_panels(&plan, opts.max_panel, opts.relax_fill, opts.relax_cols)
+        };
+        let panels = match opts.block_lu {
+            BlockLu::Off => None,
+            BlockLu::On => Some(detect()),
             BlockLu::Auto => {
-                let panels = sympiler_graph::lu_supernode::supernodes_lu_relaxed_from_parts(
-                    plan.n(),
-                    &plan.l_col_ptr,
-                    &plan.l_row_idx,
-                    opts.max_panel,
-                    opts.relax_fill,
-                    opts.relax_cols,
+                let kept = SupernodalLuPlan::dissolve_thin_panels(
+                    &plan,
+                    &detect(),
+                    DENSE_PANEL_MIN_FLOPS_PER_ENTRY,
                 );
-                let ns = panels.part.n_supernodes();
-                ns > 0 && plan.n() as f64 / ns as f64 >= 2.0
+                // Fewer panels than columns ⇔ a wide panel survived.
+                (kept.part.n_supernodes() < plan.n()).then_some(kept)
             }
         };
-        if engage {
+        if let Some(panels) = panels {
             return Ok(Self {
-                exec: LuExec::Supernodal(Box::new(
-                    crate::plan::lu_supernodal::SupernodalLuPlan::from_plan_relaxed(
-                        plan,
-                        opts.max_panel,
-                        opts.n_threads.max(1),
-                        opts.relax_fill,
-                        opts.relax_cols,
-                    ),
-                )),
+                exec: LuExec::Supernodal(Box::new(SupernodalLuPlan::from_panels(
+                    plan,
+                    panels,
+                    opts.n_threads.max(1),
+                ))),
             });
         }
         Self::compile_scalar(plan, opts)
@@ -558,11 +558,13 @@ impl SympilerLu {
     }
 
     /// [`Self::factor`] against a caller-held [`LuWorkspace`] —
-    /// bitwise identical results, minus the per-call accumulator
-    /// allocation on the serial tier. The parallel and supernodal
-    /// executors keep their own per-worker scratch (their numeric
-    /// state is already pooled internally), so they accept and ignore
-    /// the workspace — one call shape serves all three tiers.
+    /// bitwise identical results, minus the per-call scratch
+    /// allocation: the dense accumulator on the serial tier; the block
+    /// accumulator, solve block and trapezoid arena on the supernodal
+    /// tier compiled for one thread. Plans compiled for `n_threads >
+    /// 1` (column-parallel, or supernodal over the panel DAG) need one
+    /// accumulator per worker and allocate those per call, leaving the
+    /// workspace untouched — one call shape serves all three tiers.
     pub fn factor_with(
         &self,
         a: &CscMatrix,
@@ -572,7 +574,7 @@ impl SympilerLu {
             LuExec::Serial(plan) => plan.factor_with(a, ws),
             #[cfg(feature = "parallel")]
             LuExec::Parallel(par) => par.factor(a),
-            LuExec::Supernodal(sup) => sup.factor(a),
+            LuExec::Supernodal(sup) => sup.factor_with(a, ws),
         }
     }
 
@@ -582,7 +584,8 @@ impl SympilerLu {
     /// once per matrix. The parallel and supernodal tiers already
     /// stream their schedules per level/panel across worker threads,
     /// so they factor the batch one matrix at a time through their own
-    /// engines. Every tier returns factors bitwise identical to
+    /// engines (the supernodal tier against one shared workspace).
+    /// Every tier returns factors bitwise identical to
     /// looping [`Self::factor`], and the batch is all-or-nothing: the
     /// first failure aborts with a [`BatchError`] naming the matrix.
     pub fn factor_batch(&self, mats: &[&CscMatrix]) -> Result<Vec<LuFactor>, BatchError> {
@@ -594,11 +597,17 @@ impl SympilerLu {
                 .enumerate()
                 .map(|(index, a)| par.factor(a).map_err(|error| BatchError { index, error }))
                 .collect(),
-            LuExec::Supernodal(sup) => mats
-                .iter()
-                .enumerate()
-                .map(|(index, a)| sup.factor(a).map_err(|error| BatchError { index, error }))
-                .collect(),
+            LuExec::Supernodal(sup) => {
+                // One scratch for the whole batch.
+                let mut ws = LuWorkspace::new();
+                mats.iter()
+                    .enumerate()
+                    .map(|(index, a)| {
+                        sup.factor_with(a, &mut ws)
+                            .map_err(|error| BatchError { index, error })
+                    })
+                    .collect()
+            }
         }
     }
 
@@ -889,8 +898,8 @@ mod tests {
     }
 
     /// A pattern whose factor blocks heavily: a dense trailing block
-    /// appended to a bidiagonal chain — mean panel width well above
-    /// the `Auto` threshold.
+    /// appended to a bidiagonal chain — one wide panel carrying nearly
+    /// every flop, far above `Auto`'s per-panel threshold.
     fn heavily_blocking_matrix() -> CscMatrix {
         let n = 24;
         let mut t = sympiler_sparse::TripletMatrix::new(n, n);
@@ -912,9 +921,9 @@ mod tests {
 
     #[test]
     fn block_lu_knob_selects_the_supernodal_tier() {
-        // The dense trailing block pushes mean panel width past the
-        // Auto threshold: Auto must engage the supernodal engine, Off
-        // must not, and both tiers agree to 1e-12.
+        // The dense trailing block is a panel that pays: Auto must
+        // keep it dense and engage the supernodal engine, Off must
+        // not, and both tiers agree to 1e-12.
         let a = heavily_blocking_matrix();
         let auto = SympilerLu::compile(&a, &SympilerOptions::default()).unwrap();
         assert!(auto.is_supernodal(), "dense trailing block must auto-block");
@@ -937,12 +946,13 @@ mod tests {
             assert!((x - y).abs() <= 1e-12 * (1.0 + y.abs()));
         }
         // A grid pattern blocks too sparsely for Auto under strict
-        // nesting (mean width ~1.1) — with relaxation disabled the
-        // threshold keeps the scalar plan. The default amalgamation
-        // budget merges the near-nesting grid columns past the
-        // threshold, so Auto engages — relaxation is exactly what
-        // makes such patterns blockable. On forces the engine
-        // regardless and stays correct.
+        // nesting (mean width ~1.1): with relaxation disabled every
+        // wide panel is too thin to pay, all are dissolved, and Auto
+        // keeps the scalar plan. The default amalgamation budget
+        // merges the near-nesting grid columns into panels that do
+        // pay, so Auto engages — relaxation is exactly what makes
+        // such patterns blockable. On forces the engine regardless
+        // and stays correct.
         let g = gen::convection_diffusion_2d(8, 8, 1.0, 6);
         let never = SympilerLu::compile(
             &g,

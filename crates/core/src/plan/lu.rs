@@ -219,17 +219,27 @@ pub fn refine_with<F: Fn(&[f64]) -> Vec<f64>>(
 /// (immutable, shareable) [`LuPlan`] so N threads can factor against
 /// one `Arc<LuPlan>` without cloning any compiled tables: the plan
 /// holds everything decided at compile time, the workspace holds the
-/// dense accumulator a numeric factorization scatters into.
+/// dense accumulator a numeric factorization scatters into — and, for
+/// the supernodal tier, the solve block and the trapezoid arena.
 ///
-/// A workspace is plan-agnostic — it grows to the largest `n` it has
-/// served and can be reused across plans (a serving worker keeps one
-/// for its whole lifetime, whatever patterns flow through). The
-/// accumulator is maintained all-zeros between calls by the column
-/// kernel itself, so reuse costs nothing per factorization.
+/// A workspace is plan-agnostic — it grows to the largest request it
+/// has served and can be reused across plans and tiers (a serving
+/// worker keeps one for its whole lifetime, whatever patterns flow
+/// through). The accumulator is maintained all-zeros between calls by
+/// the numeric kernels themselves, so reuse costs nothing per
+/// factorization.
 #[derive(Debug, Clone, Default)]
 pub struct LuWorkspace {
-    /// Dense accumulator, all zeros between factorizations.
+    /// Dense accumulator, all zeros between factorizations: `n`
+    /// doubles on the scalar tier, `n × max panel width` (row-major
+    /// per panel) on the supernodal tier.
     x: Vec<f64>,
+    /// Supernodal tier: the `v × w` solve block / diagonal-block copy.
+    /// Fully overwritten before every read.
+    bt: Vec<f64>,
+    /// Supernodal tier: the panels' trapezoid arena. Every trapezoid
+    /// is fully written before it is read, so it is never re-zeroed.
+    sx: Vec<f64>,
 }
 
 impl LuWorkspace {
@@ -238,9 +248,17 @@ impl LuWorkspace {
         Self::default()
     }
 
-    /// Capacity in matrix order currently held.
+    /// Doubles of dense accumulator currently held: the largest `n`
+    /// (scalar tier) or `n × max panel width` (supernodal tier) served.
     pub fn capacity(&self) -> usize {
         self.x.len()
+    }
+
+    /// True when the accumulator holds nothing but zeros — the
+    /// invariant every numeric kernel restores before returning, on
+    /// success and on failure alike.
+    pub fn is_clear(&self) -> bool {
+        self.x.iter().all(|&v| v == 0.0)
     }
 
     /// Make the accumulator at least `n` long (new tail zeroed; the
@@ -250,6 +268,36 @@ impl LuWorkspace {
             self.x.resize(n, 0.0);
         }
         &mut self.x[..n]
+    }
+
+    /// The supernodal tier's three buffers at the requested lengths:
+    /// the all-zeros accumulator, the solve block and the trapezoid
+    /// arena (the latter two carry whatever the last call left).
+    pub(crate) fn ensure_panels(
+        &mut self,
+        x_len: usize,
+        bt_len: usize,
+        sx_len: usize,
+    ) -> (&mut [f64], &mut [f64], &mut [f64]) {
+        self.ensure(x_len);
+        if self.bt.len() < bt_len {
+            self.bt.resize(bt_len, 0.0);
+        }
+        if self.sx.len() < sx_len {
+            self.sx.resize(sx_len, 0.0);
+        }
+        (
+            &mut self.x[..x_len],
+            &mut self.bt[..bt_len],
+            &mut self.sx[..sx_len],
+        )
+    }
+
+    /// Restore the all-zeros accumulator wholesale — the supernodal
+    /// tier's recovery when non-finite values may have reached
+    /// positions its pattern-driven clears never visit.
+    pub(crate) fn clear(&mut self) {
+        self.x.fill(0.0);
     }
 }
 
@@ -1360,9 +1408,19 @@ impl LuPlan {
     /// accumulator: `A(:, j)` directly when nothing is baked, or
     /// column `cperm[j]` of the caller's original matrix with rows
     /// mapped through the inverse row map under baked permutations
-    /// (`B[i, j] = A[rperm[i], cperm[j]]`). Shared by the per-column
-    /// kernel below and the supernodal plan's panel scatter.
-    pub(crate) fn scatter_a_column(&self, j: usize, a: &CscMatrix, x: &mut [f64]) {
+    /// (`B[i, j] = A[rperm[i], cperm[j]]`). Row `i` lands at
+    /// `x[i * stride + offset]`: the per-column kernel below passes
+    /// `(1, 0)`, the supernodal plan's row-major panel accumulator
+    /// `(panel width, column within the panel)`.
+    #[inline]
+    pub(crate) fn scatter_a_column(
+        &self,
+        j: usize,
+        a: &CscMatrix,
+        x: &mut [f64],
+        stride: usize,
+        offset: usize,
+    ) {
         // With compiled MC64 scaling, entries are multiplied by
         // dr[row]·dc[col] (original coordinates) as they scatter —
         // the diagonal scaling matrices never materialize. The
@@ -1372,25 +1430,25 @@ impl LuPlan {
         match (&self.baked, &self.scaling) {
             (None, None) => {
                 for (i, v) in a.col_iter(j) {
-                    x[i] = v;
+                    x[i * stride + offset] = v;
                 }
             }
             (None, Some(s)) => {
                 let dcj = s.dc[j];
                 for (i, v) in a.col_iter(j) {
-                    x[i] = s.dr[i] * v * dcj;
+                    x[i * stride + offset] = s.dr[i] * v * dcj;
                 }
             }
             (Some(bp), None) => {
                 for (i, v) in a.col_iter(bp.cperm[j]) {
-                    x[bp.irperm[i]] = v;
+                    x[bp.irperm[i] * stride + offset] = v;
                 }
             }
             (Some(bp), Some(s)) => {
                 let oc = bp.cperm[j];
                 let dcj = s.dc[oc];
                 for (i, v) in a.col_iter(oc) {
-                    x[bp.irperm[i]] = s.dr[i] * v * dcj;
+                    x[bp.irperm[i] * stride + offset] = s.dr[i] * v * dcj;
                 }
             }
         }
@@ -1437,7 +1495,7 @@ impl LuPlan {
         // permutation is applied here, inside the scatter the column
         // solve performs anyway, so ordered plans pay zero extra
         // passes over the data.
-        self.scatter_a_column(j, a, x);
+        self.scatter_a_column(j, a, x, 1, 0);
         // Apply the baked update schedule in topological order.
         for &tagged in &self.upd_cols[self.upd_ptr[j]..self.upd_ptr[j + 1]] {
             let k = (tagged & !PEEL_BIT) as usize;

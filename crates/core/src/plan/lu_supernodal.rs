@@ -13,19 +13,27 @@
 //!   and whose sub-diagonal rows are shared by every column. Panel
 //!   layouts (trapezoid extents, value offsets, the panel-level update
 //!   DAG) are all baked here at compile time.
-//! * **Numeric phase** — panel by panel: gather the panel's columns
-//!   into a dense block accumulator, apply each *source* panel's
-//!   accumulated updates with a dense TRSM
+//! * **Numeric phase** — panel by panel: scatter the panel's columns
+//!   into a **row-major** block accumulator (`x[row · w + c]`, stride =
+//!   the panel's own width `w`, so one accumulator row of the panel is
+//!   one contiguous run); apply each *source* panel's accumulated
+//!   updates with a dense TRSM
 //!   ([`sympiler_dense::trsm_right_lower_trans_unit`], the source's
-//!   internal solve) followed by a dense GEMM
-//!   ([`sympiler_dense::gemm_nt_sub`], the outer-panel update) and a
-//!   scatter-add back into the accumulator; then factor the panel's own
-//!   diagonal block with an unpivoted dense GETRF
+//!   internal solve, in place on the accumulator rows of the source's
+//!   diagonal block) followed by **one fused update kernel**
+//!   ([`sympiler_dense::panel_update_sub`]) that walks the source's row
+//!   list once and subtracts `L · Bt` straight into the accumulator
+//!   rows — no gather into a contiguous block, no scatter back; a
+//!   singleton source column is the `v = 1` case of the same kernel.
+//!   Then pack the panel's rows into its trapezoid, factor the diagonal
+//!   block with an unpivoted dense GETRF
 //!   ([`sympiler_dense::getrf_nopiv`]) and divide out its `U` with a
 //!   dense TRSM ([`sympiler_dense::trsm_right_upper`]). Width-1 panels
 //!   fall back to the scalar per-column kernel
 //!   (`LuPlan::column_numeric`), so sparsity that never blocks costs
-//!   nothing extra.
+//!   nothing extra — and under [`crate::BlockLu::Auto`] wide panels
+//!   too thin to pay for the dense path are dissolved into such
+//!   columns at compile time ([`SupernodalLuPlan::dissolve_thin_panels`]).
 //! * **Parallelism** — the panel DAG (panel `s` depends on every panel
 //!   that sources one of its updates) feeds the same generalized
 //!   scheduler the column-parallel plan uses
@@ -37,11 +45,16 @@
 //! Results are **not** bit-identical to the scalar plans — dense
 //! kernels reassociate the update sums — but agree to ~1e-12 relative
 //! (verified across the suite by `lu_compare` and the property tests),
-//! and the zero-pivot column reported is the same.
+//! and the zero-pivot column reported is the same. They **are**
+//! bit-identical across thread counts and with profiling on or off on
+//! one host: every panel runs one fixed operation sequence. Across
+//! hosts the update kernel uses fused multiply-add where the CPU has
+//! it (run-time detection), so factors from an FMA and a non-FMA host
+//! differ in the last bits — within the same backward-error gate.
 
-use super::lu::{LuFactor, LuPlan, LuPlanError, PerturbReport, PivotStatus};
+use super::lu::{LuFactor, LuPlan, LuPlanError, LuWorkspace, PerturbReport, PivotStatus};
 use sympiler_dense::{
-    gemm_nt_sub, getrf_nopiv_perturbed, trsm_right_lower_trans_unit, trsm_right_upper,
+    getrf_nopiv_perturbed, panel_update_sub, trsm_right_lower_trans_unit, trsm_right_upper,
 };
 use sympiler_graph::levels::{balanced_partition, dag_levels_from_preds};
 use sympiler_graph::lu_supernode::{supernodes_lu_relaxed_from_parts, LuPanels};
@@ -87,9 +100,6 @@ pub struct SupernodalLuPlan {
     barrier_after: Vec<bool>,
     /// Widest panel (workspace sizing).
     max_width: usize,
-    /// Largest sub-diagonal row count over wide panels (workspace
-    /// sizing for the GEMM gather block).
-    max_sub_rows: usize,
     /// Fraction of factorization flops carried by wide panels — the
     /// share the dense kernels execute.
     dense_flop_share: f64,
@@ -98,7 +108,28 @@ pub struct SupernodalLuPlan {
     /// against, and what the flop-accounting gate charges dense vs.
     /// scalar work with.
     panel_flops: Vec<u64>,
+    /// Exact flops the wide panels **execute** through the dense
+    /// kernels — padded slots, all-columns updates and diagonal-block
+    /// solves included — against the structural
+    /// `Σ panel_flops[wide]`: the waste the dense path is charged.
+    dense_executed_flops: u64,
 }
+
+/// [`crate::BlockLu::Auto`]'s per-panel rule: a wide panel stays dense
+/// when its structural flops reach this many per accumulator entry the
+/// dense path moves for it (see
+/// [`SupernodalLuPlan::dissolve_thin_panels`]). The scalar column
+/// kernel does exactly 2 flops per entry it touches and touches only
+/// structural entries; the dense path moves every column of every row
+/// a source reaches, far cheaper per entry, so it is ahead as soon as
+/// that traffic carries at least the scalar kernel's intensity — wide
+/// sources, columns that share them. Measured (`ablation_thresholds`):
+/// fill-free circuits, whose panels merge columns with disjoint
+/// singleton sources, sit below 1 and keep no dense panel; on
+/// heavy-fill circuits and grids 98–99.9 % of the flops sit in panels
+/// above 2, and factor time is flat for thresholds 0–2 and climbs
+/// from 3.
+pub const DENSE_PANEL_MIN_FLOPS_PER_ENTRY: f64 = 2.0;
 
 /// Shared mutable view of the factor value arrays plus the supernodal
 /// trapezoid storage, handed to the scoped workers.
@@ -120,14 +151,15 @@ struct SharedPanels {
 #[cfg(feature = "parallel")]
 unsafe impl Sync for SharedPanels {}
 
-/// Per-worker scratch: `x` is a dense `n × max_width` block accumulator
-/// (column-major, all zeros between panels), `bt` a `max_width²`
-/// gather block for source-panel solves and diagonal-block copies,
-/// `cbuf` the GEMM gather/scatter block.
-struct PanelWorkspace {
-    x: Vec<f64>,
-    bt: Vec<f64>,
-    cbuf: Vec<f64>,
+/// Per-worker scratch: `x` is the dense block accumulator, `n ×
+/// max_width` doubles, all zeros between panels — panel `s` of width
+/// `w` addresses its leading `n × w` doubles **row-major**
+/// (`x[row · w + c]`), a singleton its leading `n` as a plain column;
+/// `bt` holds `max_width²` doubles for the solved source block handed
+/// to the update kernel and for the diagonal-block copy.
+struct PanelWorkspace<'a> {
+    x: &'a mut [f64],
+    bt: &'a mut [f64],
 }
 
 impl SupernodalLuPlan {
@@ -181,16 +213,82 @@ impl SupernodalLuPlan {
         relax_fill: f64,
         relax_cols: usize,
     ) -> Self {
-        assert!(n_threads >= 1, "need at least one thread");
-        let n = plan.n();
-        let panels = supernodes_lu_relaxed_from_parts(
-            n,
+        let panels = Self::detect_panels(&plan, max_panel, relax_fill, relax_cols);
+        Self::from_panels(plan, panels, n_threads)
+    }
+
+    /// Panel detection alone on a compiled plan's `L` layout — `O(nnz(L))`,
+    /// no schedule built. What a compile driver inspects (and may thin
+    /// out with [`Self::dissolve_thin_panels`]) before committing to
+    /// [`Self::from_panels`].
+    pub fn detect_panels(
+        plan: &LuPlan,
+        max_panel: usize,
+        relax_fill: f64,
+        relax_cols: usize,
+    ) -> LuPanels {
+        supernodes_lu_relaxed_from_parts(
+            plan.n(),
             &plan.l_col_ptr,
             &plan.l_row_idx,
             max_panel,
             relax_fill,
             relax_cols,
-        );
+        )
+    }
+
+    /// Dissolve every wide panel whose structural flops per accumulator
+    /// entry the dense path moves fall below `min_flops_per_entry`
+    /// into scalar columns ([`crate::BlockLu::Auto`] passes
+    /// [`DENSE_PANEL_MIN_FLOPS_PER_ENTRY`]). Exact compile-time
+    /// quantities only: the panel's flops (sum of its columns'), and
+    /// `width × (union rows + Σ rows of every source panel)` — each
+    /// source's update rewrites that many accumulator entries, the
+    /// pack pass the panel's own trapezoid.
+    pub fn dissolve_thin_panels(
+        plan: &LuPlan,
+        panels: &LuPanels,
+        min_flops_per_entry: f64,
+    ) -> LuPanels {
+        let part = &panels.part;
+        let col_flops = plan.per_column_flops();
+        // Rows a source panel's update walks: its union rows, or the
+        // CSC column of a singleton.
+        let source_rows = |t: usize| {
+            if part.width(t) > 1 {
+                panels.panel_rows(t).len()
+            } else {
+                let g = part.first_col[t];
+                plan.l_col_ptr[g + 1] - plan.l_col_ptr[g]
+            }
+        };
+        let mut seen = vec![usize::MAX; part.n_supernodes()];
+        let mut keep = vec![true; part.n_supernodes()];
+        for s in (0..part.n_supernodes()).filter(|&s| part.width(s) > 1) {
+            let mut rows_moved = panels.panel_rows(s).len();
+            let mut flops = 0u64;
+            for j in part.cols(s) {
+                flops += col_flops[j];
+                for k in plan.schedule(j) {
+                    let t = part.col_to_super[k];
+                    if t != s && seen[t] != s {
+                        seen[t] = s;
+                        rows_moved += source_rows(t);
+                    }
+                }
+            }
+            let entries = part.width(s) * rows_moved;
+            keep[s] = flops as f64 >= min_flops_per_entry * entries as f64;
+        }
+        panels.dissolve_unless(&plan.l_col_ptr, &plan.l_row_idx, |s| keep[s])
+    }
+
+    /// Bake the panel layouts and the leveled panel-DAG schedule for a
+    /// panel partition of `plan`'s columns — one [`Self::detect_panels`]
+    /// produced, possibly thinned by [`Self::dissolve_thin_panels`].
+    pub fn from_panels(plan: LuPlan, panels: LuPanels, n_threads: usize) -> Self {
+        assert!(n_threads >= 1, "need at least one thread");
+        assert_eq!(panels.part.n_cols(), plan.n(), "panels must cover the plan");
         let part = &panels.part;
         let n_panels = part.n_supernodes();
 
@@ -200,7 +298,6 @@ impl SupernodalLuPlan {
         let mut sx_ptr = Vec::with_capacity(n_panels + 1);
         sx_ptr.push(0usize);
         let mut max_width = 1usize;
-        let mut max_sub_rows = 0usize;
         for s in 0..n_panels {
             let w = part.width(s);
             let m = panels.panel_rows(s).len();
@@ -208,7 +305,6 @@ impl SupernodalLuPlan {
             if w > 1 {
                 size = m * w;
                 max_width = max_width.max(w);
-                max_sub_rows = max_sub_rows.max(m - w);
             }
             sx_ptr.push(sx_ptr[s] + size);
         }
@@ -286,6 +382,30 @@ impl SupernodalLuPlan {
             .map(|s| part.cols(s).map(|j| col_flops[j]).sum())
             .collect();
 
+        // What the wide panels execute (divisions 1 flop, multiply-
+        // subtract pairs 2 — the structural count's convention): per
+        // source the internal solve and the all-columns update over
+        // the source's whole row list, then the panel's own GETRF and
+        // sub-diagonal solve over its whole trapezoid.
+        let mut dense_executed_flops = 0u64;
+        for s in (0..n_panels).filter(|&s| part.width(s) > 1) {
+            let w = part.width(s) as u64;
+            let m = panels.panel_rows(s).len() as u64;
+            for &t in &upd_panels[upd_ptr[s]..upd_ptr[s + 1]] {
+                let t = t as usize;
+                let v = part.width(t) as u64;
+                let m_sub = if v == 1 {
+                    let g = part.first_col[t];
+                    (plan.l_col_ptr[g + 1] - plan.l_col_ptr[g] - 1) as u64
+                } else {
+                    panels.panel_rows(t).len() as u64 - v
+                };
+                dense_executed_flops += w * v * (v - 1) + 2 * m_sub * w * v;
+            }
+            let getrf = w * (w - 1) / 2 + (w - 1) * w * (2 * w - 1) / 3;
+            dense_executed_flops += getrf + (m - w) * w * w;
+        }
+
         Self {
             plan,
             panels,
@@ -298,9 +418,9 @@ impl SupernodalLuPlan {
             chunk_bounds,
             barrier_after,
             max_width,
-            max_sub_rows,
             dense_flop_share,
             panel_flops,
+            dense_executed_flops,
         }
     }
 
@@ -387,6 +507,24 @@ impl SupernodalLuPlan {
         self.dense_flop_share
     }
 
+    /// Structural flops of the columns living in wide panels —
+    /// `dense_flop_share × flops`, exactly.
+    pub fn dense_structural_flops(&self) -> u64 {
+        (0..self.n_panels())
+            .filter(|&s| self.panels.part.width(s) > 1)
+            .map(|s| self.panel_flops[s])
+            .sum()
+    }
+
+    /// Flops the wide panels execute through the dense kernels for
+    /// those [`Self::dense_structural_flops`]: padded trapezoid slots,
+    /// updates applied to every panel column whether or not its own
+    /// pattern asks for them, and the diagonal-block solves all count.
+    /// The ratio of the two is the waste blocking is charged.
+    pub fn dense_executed_flops(&self) -> u64 {
+        self.dense_executed_flops
+    }
+
     /// Worker count baked into the panel schedule.
     pub fn n_threads(&self) -> usize {
         self.n_threads
@@ -411,16 +549,6 @@ impl SupernodalLuPlan {
         self.barrier_after.iter().filter(|&&b| b).count()
     }
 
-    fn workspace(&self) -> PanelWorkspace {
-        let n = self.plan.n();
-        let w = self.max_width;
-        PanelWorkspace {
-            x: vec![0.0; n * w],
-            bt: vec![0.0; w * w],
-            cbuf: vec![0.0; self.max_sub_rows * w],
-        }
-    }
-
     /// The chunk of level `lv` owned by worker `t`.
     #[cfg_attr(not(feature = "parallel"), allow(dead_code))]
     fn chunk(&self, lv: usize, t: usize) -> &[usize] {
@@ -432,10 +560,12 @@ impl SupernodalLuPlan {
     }
 
     /// Execute one panel: the scalar column kernel for singletons, the
-    /// dense GETRF/TRSM/GEMM pipeline for wide panels. Returns the
-    /// smallest zero-pivot column, or `usize::MAX` when clean; values
-    /// are always fully written (IEEE semantics on zero pivots), so
-    /// parallel callers record and keep going.
+    /// dense TRSM / fused-update / GETRF pipeline for wide panels.
+    /// Returns the smallest zero-pivot column, or `usize::MAX` when
+    /// clean; values are always fully written (IEEE semantics on zero
+    /// pivots), so parallel callers record and keep going. The
+    /// accumulator is all zeros again on return whenever every value
+    /// the panel read was finite.
     ///
     /// # Safety
     /// `lx` / `ux` / `sx` must point to the full factor and trapezoid
@@ -449,7 +579,7 @@ impl SupernodalLuPlan {
         &self,
         s: usize,
         a: &CscMatrix,
-        ws: &mut PanelWorkspace,
+        ws: &mut PanelWorkspace<'_>,
         lx: *mut f64,
         ux: *mut f64,
         sx: *mut f64,
@@ -497,19 +627,28 @@ impl SupernodalLuPlan {
         // first `w` entries are always the diagonal run `f..f+w`.
         let rows = self.panels.panel_rows(s);
         let m = rows.len();
-        debug_assert_eq!(rows[0] as usize, f, "panel rows start at the diagonal");
+        // Plan invariants every index below rests on. The accumulator
+        // and trapezoid accesses are bounds-checked slices either way;
+        // these name the broken invariant instead of an index.
+        debug_assert!(
+            rows.iter().all(|&r| (r as usize) < n),
+            "panel {s}: row index out of range (n = {n})"
+        );
         debug_assert!(
             rows[..w]
                 .iter()
                 .enumerate()
                 .all(|(c, &r)| r as usize == f + c),
-            "diagonal run leads the union rows"
+            "panel {s}: diagonal run must lead the union rows"
         );
 
-        // --- Scatter the panel's (ordered) input columns into the
-        // dense block accumulator.
+        // The panel's row-major view of the accumulator: row `r` of its
+        // `w` columns is the contiguous run `x[r * w..(r + 1) * w]`.
+        let x = &mut ws.x[..n * w];
+
+        // --- Scatter the panel's (ordered) input columns.
         for c in 0..w {
-            plan.scatter_a_column(f + c, a, &mut ws.x[c * n..(c + 1) * n]);
+            plan.scatter_a_column(f + c, a, x, w, c);
         }
 
         // --- Source-panel updates, ascending (a valid topological
@@ -518,113 +657,88 @@ impl SupernodalLuPlan {
             let t = t as usize;
             let g = self.panels.part.first_col[t];
             let v = self.panels.part.width(t);
-            if v == 1 {
-                // Scalar source column: guarded axpy per panel column,
-                // values read from the finalized CSC factor.
+            // The accumulator rows at the source's diagonal block are
+            // consecutive (g..g+v), hence one contiguous `v × w`
+            // row-major block — column-major `w × v` to the TRSM.
+            let diag = g * w..(g + v) * w;
+            // Sub-diagonal rows and values of the source, all
+            // finalized by the caller's contract.
+            let (sub_rows, sub_vals, ldl) = if v == 1 {
+                // Singleton source column: its CSC column below the
+                // unit diagonal; nothing to solve.
                 let range = l_ptr[g] + 1..l_ptr[g + 1];
-                let krows = &l_rows[range.clone()];
-                // SAFETY: column g is finalized by the caller's
-                // contract and no thread writes it concurrently.
-                let kvals = std::slice::from_raw_parts(lx.add(range.start), range.len());
-                for c in 0..w {
-                    let xc = &mut ws.x[c * n..(c + 1) * n];
-                    let xk = xc[g];
-                    if xk != 0.0 {
-                        for (&r, &val) in krows.iter().zip(kvals) {
-                            xc[r as usize] -= val * xk;
-                        }
-                    }
-                }
-                continue;
-            }
-            // Wide source panel: its trapezoid holds the unit-lower
-            // diagonal block (strict lower part; U values sit on the
-            // diagonal) and the sub-diagonal L rows over the panel's
-            // union row list, all finalized. Amalgamation-padded slots
-            // hold exact ±0.0, so they contribute nothing to the TRSM
-            // or the GEMM.
-            let rows_t = self.panels.panel_rows(t);
-            let m_t = rows_t.len();
-            // SAFETY: panel t precedes s in the schedule — finalized,
-            // no concurrent writes.
-            let sx_t = std::slice::from_raw_parts(sx.add(self.sx_ptr[t]), m_t * v);
-            // Gather the accumulator rows of the source's diagonal
-            // block, transposed (targets × source columns): panel diag
-            // rows are consecutive (g..g+v) by the nesting rule.
-            let bt = &mut ws.bt[..w * v];
-            for kk in 0..v {
-                for c in 0..w {
-                    bt[kk * w + c] = ws.x[c * n + g + kk];
-                }
-            }
-            // Internal solve of the source panel applied to all target
-            // columns at once: Bt := Bt · L_dd^{-T}  ⇔  B := L_dd^{-1} B.
-            let t0 = if enabled { prof.now_ns() } else { 0 };
-            trsm_right_lower_trans_unit(w, v, sx_t, m_t, bt, w);
-            if enabled {
-                let t1 = prof.now_ns();
-                prof.add_span(
-                    lane,
-                    "trsm",
-                    t0,
-                    t1 - t0,
-                    &[("m", w as f64), ("n", v as f64)],
-                );
-            }
-            // Outer-panel update through dense GEMM, gathered into a
-            // contiguous block and scattered back (rows need not be
-            // contiguous below the source's diagonal block).
-            let m_sub = m_t - v;
-            if m_sub > 0 {
-                let cbuf = &mut ws.cbuf[..m_sub * w];
-                for c in 0..w {
-                    let xc = &ws.x[c * n..(c + 1) * n];
-                    for (i, &r) in rows_t[v..].iter().enumerate() {
-                        cbuf[c * m_sub + i] = xc[r as usize];
-                    }
-                }
+                // SAFETY: column g is finalized and no thread writes
+                // it concurrently.
+                let vals = std::slice::from_raw_parts(lx.add(range.start), range.len());
+                (&l_rows[range.clone()], vals, range.len())
+            } else {
+                // Wide source panel: its trapezoid holds the unit-lower
+                // diagonal block (strict lower part; U values sit on
+                // the diagonal) and the sub-diagonal L rows over the
+                // panel's union row list. Amalgamation-padded slots
+                // hold exact ±0.0, so they contribute nothing.
+                let rows_t = self.panels.panel_rows(t);
+                let m_t = rows_t.len();
+                // SAFETY: panel t precedes s in the schedule —
+                // finalized, no concurrent writes.
+                let sx_t = std::slice::from_raw_parts(sx.add(self.sx_ptr[t]), m_t * v);
+                // Internal solve of the source panel applied to all
+                // target columns at once, in place:
+                // Bt := Bt · L_dd^{-T}  ⇔  B := L_dd^{-1} B. The solved
+                // rows are the final U values of the target columns.
                 let t0 = if enabled { prof.now_ns() } else { 0 };
-                gemm_nt_sub(m_sub, w, v, &sx_t[v..], m_t, bt, w, cbuf, m_sub);
+                trsm_right_lower_trans_unit(w, v, sx_t, m_t, &mut x[diag.clone()], w);
                 if enabled {
                     let t1 = prof.now_ns();
-                    let flops = 2.0 * m_sub as f64 * w as f64 * v as f64;
                     prof.add_span(
                         lane,
-                        "gemm",
+                        "trsm",
                         t0,
                         t1 - t0,
-                        &[
-                            ("m", m_sub as f64),
-                            ("n", w as f64),
-                            ("k", v as f64),
-                            ("flops", flops),
-                            ("gflops", flops / (t1 - t0).max(1) as f64),
-                        ],
+                        &[("m", w as f64), ("n", v as f64)],
                     );
                 }
-                for c in 0..w {
-                    let xc = &mut ws.x[c * n..(c + 1) * n];
-                    for (i, &r) in rows_t[v..].iter().enumerate() {
-                        xc[r as usize] = cbuf[c * m_sub + i];
-                    }
-                }
+                (&rows_t[v..], &sx_t[v..], m_t)
+            };
+            let m_sub = sub_rows.len();
+            if m_sub == 0 {
+                continue;
             }
-            // Write the solved block back: these are the final U values
-            // of the target columns at the source panel's rows.
-            for kk in 0..v {
-                for c in 0..w {
-                    ws.x[c * n + g + kk] = bt[kk * w + c];
-                }
+            // The update reads the solved block while it writes other
+            // rows of the same accumulator: hand it a copy.
+            let bt = &mut ws.bt[..v * w];
+            bt.copy_from_slice(&x[diag]);
+            let t0 = if enabled { prof.now_ns() } else { 0 };
+            panel_update_sub(w, v, sub_rows, sub_vals, ldl, bt, x);
+            if enabled {
+                let t1 = prof.now_ns();
+                let flops = 2.0 * m_sub as f64 * w as f64 * v as f64;
+                prof.add_span(
+                    lane,
+                    "gemm",
+                    t0,
+                    t1 - t0,
+                    &[
+                        ("m", m_sub as f64),
+                        ("n", w as f64),
+                        ("k", v as f64),
+                        ("flops", flops),
+                        ("gflops", flops / (t1 - t0).max(1) as f64),
+                    ],
+                );
             }
         }
 
-        // --- The panel's own dense factorization, in its trapezoid.
+        // --- The panel's own dense factorization, in its trapezoid
+        // (column-major `m × w`, the layout it is later read in as a
+        // source). Packing a row clears it: the union rows cover every
+        // accumulator entry at or below the diagonal run.
         // SAFETY: this worker is the unique owner of panel s.
         let trap = std::slice::from_raw_parts_mut(sx.add(self.sx_ptr[s]), m * w);
-        for c in 0..w {
-            let xc = &ws.x[c * n..(c + 1) * n];
-            for (i, &r) in rows.iter().enumerate() {
-                trap[c * m + i] = xc[r as usize];
+        for (i, &r) in rows.iter().enumerate() {
+            let xr = &mut x[r as usize * w..(r as usize + 1) * w];
+            for (c, xv) in xr.iter_mut().enumerate() {
+                trap[c * m + i] = std::mem::take(xv);
             }
         }
         let mut first_bad = usize::MAX;
@@ -670,21 +784,22 @@ impl SupernodalLuPlan {
             }
         }
 
-        // --- Write back through the fixed CSC layouts and clear the
-        // accumulator by pattern (the scalar epilogue, blockwise).
+        // --- Write back through the fixed CSC layouts.
         let u_ptr = &plan.u_col_ptr;
         let u_rows = &plan.u_row_idx;
         for c in 0..w {
             let j = f + c;
-            let u_range = u_ptr[j]..u_ptr[j + 1];
-            for p in u_range.clone() {
+            // U above the panel comes from (and clears) the
+            // accumulator — its rows sit above the diagonal run, which
+            // the packing pass never visits; U inside the diagonal
+            // block comes from the trapezoid.
+            for p in u_ptr[j]..u_ptr[j + 1] {
                 let r = u_rows[p] as usize;
-                let val = if r < f {
-                    ws.x[c * n + r]
+                *ux.add(p) = if r < f {
+                    std::mem::take(&mut x[r * w + c])
                 } else {
                     trap[c * m + (r - f)]
                 };
-                *ux.add(p) = val;
             }
             // L write-back walks the column's own CSC pattern and
             // two-pointer-merges it against the panel's union rows
@@ -706,17 +821,6 @@ impl SupernodalLuPlan {
             // The structural pivot is the diagonal of the panel's U.
             if trap[c * m + c] == 0.0 {
                 first_bad = first_bad.min(j);
-            }
-            // Clear: U-pattern rows cover everything above the
-            // diagonal (diagonal last), L-pattern rows everything
-            // below; positions outside the pattern only ever hold
-            // exact zeros.
-            let xc = &mut ws.x[c * n..(c + 1) * n];
-            for p in u_range {
-                xc[u_rows[p] as usize] = 0.0;
-            }
-            for p in l_range.start + 1..l_range.end {
-                xc[l_rows[p] as usize] = 0.0;
             }
         }
         if enabled {
@@ -742,17 +846,54 @@ impl SupernodalLuPlan {
     /// zero-pivot column are identical), and is deterministic at every
     /// thread count — each panel executes one fixed operation sequence
     /// whichever worker runs it.
+    ///
+    /// Allocates fresh scratch per call; a caller factoring in a loop
+    /// should hold a [`LuWorkspace`] and use [`Self::factor_with`].
     pub fn factor(&self, a: &CscMatrix) -> Result<LuFactor, LuPlanError> {
+        self.factor_with(a, &mut LuWorkspace::new())
+    }
+
+    /// [`Self::factor`] against a caller-held [`LuWorkspace`] — bitwise
+    /// identical results. A plan compiled for one thread keeps its
+    /// block accumulator, solve block and trapezoid arena in `ws`, so
+    /// the only per-call allocations are the factor value arrays; with
+    /// `n_threads > 1` every worker needs an accumulator of its own,
+    /// allocated per call, and `ws` is left untouched.
+    pub fn factor_with(
+        &self,
+        a: &CscMatrix,
+        ws: &mut LuWorkspace,
+    ) -> Result<LuFactor, LuPlanError> {
         self.plan.check_pattern(a)?;
         let mut lx = vec![0.0f64; self.plan.l_nnz()];
         let mut ux = vec![0.0f64; self.plan.u_nnz()];
-        let mut sx = vec![0.0f64; *self.sx_ptr.last().unwrap_or(&0)];
+        let sx_len = *self.sx_ptr.last().unwrap_or(&0);
         let thresh = self.plan.perturb_threshold(a);
         let mut perturbed: Vec<usize> = Vec::new();
-        let first_bad = if self.n_threads == 1 {
-            self.factor_serial(a, &mut lx, &mut ux, &mut sx, thresh, &mut perturbed)
-        } else {
+        let first_bad = if self.runs_parallel() {
+            let mut sx = vec![0.0f64; sx_len];
             self.factor_parallel(a, &mut lx, &mut ux, &mut sx, thresh, &mut perturbed)
+        } else {
+            let w = self.max_width;
+            let (x, bt, sx) = ws.ensure_panels(self.plan.n() * w, w * w, sx_len);
+            let first_bad = self.factor_serial(
+                a,
+                &mut lx,
+                &mut ux,
+                sx,
+                PanelWorkspace { x, bt },
+                thresh,
+                &mut perturbed,
+            );
+            // The update kernel writes every column of a row it
+            // touches, and only finite products keep the entries no
+            // column's pattern owns at zero: after a zero pivot (its
+            // quotients are ±Inf/NaN) or non-finite input, restore the
+            // caller's all-zeros accumulator wholesale.
+            if first_bad != usize::MAX || !all_finite(&lx) || !all_finite(&ux) {
+                ws.clear();
+            }
+            first_bad
         };
         if first_bad != usize::MAX {
             return Err(LuPlanError::ZeroPivot { column: first_bad });
@@ -769,12 +910,18 @@ impl SupernodalLuPlan {
         ))
     }
 
+    /// Whether `factor` fans panels out over worker threads.
+    fn runs_parallel(&self) -> bool {
+        cfg!(feature = "parallel") && self.n_threads > 1
+    }
+
     fn factor_serial(
         &self,
         a: &CscMatrix,
         lx: &mut [f64],
         ux: &mut [f64],
         sx: &mut [f64],
+        mut ws: PanelWorkspace<'_>,
         thresh: f64,
         perturbed: &mut Vec<usize>,
     ) -> usize {
@@ -785,7 +932,6 @@ impl SupernodalLuPlan {
         } else {
             None
         };
-        let mut ws = self.workspace();
         let mut first_bad = usize::MAX;
         let (mut dense, mut scalar) = (0u64, 0u64);
         for s in 0..self.n_panels() {
@@ -864,7 +1010,12 @@ impl SupernodalLuPlan {
                 let (dense_flops, scalar_flops) = (&dense_flops, &scalar_flops);
                 let all_perturbed = &all_perturbed;
                 scope.spawn(move || {
-                    let mut ws = self.workspace();
+                    let mut x = vec![0.0f64; self.plan.n() * self.max_width];
+                    let mut bt = vec![0.0f64; self.max_width * self.max_width];
+                    let mut ws = PanelWorkspace {
+                        x: &mut x,
+                        bt: &mut bt,
+                    };
                     let worker_t0 = prof.now_ns();
                     let mut my_wait = 0u64;
                     let (mut my_dense, mut my_scalar) = (0u64, 0u64);
@@ -954,14 +1105,14 @@ impl SupernodalLuPlan {
     #[cfg(not(feature = "parallel"))]
     fn factor_parallel(
         &self,
-        a: &CscMatrix,
-        lx: &mut [f64],
-        ux: &mut [f64],
-        sx: &mut [f64],
-        thresh: f64,
-        perturbed: &mut Vec<usize>,
+        _a: &CscMatrix,
+        _lx: &mut [f64],
+        _ux: &mut [f64],
+        _sx: &mut [f64],
+        _thresh: f64,
+        _perturbed: &mut Vec<usize>,
     ) -> usize {
-        self.factor_serial(a, lx, ux, sx, thresh, perturbed)
+        unreachable!("runs_parallel() is false without the `parallel` feature")
     }
 
     /// Emit the matrix-specialized supernodal C factorization kernel
@@ -970,6 +1121,13 @@ impl SupernodalLuPlan {
     pub fn emit_c(&self) -> String {
         crate::emit::emit_lu_supernodal_c(&self.panels, self.n_wide_panels(), self.dense_flop_share)
     }
+}
+
+/// True when no entry is NaN or ±Inf. Branch-free (vectorizable)
+/// within a block, early exit between blocks.
+fn all_finite(vals: &[f64]) -> bool {
+    vals.chunks(64)
+        .all(|block| block.iter().fold(true, |ok, v| ok & v.is_finite()))
 }
 
 #[cfg(test)]
@@ -1145,6 +1303,177 @@ mod tests {
             let f = sup.factor(&a).unwrap();
             assert_close(&f, &serial, 1e-12, &format!("round {round}"));
         }
+    }
+
+    fn bits(f: &LuFactor) -> Vec<u64> {
+        f.l()
+            .values()
+            .iter()
+            .chain(f.u().values())
+            .map(|v| v.to_bits())
+            .collect()
+    }
+
+    #[test]
+    fn caller_workspace_is_honoured_and_left_all_zero_across_plans() {
+        // One workspace through two different plans (different n,
+        // different widest panel): bitwise the fresh-scratch factors,
+        // the accumulator all-zero after every call, and no growth on
+        // the second factorization of a pattern.
+        let a1 = gen::convection_diffusion_2d(9, 8, 1.5, 3);
+        let a2 = gen::circuit_unsym(150, 4, 2, 7);
+        let sup1 = SupernodalLuPlan::build(&a1, true, 2, FillOrdering::Natural, 8, 1).unwrap();
+        let sup2 = SupernodalLuPlan::build(&a2, true, 2, FillOrdering::Colamd, 32, 1).unwrap();
+        assert!(sup1.n_wide_panels() > 0 && sup2.n_wide_panels() > 0);
+        let mut ws = LuWorkspace::new();
+        for round in 0..2 {
+            for (sup, a) in [(&sup1, &a1), (&sup2, &a2)] {
+                let before = ws.capacity();
+                let f = sup.factor_with(a, &mut ws).unwrap();
+                assert_eq!(bits(&f), bits(&sup.factor(a).unwrap()), "round {round}");
+                assert!(ws.is_clear(), "accumulator must be all-zero again");
+                if round == 1 {
+                    assert_eq!(ws.capacity(), before, "steady state allocates nothing");
+                }
+            }
+        }
+        // The scalar tier shares the same accumulator.
+        let serial = sup2.serial().factor_with(&a2, &mut ws).unwrap();
+        assert_eq!(bits(&serial), bits(&sup2.serial().factor(&a2).unwrap()));
+        assert!(ws.is_clear());
+    }
+
+    #[test]
+    fn zero_pivot_abort_leaves_the_workspace_clean() {
+        // Same singular-leading-block construction as above: the
+        // division by the zero pivot floods the trapezoid with ±Inf and
+        // NaN; the caller's accumulator must come back all-zero and
+        // keep producing bitwise-clean factors.
+        let n = 12;
+        let mut t = sympiler_sparse::TripletMatrix::new(n, n);
+        for j in 0..n {
+            for i in 0..n {
+                if i == j || (i + j) % 3 != 0 {
+                    t.push(i, j, if i == j { 10.0 } else { 1.0 });
+                }
+            }
+        }
+        let a0 = t.to_csc().unwrap();
+        let sup = SupernodalLuPlan::build(&a0, true, 2, FillOrdering::Natural, 4, 1).unwrap();
+        assert!(
+            sup.n_wide_panels() > 1,
+            "need a wide source and a wide target"
+        );
+        let good = sup.factor(&a0).unwrap();
+        let mut bad = a0.clone();
+        let d = a0.to_dense();
+        let idx = bad.find(1, 1).unwrap();
+        bad.values_mut()[idx] = d[1] * d[n] / d[0];
+        let mut ws = LuWorkspace::new();
+        sup.factor_with(&a0, &mut ws).unwrap();
+        let err = sup.factor_with(&bad, &mut ws).unwrap_err();
+        assert_eq!(err, LuPlanError::ZeroPivot { column: 1 });
+        assert!(ws.is_clear(), "abort must restore the all-zero accumulator");
+        assert_eq!(bits(&sup.factor_with(&a0, &mut ws).unwrap()), bits(&good));
+    }
+
+    #[test]
+    fn non_finite_input_cannot_poison_a_reused_workspace() {
+        // A NaN in A reaches, through the all-columns update kernel,
+        // accumulator entries no column's pattern clears. The factor
+        // is (rightly) full of NaN; the workspace must not carry it
+        // into the next request.
+        let a = gen::circuit_unsym(150, 4, 2, 7);
+        let sup = SupernodalLuPlan::build(&a, true, 2, FillOrdering::Colamd, 32, 1).unwrap();
+        let good = sup.factor(&a).unwrap();
+        let mut ws = LuWorkspace::new();
+        for poison in [f64::NAN, f64::INFINITY] {
+            let mut bad = a.clone();
+            bad.values_mut()[0] = poison;
+            let f = sup.factor_with(&bad, &mut ws).expect("no zero pivot");
+            assert!(
+                f.l()
+                    .values()
+                    .iter()
+                    .chain(f.u().values())
+                    .any(|v| !v.is_finite()),
+                "the poison must be visible in the factor"
+            );
+            assert!(ws.is_clear(), "{poison}: accumulator restored");
+            assert_eq!(bits(&sup.factor_with(&a, &mut ws).unwrap()), bits(&good));
+        }
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "row index out of range")]
+    fn out_of_range_panel_row_trips_the_invariant_check_not_the_index() {
+        // A deliberately inconsistent plan: the last union row of the
+        // first wide panel points past the matrix. The debug invariant
+        // check must name it before any accumulator index does.
+        let a = gen::convection_diffusion_2d(7, 7, 1.0, 2);
+        let mut sup = SupernodalLuPlan::build(&a, true, 2, FillOrdering::Natural, 8, 1).unwrap();
+        let s = (0..sup.n_panels())
+            .find(|&s| sup.panels.part.width(s) > 1)
+            .expect("grid blocks");
+        let last = sup.panels.row_ptr[s + 1] - 1;
+        sup.panels.rows[last] = a.n_cols() as u32;
+        let _ = sup.factor(&a);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "diagonal run must lead")]
+    fn broken_diagonal_run_trips_the_invariant_check() {
+        let a = gen::convection_diffusion_2d(7, 7, 1.0, 2);
+        let mut sup = SupernodalLuPlan::build(&a, true, 2, FillOrdering::Natural, 8, 1).unwrap();
+        let s = (0..sup.n_panels())
+            .find(|&s| sup.panels.part.width(s) > 1)
+            .expect("grid blocks");
+        let first = sup.panels.row_ptr[s];
+        sup.panels.rows.swap(first, first + 1);
+        let _ = sup.factor(&a);
+    }
+
+    #[test]
+    fn executed_flops_count_the_padding_and_dissolving_removes_it() {
+        // Every detected panel dense: the dense path executes at least
+        // the structural flops, and the census closes (dense share ×
+        // total == structural dense flops). Dissolving at an infinite
+        // threshold leaves a scalar-only schedule that executes no
+        // dense flop and still factors bitwise like the serial plan.
+        let a = gen::circuit_unsym(150, 4, 2, 7);
+        let plan = LuPlan::build_ordered(&a, true, 2, FillOrdering::Colamd).unwrap();
+        let detected = SupernodalLuPlan::detect_panels(&plan, 32, 0.3, 16);
+        let all = SupernodalLuPlan::from_panels(plan.clone(), detected.clone(), 1);
+        assert!(all.dense_executed_flops() >= all.dense_structural_flops());
+        assert_eq!(
+            all.dense_structural_flops(),
+            (all.dense_flop_share() * plan.flops() as f64).round() as u64
+        );
+        let kept = SupernodalLuPlan::dissolve_thin_panels(
+            &plan,
+            &detected,
+            DENSE_PANEL_MIN_FLOPS_PER_ENTRY,
+        );
+        let auto = SupernodalLuPlan::from_panels(plan.clone(), kept, 1);
+        assert!(auto.n_wide_panels() > 0 && auto.n_wide_panels() < all.n_wide_panels());
+        assert!(auto.padded_zeros() <= all.padded_zeros());
+        assert_close(
+            &auto.factor(&a).unwrap(),
+            &plan.factor(&a).unwrap(),
+            1e-12,
+            "auto-thinned panels",
+        );
+        let none = SupernodalLuPlan::dissolve_thin_panels(&plan, &detected, f64::INFINITY);
+        assert_eq!(none.part.n_supernodes(), plan.n());
+        assert_eq!(none.padded_zeros, 0);
+        let scalar = SupernodalLuPlan::from_panels(plan.clone(), none, 1);
+        assert_eq!(scalar.dense_executed_flops(), 0);
+        assert_eq!(
+            bits(&scalar.factor(&a).unwrap()),
+            bits(&plan.factor(&a).unwrap())
+        );
     }
 
     #[test]

@@ -119,6 +119,52 @@ impl LuPanels {
     pub fn mean_width(&self) -> f64 {
         self.part.avg_width()
     }
+
+    /// Split every wide panel `s` with `!keep(s)` back into singleton
+    /// columns, each carrying its own `L` pattern (given as the factor
+    /// layout the panels were detected on) and no padding. Panels that
+    /// are kept, and singletons, pass through untouched — the hook for
+    /// a cost model that decides, panel by panel, whether dense
+    /// execution pays.
+    pub fn dissolve_unless(
+        &self,
+        l_col_ptr: &[usize],
+        l_row_idx: &[u32],
+        keep: impl Fn(usize) -> bool,
+    ) -> LuPanels {
+        let n = self.part.n_cols();
+        let mut first_col = Vec::with_capacity(self.part.first_col.len());
+        let mut row_ptr = vec![0usize];
+        let mut rows: Vec<u32> = Vec::with_capacity(self.rows.len());
+        let mut padded_zeros = self.padded_zeros;
+        for s in 0..self.part.n_supernodes() {
+            let w = self.part.width(s);
+            if w == 1 || keep(s) {
+                first_col.push(self.part.first_col[s]);
+                rows.extend_from_slice(self.panel_rows(s));
+                row_ptr.push(rows.len());
+                continue;
+            }
+            let nnz: usize = self
+                .part
+                .cols(s)
+                .map(|j| l_col_ptr[j + 1] - l_col_ptr[j])
+                .sum();
+            padded_zeros -= trapezoid_slots(w, self.panel_rows(s).len()) - nnz;
+            for j in self.part.cols(s) {
+                first_col.push(j);
+                rows.extend_from_slice(&l_row_idx[l_col_ptr[j]..l_col_ptr[j + 1]]);
+                row_ptr.push(rows.len());
+            }
+        }
+        first_col.push(n);
+        LuPanels {
+            part: SupernodePartition::from_first_cols(first_col, n),
+            row_ptr,
+            rows,
+            padded_zeros,
+        }
+    }
 }
 
 /// Trapezoid slots at or below the diagonal for a panel of width `w`
@@ -634,6 +680,34 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn dissolving_panels_keeps_the_layout_invariants() {
+        let a = gen::circuit_unsym(80, 4, 2, 5);
+        let sym = lu_symbolic(&a);
+        let narrowed: Vec<u32> = sym.l_row_idx.iter().map(|&r| r as u32).collect();
+        let relaxed = supernodes_lu_relaxed(&sym, 32, 0.3, 8);
+        assert!(relaxed.padded_zeros > 0, "the pattern must pad");
+        // Keep everything: an exact copy.
+        let same = relaxed.dissolve_unless(&sym.l_col_ptr, &narrowed, |_| true);
+        assert_eq!(same, relaxed);
+        // Dissolve every other wide panel: still a valid layout with a
+        // consistent padded-zero census, kept panels untouched.
+        let half = relaxed.dissolve_unless(&sym.l_col_ptr, &narrowed, |s| s % 2 == 0);
+        check_relaxed_layout(&sym, &half);
+        assert!(half.part.n_supernodes() > relaxed.part.n_supernodes());
+        for s in (0..relaxed.part.n_supernodes()).step_by(2) {
+            let f = relaxed.part.first_col[s];
+            let t = half.part.col_to_super[f];
+            assert_eq!(half.part.width(t), relaxed.part.width(s));
+            assert_eq!(half.panel_rows(t), relaxed.panel_rows(s));
+        }
+        // Dissolve all: singletons carrying their own patterns.
+        let none = relaxed.dissolve_unless(&sym.l_col_ptr, &narrowed, |_| false);
+        assert_eq!(none.part.n_supernodes(), sym.n);
+        assert_eq!(none.padded_zeros, 0);
+        check_relaxed_layout(&sym, &none);
     }
 
     #[test]
