@@ -5,7 +5,10 @@
 //! the flops-per-accumulator-entry threshold below which a wide panel is
 //! dissolved into scalar columns, swept from "every panel dense"
 //! (`BlockLu::On`) to "none" (`BlockLu::Off`) on a fill-free and a
-//! heavy-fill circuit and two suite problems.
+//! heavy-fill circuit and two suite problems. Last, the Cholesky
+//! amalgamation budget: `relax_fill × relax_cols` swept around the
+//! default (0.3 / 16) on the nested-dissection Laplacian of the solve
+//! ledger and three suite matrices.
 //!
 //! Usage: `cargo run -p sympiler-bench --release --bin ablation_thresholds [--test]`
 
@@ -15,7 +18,7 @@ use sympiler_bench::workloads::prepare_subset;
 use sympiler_core::plan::lu::{LuPlan, LuWorkspace};
 use sympiler_core::plan::lu_supernodal::{SupernodalLuPlan, DENSE_PANEL_MIN_FLOPS_PER_ENTRY};
 use sympiler_core::plan::tri::{TriScratch, TriSolvePlan, TriVariant};
-use sympiler_core::{Ordering, SympilerOptions};
+use sympiler_core::{Ordering, SympilerCholesky, SympilerOptions};
 use sympiler_sparse::suite::SuiteScale;
 use sympiler_sparse::{gen, CscMatrix};
 
@@ -63,6 +66,48 @@ fn lu_threshold_sweep(t: &mut Table, name: &str, a: &CscMatrix) {
             },
             format!("{:.3} ms", time.as_secs_f64() * 1e3),
             format!("{:.3} ms", t_scalar.as_secs_f64() * 1e3),
+        ]);
+    }
+}
+
+/// Sweep the Cholesky amalgamation budget on one SPD pattern: per
+/// setting the supernode count, mean width, padded share of `nnz(L)`,
+/// and the median numeric factor time.
+fn chol_relax_sweep(t: &mut Table, name: &str, a: &CscMatrix) {
+    let default = SympilerOptions::default();
+    let mut settings = vec![(0.0, default.relax_cols)];
+    for fill in [0.1, 0.3, 0.5, 1.0] {
+        settings.extend([8, 16, 32, 64].map(|cols| (fill, cols)));
+    }
+    for (relax_fill, relax_cols) in settings {
+        let opts = SympilerOptions {
+            relax_fill,
+            relax_cols,
+            ..default.clone()
+        };
+        let chol = SympilerCholesky::compile(a, &opts).expect("suite patterns compile");
+        let time = median_time(4 * RUNS + 1, || {
+            std::hint::black_box(chol.factor(a).expect("factor"));
+        });
+        let part = chol.plan().partition();
+        let l_nnz = chol.report().size_of("nnz(L)").expect("reported");
+        let label = if relax_fill == 0.0 {
+            "0 (strict)".to_string()
+        } else if (relax_fill, relax_cols) == (default.relax_fill, default.relax_cols) {
+            format!("{relax_fill} / {relax_cols} (default)")
+        } else {
+            format!("{relax_fill} / {relax_cols}")
+        };
+        t.row(vec![
+            name.to_string(),
+            label,
+            part.n_supernodes().to_string(),
+            format!("{:.2}", part.avg_width()),
+            format!(
+                "{:.1}%",
+                chol.plan().padded_zeros() as f64 / l_nnz as f64 * 100.0
+            ),
+            format!("{:.3} ms", time.as_secs_f64() * 1e3),
         ]);
     }
 }
@@ -151,4 +196,29 @@ fn main() {
         lu_threshold_sweep(&mut lu, p.name, &p.a);
     }
     lu.emit(Some("ablation_lu_thresholds.csv"));
+
+    let mut chol = Table::new(
+        "Ablation: Cholesky relaxed amalgamation (relax_fill / relax_cols), numeric factor",
+        &[
+            "matrix",
+            "relax_fill / relax_cols",
+            "supernodes",
+            "mean width",
+            "padded / nnz(L)",
+            "factor",
+        ],
+    );
+    let nx = match scale {
+        SuiteScale::Test => 8,
+        SuiteScale::Bench => 16,
+    };
+    chol_relax_sweep(
+        &mut chol,
+        "nd_laplacian3d",
+        &sympiler_sparse::suite::nd_grid3d(nx, nx, nx, 1),
+    );
+    for p in &problems {
+        chol_relax_sweep(&mut chol, p.name, &p.a);
+    }
+    chol.emit(Some("ablation_chol_relax.csv"));
 }

@@ -122,7 +122,12 @@ pub enum CholEngine {
     Cholmod,
     /// Sympiler plan with VS-Block, generic kernels.
     SympilerVsBlock,
-    /// Sympiler plan with VS-Block + specialized kernels (low-level).
+    /// Sympiler plan with VS-Block + specialized kernels (low-level),
+    /// relaxed supernode amalgamation off — the paper's like-for-like
+    /// setting against CHOLMOD (§4.1: "amalgamation not enabled").
+    SympilerStrict,
+    /// Sympiler plan with the default options: VS-Block, specialized
+    /// kernels, relaxed amalgamation.
     SympilerFull,
 }
 
@@ -132,7 +137,26 @@ impl CholEngine {
             CholEngine::Eigen => "Eigen (numeric)",
             CholEngine::Cholmod => "CHOLMOD (numeric)",
             CholEngine::SympilerVsBlock => "Sympiler: VS-Block",
+            CholEngine::SympilerStrict => "Sympiler: +Low-Level (strict supernodes)",
             CholEngine::SympilerFull => "Sympiler: +Low-Level",
+        }
+    }
+
+    /// The compile options of a Sympiler engine (`None` for the
+    /// library baselines).
+    pub fn options(self) -> Option<SympilerOptions> {
+        let default = SympilerOptions::default();
+        match self {
+            CholEngine::Eigen | CholEngine::Cholmod => None,
+            CholEngine::SympilerVsBlock => Some(SympilerOptions {
+                low_level: false,
+                ..default
+            }),
+            CholEngine::SympilerStrict => Some(SympilerOptions {
+                relax_fill: 0.0,
+                ..default
+            }),
+            CholEngine::SympilerFull => Some(default),
         }
     }
 }
@@ -156,19 +180,9 @@ pub fn time_chol_engine(p: &BenchProblem, engine: CholEngine) -> Duration {
                 std::hint::black_box(&f);
             })
         }
-        CholEngine::SympilerVsBlock => {
-            let opts = SympilerOptions {
-                low_level: false,
-                ..Default::default()
-            };
+        _ => {
+            let opts = engine.options().expect("sympiler engine");
             let chol = SympilerCholesky::compile(&p.a, &opts).expect("spd");
-            median_time(RUNS, || {
-                let f = chol.factor(&p.a).expect("factor");
-                std::hint::black_box(&f);
-            })
-        }
-        CholEngine::SympilerFull => {
-            let chol = SympilerCholesky::compile(&p.a, &SympilerOptions::default()).expect("spd");
             median_time(RUNS, || {
                 let f = chol.factor(&p.a).expect("factor");
                 std::hint::black_box(&f);
@@ -357,16 +371,23 @@ mod tests {
             .factor(&p.a)
             .unwrap()
             .to_csc();
-        let l_symp = SympilerCholesky::compile(&p.a, &SympilerOptions::default())
-            .unwrap()
-            .factor(&p.a)
-            .unwrap()
-            .to_csc();
         for (x, y) in l_eigen.values().iter().zip(l_cholmod.values()) {
             assert!((x - y).abs() < 1e-9);
         }
-        for (x, y) in l_eigen.values().iter().zip(l_symp.values()) {
-            assert!((x - y).abs() < 1e-9);
+        for engine in [
+            CholEngine::SympilerVsBlock,
+            CholEngine::SympilerStrict,
+            CholEngine::SympilerFull,
+        ] {
+            let l_symp = SympilerCholesky::compile(&p.a, &engine.options().unwrap())
+                .unwrap()
+                .factor(&p.a)
+                .unwrap()
+                .to_csc();
+            assert!(l_symp.same_pattern(&l_eigen), "{}", engine.label());
+            for (x, y) in l_eigen.values().iter().zip(l_symp.values()) {
+                assert!((x - y).abs() < 1e-9, "{}", engine.label());
+            }
         }
     }
 

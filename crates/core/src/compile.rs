@@ -117,18 +117,24 @@ pub struct SympilerOptions {
     /// worker). 0 = unlimited.
     pub max_panel: usize,
     /// Relative fill budget for **relaxed supernode amalgamation**
-    /// (CHOLMOD/SuperLU's `relax`, applied to LU panels): adjacent
-    /// strictly-nesting panels merge into one wider panel when the
-    /// explicit zeros the merged trapezoid must pad stay within
-    /// `relax_fill` × the panel's structural nonzeros. Padding lives
-    /// only in dense workspace (padded slots compute to exact ±0.0;
-    /// the CSC factors are untouched), buying wider panels — more
+    /// (CHOLMOD/SuperLU's `relax`), governing both factorizations. LU:
+    /// adjacent strictly-nesting panels merge into one wider panel when
+    /// the explicit zeros the merged trapezoid must pad stay within
+    /// `relax_fill` × the panel's structural nonzeros (4× that up to 4
+    /// columns). Cholesky: the same budget, but a supernode merges only
+    /// into the supernode of its **etree parent**
+    /// ([`sympiler_graph::supernode::supernodes_cholesky_relaxed`]).
+    /// Padded slots compute to exact ±0.0 and never reach an extracted
+    /// factor (LU pads dense workspace only; `CholFactor::to_csc`
+    /// drops padding by structure), buying wider panels — more
     /// dense-kernel work per schedule entry — for a bounded amount of
-    /// wasted arithmetic. `<= 0.0` disables merging: panels are
-    /// bitwise today's strict ones. Default `0.3`.
+    /// wasted arithmetic. `<= 0.0` disables merging: LU panels are
+    /// bitwise the strict ones and Cholesky supernodes are the paper's
+    /// strict partition (§4.1's like-for-like setting). Default `0.3`.
     pub relax_fill: f64,
-    /// Cap on the width an amalgamated panel may grow to (min'd with
-    /// `max_panel` when that is nonzero). `< 2` disables merging.
+    /// Cap on the width an amalgamated panel or supernode may grow to
+    /// (min'd with `max_panel` for LU, `max_supernode_width` for
+    /// Cholesky, when those are nonzero). `< 2` disables merging.
     /// Default `16`.
     pub relax_cols: usize,
     /// Finish MC64: derive row/column equilibration scalings `Dr`/`Dc`
@@ -354,7 +360,13 @@ impl SympilerCholesky {
         } else {
             1 // width-1 supernodes == non-supernodal execution
         };
-        let plan = CholPlan::build(a_lower, max_width, opts.low_level)?;
+        let plan = CholPlan::build(
+            a_lower,
+            max_width,
+            opts.relax_fill,
+            opts.relax_cols,
+            opts.low_level,
+        )?;
         Ok(Self { plan })
     }
 

@@ -709,7 +709,7 @@ impl SupernodalLuPlan {
             let bt = &mut ws.bt[..v * w];
             bt.copy_from_slice(&x[diag]);
             let t0 = if enabled { prof.now_ns() } else { 0 };
-            panel_update_sub(w, v, sub_rows, sub_vals, ldl, bt, x);
+            panel_update_sub(w, v, sub_rows, sub_vals, ldl, bt, x, w);
             if enabled {
                 let t1 = prof.now_ns();
                 let flops = 2.0 * m_sub as f64 * w as f64 * v as f64;

@@ -18,9 +18,11 @@
 //!
 //! Beside the two tiers sits one kernel shaped by its caller rather
 //! than by BLAS: [`panel_update_sub`], the fused update of supernodal
-//! LU — a source panel's `L` block times a small solved block,
-//! subtracted straight into the scattered rows of a **row-major**
-//! accumulator, with an `avx2,fma` instantiation picked at run time.
+//! LU and supernodal Cholesky — a source panel's `L` block times a
+//! small block (`U` rows solved in place for LU, the descendant's own
+//! `J` rows for Cholesky), subtracted straight into the scattered rows
+//! of a **row-major** accumulator, with an `avx2,fma` instantiation
+//! picked at run time.
 //!
 //! The `dense_kernels` criterion bench (ablation A1 in DESIGN.md)
 //! measures the two tiers against each other across block sizes.

@@ -1,16 +1,19 @@
-//! The fused panel update of supernodal LU: one source panel's
-//! sub-diagonal block applied to every column of a target panel,
-//! straight into the target's **row-major** accumulator.
+//! The fused panel update of the supernodal factorizations: one source
+//! panel's sub-diagonal block applied to a run of columns of a target
+//! panel, straight into the target's **row-major** accumulator.
 //!
 //! `X[rows[i], 0..w] -= L[i, 0..v] · Bt[0..v, 0..w]`
 //!
-//! The target accumulator stores row `r` of the panel's `w` columns
-//! contiguously (`x[r·w + c]`), so the scattered row list of the source
-//! is read **once** and each hit is a unit-stride run of `w` doubles —
-//! no gather into a contiguous block before a GEMM, no scatter after
-//! it. The SIMD lanes run along `w`, the dimension that is contiguous
-//! by construction; row runs of COLAMD-ordered factors are too short
-//! to vectorize along.
+//! The target accumulator stores each row of the panel contiguously
+//! (`x[r·ldx + c]`), so the scattered row list of the source is read
+//! **once** and each hit is a unit-stride run of `w` doubles — no
+//! gather into a contiguous block before a GEMM, no scatter after it.
+//! The SIMD lanes run along `w`, the dimension that is contiguous by
+//! construction; row runs of COLAMD-ordered factors are too short to
+//! vectorize along. Supernodal LU updates all of a panel's columns
+//! (`ldx == w`); supernodal Cholesky updates the window of columns a
+//! descendant reaches (`w < ldx`, `x` starting at the window's first
+//! column).
 //!
 //! One generic body serves two instantiations: a portable one, and on
 //! x86-64 an `avx2,fma` one picked at run time by
@@ -22,19 +25,23 @@
 /// `X[rows[i], 0..w] -= L[i, 0..v] · Bt[0..v, 0..w]` for every `i` in
 /// `0..rows.len()`.
 ///
-/// * `x` — row-major accumulator with row stride `w`: entry
-///   `(r, c)` lives at `x[r·w + c]`. The row list needs no order but
-///   must be duplicate-free (rows are updated four at a time: a
+/// * `x` — row-major accumulator with row stride `ldx >= w`: entry
+///   `(r, c)` lives at `x[r·ldx + c]`, so a caller updates a window of
+///   `w` adjacent columns of a wider accumulator by passing the slice
+///   from the window's first column on. The row list needs no order
+///   but must be duplicate-free (rows are updated four at a time: a
 ///   repeated row would keep only its last update).
 /// * `l` — column-major `rows.len() × v` block with leading dimension
 ///   `ldl` (`L[i, k] = l[k·ldl + i]`); a source panel's trapezoid below
 ///   its diagonal block, or one CSC column when `v == 1`.
-/// * `bt` — row-major `v × w` block (`Bt[k, c] = bt[k·w + c]`): the
-///   target's accumulator rows at the source's diagonal, after the
-///   source's internal solve.
+/// * `bt` — row-major `v × w` block (`Bt[k, c] = bt[k·w + c]`): for LU
+///   the target's accumulator rows at the source's diagonal, after the
+///   source's internal solve; for Cholesky the source's own rows that
+///   fall inside the target's columns, transposed.
 ///
-/// Panics when `l` or `bt` is too short for the stated shape or a row
-/// index reaches past `x` — in release builds too.
+/// Panics when `l` or `bt` is too short for the stated shape, `ldx` is
+/// smaller than `w`, or a row index reaches past `x` — in release
+/// builds too.
 pub fn panel_update_sub(
     w: usize,
     v: usize,
@@ -43,9 +50,11 @@ pub fn panel_update_sub(
     ldl: usize,
     bt: &[f64],
     x: &mut [f64],
+    ldx: usize,
 ) {
     let m = rows.len();
     assert!(ldl >= m, "leading dimension too small");
+    assert!(ldx >= w, "accumulator row stride too small");
     // Tail-length checks (like `gemm_nt_sub`'s): a padded `ldl` larger
     // than the live row count must not let a short buffer read out of
     // bounds silently.
@@ -61,10 +70,10 @@ pub fn panel_update_sub(
         // SAFETY: `update_avx2_fma` requires the `avx2` and `fma` CPU
         // features; this call is reachable only behind the run-time
         // detection of both on the executing CPU.
-        unsafe { update_avx2_fma(w, v, rows, l, ldl, bt, x) };
+        unsafe { update_avx2_fma(w, v, rows, l, ldl, bt, x, ldx) };
         return;
     }
-    update_portable(w, v, rows, l, ldl, bt, x);
+    update_portable(w, v, rows, l, ldl, bt, x, ldx);
 }
 
 /// The portable instantiation: separate multiply and subtract, whatever
@@ -77,8 +86,9 @@ fn update_portable(
     ldl: usize,
     bt: &[f64],
     x: &mut [f64],
+    ldx: usize,
 ) {
-    update_body::<false>(w, v, rows, l, ldl, bt, x);
+    update_body::<false>(w, v, rows, l, ldl, bt, x, ldx);
 }
 
 /// The `avx2,fma` instantiation of the same body: 4-wide lanes along
@@ -96,8 +106,9 @@ unsafe fn update_avx2_fma(
     ldl: usize,
     bt: &[f64],
     x: &mut [f64],
+    ldx: usize,
 ) {
-    update_body::<true>(w, v, rows, l, ldl, bt, x);
+    update_body::<true>(w, v, rows, l, ldl, bt, x, ldx);
 }
 
 /// One register block: `R` accumulator rows × `T` columns starting at
@@ -114,11 +125,12 @@ fn block<const R: usize, const T: usize, const FMA: bool>(
     ldl: usize,
     bt: &[f64],
     x: &mut [f64],
+    ldx: usize,
 ) {
     let rows: &[u32; R] = rows.try_into().expect("block has R rows");
     let mut acc = [[0.0f64; T]; R];
     for (a, &r) in acc.iter_mut().zip(rows) {
-        let at = r as usize * w + c0;
+        let at = r as usize * ldx + c0;
         a.copy_from_slice(&x[at..at + T]);
     }
     // Column k of L (rows of this block only) against row k of Bt.
@@ -138,7 +150,7 @@ fn block<const R: usize, const T: usize, const FMA: bool>(
         }
     }
     for (a, &r) in acc.iter().zip(rows) {
-        let at = r as usize * w + c0;
+        let at = r as usize * ldx + c0;
         x[at..at + T].copy_from_slice(a);
     }
 }
@@ -154,18 +166,19 @@ fn row_block<const R: usize, const FMA: bool>(
     ldl: usize,
     bt: &[f64],
     x: &mut [f64],
+    ldx: usize,
 ) {
     let mut c = 0;
     while c + 8 <= w {
-        block::<R, 8, FMA>(rows, c, w, v, l, ldl, bt, x);
+        block::<R, 8, FMA>(rows, c, w, v, l, ldl, bt, x, ldx);
         c += 8;
     }
     if c + 4 <= w {
-        block::<R, 4, FMA>(rows, c, w, v, l, ldl, bt, x);
+        block::<R, 4, FMA>(rows, c, w, v, l, ldl, bt, x, ldx);
         c += 4;
     }
     while c < w {
-        block::<R, 1, FMA>(rows, c, w, v, l, ldl, bt, x);
+        block::<R, 1, FMA>(rows, c, w, v, l, ldl, bt, x, ldx);
         c += 1;
     }
 }
@@ -182,17 +195,18 @@ fn update_body<const FMA: bool>(
     ldl: usize,
     bt: &[f64],
     x: &mut [f64],
+    ldx: usize,
 ) {
     let bt = &bt[..v * w];
     let mut i = 0;
     while i + 4 <= rows.len() {
         // L[i + r, k] = l[i + k * ldl + r]; the tail asserts of the
         // entry point cover every k < v.
-        row_block::<4, FMA>(&rows[i..i + 4], w, v, &l[i..], ldl, bt, x);
+        row_block::<4, FMA>(&rows[i..i + 4], w, v, &l[i..], ldl, bt, x, ldx);
         i += 4;
     }
     while i < rows.len() {
-        row_block::<1, FMA>(&rows[i..i + 1], w, v, &l[i..], ldl, bt, x);
+        row_block::<1, FMA>(&rows[i..i + 1], w, v, &l[i..], ldl, bt, x, ldx);
         i += 1;
     }
 }
@@ -221,11 +235,12 @@ mod tests {
         ldl: usize,
         bt: &[f64],
         x: &mut [f64],
+        ldx: usize,
     ) {
         for (i, &r) in rows.iter().enumerate() {
             for c in 0..w {
                 for k in 0..v {
-                    x[r as usize * w + c] -= l[k * ldl + i] * bt[k * w + c];
+                    x[r as usize * ldx + c] -= l[k * ldl + i] * bt[k * w + c];
                 }
             }
         }
@@ -251,32 +266,41 @@ mod tests {
         }
     }
 
-    type Instantiation = fn(usize, usize, &[u32], &[f64], usize, &[f64], &mut [f64]);
+    type Instantiation = fn(usize, usize, &[u32], &[f64], usize, &[f64], &mut [f64], usize);
 
     /// Every `w, v ∈ 1..=33` (all tile combinations and remainders),
-    /// scattered rows, padded `ldl`; rows outside the list untouched.
+    /// scattered rows, padded `ldl`, and a `w`-column window at every
+    /// position of an accumulator 0–3 columns wider (`ldx == w` is the
+    /// whole-panel case); rows outside the list and columns outside
+    /// the window untouched.
     fn check_all_shapes(kernel: Instantiation, what: &str) {
         for w in 1..=33usize {
             for v in 1..=33usize {
                 let m = 1 + (w * 7 + v * 3) % 11;
                 let n_rows = 3 * m + 2;
                 let ldl = m + (v % 3);
+                let ldx = w + (w + 2 * v) % 4;
+                let c0 = (ldx - w + v % 2) / 2;
                 let rows = scattered_rows(m, n_rows, (w + v) as u64);
                 let l = fill(ldl * v, 1 + w as u64);
                 let bt = fill(v * w, 2 + v as u64);
-                let x0 = fill(n_rows * w, 3);
+                let x0 = fill(n_rows * ldx, 3);
                 let mut want = x0.clone();
-                reference(w, v, &rows, &l, ldl, &bt, &mut want);
+                reference(w, v, &rows, &l, ldl, &bt, &mut want[c0..], ldx);
                 let mut got = x0.clone();
-                kernel(w, v, &rows, &l, ldl, &bt, &mut got);
-                assert_close(&got, &want, &format!("{what} w={w} v={v}"));
+                kernel(w, v, &rows, &l, ldl, &bt, &mut got[c0..], ldx);
+                let what = format!("{what} w={w} v={v} ldx={ldx} c0={c0}");
+                assert_close(&got, &want, &what);
                 for r in 0..n_rows {
-                    if !rows.contains(&(r as u32)) {
-                        assert_eq!(
-                            got[r * w..(r + 1) * w],
-                            x0[r * w..(r + 1) * w],
-                            "{what} w={w} v={v}: row {r} is not in the list"
-                        );
+                    for c in 0..ldx {
+                        let updated = rows.contains(&(r as u32)) && (c0..c0 + w).contains(&c);
+                        if !updated {
+                            assert_eq!(
+                                got[r * ldx + c].to_bits(),
+                                x0[r * ldx + c].to_bits(),
+                                "{what}: ({r}, {c}) is outside the update"
+                            );
+                        }
                     }
                 }
             }
@@ -308,9 +332,10 @@ mod tests {
             ldl: usize,
             bt: &[f64],
             x: &mut [f64],
+            ldx: usize,
         ) {
             // SAFETY: both features were detected above.
-            unsafe { update_avx2_fma(w, v, rows, l, ldl, bt, x) }
+            unsafe { update_avx2_fma(w, v, rows, l, ldl, bt, x, ldx) }
         }
         check_all_shapes(avx2, "avx2,fma");
         // And against the portable instantiation directly.
@@ -320,8 +345,8 @@ mod tests {
         let bt = fill(v * w, 8);
         let x0 = fill((3 * m + 1) * w, 9);
         let (mut a, mut b) = (x0.clone(), x0);
-        update_portable(w, v, &rows, &l, m + 2, &bt, &mut a);
-        avx2(w, v, &rows, &l, m + 2, &bt, &mut b);
+        update_portable(w, v, &rows, &l, m + 2, &bt, &mut a, w);
+        avx2(w, v, &rows, &l, m + 2, &bt, &mut b, w);
         assert_close(&b, &a, "avx2,fma vs portable");
     }
 
@@ -335,7 +360,7 @@ mod tests {
         let bt = fill(w, 22);
         let x0 = fill(12 * w, 23);
         let mut got = x0.clone();
-        update_portable(w, 1, &rows, &l, m, &bt, &mut got);
+        update_portable(w, 1, &rows, &l, m, &bt, &mut got, w);
         for (i, &r) in rows.iter().enumerate() {
             for c in 0..w {
                 let want = x0[r as usize * w + c] - l[i] * bt[c];
@@ -348,9 +373,9 @@ mod tests {
     fn empty_shapes_are_noops() {
         let mut x = vec![1.0, 2.0, 3.0, 4.0];
         let orig = x.clone();
-        panel_update_sub(2, 0, &[0, 1], &[], 2, &[], &mut x);
-        panel_update_sub(2, 3, &[], &[], 0, &[0.5; 6], &mut x);
-        panel_update_sub(0, 2, &[0], &[1.0, 1.0], 1, &[], &mut x);
+        panel_update_sub(2, 0, &[0, 1], &[], 2, &[], &mut x, 2);
+        panel_update_sub(2, 3, &[], &[], 0, &[0.5; 6], &mut x, 2);
+        panel_update_sub(0, 2, &[0], &[1.0, 1.0], 1, &[], &mut x, 0);
         assert_eq!(x, orig);
     }
 
@@ -359,27 +384,34 @@ mod tests {
     fn short_l_fails_loudly() {
         // ldl = 4 > m = 3: the last column needs 4·1 + 3 = 7 entries.
         let mut x = vec![0.0; 8];
-        panel_update_sub(2, 2, &[0, 1, 2], &[0.0; 6], 4, &[0.0; 4], &mut x);
+        panel_update_sub(2, 2, &[0, 1, 2], &[0.0; 6], 4, &[0.0; 4], &mut x, 2);
     }
 
     #[test]
     #[should_panic(expected = "Bt buffer too small")]
     fn short_bt_fails_loudly() {
         let mut x = vec![0.0; 8];
-        panel_update_sub(2, 2, &[0, 1, 2], &[0.0; 6], 3, &[0.0; 3], &mut x);
+        panel_update_sub(2, 2, &[0, 1, 2], &[0.0; 6], 3, &[0.0; 3], &mut x, 2);
     }
 
     #[test]
     #[should_panic(expected = "leading dimension too small")]
     fn short_ldl_fails_loudly() {
         let mut x = vec![0.0; 8];
-        panel_update_sub(2, 1, &[0, 1, 2], &[0.0; 3], 2, &[0.0; 2], &mut x);
+        panel_update_sub(2, 1, &[0, 1, 2], &[0.0; 3], 2, &[0.0; 2], &mut x, 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "accumulator row stride too small")]
+    fn short_ldx_fails_loudly() {
+        let mut x = vec![0.0; 8];
+        panel_update_sub(2, 1, &[0, 1], &[0.5, 0.5], 2, &[1.0, 1.0], &mut x, 1);
     }
 
     #[test]
     #[should_panic]
     fn row_past_the_accumulator_fails_loudly() {
         let mut x = vec![0.0; 8];
-        panel_update_sub(2, 1, &[0, 4], &[0.5, 0.5], 2, &[1.0, 1.0], &mut x);
+        panel_update_sub(2, 1, &[0, 4], &[0.5, 0.5], 2, &[1.0, 1.0], &mut x, 2);
     }
 }

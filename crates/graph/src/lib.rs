@@ -17,9 +17,10 @@
 //!   per-column reach sets over the growing `DG_L`, predicting the
 //!   patterns of both LU factors for a statically pivoted ordering;
 //! * [`colcount`] — column counts of `L`;
-//! * [`supernode`] — supernode detection, both the etree merge rule
-//!   (Cholesky block-sets) and node equivalence on `DG_L` (triangular
-//!   solve block-sets);
+//! * [`supernode`] — supernode detection: the etree merge rule
+//!   (Cholesky block-sets), its relaxed amalgamation along etree parent
+//!   links, and node equivalence on `DG_L` (triangular solve
+//!   block-sets);
 //! * [`mod@lu_supernode`] — column-panel detection on the predicted `L`
 //!   of a symbolic LU (the nesting rule applied to Gilbert–Peierls
 //!   patterns), the block-set inspector of the supernodal LU plan;
@@ -74,7 +75,10 @@ pub use lu_symbolic::{lu_symbolic, LuSymbolic};
 pub use ordering::{compute_ordering, Ordering};
 pub use postorder::postorder;
 pub use rcm::rcm_ordering;
-pub use supernode::{supernodes_cholesky, supernodes_trisolve, SupernodePartition};
+pub use supernode::{
+    supernodes_cholesky, supernodes_cholesky_relaxed, supernodes_trisolve, RelaxedPanels,
+    SupernodePartition,
+};
 pub use symbolic::{symbolic_cholesky, SymbolicFactor};
 pub use transversal::{
     compute_pre_pivot, maximum_transversal, structural_rank, weighted_matching, PrePivot,

@@ -29,7 +29,11 @@
 //! factor layouts never change — only the workspace does.
 
 use crate::lu_symbolic::LuSymbolic;
-use crate::supernode::SupernodePartition;
+use crate::supernode::{relax_cap, trapezoid_slots, within_relax_budget, SupernodePartition};
+
+/// The padded panel layout of a (possibly relaxed) LU partition — the
+/// layout type the Cholesky detector shares.
+pub use crate::supernode::RelaxedPanels as LuPanels;
 
 /// Merge adjacent columns while their `L` patterns nest, given the
 /// pattern as diagonal-first row lists per column.
@@ -82,44 +86,7 @@ pub fn supernodes_lu_from_parts(
     detect_nesting(n, l_col_ptr, l_row_idx, max_panel)
 }
 
-/// A (possibly relaxed) LU panel partition together with the padded
-/// trapezoid layout each panel is executed over: per panel, the
-/// ascending union of its member columns' `L` rows. For a strict panel
-/// the union is exactly the first column's pattern (nesting), so the
-/// layout adds nothing; for an amalgamated panel the union includes
-/// rows some member columns lack — those trapezoid slots hold explicit
-/// zeros ([`Self::padded_zeros`] counts them).
-///
-/// Invariant: the first `width(s)` rows of panel `s` are always
-/// `first_col(s) .. first_col(s) + width(s)` — every member column
-/// contributes its own diagonal row, and `L` rows never precede their
-/// column — so dense GETRF/TRSM kernels address the diagonal block at
-/// fixed offsets regardless of relaxation.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LuPanels {
-    /// The column partition (strict or amalgamated).
-    pub part: SupernodePartition,
-    /// Per-panel offsets into [`Self::rows`], length `n_supernodes+1`.
-    pub row_ptr: Vec<usize>,
-    /// Concatenated per-panel union row lists, each ascending.
-    pub rows: Vec<u32>,
-    /// Total explicit zeros the padded trapezoids carry at or below
-    /// the diagonal (0 for strict partitions).
-    pub padded_zeros: usize,
-}
-
 impl LuPanels {
-    /// The union row list of panel `s`.
-    pub fn panel_rows(&self, s: usize) -> &[u32] {
-        &self.rows[self.row_ptr[s]..self.row_ptr[s + 1]]
-    }
-
-    /// Mean panel width — the quality metric relaxation exists to
-    /// raise.
-    pub fn mean_width(&self) -> f64 {
-        self.part.avg_width()
-    }
-
     /// Split every wide panel `s` with `!keep(s)` back into singleton
     /// columns, each carrying its own `L` pattern (given as the factor
     /// layout the panels were detected on) and no padding. Panels that
@@ -167,12 +134,6 @@ impl LuPanels {
     }
 }
 
-/// Trapezoid slots at or below the diagonal for a panel of width `w`
-/// over `m` union rows: column `c` occupies `m - c` of them.
-fn trapezoid_slots(w: usize, m: usize) -> usize {
-    w * m - w * (w - 1) / 2
-}
-
 /// Relaxed (amalgamating) LU panel detection on raw factor layouts.
 ///
 /// First runs the strict nesting rule, then greedily merges adjacent
@@ -180,12 +141,8 @@ fn trapezoid_slots(w: usize, m: usize) -> usize {
 /// width stays within `relax_cols` (and `max_panel`, when nonzero) and
 /// the explicit zeros of the merged trapezoid stay within the graded
 /// budget — `4 × relax_fill ×` structural nonzeros while the merged
-/// panel is at most 4 columns wide, `relax_fill ×` beyond. The grading
-/// is CHOLMOD's relaxed-amalgamation idea: gluing singleton columns
-/// into small panels is where blocking gains the most and the padded
-/// trapezoids stay trivially small, so tiny merges deserve a far
-/// looser budget than wide ones (CHOLMOD merges ≤ 4-wide results
-/// unconditionally; the `4×` factor keeps the knob meaningful there).
+/// panel is at most 4 columns wide, `relax_fill ×` beyond (the budget
+/// the Cholesky detector shares, `supernode::within_relax_budget`).
 /// `relax_fill <= 0` or `relax_cols < 2` disables amalgamation
 /// entirely — the result is then exactly the strict partition with its
 /// (padding-free) row lists, so the knob's zero setting is
@@ -206,7 +163,7 @@ pub fn supernodes_lu_relaxed_from_parts(
         let f = strict.cols(s).start;
         &l_row_idx[l_col_ptr[f]..l_col_ptr[f + 1]]
     };
-    if relax_fill <= 0.0 || relax_cols < 2 {
+    let Some(cap) = relax_cap(max_panel, relax_fill, relax_cols) else {
         let mut row_ptr = Vec::with_capacity(strict.n_supernodes() + 1);
         let mut rows = Vec::new();
         row_ptr.push(0);
@@ -220,14 +177,6 @@ pub fn supernodes_lu_relaxed_from_parts(
             rows,
             padded_zeros: 0,
         };
-    }
-    // Amalgamated panels respect both width caps; strict panels may
-    // already exceed `relax_cols` (up to `max_panel`) — they pass
-    // through unmerged.
-    let cap = if max_panel == 0 {
-        relax_cols
-    } else {
-        relax_cols.min(max_panel)
     };
     let panel_nnz = |s: usize| -> usize {
         strict
@@ -254,14 +203,7 @@ pub fn supernodes_lu_relaxed_from_parts(
                 merged.clear();
                 merge_sorted(&union, r, &mut merged);
                 let zeros = trapezoid_slots(w2, merged.len()) - (nnz + np);
-                // Graded budget: tiny merged panels (≤ 4 columns) take
-                // 4× the base allowance — see the doc comment.
-                let budget = if w2 <= 4 {
-                    4.0 * relax_fill
-                } else {
-                    relax_fill
-                };
-                if (zeros as f64) <= budget * (nnz + np) as f64 {
+                if within_relax_budget(w2, zeros, nnz + np, relax_fill) {
                     std::mem::swap(&mut union, &mut merged);
                     width = w2;
                     nnz += np;
@@ -708,6 +650,58 @@ mod tests {
         assert_eq!(none.part.n_supernodes(), sym.n);
         assert_eq!(none.padded_zeros, 0);
         check_relaxed_layout(&sym, &none);
+    }
+
+    const RECORDED_LAYOUTS: [u64; 12] = [
+        0x035a_7767_7a2e_89de,
+        0x2362_1df8_8a34_5f48,
+        0xcce9_921e_4d75_12a9,
+        0x7e1a_f9ec_400c_7bdb,
+        0xc968_9e9a_20c6_e9bd,
+        0x3bd1_ee52_dd7e_d471,
+        0xc77a_8415_cb8c_beb8,
+        0xb27e_6e12_474b_04ac,
+        0x367a_9b9b_4d8a_83de,
+        0x20c2_b228_6882_9db9,
+        0x9223_cea9_7e60_2999,
+        0xd697_8ee0_ca46_0b09,
+    ];
+
+    /// FNV-1a over a relaxed layout: partition, row lists and census.
+    fn layout_hash(p: &LuPanels) -> u64 {
+        let words = (p.part.first_col.iter().map(|&c| c as u64))
+            .chain(p.row_ptr.iter().map(|&r| r as u64))
+            .chain(p.rows.iter().map(|&r| r as u64))
+            .chain([p.padded_zeros as u64]);
+        words.fold(0xcbf2_9ce4_8422_2325, |h, w| {
+            (h ^ w).wrapping_mul(0x100_0000_01b3)
+        })
+    }
+
+    #[test]
+    fn relaxed_layouts_match_the_recorded_ones() {
+        // Recorded before the budget arithmetic moved into
+        // `supernode` to be shared with the Cholesky detector: the LU
+        // layouts must not move by a single row.
+        let fixtures = [
+            gen::circuit_unsym(80, 4, 2, 5),
+            gen::convection_diffusion_2d(9, 8, 1.5, 2),
+            gen::circuit_unsym(70, 4, 2, 8),
+        ];
+        let knobs = [
+            (32usize, 0.3f64, 8usize),
+            (0, 0.3, 16),
+            (4, 1.0, 64),
+            (32, 0.05, 16),
+        ];
+        let mut got = Vec::new();
+        for a in &fixtures {
+            let sym = lu_symbolic(a);
+            for &(cap, fill, cols) in &knobs {
+                got.push(layout_hash(&supernodes_lu_relaxed(&sym, cap, fill, cols)));
+            }
+        }
+        assert_eq!(got, RECORDED_LAYOUTS, "got {got:#x?}");
     }
 
     #[test]

@@ -12,10 +12,19 @@
 //!   sets (off-diagonal patterns) coincide, which makes the supernode a
 //!   dense trapezoid that dense kernels can process.
 //!
-//! Node amalgamation (merging *nearly* equal columns) is deliberately
-//! not implemented, matching the paper's experimental setup (§4.1:
-//! "Since Sympiler's current version does not support node amalgamation,
-//! this setting is not enabled in CHOLMOD").
+//! The strict Cholesky rule ([`supernodes_cholesky`]) never pads and is
+//! the paper's experimental setting (§4.1: "Since Sympiler's current
+//! version does not support node amalgamation, this setting is not
+//! enabled in CHOLMOD"). [`supernodes_cholesky_relaxed`] adds **relaxed
+//! node amalgamation** on top of it: a strict supernode is merged into
+//! the strict supernode of its etree parent when the explicit zeros the
+//! wider trapezoid must carry stay inside a budget — CHOLMOD's relaxed
+//! supernodes, restricted to merges *along etree parent links* (see the
+//! function for why the LU merge rule would be wrong here). A zero
+//! budget reproduces the strict partition exactly. The budget
+//! arithmetic ([`RelaxedPanels`], the graded fill allowance, the
+//! trapezoid slot count) is shared with the LU panel detector,
+//! [`crate::lu_supernode`].
 
 use crate::symbolic::SymbolicFactor;
 use sympiler_sparse::CscMatrix;
@@ -129,6 +138,173 @@ pub fn supernodes_cholesky(sym: &SymbolicFactor, max_width: usize) -> SupernodeP
     }
     first_col.push(n);
     SupernodePartition::from_first_cols(first_col, n)
+}
+
+/// A (possibly relaxed) panel partition together with the padded
+/// trapezoid layout each panel is executed over: per panel, the
+/// ascending union of its member columns' factor rows. For a strict
+/// panel the union is exactly the first column's pattern (nesting), so
+/// the layout adds nothing; for an amalgamated panel the union includes
+/// rows some member columns lack — those trapezoid slots hold explicit
+/// zeros ([`Self::padded_zeros`] counts them).
+///
+/// Invariant: the first `width(s)` rows of panel `s` are always
+/// `first_col(s) .. first_col(s) + width(s)` — every member column
+/// contributes its own diagonal row, and factor rows never precede
+/// their column — so the dense diagonal-block kernels address the block
+/// at fixed offsets regardless of relaxation.
+#[derive(Debug, Clone, PartialEq)]
+pub struct RelaxedPanels {
+    /// The column partition (strict or amalgamated).
+    pub part: SupernodePartition,
+    /// Per-panel offsets into [`Self::rows`], length `n_supernodes+1`.
+    pub row_ptr: Vec<usize>,
+    /// Concatenated per-panel union row lists, each ascending.
+    pub rows: Vec<u32>,
+    /// Total explicit zeros the padded trapezoids carry at or below
+    /// the diagonal (0 for strict partitions).
+    pub padded_zeros: usize,
+}
+
+impl RelaxedPanels {
+    /// The union row list of panel `s`.
+    pub fn panel_rows(&self, s: usize) -> &[u32] {
+        &self.rows[self.row_ptr[s]..self.row_ptr[s + 1]]
+    }
+
+    /// Mean panel width — the quality metric relaxation exists to
+    /// raise.
+    pub fn mean_width(&self) -> f64 {
+        self.part.avg_width()
+    }
+}
+
+/// Trapezoid slots at or below the diagonal for a panel of width `w`
+/// over `m` union rows: column `c` occupies `m - c` of them.
+pub(crate) fn trapezoid_slots(w: usize, m: usize) -> usize {
+    w * m - w * (w - 1) / 2
+}
+
+/// The width an amalgamated panel may grow to — `relax_cols`, min'd
+/// with the strict cap when that is nonzero — or `None` when the knobs
+/// disable amalgamation (`relax_fill <= 0` or `relax_cols < 2`). Strict
+/// panels may already exceed it (up to `max_width`); they pass through
+/// unmerged.
+pub(crate) fn relax_cap(max_width: usize, relax_fill: f64, relax_cols: usize) -> Option<usize> {
+    if relax_fill <= 0.0 || relax_cols < 2 {
+        None
+    } else if max_width == 0 {
+        Some(relax_cols)
+    } else {
+        Some(relax_cols.min(max_width))
+    }
+}
+
+/// The graded fill budget of one merge: `zeros` explicit zeros against
+/// `nnz` structural nonzeros in a merged panel `width` columns wide are
+/// accepted within `4 × relax_fill × nnz` while the panel is at most 4
+/// columns wide, `relax_fill × nnz` beyond. The grading is CHOLMOD's
+/// relaxed-amalgamation idea: gluing singleton columns into small
+/// panels is where blocking gains the most and the padded trapezoids
+/// stay trivially small, so tiny merges deserve a far looser budget
+/// than wide ones (CHOLMOD merges ≤ 4-wide results unconditionally; the
+/// `4×` factor keeps the knob meaningful there).
+pub(crate) fn within_relax_budget(width: usize, zeros: usize, nnz: usize, relax_fill: f64) -> bool {
+    let budget = if width <= 4 {
+        4.0 * relax_fill
+    } else {
+        relax_fill
+    };
+    (zeros as f64) <= budget * nnz as f64
+}
+
+/// Relaxed (amalgamating) supernodes of the predicted Cholesky factor.
+///
+/// Starts from the strict partition of [`supernodes_cholesky`], then
+/// walks it left to right and merges the open group with the next
+/// strict supernode only when the etree parent of the group's last
+/// column **is** the next supernode's first column — a child merged
+/// into its parent, never two sibling subtrees that merely sit next to
+/// each other in the ordering. Along a parent link the child's
+/// sub-diagonal pattern is contained in the parent's pattern (Eq. 1),
+/// so the merged row list is just `group columns ++ rows(next)` and the
+/// left-looking invariant the numeric phase is built on survives: the
+/// rows of any descendant at or below a target's first column are a
+/// subset of the target's rows. The LU rule
+/// ([`crate::lu_supernode::supernodes_lu_relaxed`]) unions the rows of
+/// *any* adjacent panels; on a Cholesky factor that glues siblings,
+/// whose union carries rows the common target does not have.
+///
+/// A merge must also keep the merged width within `relax_cols` (and
+/// `max_width`, when nonzero) and its explicit zeros within the graded
+/// budget LU panels use (`4 × relax_fill ×` structural nonzeros up to 4
+/// columns, `relax_fill ×` beyond). `relax_fill <= 0` or
+/// `relax_cols < 2` disables amalgamation: the result is then exactly
+/// the strict partition with its padding-free row lists.
+pub fn supernodes_cholesky_relaxed(
+    sym: &SymbolicFactor,
+    max_width: usize,
+    relax_fill: f64,
+    relax_cols: usize,
+) -> RelaxedPanels {
+    let strict = supernodes_cholesky(sym, max_width);
+    let cap = relax_cap(max_width, relax_fill, relax_cols);
+    let mut first_col = vec![0usize];
+    let mut row_ptr = vec![0usize];
+    let mut rows: Vec<u32> = Vec::with_capacity(sym.l_nnz());
+    let mut padded_zeros = 0usize;
+    // Close the group of columns `start..end` whose last strict member
+    // begins at column `last`: its row list is the columns before
+    // `last` followed by that member's (nesting) row list.
+    let mut close = |start: usize, last: usize, end: usize, nnz: usize| {
+        let at = rows.len();
+        rows.extend((start..last).map(|c| c as u32));
+        rows.extend(sym.col_pattern(last).iter().map(|&r| r as u32));
+        padded_zeros += trapezoid_slots(end - start, rows.len() - at) - nnz;
+        row_ptr.push(rows.len());
+        first_col.push(end);
+    };
+    // The open group: its first column, width and structural nnz.
+    let mut start = 0usize;
+    let mut width = 0usize;
+    let mut nnz = 0usize;
+    for s in 0..strict.n_supernodes() {
+        let f = strict.first_col[s];
+        let v = strict.width(s);
+        // Strict supernodes nest: column `f + c` has `m - c` rows.
+        let m = sym.col_count(f);
+        let np = trapezoid_slots(v, m);
+        if width > 0 {
+            let w2 = width + v;
+            let merges = cap.is_some_and(|cap| w2 <= cap)
+                && sym.parent[f - 1] == f
+                && within_relax_budget(
+                    w2,
+                    trapezoid_slots(w2, width + m) - (nnz + np),
+                    nnz + np,
+                    relax_fill,
+                );
+            if merges {
+                width = w2;
+                nnz += np;
+                continue;
+            }
+            close(start, strict.first_col[s - 1], f, nnz);
+        }
+        start = f;
+        width = v;
+        nnz = np;
+    }
+    if width > 0 {
+        let last = strict.first_col[strict.n_supernodes() - 1];
+        close(start, last, sym.n, nnz);
+    }
+    RelaxedPanels {
+        part: SupernodePartition::from_first_cols(first_col, sym.n),
+        row_ptr,
+        rows,
+        padded_zeros,
+    }
 }
 
 /// Supernodes of an existing lower-triangular matrix via node
@@ -275,6 +451,70 @@ mod tests {
         assert_eq!(p.n_supernodes(), 3);
         for s in 0..3 {
             assert!(p.width(s) <= 2);
+        }
+    }
+
+    #[test]
+    fn relaxation_merges_a_banded_chain_within_the_budget() {
+        // The steady band region is one etree chain of singletons
+        // (column j lacks row j+band+1 of column j+1): gluing two of
+        // them pads one slot against 2·(band+1) nonzeros.
+        let (n, band) = (32usize, 4usize);
+        let sym = symbolic_cholesky(&gen::banded_spd(n, band, 1));
+        let strict = supernodes_cholesky(&sym, 0);
+        let relaxed = supernodes_cholesky_relaxed(&sym, 0, 0.3, 16);
+        check_partition_valid(&relaxed.part, n);
+        assert!(relaxed.part.n_supernodes() < strict.n_supernodes() / 2);
+        assert!(relaxed.padded_zeros > 0);
+        assert!((0..relaxed.part.n_supernodes()).all(|s| relaxed.part.width(s) <= 16));
+        // Pairs: rows j, j+1 .. j+band+1 — one padded slot each, except
+        // the trailing dense block, which already nests.
+        let pairs = supernodes_cholesky_relaxed(&sym, 0, 0.3, 2);
+        assert_eq!(pairs.panel_rows(0), [0, 1, 2, 3, 4, 5]);
+        assert_eq!(pairs.padded_zeros, (n - band - 1) / 2);
+        // The strict cap binds the merged width too.
+        let capped = supernodes_cholesky_relaxed(&sym, 3, 0.3, 16);
+        assert!((0..capped.part.n_supernodes()).all(|s| capped.part.width(s) <= 3));
+    }
+
+    #[test]
+    fn relaxation_follows_parent_links_never_sibling_adjacency() {
+        // Arrow matrix: columns 0, 1, 2 are sibling leaves under column
+        // 3. The LU rule would glue {0, 1} (one padded slot); here only
+        // the child-into-parent merge {2, 3} is legal — and it is free.
+        let mut t = sympiler_sparse::TripletMatrix::new(4, 4);
+        for j in 0..4 {
+            t.push(j, j, 10.0);
+        }
+        for j in 0..3 {
+            t.push(3, j, -1.0);
+        }
+        let sym = symbolic_cholesky(&t.to_csc().unwrap());
+        assert_eq!(sym.parent[..3], [3, 3, 3]);
+        assert_eq!(supernodes_cholesky(&sym, 0).n_supernodes(), 4);
+        let relaxed = supernodes_cholesky_relaxed(&sym, 0, 1.0, 64);
+        assert_eq!(relaxed.part.first_col, [0, 1, 2, 4]);
+        assert_eq!(relaxed.panel_rows(2), [2, 3]);
+        assert_eq!(relaxed.padded_zeros, 0);
+    }
+
+    #[test]
+    fn relaxation_off_is_the_strict_partition() {
+        for a in [
+            gen::grid2d_laplacian(7, 6, false, 1),
+            gen::random_spd(40, 4, 3),
+            sympiler_sparse::CscMatrix::zeros(0, 0),
+        ] {
+            let sym = symbolic_cholesky(&a);
+            for cap in [0usize, 3] {
+                let strict = supernodes_cholesky(&sym, cap);
+                for (fill, cols) in [(0.0, 16), (0.3, 1), (-1.0, 16)] {
+                    let off = supernodes_cholesky_relaxed(&sym, cap, fill, cols);
+                    assert_eq!(off.part, strict, "fill {fill} cols {cols}");
+                    assert_eq!(off.padded_zeros, 0);
+                    assert_eq!(off.rows.len(), off.row_ptr[strict.n_supernodes()]);
+                }
+            }
         }
     }
 

@@ -76,8 +76,9 @@ fn nd_grid2d(nx: usize, ny: usize, nine_point: bool, seed: u64) -> CscMatrix {
     ops::extract_lower(&ops::permute_sym(&full, &p).expect("valid permutation"))
 }
 
-/// 3-D grid Laplacian pre-ordered with geometric nested dissection.
-fn nd_grid3d(nx: usize, ny: usize, nz: usize, seed: u64) -> CscMatrix {
+/// 3-D grid Laplacian pre-ordered with geometric nested dissection
+/// (lower storage).
+pub fn nd_grid3d(nx: usize, ny: usize, nz: usize, seed: u64) -> CscMatrix {
     let g = gen::grid3d_laplacian(nx, ny, nz, seed);
     let full = ops::symmetrize_from_lower(&g).expect("generator emits lower storage");
     let p = gen::grid3d_nd_perm(nx, ny, nz);

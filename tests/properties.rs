@@ -76,6 +76,19 @@ fn spd_matrix() -> impl Strategy<Value = CscMatrix> {
     })
 }
 
+/// Strategy: SPD patterns with real etree structure — random, 2-D
+/// grid, banded, and a 3-D grid in nested-dissection order — for the
+/// supernode-amalgamation invariants.
+fn spd_structured() -> impl Strategy<Value = CscMatrix> {
+    use sympiler::sparse::gen;
+    (0usize..4, 2usize..=6, 0u64..1000).prop_map(|(kind, k, seed)| match kind {
+        0 => gen::random_spd(6 * k, 1 + k / 2, seed),
+        1 => gen::grid2d_laplacian(k + 1, k, seed % 2 == 0, seed),
+        2 => gen::banded_spd(8 * k, k, seed),
+        _ => sympiler::sparse::suite::nd_grid3d(k.min(5), k.min(5), k.min(5), seed),
+    })
+}
+
 /// Strategy: a random well-conditioned lower-triangular matrix.
 fn lower_matrix() -> impl Strategy<Value = CscMatrix> {
     (1usize..=60, 0usize..=4, 0u64..1000)
@@ -198,6 +211,76 @@ proptest! {
             }
         }
         prop_assert_eq!(covered, n);
+    }
+
+    #[test]
+    fn relaxed_cholesky_supernodes_keep_the_left_looking_invariants(
+        a in spd_structured(),
+        knobs in (0usize..4, 0usize..3, 0usize..4),
+    ) {
+        use sympiler::graph::supernode::supernodes_cholesky_relaxed;
+        let max_width = [0usize, 1, 3, 8][knobs.0];
+        let relax_fill = [0.1f64, 0.3, 1.0][knobs.1];
+        let relax_cols = [2usize, 8, 16, 64][knobs.2];
+        let sym = sympiler::graph::symbolic_cholesky(&a);
+        let n = a.n_cols();
+        let strict = sympiler::graph::supernodes_cholesky(&sym, max_width);
+        let p = supernodes_cholesky_relaxed(&sym, max_width, relax_fill, relax_cols);
+        let part = &p.part;
+        prop_assert_eq!(part.n_cols(), n);
+        prop_assert_eq!(p.row_ptr.len(), part.n_supernodes() + 1);
+        let cap = if max_width == 0 { relax_cols } else { relax_cols.min(max_width) };
+        let (mut covered, mut slots, mut nnz) = (0, 0, 0);
+        for s in 0..part.n_supernodes() {
+            let (f, w, rows) = (part.cols(s).start, part.width(s), p.panel_rows(s));
+            prop_assert_eq!(f, covered, "contiguous cover");
+            covered = part.cols(s).end;
+            // Wider than the cap only as a strict supernode passing through.
+            let t = strict.col_to_super[f];
+            prop_assert!(
+                w <= cap || (strict.cols(t).start == f && strict.width(t) == w),
+                "panel at {} width {} exceeds the cap {} without being strict", f, w, cap
+            );
+            // Merged only along etree parent links.
+            for j in f + 1..f + w {
+                prop_assert_eq!(sym.parent[j - 1], j, "columns {}, {} share a panel", j - 1, j);
+            }
+            // Ascending rows led by the panel's own columns, holding
+            // every member column's pattern.
+            prop_assert!(rows.windows(2).all(|x| x[0] < x[1]));
+            for c in 0..w {
+                prop_assert_eq!(rows[c] as usize, f + c);
+            }
+            for j in part.cols(s) {
+                for &r in sym.col_pattern(j) {
+                    prop_assert!(rows.binary_search(&(r as u32)).is_ok(),
+                        "column {} row {} missing from its panel", j, r);
+                }
+                nnz += sym.col_count(j);
+            }
+            slots += w * rows.len() - w * (w - 1) / 2;
+            // A descendant's rows at or below a target's first column
+            // lie in the target's row list.
+            for &r in &rows[w..] {
+                let t = part.col_to_super[r as usize];
+                let t_rows = p.panel_rows(t);
+                for &q in rows.iter().filter(|&&q| q as usize >= part.cols(t).start) {
+                    prop_assert!(t_rows.binary_search(&q).is_ok(),
+                        "panel {} row {} missing from target panel {}", s, q, t);
+                }
+            }
+        }
+        prop_assert_eq!(covered, n);
+        prop_assert_eq!(p.padded_zeros, slots - nnz, "padded-zero census");
+
+        // A zero budget is the strict partition, row for row.
+        let off = supernodes_cholesky_relaxed(&sym, max_width, 0.0, relax_cols);
+        prop_assert_eq!(&off.part, &strict);
+        prop_assert_eq!(off.padded_zeros, 0);
+        for s in 0..strict.n_supernodes() {
+            let pat = sym.col_pattern(strict.cols(s).start);
+            prop_assert!(off.panel_rows(s).iter().map(|&r| r as usize).eq(pat.iter().copied()));
+        }
     }
 
     #[test]
