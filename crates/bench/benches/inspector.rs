@@ -1,10 +1,14 @@
 //! Criterion bench for the symbolic inspectors (§4.3 overheads): the
 //! near-linear scaling of etree / row-pattern / supernode / reach-set
-//! inspection across grid sizes.
+//! inspection across grid sizes, and of the two LU inspectors that
+//! dominate a cold compile — COLAMD and the pruned symbolic LU — per
+//! factor entry across the unsymmetric suite.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
+use sympiler_bench::workloads::{ordered_lu_pattern, prepare_lu_suite};
 use sympiler_sparse::gen;
+use sympiler_sparse::suite::SuiteScale;
 
 fn bench_inspectors(c: &mut Criterion) {
     let mut group = c.benchmark_group("inspectors");
@@ -47,5 +51,27 @@ fn bench_inspectors(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_inspectors);
+/// Throughput is per entry of `L + U`, so the printed rate is the
+/// inverse of ns per nnz(L+U): flat across problems means inspection
+/// linear in its output.
+fn bench_lu_inspectors(c: &mut Criterion) {
+    let mut group = c.benchmark_group("lu_inspectors");
+    group.sample_size(20);
+    group.warm_up_time(std::time::Duration::from_millis(300));
+    group.measurement_time(std::time::Duration::from_millis(800));
+    for p in prepare_lu_suite(SuiteScale::Test) {
+        let (pivoted, ordered) = ordered_lu_pattern(&p);
+        let sym = sympiler_graph::lu_symbolic(&ordered);
+        group.throughput(Throughput::Elements((sym.l_nnz() + sym.u_nnz()) as u64));
+        group.bench_function(BenchmarkId::new("colamd", p.name), |b| {
+            b.iter(|| black_box(sympiler_graph::colamd::colamd_ordering(&pivoted)));
+        });
+        group.bench_function(BenchmarkId::new("lu_symbolic", p.name), |b| {
+            b.iter(|| black_box(sympiler_graph::lu_symbolic(&ordered)));
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_inspectors, bench_lu_inspectors);
 criterion_main!(benches);

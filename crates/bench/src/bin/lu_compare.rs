@@ -17,8 +17,8 @@
 //! zero-diagonal problems, identically MC64-scaled), statically
 //! pivoted baseline factors in pattern and to a **uniform strict
 //! 1e-10** (relative) in values on every combination — both scalar
-//! engines run their update sums in the same sorted-adjacency
-//! topological order, so the serial tier matches bitwise and the old
+//! engines run their update sums in the same ascending pivot
+//! order, so the serial tier matches bitwise and the old
 //! growth-aware tolerance carve-out for the pattern-only transversal
 //! is gone — with the factorization's `|PA − LU| / (|L||U|)`
 //! backward error gated at the same strict 1e-10 and pivot growth
@@ -332,7 +332,7 @@ fn main() {
                 // problem at the source (every scaled entry ≤ 1, the
                 // weighted-matched diagonal scaled to 1, growth O(1)),
                 // and the two scalar engines run their update sums in
-                // the identical sorted-adjacency topological order —
+                // the identical ascending pivot order —
                 // so the serial tier in fact matches the baseline
                 // *bitwise*, and every pre-pivot verifies at the same
                 // strict 1e-10 the dominant-diagonal problems meet.

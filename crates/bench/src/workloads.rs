@@ -117,6 +117,27 @@ impl LuBenchProblem {
     }
 }
 
+/// The two matrices a default LU compile of `p` inspects: the
+/// pre-pivoted `P·A` COLAMD orders (weighted matching on the
+/// zero-diagonal problems, `A` itself otherwise) and the `Qᵀ·P·A·Q`
+/// the symbolic factorization runs on.
+pub fn ordered_lu_pattern(p: &LuBenchProblem) -> (CscMatrix, CscMatrix) {
+    use sympiler_graph::transversal::{compute_pre_pivot, PrePivot};
+    use sympiler_sparse::ops;
+    let pre_pivot = if p.zero_diag {
+        PrePivot::WeightedMatching
+    } else {
+        PrePivot::Off
+    };
+    let pivoted = match compute_pre_pivot(&p.a, pre_pivot).expect("suite problems match") {
+        Some(rowp) => ops::permute_rows(&p.a, &rowp).expect("matching is a permutation"),
+        None => p.a.clone(),
+    };
+    let q = sympiler_graph::colamd::colamd_ordering(&pivoted);
+    let ordered = ops::permute_rows_cols(&pivoted, &q).expect("ordering is a permutation");
+    (pivoted, ordered)
+}
+
 /// Prepare the unsymmetric LU suite at the given scale.
 pub fn prepare_lu_suite(scale: SuiteScale) -> Vec<LuBenchProblem> {
     unsym_suite(scale)

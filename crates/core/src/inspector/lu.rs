@@ -60,10 +60,10 @@ impl LuVIPruneInspector {
     ///    diagonal (identity fast path when it already is);
     /// 2. **ordering** — compute `Q` ([`compute_ordering`]) on the
     ///    pre-pivoted matrix and apply it **symmetrically**
-    ///    (`Qᵀ·(P·A)·Q`, preserving the matched diagonal — see
-    ///    [`ops::permute_rows_cols`]);
-    /// 3. **reach sets** — Gilbert–Peierls symbolic factorization of
-    ///    the resulting pattern.
+    ///    (`Qᵀ·(P·A)·Q`, preserving the matched diagonal), composed
+    ///    with `P` into one [`ops::permute_general`] of `a`;
+    /// 3. **reach sets** — pruned Gilbert–Peierls symbolic
+    ///    factorization of the resulting pattern.
     ///
     /// The returned reach sets, patterns, and schedules all live in
     /// the final (pivoted + ordered) coordinates; `row_perm` and
@@ -75,6 +75,8 @@ impl LuVIPruneInspector {
     /// structurally impossible for this pattern under any row
     /// permutation, and the failure surfaces *here*, at inspection
     /// time, instead of as a zero pivot deep in the numeric phase.
+    /// Any other [`SparseError`] means `a` is not square or a computed
+    /// permutation failed its bijection check.
     pub fn inspect_pivoted(
         &self,
         a: &CscMatrix,
@@ -92,10 +94,19 @@ impl LuVIPruneInspector {
         };
         let col_perm = compute_ordering(pivoted, ordering);
         let symbolic = match &col_perm {
-            Some(perm) => lu_symbolic(
-                &ops::permute_rows_cols(pivoted, perm)
-                    .expect("ordering produced a valid permutation"),
-            ),
+            // One pass from `a` to `Qᵀ·P·A·Q`: row `new` of the ordered
+            // system is row `p[q[new]]` of `a`.
+            Some(q) => {
+                let composed: Vec<usize>;
+                let rperm = match &row_perm {
+                    Some(p) => {
+                        composed = q.iter().map(|&jq| p[jq]).collect();
+                        &composed
+                    }
+                    None => q,
+                };
+                lu_symbolic(&ops::permute_general(a, rperm, q)?)
+            }
             None => lu_symbolic(pivoted),
         };
         Ok(LuReachSets {

@@ -984,7 +984,9 @@ impl LuPlan {
         report.set_size("nnz(A)", a.nnz());
         report.set_size("nnz(L)", sym.l_nnz());
         report.set_size("nnz(U)", sym.u_nnz());
-        report.set_size("update ops", sym.reach_cols.len());
+        let n_updates = sym.u_nnz() - n;
+        report.set_size("update ops", n_updates);
+        report.set_size("symbolic dfs edges", sym.dfs_edges() as usize);
 
         // --- Transform + pack: bake the schedule with the low-level
         // tier decision resolved per update (VI-Prune made executable).
@@ -994,7 +996,7 @@ impl LuPlan {
             "transform + pack (schedule)",
             || {
                 let mut upd_ptr = Vec::with_capacity(n + 1);
-                let mut upd_cols = Vec::with_capacity(sym.reach_cols.len());
+                let mut upd_cols = Vec::with_capacity(n_updates);
                 upd_ptr.push(0usize);
                 for j in 0..n {
                     for &k in sym.reach(j) {
@@ -2082,9 +2084,33 @@ mod tests {
         let plan = LuPlan::build(&a, true, 2).unwrap();
         let sym = sympiler_graph::lu_symbolic(&a);
         assert_eq!(plan.flops(), sym.factor_flops());
-        assert_eq!(plan.n_updates(), sym.reach_cols.len());
+        assert_eq!(plan.n_updates(), sym.u_nnz() - sym.n);
         assert!(plan.report().total().as_nanos() > 0);
         assert_eq!(plan.report().size_of("nnz(L)"), Some(sym.l_nnz()));
+    }
+
+    #[test]
+    fn inspection_reads_no_more_than_twice_the_factor_pattern() {
+        // The complexity gate for the pruned symbolic, as a count that
+        // repeats exactly: on the COLAMD-ordered benchmark patterns the
+        // inspection reads about one adjacency entry per factor entry
+        // (the unpruned traversal read ~77 per entry on the first).
+        for (a, pre_pivot) in [
+            (gen::circuit_unsym(1200, 4, 2, 1), PrePivot::Off),
+            (
+                gen::circuit_zero_diag(800, 4, 2, 1),
+                PrePivot::WeightedMatching,
+            ),
+        ] {
+            let plan = LuPlan::build_pivoted(&a, true, 2, Ordering::Colamd, pre_pivot).unwrap();
+            let edges = plan.report().size_of("symbolic dfs edges").unwrap();
+            assert!(edges > 0);
+            assert!(
+                edges <= 2 * (plan.l_nnz() + plan.u_nnz()),
+                "{edges} reads for {} factor entries",
+                plan.l_nnz() + plan.u_nnz()
+            );
+        }
     }
 
     #[test]

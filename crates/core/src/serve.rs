@@ -29,7 +29,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering as MemOrder};
-use std::sync::{mpsc, Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 use crate::compile::{SympilerLu, SympilerOptions};
@@ -281,6 +281,41 @@ struct CacheInner {
     buckets: HashMap<u64, Vec<Entry>>,
     entries: usize,
     bytes: usize,
+    /// Keys some thread is compiling right now (a handful at most).
+    /// Filed by hash alone: a waiter re-runs the exact lookup when the
+    /// flight lands, so a colliding key costs it a wait, never a wrong
+    /// plan.
+    in_flight: Vec<u64>,
+}
+
+/// What a miss-aware lookup found, decided under one hold of the lock.
+enum Lookup<'a> {
+    /// A resident plan matches exactly.
+    Hit(Arc<CachedPlan>),
+    /// Nothing resident, nobody compiling: the caller compiles.
+    Claimed(Flight<'a>),
+    /// Another thread is compiling this key.
+    InFlight,
+}
+
+/// The right (and duty) to compile one key. Dropping it — after
+/// admitting the plan, on a compile error, or while unwinding from a
+/// panic — retires the claim and wakes every waiter; a waiter that
+/// then finds no plan resident claims the key and compiles itself.
+struct Flight<'a> {
+    cache: &'a PlanCache,
+    key: u64,
+}
+
+impl Drop for Flight<'_> {
+    fn drop(&mut self) {
+        let mut inner = self.cache.lock_inner();
+        if let Some(at) = inner.in_flight.iter().position(|&k| k == self.key) {
+            inner.in_flight.swap_remove(at);
+        }
+        drop(inner);
+        self.cache.landed.notify_all();
+    }
 }
 
 /// Point-in-time counters of a [`PlanCache`] (monotonic except
@@ -315,10 +350,13 @@ impl CacheStats {
 /// [`structural_hash`] and verified exactly on every hit.
 ///
 /// Compilation happens **outside** the cache lock — a slow compile on
-/// one pattern never blocks hits on others — with a re-check on
-/// insert so racing compilers of the same pattern converge on one
-/// resident plan. Eviction is LRU over a global use tick, bounded by
-/// [`CacheConfig`].
+/// one pattern never blocks hits on others — and is **single-flight**:
+/// the first thread to miss on a key compiles it, threads that miss on
+/// the same key meanwhile wait and take its plan, so N concurrent
+/// identical misses cost one compile. Waiters count as misses (they
+/// paid compile latency) and also under `serve.cache.coalesced`; if
+/// the compile fails they compile for themselves. Eviction is LRU over
+/// a global use tick, bounded by [`CacheConfig`].
 ///
 /// ```
 /// use std::sync::Arc;
@@ -345,6 +383,8 @@ impl CacheStats {
 /// ```
 pub struct PlanCache {
     inner: Mutex<CacheInner>,
+    /// Signalled whenever an in-flight compile retires.
+    landed: Condvar,
     config: CacheConfig,
     tick: AtomicU64,
     hits: AtomicU64,
@@ -385,6 +425,7 @@ impl PlanCache {
     pub fn with_profiler(config: CacheConfig, profiler: Arc<Profiler>) -> Self {
         Self {
             inner: Mutex::new(CacheInner::default()),
+            landed: Condvar::new(),
             config,
             tick: AtomicU64::new(0),
             hits: AtomicU64::new(0),
@@ -406,14 +447,20 @@ impl PlanCache {
     /// the buckets themselves are always structurally valid because
     /// every mutation either pushes a complete entry or removes one.
     fn lock_inner(&self) -> MutexGuard<'_, CacheInner> {
-        self.inner.lock().unwrap_or_else(|poisoned| {
-            let mut inner = poisoned.into_inner();
-            inner.entries = inner.buckets.values().map(Vec::len).sum();
-            inner.bytes = inner.buckets.values().flatten().map(|e| e.plan.bytes).sum();
-            self.inner.clear_poison();
-            self.profiler.counter("serve.cache.poison_recovered").add(1);
-            inner
-        })
+        self.inner.lock().unwrap_or_else(|p| self.recover(p))
+    }
+
+    /// The poison recovery behind [`Self::lock_inner`].
+    fn recover<'a>(
+        &self,
+        poisoned: PoisonError<MutexGuard<'a, CacheInner>>,
+    ) -> MutexGuard<'a, CacheInner> {
+        let mut inner = poisoned.into_inner();
+        inner.entries = inner.buckets.values().map(Vec::len).sum();
+        inner.bytes = inner.buckets.values().flatten().map(|e| e.plan.bytes).sum();
+        self.inner.clear_poison();
+        self.profiler.counter("serve.cache.poison_recovered").add(1);
+        inner
     }
 
     /// Current counters.
@@ -475,7 +522,7 @@ impl PlanCache {
     }
 
     /// [`get_or_compile`](Self::get_or_compile), recording its
-    /// `cache-lookup` / `compile` spans on the given profiler lane —
+    /// `cache-lookup` / `compile-wait` / `compile` spans on the given lane —
     /// the entry point [`FactorService`] workers use so each request's
     /// cache time lands on that worker's own trace lane.
     pub fn get_or_compile_on_lane(
@@ -487,18 +534,32 @@ impl PlanCache {
         let key = structural_hash(a, opts);
         let now = self.tick.fetch_add(1, MemOrder::Relaxed);
         let span = self.profiler.begin(lane, "cache-lookup");
-        let found = self.lookup(key, a, opts, now);
-        self.profiler
-            .end_with(span, &[("hit", found.is_some() as u64 as f64)]);
-        if let Some(plan) = found {
+        let found = self.lookup(key, a, opts, now, false);
+        let hit = matches!(found, Lookup::Hit(_));
+        self.profiler.end_with(span, &[("hit", hit as u64 as f64)]);
+        if let Lookup::Hit(plan) = found {
             self.hits.fetch_add(1, MemOrder::Relaxed);
             self.profiler.counter("serve.cache.hit").add(1);
             return Ok(plan);
         }
-        // Miss: compile outside the lock so a slow symbolic phase on
-        // one pattern never serializes hits on others.
         self.misses.fetch_add(1, MemOrder::Relaxed);
         self.profiler.counter("serve.cache.miss").add(1);
+        let flight = match found {
+            Lookup::Claimed(flight) => flight,
+            _ => {
+                self.profiler.counter("serve.cache.coalesced").add(1);
+                let span = self.profiler.begin(lane, "compile-wait");
+                let landed = self.lookup(key, a, opts, now, true);
+                self.profiler.end(span);
+                match landed {
+                    Lookup::Hit(plan) => return Ok(plan),
+                    Lookup::Claimed(flight) => flight,
+                    Lookup::InFlight => unreachable!("a waiting lookup hits or claims"),
+                }
+            }
+        };
+        // Compile outside the lock so a slow symbolic phase on one
+        // pattern never serializes hits on others.
         let span = self.profiler.begin(lane, "compile");
         let compiled = SympilerLu::compile(a, opts);
         self.profiler
@@ -510,58 +571,57 @@ impl PlanCache {
             bytes: lu.table_bytes(),
             lu,
         });
-        Ok(self.admit(key, a, opts, now, plan))
+        self.admit(now, Arc::clone(&plan));
+        drop(flight);
+        Ok(plan)
     }
 
-    /// In-lock hit path: scan the key's bucket for an entry whose
-    /// compiled pattern and options match exactly.
+    /// Under one hold of the lock: scan the key's bucket for an entry
+    /// whose compiled pattern and options match exactly; failing that,
+    /// claim the key if nobody is compiling it. With `wait`, a key in
+    /// flight blocks until its compile retires and the scan repeats,
+    /// so the answer is never [`Lookup::InFlight`].
     fn lookup(
         &self,
         key: u64,
         a: &CscMatrix,
         opts: &SympilerOptions,
         now: u64,
-    ) -> Option<Arc<CachedPlan>> {
+        wait: bool,
+    ) -> Lookup<'_> {
         let mut inner = self.lock_inner();
-        let bucket = inner.buckets.get_mut(&key)?;
-        for e in bucket.iter_mut() {
-            if e.plan.opts == *opts && e.plan.lu.plan().check_pattern(a).is_ok() {
-                e.last_use = now;
-                return Some(e.plan.clone());
-            }
-        }
-        None
-    }
-
-    /// Insert a freshly compiled plan, unless a racing thread already
-    /// admitted an equivalent one while we compiled — theirs wins (we
-    /// drop ours), keeping exactly one resident plan per key.
-    fn admit(
-        &self,
-        key: u64,
-        a: &CscMatrix,
-        opts: &SympilerOptions,
-        now: u64,
-        plan: Arc<CachedPlan>,
-    ) -> Arc<CachedPlan> {
-        let mut inner = self.lock_inner();
-        if let Some(bucket) = inner.buckets.get_mut(&key) {
-            for e in bucket.iter_mut() {
-                if e.plan.opts == *opts && e.plan.lu.plan().check_pattern(a).is_ok() {
-                    e.last_use = now;
-                    return e.plan.clone();
+        loop {
+            if let Some(bucket) = inner.buckets.get_mut(&key) {
+                for e in bucket.iter_mut() {
+                    if e.plan.opts == *opts && e.plan.lu.plan().check_pattern(a).is_ok() {
+                        e.last_use = now;
+                        return Lookup::Hit(e.plan.clone());
+                    }
                 }
             }
+            if !inner.in_flight.contains(&key) {
+                inner.in_flight.push(key);
+                return Lookup::Claimed(Flight { cache: self, key });
+            }
+            if !wait {
+                return Lookup::InFlight;
+            }
+            inner = self.landed.wait(inner).unwrap_or_else(|p| self.recover(p));
         }
+    }
+
+    /// Insert a freshly compiled plan under its key. The caller holds
+    /// the key's [`Flight`], so no equivalent plan can be resident.
+    fn admit(&self, now: u64, plan: Arc<CachedPlan>) {
+        let mut inner = self.lock_inner();
         inner.entries += 1;
         inner.bytes += plan.bytes;
-        inner.buckets.entry(key).or_default().push(Entry {
-            plan: plan.clone(),
+        inner.buckets.entry(plan.key).or_default().push(Entry {
+            plan,
             last_use: now,
         });
         self.evict_locked(&mut inner);
         self.publish_residency(&inner);
-        plan
     }
 
     /// LRU eviction down to the configured bounds, never below one
@@ -606,21 +666,6 @@ impl PlanCache {
                 &[("key", format!("{key:#018x}").as_str())],
             );
         }
-    }
-
-    #[cfg(test)]
-    /// Test hook: file `plan` under an arbitrary `key`, bypassing
-    /// hashing — how the collision tests plant a same-key foreign
-    /// entry that lookup must reject on the exact checks.
-    fn insert_raw(&self, key: u64, plan: Arc<CachedPlan>) {
-        let mut inner = self.lock_inner();
-        let now = self.tick.fetch_add(1, MemOrder::Relaxed);
-        inner.entries += 1;
-        inner.bytes += plan.bytes;
-        inner.buckets.entry(key).or_default().push(Entry {
-            plan,
-            last_use: now,
-        });
     }
 }
 
@@ -802,6 +847,13 @@ impl FactorService {
         let rx = Arc::clone(rx);
         let cache = Arc::clone(cache);
         let registry = Arc::clone(registry);
+        // Name this worker's trace lane. Lane = slot + 1, so a
+        // respawned worker re-claims the *same* tid and the trace
+        // stays readable across sentinel restarts. Named here, not on
+        // the new thread, so the lane has its name once the service
+        // exists, whether or not this worker ever gets to run.
+        let lane = worker_lane(slot);
+        cache.profiler.name_lane(lane, &format!("worker-{slot}"));
         std::thread::spawn(move || {
             let sentinel = Sentinel {
                 slot,
@@ -809,11 +861,6 @@ impl FactorService {
                 cache: Arc::clone(&cache),
                 registry,
             };
-            // Name this worker's trace lane. Lane = slot + 1, so a
-            // respawned worker re-claims the *same* tid and the trace
-            // stays readable across sentinel restarts.
-            let lane = worker_lane(slot);
-            cache.profiler.name_lane(lane, &format!("worker-{slot}"));
             let mut ws = LuWorkspace::new();
             loop {
                 // Hold the queue lock only for the dequeue; recover
@@ -1106,8 +1153,8 @@ mod tests {
         let key = structural_hash(&a, &opts());
         let cache = PlanCache::new(CacheConfig::default());
         let foreign_lu = SympilerLu::compile(&b, &opts()).unwrap();
-        cache.insert_raw(
-            key,
+        cache.admit(
+            0,
             Arc::new(CachedPlan {
                 key,
                 opts: opts(),
@@ -1122,6 +1169,114 @@ mod tests {
         // Now both resolve correctly.
         assert!(Arc::ptr_eq(&p, &cache.get_or_compile(&a, &opts()).unwrap()));
         assert_eq!(cache.get_or_compile(&b, &opts()).unwrap().plan().n(), 30);
+    }
+
+    /// A cache recording onto an enabled profiler.
+    fn traced_cache() -> (Arc<Profiler>, PlanCache) {
+        let prof = Arc::new(Profiler::enabled());
+        let cache = PlanCache::with_profiler(CacheConfig::default(), Arc::clone(&prof));
+        (prof, cache)
+    }
+
+    /// Run `n` concurrent `get_or_compile(a)` calls that all find the
+    /// key in flight — `land` decides how the flight ends — and return
+    /// their plans. The waiters are known to have seen the flight
+    /// (each bumps `serve.cache.coalesced` before it blocks) before
+    /// `land` runs.
+    fn coalesce<F>(
+        prof: &Profiler,
+        cache: &PlanCache,
+        a: &CscMatrix,
+        n: u64,
+        land: F,
+    ) -> Vec<Arc<CachedPlan>>
+    where
+        F: FnOnce(Flight<'_>),
+    {
+        let key = structural_hash(a, &opts());
+        let Lookup::Claimed(flight) = cache.lookup(key, a, &opts(), 0, false) else {
+            panic!("an empty cache grants the claim");
+        };
+        std::thread::scope(|scope| {
+            let waiters: Vec<_> = (0..n)
+                .map(|_| scope.spawn(|| cache.get_or_compile(a, &opts()).unwrap()))
+                .collect();
+            while prof.counter_value("serve.cache.coalesced") < n {
+                std::thread::yield_now();
+            }
+            land(flight);
+            waiters.into_iter().map(|w| w.join().unwrap()).collect()
+        })
+    }
+
+    #[test]
+    fn waiters_take_the_plan_an_in_flight_compile_admits() {
+        let (prof, cache) = traced_cache();
+        let a = gen::circuit_unsym(40, 4, 2, 12);
+        let lu = SympilerLu::compile(&a, &opts()).unwrap();
+        let admitted = Arc::new(CachedPlan {
+            key: structural_hash(&a, &opts()),
+            opts: opts(),
+            bytes: lu.table_bytes(),
+            lu,
+        });
+        let plans = coalesce(&prof, &cache, &a, 3, |flight| {
+            cache.admit(0, Arc::clone(&admitted));
+            drop(flight);
+        });
+        assert!(plans.iter().all(|p| Arc::ptr_eq(p, &admitted)));
+        let snap = prof.snapshot("coalesce");
+        assert_eq!(snap.spans_named("compile").count(), 0, "nobody recompiled");
+        assert_eq!(snap.spans_named("compile-wait").count(), 3);
+        let s = cache.stats();
+        assert_eq!(
+            (s.hits, s.misses, s.entries),
+            (0, 3, 1),
+            "waiters are misses"
+        );
+    }
+
+    #[test]
+    fn a_failed_flight_hands_the_compile_to_exactly_one_waiter() {
+        let (prof, cache) = traced_cache();
+        let a = gen::circuit_unsym(40, 4, 2, 13);
+        // The flight retires with nothing admitted, as a compile error
+        // or a panic would leave it.
+        let plans = coalesce(&prof, &cache, &a, 3, |flight| drop(flight));
+        assert!(plans.iter().all(|p| Arc::ptr_eq(p, &plans[0])));
+        let snap = prof.snapshot("coalesce");
+        assert_eq!(snap.spans_named("compile").count(), 1);
+        assert_eq!(prof.counter_value("serve.cache.coalesced"), 3);
+        assert_eq!(cache.stats().entries, 1);
+    }
+
+    #[test]
+    fn concurrent_identical_misses_compile_once() {
+        let (prof, cache) = traced_cache();
+        let a = gen::circuit_unsym(60, 4, 2, 14);
+        let start = std::sync::Barrier::new(4);
+        let plans: Vec<_> = std::thread::scope(|scope| {
+            let callers: Vec<_> = (0..4)
+                .map(|_| {
+                    scope.spawn(|| {
+                        start.wait();
+                        cache.get_or_compile(&a, &opts()).unwrap()
+                    })
+                })
+                .collect();
+            callers.into_iter().map(|c| c.join().unwrap()).collect()
+        });
+        assert!(plans.iter().all(|p| Arc::ptr_eq(p, &plans[0])));
+        // Whatever the interleaving: one claim, the rest wait or hit.
+        let snap = prof.snapshot("coalesce");
+        assert_eq!(snap.spans_named("compile").count(), 1);
+        let s = cache.stats();
+        assert_eq!(s.hits + s.misses, 4);
+        assert_eq!(
+            s.misses,
+            1 + prof.counter_value("serve.cache.coalesced"),
+            "every miss but the compiler's own was coalesced"
+        );
     }
 
     #[test]

@@ -30,6 +30,21 @@
 //!   degree estimate, so it is ignored during ordering; dense columns
 //!   are ordered last, where they would have ended up anyway.
 //!
+//! **Storage.** Both incidence directions live in flat arrays, one
+//! `(start, len)` pair per list, built once by counting sort and never
+//! reallocated. A column's row list only shrinks between rebuilds (it
+//! loses at least the pivot's row before it gains the new element),
+//! so it is rewritten in place. Row lists are pruned in place too; each
+//! new element is appended behind the last row in an arena of twice the
+//! initial entry count — the live rows never exceed the initial count,
+//! because an element is no larger than the rows it merges — which is
+//! compacted in place when the tail runs out. A killed row or absorbed
+//! column is a list of length zero. Pivot selection is a binary
+//! min-heap of `(score, column)` with stale entries skipped at pop (a
+//! re-scored column pushes a fresh entry instead of deleting the old
+//! one); supercolumn members hang off their representative as an
+//! intrusive linked list; all per-pivot scratch is reused.
+//!
 //! The result is a permutation `perm` with `perm[new] = old`, the same
 //! convention as [`crate::rcm::rcm_ordering`] and the
 //! `sympiler_sparse::ops` permutation helpers. Everything here is
@@ -37,8 +52,8 @@
 //! index, so one sparsity pattern always produces one ordering — a
 //! requirement for Sympiler's compile-once premise.
 
-use std::collections::BTreeSet;
-use std::collections::HashMap;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use sympiler_sparse::CscMatrix;
 
 /// Tuning knobs for [`colamd_ordering_with`]. The defaults follow the
@@ -81,6 +96,50 @@ enum ColState {
     Dense,
 }
 
+/// Index lists packed in one arena, a `(start, len)` pair each: the
+/// row lists of the quotient graph (`A`'s rows, then one element per
+/// pivot) and its column lists. A dead row has length zero: a live
+/// row holds every live column it constrains, so it is never empty
+/// while a live column still refers to it.
+struct Lists {
+    start: Vec<usize>,
+    len: Vec<usize>,
+    /// List entries, in list order; capacity fixed at construction.
+    items: Vec<usize>,
+}
+
+impl Lists {
+    fn list(&self, i: usize) -> &[usize] {
+        &self.items[self.start[i]..self.start[i] + self.len[i]]
+    }
+
+    /// Append `list` as a new list and return its index, compacting
+    /// the arena first when its tail cannot take it.
+    fn push(&mut self, list: &[usize]) -> usize {
+        if self.items.len() + list.len() > self.items.capacity() {
+            self.compact();
+        }
+        self.start.push(self.items.len());
+        self.len.push(list.len());
+        self.items.extend_from_slice(list);
+        self.start.len() - 1
+    }
+
+    /// Slide the live lists to the front. Lists sit in index order, so
+    /// every move is towards the front and none overwrites a list not
+    /// yet moved.
+    fn compact(&mut self) {
+        let mut w = 0;
+        for i in 0..self.start.len() {
+            let (s, l) = (self.start[i], self.len[i]);
+            self.items.copy_within(s..s + l, w);
+            self.start[i] = w;
+            w += l;
+        }
+        self.items.truncate(w);
+    }
+}
+
 /// Compute a COLAMD-style column ordering of `a` with default
 /// parameters. Returns `perm` with `perm[new] = old`.
 pub fn colamd_ordering(a: &CscMatrix) -> Vec<usize> {
@@ -92,6 +151,7 @@ pub fn colamd_ordering(a: &CscMatrix) -> Vec<usize> {
 /// `0..a.n_cols()`, whatever the pattern (empty columns, dense rows,
 /// rectangular input).
 pub fn colamd_ordering_with(a: &CscMatrix, config: ColamdConfig) -> Vec<usize> {
+    const NONE: usize = usize::MAX;
     let m = a.n_rows();
     let n = a.n_cols();
     if n == 0 {
@@ -102,42 +162,62 @@ pub fn colamd_ordering_with(a: &CscMatrix, config: ColamdConfig) -> Vec<usize> {
     // column graph; past the threshold it contributes no ordering
     // information, only quadratic degree noise.
     let dense_row = config.threshold(n);
-    let mut row_len = vec![0usize; m];
+    let mut row_count = vec![0usize; m];
     for &i in a.row_idx() {
-        row_len[i] += 1;
+        row_count[i] += 1;
     }
-    let row_is_dense: Vec<bool> = row_len.iter().map(|&l| l > dense_row).collect();
+    let row_is_dense: Vec<bool> = row_count.iter().map(|&l| l > dense_row).collect();
 
     // --- Dense-column stripping: order them last (ascending live
     // degree, then index), where minimum degree would have sent them.
     let dense_col = config.threshold(m.max(1));
-    let live_rows_of = |j: usize| a.col_rows(j).iter().filter(|&&i| !row_is_dense[i]).count();
     let mut col_state = vec![ColState::Alive; n];
     let mut dense_cols: Vec<(usize, usize)> = Vec::new();
+    // Column lists: the live rows of each sparse column, ascending.
+    let mut cols = Lists {
+        start: Vec::with_capacity(n),
+        len: Vec::with_capacity(n),
+        items: Vec::with_capacity(a.nnz()),
+    };
     for j in 0..n {
-        let live = live_rows_of(j);
-        if live > dense_col {
+        let start = cols.items.len();
+        cols.items
+            .extend(a.col_rows(j).iter().filter(|&&i| !row_is_dense[i]));
+        let mut len = cols.items.len() - start;
+        if len > dense_col {
             col_state[j] = ColState::Dense;
-            dense_cols.push((live, j));
+            dense_cols.push((len, j));
+            cols.items.truncate(start);
+            len = 0;
         }
+        cols.start.push(start);
+        cols.len.push(len);
     }
     dense_cols.sort_unstable();
 
-    // --- Quotient-graph state. Rows `0..m` are `A`'s rows; every pivot
-    // appends one element row. A killed row keeps its slot (lists are
-    // pruned lazily against `row_alive` / `col_state`).
-    let mut row_cols: Vec<Vec<usize>> = vec![Vec::new(); m];
-    let mut row_alive: Vec<bool> = row_is_dense.iter().map(|&d| !d).collect();
-    let mut col_rows: Vec<Vec<usize>> = vec![Vec::new(); n];
+    // --- Row lists: the transpose of the column lists, by counting
+    // sort (so each list is ascending), in an arena with room for the
+    // elements to come.
+    row_count.fill(0);
+    for &i in &cols.items {
+        row_count[i] += 1;
+    }
+    let mut rows = Lists {
+        start: Vec::with_capacity(m + n),
+        len: Vec::with_capacity(m + n),
+        items: Vec::with_capacity(2 * cols.items.len()),
+    };
+    rows.items.resize(cols.items.len(), 0);
+    let mut at = 0;
+    for &count in &row_count {
+        rows.start.push(at);
+        rows.len.push(0);
+        at += count;
+    }
     for j in 0..n {
-        if col_state[j] != ColState::Alive {
-            continue;
-        }
-        for &i in a.col_rows(j) {
-            if !row_is_dense[i] {
-                row_cols[i].push(j);
-                col_rows[j].push(i);
-            }
+        for &i in cols.list(j) {
+            rows.items[rows.start[i] + rows.len[i]] = j;
+            rows.len[i] += 1;
         }
     }
 
@@ -147,60 +227,67 @@ pub fn colamd_ordering_with(a: &CscMatrix, config: ColamdConfig) -> Vec<usize> {
     // clamp there bounds packed-array memory, not quality): clamping
     // collapses the very ties minimum degree needs to break.
     let mut score = vec![0usize; n];
-    let mut heap: BTreeSet<(usize, usize)> = BTreeSet::new();
+    let mut candidates: Vec<Reverse<(usize, usize)>> = Vec::with_capacity(n);
     for j in 0..n {
         if col_state[j] != ColState::Alive {
             continue;
         }
-        score[j] = col_rows[j]
-            .iter()
-            .map(|&r| row_cols[r].len().saturating_sub(1))
-            .sum();
-        heap.insert((score[j], j));
+        score[j] = cols.list(j).iter().map(|&r| rows.len[r] - 1).sum();
+        candidates.push(Reverse((score[j], j)));
     }
+    // An entry is current while its column is alive at that score.
+    let mut heap = BinaryHeap::from(candidates);
 
-    let mut super_members: Vec<Vec<usize>> = vec![Vec::new(); n];
+    // Supercolumn members: `next_member` chains them behind their
+    // representative in absorption order, `last_member` is the tail.
+    let mut next_member = vec![NONE; n];
+    let mut last_member: Vec<usize> = (0..n).collect();
     let mut perm: Vec<usize> = Vec::with_capacity(n);
     let mut marked = vec![false; n];
     // Per-pivot caches for row set differences, stamped by pivot count
-    // so they never need clearing (rows grow; the vectors grow with
-    // them).
-    let mut row_ext: Vec<usize> = vec![0; m];
-    let mut row_stamp: Vec<u64> = vec![0; m];
+    // so they never need clearing (one slot more per element).
+    let mut row_ext: Vec<usize> = Vec::with_capacity(m + n);
+    row_ext.resize(m, 0);
+    let mut row_stamp: Vec<u64> = Vec::with_capacity(m + n);
+    row_stamp.resize(m, 0);
     let mut stamp: u64 = 0;
+    let mut pivot_cols: Vec<usize> = Vec::new();
+    let mut signatures: Vec<(usize, u64, usize)> = Vec::new();
+    let mut reps: Vec<usize> = Vec::new();
 
     let n_sparse = n - dense_cols.len();
     while perm.len() < n_sparse {
         // --- Select: minimum approximate degree, smallest index on
-        // ties (BTreeSet order is exactly (score, index)).
-        let &(s, c) = heap.iter().next().expect("heap exhausted early");
-        heap.remove(&(s, c));
-        debug_assert_eq!(col_state[c], ColState::Alive);
-        debug_assert_eq!(score[c], s);
+        // ties (the heap orders by exactly (score, index)).
+        let c = loop {
+            let Reverse((s, c)) = heap.pop().expect("a live column has a current entry");
+            if col_state[c] == ColState::Alive && score[c] == s {
+                break c;
+            }
+        };
 
         // --- Order the pivot supercolumn.
         col_state[c] = ColState::Ordered;
-        perm.push(c);
-        perm.append(&mut super_members[c]);
+        let mut member = c;
+        while member != NONE {
+            perm.push(member);
+            member = next_member[member];
+        }
 
         // --- Form the pivot element: the union of the pivot's live
         // rows, minus the pivot itself. Those rows are then dead — the
         // element subsumes their constraints.
-        let mut pivot_cols: Vec<usize> = Vec::new();
-        for ri in 0..col_rows[c].len() {
-            let r = col_rows[c][ri];
-            if !row_alive[r] {
-                continue;
-            }
-            for &j in &row_cols[r] {
+        pivot_cols.clear();
+        for &r in cols.list(c) {
+            for &j in rows.list(r) {
                 if col_state[j] == ColState::Alive && !marked[j] {
                     marked[j] = true;
                     pivot_cols.push(j);
                 }
             }
-            row_alive[r] = false;
-            row_cols[r] = Vec::new();
+            rows.len[r] = 0;
         }
+        cols.len[c] = 0;
         if pivot_cols.is_empty() {
             continue;
         }
@@ -213,82 +300,95 @@ pub fn colamd_ordering_with(a: &CscMatrix, config: ColamdConfig) -> Vec<usize> {
         // effect.
         stamp += 1;
         for &j in &pivot_cols {
-            for ri in 0..col_rows[j].len() {
-                let r = col_rows[j][ri];
-                if !row_alive[r] || row_stamp[r] == stamp {
+            for &r in cols.list(j) {
+                if rows.len[r] == 0 || row_stamp[r] == stamp {
                     continue;
                 }
                 row_stamp[r] = stamp;
-                row_cols[r].retain(|&x| col_state[x] == ColState::Alive);
-                let ext = row_cols[r].iter().filter(|&&x| !marked[x]).count();
-                row_ext[r] = ext;
-                if ext == 0 {
-                    // r ⊆ element: absorbed.
-                    row_alive[r] = false;
-                    row_cols[r] = Vec::new();
+                let start = rows.start[r];
+                let mut kept = 0;
+                let mut ext = 0;
+                for p in start..start + rows.len[r] {
+                    let x = rows.items[p];
+                    if col_state[x] == ColState::Alive {
+                        rows.items[start + kept] = x;
+                        kept += 1;
+                        ext += usize::from(!marked[x]);
+                    }
                 }
+                row_ext[r] = ext;
+                // ext == 0: r ⊆ element, absorbed.
+                rows.len[r] = if ext == 0 { 0 } else { kept };
             }
         }
 
         // --- Create the element row.
-        let e = row_cols.len();
-        row_cols.push(pivot_cols.clone());
-        row_alive.push(true);
+        let e = rows.push(&pivot_cols);
         row_ext.push(0);
         row_stamp.push(0);
 
         // --- Rebuild each pivot column's row list and re-score it with
         // the COLAMD approximate external degree:
         // |element \ {j}| + Σ_{r ∈ rows(j), r ≠ e} |r \ element|.
+        signatures.clear();
         for &j in &pivot_cols {
-            col_rows[j].retain(|&r| row_alive[r]);
-            col_rows[j].push(e);
-            let external: usize = col_rows[j]
-                .iter()
-                .filter(|&&r| r != e)
-                .map(|&r| row_ext[r])
-                .sum();
+            let start = cols.start[j];
+            let mut kept = 0;
+            let mut external = 0;
+            let mut row_sum = e as u64;
+            for p in start..start + cols.len[j] {
+                let r = cols.items[p];
+                if rows.len[r] > 0 {
+                    cols.items[start + kept] = r;
+                    kept += 1;
+                    external += row_ext[r];
+                    row_sum += r as u64;
+                }
+            }
+            // The pivot's row was in this list and is dead now, so the
+            // slot for `e` is free.
+            cols.items[start + kept] = e;
+            cols.len[j] = kept + 1;
             let new_score = pivot_cols.len() - 1 + external;
-            let old = score[j];
-            heap.remove(&(old, j));
-            score[j] = new_score;
-            heap.insert((new_score, j));
+            if new_score != score[j] {
+                score[j] = new_score;
+                heap.push(Reverse((new_score, j)));
+            }
+            signatures.push((cols.len[j], row_sum, j));
         }
 
-        // --- Supercolumn detection among the element's columns: hash
-        // by (list length, sum of row ids), then confirm exact
-        // equality. Equal columns are structurally indistinguishable
-        // from here on, so they pivot together.
-        let mut groups: HashMap<(usize, u64), Vec<usize>> = HashMap::new();
-        for &j in &pivot_cols {
-            let sum: u64 = col_rows[j].iter().map(|&r| r as u64).sum();
-            groups.entry((col_rows[j].len(), sum)).or_default().push(j);
-        }
-        for (_, group) in groups {
-            if group.len() < 2 {
-                continue;
+        // --- Supercolumn detection among the element's columns: group
+        // by signature (list length, sum of row ids), then confirm
+        // exact equality. Equal columns are structurally
+        // indistinguishable from here on, so they pivot together.
+        signatures.sort_unstable();
+        let mut lo = 0;
+        while lo < signatures.len() {
+            let (len, sum, _) = signatures[lo];
+            let mut hi = lo + 1;
+            while hi < signatures.len() && (signatures[hi].0, signatures[hi].1) == (len, sum) {
+                hi += 1;
             }
-            // Hash collisions can put structurally different columns
-            // in one bucket, so compare pairwise against every
-            // distinct representative seen so far — two identical
-            // columns must merge even when a third, different column
-            // shares their hash and sorts first. `pivot_cols` is
-            // sorted, so each group is too: representatives are the
-            // smallest index of their class, deterministically.
-            let mut reps: Vec<usize> = Vec::with_capacity(2);
-            for &k in &group {
-                match reps.iter().find(|&&r| col_rows[k] == col_rows[r]) {
+            // Signature collisions can group structurally different
+            // columns, so compare pairwise against every distinct
+            // representative seen so far — two identical columns must
+            // merge even when a third, different column shares their
+            // signature and sorts first. The group is sorted by column
+            // index: representatives are the smallest index of their
+            // class, deterministically.
+            reps.clear();
+            for &(_, _, k) in &signatures[lo..hi] {
+                match reps.iter().find(|&&r| cols.list(k) == cols.list(r)) {
                     None => reps.push(k),
                     Some(&rep) => {
                         col_state[k] = ColState::Absorbed;
-                        heap.remove(&(score[k], k));
-                        let members = std::mem::take(&mut super_members[k]);
-                        super_members[rep].push(k);
-                        super_members[rep].extend(members);
-                        col_rows[k] = Vec::new();
+                        next_member[last_member[rep]] = k;
+                        last_member[rep] = last_member[k];
+                        cols.len[k] = 0;
                     }
                 }
             }
+            lo = hi;
         }
 
         // --- Unmark for the next pivot.
@@ -324,6 +424,31 @@ mod tests {
         };
         let sym = lu_symbolic(&b);
         sym.l_nnz() + sym.u_nnz()
+    }
+
+    #[test]
+    fn row_arena_compacts_in_place_when_its_tail_runs_out() {
+        let mut rows = Lists {
+            start: vec![0, 2, 5],
+            len: vec![2, 3, 1],
+            items: Vec::with_capacity(8),
+        };
+        rows.items.extend([10, 11, 20, 21, 22, 30]);
+        let capacity = rows.items.capacity();
+        // Kill row 0, prune row 1 to its first two entries.
+        rows.len[0] = 0;
+        rows.len[1] = 2;
+        // Six entries stored, three live: a list of four only fits
+        // once the dead space is reclaimed.
+        assert!(rows.items.len() + 4 > capacity);
+        let e = rows.push(&[40, 41, 42, 43]);
+        assert_eq!(e, 3);
+        assert_eq!(rows.items.capacity(), capacity, "no reallocation");
+        assert_eq!(rows.list(0), &[] as &[usize]);
+        assert_eq!(rows.list(1), &[20, 21]);
+        assert_eq!(rows.list(2), &[30]);
+        assert_eq!(rows.list(3), &[40, 41, 42, 43]);
+        assert_eq!(rows.items.len(), 7);
     }
 
     #[test]
@@ -488,5 +613,141 @@ mod tests {
         let p1 = colamd_ordering(&a);
         let p2 = colamd_ordering(&a);
         assert_eq!(p1, p2);
+    }
+    /// 64-bit FNV-1a of a permutation (each index as 8 little-endian
+    /// bytes).
+    fn perm_hash(perm: &[usize]) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for &p in perm {
+            for b in (p as u64).to_le_bytes() {
+                h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        h
+    }
+
+    /// The patterns whose orderings are pinned below: the benchmark's
+    /// generators at its pattern seeds, the other unsymmetric
+    /// generators, and one case per special rule (dense strip,
+    /// supercolumns, rectangular, degenerate sizes).
+    fn pinned_cases() -> Vec<(&'static str, CscMatrix, ColamdConfig)> {
+        use crate::transversal::weighted_matching;
+        let d = ColamdConfig::default();
+        let low = ColamdConfig {
+            dense_factor: 0.5,
+            dense_floor: 4,
+        };
+        let zd = gen::circuit_zero_diag(800, 4, 2, 1);
+        let zd_matched = ops::permute_rows(&zd, &weighted_matching(&zd).unwrap()).unwrap();
+        let lap = ops::symmetrize_from_lower(&gen::grid3d_laplacian(16, 16, 16, 1)).unwrap();
+        // Arrow: dense first row and column, both past the default
+        // thresholds at n = 150.
+        let arrow = {
+            let n = 150;
+            let mut t = TripletMatrix::new(n, n);
+            for j in 0..n {
+                t.push(j, j, 2.0);
+            }
+            for i in 1..n {
+                t.push(i, 0, 1.0);
+                t.push(0, i, 1.0);
+            }
+            t.to_csc().unwrap()
+        };
+        // Blocks of identical columns: every column of block `b` holds
+        // the same four rows, so each block collapses to one supercolumn
+        // at its first pivot; a chain row couples neighbouring blocks.
+        let blocks = {
+            let (nb, w) = (12, 5);
+            let n = nb * w;
+            let mut t = TripletMatrix::new(n, n);
+            for b in 0..nb {
+                for c in 0..w {
+                    let j = b * w + c;
+                    for r in 0..4 {
+                        t.push((b * w + r * 7 + 3) % n, j, 1.0);
+                    }
+                    t.push((b * w + w) % n, j, 1.0);
+                }
+            }
+            t.to_csc().unwrap()
+        };
+        // Rectangular, LCG-filled.
+        let rect = {
+            let (m, n) = (40, 60);
+            let mut t = TripletMatrix::new(m, n);
+            let mut s = 12345u64;
+            for j in 0..n {
+                for _ in 0..3 {
+                    s = s
+                        .wrapping_mul(6364136223846793005)
+                        .wrapping_add(1442695040888963407);
+                    t.push((s >> 33) as usize % m, j, 1.0);
+                }
+            }
+            t.to_csc().unwrap()
+        };
+        vec![
+            ("refactor_dense", gen::circuit_unsym(1200, 4, 2, 1), d),
+            ("refactor_sparse", gen::circuit_unsym(20000, 1, 0, 1), d),
+            ("spd_refactor_full", lap, d),
+            ("cold_compile_matched", zd_matched, d),
+            ("cold_compile_raw", gen::circuit_zero_diag(800, 4, 2, 2), d),
+            ("serve_churn_hot", gen::circuit_unsym(8000, 1, 0, 1), d),
+            ("serve_churn_cold", gen::circuit_unsym(8000, 1, 0, 1001), d),
+            ("random_unsym", gen::random_unsym(1500, 4, 3), d),
+            ("convdiff", gen::convection_diffusion_2d(40, 30, 1.5, 2), d),
+            ("saddle", gen::saddle_point_2x2(60, 12, 4), d),
+            ("arrow_dense_strip", arrow, d),
+            ("hubs_low_threshold", gen::circuit_unsym(300, 4, 3, 5), low),
+            ("supercolumn_blocks", blocks, d),
+            ("rectangular", rect, d),
+            (
+                "dense_12",
+                ops::symmetrize_from_lower(&gen::banded_spd(12, 11, 1)).unwrap(),
+                d,
+            ),
+            ("identity_8", CscMatrix::identity(8), d),
+            ("zeros_5", CscMatrix::zeros(5, 5), d),
+            ("one_by_one", CscMatrix::identity(1), d),
+            ("empty", CscMatrix::zeros(0, 0), d),
+        ]
+    }
+
+    #[test]
+    fn orderings_match_the_pinned_hashes() {
+        // Recorded from the `Vec<Vec>` + `BTreeSet` + `HashMap`
+        // implementation this one replaced: containers may change, the
+        // permutation may not (fill, flops and panel shapes of every
+        // compiled plan hang off it).
+        const PINS: [(&str, u64); 19] = [
+            ("refactor_dense", 0xc0a5e6b37f324679),
+            ("refactor_sparse", 0x30758d90ae0e9bb5),
+            ("spd_refactor_full", 0x142b5b2367a53609),
+            ("cold_compile_matched", 0x46c7d957919a49b1),
+            ("cold_compile_raw", 0x19e2aadb12f9da09),
+            ("serve_churn_hot", 0xe798fa591d661569),
+            ("serve_churn_cold", 0x99c98867a5bfe409),
+            ("random_unsym", 0x6f17019984468309),
+            ("convdiff", 0x726d57bc2465b871),
+            ("saddle", 0x9352a1c42af57825),
+            ("arrow_dense_strip", 0x0efd2f96f1518624),
+            ("hubs_low_threshold", 0x3c3c435238784255),
+            ("supercolumn_blocks", 0xd823ee269a8105e5),
+            ("rectangular", 0x2893cf3c7e416f85),
+            ("dense_12", 0xc49bd70a64455fa5),
+            ("identity_8", 0xb0099f969b546f25),
+            ("zeros_5", 0xbde40bb18a01afc1),
+            ("one_by_one", 0xa8c7f832281a39c5),
+            ("empty", 0xcbf29ce484222325),
+        ];
+        let cases = pinned_cases();
+        assert_eq!(cases.len(), PINS.len());
+        for ((name, a, config), (pin_name, pin)) in cases.into_iter().zip(PINS) {
+            assert_eq!(name, pin_name);
+            let perm = colamd_ordering_with(&a, config);
+            assert_permutation(&perm, a.n_cols());
+            assert_eq!(perm_hash(&perm), pin, "{name}: ordering moved");
+        }
     }
 }

@@ -13,9 +13,10 @@
 //!   (Cholesky prune-sets);
 //! * [`symbolic`] — the full fill pattern of `L` from Eq. (1) of the
 //!   paper, enabling ahead-of-time allocation;
-//! * [`mod@lu_symbolic`] — column-by-column symbolic LU (Gilbert–Peierls):
-//!   per-column reach sets over the growing `DG_L`, predicting the
-//!   patterns of both LU factors for a statically pivoted ordering;
+//! * [`mod@lu_symbolic`] — column-by-column symbolic LU (Gilbert–Peierls
+//!   with Eisenstat–Liu symmetric pruning): per-column reach sets over
+//!   the growing, pruned `DG_L`, predicting the patterns of both LU
+//!   factors for a statically pivoted ordering;
 //! * [`colcount`] — column counts of `L`;
 //! * [`supernode`] — supernode detection: the etree merge rule
 //!   (Cholesky block-sets), its relaxed amalgamation along etree parent

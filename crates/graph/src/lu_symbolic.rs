@@ -1,15 +1,35 @@
-//! Column-by-column symbolic LU factorization (Gilbert & Peierls 1988),
-//! the inspection stage of the sparse LU subsystem.
+//! Column-by-column symbolic LU factorization (Gilbert & Peierls 1988)
+//! with Eisenstat–Liu symmetric pruning, the inspection stage of the
+//! sparse LU subsystem.
 //!
 //! Left-looking LU computes column `j` of the factors by solving the
 //! lower-triangular system `L(0:j-1, 0:j-1) * x = A(:, j)` — so the
 //! nonzero pattern of column `j` is exactly `Reach_L(SP(A(:,j)))` on the
-//! dependence graph of the partially built `L`, the same reach-set
-//! machinery [`crate::dfs`] implements for triangular solve. Because `L`
-//! grows one column per step, the DFS runs over the growing CSC arrays
-//! rather than a finished [`CscMatrix`]: the shared traversal
-//! [`crate::dfs::reach_adjacency_into`] is driven with a closure over
-//! the partial factor.
+//! dependence graph of the partially built `L`, the same reach-set idea
+//! [`crate::dfs`] implements for triangular solve. Because `L` grows
+//! one column per step, the traversal runs over the growing CSC arrays
+//! rather than a finished [`CscMatrix`].
+//!
+//! **Pruning.** A reach set does not need every edge of `L`, only a
+//! subgraph with the same reachability. Every finished column
+//! `L(:, k)` is stored sorted, so the traversal's adjacency of `k` is a
+//! *prefix* of the column, ended by one index `adj_end[k]`. Once column
+//! `j` is formed, every `k` with `U(k, j) != 0` and `L(j, k) != 0` (a
+//! symmetric pair) has its prefix cut to just past row `j`: column `k`
+//! updated column `j`, so `struct L(j+1:, k) ⊆ struct L(:, j)`, and
+//! every row `k` reached directly below `j` stays reachable through the
+//! kept edge `k → j`. Discarding dependence edges that others imply
+//! leaves the output untouched — the patterns are those of the unpruned
+//! traversal, entry for entry. A column is cut at most once (at its
+//! first symmetric pair; later pairs lie outside the prefix).
+//!
+//! **Schedule.** Only the reach *set* is needed, not a post-order:
+//! `U(:, j)` is emitted sorted, and ascending source column is a valid
+//! topological order of a lower-triangular dependence graph, so the
+//! sorted off-diagonal pattern of `U(:, j)` *is* the update schedule of
+//! column `j` ([`LuSymbolic::reach`]). Every numeric engine — the
+//! compiled plans and the coupled baseline — applies updates in that
+//! one canonical order.
 //!
 //! Pivoting is **static** (diagonal): Sympiler's premise is a fixed
 //! sparsity pattern known at compile time, which rules out numeric
@@ -20,16 +40,22 @@
 //! any numeric values with the same structure, barring accidental
 //! cancellation.
 //!
-//! Complexity: O(flops(LU)) total — each DFS touches only the edges the
-//! numeric update will traverse, the paper's decoupled-complexity
-//! argument applied to factorization.
+//! Complexity: `O(nnz(A) + Σ_j Σ_{k ∈ U(:,j)} |adj(k)|)` plus the
+//! per-column sorts, with `adj(k)` the pruned prefix. On a structurally
+//! symmetric pattern every column is read in full once, by its
+//! elimination-tree parent, which cuts it to that one edge, so the sum
+//! stays under `nnz(L) + nnz(U)`; on the COLAMD-ordered circuit patterns of the benchmark it measures just
+//! under `nnz(L + U)` ([`LuSymbolic::dfs_edges`]), against
+//! `flops(LU) / 2` for the unpruned traversal. Without a single
+//! symmetric pair nothing is cut and the unpruned bound is what
+//! remains.
 
 use sympiler_sparse::CscMatrix;
 
 /// The symbolic LU factorization of one sparsity pattern: predicted
 /// patterns of `L` (unit lower triangular, diagonal first) and `U`
-/// (upper triangular, diagonal last), plus the per-column reach sets
-/// that schedule the numeric left-looking updates.
+/// (upper triangular, diagonal last). The off-diagonal part of each
+/// `U` column doubles as that column's update schedule.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LuSymbolic {
     /// Matrix order.
@@ -43,16 +69,11 @@ pub struct LuSymbolic {
     pub u_col_ptr: Vec<usize>,
     /// Row indices of `U`; strictly increasing, diagonal last.
     pub u_row_idx: Vec<usize>,
-    /// Reach-set pointers (`n + 1` entries) into [`Self::reach_cols`].
-    pub reach_ptr: Vec<usize>,
-    /// Per-column update schedules: for column `j`,
-    /// `reach_cols[reach_ptr[j]..reach_ptr[j+1]]` lists the columns
-    /// `k < j` whose `L(:,k)` updates column `j`, in topological
-    /// (execution) order — the VI-Prune set of the column's solve.
-    pub reach_cols: Vec<usize>,
     /// Exact factorization flop count (divisions + multiply-subtract
     /// pairs of every scheduled update).
     flops: u64,
+    /// Adjacency entries of `L` the inspection read.
+    dfs_edges: u64,
 }
 
 impl LuSymbolic {
@@ -76,9 +97,12 @@ impl LuSymbolic {
         &self.u_row_idx[self.u_col_ptr[j]..self.u_col_ptr[j + 1]]
     }
 
-    /// The update schedule of column `j` in topological order.
+    /// The update schedule of column `j` — the columns `k < j` whose
+    /// `L(:, k)` updates it (the VI-Prune set of the column's solve),
+    /// strictly ascending, which is a topological order: the
+    /// off-diagonal pattern of `U(:, j)`.
     pub fn reach(&self, j: usize) -> &[usize] {
-        &self.reach_cols[self.reach_ptr[j]..self.reach_ptr[j + 1]]
+        &self.u_row_idx[self.u_col_ptr[j]..self.u_col_ptr[j + 1] - 1]
     }
 
     /// Exact flop count of the numeric factorization this symbolic
@@ -86,6 +110,12 @@ impl LuSymbolic {
     /// [`crate::symbolic::SymbolicFactor::factor_flops`]).
     pub fn factor_flops(&self) -> u64 {
         self.flops
+    }
+
+    /// Adjacency entries of the (pruned) `L` the inspection read — its
+    /// deterministic cost, to hold against `nnz(L) + nnz(U)`.
+    pub fn dfs_edges(&self) -> u64 {
+        self.dfs_edges
     }
 
     /// Exact flop count of each column's solve: its divisions plus a
@@ -124,77 +154,79 @@ pub fn lu_symbolic(a: &CscMatrix) -> LuSymbolic {
     let mut l_row_idx: Vec<usize> = Vec::with_capacity(a.nnz());
     let mut u_col_ptr = Vec::with_capacity(n + 1);
     let mut u_row_idx: Vec<usize> = Vec::with_capacity(a.nnz());
-    let mut reach_ptr = Vec::with_capacity(n + 1);
-    let mut reach_cols: Vec<usize> = Vec::new();
     l_col_ptr.push(0);
     u_col_ptr.push(0);
-    reach_ptr.push(0);
 
-    // Off-diagonal nonzero count per finished L column, for O(1) flop
-    // accounting of each scheduled update.
-    let mut l_off_nnz: Vec<u64> = Vec::with_capacity(n);
+    // `l_row_idx[l_col_ptr[k] + 1..adj_end[k]]` is the adjacency of a
+    // finished column `k`; `pruned[k]` once it has been cut.
+    let mut adj_end: Vec<usize> = Vec::with_capacity(n);
+    let mut pruned = vec![false; n];
     let mut flops = 0u64;
+    let mut dfs_edges = 0u64;
 
-    // DFS state, reused across columns.
-    let mut ws = crate::dfs::ReachWorkspace::new(n);
-    // Reach of the current column in topological order.
-    let mut topo: Vec<usize> = Vec::with_capacity(64);
+    // `mark[v] == j` while `v` is in column `j`'s reach. `reach` is
+    // both the result and the worklist of the traversal.
+    let mut mark = vec![usize::MAX; n];
+    let mut reach: Vec<usize> = Vec::with_capacity(64);
 
     for j in 0..n {
-        // --- Inspection: Reach_{L_j}(SP(A(:,j))) via the shared reach
-        // driver, with adjacency read from the growing {l_col_ptr,
-        // l_row_idx} arrays. Nodes >= j have no outgoing edges yet
-        // (their columns are future pivots), so they are leaves.
-        crate::dfs::reach_adjacency_into(
-            n,
-            a.col_rows(j),
-            |v| {
-                if v < j {
-                    // Skip the unit diagonal stored first.
-                    &l_row_idx[l_col_ptr[v] + 1..l_col_ptr[v + 1]]
-                } else {
-                    &[]
+        // --- Inspection: Reach_{L_j}(SP(A(:,j))). Nodes >= j have no
+        // outgoing edges yet (their columns are future pivots), so
+        // they are leaves.
+        reach.clear();
+        for &i in a.col_rows(j) {
+            mark[i] = j;
+            reach.push(i);
+        }
+        let mut next = 0;
+        while next < reach.len() {
+            let k = reach[next];
+            next += 1;
+            if k >= j {
+                continue;
+            }
+            let adj = &l_row_idx[l_col_ptr[k] + 1..adj_end[k]];
+            dfs_edges += adj.len() as u64;
+            for &i in adj {
+                if mark[i] != j {
+                    mark[i] = j;
+                    reach.push(i);
                 }
-            },
-            &mut ws,
-            &mut topo,
-        );
-
-        // --- Partition the reach into the factor patterns. Only the
-        // k < j members carry updates, recorded in execution order.
-        for &v in topo.iter() {
-            if v < j {
-                reach_cols.push(v);
-                flops += 2 * l_off_nnz[v];
             }
         }
-        reach_ptr.push(reach_cols.len());
 
+        // --- Partition the reach into the factor patterns.
         // U(:, j): reached rows k < j ascending, then the diagonal.
         // L(:, j): diagonal first, then reached rows i > j ascending.
         // Sorting costs O(|pattern| log |pattern|); the patterns stay
-        // sorted in the emitted CSC, which every consumer relies on.
-        topo.sort_unstable();
-        for &v in topo.iter() {
-            if v < j {
-                u_row_idx.push(v);
-            }
-        }
+        // sorted in the emitted CSC, which every consumer (and the
+        // prefix pruning above) relies on.
+        reach.sort_unstable();
+        let n_upper = reach.partition_point(|&v| v < j);
+        let n_lower = reach.len() - reach.partition_point(|&v| v <= j);
+        u_row_idx.extend_from_slice(&reach[..n_upper]);
         u_row_idx.push(j);
         u_col_ptr.push(u_row_idx.len());
-
         l_row_idx.push(j);
-        let l_start = l_row_idx.len();
-        for &v in topo.iter() {
-            if v > j {
-                l_row_idx.push(v);
+        l_row_idx.extend_from_slice(&reach[reach.len() - n_lower..]);
+        l_col_ptr.push(l_row_idx.len());
+        adj_end.push(l_row_idx.len());
+
+        // One division per sub-diagonal entry of L(:, j), one
+        // multiply-subtract pair per entry of every update column.
+        flops += n_lower as u64;
+        for &k in &reach[..n_upper] {
+            flops += 2 * (l_col_ptr[k + 1] - l_col_ptr[k] - 1) as u64;
+            // --- Prune: U(k, j) != 0, so if also L(j, k) != 0 nothing
+            // of L(:, k) below row j is needed again.
+            if !pruned[k] {
+                let adj = &l_row_idx[l_col_ptr[k] + 1..adj_end[k]];
+                if let Ok(pos) = adj.binary_search(&j) {
+                    adj_end[k] = l_col_ptr[k] + 1 + pos + 1;
+                    pruned[k] = true;
+                }
             }
         }
-        let off = (l_row_idx.len() - l_start) as u64;
-        l_off_nnz.push(off);
-        l_col_ptr.push(l_row_idx.len());
-        // One division per sub-diagonal entry of L(:, j).
-        flops += off;
     }
 
     LuSymbolic {
@@ -203,10 +235,44 @@ pub fn lu_symbolic(a: &CscMatrix) -> LuSymbolic {
         l_row_idx,
         u_col_ptr,
         u_row_idx,
-        reach_ptr,
-        reach_cols,
         flops,
+        dfs_edges,
     }
+}
+
+/// Reference for [`lu_symbolic`]: boolean Gaussian elimination without
+/// pivoting — the exact structural fill as `(L columns, U columns)` in
+/// ascending row order, O(n³) and meant for test sizes only.
+pub fn dense_symbolic_lu(a: &CscMatrix) -> (Vec<Vec<usize>>, Vec<Vec<usize>>) {
+    let n = a.n_cols();
+    let mut pat = vec![vec![false; n]; n]; // pat[j][i], column-major
+    for j in 0..n {
+        for &i in a.col_rows(j) {
+            pat[j][i] = true;
+        }
+        pat[j][j] = true; // static pivot slot always exists
+    }
+    for k in 0..n {
+        // Eliminate: for every i > k with (i,k) nonzero and every
+        // j > k with (k,j) nonzero, (i,j) fills.
+        for j in k + 1..n {
+            if !pat[j][k] {
+                continue;
+            }
+            for i in k + 1..n {
+                if pat[k][i] {
+                    pat[j][i] = true;
+                }
+            }
+        }
+    }
+    let mut l_cols = Vec::with_capacity(n);
+    let mut u_cols = Vec::with_capacity(n);
+    for j in 0..n {
+        l_cols.push((j..n).filter(|&i| pat[j][i]).collect());
+        u_cols.push((0..=j).filter(|&i| pat[j][i]).collect());
+    }
+    (l_cols, u_cols)
 }
 
 #[cfg(test)]
@@ -214,40 +280,6 @@ mod tests {
     use super::*;
     use sympiler_sparse::gen;
     use sympiler_sparse::TripletMatrix;
-
-    /// Reference: boolean Gaussian elimination without pivoting — the
-    /// exact structural fill, O(n^3) but fine at test sizes.
-    fn dense_symbolic_lu(a: &CscMatrix) -> (Vec<Vec<usize>>, Vec<Vec<usize>>) {
-        let n = a.n_cols();
-        let mut pat = vec![vec![false; n]; n]; // pat[j][i], column-major
-        for j in 0..n {
-            for &i in a.col_rows(j) {
-                pat[j][i] = true;
-            }
-            pat[j][j] = true; // static pivot slot always exists
-        }
-        for k in 0..n {
-            // Eliminate: for every i > k with (i,k) nonzero and every
-            // j > k with (k,j) nonzero, (i,j) fills.
-            for j in k + 1..n {
-                if !pat[j][k] {
-                    continue;
-                }
-                for i in k + 1..n {
-                    if pat[k][i] {
-                        pat[j][i] = true;
-                    }
-                }
-            }
-        }
-        let mut l_cols = Vec::with_capacity(n);
-        let mut u_cols = Vec::with_capacity(n);
-        for j in 0..n {
-            l_cols.push((j..n).filter(|&i| pat[j][i]).collect());
-            u_cols.push((0..=j).filter(|&i| pat[j][i]).collect());
-        }
-        (l_cols, u_cols)
-    }
 
     fn pattern_matrix(edges: &[(usize, usize)], n: usize) -> CscMatrix {
         let mut t = TripletMatrix::new(n, n);
@@ -266,8 +298,8 @@ mod tests {
         let sym = lu_symbolic(&a);
         assert_eq!(sym.l_nnz(), 6);
         assert_eq!(sym.u_nnz(), 6);
-        assert!(sym.reach_cols.is_empty());
         assert_eq!(sym.factor_flops(), 0);
+        assert_eq!(sym.dfs_edges(), 0);
         for j in 0..6 {
             assert_eq!(sym.l_col_pattern(j), &[j]);
             assert_eq!(sym.u_col_pattern(j), &[j]);
@@ -367,10 +399,10 @@ mod tests {
         for j in 0..a.n_cols() {
             let reach = sym.reach(j);
             // Reach members are exactly the off-diagonal U rows.
-            let mut sorted: Vec<usize> = reach.to_vec();
-            sorted.sort_unstable();
             let u_off = &sym.u_col_pattern(j)[..sym.u_col_pattern(j).len() - 1];
-            assert_eq!(sorted.as_slice(), u_off, "col {j}");
+            assert_eq!(reach, u_off, "col {j}");
+            // Strictly ascending: the canonical update order.
+            assert!(reach.windows(2).all(|w| w[0] < w[1]), "col {j}");
             // Topological: if k' in reach appears after k and
             // L(k', k) != 0, order is violated.
             let pos: std::collections::HashMap<usize, usize> =
@@ -383,6 +415,58 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn symmetric_pattern_prunes_every_column_to_its_etree_parent() {
+        // On a structurally symmetric pattern the first off-diagonal
+        // of L(:, k) is k's elimination-tree parent p, U(k, p) is
+        // nonzero by symmetry and no earlier column reaches k — so
+        // column p reads L(:, k) in full and cuts it to the edge
+        // k -> p, and every later update reads that one entry.
+        let lower = gen::grid2d_laplacian(7, 6, false, 2);
+        let a = sympiler_sparse::ops::symmetrize_from_lower(&lower).unwrap();
+        let sym = lu_symbolic(&a);
+        let (l_ref, u_ref) = dense_symbolic_lu(&a);
+        for j in 0..a.n_cols() {
+            assert_eq!(sym.l_col_pattern(j), l_ref[j].as_slice(), "L col {j}");
+            assert_eq!(sym.u_col_pattern(j), u_ref[j].as_slice(), "U col {j}");
+        }
+        let n = sym.n;
+        let non_roots = (0..n).filter(|&k| sym.l_col_pattern(k).len() > 1).count();
+        let first_reads = sym.l_nnz() - n;
+        let later_reads = sym.u_nnz() - n - non_roots;
+        assert_eq!(sym.dfs_edges(), (first_reads + later_reads) as u64);
+    }
+
+    #[test]
+    fn without_a_symmetric_pair_nothing_is_pruned() {
+        // Strictly-lower entries in the left half of the columns,
+        // strictly-upper entries in disjoint positions whose mirror
+        // images stay empty even after fill: the inspection reads the
+        // whole of every update column, and the patterns are exact.
+        let n = 12;
+        let mut edges = Vec::new();
+        for k in 0..n / 2 {
+            edges.push((k + n / 2, k)); // L(k + n/2, k)
+            if k + 1 < n / 2 {
+                edges.push((k, k + 1)); // U(k, k + 1): L(k + 1, k) stays zero
+            }
+        }
+        let a = pattern_matrix(&edges, n);
+        let sym = lu_symbolic(&a);
+        let (l_ref, u_ref) = dense_symbolic_lu(&a);
+        let mut unpruned = 0u64;
+        for j in 0..n {
+            assert_eq!(sym.l_col_pattern(j), l_ref[j].as_slice(), "L col {j}");
+            assert_eq!(sym.u_col_pattern(j), u_ref[j].as_slice(), "U col {j}");
+            for &k in sym.reach(j) {
+                assert!(!sym.l_col_pattern(k).contains(&j), "pair ({k}, {j})");
+                unpruned += (sym.l_col_pattern(k).len() - 1) as u64;
+            }
+        }
+        assert!(unpruned > 0, "the pattern must schedule updates");
+        assert_eq!(sym.dfs_edges(), unpruned);
     }
 
     #[test]

@@ -384,7 +384,9 @@ impl GpLu {
         let mut x = vec![0.0f64; n];
         let mut ws = sympiler_graph::dfs::ReachWorkspace::new(n);
         let mut topo: Vec<usize> = Vec::with_capacity(64);
-        let mut u_entries: Vec<(usize, f64)> = Vec::with_capacity(64);
+        // (pivot position, original row) of the update sources of the
+        // current column.
+        let mut u_entries: Vec<(usize, usize)> = Vec::with_capacity(64);
 
         for j in 0..n {
             // --- Symbolic (coupled): reach of SP(A(:,j)) via the shared
@@ -406,15 +408,23 @@ impl GpLu {
                 &mut topo,
             );
 
-            // --- Numeric: sparse triangular solve in topological order.
+            // --- Numeric: sparse triangular solve, updates applied in
+            // ascending pivot position. Every row of L(:, k) is pivoted
+            // after position k, so ascending position is a topological
+            // order of the reach — and the canonical one: a compiled
+            // plan schedules its updates by the sorted pattern of
+            // U(:, j), so both engines sum in the same order.
             for (i, v) in a.col_iter(j) {
                 x[i] = v;
             }
-            for &v in topo.iter() {
-                let k = pinv[v];
-                if k == UNASSIGNED {
-                    continue;
-                }
+            u_entries.clear();
+            u_entries.extend(
+                topo.iter()
+                    .filter(|&&v| pinv[v] != UNASSIGNED)
+                    .map(|&v| (pinv[v], v)),
+            );
+            u_entries.sort_unstable();
+            for &(k, v) in &u_entries {
                 let xk = x[v];
                 if xk != 0.0 {
                     for (&r, &lrk) in li[lp[k] + 1..lp[k + 1]]
@@ -458,19 +468,11 @@ impl GpLu {
             let pivot = x[pivot_row];
             pinv[pivot_row] = j;
 
-            // --- Gather U(:, j): pivotal rows sorted by position, then
-            // the diagonal.
-            u_entries.clear();
-            for &v in topo.iter() {
-                let k = pinv[v];
-                if k != UNASSIGNED && k < j {
-                    u_entries.push((k, x[v]));
-                }
-            }
-            u_entries.sort_unstable_by_key(|&(k, _)| k);
-            for &(k, val) in &u_entries {
+            // --- Gather U(:, j): the update sources, already sorted by
+            // position, then the diagonal.
+            for &(k, v) in &u_entries {
                 ui.push(k);
-                ux.push(val);
+                ux.push(x[v]);
             }
             ui.push(j);
             ux.push(pivot);
@@ -490,12 +492,12 @@ impl GpLu {
             if matches!(pivoting, Pivoting::None) {
                 // Static pivoting assigns every row its own index, so
                 // sorting by original row is already final pivot order.
-                // Keeping columns sorted as they are built makes later
-                // columns' DFS walk the same (sorted) adjacency lists a
-                // compiled plan's symbolic pass uses — update sums then
-                // run in the identical order, and the factors of the
-                // two engines agree **bitwise**, which is what lets the
-                // comparison harness hold one strict tolerance even on
+                // Keeping columns sorted as they are built makes each
+                // update walk its source column in the order a compiled
+                // plan does; with the updates themselves in ascending
+                // position, the factors of the two engines agree
+                // **bitwise**, which is what lets the comparison
+                // harness hold one strict tolerance even on
                 // ill-conditioned pivot sequences. (Per-entry division
                 // by the pivot commutes with the reorder; the final
                 // global sort pass becomes a no-op for these columns.)

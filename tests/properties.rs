@@ -5,7 +5,8 @@
 //! * reach-sets equal brute-force reachability and are topological;
 //! * symbolic predictions (pattern, flops) match numeric reality;
 //! * supernode partitions are contiguous covers with nesting patterns;
-//! * LU engines satisfy `P A = L U` against the dense reference.
+//! * LU engines satisfy `P A = L U` against the dense reference;
+//! * the pruned symbolic LU equals boolean elimination.
 
 use proptest::prelude::*;
 use sympiler::prelude::*;
@@ -665,6 +666,58 @@ proptest! {
                         "{}: an armed-but-silent tolerance moved bits", label);
                 }
             }
+        }
+    }
+
+    #[test]
+    fn pruned_lu_symbolic_is_exact_boolean_elimination(
+        a in unsym_matrix(),
+        z in zero_diag_matrix(),
+    ) {
+        use sympiler::sparse::TripletMatrix;
+        // Symmetric pruning discards dependence edges; the patterns it
+        // yields must still be the exact structural fill, in every
+        // pruning regime.
+        let matched = {
+            let rowp = sympiler::graph::compute_pre_pivot(&z, PrePivot::WeightedMatching)
+                .unwrap()
+                .expect("zero diagonals force a non-identity matching");
+            sympiler::sparse::ops::permute_rows(&z, &rowp).unwrap()
+        };
+        // Structurally symmetric: every column prunes at its first
+        // off-diagonal (its elimination-tree parent).
+        let n = a.n_cols();
+        let mut sym_t = TripletMatrix::new(n, n);
+        // No symmetric pair in A: the strictly-lower part, plus
+        // upper entries only where the mirror position is empty.
+        let mut skew_t = TripletMatrix::new(n, n);
+        for j in 0..n {
+            for &i in a.col_rows(j) {
+                sym_t.push(i, j, 1.0);
+                sym_t.push(j, i, 1.0);
+                if i >= j || a.find(j, i).is_none() {
+                    skew_t.push(i, j, 1.0);
+                }
+            }
+        }
+        let symmetric = sym_t.to_csc().unwrap();
+        let skew = skew_t.to_csc().unwrap();
+        for (label, m) in [
+            ("generator", &a),
+            ("matched zero-diag", &matched),
+            ("symmetric", &symmetric),
+            ("no symmetric pair", &skew),
+        ] {
+            let sym = sympiler::graph::lu_symbolic(m);
+            let (l_ref, u_ref) = sympiler::graph::lu_symbolic::dense_symbolic_lu(m);
+            for j in 0..m.n_cols() {
+                prop_assert_eq!(sym.l_col_pattern(j), l_ref[j].as_slice(), "{}: L col {}", label, j);
+                prop_assert_eq!(sym.u_col_pattern(j), u_ref[j].as_slice(), "{}: U col {}", label, j);
+                let reach = sym.reach(j);
+                prop_assert!(reach.windows(2).all(|w| w[0] < w[1]), "{}: reach({})", label, j);
+            }
+            // Pruning only ever removes reads.
+            prop_assert!(sym.dfs_edges() <= sym.factor_flops() / 2, "{}", label);
         }
     }
 
