@@ -54,7 +54,10 @@
 //! additionally carries one per-request span tree per service request
 //! (`request` → `queue-wait` / `cache-lookup` / `factor` / `solve`)
 //! on the named `worker-*` lanes, and the profiler's counters and
-//! gauges are absorbed into the metrics snapshot.
+//! gauges are absorbed into the metrics snapshot. The console then
+//! prints, per problem and per request class (hit / miss), the median
+//! request time and the median `request − Σ children`: the share of a
+//! request the service's own spans do not explain.
 //!
 //! Run with `--test-scale` (or `--test`, for `all_experiments`
 //! compatibility) for a fast smoke run (CI uses this); the default
@@ -69,7 +72,7 @@ use sympiler_bench::workloads::{prepare_lu_subset, LuBenchProblem};
 use sympiler_core::plan::lu::LuFactor;
 use sympiler_core::serve::{CacheConfig, FactorService, PlanCache, ServeRequest};
 use sympiler_core::{LuWorkspace, Profiler, SympilerLu, SympilerOptions, TraceFile};
-use sympiler_obs::{Histogram, MetricsRegistry};
+use sympiler_obs::{Histogram, MetricsRegistry, Profile};
 use sympiler_sparse::CscMatrix;
 
 /// Length of the same-pattern request stream (both scales: the
@@ -296,6 +299,52 @@ fn run_service(
     }
 }
 
+/// Does the service's trace add up? For every `request` span, subtract
+/// its direct children (`queue-wait`, `cache-lookup`, `compile-wait`,
+/// `compile`, `factor`, `solve`, `escalate`) and print the medians per
+/// request class. `cache-lookup` opens before the pattern is hashed, so
+/// what is left is span bookkeeping, the reply hand-off and the gaps
+/// between phases.
+fn print_unaccounted(prof: &Profile) {
+    let mut classes = [("hit", Vec::new()), ("miss", Vec::new())];
+    for (at, root) in prof.spans.iter().enumerate() {
+        if root.name != "request" {
+            continue;
+        }
+        let (mut children_ns, mut hit) = (0u64, false);
+        for child in prof.spans[at + 1..]
+            .iter()
+            .take_while(|s| s.lane == root.lane && s.depth > root.depth)
+            .filter(|s| s.depth == root.depth + 1)
+        {
+            children_ns += child.dur_ns;
+            if child.name == "cache-lookup" {
+                hit = child.args.iter().any(|(k, v)| k == "hit" && *v == 1.0);
+            }
+        }
+        let class = &mut classes[usize::from(!hit)].1;
+        class.push((root.dur_ns, root.dur_ns.saturating_sub(children_ns)));
+    }
+    for (label, mut samples) in classes {
+        if samples.is_empty() {
+            continue;
+        }
+        let mid = samples.len() / 2;
+        samples.sort_unstable();
+        let request_ns = samples[mid].0;
+        samples.sort_unstable_by_key(|&(_, rest)| rest);
+        let rest_ns = samples[mid].1;
+        println!(
+            "  {:<20} {label:<4} {:>5} requests  request p50 {:>9.1} us  \
+             request - sum(children) p50 {:>7.1} us",
+            prof.label,
+            samples.len(),
+            request_ns as f64 / 1e3,
+            rest_ns as f64 / 1e3,
+        );
+    }
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let test_scale = args.iter().any(|a| a == "--test-scale" || a == "--test");
@@ -444,6 +493,10 @@ fn main() {
         let path = trace.write_results().expect("write profile trace");
         println!("[profile trace saved to {}]", path.display());
         print!("{}", trace.to_table());
+        println!("service requests, traced and unaccounted time:");
+        for prof in &profile_snaps {
+            print_unaccounted(prof);
+        }
     }
     println!(
         "serving contract held: {} problems × ({STREAM}-request stream ≥ 0.99 hit \

@@ -17,7 +17,7 @@ pub use sympiler_graph::transversal::PrePivot;
 /// Whether the LU pipeline compiles the supernodal (VS-Block) numeric
 /// engine — the third execution tier beside the serial and
 /// column-parallel plans. See [`SympilerOptions::block_lu`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum BlockLu {
     /// Detect panels and keep dense only those that pay: a wide panel
     /// whose structural flops per accumulator entry moved fall below
@@ -62,10 +62,12 @@ pub enum BlockLu {
 /// assert!(sympiler_sparse::ops::rel_residual(&a, &x, &vec![1.0; 48]) < 1e-10);
 /// ```
 ///
-/// The derived `PartialEq` is part of the serving contract: a
-/// [`crate::serve::PlanCache`] entry matches a request only when the
-/// request's options compare equal to the ones the entry was compiled
-/// with (the structural hash alone is not trusted).
+/// Every field but [`Self::recovery`] is plan-cache identity: a
+/// [`crate::serve::PlanCache`] entry matches a request only when those
+/// fields compare equal to the ones the entry was compiled with (the
+/// structural hash alone is not trusted). The recovery policy is read
+/// while a request runs and never reaches `compile`, so requests that
+/// differ only there share one plan.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SympilerOptions {
     /// Enable VS-Block (subject to the supernode-size threshold).
@@ -187,8 +189,9 @@ pub struct SympilerOptions {
     /// Escalation policy for [`crate::robust::RobustLu`] (layer 3 of
     /// the recovery ladder) and, when
     /// [`RecoveryPolicy::serve_escalate`] is set, for per-request
-    /// retry in [`crate::serve::FactorService`]. Part of the plan-
-    /// cache identity like every other option.
+    /// retry in [`crate::serve::FactorService`]. Run-time policy: the
+    /// one option that is **not** plan-cache identity — it is read
+    /// from the request, and changing it never recompiles.
     ///
     /// [`RecoveryPolicy::serve_escalate`]: crate::robust::RecoveryPolicy::serve_escalate
     pub recovery: crate::robust::RecoveryPolicy,
@@ -214,6 +217,89 @@ impl Default for SympilerOptions {
             profile: false,
             pivot_perturb: 0.0,
             recovery: crate::robust::RecoveryPolicy::default(),
+        }
+    }
+}
+
+/// The part of [`SympilerOptions`] that is plan-cache identity: every
+/// field that changes the compiled artefact (`f64`s by bit pattern, so
+/// the derived `Eq`/`Hash` are exact), and nothing that is only read
+/// while a request runs. [`crate::serve::structural_hash`] hashes it
+/// and [`crate::serve::PlanCache`] compares it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub(crate) struct CompileKey {
+    vs_block: bool,
+    vi_prune: bool,
+    low_level: bool,
+    max_supernode_width: usize,
+    vs_block_min_avg_size: u64,
+    peel_col_count: usize,
+    n_threads: usize,
+    ordering: Ordering,
+    block_lu: BlockLu,
+    max_panel: usize,
+    relax_fill: u64,
+    relax_cols: usize,
+    mc64_scale: bool,
+    pre_pivot: PrePivot,
+    profile: bool,
+    pivot_perturb: u64,
+}
+
+impl SympilerOptions {
+    /// The cache identity of these options. The destructuring is
+    /// exhaustive on purpose (no `..`): a new option field does not
+    /// compile until someone decides here whether it changes the
+    /// compiled plan (it joins the key) or is run-time policy (it is
+    /// named and dropped, like `recovery`).
+    pub(crate) fn compile_key(&self) -> CompileKey {
+        let Self {
+            vs_block,
+            vi_prune,
+            low_level,
+            max_supernode_width,
+            vs_block_min_avg_size,
+            peel_col_count,
+            n_threads,
+            ordering,
+            block_lu,
+            max_panel,
+            relax_fill,
+            relax_cols,
+            mc64_scale,
+            pre_pivot,
+            // Both change the artefact: a profiled plan carries an
+            // enabled profiler, a perturbed plan a pivot threshold (the
+            // service's escalation relies on it being a distinct entry).
+            profile,
+            pivot_perturb,
+            // Run-time policy: read from the request's own options by
+            // `FactorService` and `RobustLu`, never by `compile`.
+            recovery:
+                crate::robust::RecoveryPolicy {
+                    berr_tol: _,
+                    max_refine_iters: _,
+                    allow_refactor: _,
+                    serve_escalate: _,
+                },
+        } = *self;
+        CompileKey {
+            vs_block,
+            vi_prune,
+            low_level,
+            max_supernode_width,
+            vs_block_min_avg_size: vs_block_min_avg_size.to_bits(),
+            peel_col_count,
+            n_threads,
+            ordering,
+            block_lu,
+            max_panel,
+            relax_fill: relax_fill.to_bits(),
+            relax_cols,
+            mc64_scale,
+            pre_pivot,
+            profile,
+            pivot_perturb: pivot_perturb.to_bits(),
         }
     }
 }

@@ -26,7 +26,7 @@
 
 use crate::inspector::LuVIPruneInspector;
 use crate::report::{timed_traced, SymbolicReport};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use sympiler_graph::ordering::Ordering;
 use sympiler_graph::transversal::PrePivot;
 use sympiler_obs::{LuHealth, Profiler};
@@ -347,6 +347,53 @@ pub(crate) struct ScalePair {
     pub(crate) dc: std::sync::Arc<[f64]>,
 }
 
+/// The sparsity structure of the factors, decided at compile time:
+/// `L` with diagonal-first columns, `U` with diagonal-last columns, row
+/// indices narrowed to `u32` (the plan rejects `n ≥ 2³¹`). Built once
+/// per plan and `Arc`-shared with every [`LuFactor`] the plan produces,
+/// like the baked permutations — the plan owns structure, a factor is
+/// values, and a numeric factorization copies no index at all. The
+/// `Arc` also keeps the structure alive for a factor that outlives its
+/// plan (a cache eviction between factor and solve).
+#[derive(Debug)]
+pub(crate) struct LuStructure {
+    pub(crate) l_col_ptr: Vec<usize>,
+    pub(crate) l_row_idx: Vec<u32>,
+    pub(crate) u_col_ptr: Vec<usize>,
+    pub(crate) u_row_idx: Vec<u32>,
+}
+
+impl LuStructure {
+    fn n(&self) -> usize {
+        self.l_col_ptr.len() - 1
+    }
+
+    /// Materialise the `(L, U)` CSC pair over the given value arrays:
+    /// the one place a factor's row indices are widened, paid by callers
+    /// that want matrices ([`LuFactor::l`], [`LuFactor::u`],
+    /// [`LuFactor::into_parts`]), never by a factorization or a solve.
+    fn to_csc(&self, lx: Vec<f64>, ux: Vec<f64>) -> (CscMatrix, CscMatrix) {
+        let n = self.n();
+        let widen = |rows: &[u32]| rows.iter().map(|&r| r as usize).collect();
+        (
+            CscMatrix::from_parts_unchecked(
+                n,
+                n,
+                self.l_col_ptr.clone(),
+                widen(&self.l_row_idx),
+                lx,
+            ),
+            CscMatrix::from_parts_unchecked(
+                n,
+                n,
+                self.u_col_ptr.clone(),
+                widen(&self.u_row_idx),
+                ux,
+            ),
+        )
+    }
+}
+
 /// A compiled LU factorization specialized to one sparsity pattern
 /// (static diagonal pivoting), optionally under a fill-reducing
 /// ordering applied symmetrically (`Qᵀ A Q`) so the diagonal-pivot
@@ -385,13 +432,10 @@ pub struct LuPlan {
     /// unless scaling was compiled in. Purely numeric: the factor
     /// patterns, schedules, and permutations above are unaffected.
     scaling: Option<ScalePair>,
-    /// Factor layouts (patterns fixed at compile time). Shared with
-    /// `plan::lu_parallel`, which executes the same schedule leveled
-    /// over the column elimination DAG.
-    pub(crate) l_col_ptr: Vec<usize>,
-    pub(crate) l_row_idx: Vec<u32>,
-    pub(crate) u_col_ptr: Vec<usize>,
-    pub(crate) u_row_idx: Vec<u32>,
+    /// Factor layouts (patterns fixed at compile time), shared with
+    /// every factor this plan produces and read by all three execution
+    /// tiers.
+    pub(crate) structure: Arc<LuStructure>,
     /// Update schedule: column `j` executes `upd_cols[upd_ptr[j]..
     /// upd_ptr[j+1]]` in topological order. The high bit of each entry
     /// marks the peeled (unrolled) low-level tier.
@@ -421,10 +465,21 @@ pub(crate) const PEEL_BIT: u32 = 1 << 31;
 /// `A = L U`). [`Self::solve`] handles the permutations transparently:
 /// it takes and returns vectors in the **original** coordinates of
 /// `A`.
+///
+/// A factor is **values only**: the sparsity structure is the producing
+/// plan's, shared through an `Arc`, and the solves walk it in place.
+/// [`Self::l`] / [`Self::u`] / [`Self::into_parts`] hand out ordinary
+/// CSC matrices, materialised on first use.
 #[derive(Debug, Clone)]
 pub struct LuFactor {
-    l: CscMatrix,
-    u: CscMatrix,
+    /// The plan's factor structure (shared, never copied per factor).
+    structure: Arc<LuStructure>,
+    /// Values of `L` / `U`, laid out by `structure`.
+    lx: Vec<f64>,
+    ux: Vec<f64>,
+    /// The `(L, U)` CSC pair behind [`Self::l`] / [`Self::u`], built on
+    /// first use — a factor that is only solved with never builds it.
+    csc: OnceLock<(CscMatrix, CscMatrix)>,
     /// Composed row gather `rperm[new] = old` (`P·Q`); `None` when no
     /// permutation was compiled. Shared with the producing plan
     /// (`Arc`), not copied per factor.
@@ -452,12 +507,17 @@ pub struct LuFactor {
 impl LuFactor {
     /// The unit lower-triangular factor (pivoted/ordered coordinates).
     pub fn l(&self) -> &CscMatrix {
-        &self.l
+        &self.csc().0
     }
 
     /// The upper-triangular factor (pivoted/ordered coordinates).
     pub fn u(&self) -> &CscMatrix {
-        &self.u
+        &self.csc().1
+    }
+
+    fn csc(&self) -> &(CscMatrix, CscMatrix) {
+        self.csc
+            .get_or_init(|| self.structure.to_csc(self.lx.clone(), self.ux.clone()))
     }
 
     /// The column map the factors live under (`cperm[new] = old` —
@@ -498,7 +558,10 @@ impl LuFactor {
 
     /// Consume into `(L, U)`.
     pub fn into_parts(self) -> (CscMatrix, CscMatrix) {
-        (self.l, self.u)
+        match self.csc.into_inner() {
+            Some(pair) => pair,
+            None => self.structure.to_csc(self.lx, self.ux),
+        }
     }
 
     /// Solve `A x = b` in original coordinates: gather `b` through the
@@ -508,7 +571,7 @@ impl LuFactor {
     /// (`x = Dc·Q·z`). The permutation and scaling applications are
     /// O(n) gathers — no per-solve symbolic work of any kind.
     pub fn solve(&self, b: &[f64]) -> Vec<f64> {
-        let n = self.l.n_cols();
+        let n = self.structure.n();
         assert_eq!(b.len(), n, "rhs length mismatch");
         let mut x = vec![0.0f64; n];
         self.gather_rhs_into(b, &mut x);
@@ -582,7 +645,8 @@ impl LuFactor {
     /// each returned column is bitwise identical to a one-at-a-time
     /// solve of that RHS.
     pub fn solve_multi(&self, b: &[f64], nrhs: usize) -> Vec<f64> {
-        let n = self.l.n_cols();
+        let st = &*self.structure;
+        let n = st.n();
         assert_eq!(b.len(), n * nrhs, "rhs block length mismatch");
         let mut x = vec![0.0f64; n * nrhs];
         for r in 0..nrhs {
@@ -590,35 +654,33 @@ impl LuFactor {
         }
         // Forward: L has diagonal-first unit columns; the column's
         // rows/values are hoisted out of the RHS loop.
-        let (col_ptr, row_idx, values) = (self.l.col_ptr(), self.l.row_idx(), self.l.values());
         for j in 0..n {
-            let range = col_ptr[j] + 1..col_ptr[j + 1];
-            let rows = &row_idx[range.clone()];
-            let vals = &values[range];
+            let range = st.l_col_ptr[j] + 1..st.l_col_ptr[j + 1];
+            let rows = &st.l_row_idx[range.clone()];
+            let vals = &self.lx[range];
             for r in 0..nrhs {
                 let xr = &mut x[r * n..(r + 1) * n];
                 let xj = xr[j]; // unit diagonal: no division
                 if xj != 0.0 {
                     for (&i, &lij) in rows.iter().zip(vals) {
-                        xr[i] -= lij * xj;
+                        xr[i as usize] -= lij * xj;
                     }
                 }
             }
         }
         // Backward: U has diagonal-last columns.
-        let (col_ptr, row_idx, values) = (self.u.col_ptr(), self.u.row_idx(), self.u.values());
         for j in (0..n).rev() {
-            let range = col_ptr[j]..col_ptr[j + 1];
-            let rows = &row_idx[range.start..range.end - 1];
-            let vals = &values[range.start..range.end - 1];
-            let pivot = values[range.end - 1];
+            let range = st.u_col_ptr[j]..st.u_col_ptr[j + 1] - 1;
+            let rows = &st.u_row_idx[range.clone()];
+            let vals = &self.ux[range.clone()];
+            let pivot = self.ux[range.end];
             for r in 0..nrhs {
                 let xr = &mut x[r * n..(r + 1) * n];
                 let xj = xr[j] / pivot;
                 xr[j] = xj;
                 if xj != 0.0 {
                     for (&i, &uij) in rows.iter().zip(vals) {
-                        xr[i] -= uij * xj;
+                        xr[i as usize] -= uij * xj;
                     }
                 }
             }
@@ -636,7 +698,9 @@ impl LuFactor {
     /// [`Self::solve_multi`] over a slice of independent right-hand
     /// sides — packs them into one column-major block, runs the
     /// blocked sweeps, and unpacks. Each returned vector is bitwise
-    /// identical to `self.solve(&rhs[r])`.
+    /// identical to `self.solve(&rhs[r])`, which is what a single
+    /// right-hand side runs: there is nothing to block, so nothing is
+    /// packed.
     ///
     /// ```
     /// use sympiler_core::{SympilerLu, SympilerOptions};
@@ -653,7 +717,10 @@ impl LuFactor {
     /// # Ok::<(), Box<dyn std::error::Error>>(())
     /// ```
     pub fn solve_batch<S: AsRef<[f64]>>(&self, rhs: &[S]) -> Vec<Vec<f64>> {
-        let n = self.l.n_cols();
+        if let [one] = rhs {
+            return vec![self.solve(one.as_ref())];
+        }
+        let n = self.structure.n();
         if n == 0 {
             return rhs.iter().map(|_| Vec::new()).collect();
         }
@@ -669,33 +736,26 @@ impl LuFactor {
     /// The two triangular sweeps, entirely in the factors' (ordered)
     /// coordinate system.
     fn solve_in_factor_coords(&self, x: &mut [f64]) {
-        let n = self.l.n_cols();
+        let st = &*self.structure;
+        let n = st.n();
         // Forward: L has diagonal-first unit columns.
-        let (col_ptr, row_idx, values) = (self.l.col_ptr(), self.l.row_idx(), self.l.values());
         for j in 0..n {
-            let range = col_ptr[j]..col_ptr[j + 1];
+            let range = st.l_col_ptr[j] + 1..st.l_col_ptr[j + 1];
             let xj = x[j]; // unit diagonal: no division
             if xj != 0.0 {
-                for (&i, &lij) in row_idx[range.start + 1..range.end]
-                    .iter()
-                    .zip(&values[range.start + 1..range.end])
-                {
-                    x[i] -= lij * xj;
+                for (&i, &lij) in st.l_row_idx[range.clone()].iter().zip(&self.lx[range]) {
+                    x[i as usize] -= lij * xj;
                 }
             }
         }
         // Backward: U has diagonal-last columns.
-        let (col_ptr, row_idx, values) = (self.u.col_ptr(), self.u.row_idx(), self.u.values());
         for j in (0..n).rev() {
-            let range = col_ptr[j]..col_ptr[j + 1];
-            let xj = x[j] / values[range.end - 1];
+            let range = st.u_col_ptr[j]..st.u_col_ptr[j + 1] - 1;
+            let xj = x[j] / self.ux[range.end];
             x[j] = xj;
             if xj != 0.0 {
-                for (&i, &uij) in row_idx[range.start..range.end - 1]
-                    .iter()
-                    .zip(&values[range.start..range.end - 1])
-                {
-                    x[i] -= uij * xj;
+                for (&i, &uij) in st.u_row_idx[range.clone()].iter().zip(&self.ux[range]) {
+                    x[i as usize] -= uij * xj;
                 }
             }
         }
@@ -721,7 +781,10 @@ impl LuFactor {
     /// vector's pattern is the structural reach — entries that cancel
     /// numerically are stored as explicit zeros.
     pub fn solve_sparse(&self, b: &SparseVec) -> SparseVec {
-        let n = self.l.n_cols();
+        // The reach DFS wants `usize` adjacency slices: this solve runs
+        // on the materialised CSC pair, not the shared `u32` structure.
+        let (l, u) = (self.l(), self.u());
+        let n = l.n_cols();
         assert_eq!(b.dim(), n, "rhs dimension mismatch");
         let mut x = vec![0.0f64; n];
         // Pattern and values of Qᵀ·P·(Dr·b) in factor coordinates —
@@ -750,11 +813,11 @@ impl LuFactor {
         sympiler_graph::dfs::reach_adjacency_into(
             n,
             &beta,
-            |v| &self.l.col_rows(v)[1..],
+            |v| &l.col_rows(v)[1..],
             &mut ws,
             &mut order,
         );
-        let (col_ptr, row_idx, values) = (self.l.col_ptr(), self.l.row_idx(), self.l.values());
+        let (col_ptr, row_idx, values) = (l.col_ptr(), l.row_idx(), l.values());
         for &j in &order {
             let xj = x[j]; // unit diagonal
             if xj != 0.0 {
@@ -775,13 +838,13 @@ impl LuFactor {
             n,
             &beta_u,
             |v| {
-                let rows = self.u.col_rows(v);
+                let rows = u.col_rows(v);
                 &rows[..rows.len() - 1]
             },
             &mut ws,
             &mut order_u,
         );
-        let (col_ptr, row_idx, values) = (self.u.col_ptr(), self.u.row_idx(), self.u.values());
+        let (col_ptr, row_idx, values) = (u.col_ptr(), u.row_idx(), u.values());
         for &j in &order_u {
             let range = col_ptr[j]..col_ptr[j + 1];
             let xj = x[j] / values[range.end - 1];
@@ -835,11 +898,10 @@ impl LuFactor {
 
     /// Magnitude of `det(A)`: the product of `U`'s diagonal.
     pub fn det_magnitude(&self) -> f64 {
-        (0..self.u.n_cols())
-            .map(|j| {
-                let vals = self.u.col_values(j);
-                vals[vals.len() - 1].abs()
-            })
+        let u_col_ptr = &self.structure.u_col_ptr;
+        u_col_ptr[1..]
+            .iter()
+            .map(|&end| self.ux[end - 1].abs())
             .product()
     }
 }
@@ -1028,10 +1090,12 @@ impl LuPlan {
             perturb_tol: 0.0,
             baked,
             scaling: None,
-            l_col_ptr: sym.l_col_ptr,
-            l_row_idx: sym.l_row_idx.iter().map(|&r| r as u32).collect(),
-            u_col_ptr: sym.u_col_ptr,
-            u_row_idx: sym.u_row_idx.iter().map(|&r| r as u32).collect(),
+            structure: Arc::new(LuStructure {
+                l_col_ptr: sym.l_col_ptr,
+                l_row_idx: sym.l_row_idx.iter().map(|&r| r as u32).collect(),
+                u_col_ptr: sym.u_col_ptr,
+                u_row_idx: sym.u_row_idx.iter().map(|&r| r as u32).collect(),
+            }),
             upd_ptr,
             upd_cols,
             flops,
@@ -1048,12 +1112,12 @@ impl LuPlan {
 
     /// Predicted nonzeros of `L`.
     pub fn l_nnz(&self) -> usize {
-        self.l_row_idx.len()
+        self.structure.l_row_idx.len()
     }
 
     /// Predicted nonzeros of `U`.
     pub fn u_nnz(&self) -> usize {
-        self.u_row_idx.len()
+        self.structure.u_row_idx.len()
     }
 
     /// Exact factorization flops.
@@ -1265,66 +1329,45 @@ impl LuPlan {
     }
 
     /// Check that `a` carries exactly the compiled sparsity pattern
-    /// (shared by the serial and parallel numeric phases).
+    /// (every numeric phase runs it first, and the plan cache runs it
+    /// on every candidate hit). It is a safety check — the scatter
+    /// indexes the baked maps with `a`'s row indices — so it stays on
+    /// every call and is made to run at memory speed instead: the row
+    /// indices are compared in fixed-size chunks with an OR-accumulated
+    /// difference, no early exit inside a chunk, which vectorises. The
+    /// compiled `u32` is widened, never the input narrowed: a row index
+    /// of `c + 2³²` is a mismatch, not a truncated match.
     pub(crate) fn check_pattern(&self, a: &CscMatrix) -> Result<(), LuPlanError> {
-        if a.n_cols() != self.n || a.nnz() != self.a_nnz {
-            return Err(LuPlanError::PatternMismatch);
-        }
-        if a.col_ptr() != self.a_col_ptr.as_slice()
-            || a.row_idx()
+        const CHUNK: usize = 64;
+        fn same_rows(rows: &[usize], compiled: &[u32]) -> bool {
+            let diff = rows
                 .iter()
-                .zip(&self.a_row_idx)
-                .any(|(&r, &c)| r as u32 != c)
-        {
-            return Err(LuPlanError::PatternMismatch);
+                .zip(compiled)
+                .fold(0usize, |d, (&r, &c)| d | (r ^ c as usize));
+            diff == 0
         }
-        Ok(())
+        let rows = a.row_idx();
+        // Lengths first, so the chunks pair up exactly.
+        let same = a.n_cols() == self.n
+            && rows.len() == self.a_nnz
+            && a.values().len() == self.a_nnz
+            && a.col_ptr() == self.a_col_ptr.as_slice()
+            && rows
+                .chunks(CHUNK)
+                .zip(self.a_row_idx.chunks(CHUNK))
+                .all(|(r, c)| same_rows(r, c));
+        same.then_some(()).ok_or(LuPlanError::PatternMismatch)
     }
 
-    /// Assemble the factor object from filled value arrays laid out by
-    /// the compiled patterns, carrying the baked permutations so the
-    /// factor's `solve` speaks original coordinates.
-    pub(crate) fn assemble(&self, lx: Vec<f64>, ux: Vec<f64>) -> LuFactor {
-        let l = CscMatrix::from_parts_unchecked(
-            self.n,
-            self.n,
-            self.l_col_ptr.clone(),
-            self.l_row_idx.iter().map(|&r| r as usize).collect(),
-            lx,
-        );
-        let u = CscMatrix::from_parts_unchecked(
-            self.n,
-            self.n,
-            self.u_col_ptr.clone(),
-            self.u_row_idx.iter().map(|&r| r as usize).collect(),
-            ux,
-        );
-        LuFactor {
-            l,
-            u,
-            rperm: self.baked.as_ref().map(|b| b.rperm.clone()),
-            irperm: self.baked.as_ref().map(|b| b.irperm.clone()),
-            // One contract with `LuPlan::col_perm`: the column map is
-            // only reported (and only applied in solves) when an
-            // ordering actually reordered columns.
-            cperm: self
-                .baked
-                .as_ref()
-                .filter(|_| self.ordering != Ordering::Natural)
-                .map(|b| b.cperm.clone()),
-            scaling: self.scaling.clone(),
-            health: None,
-            perturb: PerturbReport::default(),
-        }
-    }
-
-    /// [`Self::assemble`] plus the profiling-only epilogue shared by
-    /// all three execution tiers: when the profiler is enabled,
-    /// compute the numerical-health monitors from the filled `U`
-    /// values, record them as `health.*` gauges, and surface them on
-    /// the factor. With profiling off this *is* `assemble` — no health
-    /// pass runs, and the factor value arrays are untouched either
-    /// way, so results stay bitwise identical.
+    /// Wrap filled value arrays (laid out by the compiled patterns)
+    /// into the factor object — the epilogue shared by all three
+    /// execution tiers. The factor takes `Arc` clones of the plan's
+    /// structure, permutations and scalings and the two value arrays
+    /// as they are: no index is copied. When the profiler is enabled,
+    /// the numerical-health monitors are computed from the filled `U`
+    /// values, recorded as `health.*` gauges and surfaced on the
+    /// factor; the value arrays are untouched either way, so results
+    /// stay bitwise identical.
     pub(crate) fn finish(
         &self,
         a: &CscMatrix,
@@ -1348,10 +1391,25 @@ impl LuPlan {
                 .counter("lu.perturbed_cols")
                 .add(perturb.count() as u64);
         }
-        let mut f = self.assemble(lx, ux);
-        f.health = health;
-        f.perturb = perturb;
-        f
+        LuFactor {
+            structure: Arc::clone(&self.structure),
+            lx,
+            ux,
+            csc: OnceLock::new(),
+            rperm: self.baked.as_ref().map(|b| b.rperm.clone()),
+            irperm: self.baked.as_ref().map(|b| b.irperm.clone()),
+            // One contract with `LuPlan::col_perm`: the column map is
+            // only reported (and only applied in solves) when an
+            // ordering actually reordered columns.
+            cperm: self
+                .baked
+                .as_ref()
+                .filter(|_| self.ordering != Ordering::Natural)
+                .map(|b| b.cperm.clone()),
+            scaling: self.scaling.clone(),
+            health,
+            perturb,
+        }
     }
 
     /// Numerical-health monitors of a completed factorization of `a`
@@ -1362,7 +1420,7 @@ impl LuPlan {
     /// or not — `lu_compare` uses it to put recorded growth numbers in
     /// the comparison table.
     pub fn health_of(&self, a: &CscMatrix, f: &LuFactor) -> LuHealth {
-        self.compute_health(a, f.u().values())
+        self.compute_health(a, &f.ux)
     }
 
     fn compute_health(&self, a: &CscMatrix, ux: &[f64]) -> LuHealth {
@@ -1373,7 +1431,7 @@ impl LuPlan {
         let mut min_pivot = f64::INFINITY;
         let mut max_pivot = 0.0f64;
         for j in 0..self.n {
-            let p = ux[self.u_col_ptr[j + 1] - 1].abs();
+            let p = ux[self.structure.u_col_ptr[j + 1] - 1].abs();
             min_pivot = min_pivot.min(p);
             max_pivot = max_pivot.max(p);
         }
@@ -1497,13 +1555,14 @@ impl LuPlan {
         // permutation is applied here, inside the scatter the column
         // solve performs anyway, so ordered plans pay zero extra
         // passes over the data.
+        let st = &*self.structure;
         self.scatter_a_column(j, a, x, 1, 0);
         // Apply the baked update schedule in topological order.
         for &tagged in &self.upd_cols[self.upd_ptr[j]..self.upd_ptr[j + 1]] {
             let k = (tagged & !PEEL_BIT) as usize;
             let xk = x[k];
-            let range = self.l_col_ptr[k] + 1..self.l_col_ptr[k + 1];
-            let rows = &self.l_row_idx[range.clone()];
+            let range = st.l_col_ptr[k] + 1..st.l_col_ptr[k + 1];
+            let rows = &st.l_row_idx[range.clone()];
             // SAFETY: column k precedes j in the schedule, so by the
             // caller's contract its values are final and no thread
             // writes them concurrently.
@@ -1529,9 +1588,9 @@ impl LuPlan {
             }
         }
         // Gather U(:, j) through the fixed layout; diagonal last.
-        let u_range = self.u_col_ptr[j]..self.u_col_ptr[j + 1];
+        let u_range = st.u_col_ptr[j]..st.u_col_ptr[j + 1];
         for p in u_range.clone() {
-            *ux.add(p) = x[self.u_row_idx[p] as usize];
+            *ux.add(p) = x[st.u_row_idx[p] as usize];
         }
         let mut pivot = *ux.add(u_range.end - 1);
         let mut status = PivotStatus::Clean;
@@ -1550,17 +1609,17 @@ impl LuPlan {
             status = PivotStatus::Zero;
         }
         // Gather L(:, j): unit diagonal, scaled sub-diagonal.
-        let l_range = self.l_col_ptr[j]..self.l_col_ptr[j + 1];
+        let l_range = st.l_col_ptr[j]..st.l_col_ptr[j + 1];
         *lx.add(l_range.start) = 1.0;
         for p in l_range.start + 1..l_range.end {
-            *lx.add(p) = x[self.l_row_idx[p] as usize] / pivot;
+            *lx.add(p) = x[st.l_row_idx[p] as usize] / pivot;
         }
         // Clear the accumulator (touch only the column's pattern).
         for p in u_range {
-            x[self.u_row_idx[p] as usize] = 0.0;
+            x[st.u_row_idx[p] as usize] = 0.0;
         }
         for p in l_range.start + 1..l_range.end {
-            x[self.l_row_idx[p] as usize] = 0.0;
+            x[st.l_row_idx[p] as usize] = 0.0;
         }
         status
     }
@@ -1590,8 +1649,9 @@ impl LuPlan {
     ) -> Result<LuFactor, LuPlanError> {
         self.check_pattern(a)?;
         let n = self.n;
-        let mut lx = vec![0.0f64; self.l_row_idx.len()];
-        let mut ux = vec![0.0f64; self.u_row_idx.len()];
+        let st = &*self.structure;
+        let mut lx = vec![0.0f64; st.l_row_idx.len()];
+        let mut ux = vec![0.0f64; st.u_row_idx.len()];
         let x = ws.ensure(n);
         let thresh = self.perturb_threshold(a);
         let mut perturbed: Vec<usize> = Vec::new();
@@ -1631,8 +1691,8 @@ impl LuPlan {
                     Some(bp) => bp.cperm[j],
                 };
                 scatter_elems += (self.a_col_ptr[oc + 1] - self.a_col_ptr[oc]) as u64;
-                gather_elems += (self.l_col_ptr[j + 1] - self.l_col_ptr[j] + self.u_col_ptr[j + 1]
-                    - self.u_col_ptr[j]) as u64;
+                gather_elems += (st.l_col_ptr[j + 1] - st.l_col_ptr[j] + st.u_col_ptr[j + 1]
+                    - st.u_col_ptr[j]) as u64;
             }
         }
 
@@ -1707,8 +1767,9 @@ impl LuPlan {
             return Ok(Vec::new());
         }
         let n = self.n;
-        let l_nnz = self.l_row_idx.len();
-        let u_nnz = self.u_row_idx.len();
+        let st = &*self.structure;
+        let l_nnz = st.l_row_idx.len();
+        let u_nnz = st.u_row_idx.len();
         // Entry-major SoA arenas: slot `p * bsz + b` is nonzero `p` of
         // matrix `b`. The accumulator interleaves the same way.
         let mut lxs = vec![0.0f64; l_nnz * bsz];
@@ -1790,8 +1851,8 @@ impl LuPlan {
                 for &tagged in &self.upd_cols[self.upd_ptr[j]..self.upd_ptr[j + 1]] {
                     let k = (tagged & !PEEL_BIT) as usize;
                     std::ptr::copy_nonoverlapping(xp.add(k * bsz) as *const f64, xkp, bsz);
-                    let range = self.l_col_ptr[k] + 1..self.l_col_ptr[k + 1];
-                    let rows = &self.l_row_idx[range.clone()];
+                    let range = st.l_col_ptr[k] + 1..st.l_col_ptr[k + 1];
+                    let rows = &st.l_row_idx[range.clone()];
                     // The peeled tier runs unguarded; the guarded tier
                     // skips zero multipliers per lane — either way each
                     // lane performs exactly the scalar kernel's
@@ -1820,9 +1881,9 @@ impl LuPlan {
                     }
                 }
                 // Gather U(:, j); diagonal (pivot) last.
-                let u_range = self.u_col_ptr[j]..self.u_col_ptr[j + 1];
+                let u_range = st.u_col_ptr[j]..st.u_col_ptr[j + 1];
                 for p in u_range.clone() {
-                    let lane = xp.add(self.u_row_idx[p] as usize * bsz) as *const f64;
+                    let lane = xp.add(st.u_row_idx[p] as usize * bsz) as *const f64;
                     std::ptr::copy_nonoverlapping(lane, uxp.add(p * bsz), bsz);
                 }
                 let piv = uxp.add((u_range.end - 1) * bsz);
@@ -1838,12 +1899,12 @@ impl LuPlan {
                 }
                 // Gather L(:, j): unit diagonal, sub-diagonal scaled
                 // by each lane's pivot.
-                let l_range = self.l_col_ptr[j]..self.l_col_ptr[j + 1];
+                let l_range = st.l_col_ptr[j]..st.l_col_ptr[j + 1];
                 for b in 0..bsz {
                     *lxp.add(l_range.start * bsz + b) = 1.0;
                 }
                 for p in l_range.start + 1..l_range.end {
-                    let lane = xp.add(self.l_row_idx[p] as usize * bsz) as *const f64;
+                    let lane = xp.add(st.l_row_idx[p] as usize * bsz) as *const f64;
                     let dst = lxp.add(p * bsz);
                     for b in 0..bsz {
                         *dst.add(b) = *lane.add(b) / *piv.add(b);
@@ -1852,11 +1913,11 @@ impl LuPlan {
                 // Clear the accumulator (touch only the column's
                 // pattern).
                 for p in u_range {
-                    let lane = xp.add(self.u_row_idx[p] as usize * bsz);
+                    let lane = xp.add(st.u_row_idx[p] as usize * bsz);
                     std::slice::from_raw_parts_mut(lane, bsz).fill(0.0);
                 }
                 for p in l_range.start + 1..l_range.end {
-                    let lane = xp.add(self.l_row_idx[p] as usize * bsz);
+                    let lane = xp.add(st.l_row_idx[p] as usize * bsz);
                     std::slice::from_raw_parts_mut(lane, bsz).fill(0.0);
                 }
             }
@@ -1916,9 +1977,10 @@ impl LuPlan {
     pub fn table_bytes(&self) -> usize {
         use std::mem::size_of;
         let usz = size_of::<usize>();
-        let mut bytes = (self.l_col_ptr.len() + self.u_col_ptr.len() + self.upd_ptr.len()) * usz
+        let st = &*self.structure;
+        let mut bytes = (st.l_col_ptr.len() + st.u_col_ptr.len() + self.upd_ptr.len()) * usz
             + self.a_col_ptr.len() * usz
-            + (self.l_row_idx.len() + self.u_row_idx.len() + self.upd_cols.len()) * 4
+            + (st.l_row_idx.len() + st.u_row_idx.len() + self.upd_cols.len()) * 4
             + self.a_row_idx.len() * 4
             + self.col_flops.len() * 8;
         if self.baked.is_some() {
@@ -1937,13 +1999,14 @@ impl LuPlan {
     /// of the scatter/gather), so structurally trivial columns still
     /// carry nonzero weight.
     pub(crate) fn per_column_costs(&self) -> Vec<u64> {
+        let st = &*self.structure;
         (0..self.n)
             .map(|j| {
-                let l_nnz = (self.l_col_ptr[j + 1] - self.l_col_ptr[j]) as u64;
-                let u_nnz = (self.u_col_ptr[j + 1] - self.u_col_ptr[j]) as u64;
+                let l_nnz = (st.l_col_ptr[j + 1] - st.l_col_ptr[j]) as u64;
+                let u_nnz = (st.u_col_ptr[j + 1] - st.u_col_ptr[j]) as u64;
                 let mut c = l_nnz + u_nnz + (l_nnz - 1);
                 for k in self.schedule(j) {
-                    c += 2 * (self.l_col_ptr[k + 1] - self.l_col_ptr[k] - 1) as u64;
+                    c += 2 * (st.l_col_ptr[k + 1] - st.l_col_ptr[k] - 1) as u64;
                 }
                 c
             })
@@ -1957,19 +2020,20 @@ impl LuPlan {
     /// (`cperm`) and inverse-row (`irperm`) tables and permutes inside
     /// its scatter — one artifact for pre-pivot, ordering, or both.
     pub fn emit_c(&self) -> String {
+        let st = &*self.structure;
         let l_pattern = CscMatrix::from_parts_unchecked(
             self.n,
             self.n,
-            self.l_col_ptr.clone(),
-            self.l_row_idx.iter().map(|&r| r as usize).collect(),
-            vec![1.0; self.l_row_idx.len()],
+            st.l_col_ptr.clone(),
+            st.l_row_idx.iter().map(|&r| r as usize).collect(),
+            vec![1.0; st.l_row_idx.len()],
         );
         let schedules: Vec<Vec<(usize, bool)>> = (0..self.n)
             .map(|j| self.schedule_with_tiers(j).collect())
             .collect();
         let perm = self.baked.as_ref().map(|b| (&b.cperm[..], &b.irperm[..]));
         let scaling = self.scaling.as_ref().map(|s| (&s.dr[..], &s.dc[..]));
-        crate::emit::emit_lu_c(&l_pattern, &self.u_col_ptr, &schedules, perm, scaling)
+        crate::emit::emit_lu_c(&l_pattern, &st.u_col_ptr, &schedules, perm, scaling)
     }
 }
 

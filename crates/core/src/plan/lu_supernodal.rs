@@ -229,8 +229,8 @@ impl SupernodalLuPlan {
     ) -> LuPanels {
         supernodes_lu_relaxed_from_parts(
             plan.n(),
-            &plan.l_col_ptr,
-            &plan.l_row_idx,
+            &plan.structure.l_col_ptr,
+            &plan.structure.l_row_idx,
             max_panel,
             relax_fill,
             relax_cols,
@@ -259,7 +259,7 @@ impl SupernodalLuPlan {
                 panels.panel_rows(t).len()
             } else {
                 let g = part.first_col[t];
-                plan.l_col_ptr[g + 1] - plan.l_col_ptr[g]
+                plan.structure.l_col_ptr[g + 1] - plan.structure.l_col_ptr[g]
             }
         };
         let mut seen = vec![usize::MAX; part.n_supernodes()];
@@ -280,7 +280,9 @@ impl SupernodalLuPlan {
             let entries = part.width(s) * rows_moved;
             keep[s] = flops as f64 >= min_flops_per_entry * entries as f64;
         }
-        panels.dissolve_unless(&plan.l_col_ptr, &plan.l_row_idx, |s| keep[s])
+        panels.dissolve_unless(&plan.structure.l_col_ptr, &plan.structure.l_row_idx, |s| {
+            keep[s]
+        })
     }
 
     /// Bake the panel layouts and the leveled panel-DAG schedule for a
@@ -336,9 +338,9 @@ impl SupernodalLuPlan {
         // profiled flop accounting still closes exactly.
         let dense_flop_share = sympiler_graph::lu_supernode::flop_share_in_wide_panels_from_parts(
             part,
-            &plan.l_col_ptr,
-            &plan.u_col_ptr,
-            &plan.u_row_idx,
+            &plan.structure.l_col_ptr,
+            &plan.structure.u_col_ptr,
+            &plan.structure.u_row_idx,
         );
 
         // Level the panel DAG and cost-balance each level's panels
@@ -396,7 +398,7 @@ impl SupernodalLuPlan {
                 let v = part.width(t) as u64;
                 let m_sub = if v == 1 {
                     let g = part.first_col[t];
-                    (plan.l_col_ptr[g + 1] - plan.l_col_ptr[g] - 1) as u64
+                    (plan.structure.l_col_ptr[g + 1] - plan.structure.l_col_ptr[g] - 1) as u64
                 } else {
                     panels.panel_rows(t).len() as u64 - v
                 };
@@ -619,8 +621,8 @@ impl SupernodalLuPlan {
         };
         let panel_t0 = prof.now_ns();
 
-        let l_ptr = &plan.l_col_ptr;
-        let l_rows = &plan.l_row_idx;
+        let l_ptr = &plan.structure.l_col_ptr;
+        let l_rows = &plan.structure.l_row_idx;
         // The panel's baked union row list: under strict nesting this
         // is exactly the leading column's CSC pattern; under relaxed
         // amalgamation it is the union over member columns, and the
@@ -785,8 +787,8 @@ impl SupernodalLuPlan {
         }
 
         // --- Write back through the fixed CSC layouts.
-        let u_ptr = &plan.u_col_ptr;
-        let u_rows = &plan.u_row_idx;
+        let u_ptr = &plan.structure.u_col_ptr;
+        let u_rows = &plan.structure.u_row_idx;
         for c in 0..w {
             let j = f + c;
             // U above the panel comes from (and clears) the

@@ -39,8 +39,9 @@ use sympiler_sparse::ops::componentwise_berr;
 use sympiler_sparse::CscMatrix;
 
 /// Escalation policy for the recovery ladder — carried on
-/// [`SympilerOptions::recovery`] so it participates in plan-cache
-/// identity and reaches the serving tier unchanged.
+/// [`SympilerOptions::recovery`] so it reaches the serving tier with
+/// the request. It is read while a request runs, never at compile
+/// time, so it is no part of plan-cache identity.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RecoveryPolicy {
     /// Componentwise backward-error tolerance for accepting a solve

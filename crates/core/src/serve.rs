@@ -14,6 +14,30 @@
 //!   shared, never cloned, and N threads factor against one plan
 //!   concurrently (per-factorization state lives in a
 //!   [`LuWorkspace`], not the plan).
+//!
+//!   **What the key covers.** The pattern — dimensions, every
+//!   `col_ptr` word, every `row_idx` word, never a value — and the
+//!   options' *compile key*: every [`SympilerOptions`] field that
+//!   changes the compiled artefact, taken by exhaustive destructuring
+//!   in `compile.rs` so a new field cannot be forgotten. `profile` and
+//!   `pivot_perturb` are in it (a profiled plan carries an enabled
+//!   profiler, a perturbed plan a threshold — and escalation relies on
+//!   the perturbed plan being its own entry). The four `recovery.*`
+//!   fields are **run-time policy**: the service and `RobustLu` read
+//!   them from the request, `compile` never does, so requests that
+//!   differ only there share one plan.
+//!
+//!   **What a hit costs.** One pass of [`structural_hash`] over the
+//!   index words (four independent multiply–rotate lanes, ~13 µs for
+//!   the 256 KB pattern of an n = 8000 circuit), then one exact
+//!   pattern comparison (chunked, vectorised) and a compile-key
+//!   comparison under the cache mutex — a whole lookup is ~21 µs.
+//!   Both passes are safety checks and stay on every request. Two
+//!   further steps were measured and declined: a caller-held *pattern
+//!   handle* that skips the hash could save at most those ~13 µs of a
+//!   ~0.47 ms hit, and no caller or workload would use it; moving the
+//!   exact check outside the mutex (or sharding the lock) would save
+//!   nothing uncontended — lookup minus hash is 7–8 µs.
 //! * [`FactorService`] — a thread-pool front end accepting
 //!   factor(+solve) requests, routing every request through one
 //!   shared cache and per-worker workspaces.
@@ -28,6 +52,7 @@
 //! [`SympilerLu::compile`] + [`SympilerLu::factor`] calls.
 
 use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering as MemOrder};
 use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
@@ -146,62 +171,105 @@ impl From<LuPlanError> for ServeError {
     }
 }
 
-/// FNV-1a, the same spirit as the vendored deterministic hashers:
-/// stable across runs and platforms, so cache keys (and therefore
-/// bench-reported hit rates) are reproducible.
+/// Independent multiply–rotate chains the pattern words are dealt
+/// across. One chain is bound by the latency of its 64-bit multiply;
+/// four chains a word at a time keep the multiplier busy and put the
+/// hash near the speed the index arrays stream from cache.
+const LANES: usize = 4;
+
+/// Fixed odd constants (the FNV-1a offset and prime, the golden-ratio
+/// increment and the splitmix64 / xxh64 multipliers): no `RandomState`,
+/// so keys — and the hit rates the benches report — repeat across runs
+/// and platforms.
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+const LANE_SEED: [u64; LANES] = [
+    FNV_OFFSET,
+    0x9e37_79b9_7f4a_7c15,
+    0xbf58_476d_1ce4_e5b9,
+    0x94d0_49bb_1331_11eb,
+];
+const LANE_MUL: [u64; LANES] = [
+    0x9e37_79b1_85eb_ca87,
+    0xc2b2_ae3d_27d4_eb4f,
+    0x1656_67b1_9e37_79f9,
+    0x27d4_eb2f_1656_67c5,
+];
 
-#[inline]
-fn fnv_u64(h: &mut u64, v: u64) {
-    for b in v.to_le_bytes() {
-        *h ^= b as u64;
-        *h = h.wrapping_mul(FNV_PRIME);
+/// One step of a lane: a bijection of the state for a fixed word and
+/// of the word for a fixed state, so changing one word always changes
+/// its lane; the rotate carries the product's high bits back down.
+#[inline(always)]
+fn lane_step(h: u64, word: u64, lane: usize) -> u64 {
+    (h ^ word).wrapping_mul(LANE_MUL[lane]).rotate_left(29)
+}
+
+/// Absorb one index stream: its length first (so `[.., x] ++ []` and
+/// `[..] ++ [x]` differ), then word `i` into lane `i % LANES`.
+fn absorb(mut h: [u64; LANES], words: &[usize]) -> [u64; LANES] {
+    h[0] = lane_step(h[0], words.len() as u64, 0);
+    let mut groups = words.chunks_exact(LANES);
+    for g in &mut groups {
+        for lane in 0..LANES {
+            h[lane] = lane_step(h[lane], g[lane] as u64, lane);
+        }
+    }
+    for (lane, &w) in groups.remainder().iter().enumerate() {
+        h[lane] = lane_step(h[lane], w as u64, lane);
+    }
+    h
+}
+
+/// Folds the lanes and the derived `Hash` of the options' compile key
+/// into the 64-bit cache key: FNV-1a over whole words, then the splitmix64
+/// finalizer so every input bit reaches every key bit. `usize` fields
+/// are widened to 64 bits, keeping keys equal across pointer widths.
+struct KeyHasher(u64);
+
+impl Hasher for KeyHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u64(&mut self, v: u64) {
+        self.0 = (self.0 ^ v).wrapping_mul(FNV_PRIME);
+    }
+
+    fn write_usize(&mut self, v: usize) {
+        self.write_u64(v as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
     }
 }
 
-/// The cache key: a 64-bit FNV-1a digest of the sparsity pattern
-/// (`n`, column pointers, row indices — **not** values) and every
-/// compile-relevant field of [`SympilerOptions`]. Two requests whose
-/// matrices share a pattern and whose options compare equal always
-/// hash equal; the converse is only probabilistic, which is why
-/// [`PlanCache`] verifies candidates with an exact pattern check and
-/// an options comparison before reporting a hit.
+/// The cache key: a 64-bit digest of the sparsity pattern (dimensions,
+/// column pointers, row indices — **not** values) and of the options'
+/// compile key — every field of [`SympilerOptions`] that changes the
+/// compiled artefact, and none of the run-time recovery policy. Two
+/// requests whose matrices share a pattern and whose compile keys
+/// compare equal always hash equal; the converse is only
+/// probabilistic, which is why [`PlanCache`] verifies candidates with
+/// an exact pattern check and a compile-key comparison before
+/// reporting a hit.
 pub fn structural_hash(a: &CscMatrix, opts: &SympilerOptions) -> u64 {
-    let mut h = FNV_OFFSET;
-    fnv_u64(&mut h, a.n_cols() as u64);
-    for &p in a.col_ptr() {
-        fnv_u64(&mut h, p as u64);
+    let lanes = absorb(LANE_SEED, &[a.n_rows(), a.n_cols()]);
+    let lanes = absorb(lanes, a.col_ptr());
+    let lanes = absorb(lanes, a.row_idx());
+    let mut h = KeyHasher(FNV_OFFSET);
+    for lane in lanes {
+        h.write_u64(lane);
     }
-    for &r in a.row_idx() {
-        fnv_u64(&mut h, r as u64);
-    }
-    // Options: every field that can change the compiled plan (or the
-    // executor wrapped around it).
-    fnv_u64(
-        &mut h,
-        (opts.vs_block as u64) | (opts.vi_prune as u64) << 1 | (opts.low_level as u64) << 2,
-    );
-    fnv_u64(&mut h, opts.max_supernode_width as u64);
-    fnv_u64(&mut h, opts.vs_block_min_avg_size.to_bits());
-    fnv_u64(&mut h, opts.peel_col_count as u64);
-    fnv_u64(&mut h, opts.n_threads as u64);
-    fnv_u64(&mut h, opts.ordering as u64);
-    fnv_u64(&mut h, opts.block_lu as u64);
-    fnv_u64(&mut h, opts.max_panel as u64);
-    fnv_u64(&mut h, opts.relax_fill.to_bits());
-    fnv_u64(&mut h, opts.relax_cols as u64);
-    fnv_u64(&mut h, opts.mc64_scale as u64);
-    fnv_u64(&mut h, opts.pre_pivot as u64);
-    fnv_u64(&mut h, opts.profile as u64);
-    fnv_u64(&mut h, opts.pivot_perturb.to_bits());
-    fnv_u64(&mut h, opts.recovery.berr_tol.to_bits());
-    fnv_u64(&mut h, opts.recovery.max_refine_iters as u64);
-    fnv_u64(
-        &mut h,
-        (opts.recovery.allow_refactor as u64) | (opts.recovery.serve_escalate as u64) << 1,
-    );
-    h
+    opts.compile_key().hash(&mut h);
+    h.finish()
 }
 
 /// Capacity bounds for a [`PlanCache`]. Eviction triggers when
@@ -246,7 +314,9 @@ impl CachedPlan {
         self.key
     }
 
-    /// The options the plan was compiled with.
+    /// The options the plan was compiled with. Their `recovery` policy
+    /// is the compiling request's: it is not cache identity, so later
+    /// requests served by this plan may carry a different one.
     pub fn options(&self) -> &SympilerOptions {
         &self.opts
     }
@@ -509,8 +579,9 @@ impl PlanCache {
 
     /// The plan for `(a's pattern, opts)` — resident if cached,
     /// compiled (and admitted) otherwise. A hit requires the exact
-    /// compiled pattern and equal options, not just a matching hash;
-    /// values of `a` are irrelevant. Returns the same `Arc` to every
+    /// compiled pattern and equal compile-relevant options (everything
+    /// but `recovery`), not just a matching hash; values of `a` are
+    /// irrelevant. Returns the same `Arc` to every
     /// concurrent caller of the same key, so gather tables exist once
     /// regardless of thread count.
     pub fn get_or_compile(
@@ -531,9 +602,10 @@ impl PlanCache {
         opts: &SympilerOptions,
         lane: usize,
     ) -> Result<Arc<CachedPlan>, LuPlanError> {
+        // The span covers the hash: it is part of what a lookup costs.
+        let span = self.profiler.begin(lane, "cache-lookup");
         let key = structural_hash(a, opts);
         let now = self.tick.fetch_add(1, MemOrder::Relaxed);
-        let span = self.profiler.begin(lane, "cache-lookup");
         let found = self.lookup(key, a, opts, now, false);
         let hit = matches!(found, Lookup::Hit(_));
         self.profiler.end_with(span, &[("hit", hit as u64 as f64)]);
@@ -589,11 +661,14 @@ impl PlanCache {
         now: u64,
         wait: bool,
     ) -> Lookup<'_> {
+        let compile_key = opts.compile_key();
         let mut inner = self.lock_inner();
         loop {
             if let Some(bucket) = inner.buckets.get_mut(&key) {
                 for e in bucket.iter_mut() {
-                    if e.plan.opts == *opts && e.plan.lu.plan().check_pattern(a).is_ok() {
+                    if e.plan.opts.compile_key() == compile_key
+                        && e.plan.lu.plan().check_pattern(a).is_ok()
+                    {
                         e.last_use = now;
                         return Lookup::Hit(e.plan.clone());
                     }
@@ -676,7 +751,8 @@ pub struct ServeRequest {
     /// The matrix to factor (values fresh per request, pattern
     /// typically shared across the stream).
     pub a: CscMatrix,
-    /// Compile options — part of the cache key.
+    /// Compile options — part of the cache key, except the `recovery`
+    /// policy, which is read while this request runs.
     pub opts: SympilerOptions,
     /// Right-hand sides to solve after factoring (may be empty).
     pub rhs: Vec<Vec<f64>>,
@@ -1116,6 +1192,114 @@ mod tests {
             ..opts()
         };
         assert_ne!(structural_hash(&a, &opts()), structural_hash(&a, &other));
+    }
+
+    /// "Reproducible across runs" as a test: the constants are fixed,
+    /// so these keys may only change when the hash itself is changed on
+    /// purpose (and then every cached-key artefact changes with it).
+    #[test]
+    fn structural_hash_keys_are_pinned() {
+        let empty = CscMatrix::try_new(0, 0, vec![0], vec![], vec![]).unwrap();
+        let a = gen::circuit_unsym(50, 4, 2, 3);
+        let colamd = SympilerOptions {
+            ordering: crate::Ordering::Colamd,
+            ..opts()
+        };
+        assert_eq!(structural_hash(&empty, &opts()), 0x3fee_8614_e37d_d3e2);
+        assert_eq!(structural_hash(&a, &opts()), 0x4e60_a5ea_24cb_23fc);
+        assert_eq!(structural_hash(&a, &colamd), 0xc112_51a6_06ff_d3dd);
+    }
+
+    /// Every option that changes the compiled artefact is identity;
+    /// the recovery policy, read only while a request runs, is not.
+    #[test]
+    fn compile_fields_key_the_cache_and_recovery_fields_do_not() {
+        use crate::robust::RecoveryPolicy;
+        let a = gen::circuit_unsym(40, 4, 2, 5);
+        let cache = PlanCache::new(CacheConfig::default());
+        let base = cache.get_or_compile(&a, &opts()).unwrap();
+        let compile_flips: [fn(&mut SympilerOptions); 16] = [
+            |o| o.vs_block = !o.vs_block,
+            |o| o.vi_prune = !o.vi_prune,
+            |o| o.low_level = !o.low_level,
+            |o| o.max_supernode_width = 8,
+            |o| o.vs_block_min_avg_size = 1.0,
+            |o| o.peel_col_count = 5,
+            |o| o.n_threads = 2,
+            |o| o.ordering = crate::Ordering::Rcm,
+            |o| o.block_lu = crate::BlockLu::On,
+            |o| o.max_panel = 4,
+            |o| o.relax_fill = 0.0,
+            |o| o.relax_cols = 2,
+            |o| o.mc64_scale = true,
+            |o| o.pre_pivot = crate::PrePivot::Transversal,
+            |o| o.profile = true,
+            |o| o.pivot_perturb = 1e-8,
+        ];
+        for (k, flip) in compile_flips.iter().enumerate() {
+            let mut flipped = opts();
+            flip(&mut flipped);
+            assert_ne!(
+                structural_hash(&a, &flipped),
+                structural_hash(&a, &opts()),
+                "compile field {k} must reach the hash"
+            );
+            let p = cache.get_or_compile(&a, &flipped).unwrap();
+            assert!(!Arc::ptr_eq(&p, &base), "compile field {k} must miss");
+            assert_eq!(cache.len(), k + 2, "…and file a distinct entry");
+        }
+        let recovery_flips: [fn(&mut RecoveryPolicy); 4] = [
+            |r| r.berr_tol = 1e-6,
+            |r| r.max_refine_iters = 3,
+            |r| r.allow_refactor = false,
+            |r| r.serve_escalate = true,
+        ];
+        let misses = cache.stats().misses;
+        for flip in recovery_flips {
+            let mut flipped = opts();
+            flip(&mut flipped.recovery);
+            assert_eq!(structural_hash(&a, &flipped), structural_hash(&a, &opts()));
+            let p = cache.get_or_compile(&a, &flipped).unwrap();
+            assert!(Arc::ptr_eq(&p, &base), "run-time policy shares the plan");
+        }
+        assert_eq!(cache.stats().misses, misses, "no recovery flip compiled");
+    }
+
+    /// A row index that matches the compiled one only after truncation
+    /// to 32 bits is a different pattern. Planted under a colliding key
+    /// (the hash alone would never bring the two together), the exact
+    /// check must reject it: a miss, and a typed error from the compile
+    /// that follows — a hit would let the factorization index a baked
+    /// map out of bounds.
+    #[cfg(target_pointer_width = "64")]
+    #[test]
+    fn a_row_index_equal_only_mod_2_pow_32_is_a_miss() {
+        let good = gen::circuit_unsym(40, 4, 2, 5);
+        let mut rows = good.row_idx().to_vec();
+        let last = good.col_ptr()[1] - 1; // last entry of column 0
+        rows[last] += 1 << 32;
+        let bad = CscMatrix::from_parts_unchecked(
+            good.n_rows() + (1 << 32),
+            good.n_cols(),
+            good.col_ptr().to_vec(),
+            rows,
+            good.values().to_vec(),
+        );
+        let cache = PlanCache::new(CacheConfig::default());
+        let lu = SympilerLu::compile(&good, &opts()).unwrap();
+        cache.admit(
+            0,
+            Arc::new(CachedPlan {
+                key: structural_hash(&bad, &opts()),
+                opts: opts(),
+                bytes: lu.table_bytes(),
+                lu,
+            }),
+        );
+        let err = cache.get_or_compile(&bad, &opts()).unwrap_err();
+        assert!(matches!(err, LuPlanError::BadInput(_)), "{err}");
+        let s = cache.stats();
+        assert_eq!((s.hits, s.misses), (0, 1));
     }
 
     #[test]

@@ -15,7 +15,7 @@ use sympiler_sparse::{CscMatrix, TripletMatrix};
 
 /// Fill-reducing ordering strategy for the LU pipeline, chosen once at
 /// compile (inspection) time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Ordering {
     /// No reordering: factor the matrix as given. The right choice
     /// when the input is already fill-reducing-ordered upstream.

@@ -62,7 +62,7 @@ use sympiler_sparse::{CscMatrix, SparseError};
 /// let id = sympiler_sparse::CscMatrix::identity(4);
 /// assert!(compute_pre_pivot(&id, PrePivot::Transversal).unwrap().is_none());
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum PrePivot {
     /// No pre-pivoting: the compiled pattern must already carry a
     /// usable diagonal (the historical contract). Structurally zero

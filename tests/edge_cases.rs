@@ -228,6 +228,63 @@ fn lu_pattern_mismatch_and_zero_pivot_are_reported() {
     assert!(lu.factor(&bad).is_err(), "zero pivot must fail");
 }
 
+/// A row index equal to the compiled one only modulo 2³² is a pattern
+/// mismatch in every tier: accepted, it would index a baked map out of
+/// bounds.
+#[cfg(target_pointer_width = "64")]
+#[test]
+fn lu_row_index_beyond_u32_is_a_pattern_mismatch_in_every_tier() {
+    use sympiler::core::plan::lu::LuPlanError;
+    let good = gen::circuit_unsym(80, 4, 2, 11);
+    let mut rows = good.row_idx().to_vec();
+    let last = good.col_ptr()[1] - 1; // last (largest) row of column 0
+    rows[last] += 1 << 32;
+    // Valid CSC (so debug builds construct it): the row count grows
+    // with the index, the column count stays the compiled one.
+    let bad = CscMatrix::from_parts_unchecked(
+        good.n_rows() + (1 << 32),
+        good.n_cols(),
+        good.col_ptr().to_vec(),
+        rows,
+        good.values().to_vec(),
+    );
+    let tiers = [
+        ("serial", 1, BlockLu::Off),
+        ("2-thread", 2, BlockLu::Off),
+        ("supernodal", 1, BlockLu::On),
+        ("supernodal 2-thread", 2, BlockLu::On),
+    ];
+    for (label, n_threads, block_lu) in tiers {
+        // COLAMD bakes an inverse row map the bad index would overrun.
+        for ordering in [Ordering::Natural, Ordering::Colamd] {
+            let opts = SympilerOptions {
+                n_threads,
+                block_lu,
+                ordering,
+                ..Default::default()
+            };
+            let lu = SympilerLu::compile(&good, &opts).unwrap();
+            assert!(lu.factor(&good).is_ok());
+            assert_eq!(
+                lu.factor(&bad).unwrap_err(),
+                LuPlanError::PatternMismatch,
+                "{label} factor"
+            );
+            assert_eq!(
+                lu.factor_with(&bad, &mut LuWorkspace::new()).unwrap_err(),
+                LuPlanError::PatternMismatch,
+                "{label} factor_with"
+            );
+            let err = lu.factor_batch(&[&good, &bad]).unwrap_err();
+            assert_eq!(
+                (err.index, err.error),
+                (1, LuPlanError::PatternMismatch),
+                "{label} factor_batch"
+            );
+        }
+    }
+}
+
 #[cfg(feature = "parallel")]
 #[test]
 fn parallel_solver_handles_degenerate_inputs() {

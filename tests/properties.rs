@@ -733,3 +733,293 @@ proptest! {
         }
     }
 }
+
+/// The test reference for `LuFactor::solve` on the shared-structure
+/// factor — the parent's algorithm: gather `b` through the composed row
+/// map (scaled by `Dr`), run both sweeps over the **materialised**
+/// `usize` CSC pair, scatter back through the column map (scaled by
+/// `Dc`).
+fn reference_solve(lu: &SympilerLu, f: &LuFactor, b: &[f64]) -> Vec<f64> {
+    let n = b.len();
+    let scaling = lu.plan().mc64_scaling();
+    let mut x: Vec<f64> = match (scaling, f.row_perm()) {
+        (None, None) => b.to_vec(),
+        (None, Some(p)) => p.iter().map(|&old| b[old]).collect(),
+        (Some((dr, _)), None) => b.iter().zip(dr).map(|(&v, &d)| d * v).collect(),
+        (Some((dr, _)), Some(p)) => p.iter().map(|&old| dr[old] * b[old]).collect(),
+    };
+    let (l, u) = (f.l(), f.u());
+    for j in 0..n {
+        let xj = x[j]; // unit diagonal, stored first
+        if xj != 0.0 {
+            for (i, lij) in l.col_iter(j).skip(1) {
+                x[i] -= lij * xj;
+            }
+        }
+    }
+    for j in (0..n).rev() {
+        let (rows, vals) = (u.col_rows(j), u.col_values(j));
+        let last = rows.len() - 1; // pivot, stored last
+        let xj = x[j] / vals[last];
+        x[j] = xj;
+        if xj != 0.0 {
+            for (&i, &uij) in rows[..last].iter().zip(&vals[..last]) {
+                x[i] -= uij * xj;
+            }
+        }
+    }
+    match (scaling, f.col_perm()) {
+        (None, None) => x,
+        (Some((_, dc)), None) => x.iter().zip(dc).map(|(&v, &d)| d * v).collect(),
+        (scaling, Some(q)) => {
+            let mut out = vec![0.0; n];
+            for (&v, &old) in x.iter().zip(q) {
+                out[old] = scaling.map_or(v, |(_, dc)| dc[old] * v);
+            }
+            out
+        }
+    }
+}
+
+fn same_bits(x: &[f64], y: &[f64]) -> bool {
+    x.len() == y.len() && x.iter().zip(y).all(|(p, q)| p.to_bits() == q.to_bits())
+}
+
+/// Every (ordering × pre-pivot × mc64 × tier × threads) cell: the
+/// factor that borrows the plan's `u32` structure answers `solve`,
+/// `solve_batch` and `solve_refined` with the bits the reference sweeps
+/// over its own materialised `l()` / `u()` produce, and those views are
+/// the symbolic layout of the pivoted, ordered matrix.
+fn check_factor_object_in_every_cell(a: &CscMatrix, pre_pivots: &[PrePivot]) -> Result<(), String> {
+    use sympiler::core::plan::lu::refine_with;
+    let n = a.n_cols();
+    let rhs: Vec<Vec<f64>> = (0..3)
+        .map(|r| {
+            (0..n)
+                .map(|i| 1.0 + ((3 * i + r) % 7) as f64 - 0.5 * r as f64)
+                .collect()
+        })
+        .collect();
+    let tiers = [
+        (BlockLu::Off, 1),
+        (BlockLu::Off, 3),
+        (BlockLu::On, 1),
+        (BlockLu::On, 3),
+    ];
+    for ordering in Ordering::ALL {
+        for &pre_pivot in pre_pivots {
+            for mc64_scale in [false, true] {
+                for (block_lu, n_threads) in tiers {
+                    let cell = format!(
+                        "{}+{} mc64={mc64_scale} {block_lu:?} @{n_threads}T",
+                        ordering.label(),
+                        pre_pivot.label()
+                    );
+                    let opts = SympilerOptions {
+                        ordering,
+                        pre_pivot,
+                        mc64_scale,
+                        block_lu,
+                        n_threads,
+                        ..Default::default()
+                    };
+                    let lu = SympilerLu::compile(a, &opts).unwrap();
+                    let f = lu.factor(a).unwrap();
+                    // Solved before `l()` / `u()` are ever asked for.
+                    let x = f.solve(&rhs[0]);
+                    let xs = f.solve_batch(&rhs);
+                    let one = f.solve_batch(&rhs[..1]);
+                    let (xr, report) = f.solve_refined(a, &rhs[1], 1e-15, 2);
+                    prop_assert!(
+                        same_bits(&x, &reference_solve(&lu, &f, &rhs[0])),
+                        "{}: solve",
+                        cell
+                    );
+                    prop_assert!(same_bits(&one[0], &x), "{}: one-rhs solve_batch", cell);
+                    for (r, got) in xs.iter().enumerate() {
+                        prop_assert!(
+                            same_bits(got, &reference_solve(&lu, &f, &rhs[r])),
+                            "{}: solve_batch rhs {}",
+                            cell,
+                            r
+                        );
+                    }
+                    let (want, want_report) =
+                        refine_with(a, &rhs[1], 1e-15, 2, |b| reference_solve(&lu, &f, b));
+                    prop_assert!(same_bits(&xr, &want), "{}: solve_refined", cell);
+                    prop_assert_eq!(&report, &want_report, "{}: refine report", &cell);
+
+                    // The views are ordinary CSC factors: the symbolic
+                    // pattern of the pivoted, ordered matrix, unit
+                    // diagonal first in L, pivot last in U.
+                    let identity: Vec<usize> = (0..n).collect();
+                    let b = match f.row_perm() {
+                        None => a.clone(),
+                        Some(rp) => sympiler::sparse::ops::permute_general(
+                            a,
+                            rp,
+                            f.col_perm().unwrap_or(&identity),
+                        )
+                        .unwrap(),
+                    };
+                    let sym = sympiler::graph::lu_symbolic(&b);
+                    prop_assert_eq!(f.l().col_ptr(), sym.l_col_ptr.as_slice(), "{}", &cell);
+                    prop_assert_eq!(f.l().row_idx(), sym.l_row_idx.as_slice(), "{}", &cell);
+                    prop_assert_eq!(f.u().col_ptr(), sym.u_col_ptr.as_slice(), "{}", &cell);
+                    prop_assert_eq!(f.u().row_idx(), sym.u_row_idx.as_slice(), "{}", &cell);
+                    for j in 0..n {
+                        prop_assert_eq!(f.l().col_iter(j).next(), Some((j, 1.0)), "{}", &cell);
+                        prop_assert_eq!(f.u().col_rows(j).last(), Some(&j), "{}", &cell);
+                    }
+                    // A clone is its own factor, and `into_parts` hands
+                    // out the same pair whether or not it was built.
+                    let unbuilt = lu.factor(a).unwrap().into_parts();
+                    let (l, u) = f.clone().into_parts();
+                    prop_assert!(l == *f.l() && u == *f.u(), "{}: into_parts", cell);
+                    prop_assert!(
+                        unbuilt.0 == l && unbuilt.1 == u,
+                        "{}: unbuilt into_parts",
+                        cell
+                    );
+                }
+            }
+        }
+    }
+    Ok(())
+}
+
+/// A random square pattern as sorted row lists per column — including
+/// the empty matrix, `n = 1`, empty columns and index streams whose
+/// length is no multiple of the hash's lane count.
+fn pattern_columns() -> impl Strategy<Value = Vec<Vec<usize>>> {
+    (0usize..=33, 1u64..=6, 0u64..10_000).prop_map(|(n, density, seed)| {
+        let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+        (0..n)
+            .map(|_| {
+                (0..n)
+                    .filter(|_| {
+                        state ^= state << 13;
+                        state ^= state >> 7;
+                        state ^= state << 17;
+                        state % 8 < density
+                    })
+                    .collect()
+            })
+            .collect()
+    })
+}
+
+fn csc_of(columns: &[Vec<usize>]) -> Option<CscMatrix> {
+    let n = columns.len();
+    let mut col_ptr = vec![0];
+    for c in columns {
+        col_ptr.push(col_ptr.last().unwrap() + c.len());
+    }
+    let row_idx: Vec<usize> = columns.concat();
+    let values = (0..row_idx.len()).map(|p| 1.0 + p as f64).collect();
+    CscMatrix::try_new(n, n, col_ptr, row_idx, values).ok()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    #[test]
+    fn shared_structure_factor_matches_the_csc_reference_in_every_cell(
+        a in unsym_matrix(),
+        z in zero_diag_matrix(),
+    ) {
+        check_factor_object_in_every_cell(
+            &a,
+            &[PrePivot::Off, PrePivot::Transversal, PrePivot::WeightedMatching],
+        )?;
+        check_factor_object_in_every_cell(
+            &z,
+            &[PrePivot::Transversal, PrePivot::WeightedMatching],
+        )?;
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn structural_hash_sees_every_single_pattern_edit(
+        columns in pattern_columns(),
+        pick in 0usize..1000,
+    ) {
+        use sympiler::core::serve::structural_hash;
+        const LANES: usize = 4; // the hash's lane count
+        let opts = SympilerOptions::default();
+        let n = columns.len();
+        let a = csc_of(&columns).unwrap();
+        let key = structural_hash(&a, &opts);
+        let differs = |edited: &[Vec<usize>]| {
+            csc_of(edited).map(|m| structural_hash(&m, &opts) != key)
+        };
+
+        // Values never matter.
+        let mut scaled = a.clone();
+        for v in scaled.values_mut() {
+            *v = -3.5 * *v + 1.0;
+        }
+        prop_assert_eq!(structural_hash(&scaled, &opts), key);
+
+        // Appending an entry (first column with a free row), dropping one.
+        if let Some(j) = (0..n).map(|k| (k + pick) % n.max(1)).find(|&j| columns[j].len() < n) {
+            let mut e = columns.clone();
+            let r = (0..n).find(|r| !e[j].contains(r)).unwrap();
+            e[j].push(r);
+            e[j].sort_unstable();
+            prop_assert_eq!(differs(&e), Some(true), "append ({}, {})", r, j);
+        }
+        let filled: Vec<usize> = (0..n).filter(|&j| !columns[j].is_empty()).collect();
+        if !filled.is_empty() {
+            let j = filled[pick % filled.len()];
+            let k = pick % columns[j].len();
+            let r = columns[j][k];
+            let mut e = columns.clone();
+            e[j].remove(k);
+            prop_assert_eq!(differs(&e), Some(true), "drop ({}, {})", r, j);
+
+            // The same entry moved to another row of its column…
+            if let Some(to) = (0..n).map(|t| (t + pick) % n).find(|t| !columns[j].contains(t)) {
+                let mut e = columns.clone();
+                e[j][k] = to;
+                e[j].sort_unstable();
+                prop_assert_eq!(differs(&e), Some(true), "row {} -> {} in column {}", r, to, j);
+            }
+            // …and to the neighbouring column.
+            for to in [j.wrapping_sub(1), j + 1] {
+                if to < n && !columns[to].contains(&r) {
+                    let mut e = columns.clone();
+                    e[j].remove(k);
+                    e[to].push(r);
+                    e[to].sort_unstable();
+                    prop_assert_eq!(differs(&e), Some(true), "({}, {}) -> column {}", r, j, to);
+                }
+            }
+        }
+
+        // Two row indices swapped in the flat index stream, one apart
+        // (neighbouring lanes) and the lane count apart (two steps of
+        // one lane) — wherever the swap leaves a valid pattern.
+        let rows = a.row_idx();
+        for apart in [1, LANES] {
+            for p in 0..rows.len().saturating_sub(apart) {
+                if rows[p] == rows[p + apart] {
+                    continue;
+                }
+                let mut swapped = rows.to_vec();
+                swapped.swap(p, p + apart);
+                if let Ok(m) = CscMatrix::try_new(
+                    n, n, a.col_ptr().to_vec(), swapped, a.values().to_vec(),
+                ) {
+                    prop_assert!(
+                        structural_hash(&m, &opts) != key,
+                        "rows at {} and {} swapped", p, p + apart
+                    );
+                }
+            }
+        }
+    }
+}

@@ -400,3 +400,60 @@ fn service_propagates_factor_errors() {
         "service must keep serving after a failed request"
     );
 }
+
+/// A factor is values plus an `Arc` on its plan's structure: it keeps
+/// solving — and can still materialise `l()` / `u()` — after the cache
+/// evicted the plan and every other handle on it is gone.
+#[test]
+fn a_factor_outlives_its_evicted_plan() {
+    let a = gen::circuit_unsym(90, 4, 2, 31);
+    let other = gen::circuit_unsym(70, 4, 2, 32);
+    let opts = SympilerOptions {
+        ordering: Ordering::Colamd,
+        ..SympilerOptions::default()
+    };
+    let cache = PlanCache::new(CacheConfig {
+        max_entries: 1,
+        max_bytes: 0,
+    });
+    let plan = cache.get_or_compile(&a, &opts).expect("compile");
+    let plan_alive = Arc::downgrade(&plan);
+    let factor = plan.factor(&a).expect("factor");
+    drop(plan);
+    cache
+        .get_or_compile(&other, &opts)
+        .expect("evicting compile");
+    assert_eq!(cache.stats().evictions, 1);
+    assert!(plan_alive.upgrade().is_none(), "the plan itself is gone");
+
+    let direct = SympilerLu::compile(&a, &opts)
+        .expect("direct compile")
+        .factor(&a)
+        .expect("direct factor");
+    let b: Vec<f64> = (0..a.n_cols()).map(|i| 1.0 + (i % 5) as f64).collect();
+    let (x, want) = (factor.solve(&b), direct.solve(&b));
+    assert!(x.iter().zip(&want).all(|(p, q)| p.to_bits() == q.to_bits()));
+    assert!(factor.l().same_pattern(direct.l()) && factor.u().same_pattern(direct.u()));
+    assert!(bitwise_eq(&factor, &direct));
+}
+
+/// Cloning a factor copies its values: consuming or materialising one
+/// copy leaves the other untouched.
+#[test]
+fn a_cloned_factor_is_independent() {
+    let a = gen::convection_diffusion_2d(10, 10, 2.0, 6);
+    let lu = SympilerLu::compile(&a, &SympilerOptions::default()).expect("compile");
+    let original = lu.factor(&a).expect("factor");
+    let b: Vec<f64> = (0..a.n_cols()).map(|i| 0.5 + (i % 7) as f64).collect();
+    let want = original.solve(&b);
+
+    let copy = original.clone();
+    assert!(bitwise_eq(&copy, &original));
+    let (l, u) = copy.into_parts(); // the clone is consumed…
+    assert!(l == *original.l() && u == *original.u());
+    let late = original.clone(); // …cloned again after `l()` was built…
+    drop(original);
+    let x = late.solve(&b); // …and each copy still answers alone.
+    assert!(x.iter().zip(&want).all(|(p, q)| p.to_bits() == q.to_bits()));
+    assert!(l == *late.l() && u == *late.u());
+}
