@@ -5,17 +5,20 @@
 //! the flops-per-accumulator-entry threshold below which a wide panel is
 //! dissolved into scalar columns, swept from "every panel dense"
 //! (`BlockLu::On`) to "none" (`BlockLu::Off`) on a fill-free and a
-//! heavy-fill circuit and two suite problems. Last, the Cholesky
-//! amalgamation budget: `relax_fill × relax_cols` swept around the
-//! default (0.3 / 16) on the nested-dissection Laplacian of the solve
-//! ledger and three suite matrices.
+//! heavy-fill circuit and two suite problems. Then the bound behind the
+//! serial tier's position tables: both scalar kernels (accumulator and
+//! position-addressed walker) against multiply-adds per factor entry,
+//! under each ordering of the LU suite. Last, the Cholesky amalgamation
+//! budget: `relax_fill × relax_cols` swept around the default (0.3 /
+//! 16) on the nested-dissection Laplacian of the solve ledger and three
+//! suite matrices.
 //!
 //! Usage: `cargo run -p sympiler-bench --release --bin ablation_thresholds [--test]`
 
 use sympiler_bench::engines::{time_lu_factorizer, RUNS};
 use sympiler_bench::harness::{median_time, Table};
 use sympiler_bench::workloads::prepare_subset;
-use sympiler_core::plan::lu::{LuPlan, LuWorkspace};
+use sympiler_core::plan::lu::{LuPlan, LuWorkspace, POSITION_MAX_OPS_PER_ENTRY};
 use sympiler_core::plan::lu_supernodal::{SupernodalLuPlan, DENSE_PANEL_MIN_FLOPS_PER_ENTRY};
 use sympiler_core::plan::tri::{TriScratch, TriSolvePlan, TriVariant};
 use sympiler_core::{Ordering, SympilerCholesky, SympilerOptions};
@@ -68,6 +71,58 @@ fn lu_threshold_sweep(t: &mut Table, name: &str, a: &CscMatrix) {
             format!("{:.3} ms", t_scalar.as_secs_f64() * 1e3),
         ]);
     }
+}
+
+/// One row of the position-table sweep: the pattern's multiply-adds per
+/// factor entry (what [`POSITION_MAX_OPS_PER_ENTRY`] bounds), the bytes
+/// the tables add, and the median factor time of the two scalar
+/// kernels on the same plan through a reused workspace.
+fn position_table_row(t: &mut Table, name: &str, a: &CscMatrix, ordering: Ordering) {
+    let o = SympilerOptions::default();
+    let plan = LuPlan::build_ordered(a, o.low_level, o.peel_col_count, ordering)
+        .expect("suite patterns compile");
+    let entries = plan.l_nnz() + plan.u_nnz();
+    let ops = plan.n_multiply_adds();
+    let ratio = ops as f64 / entries as f64;
+    let mut ws = LuWorkspace::new();
+    let time = |plan: &LuPlan, ws: &mut LuWorkspace| {
+        median_time(4 * RUNS + 1, || {
+            std::hint::black_box(plan.factor_with(a, ws).expect("factor"));
+        })
+    };
+    let t_acc = time(&plan, &mut ws);
+    // 12 bytes per multiply-add: cap what the sweep itself allocates.
+    let walker = (ops < 1 << 22).then(|| plan.clone().with_position_tables(f64::MAX));
+    let (bytes, t_pos) = match &walker {
+        Some(w) => {
+            let added = (w.table_bytes() - plan.table_bytes()) as f64 / entries as f64;
+            let t_pos = time(w, &mut ws).as_secs_f64();
+            (
+                format!("{added:.1}"),
+                format!(
+                    "{:.3} ms ({:.2}x)",
+                    t_pos * 1e3,
+                    t_acc.as_secs_f64() / t_pos
+                ),
+            )
+        }
+        None => ("-".to_string(), "-".to_string()),
+    };
+    t.row(vec![
+        name.to_string(),
+        format!("{ordering:?}"),
+        format!("{ratio:.2}"),
+        (if ratio <= POSITION_MAX_OPS_PER_ENTRY {
+            "walker"
+        } else {
+            "accumulator"
+        })
+        .to_string(),
+        format!("{:.1}", plan.table_bytes() as f64 / entries as f64),
+        bytes,
+        format!("{:.3} ms", t_acc.as_secs_f64() * 1e3),
+        t_pos,
+    ]);
 }
 
 /// Sweep the Cholesky amalgamation budget on one SPD pattern: per
@@ -196,6 +251,48 @@ fn main() {
         lu_threshold_sweep(&mut lu, p.name, &p.a);
     }
     lu.emit(Some("ablation_lu_thresholds.csv"));
+
+    let mut pos = Table::new(
+        "Ablation: serial scalar kernels vs multiply-adds per factor entry (position-table bound)",
+        &[
+            "matrix",
+            "ordering",
+            "ops / entry",
+            "compile picks",
+            "plan B/entry",
+            "tables B/entry",
+            "accumulator",
+            "walker (speedup)",
+        ],
+    );
+    // Fill-free to lightly filled circuits and banded grids of growing
+    // bandwidth bridge the gap between the ledger's scalar patterns
+    // (0.4) and the suite's heavy-fill ones (5 and up).
+    for (n, r) in [
+        (n_sparse, 0),
+        (n_sparse / 10, 1),
+        (n_sparse / 10, 2),
+        (n_sparse, 1),
+    ] {
+        position_table_row(
+            &mut pos,
+            &format!("circuit n={n} rails={r}"),
+            &gen::circuit_unsym(n, 1, r, 71),
+            Ordering::Colamd,
+        );
+    }
+    for band in [2usize, 3, 4, 5, 6, 8, 12] {
+        position_table_row(
+            &mut pos,
+            &format!("convdiff band {band}"),
+            &gen::convection_diffusion_2d(band, n_sparse / band, 1.0, 7),
+            Ordering::Natural,
+        );
+    }
+    for p in sympiler_bench::workloads::prepare_lu_subset(scale, &[1, 2, 3, 4, 5]) {
+        position_table_row(&mut pos, p.name, &p.a, Ordering::Colamd);
+    }
+    pos.emit(Some("ablation_position_tables.csv"));
 
     let mut chol = Table::new(
         "Ablation: Cholesky relaxed amalgamation (relax_fill / relax_cols), numeric factor",

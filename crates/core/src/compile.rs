@@ -5,7 +5,9 @@
 
 use crate::emit::emit_trisolve_c;
 use crate::plan::chol::{CholFactor, CholPlan, CholPlanError};
-use crate::plan::lu::{BatchError, LuFactor, LuPlan, LuPlanError, LuWorkspace};
+use crate::plan::lu::{
+    BatchError, LuFactor, LuPlan, LuPlanError, LuWorkspace, POSITION_MAX_OPS_PER_ENTRY,
+};
 use crate::plan::tri::{TriScratch, TriSolvePlan, TriVariant};
 use crate::report::{timed, SymbolicReport};
 use sympiler_graph::supernode::supernodes_trisolve;
@@ -620,7 +622,11 @@ impl SympilerLu {
 
     /// Wrap an already-compiled plan in the scalar executor the
     /// options select (serial, or column-parallel when `n_threads > 1`
-    /// and the `parallel` feature is on).
+    /// and the `parallel` feature is on). The serial executor runs
+    /// columns in order, so it alone can use the position-addressed
+    /// walker: its tables are baked here, where the pattern keeps them
+    /// small ([`POSITION_MAX_OPS_PER_ENTRY`]); otherwise it runs the
+    /// accumulator kernel like every other tier.
     fn compile_scalar(plan: LuPlan, opts: &SympilerOptions) -> Result<Self, LuPlanError> {
         #[cfg(feature = "parallel")]
         if opts.n_threads > 1 {
@@ -634,16 +640,15 @@ impl SympilerLu {
         #[cfg(not(feature = "parallel"))]
         let _ = opts;
         Ok(Self {
-            exec: LuExec::Serial(plan),
+            exec: LuExec::Serial(plan.with_position_tables(POSITION_MAX_OPS_PER_ENTRY)),
         })
     }
 
     /// Numeric factorization (no symbolic work): `A = L U`.
     ///
     /// For high-rate callers: [`Self::factor_with`] reuses a
-    /// caller-held workspace, [`Self::factor_batch`] amortizes the
-    /// compiled tables over a same-pattern batch, and
-    /// [`crate::serve::PlanCache`] /
+    /// caller-held workspace, [`Self::factor_batch`] does so over a
+    /// same-pattern batch, and [`crate::serve::PlanCache`] /
     /// [`crate::serve::FactorService`] layer caching and a thread-pool
     /// front end on top.
     pub fn factor(&self, a: &CscMatrix) -> Result<LuFactor, LuPlanError> {
@@ -657,12 +662,14 @@ impl SympilerLu {
 
     /// [`Self::factor`] against a caller-held [`LuWorkspace`] —
     /// bitwise identical results, minus the per-call scratch
-    /// allocation: the dense accumulator on the serial tier; the block
-    /// accumulator, solve block and trapezoid arena on the supernodal
-    /// tier compiled for one thread. Plans compiled for `n_threads >
-    /// 1` (column-parallel, or supernodal over the panel DAG) need one
-    /// accumulator per worker and allocate those per call, leaving the
-    /// workspace untouched — one call shape serves all three tiers.
+    /// allocation: the dense accumulator on the serial tier (none at
+    /// all, and the workspace untouched, when the plan carries position
+    /// tables); the block accumulator, solve block and trapezoid arena
+    /// on the supernodal tier compiled for one thread. Plans compiled
+    /// for `n_threads > 1` (column-parallel, or supernodal over the
+    /// panel DAG) need one accumulator per worker and allocate those
+    /// per call, leaving the workspace untouched — one call shape
+    /// serves all three tiers.
     pub fn factor_with(
         &self,
         a: &CscMatrix,
@@ -676,37 +683,13 @@ impl SympilerLu {
         }
     }
 
-    /// Factor a batch of same-pattern matrices. On the serial tier
-    /// this is [`LuPlan::factor_batch`]'s column-interleaved pass —
-    /// the compiled schedule streams once per batch column instead of
-    /// once per matrix. The parallel and supernodal tiers already
-    /// stream their schedules per level/panel across worker threads,
-    /// so they factor the batch one matrix at a time through their own
-    /// engines (the supernodal tier against one shared workspace).
-    /// Every tier returns factors bitwise identical to
+    /// Factor a batch of same-pattern matrices: one matrix at a time
+    /// through the compiled tier's own engine, against one shared
+    /// workspace. Every tier returns factors bitwise identical to
     /// looping [`Self::factor`], and the batch is all-or-nothing: the
     /// first failure aborts with a [`BatchError`] naming the matrix.
     pub fn factor_batch(&self, mats: &[&CscMatrix]) -> Result<Vec<LuFactor>, BatchError> {
-        match &self.exec {
-            LuExec::Serial(plan) => plan.factor_batch(mats),
-            #[cfg(feature = "parallel")]
-            LuExec::Parallel(par) => mats
-                .iter()
-                .enumerate()
-                .map(|(index, a)| par.factor(a).map_err(|error| BatchError { index, error }))
-                .collect(),
-            LuExec::Supernodal(sup) => {
-                // One scratch for the whole batch.
-                let mut ws = LuWorkspace::new();
-                mats.iter()
-                    .enumerate()
-                    .map(|(index, a)| {
-                        sup.factor_with(a, &mut ws)
-                            .map_err(|error| BatchError { index, error })
-                    })
-                    .collect()
-            }
-        }
+        crate::plan::lu::factor_each(mats, |a, ws| self.factor_with(a, ws))
     }
 
     /// The compiled (serial) plan: symbolic analysis, schedules, flop

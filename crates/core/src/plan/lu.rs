@@ -5,24 +5,40 @@
 //! plan's `factor`:
 //!
 //! * runs **no DFS** — every column's update schedule (its reach set in
-//!   topological order) is baked in, VI-Prune applied to the column
-//!   updates exactly as `plan/tri.rs` applies it to the solve loop;
+//!   topological order) is the sorted off-diagonal pattern of
+//!   `U(:, j)`, VI-Prune applied to the column updates exactly as
+//!   `plan/tri.rs` applies it to the solve loop;
 //! * allocates **nothing per column** — the patterns of `L` and `U`
-//!   are precomputed, so factor storage is laid out once and values
-//!   stream into fixed slots (the gather maps are baked index lists);
+//!   are precomputed, so one value array (`L` then `U`) is laid out
+//!   once and values stream into fixed slots;
 //! * needs **no pivot search** — static diagonal pivoting is the
 //!   compiled contract (the paper's fixed-pattern premise), with the
 //!   numeric value checked and reported per column;
 //! * applies the low-level tier to heavy updates: columns whose
-//!   off-diagonal count exceeds the peel threshold execute through an
-//!   unrolled-by-two update loop, mirroring `TriOp::PeeledCol`;
+//!   off-diagonal count exceeds the peel threshold execute unguarded
+//!   and unrolled by two, mirroring `TriOp::PeeledCol`;
 //! * optionally bakes a **fill-reducing ordering** (`build_ordered`):
 //!   `Q` is computed once at inspection time, the symbolic analysis
 //!   runs on `Qᵀ A Q`, and the numeric phase reads the caller's
-//!   original matrix through compiled gather maps — so ordered plans
-//!   carry less fill (fewer flops) at zero per-factorization
-//!   permutation cost, and [`LuFactor::solve`] still speaks the
-//!   original coordinates.
+//!   original matrix through compiled maps — so ordered plans carry
+//!   less fill (fewer flops) at zero per-factorization permutation
+//!   cost, and [`LuFactor::solve`] still speaks the original
+//!   coordinates.
+//!
+//! Two numeric kernels walk one plan and produce `to_bits`-identical
+//! factors. The **accumulator kernel** (`LuPlan::column_numeric`)
+//! scatters a column of `A` into a dense vector, applies the schedule,
+//! gathers `U` and `L` and clears; every tier can run it, column by
+//! column, in any level-compatible order. The **position-addressed
+//! walker** (the `positions` module, [`LuPlan::with_position_tables`])
+//! resolves every index at compile time instead; its tables cost 12
+//! bytes per multiply-add, so only the serial executor bakes them, and
+//! only on patterns with at most [`POSITION_MAX_OPS_PER_ENTRY`]
+//! multiply-adds per factor entry.
+
+mod positions;
+
+pub use positions::POSITION_MAX_OPS_PER_ENTRY;
 
 use crate::inspector::LuVIPruneInspector;
 use crate::report::{timed_traced, SymbolicReport};
@@ -157,6 +173,20 @@ pub(crate) enum PivotStatus {
     Perturbed,
     /// Pivot exactly zero with perturbation off — the column failed.
     Zero,
+}
+
+/// The batch loop every tier shares: `factor` each matrix in order
+/// against one workspace, stopping at the first failure and naming it
+/// by its batch index.
+pub(crate) fn factor_each(
+    mats: &[&CscMatrix],
+    mut factor: impl FnMut(&CscMatrix, &mut LuWorkspace) -> Result<LuFactor, LuPlanError>,
+) -> Result<Vec<LuFactor>, BatchError> {
+    let mut ws = LuWorkspace::new();
+    mats.iter()
+        .enumerate()
+        .map(|(index, a)| factor(a, &mut ws).map_err(|error| BatchError { index, error }))
+        .collect()
 }
 
 /// Run the residual/correction loop of iterative refinement around an
@@ -319,6 +349,8 @@ impl LuWorkspace {
 #[derive(Debug, Clone)]
 pub(crate) struct BakedPerm {
     /// `rperm[new] = old` row of `A` — the composed row map `P·Q`.
+    /// Under an ordering alone it *is* `cperm`: one allocation, two
+    /// handles.
     pub(crate) rperm: std::sync::Arc<[usize]>,
     /// `irperm[old] = new` — the inverse row map, `Arc`-shared with
     /// the factors so sparse-RHS solves can map input patterns without
@@ -355,6 +387,10 @@ pub(crate) struct ScalePair {
 /// values, and a numeric factorization copies no index at all. The
 /// `Arc` also keeps the structure alive for a factor that outlives its
 /// plan (a cache eviction between factor and solve).
+///
+/// The values of a factor live in **one** array laid out by this
+/// structure, `L` then `U`: entry `p` of `L` is value `p`, entry `q` of
+/// `U` is value `l_nnz() + q` — a *position* is one index into it.
 #[derive(Debug)]
 pub(crate) struct LuStructure {
     pub(crate) l_col_ptr: Vec<usize>,
@@ -366,6 +402,17 @@ pub(crate) struct LuStructure {
 impl LuStructure {
     fn n(&self) -> usize {
         self.l_col_ptr.len() - 1
+    }
+
+    /// Stored entries of `L` — where `U`'s values start in a factor's
+    /// value array.
+    pub(crate) fn l_nnz(&self) -> usize {
+        self.l_row_idx.len()
+    }
+
+    /// Length of a factor's value array.
+    pub(crate) fn n_values(&self) -> usize {
+        self.l_row_idx.len() + self.u_row_idx.len()
     }
 
     /// Materialise the `(L, U)` CSC pair over the given value arrays:
@@ -407,7 +454,9 @@ pub struct LuPlan {
     /// Always the **original** (unordered) pattern: callers hand
     /// `factor` the same matrix they compiled for, and the baked
     /// permutation is the plan's internal affair.
-    a_col_ptr: Vec<usize>,
+    /// Both narrowed to `u32` (the plan rejects `nnz(A) ≥ 2³²`) and
+    /// compared widened, never the input truncated.
+    a_col_ptr: Vec<u32>,
     a_row_idx: Vec<u32>,
     /// Which ordering strategy contributed to [`Self::baked`].
     ordering: Ordering,
@@ -433,20 +482,21 @@ pub struct LuPlan {
     /// patterns, schedules, and permutations above are unaffected.
     scaling: Option<ScalePair>,
     /// Factor layouts (patterns fixed at compile time), shared with
-    /// every factor this plan produces and read by all three execution
-    /// tiers.
+    /// every factor this plan produces and read by every tier. The
+    /// update schedule is not stored a second time: column `j` applies
+    /// the columns `k` of `U(:, j)`'s sorted off-diagonal pattern,
+    /// ascending ([`Self::schedule`]).
     pub(crate) structure: Arc<LuStructure>,
-    /// Update schedule: column `j` executes `upd_cols[upd_ptr[j]..
-    /// upd_ptr[j+1]]` in topological order. The high bit of each entry
-    /// marks the peeled (unrolled) low-level tier.
-    pub(crate) upd_ptr: Vec<usize>,
-    pub(crate) upd_cols: Vec<u32>,
+    /// The low-level tier decision, resolved per update from the
+    /// layout: an update by column `k` runs peeled (unguarded,
+    /// unrolled) iff `L(:, k)` has more than this many sub-diagonal
+    /// entries. `usize::MAX` when the tier is compiled out.
+    peel_above: usize,
     /// Exact factorization flops.
     flops: u64,
-    /// Exact per-column flops (sums to `flops`) — the attribution
-    /// table the observability layer charges scalar/dense work
-    /// against, so profiled flop accounting closes exactly.
-    pub(crate) col_flops: Vec<u64>,
+    /// Baked positions for the accumulator-free walker, present only
+    /// after [`Self::with_position_tables`] admitted the pattern.
+    positions: Option<positions::PositionTables>,
     report: SymbolicReport,
     /// The observability sink every execution tier built from this
     /// plan records into. Disabled (a no-op) unless the plan was
@@ -454,8 +504,6 @@ pub struct LuPlan {
     /// the parallel/supernodal plans wrapping them — feed one trace.
     profiler: Arc<Profiler>,
 }
-
-pub(crate) const PEEL_BIT: u32 = 1 << 31;
 
 /// A numeric factorization produced by [`LuPlan::factor`]:
 /// `Qᵀ·P·A·Q = L U` with unit-lower-triangular `L` (diagonal-first
@@ -474,9 +522,8 @@ pub(crate) const PEEL_BIT: u32 = 1 << 31;
 pub struct LuFactor {
     /// The plan's factor structure (shared, never copied per factor).
     structure: Arc<LuStructure>,
-    /// Values of `L` / `U`, laid out by `structure`.
-    lx: Vec<f64>,
-    ux: Vec<f64>,
+    /// Values of `L` then `U` in one array, laid out by `structure`.
+    vals: Vec<f64>,
     /// The `(L, U)` CSC pair behind [`Self::l`] / [`Self::u`], built on
     /// first use — a factor that is only solved with never builds it.
     csc: OnceLock<(CscMatrix, CscMatrix)>,
@@ -516,8 +563,15 @@ impl LuFactor {
     }
 
     fn csc(&self) -> &(CscMatrix, CscMatrix) {
-        self.csc
-            .get_or_init(|| self.structure.to_csc(self.lx.clone(), self.ux.clone()))
+        self.csc.get_or_init(|| {
+            let (lx, ux) = self.values();
+            self.structure.to_csc(lx.to_vec(), ux.to_vec())
+        })
+    }
+
+    /// The value array split into its `L` and `U` halves.
+    fn values(&self) -> (&[f64], &[f64]) {
+        self.vals.split_at(self.structure.l_nnz())
     }
 
     /// The column map the factors live under (`cperm[new] = old` —
@@ -560,7 +614,12 @@ impl LuFactor {
     pub fn into_parts(self) -> (CscMatrix, CscMatrix) {
         match self.csc.into_inner() {
             Some(pair) => pair,
-            None => self.structure.to_csc(self.lx, self.ux),
+            None => {
+                let mut lx = self.vals;
+                let ux = lx.split_off(self.structure.l_nnz());
+                lx.shrink_to_fit();
+                self.structure.to_csc(lx, ux)
+            }
         }
     }
 
@@ -646,6 +705,7 @@ impl LuFactor {
     /// solve of that RHS.
     pub fn solve_multi(&self, b: &[f64], nrhs: usize) -> Vec<f64> {
         let st = &*self.structure;
+        let (lx, ux) = self.values();
         let n = st.n();
         assert_eq!(b.len(), n * nrhs, "rhs block length mismatch");
         let mut x = vec![0.0f64; n * nrhs];
@@ -657,7 +717,7 @@ impl LuFactor {
         for j in 0..n {
             let range = st.l_col_ptr[j] + 1..st.l_col_ptr[j + 1];
             let rows = &st.l_row_idx[range.clone()];
-            let vals = &self.lx[range];
+            let vals = &lx[range];
             for r in 0..nrhs {
                 let xr = &mut x[r * n..(r + 1) * n];
                 let xj = xr[j]; // unit diagonal: no division
@@ -672,8 +732,8 @@ impl LuFactor {
         for j in (0..n).rev() {
             let range = st.u_col_ptr[j]..st.u_col_ptr[j + 1] - 1;
             let rows = &st.u_row_idx[range.clone()];
-            let vals = &self.ux[range.clone()];
-            let pivot = self.ux[range.end];
+            let vals = &ux[range.clone()];
+            let pivot = ux[range.end];
             for r in 0..nrhs {
                 let xr = &mut x[r * n..(r + 1) * n];
                 let xj = xr[j] / pivot;
@@ -737,13 +797,14 @@ impl LuFactor {
     /// coordinate system.
     fn solve_in_factor_coords(&self, x: &mut [f64]) {
         let st = &*self.structure;
+        let (lx, ux) = self.values();
         let n = st.n();
         // Forward: L has diagonal-first unit columns.
         for j in 0..n {
             let range = st.l_col_ptr[j] + 1..st.l_col_ptr[j + 1];
             let xj = x[j]; // unit diagonal: no division
             if xj != 0.0 {
-                for (&i, &lij) in st.l_row_idx[range.clone()].iter().zip(&self.lx[range]) {
+                for (&i, &lij) in st.l_row_idx[range.clone()].iter().zip(&lx[range]) {
                     x[i as usize] -= lij * xj;
                 }
             }
@@ -751,10 +812,10 @@ impl LuFactor {
         // Backward: U has diagonal-last columns.
         for j in (0..n).rev() {
             let range = st.u_col_ptr[j]..st.u_col_ptr[j + 1] - 1;
-            let xj = x[j] / self.ux[range.end];
+            let xj = x[j] / ux[range.end];
             x[j] = xj;
             if xj != 0.0 {
-                for (&i, &uij) in st.u_row_idx[range.clone()].iter().zip(&self.ux[range]) {
+                for (&i, &uij) in st.u_row_idx[range.clone()].iter().zip(&ux[range]) {
                     x[i as usize] -= uij * xj;
                 }
             }
@@ -898,10 +959,10 @@ impl LuFactor {
 
     /// Magnitude of `det(A)`: the product of `U`'s diagonal.
     pub fn det_magnitude(&self) -> f64 {
-        let u_col_ptr = &self.structure.u_col_ptr;
-        u_col_ptr[1..]
+        let ux = self.values().1;
+        self.structure.u_col_ptr[1..]
             .iter()
-            .map(|&end| self.ux[end - 1].abs())
+            .map(|&end| ux[end - 1].abs())
             .product()
     }
 }
@@ -978,12 +1039,12 @@ impl LuPlan {
             return Err(LuPlanError::BadInput("matrix must be square".into()));
         }
         let n = a.n_cols();
-        // Schedule entries pack a column index with the peel tag in bit
-        // 31, and factor rows narrow to u32 — reject orders where that
-        // packing would silently corrupt instead of erroring.
-        if n >= (1 << 31) {
+        // Rows and the compiled pattern narrow to u32 — reject sizes
+        // where that would silently corrupt instead of erroring.
+        if n >= (1 << 31) || a.nnz() as u64 >= 1 << 32 {
             return Err(LuPlanError::BadInput(format!(
-                "matrix order {n} exceeds the plan's 2^31 - 1 index limit"
+                "matrix order {n} / {} entries exceed the plan's 2^31 - 1 / 2^32 - 1 index limits",
+                a.nnz()
             )));
         }
         let mut report = SymbolicReport::default();
@@ -1019,16 +1080,17 @@ impl LuPlan {
                         &identity[..]
                     }
                 };
-                let rperm: Vec<usize> = match rowp {
+                let cperm: Arc<[usize]> = q.into();
+                let rperm: Arc<[usize]> = match rowp {
                     Some(p) => q.iter().map(|&jq| p[jq]).collect(),
-                    None => q.to_vec(),
+                    None => Arc::clone(&cperm),
                 };
                 let irperm = sympiler_sparse::ops::inverse_permutation(&rperm)
                     .expect("composed row map is a valid permutation");
                 Some(BakedPerm {
-                    rperm: rperm.into(),
+                    rperm,
                     irperm: irperm.into(),
-                    cperm: q.to_vec().into(),
+                    cperm,
                 })
             }
         };
@@ -1046,63 +1108,53 @@ impl LuPlan {
         report.set_size("nnz(A)", a.nnz());
         report.set_size("nnz(L)", sym.l_nnz());
         report.set_size("nnz(U)", sym.u_nnz());
-        let n_updates = sym.u_nnz() - n;
-        report.set_size("update ops", n_updates);
+        report.set_size("update ops", sym.u_nnz() - n);
         report.set_size("symbolic dfs edges", sym.dfs_edges() as usize);
 
-        // --- Transform + pack: bake the schedule with the low-level
-        // tier decision resolved per update (VI-Prune made executable).
-        let (upd_ptr, upd_cols) = timed_traced(
+        // --- Transform + pack: the symbolic patterns *are* the
+        // schedule (VI-Prune made executable); packing narrows them.
+        let flops = sym.factor_flops();
+        let narrow = |idx: &[usize]| idx.iter().map(|&i| i as u32).collect::<Vec<u32>>();
+        let (a_col_ptr, a_row_idx, structure) = timed_traced(
             &mut report,
             &profiler,
             "transform + pack (schedule)",
             || {
-                let mut upd_ptr = Vec::with_capacity(n + 1);
-                let mut upd_cols = Vec::with_capacity(n_updates);
-                upd_ptr.push(0usize);
-                for j in 0..n {
-                    for &k in sym.reach(j) {
-                        let heavy = sym.l_col_pattern(k).len() - 1 > peel_col_count;
-                        let tag = if low_level && heavy { PEEL_BIT } else { 0 };
-                        upd_cols.push(k as u32 | tag);
-                    }
-                    upd_ptr.push(upd_cols.len());
-                }
-                (upd_ptr, upd_cols)
+                let structure = LuStructure {
+                    l_row_idx: narrow(&sym.l_row_idx),
+                    u_row_idx: narrow(&sym.u_row_idx),
+                    l_col_ptr: sym.l_col_ptr,
+                    u_col_ptr: sym.u_col_ptr,
+                };
+                (narrow(a.col_ptr()), narrow(a.row_idx()), structure)
             },
         );
-        report.set_size(
-            "peeled updates",
-            upd_cols.iter().filter(|&&c| c & PEEL_BIT != 0).count(),
-        );
-
-        let flops = sym.factor_flops();
-        let col_flops = sym.per_column_flops();
-        report.export_gauges(&profiler);
-        Ok(Self {
+        let mut plan = Self {
             n,
             a_nnz: a.nnz(),
-            a_col_ptr: a.col_ptr().to_vec(),
-            a_row_idx: a.row_idx().iter().map(|&r| r as u32).collect(),
+            a_col_ptr,
+            a_row_idx,
             ordering,
             pre_pivot,
             matched_diag,
             perturb_tol: 0.0,
             baked,
             scaling: None,
-            structure: Arc::new(LuStructure {
-                l_col_ptr: sym.l_col_ptr,
-                l_row_idx: sym.l_row_idx.iter().map(|&r| r as u32).collect(),
-                u_col_ptr: sym.u_col_ptr,
-                u_row_idx: sym.u_row_idx.iter().map(|&r| r as u32).collect(),
-            }),
-            upd_ptr,
-            upd_cols,
+            structure: Arc::new(structure),
+            peel_above: if low_level {
+                peel_col_count
+            } else {
+                usize::MAX
+            },
             flops,
-            col_flops,
-            report,
+            positions: None,
+            report: SymbolicReport::default(),
             profiler,
-        })
+        };
+        report.set_size("peeled updates", plan.n_peeled());
+        report.export_gauges(&plan.profiler);
+        plan.report = report;
+        Ok(plan)
     }
 
     /// Matrix order.
@@ -1125,14 +1177,23 @@ impl LuPlan {
         self.flops
     }
 
-    /// Number of scheduled column updates.
+    /// Number of scheduled column updates: the off-diagonal entries
+    /// of `U`.
     pub fn n_updates(&self) -> usize {
-        self.upd_cols.len()
+        self.u_nnz() - self.n
     }
 
     /// Number of updates compiled to the peeled (unrolled) tier.
     pub fn n_peeled(&self) -> usize {
-        self.upd_cols.iter().filter(|&&c| c & PEEL_BIT != 0).count()
+        (0..self.n)
+            .map(|j| self.schedule_with_tiers(j).filter(|&(_, p)| p).count())
+            .sum()
+    }
+
+    /// Multiply-adds of one factorization: [`Self::flops`] less one
+    /// division per sub-diagonal entry of `L`, halved.
+    pub fn n_multiply_adds(&self) -> u64 {
+        (self.flops - (self.l_nnz() - self.n) as u64) / 2
     }
 
     /// The ordering strategy this plan was compiled with.
@@ -1296,9 +1357,16 @@ impl LuPlan {
         (self.l_nnz() + self.u_nnz() - self.n) as f64 / self.a_nnz as f64
     }
 
-    /// Exact per-column factorization flops (sums to [`Self::flops`]).
-    pub fn per_column_flops(&self) -> &[u64] {
-        &self.col_flops
+    /// Exact per-column factorization flops (sums to [`Self::flops`]):
+    /// a column's divisions plus a multiply-subtract pair per
+    /// sub-diagonal entry of every column in its schedule. Read off
+    /// the layouts on demand — only plan construction asks.
+    pub fn per_column_flops(&self) -> Vec<u64> {
+        let l_ptr = &self.structure.l_col_ptr;
+        let off = |k: usize| (l_ptr[k + 1] - l_ptr[k] - 1) as u64;
+        (0..self.n)
+            .map(|j| off(j) + self.schedule(j).map(|k| 2 * off(k)).sum::<u64>())
+            .collect()
     }
 
     /// The observability sink attached at compile time — disabled (a
@@ -1313,70 +1381,65 @@ impl LuPlan {
         &self.report
     }
 
-    /// The update schedule of column `j` (peel tags stripped).
+    /// The update schedule of column `j`: the sorted off-diagonal
+    /// pattern of `U(:, j)`, ascending — a topological order.
     pub fn schedule(&self, j: usize) -> impl Iterator<Item = usize> + '_ {
-        self.upd_cols[self.upd_ptr[j]..self.upd_ptr[j + 1]]
+        let st = &*self.structure;
+        st.u_row_idx[st.u_col_ptr[j]..st.u_col_ptr[j + 1] - 1]
             .iter()
-            .map(|&c| (c & !PEEL_BIT) as usize)
+            .map(|&k| k as usize)
     }
 
-    /// The update schedule of column `j` with the compiled low-level
-    /// tier decision per update.
+    /// The update schedule of column `j` with the low-level tier
+    /// decision per update (`true` = peeled).
     fn schedule_with_tiers(&self, j: usize) -> impl Iterator<Item = (usize, bool)> + '_ {
-        self.upd_cols[self.upd_ptr[j]..self.upd_ptr[j + 1]]
-            .iter()
-            .map(|&c| ((c & !PEEL_BIT) as usize, c & PEEL_BIT != 0))
+        let l_ptr = &self.structure.l_col_ptr;
+        self.schedule(j)
+            .map(move |k| (k, l_ptr[k + 1] - l_ptr[k] - 1 > self.peel_above))
     }
 
     /// Check that `a` carries exactly the compiled sparsity pattern
     /// (every numeric phase runs it first, and the plan cache runs it
-    /// on every candidate hit). It is a safety check — the scatter
-    /// indexes the baked maps with `a`'s row indices — so it stays on
-    /// every call and is made to run at memory speed instead: the row
-    /// indices are compared in fixed-size chunks with an OR-accumulated
-    /// difference, no early exit inside a chunk, which vectorises. The
-    /// compiled `u32` is widened, never the input narrowed: a row index
-    /// of `c + 2³²` is a mismatch, not a truncated match.
+    /// on every candidate hit). It is a safety check — the numeric
+    /// kernels address baked tables by `a`'s entries — so it stays on
+    /// every call and is made to run at memory speed instead: column
+    /// pointers and row indices are compared in fixed-size chunks with
+    /// an OR-accumulated difference, no early exit inside a chunk,
+    /// which vectorises. The compiled `u32` is widened, never the input
+    /// narrowed: an index of `c + 2³²` is a mismatch, not a truncated
+    /// match.
     pub(crate) fn check_pattern(&self, a: &CscMatrix) -> Result<(), LuPlanError> {
-        const CHUNK: usize = 64;
-        fn same_rows(rows: &[usize], compiled: &[u32]) -> bool {
-            let diff = rows
-                .iter()
-                .zip(compiled)
-                .fold(0usize, |d, (&r, &c)| d | (r ^ c as usize));
-            diff == 0
+        fn same_indices(given: &[usize], compiled: &[u32]) -> bool {
+            const CHUNK: usize = 64;
+            // Lengths first, so the chunks pair up exactly.
+            given.len() == compiled.len()
+                && given
+                    .chunks(CHUNK)
+                    .zip(compiled.chunks(CHUNK))
+                    .all(|(g, c)| {
+                        let diff = g.iter().zip(c).fold(0, |d, (&g, &c)| d | (g ^ c as usize));
+                        diff == 0
+                    })
         }
-        let rows = a.row_idx();
-        // Lengths first, so the chunks pair up exactly.
         let same = a.n_cols() == self.n
-            && rows.len() == self.a_nnz
             && a.values().len() == self.a_nnz
-            && a.col_ptr() == self.a_col_ptr.as_slice()
-            && rows
-                .chunks(CHUNK)
-                .zip(self.a_row_idx.chunks(CHUNK))
-                .all(|(r, c)| same_rows(r, c));
+            && same_indices(a.col_ptr(), &self.a_col_ptr)
+            && same_indices(a.row_idx(), &self.a_row_idx);
         same.then_some(()).ok_or(LuPlanError::PatternMismatch)
     }
 
-    /// Wrap filled value arrays (laid out by the compiled patterns)
-    /// into the factor object — the epilogue shared by all three
-    /// execution tiers. The factor takes `Arc` clones of the plan's
-    /// structure, permutations and scalings and the two value arrays
-    /// as they are: no index is copied. When the profiler is enabled,
-    /// the numerical-health monitors are computed from the filled `U`
-    /// values, recorded as `health.*` gauges and surfaced on the
-    /// factor; the value arrays are untouched either way, so results
-    /// stay bitwise identical.
-    pub(crate) fn finish(
-        &self,
-        a: &CscMatrix,
-        lx: Vec<f64>,
-        ux: Vec<f64>,
-        perturb: PerturbReport,
-    ) -> LuFactor {
+    /// Wrap a filled value array (`L` then `U`, laid out by the
+    /// compiled patterns — [`Self::new_values`]) into the factor object
+    /// — the epilogue shared by all three execution tiers. The factor
+    /// takes `Arc` clones of the plan's structure, permutations and
+    /// scalings and the value array as it is: no index is copied. When
+    /// the profiler is enabled, the numerical-health monitors are
+    /// computed from the filled `U` values, recorded as `health.*`
+    /// gauges and surfaced on the factor; the values are untouched
+    /// either way, so results stay bitwise identical.
+    pub(crate) fn finish(&self, a: &CscMatrix, vals: Vec<f64>, perturb: PerturbReport) -> LuFactor {
         let health = if self.profiler.is_enabled() {
-            let h = self.compute_health(a, &ux);
+            let h = self.compute_health(a, &vals[self.l_nnz()..]);
             self.profiler.gauge("health.growth", h.growth);
             self.profiler.gauge("health.min_pivot", h.min_pivot);
             self.profiler.gauge("health.max_pivot", h.max_pivot);
@@ -1393,8 +1456,7 @@ impl LuPlan {
         }
         LuFactor {
             structure: Arc::clone(&self.structure),
-            lx,
-            ux,
+            vals,
             csc: OnceLock::new(),
             rperm: self.baked.as_ref().map(|b| b.rperm.clone()),
             irperm: self.baked.as_ref().map(|b| b.irperm.clone()),
@@ -1420,7 +1482,7 @@ impl LuPlan {
     /// or not — `lu_compare` uses it to put recorded growth numbers in
     /// the comparison table.
     pub fn health_of(&self, a: &CscMatrix, f: &LuFactor) -> LuHealth {
-        self.compute_health(a, &f.ux)
+        self.compute_health(a, f.values().1)
     }
 
     fn compute_health(&self, a: &CscMatrix, ux: &[f64]) -> LuHealth {
@@ -1485,8 +1547,8 @@ impl LuPlan {
         // dr[row]·dc[col] (original coordinates) as they scatter —
         // the diagonal scaling matrices never materialize. The
         // expression shape `dr·v·dc` (left-to-right) is fixed: the
-        // batched kernel evaluates the identical sequence so scaled
-        // batch factors stay bitwise equal to one-at-a-time ones.
+        // position-addressed walker evaluates the identical sequence,
+        // so its scaled factors stay bitwise equal to this kernel's.
         match (&self.baked, &self.scaling) {
             (None, None) => {
                 for (i, v) in a.col_iter(j) {
@@ -1514,8 +1576,8 @@ impl LuPlan {
         }
     }
 
-    /// The per-column numeric solve shared by the serial and parallel
-    /// executors: scatter `A(:, j)`, apply the baked update schedule in
+    /// The accumulator kernel — the per-column numeric solve every
+    /// executor can run: scatter `A(:, j)`, apply the update schedule in
     /// topological order, gather `U(:, j)`/`L(:, j)` through the fixed
     /// layouts, and clear the accumulator back to zero. `thresh` is
     /// the absolute pivot-perturbation threshold for this
@@ -1557,9 +1619,11 @@ impl LuPlan {
         // passes over the data.
         let st = &*self.structure;
         self.scatter_a_column(j, a, x, 1, 0);
-        // Apply the baked update schedule in topological order.
-        for &tagged in &self.upd_cols[self.upd_ptr[j]..self.upd_ptr[j + 1]] {
-            let k = (tagged & !PEEL_BIT) as usize;
+        // Apply the update schedule — U(:, j)'s off-diagonal pattern —
+        // in topological (ascending) order.
+        let u_range = st.u_col_ptr[j]..st.u_col_ptr[j + 1];
+        for &k in &st.u_row_idx[u_range.start..u_range.end - 1] {
+            let k = k as usize;
             let xk = x[k];
             let range = st.l_col_ptr[k] + 1..st.l_col_ptr[k + 1];
             let rows = &st.l_row_idx[range.clone()];
@@ -1567,7 +1631,7 @@ impl LuPlan {
             // caller's contract its values are final and no thread
             // writes them concurrently.
             let vals = std::slice::from_raw_parts(lx.add(range.start), range.len());
-            if tagged & PEEL_BIT != 0 {
+            if rows.len() > self.peel_above {
                 // Peeled tier: no zero guard (the reach set
                 // guarantees structural work), unrolled by two.
                 let mut t = 0;
@@ -1588,7 +1652,6 @@ impl LuPlan {
             }
         }
         // Gather U(:, j) through the fixed layout; diagonal last.
-        let u_range = st.u_col_ptr[j]..st.u_col_ptr[j + 1];
         for p in u_range.clone() {
             *ux.add(p) = x[st.u_row_idx[p] as usize];
         }
@@ -1624,14 +1687,18 @@ impl LuPlan {
         status
     }
 
+    /// A zeroed value array for one factorization (`L` then `U`), to be
+    /// filled and handed to [`Self::finish`].
+    pub(crate) fn new_values(&self) -> Vec<f64> {
+        vec![0.0f64; self.structure.n_values()]
+    }
+
     /// Numeric factorization — no DFS, no allocation besides the factor
-    /// value arrays and one dense accumulator, no pivot search.
-    ///
-    /// Allocates a fresh dense accumulator per call; a caller
-    /// factoring in a loop (or a serving worker) should hold a
+    /// value array (and, for the accumulator kernel, one dense vector),
+    /// no pivot search. A caller factoring through the accumulator
+    /// kernel in a loop (or a serving worker) should hold a
     /// [`LuWorkspace`] and use [`Self::factor_with`] to skip that
-    /// `O(n)` allocation. Same-pattern streams go faster still through
-    /// [`Self::factor_batch`].
+    /// `O(n)` allocation.
     pub fn factor(&self, a: &CscMatrix) -> Result<LuFactor, LuPlanError> {
         self.factor_with(a, &mut LuWorkspace::new())
     }
@@ -1641,37 +1708,63 @@ impl LuPlan {
     /// across threads), all mutable per-factorization state lives in
     /// `ws`. Results are bitwise identical to [`Self::factor`] — the
     /// workspace only replaces the accumulator allocation, never the
-    /// operation order.
+    /// operation order. A plan carrying position tables
+    /// ([`Self::with_position_tables`]) needs no accumulator and leaves
+    /// `ws` untouched.
     pub fn factor_with(
         &self,
         a: &CscMatrix,
         ws: &mut LuWorkspace,
     ) -> Result<LuFactor, LuPlanError> {
         self.check_pattern(a)?;
-        let n = self.n;
-        let st = &*self.structure;
-        let mut lx = vec![0.0f64; st.l_row_idx.len()];
-        let mut ux = vec![0.0f64; st.u_row_idx.len()];
-        let x = ws.ensure(n);
+        let mut vals = self.new_values();
         let thresh = self.perturb_threshold(a);
-        let mut perturbed: Vec<usize> = Vec::new();
-
-        // Instrumentation is purely observational (counts baked
-        // pattern sizes, touches no numeric state), so profiled and
-        // unprofiled runs produce bitwise-identical factors.
+        // Instrumentation is purely observational and its totals are
+        // compile-time constants, so profiled and unprofiled runs
+        // execute the same numeric loop and produce bitwise-identical
+        // factors.
         let prof = &*self.profiler;
-        let enabled = prof.is_enabled();
-        let span = if enabled {
-            prof.begin(0, "factor:serial")
-        } else {
-            None
+        let span = prof.begin(0, "factor:serial");
+        let walked = match &self.positions {
+            Some(tables) => self.walk_positions(tables, a, &mut vals, thresh),
+            None => self.walk_columns(a, ws.ensure(self.n), &mut vals, thresh),
         };
-        let mut flops_done = 0u64;
-        let mut scatter_elems = 0u64;
-        let mut gather_elems = 0u64;
+        let columns = match walked {
+            Ok(perturbed) => perturbed,
+            Err(e) => {
+                prof.end(span);
+                return Err(e);
+            }
+        };
+        if prof.is_enabled() {
+            prof.counter("flops.scalar").add(self.flops);
+            prof.counter("scalar.scatter_elems").add(self.a_nnz as u64);
+            prof.end_with(span, &[("flops", self.flops as f64)]);
+        }
+        Ok(self.finish(
+            a,
+            vals,
+            PerturbReport {
+                columns,
+                threshold: thresh,
+            },
+        ))
+    }
 
-        for j in 0..n {
-            // SAFETY: single-threaded in-order execution — every
+    /// The accumulator kernel over every column in order; returns the
+    /// perturbed columns.
+    fn walk_columns(
+        &self,
+        a: &CscMatrix,
+        x: &mut [f64],
+        vals: &mut [f64],
+        thresh: f64,
+    ) -> Result<Vec<usize>, LuPlanError> {
+        let (lx, ux) = vals.split_at_mut(self.l_nnz());
+        let mut perturbed = Vec::new();
+        for j in 0..self.n {
+            // SAFETY: `lx` / `ux` are the two halves of a full value
+            // array; single-threaded in-order execution — every
             // scheduled update column is already final, and column j's
             // value ranges are written exactly once, here.
             let status =
@@ -1679,56 +1772,16 @@ impl LuPlan {
             match status {
                 PivotStatus::Clean => {}
                 PivotStatus::Perturbed => perturbed.push(j),
-                PivotStatus::Zero => {
-                    prof.end(span);
-                    return Err(LuPlanError::ZeroPivot { column: j });
-                }
-            }
-            if enabled {
-                flops_done += self.col_flops[j];
-                let oc = match &self.baked {
-                    None => j,
-                    Some(bp) => bp.cperm[j],
-                };
-                scatter_elems += (self.a_col_ptr[oc + 1] - self.a_col_ptr[oc]) as u64;
-                gather_elems += (st.l_col_ptr[j + 1] - st.l_col_ptr[j] + st.u_col_ptr[j + 1]
-                    - st.u_col_ptr[j]) as u64;
+                PivotStatus::Zero => return Err(LuPlanError::ZeroPivot { column: j }),
             }
         }
-
-        if enabled {
-            prof.counter("flops.scalar").add(flops_done);
-            prof.counter("scalar.scatter_elems").add(scatter_elems);
-            prof.counter("scalar.gather_elems").add(gather_elems);
-            prof.end_with(span, &[("flops", flops_done as f64)]);
-        }
-        Ok(self.finish(
-            a,
-            lx,
-            ux,
-            PerturbReport {
-                columns: perturbed,
-                threshold: thresh,
-            },
-        ))
+        Ok(perturbed)
     }
 
-    /// Factor a batch of **same-pattern** matrices in one fused pass
-    /// over the compiled schedule — the structure-of-arrays layout the
-    /// serving tier batches for. Factor values and the accumulator are
-    /// stored entry-major (`value[p]` holds the batch's `B` copies of
-    /// nonzero `p`, contiguously), and the numeric sweep walks columns
-    /// once: every schedule entry, row index, and column bound is
-    /// decoded **once per batch** instead of once per matrix, and the
-    /// inner loop over the batch is unit-stride over adjacent values —
-    /// exactly the per-entry bookkeeping the scalar kernel re-pays per
-    /// matrix, amortized away.
-    ///
-    /// Per matrix, the arithmetic sequence is exactly [`Self::factor`]'s
-    /// (same operations, same order — lanes are fully independent), so
-    /// every returned factor is **bitwise identical** to factoring
-    /// that matrix alone. The batch is all-or-nothing: the first zero
-    /// pivot (in column order, then batch order) aborts with a
+    /// Factor a batch of **same-pattern** matrices, one after another
+    /// against one workspace. Every returned factor is **bitwise
+    /// identical** to factoring that matrix alone, and the batch is
+    /// all-or-nothing: the first failure (in batch order) aborts with a
     /// [`BatchError`] naming the offending matrix and no factors are
     /// returned.
     ///
@@ -1758,258 +1811,53 @@ impl LuPlan {
     /// # Ok::<(), Box<dyn std::error::Error>>(())
     /// ```
     pub fn factor_batch(&self, mats: &[&CscMatrix]) -> Result<Vec<LuFactor>, BatchError> {
-        for (b, a) in mats.iter().enumerate() {
-            self.check_pattern(a)
-                .map_err(|error| BatchError { index: b, error })?;
-        }
-        let bsz = mats.len();
-        if bsz == 0 {
-            return Ok(Vec::new());
-        }
-        let n = self.n;
-        let st = &*self.structure;
-        let l_nnz = st.l_row_idx.len();
-        let u_nnz = st.u_row_idx.len();
-        // Entry-major SoA arenas: slot `p * bsz + b` is nonzero `p` of
-        // matrix `b`. The accumulator interleaves the same way.
-        let mut lxs = vec![0.0f64; l_nnz * bsz];
-        let mut uxs = vec![0.0f64; u_nnz * bsz];
-        let mut x = vec![0.0f64; n * bsz];
-        // The multiplier row of the update being applied (x[k] may
-        // itself still accumulate later updates of a *different*
-        // column, but reads and writes within one update never alias —
-        // copying it out keeps the borrow checker and the kernel both
-        // simple).
-        let mut xk = vec![0.0f64; bsz];
-        let mut failed: Option<(usize, usize)> = None; // (column, batch)
-                                                       // Per-lane perturbation thresholds (all 0.0 — and therefore
-                                                       // bitwise inert — when perturbation is off).
-        let threshs: Vec<f64> = mats.iter().map(|m| self.perturb_threshold(m)).collect();
-        let mut perturbed: Vec<Vec<usize>> = vec![Vec::new(); bsz];
-
-        let prof = &*self.profiler;
-        let enabled = prof.is_enabled();
-        let span = if enabled {
-            prof.begin(0, "factor:batch")
-        } else {
-            None
-        };
-
-        // The sweep mirrors `column_numeric` with raw pointers (the
-        // safe-slicing version re-pays a bounds check per entry per
-        // lane group, which is exactly the bookkeeping batching exists
-        // to amortize). SAFETY throughout: all offsets come from the
-        // compiled layouts, which index `n` lanes of width `bsz` in
-        // arenas allocated above with those exact extents; `check_
-        // pattern` pinned every matrix to the compiled `a` layout, so
-        // `a_col_ptr`/`a_row_idx` positions are in range for each
-        // `m.values()`; update reads (`lxs` columns k < j) never alias
-        // update writes (`x` lanes), and each factor slot is written
-        // exactly once, in column order.
-        let xp = x.as_mut_ptr();
-        let lxp = lxs.as_mut_ptr();
-        let uxp = uxs.as_mut_ptr();
-        let xkp = xk.as_mut_ptr();
-        let mvals: Vec<*const f64> = mats.iter().map(|m| m.values().as_ptr()).collect();
-        'columns: for j in 0..n {
-            unsafe {
-                // Scatter A(:, j) of every matrix: indices (and any
-                // baked permutation lookups) resolved once, values
-                // fanned out to the batch lanes.
-                let (oc, irperm) = match &self.baked {
-                    None => (j, None),
-                    Some(bp) => (bp.cperm[j], Some(&bp.irperm)),
-                };
-                match &self.scaling {
-                    None => {
-                        for p in self.a_col_ptr[oc]..self.a_col_ptr[oc + 1] {
-                            let i = self.a_row_idx[p] as usize;
-                            let i = irperm.map_or(i, |ip| ip[i]);
-                            let lane = xp.add(i * bsz);
-                            for (b, m) in mvals.iter().enumerate() {
-                                *lane.add(b) = *m.add(p);
-                            }
-                        }
-                    }
-                    Some(s) => {
-                        // Same `dr·v·dc` expression shape as
-                        // `scatter_a_column` — scaled lanes stay
-                        // bitwise equal to one-at-a-time factors.
-                        let dcj = s.dc[oc];
-                        for p in self.a_col_ptr[oc]..self.a_col_ptr[oc + 1] {
-                            let oi = self.a_row_idx[p] as usize;
-                            let dri = s.dr[oi];
-                            let i = irperm.map_or(oi, |ip| ip[oi]);
-                            let lane = xp.add(i * bsz);
-                            for (b, m) in mvals.iter().enumerate() {
-                                *lane.add(b) = dri * *m.add(p) * dcj;
-                            }
-                        }
-                    }
-                }
-                // Apply the baked update schedule in topological order.
-                for &tagged in &self.upd_cols[self.upd_ptr[j]..self.upd_ptr[j + 1]] {
-                    let k = (tagged & !PEEL_BIT) as usize;
-                    std::ptr::copy_nonoverlapping(xp.add(k * bsz) as *const f64, xkp, bsz);
-                    let range = st.l_col_ptr[k] + 1..st.l_col_ptr[k + 1];
-                    let rows = &st.l_row_idx[range.clone()];
-                    // The peeled tier runs unguarded; the guarded tier
-                    // skips zero multipliers per lane — either way each
-                    // lane performs exactly the scalar kernel's
-                    // operations in the scalar kernel's order (lanes
-                    // are independent, so batch interleaving cannot
-                    // change any lane's arithmetic). The all-lanes-live
-                    // fast path drops the inner branch and vectorizes.
-                    let peeled = tagged & PEEL_BIT != 0;
-                    let all_live = peeled || xk.iter().all(|&v| v != 0.0);
-                    let base = lxp.add(range.start * bsz) as *const f64;
-                    for (t, &r) in rows.iter().enumerate() {
-                        let src = base.add(t * bsz);
-                        let dst = xp.add(r as usize * bsz);
-                        if all_live {
-                            for b in 0..bsz {
-                                *dst.add(b) -= *src.add(b) * *xkp.add(b);
-                            }
-                        } else {
-                            for b in 0..bsz {
-                                let m = *xkp.add(b);
-                                if m != 0.0 {
-                                    *dst.add(b) -= *src.add(b) * m;
-                                }
-                            }
-                        }
-                    }
-                }
-                // Gather U(:, j); diagonal (pivot) last.
-                let u_range = st.u_col_ptr[j]..st.u_col_ptr[j + 1];
-                for p in u_range.clone() {
-                    let lane = xp.add(st.u_row_idx[p] as usize * bsz) as *const f64;
-                    std::ptr::copy_nonoverlapping(lane, uxp.add(p * bsz), bsz);
-                }
-                let piv = uxp.add((u_range.end - 1) * bsz);
-                for (b, &t) in threshs.iter().enumerate() {
-                    let p = *piv.add(b);
-                    if p.abs() < t {
-                        *piv.add(b) = if p.is_sign_negative() { -t } else { t };
-                        perturbed[b].push(j);
-                    } else if p == 0.0 {
-                        failed = Some((j, b));
-                        break 'columns;
-                    }
-                }
-                // Gather L(:, j): unit diagonal, sub-diagonal scaled
-                // by each lane's pivot.
-                let l_range = st.l_col_ptr[j]..st.l_col_ptr[j + 1];
-                for b in 0..bsz {
-                    *lxp.add(l_range.start * bsz + b) = 1.0;
-                }
-                for p in l_range.start + 1..l_range.end {
-                    let lane = xp.add(st.l_row_idx[p] as usize * bsz) as *const f64;
-                    let dst = lxp.add(p * bsz);
-                    for b in 0..bsz {
-                        *dst.add(b) = *lane.add(b) / *piv.add(b);
-                    }
-                }
-                // Clear the accumulator (touch only the column's
-                // pattern).
-                for p in u_range {
-                    let lane = xp.add(st.u_row_idx[p] as usize * bsz);
-                    std::slice::from_raw_parts_mut(lane, bsz).fill(0.0);
-                }
-                for p in l_range.start + 1..l_range.end {
-                    let lane = xp.add(st.l_row_idx[p] as usize * bsz);
-                    std::slice::from_raw_parts_mut(lane, bsz).fill(0.0);
-                }
-            }
-        }
-
-        if let Some((column, index)) = failed {
-            prof.end(span);
-            return Err(BatchError {
-                index,
-                error: LuPlanError::ZeroPivot { column },
-            });
-        }
-
-        if enabled {
-            let flops_done = self.flops * bsz as u64;
-            prof.counter("flops.scalar").add(flops_done);
-            prof.counter("batch.matrices").add(bsz as u64);
-            prof.end_with(span, &[("flops", flops_done as f64), ("batch", bsz as f64)]);
-        }
-
-        // De-interleave the lanes into per-matrix factors. Tiled
-        // transpose: a naive per-matrix `lxs[p*bsz + b]` gather streams
-        // the whole arena once per lane (bsz× the traffic); walking
-        // entry tiles that fit in cache reads each arena line once.
-        let deinterleave = |arena: &[f64], nnz: usize| -> Vec<Vec<f64>> {
-            const TILE: usize = 1024;
-            let mut cols: Vec<Vec<f64>> = (0..bsz).map(|_| Vec::with_capacity(nnz)).collect();
-            let mut p0 = 0;
-            while p0 < nnz {
-                let p1 = (p0 + TILE).min(nnz);
-                for (b, col) in cols.iter_mut().enumerate() {
-                    col.extend((p0..p1).map(|p| arena[p * bsz + b]));
-                }
-                p0 = p1;
-            }
-            cols
-        };
-        let lx_cols = deinterleave(&lxs, l_nnz);
-        let ux_cols = deinterleave(&uxs, u_nnz);
-        let out = mats
-            .iter()
-            .zip(lx_cols.into_iter().zip(ux_cols))
-            .zip(perturbed.into_iter().zip(threshs))
-            .map(|((a, (lx, ux)), (columns, threshold))| {
-                self.finish(a, lx, ux, PerturbReport { columns, threshold })
-            })
-            .collect();
-        Ok(out)
+        factor_each(mats, |a, ws| self.factor_with(a, ws))
     }
 
     /// Resident size, in bytes, of the compiled tables this plan keeps
-    /// alive: factor layouts, the baked update schedule, the pattern
-    /// copy backing [`Self::factor`]'s cheap pattern check, permutation
-    /// maps, and the per-column cost model. This is the footprint a
+    /// alive: factor layouts, the pattern copy backing
+    /// [`Self::factor`]'s cheap pattern check, permutation maps, and
+    /// the walker's position tables when baked. This is the footprint a
     /// plan cache charges an entry for — factor *values* are per-call
     /// and not counted.
     pub fn table_bytes(&self) -> usize {
         use std::mem::size_of;
         let usz = size_of::<usize>();
         let st = &*self.structure;
-        let mut bytes = (st.l_col_ptr.len() + st.u_col_ptr.len() + self.upd_ptr.len()) * usz
-            + self.a_col_ptr.len() * usz
-            + (st.l_row_idx.len() + st.u_row_idx.len() + self.upd_cols.len()) * 4
-            + self.a_row_idx.len() * 4
-            + self.col_flops.len() * 8;
-        if self.baked.is_some() {
-            // rperm + irperm + cperm, each n usizes.
-            bytes += 3 * self.n * usz;
+        let mut bytes = (st.l_col_ptr.len() + st.u_col_ptr.len()) * usz
+            + (st.l_row_idx.len() + st.u_row_idx.len()) * 4
+            + (self.a_col_ptr.len() + self.a_row_idx.len()) * 4;
+        if let Some(bp) = &self.baked {
+            // irperm + cperm, and rperm unless it is cperm's allocation.
+            let maps = if Arc::ptr_eq(&bp.rperm, &bp.cperm) {
+                2
+            } else {
+                3
+            };
+            bytes += maps * self.n * usz;
         }
         if self.scaling.is_some() {
             // Dr + Dc, each n f64s.
             bytes += 2 * self.n * 8;
         }
+        if let Some(tables) = &self.positions {
+            bytes += tables.bytes();
+        }
         bytes
     }
 
     /// Per-column cost model for balancing the parallel numeric phase:
-    /// the column's exact flops plus its pattern size (memory traffic
-    /// of the scatter/gather), so structurally trivial columns still
-    /// carry nonzero weight.
-    pub(crate) fn per_column_costs(&self) -> Vec<u64> {
+    /// the column's exact flops ([`Self::per_column_flops`], passed in
+    /// so a caller that needs both computes them once) plus its
+    /// pattern size (memory traffic of the scatter/gather), so
+    /// structurally trivial columns still carry nonzero weight.
+    pub(crate) fn per_column_costs(&self, col_flops: &[u64]) -> Vec<u64> {
         let st = &*self.structure;
+        let pattern = |j: usize| {
+            st.l_col_ptr[j + 1] - st.l_col_ptr[j] + st.u_col_ptr[j + 1] - st.u_col_ptr[j]
+        };
         (0..self.n)
-            .map(|j| {
-                let l_nnz = (st.l_col_ptr[j + 1] - st.l_col_ptr[j]) as u64;
-                let u_nnz = (st.u_col_ptr[j + 1] - st.u_col_ptr[j]) as u64;
-                let mut c = l_nnz + u_nnz + (l_nnz - 1);
-                for k in self.schedule(j) {
-                    c += 2 * (st.l_col_ptr[k + 1] - st.l_col_ptr[k] - 1) as u64;
-                }
-                c
-            })
+            .map(|j| col_flops[j] + pattern(j) as u64)
             .collect()
     }
 
@@ -2472,5 +2320,25 @@ mod tests {
             f.solve(&[1.0, 2.0, 3.0, 4.0, 5.0]),
             vec![1.0, 2.0, 3.0, 4.0, 5.0]
         );
+    }
+    #[test]
+    fn the_schedule_is_the_pattern_of_u() {
+        let a = gen::convection_diffusion_2d(9, 9, 1.0, 2);
+        let sym = sympiler_graph::lu_symbolic(&a);
+        for (low_level, peel) in [(true, 2), (true, 0), (false, 0)] {
+            let plan = LuPlan::build(&a, low_level, peel).unwrap();
+            let mut peeled = 0;
+            for j in 0..plan.n() {
+                assert!(plan.schedule(j).eq(sym.reach(j).iter().copied()));
+                for (k, tier) in plan.schedule_with_tiers(j) {
+                    let heavy = sym.l_col_pattern(k).len() - 1 > peel;
+                    assert_eq!(tier, low_level && heavy);
+                    peeled += tier as usize;
+                }
+            }
+            assert_eq!(plan.n_peeled(), peeled);
+            assert_eq!(plan.report().size_of("peeled updates"), Some(peeled));
+            assert_eq!(plan.per_column_flops(), sym.per_column_flops());
+        }
     }
 }

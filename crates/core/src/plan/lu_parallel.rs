@@ -127,7 +127,7 @@ impl ParallelLuPlan {
         assert!(n_threads >= 1, "need at least one thread");
         let n = plan.n();
         let levels = dag_levels_from_preds(n, |j| plan.schedule(j));
-        let costs = plan.per_column_costs();
+        let costs = plan.per_column_costs(&plan.per_column_flops());
         let mut level_cols = Vec::with_capacity(n);
         let mut level_ptr = Vec::with_capacity(levels.n_levels() + 1);
         let mut chunk_bounds = Vec::with_capacity(levels.n_levels() * (n_threads + 1));
@@ -232,8 +232,8 @@ impl ParallelLuPlan {
         self.plan.check_pattern(a)?;
         let n = self.plan.n();
         let n_levels = self.n_levels();
-        let mut lx = vec![0.0f64; self.plan.l_nnz()];
-        let mut ux = vec![0.0f64; self.plan.u_nnz()];
+        let mut vals = self.plan.new_values();
+        let (lx, ux) = vals.split_at_mut(self.plan.l_nnz());
         let shared = SharedFactor {
             lx: lx.as_mut_ptr(),
             ux: ux.as_mut_ptr(),
@@ -264,20 +264,18 @@ impl ParallelLuPlan {
         };
         let busy: Vec<AtomicU64> = (0..self.n_threads).map(|_| AtomicU64::new(0)).collect();
         let wait: Vec<AtomicU64> = (0..self.n_threads).map(|_| AtomicU64::new(0)).collect();
-        let flops_done = AtomicU64::new(0);
         std::thread::scope(|scope| {
             for t in 0..self.n_threads {
                 let shared = &shared;
                 let barrier = &barrier;
                 let first_bad = &first_bad;
-                let (busy, wait, flops_done) = (&busy, &wait, &flops_done);
+                let (busy, wait) = (&busy, &wait);
                 let perturbed = &perturbed;
                 scope.spawn(move || {
                     let mut x = vec![0.0f64; n];
                     let mut my_perturbed: Vec<usize> = Vec::new();
                     let mut my_busy = 0u64;
                     let mut my_wait = 0u64;
-                    let mut my_flops = 0u64;
                     let mut seg_start = prof.now_ns();
                     let mut seg_first_lv = 0usize;
                     for lv in 0..n_levels {
@@ -300,9 +298,6 @@ impl ParallelLuPlan {
                                 PivotStatus::Zero => {
                                     first_bad.fetch_min(j, Ordering::Relaxed);
                                 }
-                            }
-                            if enabled {
-                                my_flops += self.plan.col_flops[j];
                             }
                         }
                         // Compile-time constant, so every worker takes
@@ -355,7 +350,6 @@ impl ParallelLuPlan {
                         }
                         busy[t].store(my_busy, Ordering::Relaxed);
                         wait[t].store(my_wait, Ordering::Relaxed);
-                        flops_done.fetch_add(my_flops, Ordering::Relaxed);
                     }
                     if !my_perturbed.is_empty() {
                         perturbed.lock().unwrap().extend(my_perturbed);
@@ -375,14 +369,16 @@ impl ParallelLuPlan {
             if mean > 0.0 {
                 prof.gauge("par.imbalance", max / mean);
             }
-            prof.counter("flops.scalar")
-                .add(flops_done.load(Ordering::Relaxed));
+            // Every column runs, whatever its pivot: the executed flops
+            // are the plan's compile-time total.
+            let flops_done = self.plan.flops();
+            prof.counter("flops.scalar").add(flops_done);
             prof.end_with(
                 outer,
                 &[
                     ("threads", self.n_threads as f64),
                     ("levels", n_levels as f64),
-                    ("flops", flops_done.load(Ordering::Relaxed) as f64),
+                    ("flops", flops_done as f64),
                 ],
             );
         }
@@ -400,8 +396,7 @@ impl ParallelLuPlan {
         columns.sort_unstable();
         Ok(self.plan.finish(
             a,
-            lx,
-            ux,
+            vals,
             PerturbReport {
                 columns,
                 threshold: thresh,

@@ -351,7 +351,8 @@ impl SupernodalLuPlan {
                 .iter()
                 .map(|&t| t as usize)
         });
-        let col_costs = plan.per_column_costs();
+        let col_flops = plan.per_column_flops();
+        let col_costs = plan.per_column_costs(&col_flops);
         let panel_costs: Vec<u64> = (0..n_panels)
             .map(|s| part.cols(s).map(|j| col_costs[j]).sum())
             .collect();
@@ -379,7 +380,6 @@ impl SupernodalLuPlan {
             .map(|lv| lv + 1 < n_levels && !(sole_owner[lv] && sole_owner[lv + 1]))
             .collect();
 
-        let col_flops = plan.per_column_flops();
         let panel_flops: Vec<u64> = (0..n_panels)
             .map(|s| part.cols(s).map(|j| col_flops[j]).sum())
             .collect();
@@ -867,21 +867,21 @@ impl SupernodalLuPlan {
         ws: &mut LuWorkspace,
     ) -> Result<LuFactor, LuPlanError> {
         self.plan.check_pattern(a)?;
-        let mut lx = vec![0.0f64; self.plan.l_nnz()];
-        let mut ux = vec![0.0f64; self.plan.u_nnz()];
+        let mut vals = self.plan.new_values();
+        let (lx, ux) = vals.split_at_mut(self.plan.l_nnz());
         let sx_len = *self.sx_ptr.last().unwrap_or(&0);
         let thresh = self.plan.perturb_threshold(a);
         let mut perturbed: Vec<usize> = Vec::new();
         let first_bad = if self.runs_parallel() {
             let mut sx = vec![0.0f64; sx_len];
-            self.factor_parallel(a, &mut lx, &mut ux, &mut sx, thresh, &mut perturbed)
+            self.factor_parallel(a, lx, ux, &mut sx, thresh, &mut perturbed)
         } else {
             let w = self.max_width;
             let (x, bt, sx) = ws.ensure_panels(self.plan.n() * w, w * w, sx_len);
             let first_bad = self.factor_serial(
                 a,
-                &mut lx,
-                &mut ux,
+                lx,
+                ux,
                 sx,
                 PanelWorkspace { x, bt },
                 thresh,
@@ -892,7 +892,7 @@ impl SupernodalLuPlan {
             // column's pattern owns at zero: after a zero pivot (its
             // quotients are ±Inf/NaN) or non-finite input, restore the
             // caller's all-zeros accumulator wholesale.
-            if first_bad != usize::MAX || !all_finite(&lx) || !all_finite(&ux) {
+            if first_bad != usize::MAX || !all_finite(&vals) {
                 ws.clear();
             }
             first_bad
@@ -903,8 +903,7 @@ impl SupernodalLuPlan {
         perturbed.sort_unstable();
         Ok(self.plan.finish(
             a,
-            lx,
-            ux,
+            vals,
             PerturbReport {
                 columns: perturbed,
                 threshold: thresh,

@@ -44,8 +44,9 @@
 //!
 //! Batched numeric entry points live on the plan types themselves:
 //! [`LuPlan::factor_batch`](crate::plan::lu::LuPlan::factor_batch)
-//! (column-interleaved same-pattern batches) and
-//! [`LuFactor::solve_batch`] (blocked multi-RHS sweeps).
+//! (same-pattern batches, one matrix after another against one
+//! workspace) and [`LuFactor::solve_batch`] (blocked multi-RHS
+//! sweeps).
 //!
 //! Everything here is observational-layer honest: cached, batched,
 //! and served results are **bitwise identical** to direct

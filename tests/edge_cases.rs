@@ -228,6 +228,125 @@ fn lu_pattern_mismatch_and_zero_pivot_are_reported() {
     assert!(lu.factor(&bad).is_err(), "zero pivot must fail");
 }
 
+/// The serial tier's position-addressed walker on the inputs that
+/// leave it nothing to walk — `n ∈ {0, 1}`, a diagonal (empty op
+/// stream), the pre-pivot's identity fast path — and on non-finite
+/// values: always the bits of a directly built plan, which runs the
+/// accumulator kernel.
+#[test]
+fn lu_walker_matches_the_accumulator_kernel_on_degenerate_and_non_finite_input() {
+    use sympiler::core::plan::lu::LuPlan;
+    let bits = |f: &LuFactor| -> Vec<u64> {
+        let (l, u) = (f.l().values(), f.u().values());
+        l.iter().chain(u).map(|v| v.to_bits()).collect()
+    };
+    let empty = CscMatrix::try_new(0, 0, vec![0], vec![], vec![]).unwrap();
+    let mut one = TripletMatrix::new(1, 1);
+    one.push(0, 0, -4.0);
+    // A two-row grid: banded, under one multiply-add per factor entry.
+    let banded = gen::convection_diffusion_2d(2, 25, 1.5, 9);
+    let mut poisoned = banded.clone();
+    let last = poisoned.nnz() - 1;
+    poisoned.values_mut()[3] = f64::NAN;
+    poisoned.values_mut()[last / 2] = f64::INFINITY;
+    poisoned.values_mut()[last] = f64::NEG_INFINITY;
+    let cases = [
+        ("empty", empty.clone(), empty),
+        ("1x1", one.to_csc().unwrap(), one.to_csc().unwrap()),
+        ("diagonal", CscMatrix::identity(7), CscMatrix::identity(7)),
+        ("banded", banded.clone(), banded.clone()),
+        ("NaN/Inf values", banded, poisoned),
+    ];
+    for (label, pattern, a) in &cases {
+        for pre_pivot in [PrePivot::Off, PrePivot::Transversal] {
+            let opts = SympilerOptions {
+                pre_pivot,
+                block_lu: BlockLu::Off,
+                ..Default::default()
+            };
+            let lu = SympilerLu::compile(pattern, &opts).unwrap();
+            // A full diagonal matches to the identity: nothing is baked.
+            assert!(lu.row_perm().is_none(), "{label}: identity fast path");
+            let reference = LuPlan::build_pivoted(
+                pattern,
+                opts.low_level,
+                opts.peel_col_count,
+                opts.ordering,
+                pre_pivot,
+            )
+            .unwrap();
+            assert!(
+                pattern.n_cols() == 0 || lu.table_bytes() > reference.table_bytes(),
+                "{label}: the serial tier bakes position tables here"
+            );
+            let mut ws = LuWorkspace::new();
+            let f = lu.factor_with(a, &mut ws).unwrap();
+            assert_eq!(ws.capacity(), 0, "{label}: the walker needs no workspace");
+            assert_eq!(bits(&f), bits(&reference.factor(a).unwrap()), "{label}");
+        }
+    }
+}
+
+/// One `LuWorkspace` serves a walker plan (which ignores it), an
+/// accumulator plan and a supernodal plan in alternation, failures
+/// included, and stays valid: all zeros, never shrunk, answers
+/// unchanged.
+#[test]
+fn lu_workspace_shared_between_direct_and_supernodal_plans_stays_valid() {
+    let sparse = gen::circuit_unsym(300, 1, 0, 5);
+    let dense = gen::circuit_unsym(120, 4, 2, 6);
+    let walker = SympilerLu::compile(&sparse, &SympilerOptions::default()).unwrap();
+    assert!(!walker.is_supernodal(), "fill-free circuits run scalar");
+    let supernodal = SympilerLu::compile(
+        &dense,
+        &SympilerOptions {
+            block_lu: BlockLu::On,
+            ..Default::default()
+        },
+    )
+    .unwrap();
+    let accumulator = sympiler::core::plan::lu::LuPlan::build(&dense, true, 2).unwrap();
+    let mut zero_pivot = sparse.clone();
+    let first_diag = (0..zero_pivot.col_ptr()[1])
+        .find(|&p| zero_pivot.row_idx()[p] == 0)
+        .unwrap();
+    zero_pivot.values_mut()[first_diag] = 0.0;
+
+    let bits = |f: LuFactor| -> Vec<u64> {
+        let (l, u) = f.into_parts();
+        let (l, u) = (l.values(), u.values());
+        l.iter().chain(u).map(|v| v.to_bits()).collect()
+    };
+    let fresh = (
+        bits(walker.factor(&sparse).unwrap()),
+        bits(supernodal.factor(&dense).unwrap()),
+        bits(accumulator.factor(&dense).unwrap()),
+    );
+    let mut ws = LuWorkspace::new();
+    let mut grown = 0;
+    for round in 0..3 {
+        assert_eq!(bits(walker.factor_with(&sparse, &mut ws).unwrap()), fresh.0);
+        assert_eq!(
+            ws.capacity(),
+            grown,
+            "round {round}: the walker left it alone"
+        );
+        assert!(walker.factor_with(&zero_pivot, &mut ws).is_err());
+        assert_eq!(
+            bits(supernodal.factor_with(&dense, &mut ws).unwrap()),
+            fresh.1
+        );
+        assert_eq!(
+            bits(accumulator.factor_with(&dense, &mut ws).unwrap()),
+            fresh.2
+        );
+        assert!(ws.is_clear(), "round {round}");
+        assert!(ws.capacity() >= grown);
+        grown = ws.capacity();
+    }
+    assert!(grown >= 120);
+}
+
 /// A row index equal to the compiled one only modulo 2³² is a pattern
 /// mismatch in every tier: accepted, it would index a baked map out of
 /// bounds.

@@ -69,6 +69,16 @@ fn serial_plan_is_bitwise_the_coupled_baseline() {
                     p.name,
                     ordering.label()
                 );
+                // And so is the position-addressed walker, which
+                // replays the same schedule from baked positions.
+                let walker = plan.with_position_tables(f64::MAX);
+                assert_eq!(
+                    factor_bits(&walker.factor(&p.matrix).unwrap()),
+                    base_bits,
+                    "{} walker under {} + {pre_pivot:?}",
+                    p.name,
+                    ordering.label()
+                );
             }
         }
     }

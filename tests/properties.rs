@@ -888,6 +888,82 @@ fn check_factor_object_in_every_cell(a: &CscMatrix, pre_pivots: &[PrePivot]) -> 
     Ok(())
 }
 
+/// Every (ordering × pre-pivot × mc64 × pivot_perturb × low-level
+/// tier) cell through the public API: the position-addressed walker —
+/// forced on, and as `SympilerLu::compile` selects it for the serial
+/// tier — produces the factor values, perturbation record or zero-pivot
+/// column of the accumulator kernel (a plan built directly, which
+/// carries no tables) bit for bit.
+fn check_walker_in_every_cell(a: &CscMatrix, pre_pivots: &[PrePivot]) -> Result<(), String> {
+    use sympiler::core::plan::lu::LuPlan;
+    let outcome = |f: Result<LuFactor, _>| {
+        f.map(|f| {
+            let bits: Vec<u64> = f
+                .l()
+                .values()
+                .iter()
+                .chain(f.u().values())
+                .map(|v| v.to_bits())
+                .collect();
+            (bits, f.perturb_report().clone())
+        })
+    };
+    for ordering in Ordering::ALL {
+        for &pre_pivot in pre_pivots {
+            for (low_level, peel_col_count) in [(false, 2), (true, 0), (true, 2)] {
+                let built =
+                    LuPlan::build_pivoted(a, low_level, peel_col_count, ordering, pre_pivot)
+                        .unwrap();
+                for pivot_perturb in [0.0, 1e-6, 0.9] {
+                    for mc64_scale in [false, true] {
+                        let cell = format!(
+                            "{}+{} low_level={low_level} peel={peel_col_count} \
+                             perturb={pivot_perturb} mc64={mc64_scale}",
+                            ordering.label(),
+                            pre_pivot.label()
+                        );
+                        let mut reference = built.clone().with_pivot_perturbation(pivot_perturb);
+                        if mc64_scale {
+                            reference = reference.with_mc64_scaling(a).unwrap();
+                        }
+                        let want = outcome(reference.factor(a));
+                        let walker = reference.clone().with_position_tables(f64::MAX);
+                        prop_assert!(
+                            walker.table_bytes() > reference.table_bytes(),
+                            "{}: tables baked",
+                            cell
+                        );
+                        prop_assert_eq!(&outcome(walker.factor(a)), &want, "{}: walker", &cell);
+                        let lu = SympilerLu::compile(
+                            a,
+                            &SympilerOptions {
+                                ordering,
+                                pre_pivot,
+                                mc64_scale,
+                                pivot_perturb,
+                                low_level,
+                                peel_col_count,
+                                block_lu: BlockLu::Off,
+                                ..Default::default()
+                            },
+                        )
+                        .unwrap();
+                        prop_assert_eq!(&outcome(lu.factor(a)), &want, "{}: compiled", &cell);
+                        let batch = lu.factor_batch(&[a, a]).map(|mut fs| fs.remove(1));
+                        prop_assert_eq!(
+                            outcome(batch.map_err(|e| e.error)),
+                            want,
+                            "{}: batch",
+                            cell
+                        );
+                    }
+                }
+            }
+        }
+    }
+    Ok(())
+}
+
 /// A random square pattern as sorted row lists per column — including
 /// the empty matrix, `n = 1`, empty columns and index streams whose
 /// length is no multiple of the hash's lane count.
@@ -935,6 +1011,26 @@ proptest! {
         check_factor_object_in_every_cell(
             &z,
             &[PrePivot::Transversal, PrePivot::WeightedMatching],
+        )?;
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    #[test]
+    fn position_walker_is_bitwise_the_accumulator_kernel_in_every_cell(
+        a in unsym_matrix(),
+        z in zero_diag_matrix(),
+    ) {
+        check_walker_in_every_cell(
+            &a,
+            &[PrePivot::Off, PrePivot::Transversal, PrePivot::WeightedMatching],
+        )?;
+        // `Off` on a zero diagonal: both kernels name the same column.
+        check_walker_in_every_cell(
+            &z,
+            &[PrePivot::Off, PrePivot::Transversal, PrePivot::WeightedMatching],
         )?;
     }
 }

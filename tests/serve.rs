@@ -224,6 +224,52 @@ fn cached_bytes_account_for_padded_panel_layouts() {
     );
 }
 
+/// The serial tier's position tables are resident memory like any
+/// other compiled table: the cache charges them, to the byte — 12 per
+/// multiply-add, 4 per entry of `A`, 4 per column — on top of what the
+/// same plan weighs without them.
+#[test]
+fn cached_bytes_account_for_position_tables() {
+    let a = gen::circuit_unsym(400, 1, 0, 3);
+    let opts = SympilerOptions {
+        ordering: Ordering::Colamd,
+        ..SympilerOptions::default()
+    };
+    let lu = SympilerLu::compile(&a, &opts).expect("compile");
+    assert!(!lu.is_supernodal() && lu.n_threads() == 1);
+    let bare = sympiler::core::plan::lu::LuPlan::build_ordered(
+        &a,
+        opts.low_level,
+        opts.peel_col_count,
+        opts.ordering,
+    )
+    .expect("bare plan");
+    let plan = lu.plan();
+    let multiply_adds = plan.n_multiply_adds() as usize;
+    assert!(multiply_adds > 0 && multiply_adds <= plan.l_nnz() + plan.u_nnz());
+    assert_eq!(
+        lu.table_bytes(),
+        bare.table_bytes() + 12 * multiply_adds + 4 * a.nnz() + 4 * a.n_cols()
+    );
+    let cache = PlanCache::new(CacheConfig::default());
+    cache.get_or_compile(&a, &opts).expect("cache");
+    assert_eq!(cache.stats().bytes, lu.table_bytes());
+    // A budget the bare plan would fit but the tabled one does not
+    // holds exactly one such entry.
+    let tight = PlanCache::new(CacheConfig {
+        max_entries: 0,
+        max_bytes: lu.table_bytes() + bare.table_bytes(),
+    });
+    let b = gen::circuit_unsym(400, 1, 0, 4);
+    tight.get_or_compile(&a, &opts).expect("first");
+    tight.get_or_compile(&b, &opts).expect("second");
+    assert_eq!(
+        tight.stats().entries,
+        1,
+        "two tabled plans exceed the budget"
+    );
+}
+
 /// Batched factorization agrees with the one-at-a-time loop on every
 /// execution tier: bitwise for the scalar serial and column-parallel
 /// tiers (whose batch path runs the same per-lane arithmetic), and to
