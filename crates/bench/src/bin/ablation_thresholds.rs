@@ -11,7 +11,13 @@
 //! under each ordering of the LU suite. Last, the Cholesky amalgamation
 //! budget: `relax_fill × relax_cols` swept around the default (0.3 /
 //! 16) on the nested-dissection Laplacian of the solve ledger and three
-//! suite matrices.
+//! suite matrices. First of all, though, the attainable figure those
+//! sweeps are read against: isolated GFLOP/s of the dense kernels
+//! (`panel_update_sub` and the three TRSMs, portable and dispatched
+//! instantiation) across the shapes the plans produce, beside what the
+//! same kernels deliver in situ in a profiled factor of the solve
+//! ledger's `refactor_dense` pattern — the table that justifies the
+//! accumulator's 4-column stride rounding and the TRSM tile.
 //!
 //! Usage: `cargo run -p sympiler-bench --release --bin ablation_thresholds [--test]`
 
@@ -21,9 +27,176 @@ use sympiler_bench::workloads::prepare_subset;
 use sympiler_core::plan::lu::{LuPlan, LuWorkspace, POSITION_MAX_OPS_PER_ENTRY};
 use sympiler_core::plan::lu_supernodal::{SupernodalLuPlan, DENSE_PANEL_MIN_FLOPS_PER_ENTRY};
 use sympiler_core::plan::tri::{TriScratch, TriSolvePlan, TriVariant};
-use sympiler_core::{Ordering, SympilerCholesky, SympilerOptions};
+use sympiler_core::{Ordering, SympilerCholesky, SympilerLu, SympilerOptions};
 use sympiler_sparse::suite::SuiteScale;
 use sympiler_sparse::{gen, CscMatrix};
+
+/// Deterministic values in (-0.8, 0.9).
+fn fill(len: usize, seed: u64) -> Vec<f64> {
+    let mut s = seed;
+    (0..len)
+        .map(|_| {
+            s = s.wrapping_mul(6364136223846793005).wrapping_add(11);
+            ((s >> 40) as f64) / 1e7 - 0.8
+        })
+        .collect()
+}
+
+/// Median seconds per call of `f` over nine batches sized to ~`flops`
+/// per call and ~40 Mflop per batch.
+fn secs_per_call(flops: usize, mut f: impl FnMut()) -> f64 {
+    let reps = (40_000_000 / flops.max(1)).clamp(4, 100_000);
+    let batch = median_time(9, || {
+        for _ in 0..reps {
+            f();
+        }
+    });
+    batch.as_secs_f64() / reps as f64
+}
+
+type UpdateKernel = fn(usize, usize, &[u32], &[f64], usize, &[f64], &mut [f64], usize);
+type TrsmKernel = fn(usize, usize, &[f64], usize, &mut [f64], usize);
+
+/// `panel_update_sub` alone at `m` scattered rows: GFLOP/s.
+fn update_gflops(kernel: UpdateKernel, m: usize, w: usize, v: usize) -> f64 {
+    let rows: Vec<u32> = (0..m as u32).map(|i| 2 * i).collect();
+    let l = fill(m * v, 1);
+    let bt = fill(v * w, 2);
+    let mut x = fill(2 * m * w, 3);
+    let flops = 2 * m * w * v;
+    let secs = secs_per_call(flops, || {
+        kernel(w, v, &rows, &l, m, &bt, &mut x, w);
+        std::hint::black_box(&x);
+    });
+    flops as f64 / secs / 1e9
+}
+
+/// One TRSM alone on an `m × n` block: GFLOP/s, the refill of `B` that
+/// keeps repeated solves bounded timed separately and subtracted.
+fn trsm_gflops(kernel: TrsmKernel, unit: bool, m: usize, n: usize) -> f64 {
+    // Small off-diagonals, diagonal 2.5: well conditioned either way
+    // the kernel reads the square.
+    let mut t: Vec<f64> = fill(n * n, 4).iter().map(|v| 0.05 * v).collect();
+    for j in 0..n {
+        t[j * n + j] = 2.5;
+    }
+    let b0 = fill(m * n, 5);
+    let mut b = b0.clone();
+    let flops = m * n * (n - 1) + if unit { 0 } else { m * n };
+    let solve = secs_per_call(flops, || {
+        b.copy_from_slice(&b0);
+        kernel(m, n, &t, n, &mut b, m);
+        std::hint::black_box(&b);
+    });
+    let refill = secs_per_call(flops, || {
+        b.copy_from_slice(&b0);
+        std::hint::black_box(&b);
+    });
+    flops as f64 / (solve - refill).max(1e-12) / 1e9
+}
+
+/// The dense-kernel table: isolated rows per shape and instantiation,
+/// then what the kernel spans of a profiled supernodal factor of
+/// `pattern` achieve on the shapes the plan really produces.
+fn dense_kernel_table(pattern: &CscMatrix) -> Table {
+    use sympiler_dense::{panel_update, trsm};
+    let dispatched = format!("{:?} (dispatched)", sympiler_dense::isa::detect());
+    let mut t = Table::new(
+        "Ablation: dense kernels alone vs in situ (GFLOP/s)",
+        &["kernel", "shape", "Portable", &dispatched, "in situ"],
+    );
+    let cell = |g: f64| format!("{g:.1}");
+    for w in [13usize, 15, 16, 28, 32] {
+        for v in [1usize, 8, 16, 32] {
+            t.row(vec![
+                "panel_update_sub".to_string(),
+                format!("m=400 w={w} v={v}"),
+                cell(update_gflops(panel_update::update_portable, 400, w, v)),
+                cell(update_gflops(sympiler_dense::panel_update_sub, 400, w, v)),
+                "-".to_string(),
+            ]);
+        }
+    }
+    let trsms: [(&str, bool, TrsmKernel, TrsmKernel); 3] = [
+        (
+            "trsm_right_lower_trans",
+            false,
+            trsm::trsm_portable::<false, false>,
+            sympiler_dense::trsm_right_lower_trans,
+        ),
+        (
+            "trsm_right_lower_trans_unit",
+            true,
+            trsm::trsm_portable::<false, true>,
+            sympiler_dense::trsm_right_lower_trans_unit,
+        ),
+        (
+            "trsm_right_upper",
+            false,
+            trsm::trsm_portable::<true, false>,
+            sympiler_dense::trsm_right_upper,
+        ),
+    ];
+    for (name, unit, portable, entry) in trsms {
+        for m in [32usize, 400] {
+            for n in [8usize, 16, 32, 64] {
+                t.row(vec![
+                    name.to_string(),
+                    format!("m={m} n={n}"),
+                    cell(trsm_gflops(portable, unit, m, n)),
+                    cell(trsm_gflops(entry, unit, m, n)),
+                    "-".to_string(),
+                ]);
+            }
+        }
+    }
+
+    // In situ: the `gemm` / `trsm` spans of profiled factors carry the
+    // executed shapes and flops.
+    let opts = SympilerOptions {
+        ordering: Ordering::Colamd,
+        profile: true,
+        ..SympilerOptions::default()
+    };
+    let lu = SympilerLu::compile(pattern, &opts).expect("pattern compiles");
+    let mut ws = LuWorkspace::new();
+    lu.factor_with(pattern, &mut ws).expect("factor");
+    lu.profiler().reset();
+    const FACTORS: usize = 5;
+    for _ in 0..FACTORS {
+        std::hint::black_box(lu.factor_with(pattern, &mut ws).expect("factor"));
+    }
+    let profile = lu.profiler().snapshot("in situ");
+    let arg = |s: &sympiler_obs::SpanRec, key: &str| {
+        s.args
+            .iter()
+            .find(|(k, _)| k == key)
+            .map_or(0.0, |&(_, v)| v)
+    };
+    let mut in_situ = |kernel: &str, span: &str, what: &str, keep: &dyn Fn(f64) -> bool| {
+        let (mut calls, mut flops, mut ns) = (0usize, 0.0f64, 0u64);
+        for s in profile.spans_named(span).filter(|s| keep(arg(s, "k"))) {
+            calls += 1;
+            flops += arg(s, "flops");
+            ns += s.dur_ns;
+        }
+        t.row(vec![
+            kernel.to_string(),
+            format!(
+                "{what}; {} calls and {:.2} Mflop per factor",
+                calls / FACTORS,
+                flops / FACTORS as f64 / 1e6
+            ),
+            "-".to_string(),
+            "-".to_string(),
+            cell(flops / ns.max(1) as f64),
+        ]);
+    };
+    in_situ("panel_update_sub", "gemm", "v = 1 sources", &|k| k == 1.0);
+    in_situ("panel_update_sub", "gemm", "v >= 2 sources", &|k| k >= 2.0);
+    in_situ("trsm (unit + upper)", "trsm", "all", &|_| true);
+    t
+}
 
 /// Sweep the dense-panel threshold on one COLAMD-ordered pattern: per
 /// threshold the surviving dense panels, the structural flop share
@@ -173,6 +346,14 @@ fn main() {
     } else {
         SuiteScale::Bench
     };
+    let (n_sparse, n_dense) = match scale {
+        SuiteScale::Test => (2000, 300),
+        SuiteScale::Bench => (20000, 1200),
+    };
+    // The solve ledger's `refactor_dense` pattern at bench scale.
+    dense_kernel_table(&gen::circuit_unsym(n_dense, 4, 2, 1))
+        .emit(Some("ablation_dense_kernels.csv"));
+
     eprintln!("preparing problems 1, 3, 6 (supernode-rich and -poor regimes)...");
     let problems = prepare_subset(scale, &[1, 3, 6]);
     let mut t = Table::new(
@@ -233,10 +414,6 @@ fn main() {
             "scalar plan (BlockLu::Off)",
         ],
     );
-    let (n_sparse, n_dense) = match scale {
-        SuiteScale::Test => (2000, 300),
-        SuiteScale::Bench => (20000, 1200),
-    };
     lu_threshold_sweep(
         &mut lu,
         "circuit fill-free",

@@ -103,7 +103,12 @@ pub struct SympilerOptions {
     /// already order upstream; [`Ordering::Colamd`] is the recommended
     /// setting for unordered unsymmetric systems, cutting both fill
     /// (numeric flops) and elimination-DAG depth (what the parallel
-    /// executor scales on).
+    /// executor scales on). Every computed ordering (`Rcm`, `Colamd`)
+    /// is postordered by the elimination tree of the symmetrized
+    /// permuted pattern before it is baked
+    /// ([`sympiler_graph::ordering::postorder_by_etree`]): fill, flops
+    /// and the elimination DAG are unchanged, etree subtrees become
+    /// contiguous, and panel detection finds wider panels on them.
     pub ordering: Ordering,
     /// Supernodal (VS-Block) LU: detect column panels in the predicted
     /// `L` and route the numeric phase through dense GETRF/TRSM/GEMM

@@ -14,9 +14,12 @@
 //!   layouts (trapezoid extents, value offsets, the panel-level update
 //!   DAG) are all baked here at compile time.
 //! * **Numeric phase** — panel by panel: scatter the panel's columns
-//!   into a **row-major** block accumulator (`x[row · w + c]`, stride =
-//!   the panel's own width `w`, so one accumulator row of the panel is
-//!   one contiguous run); apply each *source* panel's accumulated
+//!   into a **row-major** block accumulator (`x[row · ldx + c]`, stride
+//!   `ldx` = the panel's own width `w` rounded up to the update
+//!   kernel's 4-column register tile (`acc_stride`), so one
+//!   accumulator row of the panel is one contiguous, tile-aligned run
+//!   whose `ldx − w` **pad columns** hold exact zeros from scatter to
+//!   write-back); apply each *source* panel's accumulated
 //!   updates with a dense TRSM
 //!   ([`sympiler_dense::trsm_right_lower_trans_unit`], the source's
 //!   internal solve, in place on the accumulator rows of the source's
@@ -151,12 +154,33 @@ struct SharedPanels {
 #[cfg(feature = "parallel")]
 unsafe impl Sync for SharedPanels {}
 
+/// Row stride of the accumulator for a panel of width `w`: `w` rounded
+/// up to the update kernel's 4-column register tile. At the panel's own
+/// width a remainder of 1–3 columns would run in the kernel's 1-column
+/// tiles, at a third of its speed (`w = 15` against 16 in
+/// `results/ablation_dense_kernels.csv`); with the stride rounded up the
+/// kernel is handed `ldx` columns and never enters them.
+///
+/// **Pad-column invariant.** Columns `w..ldx` of every accumulator row
+/// are zero when a panel starts (the accumulator is all zeros between
+/// panels), nothing scatters into them, the source-diagonal solve and
+/// the update only ever subtract `l · 0` from them, and neither pack
+/// nor write-back reads them — so they are zero again when the panel
+/// ends, without a clearing pass. A non-finite `l` breaks that
+/// (`Inf · 0`), exactly as it breaks the zeros of entries no column's
+/// pattern owns; [`SupernodalLuPlan::factor_with`] restores the
+/// accumulator wholesale in that case.
+fn acc_stride(w: usize) -> usize {
+    w.next_multiple_of(4)
+}
+
 /// Per-worker scratch: `x` is the dense block accumulator, `n ×
-/// max_width` doubles, all zeros between panels — panel `s` of width
-/// `w` addresses its leading `n × w` doubles **row-major**
-/// (`x[row · w + c]`), a singleton its leading `n` as a plain column;
-/// `bt` holds `max_width²` doubles for the solved source block handed
-/// to the update kernel and for the diagonal-block copy.
+/// acc_stride(max_width)` doubles, all zeros between panels — panel `s`
+/// of width `w` addresses its leading `n × ldx` doubles **row-major**
+/// (`x[row · ldx + c]`, `ldx = acc_stride(w)`), a singleton its leading
+/// `n` as a plain column; `bt` holds `acc_stride(max_width)²` doubles
+/// for the solved source block handed to the update kernel and for the
+/// diagonal-block copy.
 struct PanelWorkspace<'a> {
     x: &'a mut [f64],
     bt: &'a mut [f64],
@@ -242,9 +266,10 @@ impl SupernodalLuPlan {
     /// into scalar columns ([`crate::BlockLu::Auto`] passes
     /// [`DENSE_PANEL_MIN_FLOPS_PER_ENTRY`]). Exact compile-time
     /// quantities only: the panel's flops (sum of its columns'), and
-    /// `width × (union rows + Σ rows of every source panel)` — each
-    /// source's update rewrites that many accumulator entries, the
-    /// pack pass the panel's own trapezoid.
+    /// `stride × (union rows + Σ rows of every source panel)` with the
+    /// accumulator stride the kernels really walk (`acc_stride`) —
+    /// each source's update rewrites that many accumulator entries,
+    /// the pack pass the panel's own rows.
     pub fn dissolve_thin_panels(
         plan: &LuPlan,
         panels: &LuPanels,
@@ -277,7 +302,7 @@ impl SupernodalLuPlan {
                     }
                 }
             }
-            let entries = part.width(s) * rows_moved;
+            let entries = acc_stride(part.width(s)) * rows_moved;
             keep[s] = flops as f64 >= min_flops_per_entry * entries as f64;
         }
         panels.dissolve_unless(&plan.structure.l_col_ptr, &plan.structure.l_row_idx, |s| {
@@ -387,11 +412,13 @@ impl SupernodalLuPlan {
         // What the wide panels execute (divisions 1 flop, multiply-
         // subtract pairs 2 — the structural count's convention): per
         // source the internal solve and the all-columns update over
-        // the source's whole row list, then the panel's own GETRF and
-        // sub-diagonal solve over its whole trapezoid.
+        // the source's whole row list, both across the accumulator's
+        // `ldx` columns (pad columns included), then the panel's own
+        // GETRF and sub-diagonal solve over its whole trapezoid.
         let mut dense_executed_flops = 0u64;
         for s in (0..n_panels).filter(|&s| part.width(s) > 1) {
             let w = part.width(s) as u64;
+            let ldx = acc_stride(part.width(s)) as u64;
             let m = panels.panel_rows(s).len() as u64;
             for &t in &upd_panels[upd_ptr[s]..upd_ptr[s + 1]] {
                 let t = t as usize;
@@ -402,7 +429,7 @@ impl SupernodalLuPlan {
                 } else {
                     panels.panel_rows(t).len() as u64 - v
                 };
-                dense_executed_flops += w * v * (v - 1) + 2 * m_sub * w * v;
+                dense_executed_flops += ldx * v * (v - 1) + 2 * m_sub * ldx * v;
             }
             let getrf = w * (w - 1) / 2 + (w - 1) * w * (2 * w - 1) / 3;
             dense_executed_flops += getrf + (m - w) * w * w;
@@ -644,13 +671,15 @@ impl SupernodalLuPlan {
             "panel {s}: diagonal run must lead the union rows"
         );
 
-        // The panel's row-major view of the accumulator: row `r` of its
-        // `w` columns is the contiguous run `x[r * w..(r + 1) * w]`.
-        let x = &mut ws.x[..n * w];
+        // The panel's row-major view of the accumulator: row `r` is the
+        // contiguous run `x[r * ldx..(r + 1) * ldx]`, its `w` columns
+        // first, then the zero pad columns (see `acc_stride`).
+        let ldx = acc_stride(w);
+        let x = &mut ws.x[..n * ldx];
 
         // --- Scatter the panel's (ordered) input columns.
         for c in 0..w {
-            plan.scatter_a_column(f + c, a, x, w, c);
+            plan.scatter_a_column(f + c, a, x, ldx, c);
         }
 
         // --- Source-panel updates, ascending (a valid topological
@@ -660,9 +689,9 @@ impl SupernodalLuPlan {
             let g = self.panels.part.first_col[t];
             let v = self.panels.part.width(t);
             // The accumulator rows at the source's diagonal block are
-            // consecutive (g..g+v), hence one contiguous `v × w`
-            // row-major block — column-major `w × v` to the TRSM.
-            let diag = g * w..(g + v) * w;
+            // consecutive (g..g+v), hence one contiguous `v × ldx`
+            // row-major block — column-major `ldx × v` to the TRSM.
+            let diag = g * ldx..(g + v) * ldx;
             // Sub-diagonal rows and values of the source, all
             // finalized by the caller's contract.
             let (sub_rows, sub_vals, ldl) = if v == 1 {
@@ -689,7 +718,7 @@ impl SupernodalLuPlan {
                 // Bt := Bt · L_dd^{-T}  ⇔  B := L_dd^{-1} B. The solved
                 // rows are the final U values of the target columns.
                 let t0 = if enabled { prof.now_ns() } else { 0 };
-                trsm_right_lower_trans_unit(w, v, sx_t, m_t, &mut x[diag.clone()], w);
+                trsm_right_lower_trans_unit(ldx, v, sx_t, m_t, &mut x[diag.clone()], ldx);
                 if enabled {
                     let t1 = prof.now_ns();
                     prof.add_span(
@@ -697,7 +726,11 @@ impl SupernodalLuPlan {
                         "trsm",
                         t0,
                         t1 - t0,
-                        &[("m", w as f64), ("n", v as f64)],
+                        &[
+                            ("m", ldx as f64),
+                            ("n", v as f64),
+                            ("flops", (ldx * v * (v - 1)) as f64),
+                        ],
                     );
                 }
                 (&rows_t[v..], &sx_t[v..], m_t)
@@ -708,13 +741,13 @@ impl SupernodalLuPlan {
             }
             // The update reads the solved block while it writes other
             // rows of the same accumulator: hand it a copy.
-            let bt = &mut ws.bt[..v * w];
+            let bt = &mut ws.bt[..v * ldx];
             bt.copy_from_slice(&x[diag]);
             let t0 = if enabled { prof.now_ns() } else { 0 };
-            panel_update_sub(w, v, sub_rows, sub_vals, ldl, bt, x, w);
+            panel_update_sub(ldx, v, sub_rows, sub_vals, ldl, bt, x, ldx);
             if enabled {
                 let t1 = prof.now_ns();
-                let flops = 2.0 * m_sub as f64 * w as f64 * v as f64;
+                let flops = 2.0 * m_sub as f64 * ldx as f64 * v as f64;
                 prof.add_span(
                     lane,
                     "gemm",
@@ -722,7 +755,7 @@ impl SupernodalLuPlan {
                     t1 - t0,
                     &[
                         ("m", m_sub as f64),
-                        ("n", w as f64),
+                        ("n", ldx as f64),
                         ("k", v as f64),
                         ("flops", flops),
                         ("gflops", flops / (t1 - t0).max(1) as f64),
@@ -734,11 +767,12 @@ impl SupernodalLuPlan {
         // --- The panel's own dense factorization, in its trapezoid
         // (column-major `m × w`, the layout it is later read in as a
         // source). Packing a row clears it: the union rows cover every
-        // accumulator entry at or below the diagonal run.
+        // accumulator entry at or below the diagonal run; the pad
+        // columns are zero already and stay out of the trapezoid.
         // SAFETY: this worker is the unique owner of panel s.
         let trap = std::slice::from_raw_parts_mut(sx.add(self.sx_ptr[s]), m * w);
         for (i, &r) in rows.iter().enumerate() {
-            let xr = &mut x[r as usize * w..(r as usize + 1) * w];
+            let xr = &mut x[r as usize * ldx..][..w];
             for (c, xv) in xr.iter_mut().enumerate() {
                 trap[c * m + i] = std::mem::take(xv);
             }
@@ -781,7 +815,11 @@ impl SupernodalLuPlan {
                     "trsm",
                     t0,
                     t1 - t0,
-                    &[("m", (m - w) as f64), ("n", w as f64)],
+                    &[
+                        ("m", (m - w) as f64),
+                        ("n", w as f64),
+                        ("flops", ((m - w) * w * w) as f64),
+                    ],
                 );
             }
         }
@@ -798,7 +836,7 @@ impl SupernodalLuPlan {
             for p in u_ptr[j]..u_ptr[j + 1] {
                 let r = u_rows[p] as usize;
                 *ux.add(p) = if r < f {
-                    std::mem::take(&mut x[r * w + c])
+                    std::mem::take(&mut x[r * ldx + c])
                 } else {
                     trap[c * m + (r - f)]
                 };
@@ -876,8 +914,8 @@ impl SupernodalLuPlan {
             let mut sx = vec![0.0f64; sx_len];
             self.factor_parallel(a, lx, ux, &mut sx, thresh, &mut perturbed)
         } else {
-            let w = self.max_width;
-            let (x, bt, sx) = ws.ensure_panels(self.plan.n() * w, w * w, sx_len);
+            let ldx = acc_stride(self.max_width);
+            let (x, bt, sx) = ws.ensure_panels(self.plan.n() * ldx, ldx * ldx, sx_len);
             let first_bad = self.factor_serial(
                 a,
                 lx,
@@ -1011,8 +1049,9 @@ impl SupernodalLuPlan {
                 let (dense_flops, scalar_flops) = (&dense_flops, &scalar_flops);
                 let all_perturbed = &all_perturbed;
                 scope.spawn(move || {
-                    let mut x = vec![0.0f64; self.plan.n() * self.max_width];
-                    let mut bt = vec![0.0f64; self.max_width * self.max_width];
+                    let ldx = acc_stride(self.max_width);
+                    let mut x = vec![0.0f64; self.plan.n() * ldx];
+                    let mut bt = vec![0.0f64; ldx * ldx];
                     let mut ws = PanelWorkspace {
                         x: &mut x,
                         bt: &mut bt,
@@ -1222,6 +1261,34 @@ mod tests {
                 .zip(fp.l().values().iter().chain(fp.u().values()))
             {
                 assert_eq!(x.to_bits(), y.to_bits(), "{threads} threads");
+            }
+        }
+    }
+
+    #[test]
+    #[cfg(feature = "parallel")]
+    fn odd_widths_follow_the_padded_stride_in_every_workspace() {
+        // Widest panels of 13, 15 and 21 columns address their
+        // accumulators at strides 16, 16 and 24: the caller's workspace
+        // and every worker's own must be sized for the rounded width,
+        // the factors must not depend on who ran a panel, and the pad
+        // columns must be zero again when the factor returns.
+        let a = gen::convection_diffusion_2d(24, 6, 1.5, 5);
+        let serial = LuPlan::build(&a, true, 2).unwrap();
+        for width in [13usize, 15, 21] {
+            let one = SupernodalLuPlan::from_plan(serial.clone(), width, 1);
+            assert_eq!(one.max_panel_width(), width, "the cap must bind");
+            assert!(acc_stride(width) > width);
+            let mut ws = LuWorkspace::new();
+            let f1 = one.factor_with(&a, &mut ws).unwrap();
+            assert!(ws.capacity() >= a.n_cols() * acc_stride(width));
+            assert!(ws.is_clear(), "width {width}: pad columns left dirty");
+            assert_close(&f1, &serial.factor(&a).unwrap(), 1e-12, "vs serial");
+            for threads in [2usize, 3] {
+                let par = SupernodalLuPlan::from_plan(serial.clone(), width, threads);
+                let fp = par.factor_with(&a, &mut ws).unwrap();
+                assert_eq!(bits(&fp), bits(&f1), "width {width}, {threads} threads");
+                assert!(ws.is_clear());
             }
         }
     }

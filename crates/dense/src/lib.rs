@@ -21,14 +21,24 @@
 //! LU and supernodal Cholesky — a source panel's `L` block times a
 //! small block (`U` rows solved in place for LU, the descendant's own
 //! `J` rows for Cholesky), subtracted straight into the scattered rows
-//! of a **row-major** accumulator, with an `avx2,fma` instantiation
-//! picked at run time.
+//! of a **row-major** accumulator.
+//!
+//! That kernel and the three TRSMs of [`trsm`] (one blocked body,
+//! const-generic over the triangle kind) are **register-tiled**: a
+//! generic safe-Rust body holds a small tile of the output in
+//! registers across the whole reduction, and is compiled twice —
+//! portable, and `avx2,fma` behind `#[target_feature]`. Which one runs
+//! is decided in exactly one place, [`isa::detect`], from the CPU the
+//! process is on; there is no cargo feature, environment variable or
+//! `-C target-cpu` to set. The remaining generic kernels ([`potrf`],
+//! [`getrf`], [`gemm`], [`trsv`]) are plain loops.
 //!
 //! The `dense_kernels` criterion bench (ablation A1 in DESIGN.md)
 //! measures the two tiers against each other across block sizes.
 
 pub mod gemm;
 pub mod getrf;
+pub mod isa;
 pub mod mat;
 pub mod panel_update;
 pub mod potrf;

@@ -144,6 +144,18 @@ impl DenseMat {
     }
 }
 
+/// Deterministic test values in (-0.8, 0.9), never exactly zero.
+#[cfg(test)]
+pub(crate) fn lcg_fill(len: usize, seed: u64) -> Vec<f64> {
+    let mut s = seed;
+    (0..len)
+        .map(|_| {
+            s = s.wrapping_mul(6364136223846793005).wrapping_add(11);
+            ((s >> 40) as f64) / 1e7 - 0.8
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -15,12 +15,21 @@
 //! descendant reaches (`w < ldx`, `x` starting at the window's first
 //! column).
 //!
+//! Columns are cut into register tiles of 8, 4 and — for a remainder —
+//! 1, and a 1-column tile runs at about a third of the 4-column tile's
+//! speed (`results/ablation_dense_kernels.csv`: `w = 15` against 16).
+//! A caller that owns its accumulator therefore rounds the row stride
+//! up to a multiple of 4 and updates the pad columns too (supernodal LU
+//! does: pad columns hold zeros and receive `0 − l·0`).
+//!
 //! One generic body serves two instantiations: a portable one, and on
 //! x86-64 an `avx2,fma` one picked at run time by
-//! `is_x86_feature_detected!`. Per accumulator entry both subtract the
+//! [`crate::isa::detect`]. Per accumulator entry both subtract the
 //! `v` products in ascending `k`; the FMA instantiation rounds each
 //! multiply-subtract once instead of twice, so hosts with and without
 //! FMA agree to rounding, not bitwise.
+
+use crate::isa::{self, Isa};
 
 /// `X[rows[i], 0..w] -= L[i, 0..v] · Bt[0..v, 0..w]` for every `i` in
 /// `0..rows.len()`.
@@ -65,20 +74,22 @@ pub fn panel_update_sub(
     if w == 0 || v == 0 {
         return;
     }
-    #[cfg(target_arch = "x86_64")]
-    if std::is_x86_feature_detected!("avx2") && std::is_x86_feature_detected!("fma") {
-        // SAFETY: `update_avx2_fma` requires the `avx2` and `fma` CPU
-        // features; this call is reachable only behind the run-time
-        // detection of both on the executing CPU.
-        unsafe { update_avx2_fma(w, v, rows, l, ldl, bt, x, ldx) };
-        return;
+    match isa::detect() {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `Avx2Fma` is returned only when the executing CPU
+        // reports both features `update_avx2_fma` is compiled for.
+        Isa::Avx2Fma => unsafe { update_avx2_fma(w, v, rows, l, ldl, bt, x, ldx) },
+        Isa::Portable => update_portable(w, v, rows, l, ldl, bt, x, ldx),
     }
-    update_portable(w, v, rows, l, ldl, bt, x, ldx);
 }
 
 /// The portable instantiation: separate multiply and subtract, whatever
-/// vector width the build target guarantees.
-fn update_portable(
+/// vector width the build target guarantees. Public (and hidden) only
+/// so the kernel table of `ablation_thresholds` can time it beside
+/// [`panel_update_sub`]; it performs no shape checks beyond slice
+/// bounds.
+#[doc(hidden)]
+pub fn update_portable(
     w: usize,
     v: usize,
     rows: &[u32],
@@ -95,7 +106,9 @@ fn update_portable(
 /// `w`, one fused multiply-subtract per product.
 ///
 /// # Safety
-/// The executing CPU must support the `avx2` and `fma` features.
+/// The executing CPU must support the `avx2` and `fma` features. The
+/// only caller outside tests is [`panel_update_sub`], behind
+/// [`isa::detect`]` == `[`Isa::Avx2Fma`].
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
 unsafe fn update_avx2_fma(
@@ -214,17 +227,7 @@ fn update_body<const FMA: bool>(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Deterministic values in (-0.8, 0.9), never exactly zero.
-    fn fill(len: usize, seed: u64) -> Vec<f64> {
-        let mut s = seed;
-        (0..len)
-            .map(|_| {
-                s = s.wrapping_mul(6364136223846793005).wrapping_add(11);
-                ((s >> 40) as f64) / 1e7 - 0.8
-            })
-            .collect()
-    }
+    use crate::mat::lcg_fill as fill;
 
     /// Naive triple loop, separate multiply and subtract.
     fn reference(
@@ -320,7 +323,7 @@ mod tests {
     #[test]
     #[cfg(target_arch = "x86_64")]
     fn avx2_fma_matches_naive_and_portable_for_every_shape() {
-        if !(std::is_x86_feature_detected!("avx2") && std::is_x86_feature_detected!("fma")) {
+        if isa::detect() != Isa::Avx2Fma {
             eprintln!("skipped: host lacks avx2/fma");
             return;
         }
@@ -334,7 +337,7 @@ mod tests {
             x: &mut [f64],
             ldx: usize,
         ) {
-            // SAFETY: both features were detected above.
+            // SAFETY: `isa::detect` reported both features above.
             unsafe { update_avx2_fma(w, v, rows, l, ldl, bt, x, ldx) }
         }
         check_all_shapes(avx2, "avx2,fma");

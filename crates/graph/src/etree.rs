@@ -29,11 +29,18 @@ pub fn etree(a_lower: &CscMatrix) -> Vec<usize> {
 /// column `k`, walk the path-compressed ancestors of every `i < k` with
 /// `A[i,k] != 0` up to `k`.
 pub fn etree_from_upper(a_upper: &CscMatrix) -> Vec<usize> {
-    let n = a_upper.n_cols();
+    etree_from_upper_parts(a_upper.col_ptr(), a_upper.row_idx())
+}
+
+/// [`etree_from_upper`] on a bare CSC pattern. The row lists need be
+/// neither sorted nor duplicate-free; entries with `i >= k` are
+/// skipped.
+pub fn etree_from_upper_parts(col_ptr: &[usize], row_idx: &[usize]) -> Vec<usize> {
+    let n = col_ptr.len().saturating_sub(1);
     let mut parent = vec![NONE; n];
     let mut ancestor = vec![NONE; n];
     for k in 0..n {
-        for &row in a_upper.col_rows(k) {
+        for &row in &row_idx[col_ptr[k]..col_ptr[k + 1]] {
             let mut i = row;
             // Entries with i >= k belong to the lower triangle; skip.
             while i < k {

@@ -8,7 +8,8 @@
 //!   VI-Prune);
 //! * [`mod@etree`] — Liu's elimination-tree algorithm (the inspection graph
 //!   for Cholesky);
-//! * [`mod@postorder`] — iterative tree postorder;
+//! * [`mod@postorder`] — postorder of an elimination forest (two
+//!   sweeps, no search);
 //! * [`mod@ereach`] — row sparsity patterns of `L` via etree up-traversal
 //!   (Cholesky prune-sets);
 //! * [`symbolic`] — the full fill pattern of `L` from Eq. (1) of the
@@ -32,7 +33,9 @@
 //!   graph, supercolumns, dense-row stripping) — the fill-reducing
 //!   ordering of the LU pipeline;
 //! * [`mod@ordering`] — the [`Ordering`] knob the compile pipeline
-//!   exposes (natural / RCM / COLAMD) and its dispatch;
+//!   exposes (natural / RCM / COLAMD), its dispatch, and the etree
+//!   postorder every computed ordering ends with (same fill, same
+//!   flops, contiguous subtrees for panel detection);
 //! * [`transversal`] — static pre-pivoting: MC21-style maximum
 //!   transversal and MC64-like weighted matching producing a row
 //!   permutation `P` with a zero-free (and numerically large) diagonal
@@ -73,7 +76,7 @@ pub use lu_supernode::{
     supernodes_lu_from_parts,
 };
 pub use lu_symbolic::{lu_symbolic, LuSymbolic};
-pub use ordering::{compute_ordering, Ordering};
+pub use ordering::{compute_ordering, postorder_by_etree, symmetrized_etree, Ordering};
 pub use postorder::postorder;
 pub use rcm::rcm_ordering;
 pub use supernode::{

@@ -8,10 +8,22 @@
 //! **symmetrically**, `Qᵀ A Q`, so static diagonal pivoting keeps its
 //! diagonal — see `sympiler_sparse::ops::permute_rows_cols`) and the
 //! numeric phase never sees it again.
+//!
+//! Every computed ordering is **postordered** by the elimination tree
+//! of the symmetrized permuted pattern before it is returned
+//! ([`postorder_by_etree`]). A minimum-degree ordering interleaves the
+//! columns of unrelated etree subtrees; the postorder makes every
+//! subtree one contiguous label range without changing which column
+//! eliminates before which of its ancestors — same fill, same flops,
+//! same elimination DAG — so panel detection finds the adjacent,
+//! nesting columns that were there all along (SuperLU postorders the
+//! column etree after COLAMD for the same reason).
 
 use crate::colamd::colamd_ordering;
+use crate::etree::etree_from_upper_parts;
+use crate::postorder::postorder;
 use crate::rcm::rcm_ordering;
-use sympiler_sparse::{CscMatrix, TripletMatrix};
+use sympiler_sparse::{ops, CscMatrix, TripletMatrix};
 
 /// Fill-reducing ordering strategy for the LU pipeline, chosen once at
 /// compile (inspection) time.
@@ -57,18 +69,85 @@ impl Ordering {
 /// Compute the column/row ordering of `a` under `ordering`: `None` for
 /// [`Ordering::Natural`] (so callers can skip permutation work
 /// entirely), otherwise `Some(perm)` with `perm[new] = old`, always a
-/// valid permutation of `0..a.n_cols()`.
+/// valid permutation of `0..a.n_cols()` and always an etree postorder
+/// ([`postorder_by_etree`]).
 ///
 /// # Panics
 /// If `a` is not square (the LU pipeline's contract; both RCM and the
 /// symmetric application of the ordering need matching dimensions).
 pub fn compute_ordering(a: &CscMatrix, ordering: Ordering) -> Option<Vec<usize>> {
     assert!(a.is_square(), "ordering requires a square matrix");
-    match ordering {
-        Ordering::Natural => None,
-        Ordering::Rcm => Some(rcm_ordering(&symmetrized_lower_pattern(a))),
-        Ordering::Colamd => Some(colamd_ordering(a)),
+    let perm = match ordering {
+        Ordering::Natural => return None,
+        Ordering::Rcm => rcm_ordering(&symmetrized_lower_pattern(a)),
+        Ordering::Colamd => colamd_ordering(a),
+    };
+    Some(postorder_by_etree(a, &perm))
+}
+
+/// Elimination tree of the symmetrized permuted pattern
+/// `Qᵀ·(|A| + |Aᵀ|)·Q` for `perm[new] = old`, in the **new** labels
+/// (`parent[root] == NONE`). The tree every statically pivoted
+/// factorization of `Qᵀ·A·Q` is bounded by: a fill entry `(i, j)` of
+/// either factor joins an ancestor–descendant pair of it.
+///
+/// Sort-free: one counting sort buckets every entry `{i, j}`
+/// (inverse-permuted) under its larger endpoint, then Liu's
+/// path-compressed algorithm ([`etree_from_upper_parts`]) walks the
+/// buckets in order — it needs neither sorted nor duplicate-free
+/// lists, so an entry present in both `A` and `Aᵀ` simply appears
+/// twice, and it skips the diagonal.
+///
+/// # Panics
+/// If `a` is not square or `perm` is not a permutation of
+/// `0..a.n_cols()`.
+pub fn symmetrized_etree(a: &CscMatrix, perm: &[usize]) -> Vec<usize> {
+    assert!(a.is_square(), "etree requires a square matrix");
+    let n = a.n_cols();
+    assert_eq!(perm.len(), n, "permutation length");
+    let inv = ops::inverse_permutation(perm).expect("perm must be a bijection");
+    // ptr[k + 1] counts, then ptr[k] starts, the smaller endpoints of
+    // the edges whose larger endpoint is `k`.
+    let mut ptr = vec![0usize; n + 1];
+    for (j, &nj) in inv.iter().enumerate() {
+        for &i in a.col_rows(j) {
+            ptr[inv[i].max(nj) + 1] += 1;
+        }
     }
+    for k in 0..n {
+        ptr[k + 1] += ptr[k];
+    }
+    let mut lower = vec![0usize; ptr[n]];
+    let mut fill = ptr.clone();
+    for (j, &nj) in inv.iter().enumerate() {
+        for &i in a.col_rows(j) {
+            let ni = inv[i];
+            let at = &mut fill[ni.max(nj)];
+            lower[*at] = ni.min(nj);
+            *at += 1;
+        }
+    }
+    etree_from_upper_parts(&ptr, &lower)
+}
+
+/// Compose `perm` (`perm[new] = old`) with a postorder of the
+/// elimination tree of the symmetrized permuted pattern
+/// ([`symmetrized_etree`]): `out[k] = perm[post[k]]`.
+///
+/// A postorder only renumbers columns that cannot reach each other in
+/// the elimination — every column still follows all of its etree
+/// descendants and precedes all of its ancestors — so the patterns of
+/// `L` and `U`, the flop count and the column elimination DAG of the
+/// statically pivoted factorization are those of `perm`, relabelled.
+/// What changes is adjacency: every etree subtree becomes one
+/// contiguous label range, which is what panel detection needs.
+/// Children are visited in ascending label order, so postordering a
+/// permutation that already is one returns it unchanged.
+pub fn postorder_by_etree(a: &CscMatrix, perm: &[usize]) -> Vec<usize> {
+    postorder(&symmetrized_etree(a, perm))
+        .into_iter()
+        .map(|k| perm[k])
+        .collect()
 }
 
 /// The lower triangle of the symmetrized pattern `|A| + |Aᵀ|` with an
@@ -93,7 +172,8 @@ fn symmetrized_lower_pattern(a: &CscMatrix) -> CscMatrix {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sympiler_sparse::{gen, ops};
+    use crate::etree::NONE;
+    use sympiler_sparse::gen;
 
     fn assert_permutation(perm: &[usize], n: usize) {
         let mut sorted = perm.to_vec();
@@ -135,10 +215,110 @@ mod tests {
                 Some(p) => assert!(p.is_empty()),
             }
         }
+        assert!(symmetrized_etree(&empty, &[]).is_empty());
+        let one = CscMatrix::identity(1);
         let diag = CscMatrix::identity(5);
         for ord in [Ordering::Rcm, Ordering::Colamd] {
+            assert_eq!(compute_ordering(&one, ord).unwrap(), vec![0]);
             assert_permutation(&compute_ordering(&diag, ord).unwrap(), 5);
         }
+        // A diagonal matrix is a forest of roots: nothing to renumber.
+        assert_eq!(symmetrized_etree(&diag, &[4, 2, 0, 1, 3]), vec![NONE; 5]);
+        assert_eq!(postorder_by_etree(&diag, &[4, 2, 0, 1, 3]), [4, 2, 0, 1, 3]);
+    }
+
+    /// `|A| + |Aᵀ|` as a lower-triangular CSC with a full diagonal,
+    /// relabelled by `perm` — what [`crate::etree::etree`] consumes.
+    fn permuted_symmetrized_lower(a: &CscMatrix, perm: &[usize]) -> CscMatrix {
+        let inv = ops::inverse_permutation(perm).unwrap();
+        let n = a.n_cols();
+        let mut t = TripletMatrix::new(n, n);
+        for j in 0..n {
+            t.push(j, j, 1.0);
+            for &i in a.col_rows(j) {
+                if i != j {
+                    t.push(inv[i].max(inv[j]), inv[i].min(inv[j]), 1.0);
+                }
+            }
+        }
+        t.to_csc().unwrap()
+    }
+
+    fn unsym_patterns() -> Vec<CscMatrix> {
+        let mut out = Vec::new();
+        for seed in 0..4u64 {
+            out.push(gen::circuit_unsym(70, 4, 2, seed));
+            out.push(gen::circuit_zero_diag(60, 4, 2, seed));
+            out.push(gen::random_unsym(45, 3, seed + 9));
+            out.push(gen::convection_diffusion_2d(6, 7, 2.0, seed));
+        }
+        out
+    }
+
+    #[test]
+    fn sort_free_etree_matches_the_sorted_construction() {
+        for a in unsym_patterns() {
+            let n = a.n_cols();
+            for perm in [(0..n).collect::<Vec<_>>(), colamd_ordering(&a)] {
+                let sorted = crate::etree::etree(&permuted_symmetrized_lower(&a, &perm));
+                assert_eq!(symmetrized_etree(&a, &perm), sorted);
+            }
+        }
+    }
+
+    #[test]
+    fn postordered_subtrees_are_contiguous_and_postordering_is_idempotent() {
+        for a in unsym_patterns() {
+            let n = a.n_cols();
+            for ord in [Ordering::Rcm, Ordering::Colamd] {
+                let perm = compute_ordering(&a, ord).unwrap();
+                assert_permutation(&perm, n);
+                assert_eq!(postorder_by_etree(&a, &perm), perm, "{ord:?}: idempotent");
+                // Node k's subtree is exactly the label range
+                // (k - size[k], k]: it has size[k] members, all of
+                // them inside that range once every child's range
+                // nests in its parent's.
+                let parent = symmetrized_etree(&a, &perm);
+                let mut size = vec![1usize; n];
+                for k in 0..n {
+                    if parent[k] != NONE {
+                        assert!(parent[k] > k, "{ord:?}: parent of {k}");
+                        size[parent[k]] += size[k];
+                    }
+                }
+                for k in 0..n {
+                    let p = parent[k];
+                    assert!(
+                        p == NONE || k + 1 - size[k] >= p + 1 - size[p],
+                        "{ord:?}: subtree of {k} leaves the range of its parent {p}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_forest_with_several_roots_keeps_each_tree_together() {
+        // Two disjoint arrowheads interleaved: {0, 2, 4} and {1, 3, 5},
+        // hubs 4 and 5. Under the identity the trees interleave; the
+        // postorder lays them out one after the other.
+        let mut t = TripletMatrix::new(6, 6);
+        for j in 0..6 {
+            t.push(j, j, 4.0);
+        }
+        for (i, j) in [(4, 0), (0, 4), (4, 2), (5, 1), (3, 5)] {
+            t.push(i, j, 1.0);
+        }
+        let a = t.to_csc().unwrap();
+        let ident: Vec<usize> = (0..6).collect();
+        assert_eq!(symmetrized_etree(&a, &ident), vec![4, 5, 4, 5, NONE, NONE]);
+        assert_eq!(postorder_by_etree(&a, &ident), [0, 2, 4, 1, 3, 5]);
+    }
+
+    #[test]
+    #[should_panic(expected = "bijection")]
+    fn rejects_a_non_permutation() {
+        symmetrized_etree(&CscMatrix::identity(3), &[0, 0, 2]);
     }
 
     #[test]

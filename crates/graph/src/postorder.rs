@@ -1,48 +1,59 @@
-//! Iterative postorder of an elimination forest.
+//! Postorder of an elimination forest.
 //!
-//! Postorder is used by supernode detection and column-count algorithms;
-//! it also defines the execution order of the supernodal factorization.
+//! A postorder lays every subtree of the forest out as one contiguous
+//! label range ending at its root. [`crate::ordering`] composes every
+//! fill-reducing ordering with one, so that the columns panel detection
+//! can merge are neighbours.
 
 use crate::etree::NONE;
 
-/// Compute a postorder permutation of the forest given by `parent`
-/// (with `parent[root] == NONE`). Children are visited in increasing
-/// node order, so the result is deterministic.
+/// Compute a postorder permutation of the elimination forest given by
+/// `parent` (with `parent[root] == NONE`). Children are visited in
+/// increasing node order and trees in increasing root order, so the
+/// result is deterministic, and a forest that already is postordered
+/// maps to the identity.
 ///
 /// Returns `post` where `post[k]` is the node visited k-th; every node
 /// appears after all of its descendants.
+///
+/// An elimination forest numbers every child below its parent, which
+/// lets two sweeps replace the depth-first search: ascending, every
+/// node adds its subtree size to its parent's; descending, every node
+/// takes the last free slot of its parent's range (of the whole order,
+/// for a root) and hands the slots before its own to its children.
+/// Neither sweep follows a pointer chain, so — unlike the search —
+/// they run at memory throughput, not latency.
+///
+/// # Panics
+/// If some `parent[v]` is neither `NONE` nor in `v + 1..n`.
 pub fn postorder(parent: &[usize]) -> Vec<usize> {
     let n = parent.len();
-    // Build child lists: head[v] = first child, next[c] = sibling.
-    // Iterating nodes in reverse makes the lists sorted ascending.
-    let mut head = vec![NONE; n];
-    let mut next = vec![NONE; n];
-    for v in (0..n).rev() {
-        let p = parent[v];
+    // `end[v]` is v's subtree size until v is placed, then one past the
+    // last slot still free for v's children.
+    let mut end = vec![1usize; n];
+    for (v, &p) in parent.iter().enumerate() {
         if p != NONE {
-            next[v] = head[p];
-            head[p] = v;
+            assert!(
+                v < p && p < n,
+                "not an elimination forest: parent[{v}] = {p}"
+            );
+            end[p] += end[v];
         }
     }
-    let mut post = Vec::with_capacity(n);
-    let mut stack: Vec<usize> = Vec::with_capacity(64);
-    for root in 0..n {
-        if parent[root] != NONE {
-            continue;
-        }
-        // DFS with explicit stack; `head` is consumed as the per-node
-        // "next unvisited child" cursor.
-        stack.push(root);
-        while let Some(&v) = stack.last() {
-            let child = head[v];
-            if child == NONE {
-                post.push(v);
-                stack.pop();
-            } else {
-                head[v] = next[child];
-                stack.push(child);
-            }
-        }
+    let mut post = vec![0usize; n];
+    let mut roots_end = n;
+    for v in (0..n).rev() {
+        let size = end[v];
+        let free = match parent[v] {
+            NONE => &mut roots_end,
+            p => &mut end[p],
+        };
+        // Descending v fills each range from the back, so ascending
+        // siblings end up in ascending slots.
+        let slot = *free - 1;
+        *free -= size;
+        post[slot] = v;
+        end[v] = slot;
     }
     post
 }
@@ -106,6 +117,48 @@ mod tests {
             sorted.sort_unstable();
             assert_eq!(sorted, (0..50).collect::<Vec<_>>());
         }
+    }
+
+    /// Depth-first reference: trees by ascending root, children by
+    /// ascending label, every node after its subtree.
+    fn dfs_postorder(parent: &[usize]) -> Vec<usize> {
+        fn visit(v: usize, children: &[Vec<usize>], out: &mut Vec<usize>) {
+            for &c in &children[v] {
+                visit(c, children, out);
+            }
+            out.push(v);
+        }
+        let n = parent.len();
+        let mut children = vec![Vec::new(); n];
+        for v in 0..n {
+            if parent[v] != NONE {
+                children[parent[v]].push(v);
+            }
+        }
+        let mut out = Vec::with_capacity(n);
+        for root in (0..n).filter(|&v| parent[v] == NONE) {
+            visit(root, &children, &mut out);
+        }
+        out
+    }
+
+    #[test]
+    fn two_sweeps_reproduce_the_depth_first_order() {
+        assert_eq!(postorder(&[]), Vec::<usize>::new());
+        assert_eq!(postorder(&[NONE]), vec![0]);
+        // Interleaved trees {0, 2, 4} and {1, 3, 5}.
+        let parent = vec![4, 5, 4, 5, NONE, NONE];
+        assert_eq!(postorder(&parent), vec![0, 2, 4, 1, 3, 5]);
+        for seed in 0..10u64 {
+            let parent = etree(&gen::random_spd(60, 3, seed));
+            assert_eq!(postorder(&parent), dfs_postorder(&parent), "seed {seed}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "not an elimination forest")]
+    fn a_parent_below_its_child_is_rejected() {
+        postorder(&[NONE, 0]);
     }
 
     #[test]

@@ -105,6 +105,81 @@ fn every_ordering_is_a_valid_permutation_on_the_suite() {
     }
 }
 
+/// The ordering a strategy computes *before* `compute_ordering`
+/// postorders it, straight from the ordering routine.
+fn unpostordered(a: &CscMatrix, ordering: Ordering) -> Vec<usize> {
+    match ordering {
+        Ordering::Colamd => sympiler::graph::colamd_ordering(a),
+        Ordering::Rcm => {
+            // RCM runs on the lower triangle of |A| + |Aᵀ|.
+            let n = a.n_cols();
+            let mut t = TripletMatrix::new(n, n);
+            for j in 0..n {
+                t.push(j, j, 1.0);
+                for &i in a.col_rows(j) {
+                    if i != j {
+                        t.push(i.max(j), i.min(j), 1.0);
+                    }
+                }
+            }
+            sympiler::graph::rcm_ordering(&t.to_csc().unwrap())
+        }
+        Ordering::Natural => unreachable!("natural order computes nothing"),
+    }
+}
+
+#[test]
+fn postordering_moves_no_fill_no_flop_and_no_dag_level_on_the_suite() {
+    // The etree postorder only renumbers columns that cannot reach each
+    // other: against the un-postordered permutation, the statically
+    // pivoted symbolic factorization keeps nnz(L), nnz(U), the exact
+    // flop count and the depth of the column elimination DAG — under
+    // every ordering and on every pre-pivoted row arrangement.
+    use sympiler::graph::{compute_pre_pivot, lu_column_levels, lu_symbolic};
+    for p in unsym_suite(SuiteScale::Test) {
+        for pre_pivot in [
+            PrePivot::Off,
+            PrePivot::Transversal,
+            PrePivot::WeightedMatching,
+        ] {
+            let pivoted = match compute_pre_pivot(&p.matrix, pre_pivot).unwrap() {
+                Some(rows) => ops::permute_rows(&p.matrix, &rows).unwrap(),
+                None => p.matrix.clone(),
+            };
+            for ordering in [Ordering::Rcm, Ordering::Colamd] {
+                let what = format!("{} under {} + {pre_pivot:?}", p.name, ordering.label());
+                let raw = unpostordered(&pivoted, ordering);
+                let post = sympiler::graph::compute_ordering(&pivoted, ordering).unwrap();
+                assert!(ops::inverse_permutation(&post).is_ok(), "{what}: bijection");
+                assert_eq!(
+                    sympiler::graph::postorder_by_etree(&pivoted, &raw),
+                    post,
+                    "{what}: compute_ordering is the postordered routine output"
+                );
+                assert_eq!(
+                    sympiler::graph::postorder_by_etree(&pivoted, &post),
+                    post,
+                    "{what}: idempotent"
+                );
+                let sym_raw = lu_symbolic(&ops::permute_rows_cols(&pivoted, &raw).unwrap());
+                let sym_post = lu_symbolic(&ops::permute_rows_cols(&pivoted, &post).unwrap());
+                assert_eq!(sym_post.l_nnz(), sym_raw.l_nnz(), "{what}: nnz(L)");
+                assert_eq!(sym_post.u_nnz(), sym_raw.u_nnz(), "{what}: nnz(U)");
+                assert_eq!(
+                    sym_post.per_column_flops().iter().sum::<u64>(),
+                    sym_raw.per_column_flops().iter().sum::<u64>(),
+                    "{what}: flops"
+                );
+                assert_eq!(
+                    lu_column_levels(&sym_post).n_levels(),
+                    lu_column_levels(&sym_raw).n_levels(),
+                    "{what}: DAG levels"
+                );
+            }
+        }
+    }
+}
+
 #[test]
 fn ordered_factors_reconstruct_and_match_baseline_on_the_suite() {
     for p in unsym_suite(SuiteScale::Test) {

@@ -344,6 +344,32 @@ proptest! {
     }
 
     #[test]
+    fn etree_postorder_is_a_fill_neutral_idempotent_bijection(a in unsym_matrix()) {
+        // Postordering the raw COLAMD permutation gives what
+        // `compute_ordering` returns; doing it again changes nothing;
+        // and the symbolic factorization of the postordered pattern has
+        // the raw one's nnz(L), nnz(U), flops and DAG depth.
+        use sympiler::graph::{
+            colamd_ordering, compute_ordering, lu_column_levels, lu_symbolic, postorder_by_etree,
+        };
+        use sympiler::sparse::ops::{inverse_permutation, permute_rows_cols};
+        let raw = colamd_ordering(&a);
+        let post = postorder_by_etree(&a, &raw);
+        prop_assert!(inverse_permutation(&post).is_ok(), "bijection");
+        prop_assert_eq!(compute_ordering(&a, Ordering::Colamd), Some(post.clone()));
+        prop_assert_eq!(postorder_by_etree(&a, &post), post.clone());
+        let sym_raw = lu_symbolic(&permute_rows_cols(&a, &raw).unwrap());
+        let sym_post = lu_symbolic(&permute_rows_cols(&a, &post).unwrap());
+        prop_assert_eq!(sym_post.l_nnz(), sym_raw.l_nnz());
+        prop_assert_eq!(sym_post.u_nnz(), sym_raw.u_nnz());
+        prop_assert_eq!(sym_post.factor_flops(), sym_raw.factor_flops());
+        prop_assert_eq!(
+            lu_column_levels(&sym_post).n_levels(),
+            lu_column_levels(&sym_raw).n_levels()
+        );
+    }
+
+    #[test]
     fn ordered_lu_plan_satisfies_qaq_eq_lu(a in unsym_matrix()) {
         // Under any ordering the compiled factors satisfy Qᵀ A Q = L U
         // (dense check, identity row perm) and the solve answers the
