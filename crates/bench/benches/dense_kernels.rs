@@ -1,4 +1,4 @@
-//! Criterion bench for ablation A1 (DESIGN.md): specialized unrolled
+//! Criterion bench for ablation A1: specialized unrolled
 //! kernels vs the generic mini-BLAS tier on small blocks — the §4.2
 //! argument that "BLAS routines are not well-optimized for small dense
 //! kernels".

@@ -1,4 +1,4 @@
-//! **Ablation A2** (DESIGN.md): sensitivity of the VS-Block decision to
+//! **Ablation A2**: sensitivity of the VS-Block decision to
 //! the supernode-size threshold (§4.2's hand-tuned 160), swept on two
 //! contrasting matrices — one supernode-rich, one supernode-poor —
 //! and, for LU, the crossover behind `BlockLu::Auto`'s per-panel rule:
@@ -203,9 +203,11 @@ fn dense_kernel_table(pattern: &CscMatrix) -> Table {
 /// they carry, what the dense path executes for it, and the median
 /// factor time through a reused workspace.
 fn lu_threshold_sweep(t: &mut Table, name: &str, a: &CscMatrix) {
-    let o = SympilerOptions::default();
-    let plan = LuPlan::build_ordered(a, o.low_level, o.peel_col_count, Ordering::Colamd)
-        .expect("suite patterns compile");
+    let o = SympilerOptions {
+        ordering: Ordering::Colamd,
+        ..Default::default()
+    };
+    let plan = LuPlan::build(a, &o).expect("suite patterns compile");
     let detected = SupernodalLuPlan::detect_panels(&plan, o.max_panel, o.relax_fill, o.relax_cols);
     let mut ws = LuWorkspace::new();
     let t_scalar = time_lu_factorizer(|| plan.factor(a).expect("factor"));
@@ -251,9 +253,11 @@ fn lu_threshold_sweep(t: &mut Table, name: &str, a: &CscMatrix) {
 /// the tables add, and the median factor time of the two scalar
 /// kernels on the same plan through a reused workspace.
 fn position_table_row(t: &mut Table, name: &str, a: &CscMatrix, ordering: Ordering) {
-    let o = SympilerOptions::default();
-    let plan = LuPlan::build_ordered(a, o.low_level, o.peel_col_count, ordering)
-        .expect("suite patterns compile");
+    let o = SympilerOptions {
+        ordering,
+        ..Default::default()
+    };
+    let plan = LuPlan::build(a, &o).expect("suite patterns compile");
     let entries = plan.l_nnz() + plan.u_nnz();
     let ops = plan.n_multiply_adds();
     let ratio = ops as f64 / entries as f64;

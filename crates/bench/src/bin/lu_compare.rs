@@ -38,7 +38,7 @@
 //! numeric time, decoupling speedup, and the per-problem panel
 //! statistics, with its factors verified against the same baseline
 //! under every combination — so the zero-diagonal problems exercise
-//! **all three execution tiers**.
+//! **both kernels, in order and leveled**.
 //!
 //! The two zero-diagonal problems (`circuit_zdiag_u`,
 //! `saddle_point_u`) are hard errors without a pre-pivot — asserted
@@ -75,7 +75,8 @@
 //! fill gains catch ordering regressions.
 //!
 //! Every run additionally takes one **profiled** pass per problem
-//! through all three execution tiers (enabled `Profiler`, natural
+//! through the scalar plan in order, the scalar plan leveled, and the
+//! supernodal plan (enabled `Profiler`, natural
 //! order, a weighted-matching pre-pivot on the zero-diagonal
 //! problems) and checks the observability layer's flop accounting
 //! against the compile-time count: serial `flops.scalar`, parallel
@@ -97,11 +98,8 @@ use sympiler_bench::harness::{geomean, gflops, Table};
 use sympiler_bench::perf::PerfReport;
 use sympiler_bench::workloads::prepare_lu_suite;
 use sympiler_core::plan::lu::{LuPlan, LuPlanError};
-use sympiler_core::plan::lu_parallel::ParallelLuPlan;
 use sympiler_core::plan::lu_supernodal::{SupernodalLuPlan, DENSE_PANEL_MIN_FLOPS_PER_ENTRY};
-use sympiler_core::{
-    BlockLu, Ordering, PrePivot, Profiler, SympilerLu, SympilerOptions, TraceFile,
-};
+use sympiler_core::{BlockLu, Ordering, PrePivot, SympilerLu, SympilerOptions, TraceFile};
 use sympiler_solvers::lu::{lu_backward_error, GpLu, Pivoting};
 use sympiler_sparse::suite::SuiteScale;
 
@@ -121,8 +119,9 @@ fn auto_supernodal(plan: &LuPlan, opts: &SympilerOptions) -> (SupernodalLuPlan, 
     )
 }
 
-/// One profiled pass per problem through all three numeric tiers on a
-/// shared enabled profiler; returns the flop-accounting ratio
+/// One profiled pass per problem through the scalar plan in order, the
+/// scalar plan leveled and the supernodal plan, all recording into the
+/// plan's own enabled profiler; returns the flop-accounting ratio
 /// (profiled / compile-time, exactly 1.0 when the observability layer
 /// attributes every flop) and pushes the snapshot onto the trace.
 fn profile_problem(p: &sympiler_bench::workloads::LuBenchProblem, trace: &mut TraceFile) -> f64 {
@@ -131,24 +130,22 @@ fn profile_problem(p: &sympiler_bench::workloads::LuBenchProblem, trace: &mut Tr
     } else {
         PrePivot::Off
     };
-    let profiler = Arc::new(Profiler::enabled());
-    let plan = LuPlan::build_profiled(
-        &p.a,
-        true,
-        2,
-        Ordering::Natural,
+    let opts = SympilerOptions {
         pre_pivot,
-        Arc::clone(&profiler),
-    )
-    .expect("profiled plan compiles");
+        profile: true,
+        ..Default::default()
+    };
+    let plan = LuPlan::build(&p.a, &opts).expect("profiled plan compiles");
+    let profiler = Arc::clone(plan.profiler());
     let want = plan.flops();
     // Serial tier.
     let before = profiler.counter_value("flops.scalar");
     plan.factor(&p.a).expect("profiled serial factor");
     let serial = profiler.counter_value("flops.scalar") - before;
-    // Parallel tier (4 workers; plan clones share the profiler).
+    // Leveled (4 workers; plan clones share the profiler).
     let before = profiler.counter_value("flops.scalar");
-    ParallelLuPlan::from_plan(plan.clone(), 4)
+    plan.clone()
+        .leveled(4)
         .factor(&p.a)
         .expect("profiled parallel factor");
     let parallel = profiler.counter_value("flops.scalar") - before;
@@ -250,9 +247,10 @@ fn main() {
             );
             report.push(&format!("{}:zero_diag", p.name), zeros as f64);
         }
-        // Observability self-check: one profiled pass through all
-        // three tiers; the attributed flops must reproduce the
-        // compile-time count exactly (ratio 1.0, gated in CI).
+        // Observability self-check: one profiled pass through the
+        // scalar plan in order, leveled, and the supernodal plan; the
+        // attributed flops must reproduce the compile-time count
+        // exactly (ratio 1.0, gated in CI).
         let accounting = profile_problem(p, &mut trace);
         assert_eq!(
             accounting, 1.0,
@@ -403,11 +401,11 @@ fn main() {
                 // The parallel numeric phase must reproduce the serial
                 // plan bitwise at every thread count. Leveling reuses
                 // the compiled plan — no second symbolic pass.
-                let par4 = ParallelLuPlan::from_plan(lu.plan().clone(), 4);
-                for threads in [2usize, 4] {
-                    let fp = ParallelLuPlan::from_plan(par4.serial().clone(), threads)
-                        .factor(&p.a)
-                        .expect("parallel factors");
+                let par2 = lu.plan().clone().leveled(2);
+                let par4 = lu.plan().clone().leveled(4);
+                for par in [&par2, &par4] {
+                    let threads = par.n_threads();
+                    let fp = par.factor(&p.a).expect("parallel factors");
                     for (x, y) in fp
                         .l()
                         .values()
@@ -473,7 +471,6 @@ fn main() {
                 });
                 let t_plan = time_lu_factorizer(|| lu.factor(&p.a).expect("factor"));
                 let t_sup = time_lu_factorizer(|| sup.factor(&p.a).expect("factor"));
-                let par2 = ParallelLuPlan::from_plan(lu.plan().clone(), 2);
                 let t_par2 = time_lu_factorizer(|| par2.factor(&p.a).expect("factor"));
                 let t_par4 = time_lu_factorizer(|| par4.factor(&p.a).expect("factor"));
                 let flops = lu.flops();
@@ -595,7 +592,10 @@ fn main() {
                     format!("{:.3?}", t_par2),
                     format!("{:.3?}", t_par4),
                     format!("{scaling:.2}x"),
-                    format!("{:.1}", par4.avg_parallelism()),
+                    format!(
+                        "{:.1}",
+                        par4.levels().expect("four threads level").avg_parallelism()
+                    ),
                     format!("{:.3}", gflops(flops, t_plan)),
                     format!("{:.1e}", health.growth),
                     format!("{:.1e}", health.min_pivot),

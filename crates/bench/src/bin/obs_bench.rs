@@ -49,7 +49,8 @@ use sympiler_core::serve::{CacheConfig, PlanCache};
 use sympiler_core::{BlockLu, LuWorkspace, Profiler, SympilerLu, SympilerOptions};
 use sympiler_obs::{Histogram, MetricsRegistry, MetricsSnapshot};
 
-/// The three execution tiers the bitwise contract spans.
+/// The three configurations the bitwise contract spans: scalar columns
+/// in order, scalar columns leveled, supernodal panels.
 fn tiers() -> Vec<(&'static str, SympilerOptions)> {
     let base = SympilerOptions::default();
     vec![

@@ -128,19 +128,21 @@ fn main() {
             // the degenerate problems: how hard the pattern-only
             // matching strains static pivoting under this ordering.
             let (growth, min_piv, berr) = if p.zero_diag {
-                let health =
-                    LuPlan::build_pivoted(&p.matrix, true, 2, ordering, PrePivot::Transversal)
-                        .ok()
-                        .and_then(|plan| {
-                            let f = plan.factor(&p.matrix).ok()?;
-                            let h = plan.health_of(&p.matrix, &f);
-                            // The refinement rung's calibration: how
-                            // far the pattern-only pre-pivot's berr
-                            // falls once refinement absorbs the growth.
-                            let b: Vec<f64> = (0..p.n()).map(|i| 1.0 + (i % 7) as f64).collect();
-                            let (_, rep) = f.solve_refined(&p.matrix, &b, 1e-12, 10);
-                            Some((h, rep.final_berr))
-                        });
+                let opts = SympilerOptions {
+                    ordering,
+                    pre_pivot: PrePivot::Transversal,
+                    ..Default::default()
+                };
+                let health = LuPlan::build(&p.matrix, &opts).ok().and_then(|plan| {
+                    let f = plan.factor(&p.matrix).ok()?;
+                    let h = plan.health_of(&p.matrix, &f);
+                    // The refinement rung's calibration: how
+                    // far the pattern-only pre-pivot's berr
+                    // falls once refinement absorbs the growth.
+                    let b: Vec<f64> = (0..p.n()).map(|i| 1.0 + (i % 7) as f64).collect();
+                    let (_, rep) = f.solve_refined(&p.matrix, &b, 1e-12, 10);
+                    Some((h, rep.final_berr))
+                });
                 match health {
                     Some((h, berr)) => (
                         format!("{:.1e}", h.growth),

@@ -12,7 +12,7 @@ fn main() {
         SuiteScale::Bench
     };
     let mut t = Table::new(
-        "Table 2: matrix set (synthetic stand-ins, see DESIGN.md)",
+        "Table 2: matrix set (synthetic stand-ins, see sympiler_sparse::suite)",
         &[
             "ID",
             "Name",

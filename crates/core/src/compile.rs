@@ -17,8 +17,8 @@ pub use sympiler_graph::ordering::Ordering;
 pub use sympiler_graph::transversal::PrePivot;
 
 /// Whether the LU pipeline compiles the supernodal (VS-Block) numeric
-/// engine — the third execution tier beside the serial and
-/// column-parallel plans. See [`SympilerOptions::block_lu`].
+/// engine — dense panel kernels instead of the scalar column kernel.
+/// See [`SympilerOptions::block_lu`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum BlockLu {
     /// Detect panels and keep dense only those that pay: a wide panel
@@ -26,7 +26,7 @@ pub enum BlockLu {
     /// [`crate::plan::lu_supernodal::DENSE_PANEL_MIN_FLOPS_PER_ENTRY`]
     /// is dissolved into scalar columns, and the supernodal engine is
     /// compiled only when a dense panel survives — otherwise the
-    /// scalar serial/parallel plan. The default, the paper's
+    /// scalar plan. The default, the paper's
     /// supernode-size threshold for VS-Block applied panel by panel.
     #[default]
     Auto,
@@ -35,7 +35,7 @@ pub enum BlockLu {
     /// kernel, so this is safe on any pattern — just slower where
     /// panels are thin).
     On,
-    /// Never block: serial or column-parallel execution only.
+    /// Never block: the scalar column kernel only.
     Off,
 }
 
@@ -89,11 +89,11 @@ pub struct SympilerOptions {
     /// Peel reach-set iterations whose column has more than this many
     /// off-diagonal nonzeros (Figure 1e uses 2).
     pub peel_col_count: usize,
-    /// Worker threads for the parallel numeric executors (currently
-    /// the LU plan's level-scheduled factorization). `1` (the default)
-    /// compiles the serial plan; higher values level the column
-    /// elimination DAG and bake cost-balanced per-thread chunks.
-    /// Ignored when the `parallel` feature is disabled.
+    /// Worker threads for the LU numeric phase. `1` (the default)
+    /// walks columns (or panels) in order on the calling thread; higher
+    /// values level the column elimination DAG (or the panel DAG) and
+    /// bake cost-balanced per-thread chunks
+    /// ([`crate::plan::level_schedule::LevelSchedule`]).
     pub n_threads: usize,
     /// Fill-reducing ordering for the LU pipeline, computed once at
     /// inspection time and baked into the plan (applied symmetrically,
@@ -541,18 +541,14 @@ pub struct SympilerLu {
     exec: LuExec,
 }
 
-/// The numeric executor selected at compile time by
-/// [`SympilerOptions::n_threads`] and [`SympilerOptions::block_lu`] —
-/// the three execution tiers of the compiled LU pipeline.
+/// The item kernel selected at compile time by
+/// [`SympilerOptions::block_lu`]; either runs in index order or, with
+/// [`SympilerOptions::n_threads`] `> 1`, leveled over its DAG.
 #[derive(Debug, Clone)]
 enum LuExec {
-    /// Scalar columns, in order.
-    Serial(LuPlan),
-    /// Scalar columns leveled over the column elimination DAG.
-    #[cfg(feature = "parallel")]
-    Parallel(crate::plan::lu_parallel::ParallelLuPlan),
-    /// Column panels routed through dense kernels, leveled over the
-    /// panel DAG (serial when compiled with `n_threads == 1`).
+    /// Scalar columns.
+    Scalar(Box<LuPlan>),
+    /// Column panels routed through dense kernels.
     Supernodal(Box<crate::plan::lu_supernodal::SupernodalLuPlan>),
 }
 
@@ -564,38 +560,21 @@ impl SympilerLu {
     /// of the predicted `L` through dense GETRF/TRSM/GEMM kernels.
     /// `pre_pivot` and `ordering` select the
     /// static row pre-pivot and fill-reducing ordering computed at
-    /// inspection time and baked into the plan
-    /// ([`LuPlan::build_pivoted`]); `factor` still takes
-    /// the original matrix, and [`LuFactor::solve`] speaks original
-    /// coordinates. With `n_threads > 1` (and the `parallel` feature
-    /// on), the numeric phase is additionally leveled over the column
-    /// elimination DAG and executed by that many workers — results
-    /// stay bitwise identical to the serial plan.
+    /// inspection time and baked into the plan ([`LuPlan::build`]);
+    /// `factor` still takes the original matrix, and
+    /// [`LuFactor::solve`] speaks original coordinates. With
+    /// `n_threads > 1` the numeric phase is additionally leveled over
+    /// the column elimination DAG (the panel DAG on the supernodal
+    /// tier) and executed by that many workers — results stay bitwise
+    /// identical to the one-thread plan of the same tier.
     pub fn compile(a: &CscMatrix, opts: &SympilerOptions) -> Result<Self, LuPlanError> {
-        let profiler = std::sync::Arc::new(if opts.profile {
-            sympiler_obs::Profiler::enabled()
-        } else {
-            sympiler_obs::Profiler::disabled()
-        });
-        let plan = LuPlan::build_profiled(
-            a,
-            opts.low_level,
-            opts.peel_col_count,
-            opts.ordering,
-            opts.pre_pivot,
-            profiler,
-        )?
-        .with_pivot_perturbation(opts.pivot_perturb);
-        let plan = if opts.mc64_scale {
-            plan.with_mc64_scaling(a)?
-        } else {
-            plan
-        };
+        let plan = LuPlan::build(a, opts)?;
+        let n_threads = opts.n_threads.max(1);
         // Supernodal tier. Panel detection runs once; under `Auto`
         // every wide panel too thin to pay for the dense path is
         // dissolved into scalar columns, and the tier engages only if
-        // a dense panel survives — otherwise the scalar executors,
-        // which carry no panel tables at all, run the same columns.
+        // a dense panel survives — otherwise the scalar plan, which
+        // carries no panel tables at all, runs the same columns.
         use crate::plan::lu_supernodal::{SupernodalLuPlan, DENSE_PANEL_MIN_FLOPS_PER_ENTRY};
         let detect = || {
             SupernodalLuPlan::detect_panels(&plan, opts.max_panel, opts.relax_fill, opts.relax_cols)
@@ -613,40 +592,21 @@ impl SympilerLu {
                 (kept.part.n_supernodes() < plan.n()).then_some(kept)
             }
         };
-        if let Some(panels) = panels {
-            return Ok(Self {
-                exec: LuExec::Supernodal(Box::new(SupernodalLuPlan::from_panels(
-                    plan,
-                    panels,
-                    opts.n_threads.max(1),
-                ))),
-            });
-        }
-        Self::compile_scalar(plan, opts)
-    }
-
-    /// Wrap an already-compiled plan in the scalar executor the
-    /// options select (serial, or column-parallel when `n_threads > 1`
-    /// and the `parallel` feature is on). The serial executor runs
-    /// columns in order, so it alone can use the position-addressed
-    /// walker: its tables are baked here, where the pattern keeps them
-    /// small ([`POSITION_MAX_OPS_PER_ENTRY`]); otherwise it runs the
-    /// accumulator kernel like every other tier.
-    fn compile_scalar(plan: LuPlan, opts: &SympilerOptions) -> Result<Self, LuPlanError> {
-        #[cfg(feature = "parallel")]
-        if opts.n_threads > 1 {
-            return Ok(Self {
-                exec: LuExec::Parallel(crate::plan::lu_parallel::ParallelLuPlan::from_plan(
-                    plan,
-                    opts.n_threads,
-                )),
-            });
-        }
-        #[cfg(not(feature = "parallel"))]
-        let _ = opts;
-        Ok(Self {
-            exec: LuExec::Serial(plan.with_position_tables(POSITION_MAX_OPS_PER_ENTRY)),
-        })
+        let exec = match panels {
+            Some(panels) => LuExec::Supernodal(Box::new(SupernodalLuPlan::from_panels(
+                plan, panels, n_threads,
+            ))),
+            // In-order columns alone can use the position-addressed
+            // walker: its tables are baked here, where the pattern
+            // keeps them small ([`POSITION_MAX_OPS_PER_ENTRY`]);
+            // otherwise, and leveled, they run the accumulator kernel.
+            None => LuExec::Scalar(Box::new(if n_threads == 1 {
+                plan.with_position_tables(POSITION_MAX_OPS_PER_ENTRY)
+            } else {
+                plan.leveled(n_threads)
+            })),
+        };
+        Ok(Self { exec })
     }
 
     /// Numeric factorization (no symbolic work): `A = L U`.
@@ -657,33 +617,24 @@ impl SympilerLu {
     /// [`crate::serve::FactorService`] layer caching and a thread-pool
     /// front end on top.
     pub fn factor(&self, a: &CscMatrix) -> Result<LuFactor, LuPlanError> {
-        match &self.exec {
-            LuExec::Serial(plan) => plan.factor(a),
-            #[cfg(feature = "parallel")]
-            LuExec::Parallel(par) => par.factor(a),
-            LuExec::Supernodal(sup) => sup.factor(a),
-        }
+        self.factor_with(a, &mut LuWorkspace::new())
     }
 
     /// [`Self::factor`] against a caller-held [`LuWorkspace`] —
     /// bitwise identical results, minus the per-call scratch
-    /// allocation: the dense accumulator on the serial tier (none at
+    /// allocation: the dense accumulator on the scalar tier (none at
     /// all, and the workspace untouched, when the plan carries position
     /// tables); the block accumulator, solve block and trapezoid arena
-    /// on the supernodal tier compiled for one thread. Plans compiled
-    /// for `n_threads > 1` (column-parallel, or supernodal over the
-    /// panel DAG) need one accumulator per worker and allocate those
-    /// per call, leaving the workspace untouched — one call shape
-    /// serves all three tiers.
+    /// on the supernodal tier. Plans compiled for `n_threads > 1` run
+    /// their first lane against the workspace and allocate the scratch
+    /// of every further lane per call.
     pub fn factor_with(
         &self,
         a: &CscMatrix,
         ws: &mut LuWorkspace,
     ) -> Result<LuFactor, LuPlanError> {
         match &self.exec {
-            LuExec::Serial(plan) => plan.factor_with(a, ws),
-            #[cfg(feature = "parallel")]
-            LuExec::Parallel(par) => par.factor(a),
+            LuExec::Scalar(plan) => plan.factor_with(a, ws),
             LuExec::Supernodal(sup) => sup.factor_with(a, ws),
         }
     }
@@ -697,13 +648,12 @@ impl SympilerLu {
         crate::plan::lu::factor_each(mats, |a, ws| self.factor_with(a, ws))
     }
 
-    /// The compiled (serial) plan: symbolic analysis, schedules, flop
-    /// counts — shared by every executor.
+    /// The compiled scalar plan: symbolic analysis, schedules, flop
+    /// counts — the whole executor on the scalar tier, the supernodal
+    /// plan's foundation otherwise.
     pub fn plan(&self) -> &LuPlan {
         match &self.exec {
-            LuExec::Serial(plan) => plan,
-            #[cfg(feature = "parallel")]
-            LuExec::Parallel(par) => par.serial(),
+            LuExec::Scalar(plan) => plan,
             LuExec::Supernodal(sup) => sup.serial(),
         }
     }
@@ -711,9 +661,7 @@ impl SympilerLu {
     /// Worker threads the numeric phase was compiled for.
     pub fn n_threads(&self) -> usize {
         match &self.exec {
-            LuExec::Serial(_) => 1,
-            #[cfg(feature = "parallel")]
-            LuExec::Parallel(par) => par.n_threads(),
+            LuExec::Scalar(plan) => plan.n_threads(),
             LuExec::Supernodal(sup) => sup.n_threads(),
         }
     }
@@ -728,7 +676,7 @@ impl SympilerLu {
     pub fn supernodal(&self) -> Option<&crate::plan::lu_supernodal::SupernodalLuPlan> {
         match &self.exec {
             LuExec::Supernodal(sup) => Some(sup),
-            _ => None,
+            LuExec::Scalar(_) => None,
         }
     }
 
@@ -738,13 +686,13 @@ impl SympilerLu {
     }
 
     /// Resident bytes of the compiled tables for the tier actually
-    /// executing — the supernodal tier adds its panel layouts
-    /// (amalgamation padding included) and schedules on top of the
-    /// scalar plan's tables.
+    /// executing, level schedule included — the supernodal tier adds
+    /// its panel layouts (amalgamation padding included) and update
+    /// schedule on top of the scalar plan's tables.
     pub fn table_bytes(&self) -> usize {
         match &self.exec {
+            LuExec::Scalar(plan) => plan.table_bytes(),
             LuExec::Supernodal(sup) => sup.table_bytes(),
-            _ => self.plan().table_bytes(),
         }
     }
 
@@ -795,12 +743,12 @@ impl SympilerLu {
     }
 
     /// Emit the matrix-specialized C factorization kernel: the scalar
-    /// Gilbert–Peierls artifact for the serial/parallel tiers, the
-    /// VS-Block panel artifact for the supernodal tier.
+    /// Gilbert–Peierls artifact for the scalar tier, the VS-Block panel
+    /// artifact for the supernodal tier.
     pub fn emit_c(&self) -> String {
         match &self.exec {
+            LuExec::Scalar(plan) => plan.emit_c(),
             LuExec::Supernodal(sup) => sup.emit_c(),
-            _ => self.plan().emit_c(),
         }
     }
 }
@@ -1134,7 +1082,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(feature = "parallel")]
     fn lu_ordering_combines_with_parallel_executor_bitwise() {
         let a = gen::circuit_unsym(90, 4, 2, 17);
         for ordering in [Ordering::Rcm, Ordering::Colamd] {
@@ -1176,7 +1123,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(feature = "parallel")]
     fn lu_n_threads_knob_selects_parallel_executor() {
         let a = gen::circuit_unsym(60, 4, 2, 8);
         let serial = SympilerLu::compile(&a, &SympilerOptions::default()).unwrap();

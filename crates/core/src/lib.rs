@@ -23,11 +23,12 @@
 //! 5. [`plan`] — *executable plans*: the same inspection sets compiled
 //!    into flat, pattern-specialized instruction streams executed by
 //!    static Rust loops. This is the benchmarked "Sympiler (numeric)"
-//!    code path (see DESIGN.md §2 for why this substitutes for running
-//!    GCC on the emitted C). With the `parallel` feature, two plans
-//!    additionally execute level-scheduled across threads:
-//!    `plan::tri_parallel` (wavefronts of `DG_L`) and
-//!    `plan::lu_parallel` (the column elimination DAG).
+//!    code path ([`plan`]'s module docs argue why this substitutes for
+//!    running GCC on the emitted C). The LU plans
+//!    additionally execute level-scheduled across threads through one
+//!    scheduler and walker, [`plan::level_schedule`] (the column
+//!    elimination DAG, or the panel DAG of the supernodal plan);
+//!    `plan::tri_parallel` levels the wavefronts of `DG_L`.
 //! 6. [`compile`] — the user-facing driver: [`compile::SympilerTriSolve`]
 //!    and [`compile::SympilerCholesky`].
 //! 7. [`serve`] — the serving layer over the compiled pipeline: a

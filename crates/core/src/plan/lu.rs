@@ -17,7 +17,8 @@
 //! * applies the low-level tier to heavy updates: columns whose
 //!   off-diagonal count exceeds the peel threshold execute unguarded
 //!   and unrolled by two, mirroring `TriOp::PeeledCol`;
-//! * optionally bakes a **fill-reducing ordering** (`build_ordered`):
+//! * optionally bakes a **fill-reducing ordering**
+//!   ([`SympilerOptions::ordering`]):
 //!   `Q` is computed once at inspection time, the symbolic analysis
 //!   runs on `Qᵀ A Q`, and the numeric phase reads the caller's
 //!   original matrix through compiled maps — so ordered plans carry
@@ -28,140 +29,35 @@
 //! Two numeric kernels walk one plan and produce `to_bits`-identical
 //! factors. The **accumulator kernel** (`LuPlan::column_numeric`)
 //! scatters a column of `A` into a dense vector, applies the schedule,
-//! gathers `U` and `L` and clears; every tier can run it, column by
-//! column, in any level-compatible order. The **position-addressed
-//! walker** (the `positions` module, [`LuPlan::with_position_tables`])
-//! resolves every index at compile time instead; its tables cost 12
-//! bytes per multiply-add, so only the serial executor bakes them, and
-//! only on patterns with at most [`POSITION_MAX_OPS_PER_ENTRY`]
-//! multiply-adds per factor entry.
+//! gathers `U` and `L` and clears; the one walker of
+//! [`super::level_schedule`] runs it column by column, in order or —
+//! after [`LuPlan::leveled`] — level by level over the column
+//! elimination DAG across threads. The **position-addressed walker**
+//! (the `positions` module, [`LuPlan::with_position_tables`]) resolves
+//! every index at compile time instead, for the in-order walk only; its
+//! tables cost 12 bytes per multiply-add, so [`crate::SympilerLu`]
+//! bakes them only on patterns with at most
+//! [`POSITION_MAX_OPS_PER_ENTRY`] multiply-adds per factor entry.
 
+mod error;
+mod factor;
 mod positions;
+mod workspace;
 
+pub use error::{refine_with, BatchError, LuPlanError, PerturbReport, RefineReport};
+pub use factor::LuFactor;
 pub use positions::POSITION_MAX_OPS_PER_ENTRY;
+pub use workspace::LuWorkspace;
 
+use super::level_schedule::{walk, LaneScratch, LevelSchedule, SharedValues, WalkLabels};
+use crate::compile::SympilerOptions;
 use crate::inspector::LuVIPruneInspector;
 use crate::report::{timed_traced, SymbolicReport};
 use std::sync::{Arc, OnceLock};
 use sympiler_graph::ordering::Ordering;
 use sympiler_graph::transversal::PrePivot;
 use sympiler_obs::{LuHealth, Profiler};
-use sympiler_sparse::{CscMatrix, SparseVec};
-
-/// LU plan error (kept separate from the solvers' [`LuError`] — the
-/// plan's failure modes are pattern- and schedule-shaped, the
-/// baseline's are not; [`crate::robust::RecoveryError`] wraps both
-/// when the recovery ladder exhausts its rungs).
-///
-/// [`LuError`]: sympiler_solvers::lu::LuError
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum LuPlanError {
-    /// Bad input shape/storage.
-    BadInput(String),
-    /// The numeric input does not match the compiled pattern.
-    PatternMismatch,
-    /// Structurally or numerically zero diagonal pivot.
-    ZeroPivot { column: usize },
-    /// A pre-pivot was requested but the pattern admits no perfect
-    /// row/column matching: **no** row permutation can give this
-    /// matrix a zero-free diagonal, so statically pivoted LU is
-    /// structurally impossible. Reported from *inspection* (compile
-    /// time), never from the numeric phase.
-    StructurallySingular {
-        /// Matrix order.
-        n: usize,
-        /// Size of the maximum matching (`< n`).
-        structural_rank: usize,
-    },
-}
-
-impl std::fmt::Display for LuPlanError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            LuPlanError::BadInput(m) => write!(f, "bad input: {m}"),
-            LuPlanError::PatternMismatch => write!(f, "pattern mismatch"),
-            LuPlanError::ZeroPivot { column } => {
-                write!(f, "zero pivot at column {column}")
-            }
-            LuPlanError::StructurallySingular { n, structural_rank } => write!(
-                f,
-                "structurally singular: maximum matching covers \
-                 {structural_rank} of {n} columns"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for LuPlanError {}
-
-/// A failure inside a batched factorization ([`LuPlan::factor_batch`]):
-/// the error plus the index of the matrix (within the batch) that
-/// produced it. The batch is all-or-nothing — on the first failure the
-/// whole call returns this error and no factors are produced.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BatchError {
-    /// Index into the batch slice of the failing matrix.
-    pub index: usize,
-    /// What went wrong for that matrix.
-    pub error: LuPlanError,
-}
-
-impl std::fmt::Display for BatchError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "batch matrix {}: {}", self.index, self.error)
-    }
-}
-
-impl std::error::Error for BatchError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        Some(&self.error)
-    }
-}
-
-/// Record of the static pivot perturbations a factorization applied
-/// (SuperLU_DIST's recovery idea under the static-pivoting contract):
-/// every column whose pivot magnitude fell below `tol · max|A|` had the
-/// pivot replaced by `±tol · max|A|` so factorization could continue.
-/// Empty — and the factorization bitwise identical to an unperturbed
-/// run — whenever no pivot crossed the threshold or perturbation is
-/// off (`tol = 0`). A non-empty report means the factors solve a
-/// *nearby* system; run [`LuFactor::solve_refined`] against the
-/// original matrix to repair the answer.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct PerturbReport {
-    /// Columns (factor coordinates) whose pivot was replaced, in
-    /// ascending order.
-    pub columns: Vec<usize>,
-    /// The replacement magnitude used for this factorization:
-    /// `tol · max|A values|` (0 when perturbation is off).
-    pub threshold: f64,
-}
-
-impl PerturbReport {
-    /// True when no pivot was touched.
-    pub fn is_empty(&self) -> bool {
-        self.columns.is_empty()
-    }
-
-    /// Number of perturbed columns.
-    pub fn count(&self) -> usize {
-        self.columns.len()
-    }
-}
-
-/// Outcome of [`LuFactor::solve_refined`]'s iterative-refinement loop.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RefineReport {
-    /// Correction iterations performed (0 when the direct solve was
-    /// already below tolerance).
-    pub iterations: usize,
-    /// Componentwise backward error of the direct solve.
-    pub initial_berr: f64,
-    /// Componentwise backward error of the returned solution.
-    pub final_berr: f64,
-    /// True when `final_berr <= tol`.
-    pub converged: bool,
-}
+use sympiler_sparse::CscMatrix;
 
 /// Per-column pivot outcome of the shared column kernel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -173,6 +69,22 @@ pub(crate) enum PivotStatus {
     Perturbed,
     /// Pivot exactly zero with perturbation off — the column failed.
     Zero,
+}
+
+impl PivotStatus {
+    /// The outcome of column `j` as the walker's item kernels report
+    /// it: a perturbed column joins `perturbed`, a failed one is
+    /// returned (`usize::MAX` when the pivot was usable).
+    pub(crate) fn report(self, j: usize, perturbed: &mut Vec<usize>) -> usize {
+        match self {
+            PivotStatus::Clean => usize::MAX,
+            PivotStatus::Perturbed => {
+                perturbed.push(j);
+                usize::MAX
+            }
+            PivotStatus::Zero => j,
+        }
+    }
 }
 
 /// The batch loop every tier shares: `factor` each matrix in order
@@ -187,148 +99,6 @@ pub(crate) fn factor_each(
         .enumerate()
         .map(|(index, a)| factor(a, &mut ws).map_err(|error| BatchError { index, error }))
         .collect()
-}
-
-/// Run the residual/correction loop of iterative refinement around an
-/// arbitrary solver: `x = solve(b)`, then repeatedly `x += solve(b -
-/// A·x)` until the componentwise backward error
-/// `max_i |r_i| / (|A||x| + |b|)_i` drops to `tol`, `max_iter`
-/// corrections have run, or the error stagnates (not halved by an
-/// iteration — the LAPACK `xGERFS` stopping rule). Returns the best
-/// iterate seen. Shared by [`LuFactor::solve_refined`] and the
-/// recovery driver's last-resort rung, which refines around the
-/// partial-pivoting baseline.
-pub fn refine_with<F: Fn(&[f64]) -> Vec<f64>>(
-    a: &CscMatrix,
-    b: &[f64],
-    tol: f64,
-    max_iter: usize,
-    solve: F,
-) -> (Vec<f64>, RefineReport) {
-    use sympiler_sparse::ops::componentwise_berr;
-    let n = a.n_rows();
-    assert_eq!(b.len(), n, "rhs length mismatch");
-    let mut x = solve(b);
-    let initial_berr = componentwise_berr(a, &x, b);
-    let mut best = x.clone();
-    let mut best_berr = initial_berr;
-    let mut berr = initial_berr;
-    let mut iterations = 0;
-    let mut r = vec![0.0f64; n];
-    while berr > tol && iterations < max_iter && berr.is_finite() {
-        sympiler_sparse::ops::spmv(a, &x, &mut r);
-        for (ri, bi) in r.iter_mut().zip(b) {
-            *ri = bi - *ri;
-        }
-        let d = solve(&r);
-        for (xi, di) in x.iter_mut().zip(&d) {
-            *xi += di;
-        }
-        iterations += 1;
-        let new_berr = componentwise_berr(a, &x, b);
-        if new_berr < best_berr {
-            best_berr = new_berr;
-            best.copy_from_slice(&x);
-        }
-        let stagnated = new_berr > 0.5 * berr;
-        berr = new_berr;
-        if stagnated {
-            break;
-        }
-    }
-    let report = RefineReport {
-        iterations,
-        initial_berr,
-        final_berr: best_berr,
-        converged: best_berr <= tol,
-    };
-    (best, report)
-}
-
-/// Reusable per-factorization scratch state, split out of the
-/// (immutable, shareable) [`LuPlan`] so N threads can factor against
-/// one `Arc<LuPlan>` without cloning any compiled tables: the plan
-/// holds everything decided at compile time, the workspace holds the
-/// dense accumulator a numeric factorization scatters into — and, for
-/// the supernodal tier, the solve block and the trapezoid arena.
-///
-/// A workspace is plan-agnostic — it grows to the largest request it
-/// has served and can be reused across plans and tiers (a serving
-/// worker keeps one for its whole lifetime, whatever patterns flow
-/// through). The accumulator is maintained all-zeros between calls by
-/// the numeric kernels themselves, so reuse costs nothing per
-/// factorization.
-#[derive(Debug, Clone, Default)]
-pub struct LuWorkspace {
-    /// Dense accumulator, all zeros between factorizations: `n`
-    /// doubles on the scalar tier, `n × max panel width` (row-major
-    /// per panel) on the supernodal tier.
-    x: Vec<f64>,
-    /// Supernodal tier: the `v × w` solve block / diagonal-block copy.
-    /// Fully overwritten before every read.
-    bt: Vec<f64>,
-    /// Supernodal tier: the panels' trapezoid arena. Every trapezoid
-    /// is fully written before it is read, so it is never re-zeroed.
-    sx: Vec<f64>,
-}
-
-impl LuWorkspace {
-    /// A fresh, empty workspace (grows on first use).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Doubles of dense accumulator currently held: the largest `n`
-    /// (scalar tier) or `n × max panel width` (supernodal tier) served.
-    pub fn capacity(&self) -> usize {
-        self.x.len()
-    }
-
-    /// True when the accumulator holds nothing but zeros — the
-    /// invariant every numeric kernel restores before returning, on
-    /// success and on failure alike.
-    pub fn is_clear(&self) -> bool {
-        self.x.iter().all(|&v| v == 0.0)
-    }
-
-    /// Make the accumulator at least `n` long (new tail zeroed; the
-    /// existing prefix is already all-zeros by the kernel invariant).
-    fn ensure(&mut self, n: usize) -> &mut [f64] {
-        if self.x.len() < n {
-            self.x.resize(n, 0.0);
-        }
-        &mut self.x[..n]
-    }
-
-    /// The supernodal tier's three buffers at the requested lengths:
-    /// the all-zeros accumulator, the solve block and the trapezoid
-    /// arena (the latter two carry whatever the last call left).
-    pub(crate) fn ensure_panels(
-        &mut self,
-        x_len: usize,
-        bt_len: usize,
-        sx_len: usize,
-    ) -> (&mut [f64], &mut [f64], &mut [f64]) {
-        self.ensure(x_len);
-        if self.bt.len() < bt_len {
-            self.bt.resize(bt_len, 0.0);
-        }
-        if self.sx.len() < sx_len {
-            self.sx.resize(sx_len, 0.0);
-        }
-        (
-            &mut self.x[..x_len],
-            &mut self.bt[..bt_len],
-            &mut self.sx[..sx_len],
-        )
-    }
-
-    /// Restore the all-zeros accumulator wholesale — the supernodal
-    /// tier's recovery when non-finite values may have reached
-    /// positions its pattern-driven clears never visit.
-    pub(crate) fn clear(&mut self) {
-        self.x.fill(0.0);
-    }
 }
 
 /// The compile-time permutations baked into a plan: a composed **row**
@@ -377,6 +147,31 @@ pub(crate) struct ScalePair {
     pub(crate) dr: std::sync::Arc<[f64]>,
     /// `dc[old_col]` — column scaling of `A`'s original columns.
     pub(crate) dc: std::sync::Arc<[f64]>,
+}
+
+impl ScalePair {
+    /// Finish MC64: the scalings from the weighted-matching dual
+    /// potentials of `a`. Computed from `a`'s *values*, once, at
+    /// compile time; later `factor` calls on same-pattern matrices
+    /// with different values reuse them (the usual static-MC64
+    /// contract — re-compile to re-equilibrate). Pairs naturally with
+    /// `PrePivot::WeightedMatching` (the duals then belong to the baked
+    /// matching), but is valid under any compiled permutation — the
+    /// `≤ 1` entry bound holds regardless, which is what the growth
+    /// monitors and perturbation thresholds rely on.
+    fn mc64(a: &CscMatrix) -> Result<Self, LuPlanError> {
+        let scaled =
+            sympiler_graph::transversal::weighted_matching_scaled(a).map_err(|e| match e {
+                sympiler_sparse::SparseError::StructurallySingular { n, structural_rank } => {
+                    LuPlanError::StructurallySingular { n, structural_rank }
+                }
+                other => LuPlanError::BadInput(format!("mc64 scaling: {other}")),
+            })?;
+        Ok(Self {
+            dr: scaled.row_scale.into(),
+            dc: scaled.col_scale.into(),
+        })
+    }
 }
 
 /// The sparsity structure of the factors, decided at compile time:
@@ -477,9 +272,10 @@ pub struct LuPlan {
     /// the identity. All factor layouts and schedules below live in
     /// pivoted + ordered coordinates.
     baked: Option<BakedPerm>,
-    /// MC64 row/column scalings ([`Self::with_mc64_scaling`]), `None`
-    /// unless scaling was compiled in. Purely numeric: the factor
-    /// patterns, schedules, and permutations above are unaffected.
+    /// MC64 row/column scalings, `None` unless
+    /// [`SympilerOptions::mc64_scale`] compiled them in. Purely
+    /// numeric: the factor patterns, schedules, and permutations above
+    /// are unaffected.
     scaling: Option<ScalePair>,
     /// Factor layouts (patterns fixed at compile time), shared with
     /// every factor this plan produces and read by every tier. The
@@ -497,544 +293,64 @@ pub struct LuPlan {
     /// Baked positions for the accumulator-free walker, present only
     /// after [`Self::with_position_tables`] admitted the pattern.
     positions: Option<positions::PositionTables>,
+    /// The column elimination DAG leveled over worker threads, present
+    /// only after [`Self::leveled`]: the accumulator kernel then runs
+    /// level by level instead of in column order.
+    levels: Option<LevelSchedule>,
     report: SymbolicReport,
-    /// The observability sink every execution tier built from this
-    /// plan records into. Disabled (a no-op) unless the plan was
-    /// compiled with profiling on; `Arc`-shared so plan clones — and
-    /// the parallel/supernodal plans wrapping them — feed one trace.
+    /// The observability sink every numeric phase built from this plan
+    /// records into. Disabled (a no-op) unless the plan was compiled
+    /// with profiling on; `Arc`-shared so plan clones — and the
+    /// supernodal plan wrapping one — feed one trace.
     profiler: Arc<Profiler>,
-}
-
-/// A numeric factorization produced by [`LuPlan::factor`]:
-/// `Qᵀ·P·A·Q = L U` with unit-lower-triangular `L` (diagonal-first
-/// columns) and upper-triangular `U` (diagonal-last columns), where
-/// `P` is the plan's static pre-pivot and `Q` its compiled ordering
-/// (both the identity by default, in which case this is plainly
-/// `A = L U`). [`Self::solve`] handles the permutations transparently:
-/// it takes and returns vectors in the **original** coordinates of
-/// `A`.
-///
-/// A factor is **values only**: the sparsity structure is the producing
-/// plan's, shared through an `Arc`, and the solves walk it in place.
-/// [`Self::l`] / [`Self::u`] / [`Self::into_parts`] hand out ordinary
-/// CSC matrices, materialised on first use.
-#[derive(Debug, Clone)]
-pub struct LuFactor {
-    /// The plan's factor structure (shared, never copied per factor).
-    structure: Arc<LuStructure>,
-    /// Values of `L` then `U` in one array, laid out by `structure`.
-    vals: Vec<f64>,
-    /// The `(L, U)` CSC pair behind [`Self::l`] / [`Self::u`], built on
-    /// first use — a factor that is only solved with never builds it.
-    csc: OnceLock<(CscMatrix, CscMatrix)>,
-    /// Composed row gather `rperm[new] = old` (`P·Q`); `None` when no
-    /// permutation was compiled. Shared with the producing plan
-    /// (`Arc`), not copied per factor.
-    rperm: Option<std::sync::Arc<[usize]>>,
-    /// `irperm[old] = new`, shared likewise; present iff `rperm` is.
-    irperm: Option<std::sync::Arc<[usize]>>,
-    /// Column gather `cperm[new] = old` (`Q` alone); `None` whenever
-    /// no *ordering* was compiled — in particular under a pre-pivot
-    /// alone, where the column map is the identity — matching
-    /// [`LuPlan::col_perm`]'s contract exactly (and skipping the
-    /// then-pointless scatter pass in [`Self::solve`]).
-    cperm: Option<std::sync::Arc<[usize]>>,
-    /// MC64 scalings the factors were computed under (`Some` iff the
-    /// plan compiled with [`LuPlan::with_mc64_scaling`]); solves apply
-    /// `Dr` to the RHS and `Dc` to the solution so callers stay in
-    /// unscaled original coordinates throughout.
-    scaling: Option<ScalePair>,
-    /// Numerical-health monitors, recorded only when the producing
-    /// plan was compiled with profiling enabled.
-    health: Option<LuHealth>,
-    /// Which columns (if any) had their pivot statically perturbed.
-    perturb: PerturbReport,
-}
-
-impl LuFactor {
-    /// The unit lower-triangular factor (pivoted/ordered coordinates).
-    pub fn l(&self) -> &CscMatrix {
-        &self.csc().0
-    }
-
-    /// The upper-triangular factor (pivoted/ordered coordinates).
-    pub fn u(&self) -> &CscMatrix {
-        &self.csc().1
-    }
-
-    fn csc(&self) -> &(CscMatrix, CscMatrix) {
-        self.csc.get_or_init(|| {
-            let (lx, ux) = self.values();
-            self.structure.to_csc(lx.to_vec(), ux.to_vec())
-        })
-    }
-
-    /// The value array split into its `L` and `U` halves.
-    fn values(&self) -> (&[f64], &[f64]) {
-        self.vals.split_at(self.structure.l_nnz())
-    }
-
-    /// The column map the factors live under (`cperm[new] = old` —
-    /// the ordering `Q`), or `None` for natural column order — the
-    /// same contract as [`LuPlan::col_perm`], so a pre-pivot alone
-    /// reports `None` here while [`Self::row_perm`] reports the row
-    /// moves.
-    pub fn col_perm(&self) -> Option<&[usize]> {
-        self.cperm.as_deref()
-    }
-
-    /// The composed row map the factors live under (`rperm[new] =
-    /// old`, the row of `A` that became row `new` of the factored
-    /// system — pre-pivot and ordering combined), or `None` when no
-    /// permutation is baked. Equal to [`Self::col_perm`] when no
-    /// pre-pivot moved rows.
-    pub fn row_perm(&self) -> Option<&[usize]> {
-        self.rperm.as_deref()
-    }
-
-    /// Numerical-health monitors (pivot growth, min/max pivot,
-    /// matched-diagonal quality) recorded during `factor()` —
-    /// `Some` only when the plan was compiled with
-    /// `SympilerOptions::profile`. For an on-demand computation on an
-    /// unprofiled factor, see [`LuPlan::health_of`].
-    pub fn health(&self) -> Option<&LuHealth> {
-        self.health.as_ref()
-    }
-
-    /// The static pivot perturbations this factorization applied —
-    /// empty unless the producing plan had perturbation enabled *and*
-    /// at least one pivot fell below the threshold. A non-empty report
-    /// means the factors belong to a nearby matrix; pair with
-    /// [`Self::solve_refined`] to recover solutions of the original.
-    pub fn perturb_report(&self) -> &PerturbReport {
-        &self.perturb
-    }
-
-    /// Consume into `(L, U)`.
-    pub fn into_parts(self) -> (CscMatrix, CscMatrix) {
-        match self.csc.into_inner() {
-            Some(pair) => pair,
-            None => {
-                let mut lx = self.vals;
-                let ux = lx.split_off(self.structure.l_nnz());
-                lx.shrink_to_fit();
-                self.structure.to_csc(lx, ux)
-            }
-        }
-    }
-
-    /// Solve `A x = b` in original coordinates: gather `b` through the
-    /// composed row map (`Qᵀ·P·b`, scaled by `Dr` first when the plan
-    /// compiled MC64 scaling), run `L y = Qᵀ·P·Dr·b` then `U z = y`,
-    /// and scatter back through the column map, unscaling by `Dc`
-    /// (`x = Dc·Q·z`). The permutation and scaling applications are
-    /// O(n) gathers — no per-solve symbolic work of any kind.
-    pub fn solve(&self, b: &[f64]) -> Vec<f64> {
-        let n = self.structure.n();
-        assert_eq!(b.len(), n, "rhs length mismatch");
-        let mut x = vec![0.0f64; n];
-        self.gather_rhs_into(b, &mut x);
-        self.solve_in_factor_coords(&mut x);
-        if self.cperm.is_none() && self.scaling.is_none() {
-            return x;
-        }
-        let mut out = vec![0.0f64; n];
-        self.scatter_solution_into(&x, &mut out);
-        out
-    }
-
-    /// Map one RHS from original coordinates into factor coordinates:
-    /// scale by `Dr` (when scaling is compiled) and gather through the
-    /// composed row map. The scale factor multiplies the *original*
-    /// row's entry — `x[new] = dr[old]·b[old]` for `old = rperm[new]`.
-    fn gather_rhs_into(&self, b: &[f64], x: &mut [f64]) {
-        match (&self.scaling, &self.rperm) {
-            (None, None) => x.copy_from_slice(b),
-            (None, Some(p)) => {
-                for (d, &old) in x.iter_mut().zip(p.iter()) {
-                    *d = b[old];
-                }
-            }
-            (Some(s), None) => {
-                for ((d, &v), &dr) in x.iter_mut().zip(b).zip(s.dr.iter()) {
-                    *d = dr * v;
-                }
-            }
-            (Some(s), Some(p)) => {
-                for (d, &old) in x.iter_mut().zip(p.iter()) {
-                    *d = s.dr[old] * b[old];
-                }
-            }
-        }
-    }
-
-    /// Map one solved vector from factor coordinates back to original
-    /// coordinates: scatter through the column map and unscale by `Dc`
-    /// (the factored unknown is `Dc⁻¹x`, so `out[old] = dc[old]·z[new]`
-    /// for `old = cperm[new]`).
-    fn scatter_solution_into(&self, z: &[f64], out: &mut [f64]) {
-        match (&self.scaling, &self.cperm) {
-            (None, None) => out.copy_from_slice(z),
-            (None, Some(q)) => {
-                for (&v, &old) in z.iter().zip(q.iter()) {
-                    out[old] = v;
-                }
-            }
-            (Some(s), None) => {
-                for ((o, &v), &dc) in out.iter_mut().zip(z).zip(s.dc.iter()) {
-                    *o = dc * v;
-                }
-            }
-            (Some(s), Some(q)) => {
-                for (&v, &old) in z.iter().zip(q.iter()) {
-                    out[old] = s.dc[old] * v;
-                }
-            }
-        }
-    }
-
-    /// Solve `A X = B` for a block of right-hand sides stored
-    /// column-major (`b[r*n..(r+1)*n]` is RHS `r`), returning the
-    /// solutions in the same layout. The triangular sweeps are
-    /// **blocked**: each factor column is loaded once per sweep and
-    /// applied to every RHS while it is hot in cache, instead of
-    /// re-streaming both factors per RHS the way an [`Self::solve`]
-    /// loop would. Per RHS, the arithmetic order (including the skip
-    /// of structurally-zero columns) is exactly [`Self::solve`]'s, so
-    /// each returned column is bitwise identical to a one-at-a-time
-    /// solve of that RHS.
-    pub fn solve_multi(&self, b: &[f64], nrhs: usize) -> Vec<f64> {
-        let st = &*self.structure;
-        let (lx, ux) = self.values();
-        let n = st.n();
-        assert_eq!(b.len(), n * nrhs, "rhs block length mismatch");
-        let mut x = vec![0.0f64; n * nrhs];
-        for r in 0..nrhs {
-            self.gather_rhs_into(&b[r * n..(r + 1) * n], &mut x[r * n..(r + 1) * n]);
-        }
-        // Forward: L has diagonal-first unit columns; the column's
-        // rows/values are hoisted out of the RHS loop.
-        for j in 0..n {
-            let range = st.l_col_ptr[j] + 1..st.l_col_ptr[j + 1];
-            let rows = &st.l_row_idx[range.clone()];
-            let vals = &lx[range];
-            for r in 0..nrhs {
-                let xr = &mut x[r * n..(r + 1) * n];
-                let xj = xr[j]; // unit diagonal: no division
-                if xj != 0.0 {
-                    for (&i, &lij) in rows.iter().zip(vals) {
-                        xr[i as usize] -= lij * xj;
-                    }
-                }
-            }
-        }
-        // Backward: U has diagonal-last columns.
-        for j in (0..n).rev() {
-            let range = st.u_col_ptr[j]..st.u_col_ptr[j + 1] - 1;
-            let rows = &st.u_row_idx[range.clone()];
-            let vals = &ux[range.clone()];
-            let pivot = ux[range.end];
-            for r in 0..nrhs {
-                let xr = &mut x[r * n..(r + 1) * n];
-                let xj = xr[j] / pivot;
-                xr[j] = xj;
-                if xj != 0.0 {
-                    for (&i, &uij) in rows.iter().zip(vals) {
-                        xr[i as usize] -= uij * xj;
-                    }
-                }
-            }
-        }
-        if self.cperm.is_none() && self.scaling.is_none() {
-            return x;
-        }
-        let mut out = vec![0.0f64; n * nrhs];
-        for r in 0..nrhs {
-            self.scatter_solution_into(&x[r * n..(r + 1) * n], &mut out[r * n..(r + 1) * n]);
-        }
-        out
-    }
-
-    /// [`Self::solve_multi`] over a slice of independent right-hand
-    /// sides — packs them into one column-major block, runs the
-    /// blocked sweeps, and unpacks. Each returned vector is bitwise
-    /// identical to `self.solve(&rhs[r])`, which is what a single
-    /// right-hand side runs: there is nothing to block, so nothing is
-    /// packed.
-    ///
-    /// ```
-    /// use sympiler_core::{SympilerLu, SympilerOptions};
-    /// use sympiler_sparse::gen;
-    ///
-    /// let a = gen::circuit_unsym(40, 4, 2, 7);
-    /// let lu = SympilerLu::compile(&a, &SympilerOptions::default())?;
-    /// let f = lu.factor(&a)?;
-    ///
-    /// let rhs = vec![vec![1.0; 40], vec![-2.0; 40]];
-    /// let xs = f.solve_batch(&rhs);
-    /// assert_eq!(xs[0], f.solve(&rhs[0]));
-    /// assert_eq!(xs[1], f.solve(&rhs[1]));
-    /// # Ok::<(), Box<dyn std::error::Error>>(())
-    /// ```
-    pub fn solve_batch<S: AsRef<[f64]>>(&self, rhs: &[S]) -> Vec<Vec<f64>> {
-        if let [one] = rhs {
-            return vec![self.solve(one.as_ref())];
-        }
-        let n = self.structure.n();
-        if n == 0 {
-            return rhs.iter().map(|_| Vec::new()).collect();
-        }
-        let mut block = Vec::with_capacity(n * rhs.len());
-        for r in rhs {
-            assert_eq!(r.as_ref().len(), n, "rhs length mismatch");
-            block.extend_from_slice(r.as_ref());
-        }
-        let flat = self.solve_multi(&block, rhs.len());
-        flat.chunks(n).map(<[f64]>::to_vec).collect()
-    }
-
-    /// The two triangular sweeps, entirely in the factors' (ordered)
-    /// coordinate system.
-    fn solve_in_factor_coords(&self, x: &mut [f64]) {
-        let st = &*self.structure;
-        let (lx, ux) = self.values();
-        let n = st.n();
-        // Forward: L has diagonal-first unit columns.
-        for j in 0..n {
-            let range = st.l_col_ptr[j] + 1..st.l_col_ptr[j + 1];
-            let xj = x[j]; // unit diagonal: no division
-            if xj != 0.0 {
-                for (&i, &lij) in st.l_row_idx[range.clone()].iter().zip(&lx[range]) {
-                    x[i as usize] -= lij * xj;
-                }
-            }
-        }
-        // Backward: U has diagonal-last columns.
-        for j in (0..n).rev() {
-            let range = st.u_col_ptr[j]..st.u_col_ptr[j + 1] - 1;
-            let xj = x[j] / ux[range.end];
-            x[j] = xj;
-            if xj != 0.0 {
-                for (&i, &uij) in st.u_row_idx[range.clone()].iter().zip(&ux[range]) {
-                    x[i as usize] -= uij * xj;
-                }
-            }
-        }
-    }
-
-    /// Solve `A x = b` for a **sparse** right-hand side, touching only
-    /// the reach sets of `b`'s pattern on the factors' dependence
-    /// graphs — the Gilbert–Peierls theory (§1.1) applied at solve
-    /// time, with the same DFS machinery the symbolic LU inspection
-    /// uses ([`sympiler_graph::dfs`]).
-    ///
-    /// Two reach computations schedule the two sweeps: the forward
-    /// solve visits `Reach_{DG_L}(SP(b))`, the backward solve
-    /// `Reach_{DG_U}` of the intermediate's pattern (edges of `DG_U`
-    /// point *up*: column `j` of `U` feeds rows `i < j`). Arithmetic
-    /// and pattern traversal are `O(|b| + flops of the pruned solve)`;
-    /// only the dense scratch initialization is `O(n)`.
-    ///
-    /// Takes and returns **original** coordinates, exactly like
-    /// [`Self::solve`]: under baked permutations the input pattern
-    /// maps through the inverse row map (`(P·Q)⁻¹`) and the result
-    /// pattern back through the column map (`Q`). The returned
-    /// vector's pattern is the structural reach — entries that cancel
-    /// numerically are stored as explicit zeros.
-    pub fn solve_sparse(&self, b: &SparseVec) -> SparseVec {
-        // The reach DFS wants `usize` adjacency slices: this solve runs
-        // on the materialised CSC pair, not the shared `u32` structure.
-        let (l, u) = (self.l(), self.u());
-        let n = l.n_cols();
-        assert_eq!(b.dim(), n, "rhs dimension mismatch");
-        let mut x = vec![0.0f64; n];
-        // Pattern and values of Qᵀ·P·(Dr·b) in factor coordinates —
-        // the row scaling (identity without compiled MC64 scaling)
-        // touches values only, never the pattern.
-        let dr = |i: usize| self.scaling.as_ref().map_or(1.0, |s| s.dr[i]);
-        let beta: Vec<usize> = match &self.irperm {
-            None => {
-                for (i, v) in b.iter() {
-                    x[i] = dr(i) * v;
-                }
-                b.indices().to_vec()
-            }
-            Some(ip) => {
-                let mut idx: Vec<usize> = b.indices().iter().map(|&i| ip[i]).collect();
-                for (&i, &v) in b.indices().iter().zip(b.values()) {
-                    x[ip[i]] = dr(i) * v;
-                }
-                idx.sort_unstable();
-                idx
-            }
-        };
-        let mut ws = sympiler_graph::dfs::ReachWorkspace::new(n);
-        let mut order: Vec<usize> = Vec::with_capacity(beta.len() * 4);
-        // Forward: L y = Qᵀ b over Reach_{DG_L}(SP(b)), topological.
-        sympiler_graph::dfs::reach_adjacency_into(
-            n,
-            &beta,
-            |v| &l.col_rows(v)[1..],
-            &mut ws,
-            &mut order,
-        );
-        let (col_ptr, row_idx, values) = (l.col_ptr(), l.row_idx(), l.values());
-        for &j in &order {
-            let xj = x[j]; // unit diagonal
-            if xj != 0.0 {
-                for (&i, &lij) in row_idx[col_ptr[j] + 1..col_ptr[j + 1]]
-                    .iter()
-                    .zip(&values[col_ptr[j] + 1..col_ptr[j + 1]])
-                {
-                    x[i] -= lij * xj;
-                }
-            }
-        }
-        // Backward: U z = y over Reach_{DG_U}(SP(y)); U's columns
-        // store the diagonal last, so the edge set of node v is every
-        // stored row but the last.
-        let beta_u = std::mem::take(&mut order);
-        let mut order_u: Vec<usize> = Vec::with_capacity(beta_u.len() * 2);
-        sympiler_graph::dfs::reach_adjacency_into(
-            n,
-            &beta_u,
-            |v| {
-                let rows = u.col_rows(v);
-                &rows[..rows.len() - 1]
-            },
-            &mut ws,
-            &mut order_u,
-        );
-        let (col_ptr, row_idx, values) = (u.col_ptr(), u.row_idx(), u.values());
-        for &j in &order_u {
-            let range = col_ptr[j]..col_ptr[j + 1];
-            let xj = x[j] / values[range.end - 1];
-            x[j] = xj;
-            if xj != 0.0 {
-                for (&i, &uij) in row_idx[range.start..range.end - 1]
-                    .iter()
-                    .zip(&values[range.start..range.end - 1])
-                {
-                    x[i] -= uij * xj;
-                }
-            }
-        }
-        // Gather the solution pattern back to original coordinates,
-        // unscaling by Dc (the solution lives on the column side:
-        // x = Dc·Q·z).
-        let dc = |i: usize| self.scaling.as_ref().map_or(1.0, |s| s.dc[i]);
-        let mut pairs: Vec<(usize, f64)> = match &self.cperm {
-            None => order_u.iter().map(|&j| (j, dc(j) * x[j])).collect(),
-            Some(q) => order_u.iter().map(|&j| (q[j], dc(q[j]) * x[j])).collect(),
-        };
-        pairs.sort_unstable_by_key(|&(i, _)| i);
-        let (indices, vals): (Vec<usize>, Vec<f64>) = pairs.into_iter().unzip();
-        SparseVec::try_new(n, indices, vals).expect("reach emits unique in-range indices")
-    }
-
-    /// Solve `A x = b` with iterative refinement against the caller's
-    /// **original** matrix: the direct [`Self::solve`], then
-    /// residual/correction sweeps (`x += solve(b - A·x)`) until the
-    /// componentwise backward error reaches `tol`, `max_iter`
-    /// corrections have run, or the error stagnates. Returns the best
-    /// iterate together with a [`RefineReport`].
-    ///
-    /// This is the recovery ladder's second rung: it repairs both
-    /// static pivot perturbation ([`Self::perturb_report`]) and the
-    /// element growth a pattern-only pre-pivot can admit — at the cost
-    /// of a few O(nnz) sweeps, with **no** recompilation and no
-    /// refactorization. `a` must be the matrix this factor was
-    /// computed from (any same-pattern matrix is accepted; the report
-    /// then describes backward error with respect to the matrix
-    /// given).
-    pub fn solve_refined(
-        &self,
-        a: &CscMatrix,
-        b: &[f64],
-        tol: f64,
-        max_iter: usize,
-    ) -> (Vec<f64>, RefineReport) {
-        refine_with(a, b, tol, max_iter, |rhs| self.solve(rhs))
-    }
-
-    /// Magnitude of `det(A)`: the product of `U`'s diagonal.
-    pub fn det_magnitude(&self) -> f64 {
-        let ux = self.values().1;
-        self.structure.u_col_ptr[1..]
-            .iter()
-            .map(|&end| ux[end - 1].abs())
-            .product()
-    }
 }
 
 impl LuPlan {
     /// Compile a plan for the square (generally unsymmetric) matrix
-    /// `a` in its natural order. `low_level` enables the peeled update
-    /// tier; `peel_col_count` is the peeling threshold (update columns
-    /// with more than this many off-diagonal entries unroll, Figure
-    /// 1e's rule applied to factorization updates).
-    pub fn build(
-        a: &CscMatrix,
-        low_level: bool,
-        peel_col_count: usize,
-    ) -> Result<Self, LuPlanError> {
-        Self::build_ordered(a, low_level, peel_col_count, Ordering::Natural)
-    }
-
-    /// Compile a plan with a fill-reducing ordering (no pre-pivot);
-    /// see [`Self::build_pivoted`].
-    pub fn build_ordered(
-        a: &CscMatrix,
-        low_level: bool,
-        peel_col_count: usize,
-        ordering: Ordering,
-    ) -> Result<Self, LuPlanError> {
-        Self::build_pivoted(a, low_level, peel_col_count, ordering, PrePivot::Off)
-    }
-
-    /// Compile a plan with a static pre-pivot and a fill-reducing
-    /// ordering. Both are pure symbolic-phase decisions: the row
-    /// matching `P` (maximum transversal / weighted matching) and the
-    /// ordering `Q` are computed once here, the symbolic factorization
-    /// runs on `Qᵀ·P·A·Q`, and the composed gather maps are baked into
-    /// the plan — [`Self::factor`] still takes the **original** matrix
-    /// and pays no per-factorization permutation cost. A
-    /// [`LuPlanError::ZeroPivot`] column index is reported in
+    /// `a` — the one constructor. Of `opts` it reads exactly
+    /// [`low_level`](SympilerOptions::low_level) and
+    /// [`peel_col_count`](SympilerOptions::peel_col_count) (the peeled
+    /// update tier: update columns with more than that many
+    /// off-diagonal entries unroll, Figure 1e's rule applied to
+    /// factorization updates), [`ordering`](SympilerOptions::ordering)
+    /// and [`pre_pivot`](SympilerOptions::pre_pivot),
+    /// [`mc64_scale`](SympilerOptions::mc64_scale),
+    /// [`pivot_perturb`](SympilerOptions::pivot_perturb) and
+    /// [`profile`](SympilerOptions::profile); the execution-tier fields
+    /// (`n_threads`, `block_lu`, the panel knobs) belong to
+    /// [`crate::SympilerLu::compile`], which calls this and then
+    /// [`Self::leveled`], [`Self::with_position_tables`] or
+    /// [`super::lu_supernodal::SupernodalLuPlan::from_panels`].
+    ///
+    /// Pre-pivot and ordering are pure symbolic-phase decisions: the
+    /// row matching `P` (maximum transversal / weighted matching) and
+    /// the ordering `Q` are computed once here, the symbolic
+    /// factorization runs on `Qᵀ·P·A·Q`, and the composed gather maps
+    /// are baked into the plan — [`Self::factor`] still takes the
+    /// **original** matrix and pays no per-factorization permutation
+    /// cost. A [`LuPlanError::ZeroPivot`] column index is reported in
     /// pivoted + ordered coordinates (the coordinates of the factors
     /// themselves); a structurally singular pattern fails here, at
     /// compile time, with [`LuPlanError::StructurallySingular`].
-    pub fn build_pivoted(
-        a: &CscMatrix,
-        low_level: bool,
-        peel_col_count: usize,
-        ordering: Ordering,
-        pre_pivot: PrePivot,
-    ) -> Result<Self, LuPlanError> {
-        Self::build_profiled(
-            a,
-            low_level,
-            peel_col_count,
-            ordering,
-            pre_pivot,
-            Arc::new(Profiler::disabled()),
-        )
-    }
-
-    /// [`Self::build_pivoted`] with an observability sink attached:
-    /// compile stages land on the profiler as `compile: ...` spans,
-    /// inspection-set sizes as `sets.*` gauges, and every execution
-    /// tier built from the plan records its numeric-phase spans,
-    /// counters, and health monitors into the same trace. Passing
-    /// `Profiler::disabled()` (what [`Self::build_pivoted`] does)
-    /// makes all of that a no-op.
-    pub fn build_profiled(
-        a: &CscMatrix,
-        low_level: bool,
-        peel_col_count: usize,
-        ordering: Ordering,
-        pre_pivot: PrePivot,
-        profiler: Arc<Profiler>,
-    ) -> Result<Self, LuPlanError> {
+    ///
+    /// With `profile` set the plan carries an enabled [`Profiler`]
+    /// ([`Self::profiler`]; `Arc::clone` it to keep a handle): compile
+    /// stages land on it as `compile: ...` spans, inspection-set sizes
+    /// as `sets.*` gauges, and every numeric phase of the plan, its
+    /// clones and the supernodal plan built from it records its spans,
+    /// counters and health monitors into the same trace. Otherwise the
+    /// profiler is disabled and all of that is a no-op.
+    pub fn build(a: &CscMatrix, opts: &SympilerOptions) -> Result<Self, LuPlanError> {
+        let (ordering, pre_pivot) = (opts.ordering, opts.pre_pivot);
+        assert!(
+            opts.pivot_perturb >= 0.0 && opts.pivot_perturb.is_finite(),
+            "perturbation tolerance must be finite and non-negative"
+        );
+        let profiler = Arc::new(if opts.profile {
+            Profiler::enabled()
+        } else {
+            Profiler::disabled()
+        });
         if !a.is_square() {
             return Err(LuPlanError::BadInput("matrix must be square".into()));
         }
@@ -1137,17 +453,22 @@ impl LuPlan {
             ordering,
             pre_pivot,
             matched_diag,
-            perturb_tol: 0.0,
+            perturb_tol: opts.pivot_perturb,
             baked,
-            scaling: None,
+            scaling: if opts.mc64_scale {
+                Some(ScalePair::mc64(a)?)
+            } else {
+                None
+            },
             structure: Arc::new(structure),
-            peel_above: if low_level {
-                peel_col_count
+            peel_above: if opts.low_level {
+                opts.peel_col_count
             } else {
                 usize::MAX
             },
             flops,
             positions: None,
+            levels: None,
             report: SymbolicReport::default(),
             profiler,
         };
@@ -1204,67 +525,6 @@ impl LuPlan {
     /// The pre-pivoting strategy this plan was compiled with.
     pub fn pre_pivot(&self) -> PrePivot {
         self.pre_pivot
-    }
-
-    /// Enable SuperLU_DIST-style static pivot perturbation: during a
-    /// factorization of `a`, any pivot with `|pivot| < tol · max|A
-    /// values|` is replaced by `±tol · max|A values|` (keeping its
-    /// sign; `+` for an exact zero), the column is recorded in the
-    /// factor's [`PerturbReport`], and factorization continues. The
-    /// perturbed factors solve a nearby system — follow with
-    /// [`LuFactor::solve_refined`]. `tol = 0.0` (the default) turns
-    /// the mechanism off, leaving every numeric path bitwise
-    /// unchanged. Applies to all execution tiers built from this plan.
-    pub fn with_pivot_perturbation(mut self, tol: f64) -> Self {
-        assert!(
-            tol >= 0.0 && tol.is_finite(),
-            "perturbation tolerance must be finite and non-negative"
-        );
-        self.perturb_tol = tol;
-        self
-    }
-
-    /// The configured perturbation tolerance (0 when off).
-    pub fn pivot_perturbation(&self) -> f64 {
-        self.perturb_tol
-    }
-
-    /// Finish MC64: compile row/column equilibration scalings derived
-    /// from the weighted-matching dual potentials of `a` into the
-    /// plan. The factored system becomes `Qᵀ·P·(Dr·A·Dc)·Q` — every
-    /// matched diagonal is scaled to exactly 1 and every entry to
-    /// magnitude ≤ 1, which is what collapses pivot growth from ~1e8
-    /// to O(1) on zero-diagonal problems. Like the baked permutations,
-    /// the scalings are a pure compile-time decision folded into the
-    /// numeric scatter (`B[i, j] = dr[r]·A[r, c]·dc[c]`): a scaled
-    /// factorization costs zero extra passes over the data, and
-    /// [`LuFactor::solve`]/[`LuFactor::solve_sparse`]/
-    /// [`LuFactor::solve_batch`] unscale transparently, staying in
-    /// original coordinates ([`LuFactor::solve_refined`] composes
-    /// through `solve` automatically).
-    ///
-    /// The scalings are computed from `a`'s *values* here, once;
-    /// later `factor` calls on same-pattern matrices with different
-    /// values reuse them (the usual static-MC64 contract — re-compile
-    /// to re-equilibrate). Pairs naturally with `PrePivot::
-    /// WeightedMatching` (the duals then belong to the baked
-    /// matching), but is valid under any compiled permutation — the
-    /// `≤ 1` entry bound holds regardless, which is what the growth
-    /// monitors and perturbation thresholds rely on.
-    pub fn with_mc64_scaling(mut self, a: &CscMatrix) -> Result<Self, LuPlanError> {
-        self.check_pattern(a)?;
-        let scaled =
-            sympiler_graph::transversal::weighted_matching_scaled(a).map_err(|e| match e {
-                sympiler_sparse::SparseError::StructurallySingular { n, structural_rank } => {
-                    LuPlanError::StructurallySingular { n, structural_rank }
-                }
-                other => LuPlanError::BadInput(format!("mc64 scaling: {other}")),
-            })?;
-        self.scaling = Some(ScalePair {
-            dr: scaled.row_scale.into(),
-            dc: scaled.col_scale.into(),
-        });
-        Ok(self)
     }
 
     /// The compiled MC64 scalings `(Dr, Dc)` in original coordinates,
@@ -1370,8 +630,9 @@ impl LuPlan {
     }
 
     /// The observability sink attached at compile time — disabled (a
-    /// no-op) unless the plan was built via [`Self::build_profiled`]
-    /// with an enabled profiler.
+    /// no-op) unless the plan was built with
+    /// [`SympilerOptions::profile`]. `Arc::clone` it to read the trace
+    /// of this plan, its clones and the supernodal plan built from it.
     pub fn profiler(&self) -> &Arc<Profiler> {
         &self.profiler
     }
@@ -1430,7 +691,7 @@ impl LuPlan {
 
     /// Wrap a filled value array (`L` then `U`, laid out by the
     /// compiled patterns — [`Self::new_values`]) into the factor object
-    /// — the epilogue shared by all three execution tiers. The factor
+    /// — the epilogue shared by both kernels. The factor
     /// takes `Arc` clones of the plan's structure, permutations and
     /// scalings and the value array as it is: no index is copied. When
     /// the profiler is enabled, the numerical-health monitors are
@@ -1588,20 +849,24 @@ impl LuPlan {
     /// written (division by zero is IEEE-defined), so a parallel
     /// caller may keep going and report the error after the fact.
     ///
-    /// Keeping this in one place is what makes the parallel plan
-    /// **bitwise deterministic**: every executor performs the exact
-    /// same operation sequence per column, whatever the thread count.
+    /// Keeping this in one place is what makes the leveled plan
+    /// **bitwise deterministic**: every walk performs the exact same
+    /// operation sequence per column, whatever the thread count.
     ///
     /// # Safety
     /// `lx` and `ux` must point to the plan's full factor value arrays
     /// (`l_nnz()` / `u_nnz()` elements). The caller must guarantee that
     /// (a) no other thread accesses column `j`'s value ranges during
     /// the call, and (b) every update column scheduled for `j` has been
-    /// fully written and synchronized before the call. In-order serial
-    /// execution satisfies both trivially; the level-scheduled parallel
-    /// executor satisfies them with barrier-separated levels and
-    /// per-thread column ownership. `x` must be an all-zeros dense
-    /// accumulator of length `n` (restored to zeros before returning).
+    /// fully written and synchronized before the call. The walker of
+    /// [`super::level_schedule`] provides both: in index order
+    /// trivially, and over a [`LevelSchedule`] built from
+    /// [`Self::schedule`] by the four facts `LevelSchedule::validate`
+    /// checks — `j` sits in one level and one worker's chunk of it (a),
+    /// its update columns in strictly earlier levels, and a barrier
+    /// separates two levels unless worker 0 owns both wholesale (b).
+    /// `x` must be an all-zeros dense accumulator of length `n`
+    /// (restored to zeros before returning).
     pub(crate) unsafe fn column_numeric(
         &self,
         j: usize,
@@ -1710,7 +975,8 @@ impl LuPlan {
     /// workspace only replaces the accumulator allocation, never the
     /// operation order. A plan carrying position tables
     /// ([`Self::with_position_tables`]) needs no accumulator and leaves
-    /// `ws` untouched.
+    /// `ws` untouched; a [`Self::leveled`] plan runs its first lane
+    /// against `ws` and allocates one accumulator per further lane.
     pub fn factor_with(
         &self,
         a: &CscMatrix,
@@ -1724,22 +990,19 @@ impl LuPlan {
         // execute the same numeric loop and produce bitwise-identical
         // factors.
         let prof = &*self.profiler;
-        let span = prof.begin(0, "factor:serial");
         let walked = match &self.positions {
-            Some(tables) => self.walk_positions(tables, a, &mut vals, thresh),
-            None => self.walk_columns(a, ws.ensure(self.n), &mut vals, thresh),
-        };
-        let columns = match walked {
-            Ok(perturbed) => perturbed,
-            Err(e) => {
-                prof.end(span);
-                return Err(e);
+            Some(tables) => {
+                let span = prof.begin(0, "factor:serial");
+                let walked = self.walk_positions(tables, a, &mut vals, thresh);
+                prof.end_with(span, &[("flops", self.flops as f64)]);
+                walked
             }
+            None => self.walk_accumulator(a, ws.ensure(self.n), &mut vals, thresh),
         };
+        let columns = walked?;
         if prof.is_enabled() {
             prof.counter("flops.scalar").add(self.flops);
             prof.counter("scalar.scatter_elems").add(self.a_nnz as u64);
-            prof.end_with(span, &[("flops", self.flops as f64)]);
         }
         Ok(self.finish(
             a,
@@ -1751,9 +1014,11 @@ impl LuPlan {
         ))
     }
 
-    /// The accumulator kernel over every column in order; returns the
-    /// perturbed columns.
-    fn walk_columns(
+    /// The accumulator kernel over every column through the one walker
+    /// — in column order, or over the level schedule of a
+    /// [`Self::leveled`] plan; `x` is the first lane's accumulator.
+    /// Returns the perturbed columns.
+    fn walk_accumulator(
         &self,
         a: &CscMatrix,
         x: &mut [f64],
@@ -1761,21 +1026,83 @@ impl LuPlan {
         thresh: f64,
     ) -> Result<Vec<usize>, LuPlanError> {
         let (lx, ux) = vals.split_at_mut(self.l_nnz());
-        let mut perturbed = Vec::new();
-        for j in 0..self.n {
-            // SAFETY: `lx` / `ux` are the two halves of a full value
-            // array; single-threaded in-order execution — every
-            // scheduled update column is already final, and column j's
-            // value ranges are written exactly once, here.
-            let status =
-                unsafe { self.column_numeric(j, a, x, lx.as_mut_ptr(), ux.as_mut_ptr(), thresh) };
-            match status {
-                PivotStatus::Clean => {}
-                PivotStatus::Perturbed => perturbed.push(j),
-                PivotStatus::Zero => return Err(LuPlanError::ZeroPivot { column: j }),
-            }
+        let values = SharedValues {
+            lx: lx.as_mut_ptr(),
+            ux: ux.as_mut_ptr(),
+            sx: std::ptr::null_mut(),
+        };
+        let labels = WalkLabels {
+            span: match self.levels {
+                Some(_) => "factor:parallel",
+                None => "factor:serial",
+            },
+            lanes: "par",
+            flops: self.flops,
+        };
+        let scratch = LaneScratch { x, bt: &mut [] };
+        let levels = self.levels.as_ref();
+        let prof = &self.profiler;
+        walk(
+            levels,
+            self.n,
+            prof,
+            labels,
+            &values,
+            scratch,
+            |j, _lane, values, scratch, perturbed| {
+                // SAFETY: `values` points at the two halves of a full
+                // value array that outlives the walk. The walk runs
+                // each column exactly once, and only after every column
+                // of its schedule — the predecessors `leveled` built
+                // the level schedule from, all smaller indices for the
+                // in-order walk — is final and synchronized
+                // (`SharedValues`); the lane's accumulator is all zeros
+                // between columns.
+                let status =
+                    unsafe { self.column_numeric(j, a, scratch.x, values.lx, values.ux, thresh) };
+                status.report(j, perturbed)
+            },
+        )
+        .map_err(|column| LuPlanError::ZeroPivot { column })
+    }
+
+    /// Level the column elimination DAG over `n_threads` workers: the
+    /// numeric phase then runs the accumulator kernel level by level
+    /// ([`LevelSchedule`]) instead of in column order, with factors
+    /// bitwise identical to the in-order plan's at any thread count.
+    /// Pure schedule re-arrangement — no symbolic analysis re-runs: the
+    /// DAG is read straight off [`Self::schedule`], the per-column
+    /// costs off the layouts. Position tables are dropped (they resolve
+    /// the in-order walk only). One thread is the in-order plan: no
+    /// schedule is built and nothing is dropped.
+    ///
+    /// This is where orderings pay twice: less fill means fewer numeric
+    /// flops, and the reordered DAG is shallower and bushier, so the
+    /// leveling finds real concurrency where the natural order yields
+    /// near-chains.
+    pub fn leveled(mut self, n_threads: usize) -> Self {
+        assert!(n_threads >= 1, "need at least one thread");
+        if n_threads == 1 {
+            self.levels = None;
+            return self;
         }
-        Ok(perturbed)
+        let costs = self.per_column_costs(&self.per_column_flops());
+        let levels = LevelSchedule::build(self.n, n_threads, |j| self.schedule(j), &costs);
+        self.levels = Some(levels);
+        self.positions = None;
+        self
+    }
+
+    /// The level schedule of a [`Self::leveled`] plan; `None` for a
+    /// plan that walks its columns in order.
+    pub fn levels(&self) -> Option<&LevelSchedule> {
+        self.levels.as_ref()
+    }
+
+    /// Threads the numeric phase runs on: the level schedule's worker
+    /// count, 1 without one.
+    pub fn n_threads(&self) -> usize {
+        self.levels.as_ref().map_or(1, LevelSchedule::n_threads)
     }
 
     /// Factor a batch of **same-pattern** matrices, one after another
@@ -1787,10 +1114,11 @@ impl LuPlan {
     ///
     /// ```
     /// use sympiler_core::plan::lu::LuPlan;
+    /// use sympiler_core::SympilerOptions;
     /// use sympiler_sparse::gen;
     ///
     /// let a = gen::circuit_unsym(40, 4, 2, 7);
-    /// let plan = LuPlan::build(&a, true, 2)?;
+    /// let plan = LuPlan::build(&a, &SympilerOptions::default())?;
     ///
     /// // Three same-pattern matrices with different values.
     /// let mut mats = vec![a.clone(), a.clone(), a.clone()];
@@ -1817,9 +1145,10 @@ impl LuPlan {
     /// Resident size, in bytes, of the compiled tables this plan keeps
     /// alive: factor layouts, the pattern copy backing
     /// [`Self::factor`]'s cheap pattern check, permutation maps, and
-    /// the walker's position tables when baked. This is the footprint a
-    /// plan cache charges an entry for — factor *values* are per-call
-    /// and not counted.
+    /// the walker's position tables when baked, and the level schedule
+    /// of a [`Self::leveled`] plan. This is the footprint a plan cache
+    /// charges an entry for — factor *values* are per-call and not
+    /// counted.
     pub fn table_bytes(&self) -> usize {
         use std::mem::size_of;
         let usz = size_of::<usize>();
@@ -1842,6 +1171,9 @@ impl LuPlan {
         }
         if let Some(tables) = &self.positions {
             bytes += tables.bytes();
+        }
+        if let Some(levels) = &self.levels {
+            bytes += levels.bytes();
         }
         bytes
     }
@@ -1889,10 +1221,19 @@ impl LuPlan {
 mod tests {
     use super::*;
     use sympiler_solvers::lu::{GpLu, Pivoting};
-    use sympiler_sparse::{gen, ops};
+    use sympiler_sparse::{gen, ops, SparseVec};
+
+    /// Default options under the given ordering and pre-pivot.
+    fn pivoted(ordering: Ordering, pre_pivot: PrePivot) -> SympilerOptions {
+        SympilerOptions {
+            ordering,
+            pre_pivot,
+            ..Default::default()
+        }
+    }
 
     fn check_against_baseline(a: &CscMatrix) {
-        let plan = LuPlan::build(a, true, 2).unwrap();
+        let plan = LuPlan::build(a, &SympilerOptions::default()).unwrap();
         let f = plan.factor(a).unwrap();
         let base = GpLu::factor(a, Pivoting::None).unwrap();
         assert!(f.l().same_pattern(&base.l), "L pattern");
@@ -1917,7 +1258,7 @@ mod tests {
     #[test]
     fn factor_solve_has_small_residual() {
         let a = gen::convection_diffusion_2d(8, 8, 2.0, 5);
-        let plan = LuPlan::build(&a, true, 2).unwrap();
+        let plan = LuPlan::build(&a, &SympilerOptions::default()).unwrap();
         let f = plan.factor(&a).unwrap();
         let n = a.n_cols();
         let b: Vec<f64> = (0..n).map(|i| 1.0 + (i % 4) as f64).collect();
@@ -1930,7 +1271,7 @@ mod tests {
     fn repeated_factorization_with_changing_values() {
         // The core premise: one compile, many numeric factorizations.
         let a0 = gen::circuit_unsym(50, 4, 2, 7);
-        let plan = LuPlan::build(&a0, true, 2).unwrap();
+        let plan = LuPlan::build(&a0, &SympilerOptions::default()).unwrap();
         let mut a = a0.clone();
         for round in 1..=4 {
             for v in a.values_mut() {
@@ -1947,7 +1288,7 @@ mod tests {
     #[test]
     fn pattern_mismatch_rejected() {
         let a = gen::random_unsym(20, 3, 1);
-        let plan = LuPlan::build(&a, true, 2).unwrap();
+        let plan = LuPlan::build(&a, &SympilerOptions::default()).unwrap();
         let other = gen::random_unsym(20, 3, 2);
         assert!(matches!(
             plan.factor(&other),
@@ -1966,7 +1307,7 @@ mod tests {
         t.push(0, 0, 1.0);
         t.push(1, 1, 1.0);
         let a0 = t.to_csc().unwrap();
-        let plan = LuPlan::build(&a0, true, 2).unwrap();
+        let plan = LuPlan::build(&a0, &SympilerOptions::default()).unwrap();
         let mut a = a0.clone();
         a.values_mut()[1] = 0.0;
         assert!(matches!(
@@ -1979,9 +1320,16 @@ mod tests {
     fn low_level_tier_fires_and_stays_correct() {
         // Heavy columns appear once fill cascades.
         let a = gen::convection_diffusion_2d(9, 9, 1.0, 2);
-        let full = LuPlan::build(&a, true, 2).unwrap();
+        let full = LuPlan::build(&a, &SympilerOptions::default()).unwrap();
         assert!(full.n_peeled() > 0, "expected peeled updates");
-        let plain = LuPlan::build(&a, false, 2).unwrap();
+        let plain = LuPlan::build(
+            &a,
+            &SympilerOptions {
+                low_level: false,
+                ..Default::default()
+            },
+        )
+        .unwrap();
         assert_eq!(plain.n_peeled(), 0);
         let f1 = full.factor(&a).unwrap();
         let f2 = plain.factor(&a).unwrap();
@@ -1993,7 +1341,7 @@ mod tests {
     #[test]
     fn flops_match_symbolic() {
         let a = gen::circuit_unsym(30, 3, 1, 4);
-        let plan = LuPlan::build(&a, true, 2).unwrap();
+        let plan = LuPlan::build(&a, &SympilerOptions::default()).unwrap();
         let sym = sympiler_graph::lu_symbolic(&a);
         assert_eq!(plan.flops(), sym.factor_flops());
         assert_eq!(plan.n_updates(), sym.u_nnz() - sym.n);
@@ -2014,7 +1362,7 @@ mod tests {
                 PrePivot::WeightedMatching,
             ),
         ] {
-            let plan = LuPlan::build_pivoted(&a, true, 2, Ordering::Colamd, pre_pivot).unwrap();
+            let plan = LuPlan::build(&a, &pivoted(Ordering::Colamd, pre_pivot)).unwrap();
             let edges = plan.report().size_of("symbolic dfs edges").unwrap();
             assert!(edges > 0);
             assert!(
@@ -2032,7 +1380,7 @@ mod tests {
         for ordering in [Ordering::Rcm, Ordering::Colamd] {
             for seed in 0..3u64 {
                 let a = gen::circuit_unsym(50, 4, 2, seed);
-                let plan = LuPlan::build_ordered(&a, true, 2, ordering).unwrap();
+                let plan = LuPlan::build(&a, &pivoted(ordering, PrePivot::Off)).unwrap();
                 let f = plan.factor(&a).unwrap();
                 let perm = plan.col_perm().expect("non-natural ordering");
                 let b = ops::permute_rows_cols(&a, perm).unwrap();
@@ -2053,10 +1401,10 @@ mod tests {
         let a = gen::circuit_unsym(60, 4, 2, 5);
         let n = a.n_cols();
         let b: Vec<f64> = (0..n).map(|i| 1.0 + (i % 5) as f64).collect();
-        let natural = LuPlan::build(&a, true, 2).unwrap();
+        let natural = LuPlan::build(&a, &SympilerOptions::default()).unwrap();
         let x_nat = natural.factor(&a).unwrap().solve(&b);
         for ordering in [Ordering::Rcm, Ordering::Colamd] {
-            let plan = LuPlan::build_ordered(&a, true, 2, ordering).unwrap();
+            let plan = LuPlan::build(&a, &pivoted(ordering, PrePivot::Off)).unwrap();
             let f = plan.factor(&a).unwrap();
             let x = f.solve(&b);
             assert!(
@@ -2072,8 +1420,8 @@ mod tests {
     #[test]
     fn colamd_plan_reduces_fill_and_flops_on_circuits() {
         let a = gen::circuit_unsym(200, 4, 2, 9);
-        let natural = LuPlan::build(&a, true, 2).unwrap();
-        let ordered = LuPlan::build_ordered(&a, true, 2, Ordering::Colamd).unwrap();
+        let natural = LuPlan::build(&a, &SympilerOptions::default()).unwrap();
+        let ordered = LuPlan::build(&a, &pivoted(Ordering::Colamd, PrePivot::Off)).unwrap();
         assert!(
             ordered.l_nnz() + ordered.u_nnz() < natural.l_nnz() + natural.u_nnz(),
             "colamd must cut fill: {} vs {}",
@@ -2091,7 +1439,7 @@ mod tests {
         // The compiled-pattern contract is stated on the matrix the
         // caller compiled, not its permuted image.
         let a = gen::random_unsym(40, 3, 3);
-        let plan = LuPlan::build_ordered(&a, true, 2, Ordering::Colamd).unwrap();
+        let plan = LuPlan::build(&a, &pivoted(Ordering::Colamd, PrePivot::Off)).unwrap();
         assert!(plan.factor(&a).is_ok());
         let perm = plan.col_perm().unwrap();
         assert!(
@@ -2111,7 +1459,7 @@ mod tests {
             for seed in 0..4u64 {
                 let a = gen::circuit_unsym(80, 4, 2, seed);
                 let n = a.n_cols();
-                let plan = LuPlan::build_ordered(&a, true, 2, ordering).unwrap();
+                let plan = LuPlan::build(&a, &pivoted(ordering, PrePivot::Off)).unwrap();
                 let f = plan.factor(&a).unwrap();
                 // A sparse RHS with a handful of scattered entries.
                 let idx: Vec<usize> = (0..n)
@@ -2163,7 +1511,7 @@ mod tests {
             }
         }
         let a = t.to_csc().unwrap();
-        let plan = LuPlan::build(&a, true, 2).unwrap();
+        let plan = LuPlan::build(&a, &SympilerOptions::default()).unwrap();
         let f = plan.factor(&a).unwrap();
         let b = SparseVec::try_new(n, vec![7], vec![3.0]).unwrap();
         let x = f.solve_sparse(&b);
@@ -2187,7 +1535,7 @@ mod tests {
             for pre_pivot in [PrePivot::Transversal, PrePivot::WeightedMatching] {
                 for seed in 0..2u64 {
                     let a = gen::circuit_zero_diag(60, 4, 2, seed);
-                    let plan = LuPlan::build_pivoted(&a, true, 2, ordering, pre_pivot).unwrap();
+                    let plan = LuPlan::build(&a, &pivoted(ordering, pre_pivot)).unwrap();
                     assert_eq!(plan.pre_pivot(), pre_pivot);
                     assert_eq!(plan.matched_diagonals(), 60, "matching must cover all");
                     assert!(plan.moved_rows() > 0, "zero diagonals force row moves");
@@ -2227,11 +1575,10 @@ mod tests {
         // the numeric phase hits the structural zero. With one, it
         // factors.
         let a = gen::circuit_zero_diag(40, 4, 1, 3);
-        let off = LuPlan::build(&a, true, 2).unwrap();
+        let off = LuPlan::build(&a, &SympilerOptions::default()).unwrap();
         assert!(off.matched_diagonals() < 40, "Off must report the gap");
         assert!(matches!(off.factor(&a), Err(LuPlanError::ZeroPivot { .. })));
-        let on =
-            LuPlan::build_pivoted(&a, true, 2, Ordering::Natural, PrePivot::Transversal).unwrap();
+        let on = LuPlan::build(&a, &pivoted(Ordering::Natural, PrePivot::Transversal)).unwrap();
         assert!(on.factor(&a).is_ok());
     }
 
@@ -2241,12 +1588,11 @@ mod tests {
         // identity, so the plan must carry no permutation at all and
         // produce the exact plan Off would.
         let a = gen::circuit_unsym(50, 4, 2, 9);
-        let plan =
-            LuPlan::build_pivoted(&a, true, 2, Ordering::Natural, PrePivot::Transversal).unwrap();
+        let plan = LuPlan::build(&a, &pivoted(Ordering::Natural, PrePivot::Transversal)).unwrap();
         assert!(plan.row_perm().is_none(), "identity matching bakes no map");
         assert_eq!(plan.moved_rows(), 0);
         assert_eq!(plan.matched_diagonals(), 50);
-        let off = LuPlan::build(&a, true, 2).unwrap();
+        let off = LuPlan::build(&a, &SympilerOptions::default()).unwrap();
         let (f1, f2) = (plan.factor(&a).unwrap(), off.factor(&a).unwrap());
         for (x, y) in f1.u().values().iter().zip(f2.u().values()) {
             assert_eq!(x.to_bits(), y.to_bits(), "fast path must be a no-op");
@@ -2265,7 +1611,7 @@ mod tests {
         t.push(2, 2, 4.0);
         let a = t.to_csc().unwrap();
         for pre_pivot in [PrePivot::Transversal, PrePivot::WeightedMatching] {
-            let err = LuPlan::build_pivoted(&a, true, 2, Ordering::Natural, pre_pivot).unwrap_err();
+            let err = LuPlan::build(&a, &pivoted(Ordering::Natural, pre_pivot)).unwrap_err();
             assert_eq!(
                 err,
                 LuPlanError::StructurallySingular {
@@ -2276,7 +1622,7 @@ mod tests {
             );
         }
         // Off still compiles — and fails only at the numeric phase.
-        let off = LuPlan::build(&a, true, 2).unwrap();
+        let off = LuPlan::build(&a, &SympilerOptions::default()).unwrap();
         assert!(matches!(off.factor(&a), Err(LuPlanError::ZeroPivot { .. })));
     }
 
@@ -2284,7 +1630,7 @@ mod tests {
     fn prepivoted_solve_sparse_matches_dense_solve() {
         for pre_pivot in [PrePivot::Transversal, PrePivot::WeightedMatching] {
             let a = gen::circuit_zero_diag(70, 4, 2, 11);
-            let plan = LuPlan::build_pivoted(&a, true, 2, Ordering::Colamd, pre_pivot).unwrap();
+            let plan = LuPlan::build(&a, &pivoted(Ordering::Colamd, pre_pivot)).unwrap();
             let f = plan.factor(&a).unwrap();
             let idx: Vec<usize> = (0..70).filter(|i| i % 17 == 3).collect();
             let vals: Vec<f64> = idx.iter().map(|&i| 1.0 + (i % 3) as f64).collect();
@@ -2308,12 +1654,12 @@ mod tests {
         let mut t = sympiler_sparse::TripletMatrix::new(1, 1);
         t.push(0, 0, 4.0);
         let a = t.to_csc().unwrap();
-        let plan = LuPlan::build(&a, true, 2).unwrap();
+        let plan = LuPlan::build(&a, &SympilerOptions::default()).unwrap();
         let f = plan.factor(&a).unwrap();
         assert_eq!(f.solve(&[8.0]), vec![2.0]);
         // Diagonal.
         let d = CscMatrix::identity(5);
-        let plan = LuPlan::build(&d, true, 2).unwrap();
+        let plan = LuPlan::build(&d, &SympilerOptions::default()).unwrap();
         let f = plan.factor(&d).unwrap();
         assert_eq!(plan.n_updates(), 0);
         assert_eq!(
@@ -2326,7 +1672,12 @@ mod tests {
         let a = gen::convection_diffusion_2d(9, 9, 1.0, 2);
         let sym = sympiler_graph::lu_symbolic(&a);
         for (low_level, peel) in [(true, 2), (true, 0), (false, 0)] {
-            let plan = LuPlan::build(&a, low_level, peel).unwrap();
+            let opts = SympilerOptions {
+                low_level,
+                peel_col_count: peel,
+                ..Default::default()
+            };
+            let plan = LuPlan::build(&a, &opts).unwrap();
             let mut peeled = 0;
             for j in 0..plan.n() {
                 assert!(plan.schedule(j).eq(sym.reach(j).iter().copied()));

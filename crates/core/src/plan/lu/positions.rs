@@ -198,17 +198,20 @@ impl LuPlan {
     /// pattern admits them: positions fit `u32` and the schedule holds
     /// at most `max_ops_per_entry` multiply-adds per entry of `L + U`
     /// (else the plan is returned as it came and keeps the accumulator
-    /// kernel). [`crate::SympilerLu::compile`] calls this with
-    /// [`POSITION_MAX_OPS_PER_ENTRY`] for the serial scalar executor —
-    /// the other tiers run columns out of order or in panels and never
-    /// read the tables, so plans built directly stay without them
-    /// (`f64::MAX` forces the walker onto any plan, which is how tests
-    /// and the ablation compare the kernels). One `O(nnz + ops)` pass
-    /// over the layouts; [`Self::factor`] results are bitwise those of
-    /// the accumulator kernel.
+    /// kernel — as is a [`Self::leveled`] plan, whose columns run out
+    /// of order). [`crate::SympilerLu::compile`] calls this with
+    /// [`POSITION_MAX_OPS_PER_ENTRY`] for the one-thread scalar plan —
+    /// leveled columns and panels never read the tables, so plans
+    /// built directly stay without them (`f64::MAX` forces the walker
+    /// onto any in-order plan, which is how tests and the ablation
+    /// compare the kernels). One `O(nnz + ops)` pass over the layouts;
+    /// [`Self::factor`] results are bitwise those of the accumulator
+    /// kernel.
     pub fn with_position_tables(mut self, max_ops_per_entry: f64) -> Self {
         let n_ops = self.n_multiply_adds();
-        if !PositionTables::admits(self.l_nnz(), self.u_nnz(), n_ops, max_ops_per_entry) {
+        if self.levels.is_some()
+            || !PositionTables::admits(self.l_nnz(), self.u_nnz(), n_ops, max_ops_per_entry)
+        {
             return self;
         }
         let st = &*self.structure;
@@ -268,9 +271,19 @@ impl LuPlan {
 mod tests {
     use super::super::{LuWorkspace, PerturbReport};
     use super::*;
+    use crate::SympilerOptions;
     use sympiler_graph::ordering::Ordering;
     use sympiler_graph::transversal::PrePivot;
     use sympiler_sparse::gen;
+
+    /// Default options under the given ordering and pre-pivot.
+    fn pivoted(ordering: Ordering, pre_pivot: PrePivot) -> SympilerOptions {
+        SympilerOptions {
+            ordering,
+            pre_pivot,
+            ..Default::default()
+        }
+    }
 
     /// Bits of the whole value array plus the perturbation record — or
     /// the error — of one factorization.
@@ -319,15 +332,17 @@ mod tests {
             for (a, pre_pivot) in &inputs {
                 for ordering in Ordering::ALL {
                     for (low_level, peel) in [(false, 2), (true, 0), (true, 2)] {
-                        let built = LuPlan::build_pivoted(a, low_level, peel, ordering, *pre_pivot)
-                            .unwrap();
                         // 0.9 perturbs pivots on these inputs; 0 is off.
                         for tol in [0.0, 1e-3, 0.9] {
                             for mc64 in [false, true] {
-                                let mut plan = built.clone().with_pivot_perturbation(tol);
-                                if mc64 {
-                                    plan = plan.with_mc64_scaling(a).unwrap();
-                                }
+                                let opts = SympilerOptions {
+                                    low_level,
+                                    peel_col_count: peel,
+                                    pivot_perturb: tol,
+                                    mc64_scale: mc64,
+                                    ..pivoted(ordering, *pre_pivot)
+                                };
+                                let plan = LuPlan::build(a, &opts).unwrap();
                                 let walker = walker_of(&plan);
                                 assert_eq!(
                                     walker
@@ -356,9 +371,11 @@ mod tests {
     #[test]
     fn walker_perturbs_and_reports_the_same_columns() {
         let a0 = gen::circuit_unsym(40, 3, 1, 5);
-        let plan = LuPlan::build_ordered(&a0, true, 2, Ordering::Colamd)
-            .unwrap()
-            .with_pivot_perturbation(1e-8);
+        let opts = SympilerOptions {
+            pivot_perturb: 1e-8,
+            ..pivoted(Ordering::Colamd, PrePivot::Off)
+        };
+        let plan = LuPlan::build(&a0, &opts).unwrap();
         // Columns nothing updates: their pivot is A's diagonal entry.
         let free: Vec<usize> = (0..40)
             .filter(|&j| plan.schedule(j).next().is_none())
@@ -399,7 +416,11 @@ mod tests {
                 ],
             );
             for (peel, peeled) in [(2, false), (0, true)] {
-                let plan = LuPlan::build(&a, true, peel).unwrap();
+                let opts = SympilerOptions {
+                    peel_col_count: peel,
+                    ..Default::default()
+                };
+                let plan = LuPlan::build(&a, &opts).unwrap();
                 assert_eq!(plan.n_peeled() > 0, peeled);
                 let walker = walker_of(&plan);
                 let ops = &walker.positions.as_ref().unwrap().ops;
@@ -426,7 +447,7 @@ mod tests {
     #[test]
     fn walker_reports_the_same_zero_pivot_and_propagates_non_finite_input() {
         let a0 = gen::circuit_unsym(40, 3, 1, 2);
-        let plan = LuPlan::build_ordered(&a0, true, 2, Ordering::Colamd).unwrap();
+        let plan = LuPlan::build(&a0, &pivoted(Ordering::Colamd, PrePivot::Off)).unwrap();
         let walker = walker_of(&plan);
         let diag = |a: &CscMatrix, j: usize| {
             (a.col_ptr()[j]..a.col_ptr()[j + 1])
@@ -442,7 +463,7 @@ mod tests {
         assert_eq!(Err(err), outcome(&plan, &zeroed));
         // Structurally missing pivot (no pre-pivot): same column too.
         let zd = gen::circuit_zero_diag(40, 4, 1, 3);
-        let off = LuPlan::build(&zd, true, 2).unwrap();
+        let off = LuPlan::build(&zd, &SympilerOptions::default()).unwrap();
         assert!(matches!(
             outcome(&walker_of(&off), &zd),
             Err(LuPlanError::ZeroPivot { .. })
@@ -460,7 +481,7 @@ mod tests {
     #[test]
     fn table_bound_selects_the_kernel_not_the_factors() {
         let a = gen::convection_diffusion_2d(7, 6, 1.5, 3);
-        let plan = LuPlan::build(&a, true, 2).unwrap();
+        let plan = LuPlan::build(&a, &SympilerOptions::default()).unwrap();
         let ratio = plan.n_multiply_adds() as f64 / (plan.l_nnz() + plan.u_nnz()) as f64;
         let under = plan.clone().with_position_tables(ratio * 1.001);
         let over = plan.clone().with_position_tables(ratio * 0.999);
@@ -475,6 +496,12 @@ mod tests {
             under.table_bytes() - plan.table_bytes(),
             12 * t.ops.len() + 4 * a.nnz() + 4 * plan.n()
         );
+        // Tables resolve the in-order walk only: leveling drops them,
+        // and a leveled plan takes none. One thread is in order.
+        assert!(under.clone().leveled(2).positions.is_none());
+        let leveled = plan.clone().leveled(2).with_position_tables(f64::MAX);
+        assert!(leveled.positions.is_none() && leveled.n_threads() == 2);
+        assert!(under.clone().leveled(1).positions.is_some());
         // Positions that would not fit u32 keep the accumulator kernel,
         // whatever the ratio (no such matrix fits a test).
         let inf = f64::INFINITY;
@@ -488,7 +515,8 @@ mod tests {
     #[test]
     fn corrupted_position_tables_fail_validation_not_an_index() {
         let a = gen::circuit_unsym(30, 3, 1, 8);
-        let plan = walker_of(&LuPlan::build_ordered(&a, true, 2, Ordering::Colamd).unwrap());
+        let plan =
+            walker_of(&LuPlan::build(&a, &pivoted(Ordering::Colamd, PrePivot::Off)).unwrap());
         let st = &*plan.structure;
         let good = plan.positions.clone().unwrap();
         assert_eq!(good.validate(st), Ok(()));
@@ -525,7 +553,7 @@ mod tests {
             ],
         );
         for a in [&empty, &one, &diagonal] {
-            let plan = LuPlan::build(a, true, 2).unwrap();
+            let plan = LuPlan::build(a, &SympilerOptions::default()).unwrap();
             let walker = walker_of(&plan);
             assert!(walker.positions.as_ref().unwrap().ops.is_empty());
             let f = walker.factor_with(a, &mut ws).unwrap();
@@ -536,7 +564,7 @@ mod tests {
         assert_eq!(ws.capacity(), 0, "the walker never touches a workspace");
         // After the accumulator kernel grew it, too.
         let a = gen::circuit_unsym(60, 3, 1, 4);
-        let plan = LuPlan::build(&a, true, 2).unwrap();
+        let plan = LuPlan::build(&a, &SympilerOptions::default()).unwrap();
         let walker = walker_of(&plan);
         plan.factor_with(&a, &mut ws).unwrap();
         let grown = ws.capacity();

@@ -1,7 +1,7 @@
-//! Supernodal (VS-Block) LU: the third execution tier of the compiled
-//! LU pipeline, beside the serial column plan ([`super::lu::LuPlan`])
-//! and the level-scheduled column-parallel plan
-//! (`super::lu_parallel::ParallelLuPlan`).
+//! Supernodal (VS-Block) LU: the dense **panel** kernel of the compiled
+//! LU pipeline, beside the scalar column kernel of
+//! [`super::lu::LuPlan`] and under the same scheduler and walker
+//! ([`super::level_schedule`]).
 //!
 //! The paper's VS-Block transformation (§3.2) converts column-at-a-time
 //! sparse kernels into blocked code over supernodes so the numeric
@@ -37,13 +37,13 @@
 //!   nothing extra — and under [`crate::BlockLu::Auto`] wide panels
 //!   too thin to pay for the dense path are dissolved into such
 //!   columns at compile time ([`SupernodalLuPlan::dissolve_thin_panels`]).
-//! * **Parallelism** — the panel DAG (panel `s` depends on every panel
-//!   that sources one of its updates) feeds the same generalized
-//!   scheduler the column-parallel plan uses
-//!   ([`sympiler_graph::levels::dag_levels_from_preds`] +
-//!   [`sympiler_graph::levels::balanced_partition`]): levels of
-//!   independent panels execute across workers with one barrier per
-//!   kept level boundary, barriers elided across same-owner runs.
+//! * **Parallelism** — with more than one thread, the panel DAG (panel
+//!   `s` depends on every panel that sources one of its updates) goes
+//!   through the one [`LevelSchedule`] the leveled column plan uses:
+//!   levels of independent panels execute across workers with one
+//!   barrier per kept level boundary, barriers elided across same-owner
+//!   runs. A one-thread plan walks its panels in index order and stores
+//!   no schedule.
 //!
 //! Results are **not** bit-identical to the scalar plans — dense
 //! kernels reassociate the update sums — but agree to ~1e-12 relative
@@ -55,17 +55,14 @@
 //! it (run-time detection), so factors from an FMA and a non-FMA host
 //! differ in the last bits — within the same backward-error gate.
 
-use super::lu::{LuFactor, LuPlan, LuPlanError, LuWorkspace, PerturbReport, PivotStatus};
+use super::level_schedule::{walk, LaneScratch, LevelSchedule, SharedValues, WalkLabels};
+use super::lu::{LuFactor, LuPlan, LuPlanError, LuWorkspace, PerturbReport};
 use sympiler_dense::{
     getrf_nopiv_perturbed, panel_update_sub, trsm_right_lower_trans_unit, trsm_right_upper,
 };
-use sympiler_graph::levels::{balanced_partition, dag_levels_from_preds};
 use sympiler_graph::lu_supernode::{supernodes_lu_relaxed_from_parts, LuPanels};
 use sympiler_graph::supernode::SupernodePartition;
 use sympiler_sparse::CscMatrix;
-
-/// Avoid clashing with `std::sync::atomic::Ordering` in this module.
-use sympiler_graph::ordering::Ordering as FillOrdering;
 
 /// A compiled LU factorization whose numeric phase executes panel by
 /// panel over the supernodes of the predicted `L`, with dense
@@ -76,10 +73,9 @@ pub struct SupernodalLuPlan {
     /// Column panels of the predicted factor (ordered coordinates):
     /// the partition plus each panel's baked **union** row list. Under
     /// strict nesting every member column's pattern equals the union;
-    /// under relaxed amalgamation
-    /// ([`Self::from_plan_relaxed`]) the union is wider and the extra
-    /// trapezoid slots hold explicit zeros, counted in
-    /// `panels.padded_zeros`.
+    /// under relaxed amalgamation ([`Self::detect_panels`]) the union
+    /// is wider and the extra trapezoid slots hold explicit zeros,
+    /// counted in `panels.padded_zeros`.
     panels: LuPanels,
     /// Trapezoid value offsets: wide panel `s` owns the column-major
     /// `m × w` block `sx[sx_ptr[s]..sx_ptr[s+1]]` of the supernodal
@@ -91,16 +87,9 @@ pub struct SupernodalLuPlan {
     /// predecessors of `s` in the panel DAG.
     upd_ptr: Vec<usize>,
     upd_panels: Vec<u32>,
-    /// Worker count baked into the level schedule.
-    n_threads: usize,
-    /// Panels flattened level by level (ascending within levels).
-    level_panels: Vec<usize>,
-    level_ptr: Vec<usize>,
-    /// Per-level worker chunks, `n_threads + 1` boundaries per level
-    /// relative to the level start (see `ParallelLuPlan`).
-    chunk_bounds: Vec<usize>,
-    /// Compile-time barrier schedule with same-owner elision.
-    barrier_after: Vec<bool>,
+    /// The panel DAG leveled over worker threads; `None` for a
+    /// one-thread plan, which walks its panels in index order.
+    levels: Option<LevelSchedule>,
     /// Widest panel (workspace sizing).
     max_width: usize,
     /// Fraction of factorization flops carried by wide panels — the
@@ -134,26 +123,6 @@ pub struct SupernodalLuPlan {
 /// from 3.
 pub const DENSE_PANEL_MIN_FLOPS_PER_ENTRY: f64 = 2.0;
 
-/// Shared mutable view of the factor value arrays plus the supernodal
-/// trapezoid storage, handed to the scoped workers.
-///
-/// SAFETY ARGUMENT: identical to `ParallelLuPlan`'s — every panel's
-/// `L`/`U`/trapezoid value ranges are written by exactly one worker
-/// (the compile-time chunk owner) during the panel's level and read by
-/// other workers only in strictly later levels, with a barrier
-/// separating levels. No location is accessed concurrently with a
-/// write.
-#[cfg(feature = "parallel")]
-struct SharedPanels {
-    lx: *mut f64,
-    ux: *mut f64,
-    sx: *mut f64,
-}
-
-// SAFETY: see the struct-level safety argument.
-#[cfg(feature = "parallel")]
-unsafe impl Sync for SharedPanels {}
-
 /// Row stride of the accumulator for a panel of width `w`: `w` rounded
 /// up to the update kernel's 4-column register tile. At the panel's own
 /// width a remainder of 1–3 columns would run in the kernel's 1-column
@@ -174,77 +143,26 @@ fn acc_stride(w: usize) -> usize {
     w.next_multiple_of(4)
 }
 
-/// Per-worker scratch: `x` is the dense block accumulator, `n ×
-/// acc_stride(max_width)` doubles, all zeros between panels — panel `s`
-/// of width `w` addresses its leading `n × ldx` doubles **row-major**
-/// (`x[row · ldx + c]`, `ldx = acc_stride(w)`), a singleton its leading
-/// `n` as a plain column; `bt` holds `acc_stride(max_width)²` doubles
-/// for the solved source block handed to the update kernel and for the
-/// diagonal-block copy.
-struct PanelWorkspace<'a> {
-    x: &'a mut [f64],
-    bt: &'a mut [f64],
-}
-
 impl SupernodalLuPlan {
-    /// Compile a supernodal plan for the square matrix `a` under a
-    /// fill-reducing ordering. `low_level` / `peel_col_count` select
-    /// the scalar fallback's peeled tier exactly like
-    /// [`LuPlan::build_ordered`]; `max_panel` caps panel width (0 =
-    /// unlimited); `n_threads` fixes the worker count baked into the
-    /// panel-level schedule (1 = serial panel sweep).
-    pub fn build(
-        a: &CscMatrix,
-        low_level: bool,
-        peel_col_count: usize,
-        ordering: FillOrdering,
-        max_panel: usize,
-        n_threads: usize,
-    ) -> Result<Self, LuPlanError> {
-        Ok(Self::from_plan(
-            LuPlan::build_ordered(a, low_level, peel_col_count, ordering)?,
-            max_panel,
-            n_threads,
-        ))
-    }
-
-    /// Detect **strictly nesting** panels on an already-compiled plan
-    /// and bake the panel layouts and the leveled panel-DAG schedule.
-    /// Pure schedule construction — no symbolic analysis re-runs.
-    /// Equivalent to [`Self::from_plan_relaxed`] with a zero fill
-    /// budget (relaxation off).
-    pub fn from_plan(plan: LuPlan, max_panel: usize, n_threads: usize) -> Self {
-        Self::from_plan_relaxed(plan, max_panel, n_threads, 0.0, 0)
-    }
-
-    /// [`Self::from_plan`] with CHOLMOD/SuperLU-style **relaxed
-    /// amalgamation**: adjacent strict panels merge into one wider
-    /// panel when the merged width stays within `relax_cols` (min'd
-    /// with `max_panel` when that cap is nonzero) and the explicit
-    /// zeros the merged trapezoid must carry stay within `relax_fill`
-    /// × the panel's structural nonzeros. Padding lives **only** in
-    /// the dense trapezoid workspace: padded slots provably compute to
-    /// exact ±0.0 (every term feeding a structurally-zero position has
-    /// a structurally-zero factor, and IEEE propagates those zeros
-    /// exactly), the CSC factor layouts and patterns are untouched,
-    /// and write-back walks each column's own pattern. `relax_fill <=
-    /// 0` or `relax_cols < 2` disables merging and reproduces
-    /// [`Self::from_plan`]'s panels bitwise.
-    pub fn from_plan_relaxed(
-        plan: LuPlan,
-        max_panel: usize,
-        n_threads: usize,
-        relax_fill: f64,
-        relax_cols: usize,
-    ) -> Self {
-        let panels = Self::detect_panels(&plan, max_panel, relax_fill, relax_cols);
-        Self::from_panels(plan, panels, n_threads)
-    }
-
     /// Panel detection alone on a compiled plan's `L` layout — `O(nnz(L))`,
     /// no schedule built. What a compile driver inspects (and may thin
     /// out with [`Self::dissolve_thin_panels`]) before committing to
-    /// [`Self::from_panels`].
+    /// [`Self::from_panels`]. `max_panel` caps panel width (0 =
+    /// unlimited).
+    ///
+    /// Adjacent columns whose patterns nest strictly always form a
+    /// panel. CHOLMOD/SuperLU-style **relaxed amalgamation** then
+    /// merges adjacent strict panels into one wider panel when the
+    /// merged width stays within `relax_cols` (min'd with `max_panel`
+    /// when that cap is nonzero) and the explicit zeros the merged
+    /// trapezoid must carry stay within `relax_fill` × the panel's
+    /// structural nonzeros. Padding lives **only** in the dense
+    /// trapezoid workspace: padded slots provably compute to exact ±0.0
+    /// (every term feeding a structurally-zero position has a
+    /// structurally-zero factor, and IEEE propagates those zeros
+    /// exactly), the CSC factor layouts and patterns are untouched, and
+    /// write-back walks each column's own pattern. `relax_fill <= 0` or
+    /// `relax_cols < 2` disables merging and leaves the strict panels.
     pub fn detect_panels(
         plan: &LuPlan,
         max_panel: usize,
@@ -310,9 +228,15 @@ impl SupernodalLuPlan {
         })
     }
 
-    /// Bake the panel layouts and the leveled panel-DAG schedule for a
-    /// panel partition of `plan`'s columns — one [`Self::detect_panels`]
-    /// produced, possibly thinned by [`Self::dissolve_thin_panels`].
+    /// Bake the panel layouts — and, for `n_threads > 1`, the leveled
+    /// panel-DAG schedule — for a panel partition of `plan`'s columns:
+    /// one [`Self::detect_panels`] produced, possibly thinned by
+    /// [`Self::dissolve_thin_panels`]. Pure schedule construction — no
+    /// symbolic analysis re-runs. The scalar fallback of singleton
+    /// panels, the permutations, scalings, perturbation tolerance and
+    /// profiler are `plan`'s ([`LuPlan::build`]); a level schedule or
+    /// position tables `plan` itself carries serve [`Self::serial`]
+    /// alone, never the panel walk.
     pub fn from_panels(plan: LuPlan, panels: LuPanels, n_threads: usize) -> Self {
         assert!(n_threads >= 1, "need at least one thread");
         assert_eq!(panels.part.n_cols(), plan.n(), "panels must cover the plan");
@@ -369,41 +293,21 @@ impl SupernodalLuPlan {
         );
 
         // Level the panel DAG and cost-balance each level's panels
-        // across workers — the same generalized scheduler the
-        // column-parallel plan drives, fed panels instead of columns.
-        let levels = dag_levels_from_preds(n_panels, |s| {
-            upd_panels[upd_ptr[s]..upd_ptr[s + 1]]
-                .iter()
-                .map(|&t| t as usize)
-        });
+        // across workers — the scheduler the leveled column plan
+        // drives, fed panels instead of columns.
         let col_flops = plan.per_column_flops();
-        let col_costs = plan.per_column_costs(&col_flops);
-        let panel_costs: Vec<u64> = (0..n_panels)
-            .map(|s| part.cols(s).map(|j| col_costs[j]).sum())
-            .collect();
-        let mut level_panels = Vec::with_capacity(n_panels);
-        let mut level_ptr = Vec::with_capacity(levels.n_levels() + 1);
-        let mut chunk_bounds = Vec::with_capacity(levels.n_levels() * (n_threads + 1));
-        level_ptr.push(0);
-        let mut sole_owner: Vec<bool> = Vec::with_capacity(levels.n_levels());
-        for panels in &levels.levels {
-            let costs: Vec<u64> = panels.iter().map(|&s| panel_costs[s]).collect();
-            let mut bounds = balanced_partition(&costs, n_threads);
-            let whole = (0..n_threads).any(|t| bounds[t + 1] - bounds[t] == panels.len());
-            if whole {
-                for b in bounds.iter_mut().skip(1) {
-                    *b = panels.len();
-                }
-            }
-            sole_owner.push(whole);
-            chunk_bounds.extend(bounds);
-            level_panels.extend_from_slice(panels);
-            level_ptr.push(level_panels.len());
-        }
-        let n_levels = sole_owner.len();
-        let barrier_after: Vec<bool> = (0..n_levels)
-            .map(|lv| lv + 1 < n_levels && !(sole_owner[lv] && sole_owner[lv + 1]))
-            .collect();
+        let levels = (n_threads > 1).then(|| {
+            let col_costs = plan.per_column_costs(&col_flops);
+            let panel_costs: Vec<u64> = (0..n_panels)
+                .map(|s| part.cols(s).map(|j| col_costs[j]).sum())
+                .collect();
+            let sources = |s: usize| {
+                upd_panels[upd_ptr[s]..upd_ptr[s + 1]]
+                    .iter()
+                    .map(|&t| t as usize)
+            };
+            LevelSchedule::build(n_panels, n_threads, sources, &panel_costs)
+        });
 
         let panel_flops: Vec<u64> = (0..n_panels)
             .map(|s| part.cols(s).map(|j| col_flops[j]).sum())
@@ -441,11 +345,7 @@ impl SupernodalLuPlan {
             sx_ptr,
             upd_ptr,
             upd_panels,
-            n_threads,
-            level_panels,
-            level_ptr,
-            chunk_bounds,
-            barrier_after,
+            levels,
             max_width,
             dense_flop_share,
             panel_flops,
@@ -457,12 +357,6 @@ impl SupernodalLuPlan {
     /// flop counts, scalar kernel).
     pub fn serial(&self) -> &LuPlan {
         &self.plan
-    }
-
-    /// Recover the serial plan (for compile drivers that decide after
-    /// detection that blocking does not pay).
-    pub fn into_plan(self) -> LuPlan {
-        self.plan
     }
 
     /// The compiled panel partition.
@@ -486,8 +380,9 @@ impl SupernodalLuPlan {
     /// Resident size, in bytes, of the supernodal tables this plan
     /// keeps alive beyond the serial plan's ([`LuPlan::table_bytes`]):
     /// panel row lists (padded layouts included), trapezoid offsets,
-    /// the panel-level update schedule, and the leveled worker
-    /// schedule. What a plan cache charges a supernodal entry for.
+    /// the panel-level update schedule, and — for `n_threads > 1` —
+    /// the leveled worker schedule. What a plan cache charges a
+    /// supernodal entry for.
     pub fn table_bytes(&self) -> usize {
         use std::mem::size_of;
         let usz = size_of::<usize>();
@@ -498,8 +393,7 @@ impl SupernodalLuPlan {
             + self.sx_ptr.len() * usz
             + self.upd_ptr.len() * usz
             + self.upd_panels.len() * 4
-            + (self.level_panels.len() + self.level_ptr.len() + self.chunk_bounds.len()) * usz
-            + self.barrier_after.len()
+            + self.levels.as_ref().map_or(0, LevelSchedule::bytes)
             + self.panel_flops.len() * 8
     }
 
@@ -554,45 +448,23 @@ impl SupernodalLuPlan {
         self.dense_executed_flops
     }
 
-    /// Worker count baked into the panel schedule.
+    /// Threads the numeric phase runs on: the panel schedule's worker
+    /// count, 1 without one.
     pub fn n_threads(&self) -> usize {
-        self.n_threads
+        self.levels.as_ref().map_or(1, LevelSchedule::n_threads)
     }
 
-    /// Number of panel levels (critical-path length of the panel DAG).
-    pub fn n_levels(&self) -> usize {
-        self.level_ptr.len() - 1
-    }
-
-    /// Average available panel parallelism.
-    pub fn avg_panel_parallelism(&self) -> f64 {
-        if self.n_levels() == 0 {
-            0.0
-        } else {
-            self.level_panels.len() as f64 / self.n_levels() as f64
-        }
-    }
-
-    /// Barriers the parallel numeric phase executes after elision.
-    pub fn n_barriers(&self) -> usize {
-        self.barrier_after.iter().filter(|&&b| b).count()
-    }
-
-    /// The chunk of level `lv` owned by worker `t`.
-    #[cfg_attr(not(feature = "parallel"), allow(dead_code))]
-    fn chunk(&self, lv: usize, t: usize) -> &[usize] {
-        let base = self.level_ptr[lv];
-        let o = lv * (self.n_threads + 1);
-        let lo = base + self.chunk_bounds[o + t];
-        let hi = base + self.chunk_bounds[o + t + 1];
-        &self.level_panels[lo..hi]
+    /// The leveled panel DAG of a plan built for more than one thread;
+    /// `None` for a plan that walks its panels in index order.
+    pub fn levels(&self) -> Option<&LevelSchedule> {
+        self.levels.as_ref()
     }
 
     /// Execute one panel: the scalar column kernel for singletons, the
     /// dense TRSM / fused-update / GETRF pipeline for wide panels.
     /// Returns the smallest zero-pivot column, or `usize::MAX` when
     /// clean; values are always fully written (IEEE semantics on zero
-    /// pivots), so parallel callers record and keep going. The
+    /// pivots), so a leveled walk records and keeps going. The
     /// accumulator is all zeros again on return whenever every value
     /// the panel read was finite.
     ///
@@ -601,14 +473,25 @@ impl SupernodalLuPlan {
     /// value arrays. The caller must guarantee that (a) no other thread
     /// accesses this panel's value ranges during the call and (b) every
     /// source panel in the baked schedule has been fully written and
-    /// synchronized before the call — in-order serial execution and the
-    /// barrier-leveled parallel executor both satisfy this, exactly as
-    /// for `LuPlan::column_numeric`.
+    /// synchronized before the call — what [`walk`] provides, exactly
+    /// as for `LuPlan::column_numeric`: in index order trivially, and
+    /// over a [`LevelSchedule`] built from those sources by the four
+    /// facts `LevelSchedule::validate` checks (the panel sits in one
+    /// level and one worker's chunk of it; its sources in strictly
+    /// earlier levels; a barrier separates two levels unless worker 0
+    /// owns both wholesale). `ws.x` must be an
+    /// all-zeros accumulator of `n × acc_stride(max_width)` doubles
+    /// (restored to zeros before returning, given finite values) —
+    /// panel `s` of width `w` addresses its leading `n × ldx` doubles
+    /// **row-major** (`x[row · ldx + c]`, `ldx = acc_stride(w)`), a
+    /// singleton its leading `n` as a plain column — and `ws.bt`
+    /// `acc_stride(max_width)²` doubles, for the solved source block
+    /// handed to the update kernel and for the diagonal-block copy.
     unsafe fn panel_numeric(
         &self,
         s: usize,
         a: &CscMatrix,
-        ws: &mut PanelWorkspace<'_>,
+        ws: &mut LaneScratch<'_>,
         lx: *mut f64,
         ux: *mut f64,
         sx: *mut f64,
@@ -625,14 +508,9 @@ impl SupernodalLuPlan {
             // Scalar fallback: the shared per-column kernel, reading
             // and writing the CSC factor arrays directly.
             let x = &mut ws.x[..n];
-            return match plan.column_numeric(f, a, x, lx, ux, thresh) {
-                PivotStatus::Clean => usize::MAX,
-                PivotStatus::Perturbed => {
-                    perturbed.push(f);
-                    usize::MAX
-                }
-                PivotStatus::Zero => f,
-            };
+            return plan
+                .column_numeric(f, a, x, lx, ux, thresh)
+                .report(f, perturbed);
         }
 
         // Wide-panel observability: one `panel` span with achieved
@@ -894,11 +772,12 @@ impl SupernodalLuPlan {
     }
 
     /// [`Self::factor`] against a caller-held [`LuWorkspace`] — bitwise
-    /// identical results. A plan compiled for one thread keeps its
-    /// block accumulator, solve block and trapezoid arena in `ws`, so
-    /// the only per-call allocations are the factor value arrays; with
-    /// `n_threads > 1` every worker needs an accumulator of its own,
-    /// allocated per call, and `ws` is left untouched.
+    /// identical results. The block accumulator, solve block and
+    /// trapezoid arena live in `ws`, so a one-thread plan's only
+    /// per-call allocation is the factor value array; with
+    /// `n_threads > 1` the first lane runs against `ws` and every
+    /// further lane allocates an accumulator and solve block of its own
+    /// per call.
     pub fn factor_with(
         &self,
         a: &CscMatrix,
@@ -909,250 +788,67 @@ impl SupernodalLuPlan {
         let (lx, ux) = vals.split_at_mut(self.plan.l_nnz());
         let sx_len = *self.sx_ptr.last().unwrap_or(&0);
         let thresh = self.plan.perturb_threshold(a);
-        let mut perturbed: Vec<usize> = Vec::new();
-        let first_bad = if self.runs_parallel() {
-            let mut sx = vec![0.0f64; sx_len];
-            self.factor_parallel(a, lx, ux, &mut sx, thresh, &mut perturbed)
-        } else {
-            let ldx = acc_stride(self.max_width);
-            let (x, bt, sx) = ws.ensure_panels(self.plan.n() * ldx, ldx * ldx, sx_len);
-            let first_bad = self.factor_serial(
-                a,
-                lx,
-                ux,
-                sx,
-                PanelWorkspace { x, bt },
-                thresh,
-                &mut perturbed,
-            );
-            // The update kernel writes every column of a row it
-            // touches, and only finite products keep the entries no
-            // column's pattern owns at zero: after a zero pivot (its
-            // quotients are ±Inf/NaN) or non-finite input, restore the
-            // caller's all-zeros accumulator wholesale.
-            if first_bad != usize::MAX || !all_finite(&vals) {
-                ws.clear();
-            }
-            first_bad
-        };
-        if first_bad != usize::MAX {
-            return Err(LuPlanError::ZeroPivot { column: first_bad });
-        }
-        perturbed.sort_unstable();
-        Ok(self.plan.finish(
-            a,
-            vals,
-            PerturbReport {
-                columns: perturbed,
-                threshold: thresh,
-            },
-        ))
-    }
-
-    /// Whether `factor` fans panels out over worker threads.
-    fn runs_parallel(&self) -> bool {
-        cfg!(feature = "parallel") && self.n_threads > 1
-    }
-
-    fn factor_serial(
-        &self,
-        a: &CscMatrix,
-        lx: &mut [f64],
-        ux: &mut [f64],
-        sx: &mut [f64],
-        mut ws: PanelWorkspace<'_>,
-        thresh: f64,
-        perturbed: &mut Vec<usize>,
-    ) -> usize {
-        let prof = self.plan.profiler().as_ref();
-        let enabled = prof.is_enabled();
-        let span = if enabled {
-            prof.begin(0, "factor:supernodal")
-        } else {
-            None
-        };
-        let mut first_bad = usize::MAX;
-        let (mut dense, mut scalar) = (0u64, 0u64);
-        for s in 0..self.n_panels() {
-            // SAFETY: in-order serial execution — every source panel is
-            // final, each panel's ranges are written exactly once.
-            let bad = unsafe {
-                self.panel_numeric(
-                    s,
-                    a,
-                    &mut ws,
-                    lx.as_mut_ptr(),
-                    ux.as_mut_ptr(),
-                    sx.as_mut_ptr(),
-                    0,
-                    thresh,
-                    perturbed,
-                )
-            };
-            first_bad = first_bad.min(bad);
-            if enabled {
-                if self.panels.part.width(s) > 1 {
-                    dense += self.panel_flops[s];
-                } else {
-                    scalar += self.panel_flops[s];
-                }
-            }
-        }
-        if enabled {
-            prof.counter("flops.dense").add(dense);
-            prof.counter("flops.scalar").add(scalar);
-            prof.end_with(span, &[("flops", (dense + scalar) as f64)]);
-        }
-        first_bad
-    }
-
-    #[cfg(feature = "parallel")]
-    fn factor_parallel(
-        &self,
-        a: &CscMatrix,
-        lx: &mut [f64],
-        ux: &mut [f64],
-        sx: &mut [f64],
-        thresh: f64,
-        perturbed: &mut Vec<usize>,
-    ) -> usize {
-        use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering as AtomicOrdering};
-        use std::sync::Mutex;
-        let prof = self.plan.profiler().as_ref();
-        let enabled = prof.is_enabled();
-        let outer = if enabled {
-            prof.begin(0, "factor:supernodal")
-        } else {
-            None
-        };
-        let n_levels = self.n_levels();
-        let shared = SharedPanels {
+        let ldx = acc_stride(self.max_width);
+        let (x, bt, sx) = ws.ensure_panels(self.plan.n() * ldx, ldx * ldx, sx_len);
+        let values = SharedValues {
             lx: lx.as_mut_ptr(),
             ux: ux.as_mut_ptr(),
             sx: sx.as_mut_ptr(),
         };
-        let barrier = std::sync::Barrier::new(self.n_threads);
-        let first_bad = AtomicUsize::new(usize::MAX);
-        // Workers buffer perturbed columns locally and merge once at
-        // the end; the caller sorts, so the report is deterministic.
-        let all_perturbed: Mutex<Vec<usize>> = Mutex::new(Vec::new());
-        let busy: Vec<AtomicU64> = (0..self.n_threads).map(|_| AtomicU64::new(0)).collect();
-        let wait: Vec<AtomicU64> = (0..self.n_threads).map(|_| AtomicU64::new(0)).collect();
-        let dense_flops = AtomicU64::new(0);
-        let scalar_flops = AtomicU64::new(0);
-        std::thread::scope(|scope| {
-            for t in 0..self.n_threads {
-                let shared = &shared;
-                let barrier = &barrier;
-                let first_bad = &first_bad;
-                let (busy, wait) = (&busy, &wait);
-                let (dense_flops, scalar_flops) = (&dense_flops, &scalar_flops);
-                let all_perturbed = &all_perturbed;
-                scope.spawn(move || {
-                    let ldx = acc_stride(self.max_width);
-                    let mut x = vec![0.0f64; self.plan.n() * ldx];
-                    let mut bt = vec![0.0f64; ldx * ldx];
-                    let mut ws = PanelWorkspace {
-                        x: &mut x,
-                        bt: &mut bt,
-                    };
-                    let worker_t0 = prof.now_ns();
-                    let mut my_wait = 0u64;
-                    let (mut my_dense, mut my_scalar) = (0u64, 0u64);
-                    let mut my_perturbed: Vec<usize> = Vec::new();
-                    for lv in 0..n_levels {
-                        for &s in self.chunk(lv, t) {
-                            // SAFETY: this worker is the unique owner
-                            // of panel s (compile-time chunking); every
-                            // source panel sits in an earlier level,
-                            // finalized either by this worker in
-                            // program order (elided barriers only span
-                            // same-single-owner levels) or before the
-                            // last kept barrier. See SharedPanels.
-                            let bad = unsafe {
-                                self.panel_numeric(
-                                    s,
-                                    a,
-                                    &mut ws,
-                                    shared.lx,
-                                    shared.ux,
-                                    shared.sx,
-                                    t,
-                                    thresh,
-                                    &mut my_perturbed,
-                                )
-                            };
-                            if bad != usize::MAX {
-                                first_bad.fetch_min(bad, AtomicOrdering::Relaxed);
-                            }
-                            if enabled {
-                                if self.panels.part.width(s) > 1 {
-                                    my_dense += self.panel_flops[s];
-                                } else {
-                                    my_scalar += self.panel_flops[s];
-                                }
-                            }
-                        }
-                        if self.barrier_after[lv] {
-                            if enabled {
-                                let w0 = prof.now_ns();
-                                barrier.wait();
-                                let w1 = prof.now_ns();
-                                my_wait += w1 - w0;
-                                prof.add_span(t, "barrier", w0, w1 - w0, &[("level", lv as f64)]);
-                            } else {
-                                barrier.wait();
-                            }
-                        }
-                    }
-                    if enabled {
-                        let elapsed = prof.now_ns().saturating_sub(worker_t0);
-                        busy[t].store(elapsed.saturating_sub(my_wait), AtomicOrdering::Relaxed);
-                        wait[t].store(my_wait, AtomicOrdering::Relaxed);
-                        dense_flops.fetch_add(my_dense, AtomicOrdering::Relaxed);
-                        scalar_flops.fetch_add(my_scalar, AtomicOrdering::Relaxed);
-                    }
-                    if !my_perturbed.is_empty() {
-                        all_perturbed.lock().unwrap().extend(my_perturbed);
-                    }
-                });
-            }
-        });
-        if enabled {
-            for t in 0..self.n_threads {
-                prof.counter(&format!("sup.t{t}.busy_ns"))
-                    .add(busy[t].load(AtomicOrdering::Relaxed));
-                prof.counter(&format!("sup.t{t}.wait_ns"))
-                    .add(wait[t].load(AtomicOrdering::Relaxed));
-            }
-            let dense = dense_flops.into_inner();
-            let scalar = scalar_flops.into_inner();
-            prof.counter("flops.dense").add(dense);
-            prof.counter("flops.scalar").add(scalar);
-            prof.end_with(
-                outer,
-                &[
-                    ("threads", self.n_threads as f64),
-                    ("levels", n_levels as f64),
-                    ("flops", (dense + scalar) as f64),
-                ],
-            );
+        let prof = self.plan.profiler().as_ref();
+        let labels = WalkLabels {
+            span: "factor:supernodal",
+            lanes: "sup",
+            flops: self.plan.flops(),
+        };
+        let walked = walk(
+            self.levels.as_ref(),
+            self.n_panels(),
+            prof,
+            labels,
+            &values,
+            LaneScratch { x, bt },
+            |s, lane, values, scratch, perturbed| {
+                // SAFETY: `values` points at the two halves of a full
+                // value array and a full trapezoid arena, all outliving
+                // the walk. The walk runs each panel exactly once, and
+                // only after every panel of its update schedule — the
+                // predecessors `from_panels` built the level schedule
+                // from, all smaller indices for the in-order walk — is
+                // final and synchronized (`SharedValues`); the lane's
+                // scratch has the lengths sized above and its
+                // accumulator is all zeros between panels.
+                unsafe {
+                    let (lx, ux, sx) = (values.lx, values.ux, values.sx);
+                    self.panel_numeric(s, a, scratch, lx, ux, sx, lane, thresh, perturbed)
+                }
+            },
+        );
+        // The update kernel writes every column of a row it touches,
+        // and only finite products keep the entries no column's pattern
+        // owns at zero: after a zero pivot (its quotients are ±Inf/NaN)
+        // or non-finite input, restore the caller's all-zeros
+        // accumulator wholesale.
+        if walked.is_err() || !all_finite(&vals) {
+            ws.clear();
         }
-        perturbed.extend(all_perturbed.into_inner().unwrap());
-        first_bad.into_inner()
-    }
-
-    #[cfg(not(feature = "parallel"))]
-    fn factor_parallel(
-        &self,
-        _a: &CscMatrix,
-        _lx: &mut [f64],
-        _ux: &mut [f64],
-        _sx: &mut [f64],
-        _thresh: f64,
-        _perturbed: &mut Vec<usize>,
-    ) -> usize {
-        unreachable!("runs_parallel() is false without the `parallel` feature")
+        let columns = walked.map_err(|column| LuPlanError::ZeroPivot { column })?;
+        if prof.is_enabled() {
+            // Every panel ran, whatever its pivots: the executed flops
+            // are compile-time totals, dense for the wide panels'
+            // columns and scalar for the rest.
+            let dense = self.dense_structural_flops();
+            prof.counter("flops.dense").add(dense);
+            prof.counter("flops.scalar").add(self.plan.flops() - dense);
+        }
+        Ok(self.plan.finish(
+            a,
+            vals,
+            PerturbReport {
+                columns,
+                threshold: thresh,
+            },
+        ))
     }
 
     /// Emit the matrix-specialized supernodal C factorization kernel
@@ -1173,7 +869,26 @@ fn all_finite(vals: &[f64]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SympilerOptions;
+    use sympiler_graph::ordering::Ordering as FillOrdering;
     use sympiler_sparse::{gen, ops};
+
+    /// The in-order scalar plan of `a` under `ordering`, default knobs
+    /// otherwise (peeled tier on at 2).
+    fn scalar_plan(a: &CscMatrix, ordering: FillOrdering) -> LuPlan {
+        let opts = SympilerOptions {
+            ordering,
+            ..Default::default()
+        };
+        LuPlan::build(a, &opts).unwrap()
+    }
+
+    /// `plan`'s strictly nesting panels (relaxation off) capped at
+    /// `max_panel` columns, for `n_threads` workers.
+    fn strict_panels(plan: LuPlan, max_panel: usize, n_threads: usize) -> SupernodalLuPlan {
+        let panels = SupernodalLuPlan::detect_panels(&plan, max_panel, 0.0, 0);
+        SupernodalLuPlan::from_panels(plan, panels, n_threads)
+    }
 
     fn assert_close(a: &LuFactor, b: &LuFactor, tol: f64, what: &str) {
         assert!(a.l().same_pattern(b.l()), "{what}: L pattern");
@@ -1199,10 +914,10 @@ mod tests {
             ("circuit", gen::circuit_unsym(150, 4, 2, 7)),
             ("random", gen::random_unsym(120, 4, 11)),
         ] {
-            let serial = LuPlan::build(&a, true, 2).unwrap();
+            let serial = scalar_plan(&a, FillOrdering::Natural);
             let f_serial = serial.factor(&a).unwrap();
             for max_panel in [0usize, 4] {
-                let sup = SupernodalLuPlan::from_plan(serial.clone(), max_panel, 1);
+                let sup = strict_panels(serial.clone(), max_panel, 1);
                 let f_sup = sup.factor(&a).unwrap();
                 assert_close(
                     &f_sup,
@@ -1217,7 +932,7 @@ mod tests {
     #[test]
     fn grid_problems_produce_wide_panels() {
         let a = gen::convection_diffusion_2d(10, 10, 1.0, 5);
-        let sup = SupernodalLuPlan::build(&a, true, 2, FillOrdering::Natural, 0, 1).unwrap();
+        let sup = strict_panels(scalar_plan(&a, FillOrdering::Natural), 0, 1);
         assert!(sup.n_wide_panels() > 0, "grid fill must block");
         assert!(sup.mean_panel_width() > 1.0);
         assert!(sup.max_panel_width() > 1);
@@ -1228,9 +943,9 @@ mod tests {
     fn ordered_supernodal_matches_ordered_serial() {
         let a = gen::circuit_unsym(140, 4, 2, 9);
         for ordering in [FillOrdering::Rcm, FillOrdering::Colamd] {
-            let serial = LuPlan::build_ordered(&a, true, 2, ordering).unwrap();
+            let serial = scalar_plan(&a, ordering);
             let f_serial = serial.factor(&a).unwrap();
-            let sup = SupernodalLuPlan::from_plan(serial, 16, 1);
+            let sup = strict_panels(serial, 16, 1);
             let f_sup = sup.factor(&a).unwrap();
             assert_close(&f_sup, &f_serial, 1e-12, &format!("{ordering:?}"));
             // And the solve still answers the original system.
@@ -1242,15 +957,14 @@ mod tests {
     }
 
     #[test]
-    #[cfg(feature = "parallel")]
     fn parallel_panels_match_single_thread_bitwise() {
         // Panel execution is a fixed operation sequence per panel, so
         // thread count must not change a single bit.
         let a = gen::convection_diffusion_2d(9, 9, 2.0, 13);
-        let one = SupernodalLuPlan::build(&a, true, 2, FillOrdering::Natural, 8, 1).unwrap();
+        let one = strict_panels(scalar_plan(&a, FillOrdering::Natural), 8, 1);
         let f1 = one.factor(&a).unwrap();
         for threads in [2usize, 3, 4] {
-            let par = SupernodalLuPlan::from_plan(one.serial().clone(), 8, threads);
+            let par = strict_panels(one.serial().clone(), 8, threads);
             assert_eq!(par.n_threads(), threads);
             let fp = par.factor(&a).unwrap();
             for (x, y) in f1
@@ -1266,7 +980,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(feature = "parallel")]
     fn odd_widths_follow_the_padded_stride_in_every_workspace() {
         // Widest panels of 13, 15 and 21 columns address their
         // accumulators at strides 16, 16 and 24: the caller's workspace
@@ -1274,9 +987,9 @@ mod tests {
         // the factors must not depend on who ran a panel, and the pad
         // columns must be zero again when the factor returns.
         let a = gen::convection_diffusion_2d(24, 6, 1.5, 5);
-        let serial = LuPlan::build(&a, true, 2).unwrap();
+        let serial = scalar_plan(&a, FillOrdering::Natural);
         for width in [13usize, 15, 21] {
-            let one = SupernodalLuPlan::from_plan(serial.clone(), width, 1);
+            let one = strict_panels(serial.clone(), width, 1);
             assert_eq!(one.max_panel_width(), width, "the cap must bind");
             assert!(acc_stride(width) > width);
             let mut ws = LuWorkspace::new();
@@ -1285,7 +998,7 @@ mod tests {
             assert!(ws.is_clear(), "width {width}: pad columns left dirty");
             assert_close(&f1, &serial.factor(&a).unwrap(), 1e-12, "vs serial");
             for threads in [2usize, 3] {
-                let par = SupernodalLuPlan::from_plan(serial.clone(), width, threads);
+                let par = strict_panels(serial.clone(), width, threads);
                 let fp = par.factor_with(&a, &mut ws).unwrap();
                 assert_eq!(bits(&fp), bits(&f1), "width {width}, {threads} threads");
                 assert!(ws.is_clear());
@@ -1296,14 +1009,16 @@ mod tests {
     #[test]
     fn panel_levels_cover_all_panels_and_respect_deps() {
         let a = gen::circuit_unsym(90, 4, 2, 3);
-        let sup = SupernodalLuPlan::build(&a, true, 2, FillOrdering::Colamd, 8, 3).unwrap();
+        let sup = strict_panels(scalar_plan(&a, FillOrdering::Colamd), 8, 3);
+        let sched = sup.levels().expect("three threads level the panel DAG");
         let mut seen = vec![false; sup.n_panels()];
-        for lv in 0..sup.n_levels() {
-            let mut level: Vec<usize> = Vec::new();
+        for lv in 0..sched.n_levels() {
+            let mut level: Vec<u32> = Vec::new();
             for t in 0..sup.n_threads() {
-                level.extend_from_slice(sup.chunk(lv, t));
+                level.extend_from_slice(sched.chunk(lv, t));
             }
             for &s in &level {
+                let s = s as usize;
                 assert!(!seen[s], "panel {s} scheduled twice");
                 seen[s] = true;
                 for &t in &sup.upd_panels[sup.upd_ptr[s]..sup.upd_ptr[s + 1]] {
@@ -1312,8 +1027,111 @@ mod tests {
             }
         }
         assert!(seen.iter().all(|&s| s), "all panels scheduled");
-        assert!(sup.avg_panel_parallelism() >= 1.0);
-        assert!(sup.n_barriers() < sup.n_levels().max(1));
+        assert!(sched.avg_parallelism() >= 1.0);
+        assert!(sched.n_barriers() < sched.n_levels().max(1));
+        // One thread walks the panels in index order: no schedule is
+        // built, stored or charged.
+        let one = strict_panels(sup.serial().clone(), 8, 1);
+        assert!(one.levels().is_none() && one.n_threads() == 1);
+        assert_eq!(one.table_bytes() + sched.bytes(), sup.table_bytes());
+    }
+
+    fn fnv(words: impl Iterator<Item = u64>) -> u64 {
+        words.fold(0xcbf2_9ce4_8422_2325, |h, w| {
+            (h ^ w).wrapping_mul(0x100_0000_01b3)
+        })
+    }
+
+    /// FNV-1a over a level schedule: per level its items, every
+    /// worker's chunk length and the barrier flag.
+    fn schedule_hash(sched: &LevelSchedule) -> u64 {
+        let mut words: Vec<u64> = Vec::new();
+        for lv in 0..sched.n_levels() {
+            words.push(sched.level(lv).len() as u64);
+            words.extend(sched.level(lv).iter().map(|&i| i as u64));
+            words.extend((0..sched.n_threads()).map(|t| sched.chunk(lv, t).len() as u64));
+            words.push(sched.barrier_after(lv) as u64);
+        }
+        fnv(words.into_iter())
+    }
+
+    const RECORDED_COLUMN_SCHEDULES: [u64; 9] = [
+        0xdb2a_0ab7_097f_81a2,
+        0x3d33_7cf7_0dd7_28aa,
+        0x0d82_81e9_b688_a276,
+        0xe8dc_78f7_4ad2_916d,
+        0xb3f0_e7c9_6ed3_47a5,
+        0xb3a2_ad27_4c68_18ed,
+        0x4396_eee9_943b_fd72,
+        0x3fe9_a360_26dd_134a,
+        0x73dd_1383_0d80_3d1e,
+    ];
+
+    const RECORDED_PANEL_SCHEDULES: [u64; 9] = [
+        0xec8c_0c6e_3cec_d1a1,
+        0x3b88_4ef5_e326_5cc3,
+        0x2ba5_f2e0_3b4a_f451,
+        0x6b50_ff84_fbd7_d175,
+        0xedbd_fd76_bfda_3e85,
+        0x013c_929a_7784_96d5,
+        0xad03_472a_6072_a04a,
+        0x8724_5bf8_6ec1_d0e4,
+        0xbd32_4eae_1779_fb5a,
+    ];
+
+    /// Factor values on a host whose dense kernels run the `avx2,fma`
+    /// instantiation (the portable one rounds the updates twice).
+    const RECORDED_FACTORS_AVX2_FMA: [u64; 3] = [
+        0x20cf_3009_5b4b_556f,
+        0xc40c_aeeb_867b_f9ee,
+        0x67f9_85bf_c60f_b2df,
+    ];
+
+    #[test]
+    fn schedules_and_factors_match_the_recorded_ones() {
+        // Recorded at the commit before the column-parallel plan and
+        // the supernodal plan's own leveling loop were folded into
+        // `LevelSchedule`: per fixture and thread count, the level,
+        // chunk and barrier tables the two deleted builders produced —
+        // over the column DAG, and over the panel DAG of the partition
+        // `BlockLu::Auto` keeps (singletons and wide panels mixed) —
+        // and the supernodal factor itself. The one builder and the one
+        // walker must reproduce all of them.
+        let fixtures = [
+            (gen::circuit_unsym(150, 4, 2, 7), FillOrdering::Colamd),
+            (
+                gen::convection_diffusion_2d(9, 8, 1.5, 3),
+                FillOrdering::Natural,
+            ),
+            (gen::random_unsym(120, 4, 11), FillOrdering::Natural),
+        ];
+        let (mut columns, mut panels, mut factors) = (Vec::new(), Vec::new(), Vec::new());
+        for (a, ordering) in &fixtures {
+            let plan = scalar_plan(a, *ordering);
+            let detected = SupernodalLuPlan::detect_panels(&plan, 32, 0.3, 16);
+            let kept = SupernodalLuPlan::dissolve_thin_panels(
+                &plan,
+                &detected,
+                DENSE_PANEL_MIN_FLOPS_PER_ENTRY,
+            );
+            let one = SupernodalLuPlan::from_panels(plan.clone(), kept.clone(), 1);
+            assert!(one.n_wide_panels() > 0 && one.n_wide_panels() < one.n_panels());
+            let f_one = bits(&one.factor(a).unwrap());
+            factors.push(fnv(f_one.iter().copied()));
+            for threads in [2usize, 3, 4] {
+                let leveled = plan.clone().leveled(threads);
+                columns.push(schedule_hash(leveled.levels().unwrap()));
+                let sup = SupernodalLuPlan::from_panels(plan.clone(), kept.clone(), threads);
+                panels.push(schedule_hash(sup.levels().unwrap()));
+                assert_eq!(bits(&sup.factor(a).unwrap()), f_one, "{threads} threads");
+            }
+        }
+        assert_eq!(columns, RECORDED_COLUMN_SCHEDULES, "got {columns:#x?}");
+        assert_eq!(panels, RECORDED_PANEL_SCHEDULES, "got {panels:#x?}");
+        #[cfg(target_arch = "x86_64")]
+        if sympiler_dense::isa::detect() == sympiler_dense::isa::Isa::Avx2Fma {
+            assert_eq!(factors, RECORDED_FACTORS_AVX2_FMA, "got {factors:#x?}");
+        }
     }
 
     #[test]
@@ -1328,8 +1146,8 @@ mod tests {
             }
         }
         let a0 = t.to_csc().unwrap();
-        let serial = LuPlan::build(&a0, true, 2).unwrap();
-        let sup = SupernodalLuPlan::from_plan(serial.clone(), 0, 1);
+        let serial = scalar_plan(&a0, FillOrdering::Natural);
+        let sup = strict_panels(serial.clone(), 0, 1);
         assert_eq!(sup.n_panels(), 1, "dense matrix is one panel");
         let f_ok = sup.factor(&a0).unwrap();
         assert_close(&f_ok, &serial.factor(&a0).unwrap(), 1e-12, "dense");
@@ -1351,7 +1169,7 @@ mod tests {
         // A diagonal matrix never blocks: every panel is a singleton
         // and the engine is exactly the scalar plan.
         let a = CscMatrix::identity(9);
-        let sup = SupernodalLuPlan::build(&a, true, 2, FillOrdering::Natural, 0, 2).unwrap();
+        let sup = strict_panels(scalar_plan(&a, FillOrdering::Natural), 0, 2);
         assert_eq!(sup.n_wide_panels(), 0);
         assert_eq!(sup.dense_flop_share(), 0.0);
         let f = sup.factor(&a).unwrap();
@@ -1361,13 +1179,13 @@ mod tests {
     #[test]
     fn repeated_factorization_reuses_the_panel_schedule() {
         let a0 = gen::convection_diffusion_2d(7, 7, 1.0, 2);
-        let sup = SupernodalLuPlan::build(&a0, true, 2, FillOrdering::Natural, 8, 1).unwrap();
+        let sup = strict_panels(scalar_plan(&a0, FillOrdering::Natural), 8, 1);
         let mut a = a0.clone();
         for round in 1..=3 {
             for v in a.values_mut() {
                 *v *= 1.0 + 0.03 / round as f64;
             }
-            let serial = LuPlan::build(&a, true, 2).unwrap().factor(&a).unwrap();
+            let serial = scalar_plan(&a, FillOrdering::Natural).factor(&a).unwrap();
             let f = sup.factor(&a).unwrap();
             assert_close(&f, &serial, 1e-12, &format!("round {round}"));
         }
@@ -1390,8 +1208,8 @@ mod tests {
         // the second factorization of a pattern.
         let a1 = gen::convection_diffusion_2d(9, 8, 1.5, 3);
         let a2 = gen::circuit_unsym(150, 4, 2, 7);
-        let sup1 = SupernodalLuPlan::build(&a1, true, 2, FillOrdering::Natural, 8, 1).unwrap();
-        let sup2 = SupernodalLuPlan::build(&a2, true, 2, FillOrdering::Colamd, 32, 1).unwrap();
+        let sup1 = strict_panels(scalar_plan(&a1, FillOrdering::Natural), 8, 1);
+        let sup2 = strict_panels(scalar_plan(&a2, FillOrdering::Colamd), 32, 1);
         assert!(sup1.n_wide_panels() > 0 && sup2.n_wide_panels() > 0);
         let mut ws = LuWorkspace::new();
         for round in 0..2 {
@@ -1427,7 +1245,7 @@ mod tests {
             }
         }
         let a0 = t.to_csc().unwrap();
-        let sup = SupernodalLuPlan::build(&a0, true, 2, FillOrdering::Natural, 4, 1).unwrap();
+        let sup = strict_panels(scalar_plan(&a0, FillOrdering::Natural), 4, 1);
         assert!(
             sup.n_wide_panels() > 1,
             "need a wide source and a wide target"
@@ -1452,7 +1270,7 @@ mod tests {
         // is (rightly) full of NaN; the workspace must not carry it
         // into the next request.
         let a = gen::circuit_unsym(150, 4, 2, 7);
-        let sup = SupernodalLuPlan::build(&a, true, 2, FillOrdering::Colamd, 32, 1).unwrap();
+        let sup = strict_panels(scalar_plan(&a, FillOrdering::Colamd), 32, 1);
         let good = sup.factor(&a).unwrap();
         let mut ws = LuWorkspace::new();
         for poison in [f64::NAN, f64::INFINITY] {
@@ -1480,7 +1298,7 @@ mod tests {
         // first wide panel points past the matrix. The debug invariant
         // check must name it before any accumulator index does.
         let a = gen::convection_diffusion_2d(7, 7, 1.0, 2);
-        let mut sup = SupernodalLuPlan::build(&a, true, 2, FillOrdering::Natural, 8, 1).unwrap();
+        let mut sup = strict_panels(scalar_plan(&a, FillOrdering::Natural), 8, 1);
         let s = (0..sup.n_panels())
             .find(|&s| sup.panels.part.width(s) > 1)
             .expect("grid blocks");
@@ -1494,7 +1312,7 @@ mod tests {
     #[should_panic(expected = "diagonal run must lead")]
     fn broken_diagonal_run_trips_the_invariant_check() {
         let a = gen::convection_diffusion_2d(7, 7, 1.0, 2);
-        let mut sup = SupernodalLuPlan::build(&a, true, 2, FillOrdering::Natural, 8, 1).unwrap();
+        let mut sup = strict_panels(scalar_plan(&a, FillOrdering::Natural), 8, 1);
         let s = (0..sup.n_panels())
             .find(|&s| sup.panels.part.width(s) > 1)
             .expect("grid blocks");
@@ -1511,7 +1329,7 @@ mod tests {
         // threshold leaves a scalar-only schedule that executes no
         // dense flop and still factors bitwise like the serial plan.
         let a = gen::circuit_unsym(150, 4, 2, 7);
-        let plan = LuPlan::build_ordered(&a, true, 2, FillOrdering::Colamd).unwrap();
+        let plan = scalar_plan(&a, FillOrdering::Colamd);
         let detected = SupernodalLuPlan::detect_panels(&plan, 32, 0.3, 16);
         let all = SupernodalLuPlan::from_panels(plan.clone(), detected.clone(), 1);
         assert!(all.dense_executed_flops() >= all.dense_structural_flops());
@@ -1547,7 +1365,7 @@ mod tests {
     #[test]
     fn empty_matrix() {
         let a = CscMatrix::zeros(0, 0);
-        let sup = SupernodalLuPlan::build(&a, true, 2, FillOrdering::Natural, 0, 2).unwrap();
+        let sup = strict_panels(scalar_plan(&a, FillOrdering::Natural), 0, 2);
         assert_eq!(sup.n_panels(), 0);
         assert_eq!(sup.mean_panel_width(), 0.0);
         let f = sup.factor(&a).unwrap();

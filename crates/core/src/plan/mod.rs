@@ -9,24 +9,31 @@
 //! (pruned column lists, packed panels, descendant-update scatter maps,
 //! per-column LU update schedules, kernel selections), and their
 //! `solve`/`factor` methods execute only numeric loads, stores, and
-//! floating-point operations. See DESIGN.md §2 for the substitution
-//! argument.
+//! floating-point operations.
 //!
-//! The LU pipeline compiles to one of three execution tiers:
-//! [`lu::LuPlan`] (serial columns), `lu_parallel::ParallelLuPlan`
-//! (columns leveled over the elimination DAG across workers), and
+//! The LU pipeline is two item kernels under one scheduler: the scalar
+//! **column** kernel of [`lu::LuPlan`] and the dense **panel** kernel of
 //! [`lu_supernodal::SupernodalLuPlan`] (VS-Block column panels routed
-//! through dense GETRF/TRSM/GEMM kernels, leveled over the panel DAG).
+//! through dense GETRF/TRSM/GEMM kernels), each walked by
+//! [`level_schedule`] — in index order on one thread, or leveled over
+//! its dependence DAG (column elimination DAG, panel DAG) across
+//! workers.
 
 pub mod chol;
+pub mod level_schedule;
 pub mod lu;
 pub mod lu_supernodal;
 pub mod tri;
-
-#[cfg(feature = "parallel")]
-pub mod lu_parallel;
-#[cfg(feature = "parallel")]
 pub mod tri_parallel;
+
+/// Unit tests of the leveled scalar walk ([`lu::LuPlan::leveled`]). The
+/// module keeps the name of the file they were written in — the
+/// column-parallel plan's, deleted when that plan became a schedule on
+/// `LuPlan` — so the paths the suite reports them under did not move
+/// with the code.
+#[cfg(test)]
+#[path = "lu/leveled_tests.rs"]
+mod lu_parallel;
 
 /// Kernel tier selected at compile (inspection) time for a dense
 /// sub-block — the low-level-transformation decision of §2.4(3).

@@ -1,4 +1,4 @@
-//! Level-set parallel triangular solve (extension X1 in DESIGN.md).
+//! Level-set parallel triangular solve.
 //!
 //! The paper closes §1 noting its single-core transformations "should
 //! extend to improve performance on shared and distributed memory

@@ -33,7 +33,7 @@
 //! `-C target-cpu` to set. The remaining generic kernels ([`potrf`],
 //! [`getrf`], [`gemm`], [`trsv`]) are plain loops.
 //!
-//! The `dense_kernels` criterion bench (ablation A1 in DESIGN.md)
+//! The `dense_kernels` criterion bench
 //! measures the two tiers against each other across block sizes.
 
 pub mod gemm;

@@ -5,7 +5,7 @@
 //! shared ordering so that grid and irregular problems factor at laptop
 //! scale — RCM is simple, deterministic, and applied identically to
 //! every engine, so relative comparisons (the paper's claims) are
-//! unaffected. See DESIGN.md §6.
+//! unaffected.
 //!
 //! RCM is also wired into the LU compile pipeline's ordering knob
 //! ([`crate::ordering::Ordering::Rcm`]) as the cheap symmetric-pattern

@@ -3,7 +3,7 @@
 //! The paper's argument (Figures 8/9, §4.3) is about *where time goes*
 //! once symbolic analysis is decoupled from the numeric phase. This
 //! crate provides the measurement substrate that makes the numeric
-//! phase inspectable across all three execution tiers:
+//! phase inspectable across both LU kernels, in order and leveled:
 //!
 //! - [`Profiler`] — hierarchical wall-clock spans on per-thread lanes,
 //!   named atomic counters, and named gauges. A disabled profiler

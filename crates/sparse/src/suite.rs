@@ -3,9 +3,9 @@
 //!
 //! We cannot download the SuiteSparse collection offline, so each matrix
 //! is replaced by a synthetic generator from the same structural family
-//! and regime (see `DESIGN.md` §2). Matrices are sorted by problem ID
-//! like the paper's table, and the suite deliberately covers both
-//! regimes the evaluation depends on:
+//! and regime (each entry's `family` field names it). Matrices are
+//! sorted by problem ID like the paper's table, and the suite
+//! deliberately covers both regimes the evaluation depends on:
 //!
 //! * **supernode-rich** problems — element-blocked banded operators
 //!   (shell FEM: natural supernodes of one block width) and

@@ -27,14 +27,14 @@
 //! simulation, convection-dominated CFD) by reusing the reach-set
 //! machinery: each left-looking LU column solve *is* a sparse
 //! triangular solve, so its VI-Prune set is a reach set on the growing
-//! `DG_L`. LU's numeric phase compiles to one of **three execution
-//! tiers**: serial columns, columns leveled in parallel over the
-//! column elimination DAG ([`SympilerOptions::n_threads`], bitwise
-//! identical to serial at any thread count), or supernodal VS-Block
-//! panels routed through dense GETRF/TRSM/GEMM kernels
-//! ([`SympilerOptions::block_lu`], ~1e-12 agreement — dense kernels
-//! reassociate sums). Two further compile-time knobs compose with
-//! every tier: a fill-reducing ordering
+//! `DG_L`. LU's numeric phase is **two kernels under one scheduler**:
+//! scalar columns, or supernodal VS-Block panels routed through dense
+//! GETRF/TRSM/GEMM kernels ([`SympilerOptions::block_lu`], ~1e-12
+//! agreement with the columns — dense kernels reassociate sums), either
+//! walked in order or leveled over its dependence DAG across threads
+//! ([`SympilerOptions::n_threads`], bitwise identical to one thread at
+//! any thread count). Two further compile-time knobs compose with
+//! both: a fill-reducing ordering
 //! ([`SympilerOptions::ordering`]: RCM / COLAMD, applied `Qᵀ A Q`)
 //! and a static pre-pivot ([`SympilerOptions::pre_pivot`]: maximum
 //! transversal / weighted matching, producing a row permutation `P`
@@ -95,11 +95,10 @@ pub mod prelude {
         SympilerTriSolve,
     };
     pub use sympiler_core::plan::chol::CholFactor;
+    pub use sympiler_core::plan::level_schedule::LevelSchedule;
     pub use sympiler_core::plan::lu::{
         BatchError, LuFactor, LuPlan, LuWorkspace, PerturbReport, RefineReport,
     };
-    #[cfg(feature = "parallel")]
-    pub use sympiler_core::plan::lu_parallel::ParallelLuPlan;
     pub use sympiler_core::plan::lu_supernodal::SupernodalLuPlan;
     pub use sympiler_core::plan::tri::TriSolvePlan;
     pub use sympiler_core::robust::{Recovered, RecoveryError, RecoveryPolicy, RobustLu, Rung};

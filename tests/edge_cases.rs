@@ -267,14 +267,7 @@ fn lu_walker_matches_the_accumulator_kernel_on_degenerate_and_non_finite_input()
             let lu = SympilerLu::compile(pattern, &opts).unwrap();
             // A full diagonal matches to the identity: nothing is baked.
             assert!(lu.row_perm().is_none(), "{label}: identity fast path");
-            let reference = LuPlan::build_pivoted(
-                pattern,
-                opts.low_level,
-                opts.peel_col_count,
-                opts.ordering,
-                pre_pivot,
-            )
-            .unwrap();
+            let reference = LuPlan::build(pattern, &opts).unwrap();
             assert!(
                 pattern.n_cols() == 0 || lu.table_bytes() > reference.table_bytes(),
                 "{label}: the serial tier bakes position tables here"
@@ -305,7 +298,7 @@ fn lu_workspace_shared_between_direct_and_supernodal_plans_stays_valid() {
         },
     )
     .unwrap();
-    let accumulator = sympiler::core::plan::lu::LuPlan::build(&dense, true, 2).unwrap();
+    let accumulator = LuPlan::build(&dense, &SympilerOptions::default()).unwrap();
     let mut zero_pivot = sparse.clone();
     let first_diag = (0..zero_pivot.col_ptr()[1])
         .find(|&p| zero_pivot.row_idx()[p] == 0)
@@ -404,7 +397,6 @@ fn lu_row_index_beyond_u32_is_a_pattern_mismatch_in_every_tier() {
     }
 }
 
-#[cfg(feature = "parallel")]
 #[test]
 fn parallel_solver_handles_degenerate_inputs() {
     use sympiler::core::plan::tri_parallel::ParallelTriSolve;

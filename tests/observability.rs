@@ -1,7 +1,7 @@
 //! Observability-layer integration tests: profile round trips, the
 //! bitwise-identity contract with instrumentation on, per-thread span
-//! lanes, exact flop attribution across the three LU execution tiers,
-//! and the numerical-health monitors.
+//! lanes, exact flop attribution across both LU kernels, in order and
+//! leveled, and the numerical-health monitors.
 
 use std::sync::Arc;
 use sympiler::prelude::*;
@@ -11,16 +11,29 @@ fn problem() -> CscMatrix {
     gen::circuit_unsym(120, 4, 2, 11)
 }
 
-/// Compile the serial scalar tier with an explicit profiler.
-fn profiled_plan(a: &CscMatrix, profiler: Arc<Profiler>) -> LuPlan {
-    LuPlan::build_profiled(a, true, 2, Ordering::Natural, PrePivot::Off, profiler).unwrap()
+/// Compile the in-order scalar plan with profiling on, and a handle on
+/// its profiler (shared by every clone and tier built from the plan).
+fn profiled_plan(a: &CscMatrix) -> (LuPlan, Arc<Profiler>) {
+    let opts = SympilerOptions {
+        profile: true,
+        ..Default::default()
+    };
+    let plan = LuPlan::build(a, &opts).unwrap();
+    let profiler = Arc::clone(plan.profiler());
+    (plan, profiler)
+}
+
+/// `plan`'s strictly nesting panels capped at 32 columns, for
+/// `n_threads` workers.
+fn strict_panels(plan: LuPlan, n_threads: usize) -> SupernodalLuPlan {
+    let panels = SupernodalLuPlan::detect_panels(&plan, 32, 0.0, 0);
+    SupernodalLuPlan::from_panels(plan, panels, n_threads)
 }
 
 #[test]
 fn profile_json_round_trips_through_chrome_trace() {
     let a = problem();
-    let profiler = Arc::new(Profiler::enabled());
-    let plan = profiled_plan(&a, Arc::clone(&profiler));
+    let (plan, profiler) = profiled_plan(&a);
     plan.factor(&a).unwrap();
     let mut trace = TraceFile::new("obs_test");
     trace.push(profiler.snapshot("circuit"));
@@ -80,46 +93,66 @@ fn disabled_profiler_keeps_all_three_tiers_bitwise_identical() {
 
 #[test]
 fn parallel_tier_records_per_thread_lanes_and_counters() {
+    // One walker, one span vocabulary: the leveled column plan and the
+    // leveled supernodal plan differ in their outer span and the
+    // prefix of their lane counters, nothing else.
     let a = problem();
-    for threads in [1usize, 2, 4] {
-        let profiler = Arc::new(Profiler::enabled());
-        let plan = profiled_plan(&a, Arc::clone(&profiler));
-        ParallelLuPlan::from_plan(plan, threads).factor(&a).unwrap();
-        let snap = profiler.snapshot("par");
-        if threads == 1 {
-            // One worker compiles to the serial plan — serial span.
-            assert_eq!(snap.spans_named("factor:serial").count(), 1);
-            continue;
+    for (lanes, leveled_span, in_order_span) in [
+        ("par", "factor:parallel", "factor:serial"),
+        ("sup", "factor:supernodal", "factor:supernodal"),
+    ] {
+        for threads in [1usize, 2, 4] {
+            let (plan, profiler) = profiled_plan(&a);
+            if lanes == "par" {
+                plan.leveled(threads).factor(&a).unwrap();
+            } else {
+                strict_panels(plan, threads).factor(&a).unwrap();
+            }
+            let snap = profiler.snapshot(lanes);
+            if threads == 1 {
+                // One worker is the in-order walk: no lanes, no levels.
+                assert_eq!(snap.spans_named(in_order_span).count(), 1);
+                assert_eq!(snap.spans_named("work").count(), 0);
+                assert!(snap.counter(&format!("{lanes}.t0.busy_ns")).is_none());
+                continue;
+            }
+            assert_eq!(snap.spans_named(leveled_span).count(), 1);
+            // Every worker must report busy/wait counters and have run
+            // work spans on its own lane; busy time is the sum of the
+            // lane's work segments.
+            for t in 0..threads {
+                let busy = snap.counter(&format!("{lanes}.t{t}.busy_ns"));
+                let worked: u64 = snap
+                    .spans_named("work")
+                    .filter(|s| s.lane == t)
+                    .map(|s| s.dur_ns)
+                    .sum();
+                assert!(
+                    snap.spans_named("work").any(|s| s.lane == t),
+                    "{lanes}: work span on lane {t} at {threads} threads"
+                );
+                assert_eq!(busy, Some(worked), "{lanes}: busy counter of worker {t}");
+                assert!(
+                    snap.counter(&format!("{lanes}.t{t}.wait_ns")).is_some(),
+                    "{lanes}: wait counter for worker {t} at {threads} threads"
+                );
+            }
+            // No counters for workers that don't exist.
+            assert!(snap
+                .counter(&format!("{lanes}.t{threads}.busy_ns"))
+                .is_none());
+            let imbalance = snap
+                .gauge(&format!("{lanes}.imbalance"))
+                .expect("imbalance gauge");
+            assert!(imbalance >= 1.0, "max/mean busy ratio is at least 1");
         }
-        assert_eq!(snap.spans_named("factor:parallel").count(), 1);
-        // Every worker must report busy/wait counters and have run
-        // work spans on its own lane.
-        for t in 0..threads {
-            assert!(
-                snap.counter(&format!("par.t{t}.busy_ns")).is_some(),
-                "busy counter for worker {t} at {threads} threads"
-            );
-            assert!(
-                snap.counter(&format!("par.t{t}.wait_ns")).is_some(),
-                "wait counter for worker {t} at {threads} threads"
-            );
-            assert!(
-                snap.spans_named("work").any(|s| s.lane == t),
-                "work span on lane {t} at {threads} threads"
-            );
-        }
-        // No counters for workers that don't exist.
-        assert!(snap.counter(&format!("par.t{threads}.busy_ns")).is_none());
-        let imbalance = snap.gauge("par.imbalance").expect("imbalance gauge");
-        assert!(imbalance >= 1.0, "max/mean busy ratio is at least 1");
     }
 }
 
 #[test]
 fn flop_attribution_matches_compile_time_counts_exactly() {
     let a = problem();
-    let profiler = Arc::new(Profiler::enabled());
-    let plan = profiled_plan(&a, Arc::clone(&profiler));
+    let (plan, profiler) = profiled_plan(&a);
     let want = plan.flops();
     assert_eq!(
         plan.per_column_flops().iter().sum::<u64>(),
@@ -129,15 +162,11 @@ fn flop_attribution_matches_compile_time_counts_exactly() {
     // Serial tier.
     plan.factor(&a).unwrap();
     assert_eq!(profiler.counter_value("flops.scalar"), want);
-    // Parallel tier (clone shares the profiler; counter accumulates).
-    ParallelLuPlan::from_plan(plan.clone(), 4)
-        .factor(&a)
-        .unwrap();
+    // Leveled (clone shares the profiler; counter accumulates).
+    plan.clone().leveled(4).factor(&a).unwrap();
     assert_eq!(profiler.counter_value("flops.scalar"), 2 * want);
     // Supernodal tier: dense + scalar attribution covers every flop.
-    SupernodalLuPlan::from_plan(plan.clone(), 32, 2)
-        .factor(&a)
-        .unwrap();
+    strict_panels(plan.clone(), 2).factor(&a).unwrap();
     let dense = profiler.counter_value("flops.dense");
     let scalar = profiler.counter_value("flops.scalar") - 2 * want;
     assert_eq!(dense + scalar, want, "supernodal dense+scalar == plan");
@@ -158,13 +187,19 @@ fn flop_attribution_matches_compile_time_counts_exactly() {
     assert!(snap
         .spans_named("panel")
         .all(|s| s.args.iter().any(|(k, _)| k == "gflops")));
+    // The in-order walk of the same panels attributes the same split.
+    strict_panels(plan.clone(), 1).factor(&a).unwrap();
+    assert_eq!(profiler.counter_value("flops.dense"), 2 * dense);
+    assert_eq!(
+        profiler.counter_value("flops.scalar"),
+        2 * want + 2 * scalar
+    );
 }
 
 #[test]
 fn health_monitors_surface_on_profiled_factors() {
     let a = problem();
-    let profiler = Arc::new(Profiler::enabled());
-    let plan = profiled_plan(&a, Arc::clone(&profiler));
+    let (plan, profiler) = profiled_plan(&a);
     let f = plan.factor(&a).unwrap();
     let health = *f.health().expect("profiled factor carries health");
     assert_eq!(
@@ -185,7 +220,7 @@ fn health_monitors_surface_on_profiled_factors() {
     assert_eq!(snap.gauge("health.growth"), Some(health.growth));
     assert_eq!(snap.gauge("health.min_pivot"), Some(health.min_pivot));
     // Unprofiled factors don't pay for it.
-    let off = LuPlan::build_pivoted(&a, true, 2, Ordering::Natural, PrePivot::Off).unwrap();
+    let off = LuPlan::build(&a, &SympilerOptions::default()).unwrap();
     assert!(off.factor(&a).unwrap().health().is_none());
 }
 

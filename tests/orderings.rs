@@ -48,7 +48,12 @@ fn serial_plan_is_bitwise_the_coupled_baseline() {
         };
         for ordering in Ordering::ALL {
             for &pre_pivot in pre_pivots {
-                let plan = LuPlan::build_pivoted(&p.matrix, true, 2, ordering, pre_pivot).unwrap();
+                let opts = SympilerOptions {
+                    ordering,
+                    pre_pivot,
+                    ..Default::default()
+                };
+                let plan = LuPlan::build(&p.matrix, &opts).unwrap();
                 let f = plan.factor(&p.matrix).unwrap();
                 let base = GpLu::factor_prepivoted(&p.matrix, Pivoting::None, pre_pivot, ordering)
                     .unwrap();
@@ -244,7 +249,6 @@ fn ordered_factors_reconstruct_and_match_baseline_on_the_suite() {
 }
 
 #[test]
-#[cfg(feature = "parallel")]
 fn factors_bitwise_identical_across_thread_counts_for_every_ordering() {
     for p in unsym_suite(SuiteScale::Test) {
         for ordering in Ordering::ALL {
@@ -311,7 +315,6 @@ fn colamd_reduces_fill_on_every_circuit_and_random_problem() {
 }
 
 #[test]
-#[cfg(feature = "parallel")]
 fn colamd_widens_the_elimination_dag_where_natural_chains() {
     // The parallel-front half of the acceptance criterion: the
     // convection/circuit problems factor as near-chains unordered
@@ -319,24 +322,15 @@ fn colamd_widens_the_elimination_dag_where_natural_chains() {
     // least two of them.
     let mut widened = 0usize;
     for p in unsym_suite(SuiteScale::Test) {
-        let plan_of = |ordering| {
-            ParallelLuPlan::from_plan(
-                SympilerLu::compile(
-                    &p.matrix,
-                    &SympilerOptions {
-                        ordering,
-                        ..Default::default()
-                    },
-                )
-                .unwrap()
-                .plan()
-                .clone(),
-                4,
-            )
+        let avg_parallelism = |ordering| {
+            let opts = SympilerOptions {
+                ordering,
+                ..Default::default()
+            };
+            let plan = LuPlan::build(&p.matrix, &opts).unwrap().leveled(4);
+            plan.levels().expect("four threads level").avg_parallelism()
         };
-        let natural = plan_of(Ordering::Natural);
-        let colamd = plan_of(Ordering::Colamd);
-        if colamd.avg_parallelism() > natural.avg_parallelism() + 0.25 {
+        if avg_parallelism(Ordering::Colamd) > avg_parallelism(Ordering::Natural) + 0.25 {
             widened += 1;
         }
     }

@@ -506,8 +506,10 @@ proptest! {
             let sup0 = lu0.supernodal().expect("On always compiles the engine");
             prop_assert_eq!(sup0.padded_zeros(), 0,
                 "a zero budget must admit no explicit zeros");
-            let strict = SupernodalLuPlan::from_plan(
-                lu0.plan().clone(), opts.max_panel, 1,
+            let strict = SupernodalLuPlan::from_panels(
+                lu0.plan().clone(),
+                SupernodalLuPlan::detect_panels(lu0.plan(), opts.max_panel, 0.0, 0),
+                1,
             );
             prop_assert_eq!(sup0.n_panels(), strict.n_panels());
             for s in 0..strict.n_panels() {
@@ -633,6 +635,22 @@ proptest! {
                         "{}+{} supernodal: {} vs {}",
                         ordering.label(), pre_pivot.label(), x, y);
                 }
+                // Supernodal over the panel DAG: bitwise the in-order
+                // panels.
+                let sup3 = SympilerLu::compile(&a, &SympilerOptions {
+                    block_lu: BlockLu::On,
+                    n_threads: 3,
+                    ..opts.clone()
+                }).unwrap();
+                prop_assert!(sup3.is_supernodal() && sup3.n_threads() == 3);
+                let fs3 = sup3.factor(&a).unwrap();
+                for (x, y) in fs3.l().values().iter().chain(fs3.u().values())
+                    .zip(fs.l().values().iter().chain(fs.u().values()))
+                {
+                    prop_assert_eq!(x.to_bits(), y.to_bits(),
+                        "{}+{}: leveled supernodal bits moved",
+                        ordering.label(), pre_pivot.label());
+                }
                 // Baseline verification: identical pre-pivoted GPLU
                 // factors (1e-10 under the weighted matching), and the
                 // solve answers the original system.
@@ -661,12 +679,15 @@ proptest! {
         // tier, and an *armed* tolerance that never fires (empty
         // PerturbReport) must also leave the factors bitwise identical
         // to the untouched path.
-        let tiers: [(&str, SympilerOptions); 3] = [
+        let tiers: [(&str, SympilerOptions); 4] = [
             ("serial", SympilerOptions { block_lu: BlockLu::Off, ..Default::default() }),
             ("parallel", SympilerOptions {
                 n_threads: 3, block_lu: BlockLu::Off, ..Default::default()
             }),
             ("supernodal", SympilerOptions { block_lu: BlockLu::On, ..Default::default() }),
+            ("supernodal, leveled", SympilerOptions {
+                n_threads: 3, block_lu: BlockLu::On, ..Default::default()
+            }),
         ];
         for (label, base) in tiers {
             let plain = SympilerLu::compile(&a, &base).unwrap().factor(&a).unwrap();
@@ -917,8 +938,9 @@ fn check_factor_object_in_every_cell(a: &CscMatrix, pre_pivots: &[PrePivot]) -> 
 /// Every (ordering × pre-pivot × mc64 × pivot_perturb × low-level
 /// tier) cell through the public API: the position-addressed walker —
 /// forced on, and as `SympilerLu::compile` selects it for the serial
-/// tier — produces the factor values, perturbation record or zero-pivot
-/// column of the accumulator kernel (a plan built directly, which
+/// tier — and the accumulator kernel leveled over 1 to 4 threads
+/// produce the factor values, perturbation record or zero-pivot column
+/// of the in-order accumulator kernel (a plan built directly, which
 /// carries no tables) bit for bit.
 fn check_walker_in_every_cell(a: &CscMatrix, pre_pivots: &[PrePivot]) -> Result<(), String> {
     use sympiler::core::plan::lu::LuPlan;
@@ -937,9 +959,6 @@ fn check_walker_in_every_cell(a: &CscMatrix, pre_pivots: &[PrePivot]) -> Result<
     for ordering in Ordering::ALL {
         for &pre_pivot in pre_pivots {
             for (low_level, peel_col_count) in [(false, 2), (true, 0), (true, 2)] {
-                let built =
-                    LuPlan::build_pivoted(a, low_level, peel_col_count, ordering, pre_pivot)
-                        .unwrap();
                 for pivot_perturb in [0.0, 1e-6, 0.9] {
                     for mc64_scale in [false, true] {
                         let cell = format!(
@@ -948,11 +967,27 @@ fn check_walker_in_every_cell(a: &CscMatrix, pre_pivots: &[PrePivot]) -> Result<
                             ordering.label(),
                             pre_pivot.label()
                         );
-                        let mut reference = built.clone().with_pivot_perturbation(pivot_perturb);
-                        if mc64_scale {
-                            reference = reference.with_mc64_scaling(a).unwrap();
-                        }
+                        let opts = SympilerOptions {
+                            ordering,
+                            pre_pivot,
+                            mc64_scale,
+                            pivot_perturb,
+                            low_level,
+                            peel_col_count,
+                            block_lu: BlockLu::Off,
+                            ..Default::default()
+                        };
+                        let reference = LuPlan::build(a, &opts).unwrap();
                         let want = outcome(reference.factor(a));
+                        for threads in 1..=4 {
+                            prop_assert_eq!(
+                                &outcome(reference.clone().leveled(threads).factor(a)),
+                                &want,
+                                "{}: leveled over {} threads",
+                                &cell,
+                                threads
+                            );
+                        }
                         let walker = reference.clone().with_position_tables(f64::MAX);
                         prop_assert!(
                             walker.table_bytes() > reference.table_bytes(),
@@ -960,20 +995,7 @@ fn check_walker_in_every_cell(a: &CscMatrix, pre_pivots: &[PrePivot]) -> Result<
                             cell
                         );
                         prop_assert_eq!(&outcome(walker.factor(a)), &want, "{}: walker", &cell);
-                        let lu = SympilerLu::compile(
-                            a,
-                            &SympilerOptions {
-                                ordering,
-                                pre_pivot,
-                                mc64_scale,
-                                pivot_perturb,
-                                low_level,
-                                peel_col_count,
-                                block_lu: BlockLu::Off,
-                                ..Default::default()
-                            },
-                        )
-                        .unwrap();
+                        let lu = SympilerLu::compile(a, &opts).unwrap();
                         prop_assert_eq!(&outcome(lu.factor(a)), &want, "{}: compiled", &cell);
                         let batch = lu.factor_batch(&[a, a]).map(|mut fs| fs.remove(1));
                         prop_assert_eq!(

@@ -237,13 +237,7 @@ fn cached_bytes_account_for_position_tables() {
     };
     let lu = SympilerLu::compile(&a, &opts).expect("compile");
     assert!(!lu.is_supernodal() && lu.n_threads() == 1);
-    let bare = sympiler::core::plan::lu::LuPlan::build_ordered(
-        &a,
-        opts.low_level,
-        opts.peel_col_count,
-        opts.ordering,
-    )
-    .expect("bare plan");
+    let bare = LuPlan::build(&a, &opts).expect("bare plan");
     let plan = lu.plan();
     let multiply_adds = plan.n_multiply_adds() as usize;
     assert!(multiply_adds > 0 && multiply_adds <= plan.l_nnz() + plan.u_nnz());
@@ -268,6 +262,45 @@ fn cached_bytes_account_for_position_tables() {
         1,
         "two tabled plans exceed the budget"
     );
+}
+
+/// The level schedule of an `n_threads > 1` plan is a compiled table
+/// like any other, on either kernel: the cache charges it, to the byte,
+/// on top of what the same plan weighs in order — and a one-thread plan,
+/// which stores no schedule, is charged for none.
+#[test]
+fn cached_bytes_account_for_the_level_schedule() {
+    let a = gen::circuit_unsym(400, 4, 2, 3);
+    let scalar = SympilerOptions {
+        ordering: Ordering::Colamd,
+        block_lu: BlockLu::Off,
+        n_threads: 2,
+        ..SympilerOptions::default()
+    };
+    let lu = SympilerLu::compile(&a, &scalar).expect("compile");
+    assert!(!lu.is_supernodal() && lu.n_threads() == 2);
+    // Leveled plans run the accumulator kernel: no position tables.
+    let bare = LuPlan::build(&a, &scalar).expect("bare plan");
+    let schedule = lu.plan().levels().expect("two threads level the columns");
+    assert!(schedule.bytes() >= 4 * a.n_cols());
+    assert_eq!(lu.table_bytes(), bare.table_bytes() + schedule.bytes());
+    let cache = PlanCache::new(CacheConfig::default());
+    cache.get_or_compile(&a, &scalar).expect("cache");
+    assert_eq!(cache.stats().bytes, lu.table_bytes());
+
+    let panels = |n_threads| {
+        let opts = SympilerOptions {
+            block_lu: BlockLu::On,
+            n_threads,
+            ..scalar.clone()
+        };
+        SympilerLu::compile(&a, &opts).expect("compile")
+    };
+    let (one, two) = (panels(1), panels(2));
+    let sup = one.supernodal().expect("On compiles the engine");
+    assert!(sup.levels().is_none(), "one thread stores no schedule");
+    let schedule = two.supernodal().unwrap().levels().expect("leveled panels");
+    assert_eq!(two.table_bytes(), one.table_bytes() + schedule.bytes());
 }
 
 /// Batched factorization agrees with the one-at-a-time loop on every

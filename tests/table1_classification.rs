@@ -1,7 +1,7 @@
 //! Integration test for **Table 1**: the classification of inspection
 //! graphs, strategies, inspection sets, and enabled low-level
 //! transformations — checked against the concrete inspector outputs on
-//! real matrices (experiment E2 in DESIGN.md).
+//! real matrices.
 
 use sympiler::core::inspector::{
     CholVIPruneInspector, CholVSBlockInspector, EnabledTransformation, InspectionGraph,
