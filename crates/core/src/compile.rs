@@ -1,9 +1,8 @@
 //! The user-facing Sympiler driver: take a numerical method + a
-//! sparsity pattern, run the symbolic inspectors, apply the
-//! transformations, and hand back a specialized executable (plan) plus
-//! the generated C artifact.
+//! sparsity pattern, run the symbolic inspectors, and hand back a
+//! specialized executable (plan) with the inspection sets and the
+//! transformation decisions baked in.
 
-use crate::emit::emit_trisolve_c;
 use crate::plan::chol::{CholFactor, CholPlan, CholPlanError};
 use crate::plan::lu::{
     BatchError, LuFactor, LuPlan, LuPlanError, LuWorkspace, POSITION_MAX_OPS_PER_ENTRY,
@@ -64,27 +63,39 @@ pub enum BlockLu {
 /// assert!(sympiler_sparse::ops::rel_residual(&a, &x, &vec![1.0; 48]) < 1e-10);
 /// ```
 ///
-/// Every field but [`Self::recovery`] is plan-cache identity: a
+/// Plan-cache identity is the 12 fields [`SympilerLu::compile`] reads
+/// (`low_level`, `peel_col_count`, `n_threads`, `ordering`,
+/// `block_lu`, `max_panel`, `relax_fill`, `relax_cols`, `mc64_scale`,
+/// `pre_pivot`, `profile`, `pivot_perturb`): a
 /// [`crate::serve::PlanCache`] entry matches a request only when those
 /// fields compare equal to the ones the entry was compiled with (the
-/// structural hash alone is not trusted). The recovery policy is read
-/// while a request runs and never reaches `compile`, so requests that
-/// differ only there share one plan.
+/// structural hash alone is not trusted). Requests that differ only
+/// elsewhere share one plan: [`Self::recovery`] is read while a
+/// request runs and never reaches `compile`, and `vs_block`,
+/// `vi_prune`, `max_supernode_width` and `vs_block_min_avg_size` steer
+/// [`SympilerTriSolve`] / [`SympilerCholesky`] only, which the cache
+/// never stores.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SympilerOptions {
     /// Enable VS-Block (subject to the supernode-size threshold).
+    /// Read by [`SympilerTriSolve`] / [`SympilerCholesky`]; not LU
+    /// cache identity.
     pub vs_block: bool,
-    /// Enable VI-Prune.
+    /// Enable VI-Prune. Read by [`SympilerTriSolve`]; not LU cache
+    /// identity.
     pub vi_prune: bool,
     /// Enable the low-level transformations (peeling, unrolled
     /// specialized kernels).
     pub low_level: bool,
-    /// Cap on supernode width (0 = unlimited).
+    /// Cap on supernode width (0 = unlimited). Read by
+    /// [`SympilerTriSolve`] / [`SympilerCholesky`]; not LU cache
+    /// identity.
     pub max_supernode_width: usize,
     /// VS-Block is skipped when the average participating supernode
     /// size (width × panel rows) is below this. "This parameter is
     /// currently hand-tuned and is set to 160" — the paper's value is
-    /// kept as the default.
+    /// kept as the default. Read by [`SympilerTriSolve`]; not LU cache
+    /// identity.
     pub vs_block_min_avg_size: f64,
     /// Peel reach-set iterations whose column has more than this many
     /// off-diagonal nonzeros (Figure 1e uses 2).
@@ -196,9 +207,9 @@ pub struct SympilerOptions {
     /// Escalation policy for [`crate::robust::RobustLu`] (layer 3 of
     /// the recovery ladder) and, when
     /// [`RecoveryPolicy::serve_escalate`] is set, for per-request
-    /// retry in [`crate::serve::FactorService`]. Run-time policy: the
-    /// one option that is **not** plan-cache identity — it is read
-    /// from the request, and changing it never recompiles.
+    /// retry in [`crate::serve::FactorService`]. Run-time policy, not
+    /// plan-cache identity — it is read from the request, and changing
+    /// it never recompiles.
     ///
     /// [`RecoveryPolicy::serve_escalate`]: crate::robust::RecoveryPolicy::serve_escalate
     pub recovery: crate::robust::RecoveryPolicy,
@@ -229,17 +240,14 @@ impl Default for SympilerOptions {
 }
 
 /// The part of [`SympilerOptions`] that is plan-cache identity: every
-/// field that changes the compiled artefact (`f64`s by bit pattern, so
-/// the derived `Eq`/`Hash` are exact), and nothing that is only read
-/// while a request runs. [`crate::serve::structural_hash`] hashes it
-/// and [`crate::serve::PlanCache`] compares it.
+/// field [`SympilerLu::compile`] reads (`f64`s by bit pattern, so the
+/// derived `Eq`/`Hash` are exact), and nothing that is only read while
+/// a request runs or only by the drivers the cache never stores.
+/// [`crate::serve::structural_hash`] hashes it and
+/// [`crate::serve::PlanCache`] compares it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub(crate) struct CompileKey {
-    vs_block: bool,
-    vi_prune: bool,
     low_level: bool,
-    max_supernode_width: usize,
-    vs_block_min_avg_size: u64,
     peel_col_count: usize,
     n_threads: usize,
     ordering: Ordering,
@@ -257,15 +265,19 @@ impl SympilerOptions {
     /// The cache identity of these options. The destructuring is
     /// exhaustive on purpose (no `..`): a new option field does not
     /// compile until someone decides here whether it changes the
-    /// compiled plan (it joins the key) or is run-time policy (it is
-    /// named and dropped, like `recovery`).
+    /// compiled LU plan (it joins the key) or not (it is named and
+    /// dropped, like `recovery`).
     pub(crate) fn compile_key(&self) -> CompileKey {
         let Self {
-            vs_block,
-            vi_prune,
+            // Read by `SympilerTriSolve::compile` /
+            // `SympilerCholesky::compile` only, whose results
+            // `PlanCache` never stores: keyed on, they would file
+            // bit-identical LU plans under distinct entries.
+            vs_block: _,
+            vi_prune: _,
+            max_supernode_width: _,
+            vs_block_min_avg_size: _,
             low_level,
-            max_supernode_width,
-            vs_block_min_avg_size,
             peel_col_count,
             n_threads,
             ordering,
@@ -291,11 +303,7 @@ impl SympilerOptions {
                 },
         } = *self;
         CompileKey {
-            vs_block,
-            vi_prune,
             low_level,
-            max_supernode_width,
-            vs_block_min_avg_size: vs_block_min_avg_size.to_bits(),
             peel_col_count,
             n_threads,
             ordering,
@@ -317,9 +325,7 @@ impl SympilerOptions {
 pub struct SympilerTriSolve {
     plan: TriSolvePlan,
     reach: Vec<usize>,
-    l_col_ptr: Vec<usize>,
     n: usize,
-    peel_col_count: usize,
     report: SymbolicReport,
     scratch: TriScratch,
 }
@@ -368,9 +374,7 @@ impl SympilerTriSolve {
         Self {
             plan,
             reach,
-            l_col_ptr: l.col_ptr().to_vec(),
             n: l.n_cols(),
-            peel_col_count: opts.peel_col_count,
             report,
             scratch: TriScratch::default(),
         }
@@ -413,29 +417,6 @@ impl SympilerTriSolve {
     /// Symbolic (compile-time) report.
     pub fn report(&self) -> &SymbolicReport {
         &self.report
-    }
-
-    /// Emit the specialized C source (Figure 1e artifact).
-    pub fn emit_c(&self) -> String {
-        // The emitter needs column pointers for concrete constants;
-        // rebuild a pattern-only matrix view from stored pointers is
-        // unnecessary — emit from the recorded reach + col_ptr.
-        let n = self.n;
-        let col_ptr = &self.l_col_ptr;
-        // Build a minimal pattern-only CSC for emission.
-        let nnz = *col_ptr.last().unwrap();
-        let mut row_idx = vec![0usize; nnz];
-        // Row indices are not needed for the emitted structure except
-        // to be syntactically valid; reconstruct a canonical shape:
-        // diagonal-first rows are unknown here, so emit via the stored
-        // pointers only. Use a fabricated strictly-increasing filler.
-        for j in 0..n {
-            for (k, slot) in row_idx[col_ptr[j]..col_ptr[j + 1]].iter_mut().enumerate() {
-                *slot = (j + k).min(n - 1);
-            }
-        }
-        let l = CscMatrix::from_parts_unchecked(n, n, col_ptr.clone(), row_idx, vec![1.0; nnz]);
-        emit_trisolve_c(&l, &self.reach, self.peel_col_count)
     }
 }
 
@@ -481,34 +462,6 @@ impl SympilerCholesky {
     /// Symbolic (compile-time) report.
     pub fn report(&self) -> &SymbolicReport {
         self.plan.report()
-    }
-
-    /// Emit the transformed Cholesky kernel as C (Figure 2 pipeline:
-    /// lower, VS-Block, VI-Prune, low-level annotations, codegen) with
-    /// this matrix's block-set embedded.
-    pub fn emit_c(&self) -> String {
-        let mut kernel = crate::lower::lower_cholesky();
-        crate::transform::apply_vi_prune(&mut kernel, "pruneSet", "pruneSetSize");
-        crate::transform::apply_vs_block(&mut kernel, "dense_potrf", "dense_trsm");
-        crate::transform::low_level::annotate_unroll(&mut kernel.body, 4);
-        let mut out = String::new();
-        let part = self.plan.partition();
-        let firsts: Vec<String> = part.first_col.iter().map(|c| c.to_string()).collect();
-        out.push_str(&format!(
-            "/* Sympiler-generated supernodal Cholesky: {} supernodes */\n",
-            part.n_supernodes()
-        ));
-        out.push_str(&format!(
-            "static const int blockSet[{}] = {{{}}};\n",
-            firsts.len(),
-            firsts.join(", ")
-        ));
-        out.push_str(&format!(
-            "static const int blockSetSize = {};\n\n",
-            part.n_supernodes()
-        ));
-        out.push_str(&crate::emit::emit_kernel_c(&kernel));
-        out
     }
 }
 
@@ -741,16 +694,6 @@ impl SympilerLu {
     pub fn profiler(&self) -> &std::sync::Arc<sympiler_obs::Profiler> {
         self.plan().profiler()
     }
-
-    /// Emit the matrix-specialized C factorization kernel: the scalar
-    /// Gilbert–Peierls artifact for the scalar tier, the VS-Block panel
-    /// artifact for the supernodal tier.
-    pub fn emit_c(&self) -> String {
-        match &self.exec {
-            LuExec::Scalar(plan) => plan.emit_c(),
-            LuExec::Supernodal(sup) => sup.emit_c(),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -794,16 +737,6 @@ mod tests {
     }
 
     #[test]
-    fn trisolve_emits_specialized_c() {
-        let l = gen::random_lower_triangular(30, 4, 5);
-        let b = rhs::random_sparse_rhs(30, 0.1, 6);
-        let ts = SympilerTriSolve::compile(&l, b.indices(), &SympilerOptions::default());
-        let c = ts.emit_c();
-        assert!(c.contains("reachSet"));
-        assert!(c.contains("trisolve_specialized"));
-    }
-
-    #[test]
     fn cholesky_compile_factor_solve() {
         let a = gen::grid2d_laplacian(7, 7, false, 1);
         let chol = SympilerCholesky::compile(&a, &SympilerOptions::default()).unwrap();
@@ -833,16 +766,6 @@ mod tests {
     }
 
     #[test]
-    fn cholesky_emits_c_with_blockset() {
-        let a = gen::banded_spd(25, 3, 7);
-        let chol = SympilerCholesky::compile(&a, &SympilerOptions::default()).unwrap();
-        let c = chol.emit_c();
-        assert!(c.contains("blockSet"));
-        assert!(c.contains("dense_potrf"));
-        assert!(c.contains("pruneSet"));
-    }
-
-    #[test]
     fn lu_compile_factor_solve() {
         let a = gen::convection_diffusion_2d(6, 6, 1.5, 2);
         let lu = SympilerLu::compile(&a, &SympilerOptions::default()).unwrap();
@@ -866,21 +789,6 @@ mod tests {
         for (p, q) in f.u().values().iter().zip(base.u.values()) {
             assert!((p - q).abs() < 1e-10);
         }
-    }
-
-    #[test]
-    fn lu_emits_specialized_c() {
-        // Pin the scalar tier: under the default relaxation budget the
-        // tiny grid amalgamates well enough for Auto to block it.
-        let a = gen::convection_diffusion_2d(4, 4, 1.0, 1);
-        let opts = SympilerOptions {
-            block_lu: BlockLu::Off,
-            ..Default::default()
-        };
-        let lu = SympilerLu::compile(&a, &opts).unwrap();
-        let c = lu.emit_c();
-        assert!(c.contains("lu_factor_specialized"));
-        assert!(c.contains("updateSet"));
     }
 
     #[test]
@@ -1030,27 +938,6 @@ mod tests {
         for (x, y) in f_forced.u().values().iter().zip(f_scalar.u().values()) {
             assert!((x - y).abs() <= 1e-12 * (1.0 + y.abs()));
         }
-    }
-
-    #[test]
-    fn supernodal_emits_vs_block_c() {
-        let a = heavily_blocking_matrix();
-        let lu = SympilerLu::compile(&a, &SympilerOptions::default()).unwrap();
-        assert!(lu.is_supernodal());
-        let c = lu.emit_c();
-        assert!(c.contains("lu_supernodal_specialized"));
-        assert!(c.contains("panelSet"));
-        assert!(c.contains("dense_getrf"));
-        // The scalar tiers keep the Gilbert–Peierls artifact.
-        let off = SympilerLu::compile(
-            &a,
-            &SympilerOptions {
-                block_lu: BlockLu::Off,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        assert!(off.emit_c().contains("lu_factor_specialized"));
     }
 
     #[test]

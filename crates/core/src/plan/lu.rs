@@ -1192,29 +1192,6 @@ impl LuPlan {
             .map(|j| col_flops[j] + pattern(j) as u64)
             .collect()
     }
-
-    /// Emit the matrix-specialized C factorization kernel (the LU
-    /// analogue of Figure 1e, via the `emit/c.rs` path). Like
-    /// [`Self::factor`], the emitted kernel takes the **original**
-    /// matrix: under baked permutations it embeds the column-gather
-    /// (`cperm`) and inverse-row (`irperm`) tables and permutes inside
-    /// its scatter — one artifact for pre-pivot, ordering, or both.
-    pub fn emit_c(&self) -> String {
-        let st = &*self.structure;
-        let l_pattern = CscMatrix::from_parts_unchecked(
-            self.n,
-            self.n,
-            st.l_col_ptr.clone(),
-            st.l_row_idx.iter().map(|&r| r as usize).collect(),
-            vec![1.0; st.l_row_idx.len()],
-        );
-        let schedules: Vec<Vec<(usize, bool)>> = (0..self.n)
-            .map(|j| self.schedule_with_tiers(j).collect())
-            .collect();
-        let perm = self.baked.as_ref().map(|b| (&b.cperm[..], &b.irperm[..]));
-        let scaling = self.scaling.as_ref().map(|s| (&s.dr[..], &s.dc[..]));
-        crate::emit::emit_lu_c(&l_pattern, &st.u_col_ptr, &schedules, perm, scaling)
-    }
 }
 
 #[cfg(test)]

@@ -850,13 +850,6 @@ impl SupernodalLuPlan {
             },
         ))
     }
-
-    /// Emit the matrix-specialized supernodal C factorization kernel
-    /// (the VS-Block artifact for LU): the panel table is embedded and
-    /// wide panels call the dense mini-BLAS.
-    pub fn emit_c(&self) -> String {
-        crate::emit::emit_lu_supernodal_c(&self.panels, self.n_wide_panels(), self.dense_flop_share)
-    }
 }
 
 /// True when no entry is NaN or ±Inf. Branch-free (vectorizable)

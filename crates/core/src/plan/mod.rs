@@ -3,13 +3,15 @@
 //!
 //! The paper's Sympiler emits C and compiles it with GCC; the numeric
 //! binary then contains *no* symbolic work — every loop bound, every
-//! index, every kernel choice is already resolved. The plans here are
-//! the same object in library form: [`tri::TriSolvePlan`],
+//! index, every kernel choice is already resolved. This reproduction's
+//! generated code *is* the plan: [`tri::TriSolvePlan`],
 //! [`chol::CholPlan`], and [`lu::LuPlan`] hold precomputed schedules
 //! (pruned column lists, packed panels, descendant-update scatter maps,
 //! per-column LU update schedules, kernel selections), and their
 //! `solve`/`factor` methods execute only numeric loads, stores, and
-//! floating-point operations.
+//! floating-point operations. The Figure 1e emitter
+//! ([`crate::emit::emit_trisolve_c`]) is kept as the paper's artifact
+//! and is built and run with `cc` by a test.
 //!
 //! The LU pipeline is two item kernels under one scheduler: the scalar
 //! **column** kernel of [`lu::LuPlan`] and the dense **panel** kernel of
@@ -24,7 +26,6 @@ pub mod level_schedule;
 pub mod lu;
 pub mod lu_supernodal;
 pub mod tri;
-pub mod tri_parallel;
 
 /// Unit tests of the leveled scalar walk ([`lu::LuPlan::leveled`]). The
 /// module keeps the name of the file they were written in — the

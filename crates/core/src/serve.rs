@@ -1198,6 +1198,9 @@ mod tests {
     /// "Reproducible across runs" as a test: the constants are fixed,
     /// so these keys may only change when the hash itself is changed on
     /// purpose (and then every cached-key artefact changes with it).
+    /// Re-recorded when `CompileKey` shed the four options LU compile
+    /// never reads (`vs_block`, `vi_prune`, `max_supernode_width`,
+    /// `vs_block_min_avg_size`): the hashed key went from 16 fields to 12.
     #[test]
     fn structural_hash_keys_are_pinned() {
         let empty = CscMatrix::try_new(0, 0, vec![0], vec![], vec![]).unwrap();
@@ -1206,25 +1209,21 @@ mod tests {
             ordering: crate::Ordering::Colamd,
             ..opts()
         };
-        assert_eq!(structural_hash(&empty, &opts()), 0x3fee_8614_e37d_d3e2);
-        assert_eq!(structural_hash(&a, &opts()), 0x4e60_a5ea_24cb_23fc);
-        assert_eq!(structural_hash(&a, &colamd), 0xc112_51a6_06ff_d3dd);
+        assert_eq!(structural_hash(&empty, &opts()), 0xe42c_8012_f380_a054);
+        assert_eq!(structural_hash(&a, &opts()), 0x62b3_081f_f8ab_5f0c);
+        assert_eq!(structural_hash(&a, &colamd), 0x96ae_ee67_f16a_d2ac);
     }
 
-    /// Every option that changes the compiled artefact is identity;
-    /// the recovery policy, read only while a request runs, is not.
+    /// Every option LU compile reads is identity; the four only the
+    /// trisolve / Cholesky drivers read, and the recovery policy, read
+    /// only while a request runs, are not.
     #[test]
     fn compile_fields_key_the_cache_and_recovery_fields_do_not() {
-        use crate::robust::RecoveryPolicy;
         let a = gen::circuit_unsym(40, 4, 2, 5);
         let cache = PlanCache::new(CacheConfig::default());
         let base = cache.get_or_compile(&a, &opts()).unwrap();
-        let compile_flips: [fn(&mut SympilerOptions); 16] = [
-            |o| o.vs_block = !o.vs_block,
-            |o| o.vi_prune = !o.vi_prune,
+        let compile_flips: [fn(&mut SympilerOptions); 12] = [
             |o| o.low_level = !o.low_level,
-            |o| o.max_supernode_width = 8,
-            |o| o.vs_block_min_avg_size = 1.0,
             |o| o.peel_col_count = 5,
             |o| o.n_threads = 2,
             |o| o.ordering = crate::Ordering::Rcm,
@@ -1249,21 +1248,32 @@ mod tests {
             assert!(!Arc::ptr_eq(&p, &base), "compile field {k} must miss");
             assert_eq!(cache.len(), k + 2, "…and file a distinct entry");
         }
-        let recovery_flips: [fn(&mut RecoveryPolicy); 4] = [
-            |r| r.berr_tol = 1e-6,
-            |r| r.max_refine_iters = 3,
-            |r| r.allow_refactor = false,
-            |r| r.serve_escalate = true,
+        // Not identity: the four fields only `SympilerTriSolve` /
+        // `SympilerCholesky` read, and the run-time recovery policy.
+        let shared_flips: [fn(&mut SympilerOptions); 8] = [
+            |o| o.vs_block = !o.vs_block,
+            |o| o.vi_prune = !o.vi_prune,
+            |o| o.max_supernode_width = 8,
+            |o| o.vs_block_min_avg_size = 1.0,
+            |o| o.recovery.berr_tol = 1e-6,
+            |o| o.recovery.max_refine_iters = 3,
+            |o| o.recovery.allow_refactor = false,
+            |o| o.recovery.serve_escalate = true,
         ];
         let misses = cache.stats().misses;
-        for flip in recovery_flips {
+        for (k, flip) in shared_flips.iter().enumerate() {
             let mut flipped = opts();
-            flip(&mut flipped.recovery);
-            assert_eq!(structural_hash(&a, &flipped), structural_hash(&a, &opts()));
+            flip(&mut flipped);
+            assert_ne!(flipped, opts(), "flip {k} changes the options");
+            assert_eq!(
+                structural_hash(&a, &flipped),
+                structural_hash(&a, &opts()),
+                "non-identity field {k} must not reach the hash"
+            );
             let p = cache.get_or_compile(&a, &flipped).unwrap();
-            assert!(Arc::ptr_eq(&p, &base), "run-time policy shares the plan");
+            assert!(Arc::ptr_eq(&p, &base), "field {k} shares the base plan");
         }
-        assert_eq!(cache.stats().misses, misses, "no recovery flip compiled");
+        assert_eq!(cache.stats().misses, misses, "no such flip compiled");
     }
 
     /// A row index that matches the compiled one only after truncation

@@ -1,11 +1,8 @@
-//! Sparse Cholesky baselines: simplicial (Eigen-like), supernodal
-//! (CHOLMOD-like), and up-looking LDL^T (CSparse-like, extension).
+//! Sparse Cholesky baselines: simplicial (Eigen-like) and supernodal
+//! (CHOLMOD-like).
 
-pub mod ichol;
-pub mod ldl;
 pub mod simplicial;
 pub mod supernodal;
-pub mod updown;
 
 use std::fmt;
 

@@ -15,9 +15,6 @@
 //!   the generic mini-BLAS, the CHOLMOD baseline: symbolic analysis is
 //!   reusable, but the numeric phase still transposes `A` and computes
 //!   relative indices at run time;
-//! * [`cholesky::ldl`] — up-looking LDL^T (CSparse-style), an extra
-//!   baseline exercising the "up-looking implementations" the paper
-//!   lists among supported-by-design methods (§3.3);
 //! * [`lu`] — the left-looking Gilbert–Peierls LU baseline for
 //!   unsymmetric systems, with runtime (coupled) symbolic analysis, a
 //!   partial-pivoting verification mode, and ordered / pre-pivoted

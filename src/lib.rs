@@ -11,17 +11,17 @@
 //! * [`sparse`] — CSC/COO storage, ops, Matrix Market I/O, generators;
 //! * [`graph`] — reach-sets, elimination trees, fill patterns, supernodes;
 //! * [`dense`] — the mini-BLAS used by supernodal kernels;
-//! * [`core`] — the Sympiler itself: symbolic inspectors, VI-Prune and
-//!   VS-Block transformations, low-level transformations, C emission and
-//!   executable plans;
+//! * [`core`] — the Sympiler itself: symbolic inspectors and the
+//!   executable plans that bake VI-Prune, VS-Block and the low-level
+//!   transformations in, plus the Figure 1e C emitter;
 //! * [`obs`] — the observability layer: spans, kernel counters,
 //!   numerical-health gauges, chrome-trace export
 //!   ([`SympilerOptions::profile`] turns it on per compile);
 //! * [`solvers`] — the Eigen-like and CHOLMOD-like baselines, plus the
 //!   Gilbert–Peierls LU baseline for unsymmetric systems.
 //!
-//! Three kernels are compiled through the inspector→transform→plan
-//! pipeline: sparse triangular solve ([`SympilerTriSolve`]), Cholesky
+//! Three kernels are compiled through the inspector→plan pipeline:
+//! sparse triangular solve ([`SympilerTriSolve`]), Cholesky
 //! ([`SympilerCholesky`]), and sparse LU ([`SympilerLu`]) — the last
 //! extending the paper's two kernels to unsymmetric systems (circuit
 //! simulation, convection-dominated CFD) by reusing the reach-set

@@ -396,15 +396,3 @@ fn lu_row_index_beyond_u32_is_a_pattern_mismatch_in_every_tier() {
         }
     }
 }
-
-#[test]
-fn parallel_solver_handles_degenerate_inputs() {
-    use sympiler::core::plan::tri_parallel::ParallelTriSolve;
-    let l = CscMatrix::identity(5);
-    let solver = ParallelTriSolve::build(&l, &[2], 3);
-    assert_eq!(solver.n_levels(), 1);
-    let b = SparseVec::try_new(5, vec![2], vec![4.0]).unwrap();
-    let mut x = vec![0.0; 5];
-    solver.solve(&b, &mut x);
-    assert_eq!(x[2], 4.0);
-}

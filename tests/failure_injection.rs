@@ -3,8 +3,6 @@
 //! nnz, indefinite values, NaN poisoning, malformed storage.
 
 use sympiler::prelude::*;
-use sympiler::solvers::cholesky::ichol::IncompleteCholesky0;
-use sympiler::solvers::cholesky::ldl::UpLookingLdl;
 use sympiler::solvers::cholesky::CholeskyError;
 use sympiler::solvers::{SimplicialCholesky, SupernodalCholesky};
 use sympiler::sparse::gen;
@@ -48,13 +46,6 @@ fn pattern_swap_with_equal_nnz_is_rejected_everywhere() {
         sup.factor(&b),
         Err(CholeskyError::PatternMismatch)
     ));
-    let ldl = UpLookingLdl::analyze(&a).unwrap();
-    assert!(matches!(
-        ldl.factor(&b),
-        Err(CholeskyError::PatternMismatch)
-    ));
-    let ic = IncompleteCholesky0::analyze(&a).unwrap();
-    assert!(matches!(ic.factor(&b), Err(CholeskyError::PatternMismatch)));
 }
 
 #[test]
@@ -99,7 +90,6 @@ fn indefinite_matrices_rejected_by_all_engines() {
         .unwrap()
         .factor(&a)
         .is_err());
-    assert!(UpLookingLdl::analyze(&a).unwrap().factor(&a).is_err());
 }
 
 #[test]
@@ -124,26 +114,6 @@ fn trisolve_plan_requires_lower_triangular_with_diagonal() {
         SympilerTriSolve::compile(&l, &[0], &SympilerOptions::default())
     });
     assert!(result.is_err(), "missing diagonal must be rejected");
-}
-
-#[test]
-fn rank_downdate_overshoot_fails_cleanly_and_factor_reusable() {
-    use sympiler::solvers::cholesky::updown::rank_update;
-    let a = gen::banded_spd(15, 2, 4);
-    let chol = SimplicialCholesky::analyze(&a).unwrap();
-    let mut l = chol.factor(&a).unwrap();
-    let parent = sympiler::graph::etree(&a);
-    // Overshoot: a downdate that destroys positive definiteness.
-    let mut w = vec![0.0; 15];
-    for (i, v) in l.col_iter(0) {
-        w[i] = 50.0 * v;
-    }
-    assert!(rank_update(&mut l, &parent, &mut w, -1.0).is_err());
-    // A fresh factor still works (the failed update mutated `l`, which
-    // is why the API takes &mut and documents in-place semantics —
-    // recompute after failure).
-    let l2 = chol.factor(&a).unwrap();
-    assert!(sympiler::solvers::verify::reconstruction_error(&a, &l2) < 1e-10);
 }
 
 #[test]

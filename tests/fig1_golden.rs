@@ -123,16 +123,112 @@ fn all_five_implementations_agree_on_fig1() {
     }
 }
 
+/// Removes the scratch directory when the test ends, pass or fail.
+struct ScratchDir(std::path::PathBuf);
+
+impl Drop for ScratchDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+/// Parse one line of C's `printf("%a")`: `[-]0xh[.hhh]p±d`.
+fn parse_hex_float(s: &str) -> f64 {
+    let (sign, s) = match s.strip_prefix('-') {
+        Some(rest) => (-1.0, rest),
+        None => (1.0, s),
+    };
+    let (mantissa, exp) = s.strip_prefix("0x").unwrap().split_once('p').unwrap();
+    let (int, frac) = mantissa.split_once('.').unwrap_or((mantissa, ""));
+    let digits = u64::from_str_radix(&format!("{int}{frac}"), 16).unwrap();
+    let exp: i32 = exp.parse().unwrap();
+    sign * digits as f64 * 2f64.powi(exp - 4 * frac.len() as i32)
+}
+
+/// `static const <decl>[] = {…};` — `{:?}` prints `usize` and `f64`
+/// (`2.0`, `-0.1`) as valid C literals.
+fn c_array<T: std::fmt::Debug>(decl: &str, v: &[T]) -> String {
+    let items: Vec<String> = v.iter().map(|x| format!("{x:?}")).collect();
+    format!("static const {decl}[] = {{{}}};\n", items.join(", "))
+}
+
+/// Figure 1e, executed: the emitted C is built with `cc` and run on the
+/// figure's system, and must meet the bar of the other four
+/// implementations.
 #[test]
-fn parallel_executor_agrees_on_fig1() {
+fn generated_c_compiles_and_solves_fig1() {
+    use std::process::Command;
+
     let l = fig1_l();
     let b = SparseVec::try_new(10, vec![0, 5], vec![3.0, -1.0]).unwrap();
-    let mut x_ref = b.to_dense();
-    trisolve::naive_forward(&l, &mut x_ref);
-    let solver = sympiler::core::plan::tri_parallel::ParallelTriSolve::build(&l, b.indices(), 2);
-    let mut x = vec![0.0; 10];
-    solver.solve(&b, &mut x);
+    let mut reach = sympiler::graph::reach(&l, b.indices());
+    reach.sort_unstable();
+    let src = [
+        "#include <stdio.h>\n".to_string(),
+        emit_trisolve_c(&l, &reach, 2),
+        c_array("int Lp", l.col_ptr()),
+        c_array("int Li", l.row_idx()),
+        c_array("double Lx", l.values()),
+        c_array("int bi", b.indices()),
+        c_array("double bx", b.values()),
+        "int main(void) {\n\
+         \x20 double x[10] = {0};\n\
+         \x20 for (int k = 0; k < 2; k++) x[bi[k]] = bx[k];\n\
+         \x20 trisolve_specialized(Lp, Li, Lx, x);\n\
+         \x20 for (int i = 0; i < 10; i++) printf(\"%a\\n\", x[i]);\n\
+         \x20 return 0;\n\
+         }\n"
+        .to_string(),
+    ]
+    .concat();
+
+    let name = format!("sympiler-fig1e-{}", std::process::id());
+    let dir = ScratchDir(std::env::temp_dir().join(name));
+    std::fs::create_dir_all(&dir.0).unwrap();
+    let (c_file, exe) = (dir.0.join("fig1e.c"), dir.0.join("fig1e"));
+    std::fs::write(&c_file, src).unwrap();
+    let cc = Command::new("cc")
+        .args(["-O2", "-ffp-contract=off", "-o"])
+        .arg(&exe)
+        .arg(&c_file)
+        .output();
+    let cc = match cc {
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
+            println!("skipped: no cc");
+            return;
+        }
+        other => other.unwrap(),
+    };
+    assert!(
+        cc.status.success(),
+        "cc failed:\n{}",
+        String::from_utf8_lossy(&cc.stderr)
+    );
+    let run = Command::new(&exe).output().unwrap();
+    assert!(
+        run.status.success(),
+        "emitted solver exited with {}",
+        run.status
+    );
+    let x: Vec<f64> = String::from_utf8(run.stdout)
+        .unwrap()
+        .lines()
+        .map(parse_hex_float)
+        .collect();
+
+    let mut x_naive = b.to_dense();
+    trisolve::naive_forward(&l, &mut x_naive);
+    assert_eq!(x.len(), 10);
     for i in 0..10 {
-        assert!((x[i] - x_ref[i]).abs() < 1e-12);
+        assert!(
+            (x[i] - x_naive[i]).abs() < 1e-14,
+            "x[{i}] = {} but naive_forward gives {}",
+            x[i],
+            x_naive[i]
+        );
+    }
+    // The white vertices of Figure 1a: never touched by the pruned code.
+    for j in [1usize, 2, 3, 4] {
+        assert_eq!(x[j], 0.0, "column {} must be skipped", j + 1);
     }
 }

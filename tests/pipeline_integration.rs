@@ -114,21 +114,6 @@ fn static_pattern_changing_values_contract() {
 }
 
 #[test]
-fn emitted_c_is_nonempty_and_structured_for_suite() {
-    let p = &suite(SuiteScale::Test)[0];
-    let (a, _) = sympiler::graph::rcm::rcm_permute(&p.matrix);
-    let chol = SympilerCholesky::compile(&a, &SympilerOptions::default()).unwrap();
-    let c = chol.emit_c();
-    assert!(c.contains("blockSet"));
-    assert!(c.contains("for (int b = 0; b < blockSetSize; b++)"));
-    let l = chol.factor(&a).unwrap().to_csc();
-    let b = rhs::rhs_from_column_pattern(&l, 0, 3);
-    let ts = SympilerTriSolve::compile(&l, b.indices(), &SympilerOptions::default());
-    let c_tri = ts.emit_c();
-    assert!(c_tri.contains("trisolve_specialized"));
-}
-
-#[test]
 fn symbolic_reports_expose_inspection_cost() {
     let p = &suite(SuiteScale::Test)[2];
     let (a, _) = sympiler::graph::rcm::rcm_permute(&p.matrix);

@@ -348,30 +348,3 @@ fn sparse_rhs_solves_speak_original_coordinates_under_pre_pivot() {
         }
     }
 }
-
-#[test]
-fn emitted_c_artifact_embeds_the_composed_permutations() {
-    // The C artifact for a pre-pivoted plan must embed the gather
-    // tables (colPerm / rowNewOf) like an ordered plan does, and the
-    // row table must differ from the column table exactly when a
-    // pre-pivot moved rows.
-    let a = sympiler::sparse::gen::circuit_zero_diag(40, 4, 1, 7);
-    let lu = SympilerLu::compile(
-        &a,
-        &SympilerOptions {
-            pre_pivot: PrePivot::WeightedMatching,
-            block_lu: BlockLu::Off,
-            ..Default::default()
-        },
-    )
-    .unwrap();
-    let c = lu.emit_c();
-    assert!(c.contains("lu_factor_specialized"));
-    assert!(c.contains("colPerm"), "column gather table embedded");
-    assert!(c.contains("rowNewOf"), "inverse row map embedded");
-    // Natural ordering + pre-pivot: the column map is the identity,
-    // the row map is not.
-    assert!(lu.col_perm().is_none(), "natural ordering compiles no Q");
-    let rperm = lu.row_perm().expect("pre-pivot bakes the row map");
-    assert!(rperm.iter().enumerate().any(|(new, &old)| new != old));
-}

@@ -436,25 +436,3 @@ fn sparse_rhs_solves_agree_with_dense_across_tiers() {
         );
     }
 }
-
-#[test]
-fn emitted_supernodal_c_reflects_the_partition() {
-    let p = &unsym_suite(SuiteScale::Test)[2];
-    let sup = SympilerLu::compile(
-        &p.matrix,
-        &SympilerOptions {
-            block_lu: BlockLu::On,
-            ..Default::default()
-        },
-    )
-    .unwrap();
-    let c = sup.emit_c();
-    let plan = sup.supernodal().unwrap();
-    assert!(c.contains("lu_supernodal_specialized"));
-    assert!(c.contains(&format!(
-        "static const int panelSetSize = {};",
-        plan.n_panels()
-    )));
-    assert!(c.contains("dense_getrf"));
-    assert!(c.contains("dense_trsm_right_upper"));
-}
