@@ -54,6 +54,7 @@ use crate::compile::SympilerOptions;
 use crate::inspector::LuVIPruneInspector;
 use crate::report::{timed_traced, SymbolicReport};
 use std::sync::{Arc, OnceLock};
+use sympiler_graph::colamd;
 use sympiler_graph::ordering::Ordering;
 use sympiler_graph::transversal::PrePivot;
 use sympiler_obs::{LuHealth, Profiler};
@@ -360,6 +361,15 @@ impl LuPlan {
         if n >= (1 << 31) || a.nnz() as u64 >= 1 << 32 {
             return Err(LuPlanError::BadInput(format!(
                 "matrix order {n} / {} entries exceed the plan's 2^31 - 1 / 2^32 - 1 index limits",
+                a.nnz()
+            )));
+        }
+        // COLAMD indexes both of its arenas with u32; it asserts the
+        // limit itself, so a pattern past it is turned away here.
+        if ordering == Ordering::Colamd && !colamd::index_limit_ok(n, n, a.nnz()) {
+            return Err(LuPlanError::BadInput(format!(
+                "matrix order {n} / {} entries exceed the COLAMD ordering's index limit \
+                 2*nnz + 2*n < 2^32",
                 a.nnz()
             )));
         }

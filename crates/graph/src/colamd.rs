@@ -30,20 +30,47 @@
 //!   degree estimate, so it is ignored during ordering; dense columns
 //!   are ordered last, where they would have ended up anyway.
 //!
-//! **Storage.** Both incidence directions live in flat arrays, one
-//! `(start, len)` pair per list, built once by counting sort and never
-//! reallocated. A column's row list only shrinks between rebuilds (it
-//! loses at least the pivot's row before it gains the new element),
-//! so it is rewritten in place. Row lists are pruned in place too; each
-//! new element is appended behind the last row in an arena of twice the
-//! initial entry count — the live rows never exceed the initial count,
-//! because an element is no larger than the rows it merges — which is
-//! compacted in place when the tail runs out. A killed row or absorbed
-//! column is a list of length zero. Pivot selection is a binary
-//! min-heap of `(score, column)` with stale entries skipped at pop (a
-//! re-scored column pushes a fresh entry instead of deleting the old
-//! one); supercolumn members hang off their representative as an
-//! intrusive linked list; all per-pivot scratch is reused.
+//! **Storage.** Both incidence directions are `u32` lists in flat
+//! arenas with one record per list, built once by counting sort and
+//! never reallocated. A column's row list holds exactly its live rows
+//! and only shrinks between rebuilds (it loses at least the pivot's
+//! row before it gains the new element), so it is rewritten in place.
+//! A row's list is written once and read once — when the row is merged
+//! into an element — so it is never pruned: beside it the row record
+//! keeps `live`, the number of its columns that are still candidates.
+//! A pivot step therefore reads the contents of the pivot's own rows
+//! (to form the element) and, twice, the row lists of the element's
+//! columns — never the contents of the rows next to them: the first
+//! walk counts `|r ∩ e|` by visits, which gives every adjacent row's
+//! external size as `|r \ e| = live(r) − |r ∩ e|`; the second rebuilds
+//! each column's list (dropping dead rows and rows with `|r \ e| = 0`,
+//! which the element absorbs) and sums the sizes into the new score.
+//! `live` stays exact because a candidate column leaves the graph in
+//! only two ways: it pivots, and every row holding it dies with it; or
+//! it is absorbed into a supercolumn, and its row list — at that moment
+//! exactly its live rows — is walked to decrement each. Each new
+//! element is appended behind the last row in an arena of twice the
+//! initial entry count, compacted in place when the tail runs out. The
+//! bound holds with unpruned rows: every column of a new element was
+//! read out of a row the element kills, so its stored length is at most
+//! theirs, and the stored entries of the live rows never exceed the
+//! initial count. A dead row or absorbed column is a list of length
+//! zero. Pivot selection is an indexed 4-ary min-heap over the packed
+//! key `(score, column)`: a re-scored column moves in place, an
+//! absorbed one is removed, so there is one pop per pivot; supercolumn
+//! members hang off their representative as an intrusive linked list;
+//! all per-pivot scratch is reused.
+//!
+//! **Index limit.** Row ids (`m` rows, then at most `n` elements) and
+//! arena offsets (`2·nnz(A)` row entries) are `u32`, so the input must
+//! satisfy `2·nnz(A) + m + n < 2³²` ([`index_limit_ok`]); scores are
+//! bounded by `n + nnz(A)` and fit with it.
+//!
+//! **Input.** Each column's rows are read as a *set*: a column that is
+//! not strictly ascending (possible only through
+//! `CscMatrix::from_parts_unchecked`) is sorted and its repeats dropped
+//! while the lists are built, so the counts above hold for any input
+//! whose indices are in range.
 //!
 //! The result is a permutation `perm` with `perm[new] = old`, the same
 //! convention as [`crate::rcm::rcm_ordering`] and the
@@ -52,9 +79,10 @@
 //! index, so one sparsity pattern always produces one ordering — a
 //! requirement for Sympiler's compile-once premise.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use sympiler_sparse::CscMatrix;
+
+#[cfg(test)]
+mod reference;
 
 /// Tuning knobs for [`colamd_ordering_with`]. The defaults follow the
 /// reference COLAMD: a row or column is "dense" when it has more than
@@ -83,11 +111,21 @@ impl ColamdConfig {
     }
 }
 
+/// Whether an `n_rows × n_cols` pattern of `nnz` entries fits the
+/// ordering's `u32` indices: `2·nnz + n_rows + n_cols < 2³²`.
+pub fn index_limit_ok(n_rows: usize, n_cols: usize, nnz: usize) -> bool {
+    (nnz as u128) * 2 + n_rows as u128 + (n_cols as u128) < 1 << 32
+}
+
+const NONE: u32 = u32::MAX;
+
 /// Column liveness in the quotient graph.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum ColState {
     /// Still a candidate pivot.
     Alive,
+    /// A candidate already collected into the element being formed.
+    InElement,
     /// Emitted into the ordering (as a pivot).
     Ordered,
     /// Merged into a supercolumn; emitted with its representative.
@@ -96,33 +134,69 @@ enum ColState {
     Dense,
 }
 
-/// Index lists packed in one arena, a `(start, len)` pair each: the
-/// row lists of the quotient graph (`A`'s rows, then one element per
-/// pivot) and its column lists. A dead row has length zero: a live
-/// row holds every live column it constrains, so it is never empty
-/// while a live column still refers to it.
-struct Lists {
-    start: Vec<usize>,
-    len: Vec<usize>,
-    /// List entries, in list order; capacity fixed at construction.
-    items: Vec<usize>,
+/// A column's list of live rows (ascending) in the column arena, and
+/// its supercolumn chain: `next_member` links the columns absorbed into
+/// it in absorption order, `last_member` is the tail.
+#[derive(Clone, Copy)]
+struct Col {
+    start: u32,
+    len: u32,
+    next_member: u32,
+    last_member: u32,
 }
 
-impl Lists {
-    fn list(&self, i: usize) -> &[usize] {
-        &self.items[self.start[i]..self.start[i] + self.len[i]]
+impl Col {
+    /// The column's list in the column arena.
+    fn range(&self) -> std::ops::Range<usize> {
+        self.start as usize..(self.start + self.len) as usize
+    }
+}
+
+/// A row of the quotient graph: a row of `A` or the element of a pivot.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Row {
+    start: u32,
+    /// Stored columns, candidates or not. Zero once the row is dead: a
+    /// live row holds every candidate column it constrains, so it is
+    /// never empty while a candidate still refers to it.
+    len: u32,
+    /// Candidate columns among the stored ones.
+    live: u32,
+    /// `|row \ element|` of the pivot step numbered `stamp`.
+    ext: u32,
+    stamp: u32,
+}
+
+/// The row lists (`A`'s rows, then one element per pivot) packed in one
+/// arena whose capacity is fixed at construction.
+struct Rows {
+    rows: Vec<Row>,
+    items: Vec<u32>,
+}
+
+impl Rows {
+    fn list(&self, r: usize) -> &[u32] {
+        let row = &self.rows[r];
+        &self.items[row.start as usize..(row.start + row.len) as usize]
     }
 
-    /// Append `list` as a new list and return its index, compacting
-    /// the arena first when its tail cannot take it.
-    fn push(&mut self, list: &[usize]) -> usize {
+    /// Append `list`, every entry a candidate, as a new row and return
+    /// its index, compacting the arena first when its tail cannot take
+    /// it.
+    fn push(&mut self, list: &[u32]) -> u32 {
         if self.items.len() + list.len() > self.items.capacity() {
             self.compact();
         }
-        self.start.push(self.items.len());
-        self.len.push(list.len());
+        let len = list.len() as u32;
+        self.rows.push(Row {
+            start: self.items.len() as u32,
+            len,
+            live: len,
+            ext: 0,
+            stamp: 0,
+        });
         self.items.extend_from_slice(list);
-        self.start.len() - 1
+        self.rows.len() as u32 - 1
     }
 
     /// Slide the live lists to the front. Lists sit in index order, so
@@ -130,13 +204,116 @@ impl Lists {
     /// yet moved.
     fn compact(&mut self) {
         let mut w = 0;
-        for i in 0..self.start.len() {
-            let (s, l) = (self.start[i], self.len[i]);
-            self.items.copy_within(s..s + l, w);
-            self.start[i] = w;
-            w += l;
+        for row in &mut self.rows {
+            let s = row.start as usize;
+            self.items.copy_within(s..s + row.len as usize, w);
+            row.start = w as u32;
+            w += row.len as usize;
         }
         self.items.truncate(w);
+    }
+}
+
+/// Indexed 4-ary min-heap of the candidate columns, keyed by
+/// `score << 32 | column`: the minimum is the lowest score and, among
+/// equal scores, the smallest column index. `pos[column]` is the
+/// column's slot in `keys` while it is in the heap.
+struct MinHeap {
+    keys: Vec<u64>,
+    pos: Vec<u32>,
+}
+
+impl MinHeap {
+    const ARITY: usize = 4;
+
+    /// Heap of `(score, column)` entries, columns distinct and below
+    /// `n_cols`.
+    fn new(n_cols: usize, entries: impl Iterator<Item = (u32, u32)>) -> Self {
+        let mut heap = Self {
+            keys: entries.map(|(s, c)| (s as u64) << 32 | c as u64).collect(),
+            pos: vec![NONE; n_cols],
+        };
+        for (i, &key) in heap.keys.iter().enumerate() {
+            heap.pos[key as u32 as usize] = i as u32;
+        }
+        if heap.keys.len() > 1 {
+            for i in (0..=(heap.keys.len() - 2) / Self::ARITY).rev() {
+                heap.sift_down(i, heap.keys[i]);
+            }
+        }
+        heap
+    }
+
+    /// Remove and return the minimum column.
+    fn pop(&mut self) -> Option<u32> {
+        let min = *self.keys.first()? as u32;
+        self.remove(min);
+        Some(min)
+    }
+
+    /// Re-key `col`, which must be in the heap, to `score`.
+    fn update(&mut self, col: u32, score: u32) {
+        let i = self.pos[col as usize] as usize;
+        let key = (score as u64) << 32 | col as u64;
+        if key < self.keys[i] {
+            self.sift_up(i, key);
+        } else if key > self.keys[i] {
+            self.sift_down(i, key);
+        }
+    }
+
+    /// Take `col`, which must be in the heap, out of it.
+    fn remove(&mut self, col: u32) {
+        let i = self.pos[col as usize] as usize;
+        let last = self.keys.pop().expect("the heap holds `col`");
+        if i < self.keys.len() {
+            if last < self.keys[i] {
+                self.sift_up(i, last);
+            } else {
+                self.sift_down(i, last);
+            }
+        }
+    }
+
+    /// Settle `key` at slot `i` or above, its slot being free.
+    fn sift_up(&mut self, mut i: usize, key: u64) {
+        while i > 0 {
+            let parent = (i - 1) / Self::ARITY;
+            if self.keys[parent] <= key {
+                break;
+            }
+            self.place(i, self.keys[parent]);
+            i = parent;
+        }
+        self.place(i, key);
+    }
+
+    /// Settle `key` at slot `i` or below, its slot being free.
+    fn sift_down(&mut self, mut i: usize, key: u64) {
+        loop {
+            let first = Self::ARITY * i + 1;
+            if first >= self.keys.len() {
+                break;
+            }
+            let end = (first + Self::ARITY).min(self.keys.len());
+            let (mut child, mut least) = (first, self.keys[first]);
+            for c in first + 1..end {
+                if self.keys[c] < least {
+                    (child, least) = (c, self.keys[c]);
+                }
+            }
+            if key <= least {
+                break;
+            }
+            self.place(i, least);
+            i = child;
+        }
+        self.place(i, key);
+    }
+
+    fn place(&mut self, i: usize, key: u64) {
+        self.keys[i] = key;
+        self.pos[key as u32 as usize] = i as u32;
     }
 }
 
@@ -149,11 +326,27 @@ pub fn colamd_ordering(a: &CscMatrix) -> Vec<usize> {
 /// Compute a COLAMD-style column ordering of `a`. Returns `perm` with
 /// `perm[new] = old`; the result is always a valid permutation of
 /// `0..a.n_cols()`, whatever the pattern (empty columns, dense rows,
-/// rectangular input).
+/// rectangular input, repeated or unsorted row indices).
+///
+/// # Panics
+/// If `a` is past the index limit ([`index_limit_ok`]).
 pub fn colamd_ordering_with(a: &CscMatrix, config: ColamdConfig) -> Vec<usize> {
-    const NONE: usize = usize::MAX;
-    let m = a.n_rows();
-    let n = a.n_cols();
+    order_pattern(a.n_rows(), a.n_cols(), a.col_ptr(), a.row_idx(), config)
+}
+
+/// [`colamd_ordering_with`] on the raw CSC pattern arrays, which is
+/// where tests hand it columns no `CscMatrix` constructor accepts.
+fn order_pattern(
+    m: usize,
+    n: usize,
+    col_ptr: &[usize],
+    row_idx: &[usize],
+    config: ColamdConfig,
+) -> Vec<usize> {
+    assert!(
+        index_limit_ok(m, n, row_idx.len()),
+        "COLAMD indexes with u32: 2*nnz + n_rows + n_cols must stay below 2^32"
+    );
     if n == 0 {
         return Vec::new();
     }
@@ -162,62 +355,83 @@ pub fn colamd_ordering_with(a: &CscMatrix, config: ColamdConfig) -> Vec<usize> {
     // column graph; past the threshold it contributes no ordering
     // information, only quadratic degree noise.
     let dense_row = config.threshold(n);
-    let mut row_count = vec![0usize; m];
-    for &i in a.row_idx() {
+    let mut row_count = vec![0u32; m];
+    for &i in row_idx {
         row_count[i] += 1;
     }
-    let row_is_dense: Vec<bool> = row_count.iter().map(|&l| l > dense_row).collect();
 
-    // --- Dense-column stripping: order them last (ascending live
-    // degree, then index), where minimum degree would have sent them.
+    // --- Column lists: the non-dense rows of each column, ascending
+    // and without repeats. Dense columns are stripped and ordered last
+    // (ascending live degree, then index), where minimum degree would
+    // have sent them.
     let dense_col = config.threshold(m.max(1));
-    let mut col_state = vec![ColState::Alive; n];
+    let mut state = vec![ColState::Alive; n];
     let mut dense_cols: Vec<(usize, usize)> = Vec::new();
-    // Column lists: the live rows of each sparse column, ascending.
-    let mut cols = Lists {
-        start: Vec::with_capacity(n),
-        len: Vec::with_capacity(n),
-        items: Vec::with_capacity(a.nnz()),
-    };
+    let mut cols: Vec<Col> = Vec::with_capacity(n);
+    let mut col_items: Vec<u32> = Vec::with_capacity(row_idx.len());
     for j in 0..n {
-        let start = cols.items.len();
-        cols.items
-            .extend(a.col_rows(j).iter().filter(|&&i| !row_is_dense[i]));
-        let mut len = cols.items.len() - start;
+        let start = col_items.len();
+        let mut ascending = true;
+        for &i in &row_idx[col_ptr[j]..col_ptr[j + 1]] {
+            if row_count[i] as usize <= dense_row {
+                ascending &= col_items.len() == start || col_items[col_items.len() - 1] < i as u32;
+                col_items.push(i as u32);
+            }
+        }
+        if !ascending {
+            col_items[start..].sort_unstable();
+            let mut kept = start;
+            for p in start..col_items.len() {
+                if kept == start || col_items[kept - 1] != col_items[p] {
+                    col_items[kept] = col_items[p];
+                    kept += 1;
+                }
+            }
+            col_items.truncate(kept);
+        }
+        let mut len = col_items.len() - start;
         if len > dense_col {
-            col_state[j] = ColState::Dense;
+            state[j] = ColState::Dense;
             dense_cols.push((len, j));
-            cols.items.truncate(start);
+            col_items.truncate(start);
             len = 0;
         }
-        cols.start.push(start);
-        cols.len.push(len);
+        cols.push(Col {
+            start: start as u32,
+            len: len as u32,
+            next_member: NONE,
+            last_member: j as u32,
+        });
     }
     dense_cols.sort_unstable();
 
     // --- Row lists: the transpose of the column lists, by counting
-    // sort (so each list is ascending), in an arena with room for the
-    // elements to come.
+    // sort, in an arena with room for the elements to come.
     row_count.fill(0);
-    for &i in &cols.items {
-        row_count[i] += 1;
+    for &i in &col_items {
+        row_count[i as usize] += 1;
     }
-    let mut rows = Lists {
-        start: Vec::with_capacity(m + n),
-        len: Vec::with_capacity(m + n),
-        items: Vec::with_capacity(2 * cols.items.len()),
+    let mut rows = Rows {
+        rows: Vec::with_capacity(m + n),
+        items: Vec::with_capacity(2 * col_items.len()),
     };
-    rows.items.resize(cols.items.len(), 0);
+    rows.items.resize(col_items.len(), 0);
     let mut at = 0;
     for &count in &row_count {
-        rows.start.push(at);
-        rows.len.push(0);
+        rows.rows.push(Row {
+            start: at,
+            len: 0,
+            live: count,
+            ext: 0,
+            stamp: 0,
+        });
         at += count;
     }
-    for j in 0..n {
-        for &i in cols.list(j) {
-            rows.items[rows.start[i] + rows.len[i]] = j;
-            rows.len[i] += 1;
+    for (j, col) in cols.iter().enumerate() {
+        for &i in &col_items[col.range()] {
+            let row = &mut rows.rows[i as usize];
+            rows.items[(row.start + row.len) as usize] = j as u32;
+            row.len += 1;
         }
     }
 
@@ -226,147 +440,126 @@ pub fn colamd_ordering_with(a: &CscMatrix, config: ColamdConfig) -> Vec<usize> {
     // Unlike the reference implementation we never clamp the score (the
     // clamp there bounds packed-array memory, not quality): clamping
     // collapses the very ties minimum degree needs to break.
-    let mut score = vec![0usize; n];
-    let mut candidates: Vec<Reverse<(usize, usize)>> = Vec::with_capacity(n);
-    for j in 0..n {
-        if col_state[j] != ColState::Alive {
-            continue;
-        }
-        score[j] = cols.list(j).iter().map(|&r| rows.len[r] - 1).sum();
-        candidates.push(Reverse((score[j], j)));
-    }
-    // An entry is current while its column is alive at that score.
-    let mut heap = BinaryHeap::from(candidates);
+    let mut heap = MinHeap::new(
+        n,
+        cols.iter()
+            .enumerate()
+            .filter(|&(j, _)| state[j] == ColState::Alive)
+            .map(|(j, col)| {
+                let list = &col_items[col.range()];
+                let score = list.iter().map(|&r| rows.rows[r as usize].len - 1).sum();
+                (score, j as u32)
+            }),
+    );
 
-    // Supercolumn members: `next_member` chains them behind their
-    // representative in absorption order, `last_member` is the tail.
-    let mut next_member = vec![NONE; n];
-    let mut last_member: Vec<usize> = (0..n).collect();
     let mut perm: Vec<usize> = Vec::with_capacity(n);
-    let mut marked = vec![false; n];
-    // Per-pivot caches for row set differences, stamped by pivot count
-    // so they never need clearing (one slot more per element).
-    let mut row_ext: Vec<usize> = Vec::with_capacity(m + n);
-    row_ext.resize(m, 0);
-    let mut row_stamp: Vec<u64> = Vec::with_capacity(m + n);
-    row_stamp.resize(m, 0);
-    let mut stamp: u64 = 0;
-    let mut pivot_cols: Vec<usize> = Vec::new();
-    let mut signatures: Vec<(usize, u64, usize)> = Vec::new();
-    let mut reps: Vec<usize> = Vec::new();
+    // Pivot steps so far: the stamp of the rows' `ext` counts.
+    let mut stamp: u32 = 0;
+    let mut pivot_cols: Vec<u32> = Vec::new();
+    let mut signatures: Vec<u64> = Vec::new();
+    let mut reps: Vec<u32> = Vec::new();
 
     let n_sparse = n - dense_cols.len();
     while perm.len() < n_sparse {
         // --- Select: minimum approximate degree, smallest index on
-        // ties (the heap orders by exactly (score, index)).
-        let c = loop {
-            let Reverse((s, c)) = heap.pop().expect("a live column has a current entry");
-            if col_state[c] == ColState::Alive && score[c] == s {
-                break c;
-            }
-        };
+        // ties.
+        let c = heap.pop().expect("a candidate column is in the heap") as usize;
 
         // --- Order the pivot supercolumn.
-        col_state[c] = ColState::Ordered;
-        let mut member = c;
+        state[c] = ColState::Ordered;
+        let mut member = c as u32;
         while member != NONE {
-            perm.push(member);
-            member = next_member[member];
+            perm.push(member as usize);
+            member = cols[member as usize].next_member;
         }
 
-        // --- Form the pivot element: the union of the pivot's live
-        // rows, minus the pivot itself. Those rows are then dead — the
+        // --- Form the pivot element: the union of the pivot's rows,
+        // minus the pivot itself. Those rows are then dead — the
         // element subsumes their constraints.
         pivot_cols.clear();
-        for &r in cols.list(c) {
+        for p in cols[c].range() {
+            let r = col_items[p] as usize;
             for &j in rows.list(r) {
-                if col_state[j] == ColState::Alive && !marked[j] {
-                    marked[j] = true;
+                if state[j as usize] == ColState::Alive {
+                    state[j as usize] = ColState::InElement;
                     pivot_cols.push(j);
                 }
             }
-            rows.len[r] = 0;
+            // Dead; and with no candidates left, the count below
+            // gives it the `ext` of an absorbed row.
+            rows.rows[r].len = 0;
+            rows.rows[r].live = 0;
         }
-        cols.len[c] = 0;
+        cols[c].len = 0;
         if pivot_cols.is_empty() {
             continue;
         }
-        pivot_cols.sort_unstable();
 
-        // --- Set differences + row absorption. For every live row `r`
-        // adjacent to a pivot column, `row_ext[r] = |r \ pivot_cols|`
-        // (live columns only); a row entirely inside the new element is
-        // absorbed. Row lists are pruned to live columns as a side
-        // effect.
+        // --- Set differences. A row `r` next to the element is visited
+        // once per element column it holds, so counting down from
+        // `live(r)` leaves `ext = |r \ element|`.
         stamp += 1;
         for &j in &pivot_cols {
-            for &r in cols.list(j) {
-                if rows.len[r] == 0 || row_stamp[r] == stamp {
-                    continue;
+            let col = cols[j as usize];
+            for &r in &col_items[col.range()] {
+                let row = &mut rows.rows[r as usize];
+                if row.stamp != stamp {
+                    row.stamp = stamp;
+                    row.ext = row.live;
                 }
-                row_stamp[r] = stamp;
-                let start = rows.start[r];
-                let mut kept = 0;
-                let mut ext = 0;
-                for p in start..start + rows.len[r] {
-                    let x = rows.items[p];
-                    if col_state[x] == ColState::Alive {
-                        rows.items[start + kept] = x;
-                        kept += 1;
-                        ext += usize::from(!marked[x]);
-                    }
-                }
-                row_ext[r] = ext;
-                // ext == 0: r ⊆ element, absorbed.
-                rows.len[r] = if ext == 0 { 0 } else { kept };
+                row.ext = row.ext.saturating_sub(1);
             }
         }
 
         // --- Create the element row.
         let e = rows.push(&pivot_cols);
-        row_ext.push(0);
-        row_stamp.push(0);
 
-        // --- Rebuild each pivot column's row list and re-score it with
-        // the COLAMD approximate external degree:
+        // --- Rebuild each element column's row list and re-score it
+        // with the COLAMD approximate external degree:
         // |element \ {j}| + Σ_{r ∈ rows(j), r ≠ e} |r \ element|.
+        // A row with nothing outside the element is absorbed: its
+        // constraint is implied.
         signatures.clear();
+        let element_degree = pivot_cols.len() as u32 - 1;
         for &j in &pivot_cols {
-            let start = cols.start[j];
+            // The element is complete: `j` is a candidate again.
+            state[j as usize] = ColState::Alive;
+            let col = &mut cols[j as usize];
+            let start = col.start as usize;
             let mut kept = 0;
             let mut external = 0;
-            let mut row_sum = e as u64;
-            for p in start..start + cols.len[j] {
-                let r = cols.items[p];
-                if rows.len[r] > 0 {
-                    cols.items[start + kept] = r;
-                    kept += 1;
-                    external += row_ext[r];
-                    row_sum += r as u64;
+            let mut row_sum = e;
+            for p in start..start + col.len as usize {
+                let r = col_items[p];
+                let row = &mut rows.rows[r as usize];
+                if row.ext == 0 {
+                    row.len = 0;
+                    continue;
                 }
+                col_items[start + kept] = r;
+                kept += 1;
+                external += row.ext;
+                row_sum = row_sum.wrapping_add(r);
             }
             // The pivot's row was in this list and is dead now, so the
             // slot for `e` is free.
-            cols.items[start + kept] = e;
-            cols.len[j] = kept + 1;
-            let new_score = pivot_cols.len() - 1 + external;
-            if new_score != score[j] {
-                score[j] = new_score;
-                heap.push(Reverse((new_score, j)));
-            }
-            signatures.push((cols.len[j], row_sum, j));
+            col_items[start + kept] = e;
+            col.len = kept as u32 + 1;
+            heap.update(j, element_degree + external);
+            let signature = row_sum.wrapping_add(col.len.wrapping_mul(0x9e37_79b1));
+            signatures.push((signature as u64) << 32 | j as u64);
         }
 
         // --- Supercolumn detection among the element's columns: group
-        // by signature (list length, sum of row ids), then confirm
-        // exact equality. Equal columns are structurally
+        // by signature (a hash of list length and row ids), then
+        // confirm exact equality. Equal columns are structurally
         // indistinguishable from here on, so they pivot together.
         signatures.sort_unstable();
         let mut lo = 0;
         while lo < signatures.len() {
-            let (len, sum, _) = signatures[lo];
+            let signature = signatures[lo] >> 32;
             let mut hi = lo + 1;
-            while hi < signatures.len() && (signatures[hi].0, signatures[hi].1) == (len, sum) {
+            while hi < signatures.len() && signatures[hi] >> 32 == signature {
                 hi += 1;
             }
             // Signature collisions can group structurally different
@@ -375,25 +568,28 @@ pub fn colamd_ordering_with(a: &CscMatrix, config: ColamdConfig) -> Vec<usize> {
             // merge even when a third, different column shares their
             // signature and sorts first. The group is sorted by column
             // index: representatives are the smallest index of their
-            // class, deterministically.
+            // class, and members join in ascending order, whatever the
+            // signature function and the order of `pivot_cols`.
             reps.clear();
-            for &(_, _, k) in &signatures[lo..hi] {
-                match reps.iter().find(|&&r| cols.list(k) == cols.list(r)) {
+            for &entry in &signatures[lo..hi] {
+                let k = entry as u32;
+                let list_of = |j: u32| &col_items[cols[j as usize].range()];
+                match reps.iter().find(|&&rep| list_of(k) == list_of(rep)) {
                     None => reps.push(k),
                     Some(&rep) => {
-                        col_state[k] = ColState::Absorbed;
-                        next_member[last_member[rep]] = k;
-                        last_member[rep] = last_member[k];
-                        cols.len[k] = 0;
+                        state[k as usize] = ColState::Absorbed;
+                        heap.remove(k);
+                        for &r in list_of(k) {
+                            rows.rows[r as usize].live -= 1;
+                        }
+                        let tail = cols[rep as usize].last_member;
+                        cols[tail as usize].next_member = k;
+                        cols[rep as usize].last_member = cols[k as usize].last_member;
+                        cols[k as usize].len = 0;
                     }
                 }
             }
             lo = hi;
-        }
-
-        // --- Unmark for the next pivot.
-        for &j in &pivot_cols {
-            marked[j] = false;
         }
     }
 
@@ -428,27 +624,121 @@ mod tests {
 
     #[test]
     fn row_arena_compacts_in_place_when_its_tail_runs_out() {
-        let mut rows = Lists {
-            start: vec![0, 2, 5],
-            len: vec![2, 3, 1],
+        let row = |start, len| Row {
+            start,
+            len,
+            live: len,
+            ext: 0,
+            stamp: 0,
+        };
+        let mut rows = Rows {
+            rows: vec![row(0, 2), row(2, 3), row(5, 1)],
             items: Vec::with_capacity(8),
         };
         rows.items.extend([10, 11, 20, 21, 22, 30]);
         let capacity = rows.items.capacity();
-        // Kill row 0, prune row 1 to its first two entries.
-        rows.len[0] = 0;
-        rows.len[1] = 2;
+        // Kill row 0, cut row 1 to its first two entries.
+        rows.rows[0].len = 0;
+        rows.rows[1].len = 2;
         // Six entries stored, three live: a list of four only fits
         // once the dead space is reclaimed.
         assert!(rows.items.len() + 4 > capacity);
         let e = rows.push(&[40, 41, 42, 43]);
         assert_eq!(e, 3);
         assert_eq!(rows.items.capacity(), capacity, "no reallocation");
-        assert_eq!(rows.list(0), &[] as &[usize]);
+        assert_eq!(rows.list(0), &[] as &[u32]);
         assert_eq!(rows.list(1), &[20, 21]);
         assert_eq!(rows.list(2), &[30]);
         assert_eq!(rows.list(3), &[40, 41, 42, 43]);
+        assert_eq!(rows.rows[3], row(3, 4));
         assert_eq!(rows.items.len(), 7);
+    }
+
+    /// Every `(score, column)` left in `heap`, by popping it empty.
+    fn drain(mut heap: MinHeap) -> Vec<u32> {
+        std::iter::from_fn(|| heap.pop()).collect()
+    }
+
+    #[test]
+    fn heap_pops_in_score_then_column_order() {
+        // LCG scores with many ties; the expected order is the sorted
+        // list of (score, column).
+        let mut s = 99u64;
+        let mut entries: Vec<(u32, u32)> = (0..200)
+            .map(|c| {
+                s = s
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                ((s >> 33) as u32 % 17, c)
+            })
+            .collect();
+        let heap = MinHeap::new(200, entries.iter().copied());
+        entries.sort_unstable();
+        let expected: Vec<u32> = entries.iter().map(|&(_, c)| c).collect();
+        assert_eq!(drain(heap), expected);
+        // Degenerate sizes.
+        assert_eq!(drain(MinHeap::new(3, std::iter::empty())), vec![]);
+        assert_eq!(drain(MinHeap::new(3, [(7, 2)].into_iter())), vec![2]);
+    }
+
+    #[test]
+    fn heap_ties_resolve_by_column_index() {
+        let heap = MinHeap::new(6, [5, 3, 0, 4, 1, 2].into_iter().map(|c| (9, c)));
+        assert_eq!(drain(heap), vec![0, 1, 2, 3, 4, 5]);
+    }
+
+    #[test]
+    fn heap_update_moves_a_column_up_and_down() {
+        let entries = || (0..30u32).map(|c| (10 + c, c));
+        // Down: the minimum becomes the maximum.
+        let mut heap = MinHeap::new(30, entries());
+        heap.update(0, 1000);
+        let mut expected: Vec<u32> = (1..30).collect();
+        expected.push(0);
+        assert_eq!(drain(heap), expected);
+        // Up: the last leaf becomes the minimum.
+        let mut heap = MinHeap::new(30, entries());
+        heap.update(29, 0);
+        let mut expected = vec![29];
+        expected.extend(0..29);
+        assert_eq!(drain(heap), expected);
+        // To a tie: column 20 at column 5's score sorts right after it.
+        let mut heap = MinHeap::new(30, entries());
+        heap.update(20, 15);
+        let order = drain(heap);
+        assert_eq!(&order[5..7], &[5, 20]);
+        // Unchanged score: nothing moves.
+        let mut heap = MinHeap::new(30, entries());
+        heap.update(7, 17);
+        assert_eq!(drain(heap), (0..30).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn heap_remove_takes_out_first_last_and_interior_slots() {
+        let entries = || (0..30u32).map(|c| (c * 3 % 31, c));
+        let sorted_without = |gone: u32| {
+            let mut all: Vec<(u32, u32)> = entries().filter(|&(_, c)| c != gone).collect();
+            all.sort_unstable();
+            all.into_iter().map(|(_, c)| c).collect::<Vec<_>>()
+        };
+        let probe = MinHeap::new(30, entries());
+        let first = probe.keys[0] as u32;
+        let last = *probe.keys.last().unwrap() as u32;
+        let interior = probe.keys[3] as u32;
+        for gone in [first, last, interior] {
+            let mut heap = MinHeap::new(30, entries());
+            heap.remove(gone);
+            assert_eq!(heap.keys.len(), 29);
+            for (i, &key) in heap.keys.iter().enumerate() {
+                assert_eq!(heap.pos[key as u32 as usize] as usize, i);
+            }
+            assert_eq!(drain(heap), sorted_without(gone));
+        }
+        // Down to empty through `remove` alone.
+        let mut heap = MinHeap::new(2, [(4, 0), (4, 1)].into_iter());
+        heap.remove(1);
+        heap.remove(0);
+        assert_eq!(heap.pop(), None);
     }
 
     #[test]
@@ -614,6 +904,183 @@ mod tests {
         let p2 = colamd_ordering(&a);
         assert_eq!(p1, p2);
     }
+    /// `nb` blocks of `w` identical columns: every column of block `b`
+    /// holds the same four rows, so each block collapses to one
+    /// supercolumn at its first pivot; a chain row couples neighbouring
+    /// blocks.
+    fn identical_column_blocks(nb: usize, w: usize) -> CscMatrix {
+        let n = nb * w;
+        let mut t = TripletMatrix::new(n, n);
+        for b in 0..nb {
+            for c in 0..w {
+                let j = b * w + c;
+                for r in 0..4 {
+                    t.push((b * w + r * 7 + 3) % n, j, 1.0);
+                }
+                t.push((b * w + w) % n, j, 1.0);
+            }
+        }
+        t.to_csc().unwrap()
+    }
+
+    /// `m × n`, three LCG-drawn rows a column (repeats summed away).
+    fn lcg_rectangular(m: usize, n: usize, seed: u64) -> CscMatrix {
+        let mut t = TripletMatrix::new(m, n);
+        let mut s = seed;
+        for j in 0..n {
+            for _ in 0..3 {
+                s = s
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                t.push((s >> 33) as usize % m, j, 1.0);
+            }
+        }
+        t.to_csc().unwrap()
+    }
+
+    const LOW_THRESHOLD: ColamdConfig = ColamdConfig {
+        dense_factor: 0.5,
+        dense_floor: 4,
+    };
+
+    #[test]
+    fn matches_the_reference_implementation_on_seeded_patterns() {
+        use crate::transversal::weighted_matching;
+        let mut patterns: Vec<(String, CscMatrix)> = Vec::new();
+        for seed in 0..14u64 {
+            let k = seed as usize;
+            let zd = gen::circuit_zero_diag(90 + 20 * k, 4, 2, seed);
+            let matched = ops::permute_rows(&zd, &weighted_matching(&zd).unwrap()).unwrap();
+            patterns.extend([
+                (
+                    format!("circuit_unsym/{seed}"),
+                    gen::circuit_unsym(80 + 25 * k, 4, 2, seed),
+                ),
+                (
+                    format!("circuit_unsym_sparse/{seed}"),
+                    gen::circuit_unsym(300 + 50 * k, 1, 0, seed),
+                ),
+                (
+                    format!("random_unsym/{seed}"),
+                    gen::random_unsym(60 + 30 * k, 2 + k % 4, seed),
+                ),
+                (
+                    format!("convdiff/{seed}"),
+                    gen::convection_diffusion_2d(5 + k, 4 + k, 1.5, seed),
+                ),
+                (
+                    format!("saddle/{seed}"),
+                    gen::saddle_point_2x2(20 + 5 * k, 4 + k, seed),
+                ),
+                (format!("zero_diag_raw/{seed}"), zd),
+                (format!("zero_diag_matched/{seed}"), matched),
+                (
+                    format!("rect_wide/{seed}"),
+                    lcg_rectangular(30 + k, 50 + 3 * k, seed + 1),
+                ),
+                (
+                    format!("rect_tall/{seed}"),
+                    lcg_rectangular(70 + 2 * k, 25 + k, seed + 100),
+                ),
+                (
+                    format!("blocks/{seed}"),
+                    identical_column_blocks(4 + k, 2 + k % 5),
+                ),
+            ]);
+        }
+        for n in 0..3 {
+            patterns.push((format!("identity/{n}"), CscMatrix::identity(n)));
+            patterns.push((format!("zeros/{n}"), CscMatrix::zeros(n, n)));
+            let mut full = TripletMatrix::new(n, n);
+            for i in 0..n * n {
+                full.push(i / n, i % n, 1.0);
+            }
+            patterns.push((format!("full/{n}"), full.to_csc().unwrap()));
+        }
+        let mut compared = 0;
+        for (name, a) in &patterns {
+            // The low threshold strips dense rows on two thirds of
+            // these patterns and dense columns on half of them.
+            for config in [ColamdConfig::default(), LOW_THRESHOLD] {
+                let perm = colamd_ordering_with(a, config);
+                assert_permutation(&perm, a.n_cols());
+                assert_eq!(
+                    perm,
+                    reference::colamd_reference(a, config),
+                    "{name} at dense_factor {}",
+                    config.dense_factor
+                );
+                compared += 1;
+            }
+        }
+        for (name, a, config) in pinned_cases() {
+            assert_eq!(
+                colamd_ordering_with(&a, config),
+                reference::colamd_reference(&a, config),
+                "{name}"
+            );
+            compared += 1;
+        }
+        assert!(compared >= 200, "{compared} patterns");
+    }
+
+    #[test]
+    fn hostile_columns_still_give_a_permutation() {
+        let order = |m, n, col_ptr: &[usize], row_idx: &[usize]| {
+            let perm = order_pattern(m, n, col_ptr, row_idx, ColamdConfig::default());
+            assert_permutation(&perm, n);
+            perm
+        };
+        // Repeats: a column naming one row three times, next to columns
+        // sharing that row, would drive the row's live count below zero
+        // if each repeat were its own entry.
+        order(3, 4, &[0, 3, 5, 8, 9], &[1, 1, 1, 0, 1, 2, 1, 2, 1]);
+        // Unsorted rows, with and without repeats; the order of a
+        // column's entries is not part of the pattern.
+        let sorted = order(4, 4, &[0, 3, 5, 8, 10], &[0, 1, 3, 1, 2, 0, 1, 3, 2, 3]);
+        let shuffled = order(4, 4, &[0, 3, 5, 8, 10], &[3, 0, 1, 2, 1, 1, 3, 0, 3, 2]);
+        assert_eq!(sorted, shuffled);
+        let repeated = order(
+            4,
+            4,
+            &[0, 5, 7, 11, 13],
+            &[3, 0, 3, 1, 0, 2, 1, 1, 3, 0, 3, 3, 2],
+        );
+        assert_eq!(sorted, repeated);
+        // Identical columns given in different entry orders still merge
+        // into one supercolumn (ordered consecutively).
+        let perm = order(
+            6,
+            5,
+            &[0, 1, 4, 7, 10, 11],
+            &[0, 2, 4, 5, 5, 2, 4, 4, 5, 2, 3],
+        );
+        let at = |j| perm.iter().position(|&p| p == j).unwrap();
+        let (lo, hi) = (at(1).min(at(2)).min(at(3)), at(1).max(at(2)).max(at(3)));
+        assert_eq!(hi - lo, 2, "{perm:?}");
+        // An empty row, an empty column, both, rectangular either way.
+        order(3, 3, &[0, 1, 1, 2], &[0, 2]);
+        order(2, 5, &[0, 0, 1, 1, 2, 2], &[1, 1]);
+        order(5, 2, &[0, 2, 2], &[4, 0]);
+        // Every column one repeated row: all of them one supercolumn.
+        assert_eq!(order(1, 3, &[0, 2, 4, 6], &[0; 6]), vec![0, 1, 2]);
+    }
+
+    #[test]
+    fn index_limit_is_two_nnz_plus_rows_plus_cols() {
+        assert!(index_limit_ok(0, 0, 0));
+        assert!(index_limit_ok(1000, 1000, (u32::MAX as usize - 2000) / 2));
+        assert!(!index_limit_ok(
+            1000,
+            1000,
+            (u32::MAX as usize - 2000) / 2 + 1
+        ));
+        assert!(!index_limit_ok(1 << 32, 0, 0));
+        assert!(!index_limit_ok(0, 1 << 32, 0));
+        assert!(!index_limit_ok(0, 0, 1 << 31));
+        assert!(!index_limit_ok(usize::MAX, usize::MAX, usize::MAX));
+    }
+
     /// 64-bit FNV-1a of a permutation (each index as 8 little-endian
     /// bytes).
     fn perm_hash(perm: &[usize]) -> u64 {
@@ -633,10 +1100,7 @@ mod tests {
     fn pinned_cases() -> Vec<(&'static str, CscMatrix, ColamdConfig)> {
         use crate::transversal::weighted_matching;
         let d = ColamdConfig::default();
-        let low = ColamdConfig {
-            dense_factor: 0.5,
-            dense_floor: 4,
-        };
+        let low = LOW_THRESHOLD;
         let zd = gen::circuit_zero_diag(800, 4, 2, 1);
         let zd_matched = ops::permute_rows(&zd, &weighted_matching(&zd).unwrap()).unwrap();
         let lap = ops::symmetrize_from_lower(&gen::grid3d_laplacian(16, 16, 16, 1)).unwrap();
@@ -654,39 +1118,8 @@ mod tests {
             }
             t.to_csc().unwrap()
         };
-        // Blocks of identical columns: every column of block `b` holds
-        // the same four rows, so each block collapses to one supercolumn
-        // at its first pivot; a chain row couples neighbouring blocks.
-        let blocks = {
-            let (nb, w) = (12, 5);
-            let n = nb * w;
-            let mut t = TripletMatrix::new(n, n);
-            for b in 0..nb {
-                for c in 0..w {
-                    let j = b * w + c;
-                    for r in 0..4 {
-                        t.push((b * w + r * 7 + 3) % n, j, 1.0);
-                    }
-                    t.push((b * w + w) % n, j, 1.0);
-                }
-            }
-            t.to_csc().unwrap()
-        };
-        // Rectangular, LCG-filled.
-        let rect = {
-            let (m, n) = (40, 60);
-            let mut t = TripletMatrix::new(m, n);
-            let mut s = 12345u64;
-            for j in 0..n {
-                for _ in 0..3 {
-                    s = s
-                        .wrapping_mul(6364136223846793005)
-                        .wrapping_add(1442695040888963407);
-                    t.push((s >> 33) as usize % m, j, 1.0);
-                }
-            }
-            t.to_csc().unwrap()
-        };
+        let blocks = identical_column_blocks(12, 5);
+        let rect = lcg_rectangular(40, 60, 12345);
         vec![
             ("refactor_dense", gen::circuit_unsym(1200, 4, 2, 1), d),
             ("refactor_sparse", gen::circuit_unsym(20000, 1, 0, 1), d),

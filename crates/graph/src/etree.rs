@@ -41,20 +41,27 @@ pub fn etree_from_upper_parts(col_ptr: &[usize], row_idx: &[usize]) -> Vec<usize
     let mut ancestor = vec![NONE; n];
     for k in 0..n {
         for &row in &row_idx[col_ptr[k]..col_ptr[k + 1]] {
-            let mut i = row;
-            // Entries with i >= k belong to the lower triangle; skip.
-            while i < k {
-                let next = ancestor[i];
-                ancestor[i] = k; // path compression
-                if next == NONE {
-                    parent[i] = k;
-                    break;
-                }
-                i = next;
-            }
+            link_edge(&mut parent, &mut ancestor, row, k);
         }
     }
     parent
+}
+
+/// One edge `{i, k}` of step `k` of Liu's algorithm: climb the
+/// path-compressed ancestors of `i` up to `k`, which becomes the parent
+/// of the root reached. Steps must come in ascending `k`; the edges of
+/// one step may come in any order and may repeat. Does nothing when
+/// `i >= k` (the diagonal, or an entry of the lower triangle).
+pub(crate) fn link_edge(parent: &mut [usize], ancestor: &mut [usize], mut i: usize, k: usize) {
+    while i < k {
+        let next = ancestor[i];
+        ancestor[i] = k; // path compression
+        if next == NONE {
+            parent[i] = k;
+            break;
+        }
+        i = next;
+    }
 }
 
 /// Number of children of each node, given a parent array.

@@ -20,7 +20,7 @@
 //! column etree after COLAMD for the same reason).
 
 use crate::colamd::colamd_ordering;
-use crate::etree::etree_from_upper_parts;
+use crate::etree::{link_edge, NONE};
 use crate::postorder::postorder;
 use crate::rcm::rcm_ordering;
 use sympiler_sparse::{ops, CscMatrix, TripletMatrix};
@@ -74,7 +74,9 @@ impl Ordering {
 ///
 /// # Panics
 /// If `a` is not square (the LU pipeline's contract; both RCM and the
-/// symmetric application of the ordering need matching dimensions).
+/// symmetric application of the ordering need matching dimensions), or
+/// under [`Ordering::Colamd`] past its index limit
+/// ([`crate::colamd::index_limit_ok`]).
 pub fn compute_ordering(a: &CscMatrix, ordering: Ordering) -> Option<Vec<usize>> {
     assert!(a.is_square(), "ordering requires a square matrix");
     let perm = match ordering {
@@ -91,12 +93,15 @@ pub fn compute_ordering(a: &CscMatrix, ordering: Ordering) -> Option<Vec<usize>>
 /// factorization of `Qᵀ·A·Q` is bounded by: a fill entry `(i, j)` of
 /// either factor joins an ancestor–descendant pair of it.
 ///
-/// Sort-free: one counting sort buckets every entry `{i, j}`
-/// (inverse-permuted) under its larger endpoint, then Liu's
-/// path-compressed algorithm ([`etree_from_upper_parts`]) walks the
-/// buckets in order — it needs neither sorted nor duplicate-free
-/// lists, so an entry present in both `A` and `Aᵀ` simply appears
-/// twice, and it skips the diagonal.
+/// One pass over `A` in the new column order, no sort and no
+/// transpose: Liu's path-compressed algorithm
+/// ([`crate::etree::etree_from_upper_parts`] runs the same steps) needs,
+/// at step `k`, every edge `{i, k}` with `i < k`, in any order. An entry of column
+/// `k` whose other endpoint is smaller is such an edge and is climbed
+/// at once; one whose other endpoint `k' > k` is larger is an edge of
+/// step `k'` and waits in that step's intrusive list. An entry present
+/// in both `A` and `Aᵀ` is simply climbed twice; the diagonal is
+/// skipped.
 ///
 /// # Panics
 /// If `a` is not square or `perm` is not a permutation of
@@ -106,28 +111,30 @@ pub fn symmetrized_etree(a: &CscMatrix, perm: &[usize]) -> Vec<usize> {
     let n = a.n_cols();
     assert_eq!(perm.len(), n, "permutation length");
     let inv = ops::inverse_permutation(perm).expect("perm must be a bijection");
-    // ptr[k + 1] counts, then ptr[k] starts, the smaller endpoints of
-    // the edges whose larger endpoint is `k`.
-    let mut ptr = vec![0usize; n + 1];
-    for (j, &nj) in inv.iter().enumerate() {
-        for &i in a.col_rows(j) {
-            ptr[inv[i].max(nj) + 1] += 1;
+    let mut parent = vec![NONE; n];
+    let mut ancestor = vec![NONE; n];
+    // `waiting[head[k]]`, then its `next` links: the smaller endpoints
+    // of the edges met so far whose larger endpoint is `k`.
+    let mut head = vec![NONE; n];
+    let mut waiting: Vec<(usize, usize)> = Vec::with_capacity(a.nnz());
+    for (k, &old) in perm.iter().enumerate() {
+        let mut at = head[k];
+        while at != NONE {
+            let (i, next) = waiting[at];
+            link_edge(&mut parent, &mut ancestor, i, k);
+            at = next;
         }
-    }
-    for k in 0..n {
-        ptr[k + 1] += ptr[k];
-    }
-    let mut lower = vec![0usize; ptr[n]];
-    let mut fill = ptr.clone();
-    for (j, &nj) in inv.iter().enumerate() {
-        for &i in a.col_rows(j) {
+        for &i in a.col_rows(old) {
             let ni = inv[i];
-            let at = &mut fill[ni.max(nj)];
-            lower[*at] = ni.min(nj);
-            *at += 1;
+            if ni < k {
+                link_edge(&mut parent, &mut ancestor, ni, k);
+            } else if ni > k {
+                waiting.push((k, head[ni]));
+                head[ni] = waiting.len() - 1;
+            }
         }
     }
-    etree_from_upper_parts(&ptr, &lower)
+    parent
 }
 
 /// Compose `perm` (`perm[new] = old`) with a postorder of the
@@ -172,7 +179,6 @@ fn symmetrized_lower_pattern(a: &CscMatrix) -> CscMatrix {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::etree::NONE;
     use sympiler_sparse::gen;
 
     fn assert_permutation(perm: &[usize], n: usize) {
