@@ -24,10 +24,15 @@
 use sympiler_bench::engines::{time_lu_factorizer, RUNS};
 use sympiler_bench::harness::{median_time, Table};
 use sympiler_bench::workloads::prepare_subset;
+use sympiler_core::plan::chol::{CholPlan, MAX_SUPERNODE_WIDTH};
 use sympiler_core::plan::lu::{LuPlan, LuWorkspace, POSITION_MAX_OPS_PER_ENTRY};
-use sympiler_core::plan::lu_supernodal::{SupernodalLuPlan, DENSE_PANEL_MIN_FLOPS_PER_ENTRY};
-use sympiler_core::plan::tri::{TriScratch, TriSolvePlan, TriVariant};
-use sympiler_core::{Ordering, SympilerCholesky, SympilerLu, SympilerOptions};
+use sympiler_core::plan::lu_supernodal::{
+    SupernodalLuPlan, DENSE_PANEL_MIN_FLOPS_PER_ENTRY, MAX_PANEL, RELAX_COLS, RELAX_FILL,
+};
+use sympiler_core::plan::tri::{
+    TriScratch, TriSolvePlan, TriVariant, PEEL_COL_COUNT, VS_BLOCK_MIN_AVG_SIZE,
+};
+use sympiler_core::{Ordering, SympilerLu, SympilerOptions};
 use sympiler_sparse::suite::SuiteScale;
 use sympiler_sparse::{gen, CscMatrix};
 
@@ -208,7 +213,7 @@ fn lu_threshold_sweep(t: &mut Table, name: &str, a: &CscMatrix) {
         ..Default::default()
     };
     let plan = LuPlan::build(a, &o).expect("suite patterns compile");
-    let detected = SupernodalLuPlan::detect_panels(&plan, o.max_panel, o.relax_fill, o.relax_cols);
+    let detected = SupernodalLuPlan::detect_panels(&plan, MAX_PANEL, RELAX_FILL, RELAX_COLS);
     let mut ws = LuWorkspace::new();
     let t_scalar = time_lu_factorizer(|| plan.factor(a).expect("factor"));
     for threshold in [0.0, 0.5, 1.0, 2.0, 3.0, 4.0, 6.0, 8.0, 12.0, f64::INFINITY] {
@@ -306,26 +311,21 @@ fn position_table_row(t: &mut Table, name: &str, a: &CscMatrix, ordering: Orderi
 /// setting the supernode count, mean width, padded share of `nnz(L)`,
 /// and the median numeric factor time.
 fn chol_relax_sweep(t: &mut Table, name: &str, a: &CscMatrix) {
-    let default = SympilerOptions::default();
-    let mut settings = vec![(0.0, default.relax_cols)];
+    let mut settings = vec![(0.0, RELAX_COLS)];
     for fill in [0.1, 0.3, 0.5, 1.0] {
         settings.extend([8, 16, 32, 64].map(|cols| (fill, cols)));
     }
     for (relax_fill, relax_cols) in settings {
-        let opts = SympilerOptions {
-            relax_fill,
-            relax_cols,
-            ..default.clone()
-        };
-        let chol = SympilerCholesky::compile(a, &opts).expect("suite patterns compile");
+        let chol = CholPlan::build(a, MAX_SUPERNODE_WIDTH, relax_fill, relax_cols, true)
+            .expect("suite patterns compile");
         let time = median_time(4 * RUNS + 1, || {
             std::hint::black_box(chol.factor(a).expect("factor"));
         });
-        let part = chol.plan().partition();
+        let part = chol.partition();
         let l_nnz = chol.report().size_of("nnz(L)").expect("reported");
         let label = if relax_fill == 0.0 {
             "0 (strict)".to_string()
-        } else if (relax_fill, relax_cols) == (default.relax_fill, default.relax_cols) {
+        } else if (relax_fill, relax_cols) == (RELAX_FILL, RELAX_COLS) {
             format!("{relax_fill} / {relax_cols} (default)")
         } else {
             format!("{relax_fill} / {relax_cols}")
@@ -335,10 +335,7 @@ fn chol_relax_sweep(t: &mut Table, name: &str, a: &CscMatrix) {
             label,
             part.n_supernodes().to_string(),
             format!("{:.2}", part.avg_width()),
-            format!(
-                "{:.1}%",
-                chol.plan().padded_zeros() as f64 / l_nnz as f64 * 100.0
-            ),
+            format!("{:.1}%", chol.padded_zeros() as f64 / l_nnz as f64 * 100.0),
             format!("{:.3} ms", time.as_secs_f64() * 1e3),
         ]);
     }
@@ -372,11 +369,17 @@ fn main() {
     );
     for p in &problems {
         let col_counts: Vec<usize> = (0..p.l.n_cols()).map(|j| p.l.col_nnz(j)).collect();
-        let part = sympiler_graph::supernode::supernodes_trisolve(&p.l, 64);
+        let part = sympiler_graph::supernode::supernodes_trisolve(&p.l, MAX_SUPERNODE_WIDTH);
         let avg = part.avg_participating_size(&col_counts);
 
         let time_of = |variant: TriVariant| {
-            let plan = TriSolvePlan::build(&p.l, p.b.indices(), variant, 64, 2);
+            let plan = TriSolvePlan::build(
+                &p.l,
+                p.b.indices(),
+                variant,
+                MAX_SUPERNODE_WIDTH,
+                PEEL_COL_COUNT,
+            );
             let mut x = vec![0.0; p.n()];
             let mut s = TriScratch::default();
             median_time(RUNS, || {
@@ -391,7 +394,7 @@ fn main() {
             low_level: true,
         });
         let t_block = time_of(TriVariant::full());
-        let picks = if avg >= 160.0 {
+        let picks = if avg >= VS_BLOCK_MIN_AVG_SIZE {
             "VS-Block"
         } else {
             "VI-Prune only"

@@ -10,7 +10,7 @@
 //! the paper's like-for-like setting — relaxed supernode amalgamation
 //! off on both sides (§4.1: "this setting is not enabled in CHOLMOD").
 //! "+Low-Level" is the compile default, which amalgamates along etree
-//! parent links (`relax_fill = 0.3`, `relax_cols = 16`); its mean
+//! parent links (`RELAX_FILL = 0.3`, `RELAX_COLS = 16`); its mean
 //! supernode width and padded share of `nnz(L)` are deterministic and
 //! reported beside the timings. All of it lands in
 //! `results/BENCH_fig7.json` for the perf gate.
@@ -21,7 +21,6 @@ use sympiler_bench::engines::{chol_flops, time_chol_engine, CholEngine};
 use sympiler_bench::harness::{geomean, gflops, Table};
 use sympiler_bench::perf::PerfReport;
 use sympiler_bench::workloads::prepare_suite;
-use sympiler_core::SympilerCholesky;
 use sympiler_sparse::suite::SuiteScale;
 
 fn main() {
@@ -66,11 +65,12 @@ fn main() {
         strict_vs_cholmod.push(ss);
         vs_cholmod.push(sc);
         // What the default amalgamation did to this pattern.
-        let opts = CholEngine::SympilerFull.options().expect("sympiler engine");
-        let chol = SympilerCholesky::compile(&p.a, &opts).expect("spd");
-        let mean_width = chol.plan().partition().avg_width();
+        let chol = CholEngine::SympilerFull
+            .plan(&p.a)
+            .expect("sympiler engine");
+        let mean_width = chol.partition().avg_width();
         let l_nnz = chol.report().size_of("nnz(L)").expect("reported") as f64;
-        let padded_share = chol.plan().padded_zeros() as f64 / l_nnz;
+        let padded_share = chol.padded_zeros() as f64 / l_nnz;
         report.push(&format!("{}:strict_vs_cholmod", p.name), ss);
         report.push(&format!("{}:vs_cholmod", p.name), sc);
         report.push(&format!("{}:mean_width", p.name), mean_width);

@@ -98,7 +98,9 @@ use sympiler_bench::harness::{geomean, gflops, Table};
 use sympiler_bench::perf::PerfReport;
 use sympiler_bench::workloads::prepare_lu_suite;
 use sympiler_core::plan::lu::{LuPlan, LuPlanError};
-use sympiler_core::plan::lu_supernodal::{SupernodalLuPlan, DENSE_PANEL_MIN_FLOPS_PER_ENTRY};
+use sympiler_core::plan::lu_supernodal::{
+    SupernodalLuPlan, DENSE_PANEL_MIN_FLOPS_PER_ENTRY, MAX_PANEL, RELAX_COLS, RELAX_FILL,
+};
 use sympiler_core::{BlockLu, Ordering, PrePivot, SympilerLu, SympilerOptions, TraceFile};
 use sympiler_solvers::lu::{lu_backward_error, GpLu, Pivoting};
 use sympiler_sparse::suite::SuiteScale;
@@ -108,9 +110,8 @@ use sympiler_sparse::suite::SuiteScale;
 /// unconditionally (even when no dense panel survives and `Auto` would
 /// fall back to the scalar tier), plus the detected partition's mean
 /// panel width.
-fn auto_supernodal(plan: &LuPlan, opts: &SympilerOptions) -> (SupernodalLuPlan, f64) {
-    let detected =
-        SupernodalLuPlan::detect_panels(plan, opts.max_panel, opts.relax_fill, opts.relax_cols);
+fn auto_supernodal(plan: &LuPlan) -> (SupernodalLuPlan, f64) {
+    let detected = SupernodalLuPlan::detect_panels(plan, MAX_PANEL, RELAX_FILL, RELAX_COLS);
     let kept =
         SupernodalLuPlan::dissolve_thin_panels(plan, &detected, DENSE_PANEL_MIN_FLOPS_PER_ENTRY);
     (
@@ -154,7 +155,7 @@ fn profile_problem(p: &sympiler_bench::workloads::LuBenchProblem, trace: &mut Tr
     // panels must not disturb the exact accounting.
     let before_d = profiler.counter_value("flops.dense");
     let before_s = profiler.counter_value("flops.scalar");
-    auto_supernodal(&plan, &SympilerOptions::default())
+    auto_supernodal(&plan)
         .0
         .factor(&p.a)
         .expect("profiled supernodal factor");
@@ -427,7 +428,7 @@ fn main() {
                 // not expected, but the acceptance tolerance is. Built
                 // the way `Auto` builds it, so the timings and the
                 // dense share are what a default compile would run.
-                let (sup, detected_width) = auto_supernodal(lu.plan(), &opts);
+                let (sup, detected_width) = auto_supernodal(lu.plan());
                 let f_sup = sup.factor(&p.a).expect("supernodal factors");
                 assert!(
                     f_sup.l().same_pattern(&base.l) && f_sup.u().same_pattern(&base.u),

@@ -5,12 +5,17 @@
 use crate::harness::median_time;
 use crate::workloads::{BenchProblem, LuBenchProblem};
 use std::time::Duration;
-use sympiler_core::plan::tri::{TriScratch, TriSolvePlan, TriVariant};
-use sympiler_core::{BlockLu, Ordering, SympilerCholesky, SympilerLu, SympilerOptions};
+use sympiler_core::plan::chol::{CholPlan, MAX_SUPERNODE_WIDTH};
+use sympiler_core::plan::lu_supernodal::{RELAX_COLS, RELAX_FILL};
+use sympiler_core::plan::tri::{
+    TriScratch, TriSolvePlan, TriVariant, PEEL_COL_COUNT, VS_BLOCK_MIN_AVG_SIZE,
+};
+use sympiler_core::{BlockLu, Ordering, SympilerLu, SympilerOptions};
 use sympiler_solvers::cholesky::simplicial::SimplicialCholesky;
 use sympiler_solvers::cholesky::supernodal::SupernodalCholesky;
 use sympiler_solvers::lu::{GpLu, Pivoting};
 use sympiler_solvers::trisolve;
+use sympiler_sparse::CscMatrix;
 
 /// Number of repetitions per measurement (paper: 5, median).
 pub const RUNS: usize = 5;
@@ -47,10 +52,9 @@ impl TriEngine {
 /// participating supernode size is too small, VS-Block tiers fall back
 /// to VI-Prune-only execution.
 pub fn build_tri_plan(p: &BenchProblem, engine: TriEngine) -> Option<TriSolvePlan> {
-    let opts = SympilerOptions::default();
     let col_counts: Vec<usize> = (0..p.l.n_cols()).map(|j| p.l.col_nnz(j)).collect();
-    let part = sympiler_graph::supernode::supernodes_trisolve(&p.l, opts.max_supernode_width);
-    let vs_ok = part.avg_participating_size(&col_counts) >= opts.vs_block_min_avg_size;
+    let part = sympiler_graph::supernode::supernodes_trisolve(&p.l, MAX_SUPERNODE_WIDTH);
+    let vs_ok = part.avg_participating_size(&col_counts) >= VS_BLOCK_MIN_AVG_SIZE;
     let variant = match engine {
         TriEngine::Naive | TriEngine::Eigen => return None,
         TriEngine::SympilerVsBlock => TriVariant {
@@ -73,8 +77,8 @@ pub fn build_tri_plan(p: &BenchProblem, engine: TriEngine) -> Option<TriSolvePla
         &p.l,
         p.b.indices(),
         variant,
-        opts.max_supernode_width,
-        opts.peel_col_count,
+        MAX_SUPERNODE_WIDTH,
+        PEEL_COL_COUNT,
     ))
 }
 
@@ -142,22 +146,19 @@ impl CholEngine {
         }
     }
 
-    /// The compile options of a Sympiler engine (`None` for the
-    /// library baselines).
-    pub fn options(self) -> Option<SympilerOptions> {
-        let default = SympilerOptions::default();
-        match self {
-            CholEngine::Eigen | CholEngine::Cholmod => None,
-            CholEngine::SympilerVsBlock => Some(SympilerOptions {
-                low_level: false,
-                ..default
-            }),
-            CholEngine::SympilerStrict => Some(SympilerOptions {
-                relax_fill: 0.0,
-                ..default
-            }),
-            CholEngine::SympilerFull => Some(default),
-        }
+    /// The compiled plan of a Sympiler engine on `a` (`None` for the
+    /// library baselines), built by the one constructor that takes the
+    /// amalgamation budget: the compile defaults, with low-level
+    /// kernels off for VS-Block and amalgamation off for strict.
+    pub fn plan(self, a: &CscMatrix) -> Option<CholPlan> {
+        let (relax_fill, low_level) = match self {
+            CholEngine::Eigen | CholEngine::Cholmod => return None,
+            CholEngine::SympilerVsBlock => (RELAX_FILL, false),
+            CholEngine::SympilerStrict => (0.0, true),
+            CholEngine::SympilerFull => (RELAX_FILL, true),
+        };
+        let plan = CholPlan::build(a, MAX_SUPERNODE_WIDTH, relax_fill, RELAX_COLS, low_level);
+        Some(plan.expect("spd"))
     }
 }
 
@@ -181,8 +182,7 @@ pub fn time_chol_engine(p: &BenchProblem, engine: CholEngine) -> Duration {
             })
         }
         _ => {
-            let opts = engine.options().expect("sympiler engine");
-            let chol = SympilerCholesky::compile(&p.a, &opts).expect("spd");
+            let chol = engine.plan(&p.a).expect("sympiler engine");
             median_time(RUNS, || {
                 let f = chol.factor(&p.a).expect("factor");
                 std::hint::black_box(&f);
@@ -328,6 +328,7 @@ pub fn chol_flops(p: &BenchProblem) -> u64 {
 mod tests {
     use super::*;
     use crate::workloads::prepare_subset;
+    use sympiler_core::PrePivot;
     use sympiler_sparse::suite::SuiteScale;
 
     #[test]
@@ -379,11 +380,7 @@ mod tests {
             CholEngine::SympilerStrict,
             CholEngine::SympilerFull,
         ] {
-            let l_symp = SympilerCholesky::compile(&p.a, &engine.options().unwrap())
-                .unwrap()
-                .factor(&p.a)
-                .unwrap()
-                .to_csc();
+            let l_symp = engine.plan(&p.a).unwrap().factor(&p.a).unwrap().to_csc();
             assert!(l_symp.same_pattern(&l_eigen), "{}", engine.label());
             for (x, y) in l_eigen.values().iter().zip(l_symp.values()) {
                 assert!((x - y).abs() < 1e-9, "{}", engine.label());
@@ -439,7 +436,8 @@ mod tests {
             };
             let lu = SympilerLu::compile(&p.a, &opts).unwrap();
             let f = lu.factor(&p.a).unwrap();
-            let base = GpLu::factor_ordered(&p.a, Pivoting::None, ordering).unwrap();
+            let base =
+                GpLu::factor_prepivoted(&p.a, Pivoting::None, PrePivot::Off, ordering).unwrap();
             assert!(f.l().same_pattern(&base.factors.l), "{ordering:?}");
             for (x, y) in f.u().values().iter().zip(base.factors.u.values()) {
                 assert!((x - y).abs() < 1e-10, "{ordering:?}");

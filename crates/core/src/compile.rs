@@ -3,11 +3,14 @@
 //! specialized executable (plan) with the inspection sets and the
 //! transformation decisions baked in.
 
-use crate::plan::chol::{CholFactor, CholPlan, CholPlanError};
+use crate::plan::chol::{CholFactor, CholPlan, CholPlanError, MAX_SUPERNODE_WIDTH};
 use crate::plan::lu::{
     BatchError, LuFactor, LuPlan, LuPlanError, LuWorkspace, POSITION_MAX_OPS_PER_ENTRY,
 };
-use crate::plan::tri::{TriScratch, TriSolvePlan, TriVariant};
+use crate::plan::lu_supernodal::{MAX_PANEL, RELAX_COLS, RELAX_FILL};
+use crate::plan::tri::{
+    TriScratch, TriSolvePlan, TriVariant, PEEL_COL_COUNT, VS_BLOCK_MIN_AVG_SIZE,
+};
 use crate::report::{timed, SymbolicReport};
 use sympiler_graph::supernode::supernodes_trisolve;
 use sympiler_sparse::{CscMatrix, SparseVec};
@@ -38,7 +41,15 @@ pub enum BlockLu {
     Off,
 }
 
-/// Tunable thresholds and switches (paper §4.2).
+/// What the caller asks of the compiler: the problem's switches, not
+/// the compiler's thresholds.
+///
+/// The thresholds the paper treats as compiler constants (§4.2) are
+/// constants here too, read by the `compile` calls and taken as
+/// arguments by the plan constructors that sweep or force them:
+/// [`PEEL_COL_COUNT`], [`VS_BLOCK_MIN_AVG_SIZE`],
+/// [`MAX_SUPERNODE_WIDTH`], [`MAX_PANEL`], [`RELAX_FILL`] and
+/// [`RELAX_COLS`].
 ///
 /// The LU pipeline's compile-time knobs compose: a static pre-pivot
 /// ([`Self::pre_pivot`]) makes the diagonal usable, a fill-reducing
@@ -63,43 +74,21 @@ pub enum BlockLu {
 /// assert!(sympiler_sparse::ops::rel_residual(&a, &x, &vec![1.0; 48]) < 1e-10);
 /// ```
 ///
-/// Plan-cache identity is the 12 fields [`SympilerLu::compile`] reads
-/// (`low_level`, `peel_col_count`, `n_threads`, `ordering`,
-/// `block_lu`, `max_panel`, `relax_fill`, `relax_cols`, `mc64_scale`,
-/// `pre_pivot`, `profile`, `pivot_perturb`): a
-/// [`crate::serve::PlanCache`] entry matches a request only when those
-/// fields compare equal to the ones the entry was compiled with (the
-/// structural hash alone is not trusted). Requests that differ only
-/// elsewhere share one plan: [`Self::recovery`] is read while a
-/// request runs and never reaches `compile`, and `vs_block`,
-/// `vi_prune`, `max_supernode_width` and `vs_block_min_avg_size` steer
-/// [`SympilerTriSolve`] / [`SympilerCholesky`] only, which the cache
-/// never stores.
+/// Plan-cache identity is the 7 fields that change the plan
+/// [`SympilerLu::compile`] builds (`low_level`, `n_threads`,
+/// `ordering`, `block_lu`, `mc64_scale`, `pre_pivot`,
+/// `pivot_perturb`): a [`crate::serve::PlanCache`] entry matches a
+/// request only when those fields compare equal to the ones the entry
+/// was compiled with (the structural hash alone is not trusted).
+/// Requests that differ only elsewhere share one plan:
+/// [`Self::recovery`] is read while a request runs and never reaches
+/// `compile`, and the cache compiles every entry with
+/// [`Self::profile`] off, recording onto its own profiler instead.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SympilerOptions {
-    /// Enable VS-Block (subject to the supernode-size threshold).
-    /// Read by [`SympilerTriSolve`] / [`SympilerCholesky`]; not LU
-    /// cache identity.
-    pub vs_block: bool,
-    /// Enable VI-Prune. Read by [`SympilerTriSolve`]; not LU cache
-    /// identity.
-    pub vi_prune: bool,
     /// Enable the low-level transformations (peeling, unrolled
     /// specialized kernels).
     pub low_level: bool,
-    /// Cap on supernode width (0 = unlimited). Read by
-    /// [`SympilerTriSolve`] / [`SympilerCholesky`]; not LU cache
-    /// identity.
-    pub max_supernode_width: usize,
-    /// VS-Block is skipped when the average participating supernode
-    /// size (width × panel rows) is below this. "This parameter is
-    /// currently hand-tuned and is set to 160" — the paper's value is
-    /// kept as the default. Read by [`SympilerTriSolve`]; not LU cache
-    /// identity.
-    pub vs_block_min_avg_size: f64,
-    /// Peel reach-set iterations whose column has more than this many
-    /// off-diagonal nonzeros (Figure 1e uses 2).
-    pub peel_col_count: usize,
     /// Worker threads for the LU numeric phase. `1` (the default)
     /// walks columns (or panels) in order on the calling thread; higher
     /// values level the column elimination DAG (or the panel DAG) and
@@ -131,32 +120,6 @@ pub struct SympilerOptions {
     /// `n_threads > 1` the supernodal engine levels the **panel** DAG
     /// instead of the column DAG.
     pub block_lu: BlockLu,
-    /// Cap on LU panel width (the supernodal relaxation knob: wider
-    /// panels amortize more scalar work into dense kernels but grow
-    /// the dense block accumulator, `n × max_panel` doubles per
-    /// worker). 0 = unlimited.
-    pub max_panel: usize,
-    /// Relative fill budget for **relaxed supernode amalgamation**
-    /// (CHOLMOD/SuperLU's `relax`), governing both factorizations. LU:
-    /// adjacent strictly-nesting panels merge into one wider panel when
-    /// the explicit zeros the merged trapezoid must pad stay within
-    /// `relax_fill` × the panel's structural nonzeros (4× that up to 4
-    /// columns). Cholesky: the same budget, but a supernode merges only
-    /// into the supernode of its **etree parent**
-    /// ([`sympiler_graph::supernode::supernodes_cholesky_relaxed`]).
-    /// Padded slots compute to exact ±0.0 and never reach an extracted
-    /// factor (LU pads dense workspace only; `CholFactor::to_csc`
-    /// drops padding by structure), buying wider panels — more
-    /// dense-kernel work per schedule entry — for a bounded amount of
-    /// wasted arithmetic. `<= 0.0` disables merging: LU panels are
-    /// bitwise the strict ones and Cholesky supernodes are the paper's
-    /// strict partition (§4.1's like-for-like setting). Default `0.3`.
-    pub relax_fill: f64,
-    /// Cap on the width an amalgamated panel or supernode may grow to
-    /// (min'd with `max_panel` for LU, `max_supernode_width` for
-    /// Cholesky, when those are nonzero). `< 2` disables merging.
-    /// Default `16`.
-    pub relax_cols: usize,
     /// Finish MC64: derive row/column equilibration scalings `Dr`/`Dc`
     /// from the weighted-matching dual potentials and fold them into
     /// the plan's baked gather maps — the numeric phase factors
@@ -188,7 +151,8 @@ pub struct SympilerOptions {
     /// [`SympilerLu::profiler`]. `false` (the default) compiles a
     /// disabled profiler whose hooks are single-branch no-ops — the
     /// numeric phase stays bitwise identical either way (all
-    /// instrumentation is observational).
+    /// instrumentation is observational). Not plan-cache identity:
+    /// [`crate::serve::PlanCache`] compiles every entry with it off.
     pub profile: bool,
     /// Static pivot perturbation tolerance (layer 1 of the recovery
     /// ladder, SuperLU_DIST's idea under the static-pivoting
@@ -218,18 +182,10 @@ pub struct SympilerOptions {
 impl Default for SympilerOptions {
     fn default() -> Self {
         Self {
-            vs_block: true,
-            vi_prune: true,
             low_level: true,
-            max_supernode_width: 64,
-            vs_block_min_avg_size: 160.0,
-            peel_col_count: 2,
             n_threads: 1,
             ordering: Ordering::Natural,
             block_lu: BlockLu::Auto,
-            max_panel: 32,
-            relax_fill: 0.3,
-            relax_cols: 16,
             mc64_scale: false,
             pre_pivot: PrePivot::Off,
             profile: false,
@@ -240,24 +196,19 @@ impl Default for SympilerOptions {
 }
 
 /// The part of [`SympilerOptions`] that is plan-cache identity: every
-/// field [`SympilerLu::compile`] reads (`f64`s by bit pattern, so the
-/// derived `Eq`/`Hash` are exact), and nothing that is only read while
-/// a request runs or only by the drivers the cache never stores.
+/// field that changes the plan [`SympilerLu::compile`] builds (`f64`s
+/// by bit pattern, so the derived `Eq`/`Hash` are exact), and nothing
+/// that is only read while a request runs or that the cache turns off.
 /// [`crate::serve::structural_hash`] hashes it and
 /// [`crate::serve::PlanCache`] compares it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub(crate) struct CompileKey {
     low_level: bool,
-    peel_col_count: usize,
     n_threads: usize,
     ordering: Ordering,
     block_lu: BlockLu,
-    max_panel: usize,
-    relax_fill: u64,
-    relax_cols: usize,
     mc64_scale: bool,
     pre_pivot: PrePivot,
-    profile: bool,
     pivot_perturb: u64,
 }
 
@@ -269,28 +220,18 @@ impl SympilerOptions {
     /// dropped, like `recovery`).
     pub(crate) fn compile_key(&self) -> CompileKey {
         let Self {
-            // Read by `SympilerTriSolve::compile` /
-            // `SympilerCholesky::compile` only, whose results
-            // `PlanCache` never stores: keyed on, they would file
-            // bit-identical LU plans under distinct entries.
-            vs_block: _,
-            vi_prune: _,
-            max_supernode_width: _,
-            vs_block_min_avg_size: _,
             low_level,
-            peel_col_count,
             n_threads,
             ordering,
             block_lu,
-            max_panel,
-            relax_fill,
-            relax_cols,
             mc64_scale,
             pre_pivot,
-            // Both change the artefact: a profiled plan carries an
-            // enabled profiler, a perturbed plan a pivot threshold (the
-            // service's escalation relies on it being a distinct entry).
-            profile,
+            // `PlanCache` compiles every entry unprofiled and records
+            // onto its own profiler: keyed on, a profiled request would
+            // file a bit-identical plan under a second entry.
+            profile: _,
+            // A perturbed plan carries a pivot threshold (the service's
+            // escalation relies on it being a distinct entry).
             pivot_perturb,
             // Run-time policy: read from the request's own options by
             // `FactorService` and `RobustLu`, never by `compile`.
@@ -304,16 +245,11 @@ impl SympilerOptions {
         } = *self;
         CompileKey {
             low_level,
-            peel_col_count,
             n_threads,
             ordering,
             block_lu,
-            max_panel,
-            relax_fill: relax_fill.to_bits(),
-            relax_cols,
             mc64_scale,
             pre_pivot,
-            profile,
             pivot_perturb: pivot_perturb.to_bits(),
         }
     }
@@ -334,8 +270,10 @@ impl SympilerTriSolve {
     /// Compile for lower-triangular `l` and RHS pattern `beta`.
     ///
     /// Applies the paper's transformation ordering: VS-Block first
-    /// (when the supernode-size threshold admits it), then VI-Prune,
-    /// then the enabled low-level transformations.
+    /// (when the supernode-size threshold [`VS_BLOCK_MIN_AVG_SIZE`]
+    /// admits it), then VI-Prune, then the low-level transformations
+    /// when `opts.low_level` is set — the one field read. Other
+    /// variants and thresholds are built with [`TriSolvePlan::build`].
     pub fn compile(l: &CscMatrix, beta: &[usize], opts: &SympilerOptions) -> Self {
         let mut report = SymbolicReport::default();
         // Inspection: reach-set (VI-Prune set).
@@ -346,30 +284,19 @@ impl SympilerTriSolve {
         });
         report.set_size("reach-set", reach.len());
         // Inspection: block-set + threshold decision.
-        let vs_block = if opts.vs_block {
-            let start = std::time::Instant::now();
-            let part = supernodes_trisolve(l, opts.max_supernode_width);
-            let col_counts: Vec<usize> = (0..l.n_cols()).map(|j| l.col_nnz(j)).collect();
-            let avg = part.avg_participating_size(&col_counts);
-            report.stage("inspect: supernodes (node equiv)", start.elapsed());
-            report.set_size("supernodes", part.n_supernodes());
-            avg >= opts.vs_block_min_avg_size
-        } else {
-            false
-        };
+        let start = std::time::Instant::now();
+        let part = supernodes_trisolve(l, MAX_SUPERNODE_WIDTH);
+        let col_counts: Vec<usize> = (0..l.n_cols()).map(|j| l.col_nnz(j)).collect();
+        let avg = part.avg_participating_size(&col_counts);
+        report.stage("inspect: supernodes (node equiv)", start.elapsed());
+        report.set_size("supernodes", part.n_supernodes());
         let variant = TriVariant {
-            vs_block,
-            vi_prune: opts.vi_prune,
+            vs_block: avg >= VS_BLOCK_MIN_AVG_SIZE,
+            vi_prune: true,
             low_level: opts.low_level,
         };
         let plan = timed(&mut report, "transform + pack (plan build)", || {
-            TriSolvePlan::build(
-                l,
-                beta,
-                variant,
-                opts.max_supernode_width,
-                opts.peel_col_count,
-            )
+            TriSolvePlan::build(l, beta, variant, MAX_SUPERNODE_WIDTH, PEEL_COL_COUNT)
         });
         Self {
             plan,
@@ -427,18 +354,17 @@ pub struct SympilerCholesky {
 }
 
 impl SympilerCholesky {
-    /// Compile for the SPD matrix `a` in lower-triangular storage.
+    /// Compile for the SPD matrix `a` in lower-triangular storage:
+    /// supernodes capped at [`MAX_SUPERNODE_WIDTH`] and amalgamated
+    /// under [`RELAX_FILL`] / [`RELAX_COLS`], specialized kernels when
+    /// `opts.low_level` is set — the one field read. Other widths and
+    /// budgets are built with [`CholPlan::build`].
     pub fn compile(a_lower: &CscMatrix, opts: &SympilerOptions) -> Result<Self, CholPlanError> {
-        let max_width = if opts.vs_block {
-            opts.max_supernode_width
-        } else {
-            1 // width-1 supernodes == non-supernodal execution
-        };
         let plan = CholPlan::build(
             a_lower,
-            max_width,
-            opts.relax_fill,
-            opts.relax_cols,
+            MAX_SUPERNODE_WIDTH,
+            RELAX_FILL,
+            RELAX_COLS,
             opts.low_level,
         )?;
         Ok(Self { plan })
@@ -507,10 +433,11 @@ enum LuExec {
 
 impl SympilerLu {
     /// Compile for the square matrix `a` (full storage). `low_level`
-    /// and `peel_col_count` select the peeled update tier exactly like
-    /// the triangular-solve pipeline; `block_lu` / `max_panel` control
-    /// the supernodal (VS-Block) tier, which routes wide column panels
-    /// of the predicted `L` through dense GETRF/TRSM/GEMM kernels.
+    /// selects the peeled update tier exactly like the triangular-solve
+    /// pipeline; `block_lu` controls the supernodal (VS-Block) tier,
+    /// which routes wide column panels of the predicted `L` (detected
+    /// under [`MAX_PANEL`], [`RELAX_FILL`] and [`RELAX_COLS`]) through
+    /// dense GETRF/TRSM/GEMM kernels.
     /// `pre_pivot` and `ordering` select the
     /// static row pre-pivot and fill-reducing ordering computed at
     /// inspection time and baked into the plan ([`LuPlan::build`]);
@@ -529,9 +456,7 @@ impl SympilerLu {
         // a dense panel survives — otherwise the scalar plan, which
         // carries no panel tables at all, runs the same columns.
         use crate::plan::lu_supernodal::{SupernodalLuPlan, DENSE_PANEL_MIN_FLOPS_PER_ENTRY};
-        let detect = || {
-            SupernodalLuPlan::detect_panels(&plan, opts.max_panel, opts.relax_fill, opts.relax_cols)
-        };
+        let detect = || SupernodalLuPlan::detect_panels(&plan, MAX_PANEL, RELAX_FILL, RELAX_COLS);
         let panels = match opts.block_lu {
             BlockLu::Off => None,
             BlockLu::On => Some(detect()),
@@ -722,18 +647,26 @@ mod tests {
         // 160 threshold VS-Block must be skipped.
         let l = gen::random_lower_triangular(100, 2, 3);
         let b = rhs::random_sparse_rhs(100, 0.04, 4);
-        let ts = SympilerTriSolve::compile(&l, b.indices(), &SympilerOptions::default());
+        let mut ts = SympilerTriSolve::compile(&l, b.indices(), &SympilerOptions::default());
         assert!(
             !ts.plan().variant().vs_block,
             "threshold must reject VS-Block"
         );
-        // Forcing the threshold to zero enables it.
-        let opts = SympilerOptions {
-            vs_block_min_avg_size: 0.0,
-            ..Default::default()
-        };
-        let ts2 = SympilerTriSolve::compile(&l, b.indices(), &opts);
-        assert!(ts2.plan().variant().vs_block);
+        // The plan constructor, which takes the decision instead of the
+        // threshold, still blocks and solves the same.
+        let plan = TriSolvePlan::build(
+            &l,
+            b.indices(),
+            TriVariant::full(),
+            MAX_SUPERNODE_WIDTH,
+            PEEL_COL_COUNT,
+        );
+        assert!(plan.variant().vs_block);
+        let mut x = vec![0.0; 100];
+        plan.solve(&b, &mut x, &mut TriScratch::default());
+        for (p, q) in x.iter().zip(&ts.solve(&b)) {
+            assert!((p - q).abs() < 1e-11);
+        }
     }
 
     #[test]
@@ -750,12 +683,9 @@ mod tests {
     #[test]
     fn cholesky_no_vs_block_still_correct() {
         let a = gen::circuit_like(50, 4, 2, 2);
-        let opts = SympilerOptions {
-            vs_block: false,
-            ..Default::default()
-        };
-        let chol = SympilerCholesky::compile(&a, &opts).unwrap();
-        let f = chol.factor(&a).unwrap();
+        // Width-1 supernodes == non-supernodal execution.
+        let plan = CholPlan::build(&a, 1, RELAX_FILL, RELAX_COLS, true).unwrap();
+        let f = plan.factor(&a).unwrap();
         let l_ref = sympiler_solvers::SimplicialCholesky::analyze(&a)
             .unwrap()
             .factor(&a)
@@ -793,16 +723,17 @@ mod tests {
 
     #[test]
     fn default_options_match_paper() {
+        assert_eq!(VS_BLOCK_MIN_AVG_SIZE, 160.0);
+        assert_eq!(PEEL_COL_COUNT, 2);
+        assert_eq!(MAX_SUPERNODE_WIDTH, 64);
         let o = SympilerOptions::default();
-        assert_eq!(o.vs_block_min_avg_size, 160.0);
-        assert_eq!(o.peel_col_count, 2);
-        assert!(o.vs_block && o.vi_prune && o.low_level);
+        assert!(o.low_level);
         assert_eq!(o.n_threads, 1, "serial numeric phase by default");
         assert_eq!(o.ordering, Ordering::Natural, "no reordering by default");
         assert_eq!(o.block_lu, BlockLu::Auto, "supernodal LU auto-detects");
-        assert_eq!(o.max_panel, 32, "panel cap keeps block buffers small");
-        assert_eq!(o.relax_fill, 0.3, "CHOLMOD-style relaxation budget");
-        assert_eq!(o.relax_cols, 16, "amalgamated panels stay cache-sized");
+        assert_eq!(MAX_PANEL, 32, "panel cap keeps block buffers small");
+        assert_eq!(RELAX_FILL, 0.3, "CHOLMOD-style relaxation budget");
+        assert_eq!(RELAX_COLS, 16, "amalgamated panels stay cache-sized");
         assert!(!o.mc64_scale, "factors comparable with unscaled baselines");
         assert_eq!(o.pre_pivot, PrePivot::Off, "no pre-pivot by default");
         assert!(!o.profile, "observability off by default");
@@ -895,17 +826,15 @@ mod tests {
         // pay, so Auto engages — relaxation is exactly what makes
         // such patterns blockable. On forces the engine regardless
         // and stays correct.
+        use crate::plan::lu_supernodal::{SupernodalLuPlan, DENSE_PANEL_MIN_FLOPS_PER_ENTRY};
         let g = gen::convection_diffusion_2d(8, 8, 1.0, 6);
-        let never = SympilerLu::compile(
-            &g,
-            &SympilerOptions {
-                relax_fill: 0.0,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        assert!(
-            !never.is_supernodal(),
+        let plan = LuPlan::build(&g, &SympilerOptions::default()).unwrap();
+        let strict = SupernodalLuPlan::detect_panels(&plan, MAX_PANEL, 0.0, RELAX_COLS);
+        let never =
+            SupernodalLuPlan::dissolve_thin_panels(&plan, &strict, DENSE_PANEL_MIN_FLOPS_PER_ENTRY);
+        assert_eq!(
+            never.part.n_supernodes(),
+            plan.n(),
             "strict sparse blocking must not engage Auto"
         );
         let relaxed = SympilerLu::compile(&g, &SympilerOptions::default()).unwrap();
@@ -913,17 +842,8 @@ mod tests {
             relaxed.is_supernodal(),
             "default amalgamation budget blocks the grid"
         );
-        let forced = SympilerLu::compile(
-            &g,
-            &SympilerOptions {
-                block_lu: BlockLu::On,
-                relax_fill: 0.0,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        assert!(forced.is_supernodal());
-        assert!(forced.supernodal().unwrap().n_wide_panels() > 0);
+        let forced = SupernodalLuPlan::from_panels(plan, strict, 1);
+        assert!(forced.n_wide_panels() > 0);
         let f_forced = forced.factor(&g).unwrap();
         let f_scalar = SympilerLu::compile(
             &g,

@@ -50,6 +50,17 @@ use sympiler_graph::supernode::{supernodes_cholesky_relaxed, RelaxedPanels, Supe
 use sympiler_graph::symbolic::SymbolicFactor;
 use sympiler_sparse::CscMatrix;
 
+/// Cap on supernode width (0 = unlimited) for the Cholesky and
+/// triangular-solve plans [`crate::SympilerCholesky::compile`] and
+/// [`crate::SympilerTriSolve::compile`] build. 64 is the cap the
+/// CHOLMOD-like baseline runs with in the Figure 7 engines
+/// (`SupernodalCholesky::analyze(a, 64)`), so the strict bars compare
+/// like partitions; amalgamated supernodes stop at
+/// [`super::lu_supernodal::RELAX_COLS`] first. [`CholPlan::build`] and
+/// [`super::tri::TriSolvePlan::build`] take it as an argument, and
+/// width 1 there is non-supernodal execution.
+pub const MAX_SUPERNODE_WIDTH: usize = 64;
+
 /// Factorization error (mirrors the baseline error type; kept separate
 /// so `sympiler-core` does not depend on `sympiler-solvers`).
 #[derive(Debug, Clone, PartialEq, Eq)]

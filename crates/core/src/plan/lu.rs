@@ -50,6 +50,7 @@ pub use positions::POSITION_MAX_OPS_PER_ENTRY;
 pub use workspace::LuWorkspace;
 
 use super::level_schedule::{walk, LaneScratch, LevelSchedule, SharedValues, WalkLabels};
+use super::tri::PEEL_COL_COUNT;
 use crate::compile::SympilerOptions;
 use crate::inspector::LuVIPruneInspector;
 use crate::report::{timed_traced, SymbolicReport};
@@ -309,16 +310,15 @@ pub struct LuPlan {
 impl LuPlan {
     /// Compile a plan for the square (generally unsymmetric) matrix
     /// `a` — the one constructor. Of `opts` it reads exactly
-    /// [`low_level`](SympilerOptions::low_level) and
-    /// [`peel_col_count`](SympilerOptions::peel_col_count) (the peeled
-    /// update tier: update columns with more than that many
+    /// [`low_level`](SympilerOptions::low_level) (the peeled update
+    /// tier: update columns with more than [`PEEL_COL_COUNT`]
     /// off-diagonal entries unroll, Figure 1e's rule applied to
     /// factorization updates), [`ordering`](SympilerOptions::ordering)
     /// and [`pre_pivot`](SympilerOptions::pre_pivot),
     /// [`mc64_scale`](SympilerOptions::mc64_scale),
     /// [`pivot_perturb`](SympilerOptions::pivot_perturb) and
     /// [`profile`](SympilerOptions::profile); the execution-tier fields
-    /// (`n_threads`, `block_lu`, the panel knobs) belong to
+    /// (`n_threads`, `block_lu`) belong to
     /// [`crate::SympilerLu::compile`], which calls this and then
     /// [`Self::leveled`], [`Self::with_position_tables`] or
     /// [`super::lu_supernodal::SupernodalLuPlan::from_panels`].
@@ -472,7 +472,7 @@ impl LuPlan {
             },
             structure: Arc::new(structure),
             peel_above: if opts.low_level {
-                opts.peel_col_count
+                PEEL_COL_COUNT
             } else {
                 usize::MAX
             },
@@ -1205,6 +1205,23 @@ impl LuPlan {
 }
 
 #[cfg(test)]
+impl LuPlan {
+    /// This plan with its peeled tier resolved at `peel_above` instead
+    /// of [`PEEL_COL_COUNT`] — how tests reach the thresholds no option
+    /// sets. Call it before baking tables.
+    pub(crate) fn with_peel_above(mut self, peel_above: usize) -> Self {
+        self.peel_above = peel_above;
+        let n_peeled = self.n_peeled();
+        for (name, size) in &mut self.report.set_sizes {
+            if name == "peeled updates" {
+                *size = n_peeled;
+            }
+        }
+        self
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use sympiler_solvers::lu::{GpLu, Pivoting};
@@ -1661,10 +1678,14 @@ mod tests {
         for (low_level, peel) in [(true, 2), (true, 0), (false, 0)] {
             let opts = SympilerOptions {
                 low_level,
-                peel_col_count: peel,
                 ..Default::default()
             };
             let plan = LuPlan::build(&a, &opts).unwrap();
+            let plan = if low_level {
+                plan.with_peel_above(peel)
+            } else {
+                plan
+            };
             let mut peeled = 0;
             for j in 0..plan.n() {
                 assert!(plan.schedule(j).eq(sym.reach(j).iter().copied()));

@@ -337,12 +337,16 @@ mod tests {
                             for mc64 in [false, true] {
                                 let opts = SympilerOptions {
                                     low_level,
-                                    peel_col_count: peel,
                                     pivot_perturb: tol,
                                     mc64_scale: mc64,
                                     ..pivoted(ordering, *pre_pivot)
                                 };
                                 let plan = LuPlan::build(a, &opts).unwrap();
+                                let plan = if low_level {
+                                    plan.with_peel_above(peel)
+                                } else {
+                                    plan
+                                };
                                 let walker = walker_of(&plan);
                                 assert_eq!(
                                     walker
@@ -357,6 +361,13 @@ mod tests {
                                     outcome(&plan, a),
                                     "{ordering:?} {pre_pivot:?} low_level={low_level} \
                                      peel={peel} tol={tol} mc64={mc64} seed={seed}"
+                                );
+                                // The leveled walk of the same cell, which
+                                // the public API reaches only at peel 2.
+                                assert_eq!(
+                                    outcome(&plan.clone().leveled(2), a),
+                                    outcome(&plan, a),
+                                    "leveled: {ordering:?} {pre_pivot:?} peel={peel} seed={seed}"
                                 );
                                 cells += 1;
                             }
@@ -416,11 +427,9 @@ mod tests {
                 ],
             );
             for (peel, peeled) in [(2, false), (0, true)] {
-                let opts = SympilerOptions {
-                    peel_col_count: peel,
-                    ..Default::default()
-                };
-                let plan = LuPlan::build(&a, &opts).unwrap();
+                let plan = LuPlan::build(&a, &SympilerOptions::default())
+                    .unwrap()
+                    .with_peel_above(peel);
                 assert_eq!(plan.n_peeled() > 0, peeled);
                 let walker = walker_of(&plan);
                 let ops = &walker.positions.as_ref().unwrap().ops;

@@ -123,6 +123,46 @@ pub struct SupernodalLuPlan {
 /// from 3.
 pub const DENSE_PANEL_MIN_FLOPS_PER_ENTRY: f64 = 2.0;
 
+/// Cap on LU panel width [`crate::SympilerLu::compile`] detects panels
+/// with (the supernodal relaxation knob: wider panels amortize more
+/// scalar work into dense kernels but grow the dense block accumulator,
+/// `n × MAX_PANEL` doubles per worker). Amalgamated panels stop at
+/// [`RELAX_COLS`] first, so 32 binds only on strictly nesting panels —
+/// dense trailing blocks. [`SupernodalLuPlan::detect_panels`] takes it
+/// as an argument (0 = unlimited).
+pub const MAX_PANEL: usize = 32;
+
+/// Relative fill budget for **relaxed supernode amalgamation**
+/// (CHOLMOD/SuperLU's `relax`), governing both factorizations. LU:
+/// adjacent strictly-nesting panels merge into one wider panel when
+/// the explicit zeros the merged trapezoid must pad stay within
+/// `RELAX_FILL` × the panel's structural nonzeros (4× that up to 4
+/// columns). Cholesky: the same budget, but a supernode merges only
+/// into the supernode of its **etree parent**
+/// ([`sympiler_graph::supernode::supernodes_cholesky_relaxed`]).
+/// Padded slots compute to exact ±0.0 and never reach an extracted
+/// factor (LU pads dense workspace only; `CholFactor::to_csc` drops
+/// padding by structure), buying wider panels — more dense-kernel work
+/// per schedule entry — for a bounded amount of wasted arithmetic.
+/// Measured (`ablation_thresholds`' Cholesky sweep over the
+/// nested-dissection Laplacian and three suite matrices): 0.3 with
+/// [`RELAX_COLS`] 16 is within ~10 % of the best cell on all four,
+/// while caps ≥ 32 with budgets ≥ 0.3 cost the blocked-banded patterns
+/// 25–300 %; on COLAMD circuits it widens LU panels from ~1.3–1.9 to
+/// ~3.5–4.2 mean width. [`SupernodalLuPlan::detect_panels`] and
+/// [`crate::plan::chol::CholPlan::build`] take it as an argument, where
+/// `<= 0.0` disables merging: LU panels are bitwise the strict ones and
+/// Cholesky supernodes are the paper's strict partition (§4.1's
+/// like-for-like setting).
+pub const RELAX_FILL: f64 = 0.3;
+
+/// Cap on the width an amalgamated panel or supernode may grow to
+/// (min'd with [`MAX_PANEL`] for LU,
+/// [`crate::plan::chol::MAX_SUPERNODE_WIDTH`] for Cholesky). Cap 8 is
+/// too small on every pattern of the sweep behind [`RELAX_FILL`]. `< 2`
+/// disables merging where the constructors take it as an argument.
+pub const RELAX_COLS: usize = 16;
+
 /// Row stride of the accumulator for a panel of width `w`: `w` rounded
 /// up to the update kernel's 4-column register tile. At the panel's own
 /// width a remainder of 1–3 columns would run in the kernel's 1-column

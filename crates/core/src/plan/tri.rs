@@ -14,6 +14,23 @@ use sympiler_dense::small::{gemv_sub_small, trsv_small};
 use sympiler_dense::{gemv_sub, trsv_lower};
 use sympiler_sparse::{CscMatrix, SparseVec};
 
+/// Peeling threshold of the low-level tier: a reach-set column with
+/// more than this many stored nonzeros is peeled into unguarded,
+/// unrolled code — Figure 1e peels the columns with more than 2. The
+/// LU plan applies the same rule to its column updates (an update
+/// peels when its source column of `L` has more than this many
+/// off-diagonal entries). Read by [`crate::SympilerTriSolve::compile`]
+/// and [`super::lu::LuPlan::build`] when `low_level` is on;
+/// [`TriSolvePlan::build`] takes it as an argument.
+pub const PEEL_COL_COUNT: usize = 2;
+
+/// VS-Block is skipped when the average participating supernode size
+/// (width × panel rows) is below this. "This parameter is currently
+/// hand-tuned and is set to 160" (§4.2) — the paper's value, applied
+/// by [`crate::SympilerTriSolve::compile`]; [`TriSolvePlan::build`]
+/// takes the decision as [`TriVariant::vs_block`].
+pub const VS_BLOCK_MIN_AVG_SIZE: f64 = 160.0;
+
 /// Which transformations the plan applies — mirrors the stacked bars of
 /// the paper's Figure 6.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

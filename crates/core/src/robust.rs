@@ -53,9 +53,15 @@ pub struct RecoveryPolicy {
     /// partial-pivoting baseline. Off caps the ladder at refinement.
     pub allow_refactor: bool,
     /// Serving tier only: when a [`crate::serve::FactorService`]
-    /// request fails to factor, retry it through [`RobustLu::solve`]
-    /// instead of returning the factor error. Off by default — the
-    /// service's bitwise-reply contract is the conservative choice.
+    /// request fails to factor, retry it once through the ladder's
+    /// cheap rungs — re-factor through the same cache with
+    /// `pivot_perturb = 1e-8` (the request's own value if already
+    /// nonzero), then refine every solve to [`Self::berr_tol`] within
+    /// [`Self::max_refine_iters`] corrections — and
+    /// return the original factor error if any solve misses it. There
+    /// is no baseline rung there, so [`Self::allow_refactor`] is not
+    /// read. Off by default — the service's bitwise-reply contract is
+    /// the conservative choice.
     pub serve_escalate: bool,
 }
 

@@ -19,13 +19,14 @@
 //!   `col_ptr` word, every `row_idx` word, never a value — and the
 //!   options' *compile key*: every [`SympilerOptions`] field that
 //!   changes the compiled artefact, taken by exhaustive destructuring
-//!   in `compile.rs` so a new field cannot be forgotten. `profile` and
-//!   `pivot_perturb` are in it (a profiled plan carries an enabled
-//!   profiler, a perturbed plan a threshold — and escalation relies on
-//!   the perturbed plan being its own entry). The four `recovery.*`
-//!   fields are **run-time policy**: the service and `RobustLu` read
-//!   them from the request, `compile` never does, so requests that
-//!   differ only there share one plan.
+//!   in `compile.rs` so a new field cannot be forgotten.
+//!   `pivot_perturb` is in it (a perturbed plan carries a threshold —
+//!   and escalation relies on the perturbed plan being its own entry).
+//!   `profile` is not: the cache compiles every entry unprofiled and
+//!   records its own traces through [`PlanCache::with_profiler`]. The
+//!   four `recovery.*` fields are **run-time policy**: the service and
+//!   `RobustLu` read them from the request, `compile` never does. Requests
+//!   that differ only in those five fields share one plan.
 //!
 //!   **What a hit costs.** One pass of [`structural_hash`] over the
 //!   index words (four independent multiply–rotate lanes, ~13 µs for
@@ -315,9 +316,9 @@ impl CachedPlan {
         self.key
     }
 
-    /// The options the plan was compiled with. Their `recovery` policy
-    /// is the compiling request's: it is not cache identity, so later
-    /// requests served by this plan may carry a different one.
+    /// The options the plan was compiled with: the compiling request's
+    /// with `profile` off. Its `recovery` policy is not cache identity,
+    /// so later requests served by this plan may carry a different one.
     pub fn options(&self) -> &SympilerOptions {
         &self.opts
     }
@@ -581,10 +582,10 @@ impl PlanCache {
     /// The plan for `(a's pattern, opts)` — resident if cached,
     /// compiled (and admitted) otherwise. A hit requires the exact
     /// compiled pattern and equal compile-relevant options (everything
-    /// but `recovery`), not just a matching hash; values of `a` are
-    /// irrelevant. Returns the same `Arc` to every
-    /// concurrent caller of the same key, so gather tables exist once
-    /// regardless of thread count.
+    /// but `profile` and `recovery`), not just a matching hash; values
+    /// of `a` are irrelevant. The plan is compiled unprofiled. Returns
+    /// the same `Arc` to every concurrent caller of the same key, so
+    /// gather tables exist once regardless of thread count.
     pub fn get_or_compile(
         &self,
         a: &CscMatrix,
@@ -632,15 +633,21 @@ impl PlanCache {
             }
         };
         // Compile outside the lock so a slow symbolic phase on one
-        // pattern never serializes hits on others.
+        // pattern never serializes hits on others. Unprofiled whatever
+        // the request says: `profile` is not in the key, so this entry
+        // serves profiled and unprofiled requests alike.
+        let opts = SympilerOptions {
+            profile: false,
+            ..opts.clone()
+        };
         let span = self.profiler.begin(lane, "compile");
-        let compiled = SympilerLu::compile(a, opts);
+        let compiled = SympilerLu::compile(a, &opts);
         self.profiler
             .end_with(span, &[("ok", compiled.is_ok() as u64 as f64)]);
         let lu = compiled?;
         let plan = Arc::new(CachedPlan {
             key,
-            opts: opts.clone(),
+            opts,
             bytes: lu.table_bytes(),
             lu,
         });
@@ -752,8 +759,10 @@ pub struct ServeRequest {
     /// The matrix to factor (values fresh per request, pattern
     /// typically shared across the stream).
     pub a: CscMatrix,
-    /// Compile options — part of the cache key, except the `recovery`
-    /// policy, which is read while this request runs.
+    /// Compile options — part of the cache key, except `profile`
+    /// (served plans are compiled unprofiled; the service traces
+    /// through its cache's profiler) and the `recovery` policy, which
+    /// is read while this request runs.
     pub opts: SympilerOptions,
     /// Right-hand sides to solve after factoring (may be empty).
     pub rhs: Vec<Vec<f64>>,
@@ -1200,7 +1209,10 @@ mod tests {
     /// purpose (and then every cached-key artefact changes with it).
     /// Re-recorded when `CompileKey` shed the four options LU compile
     /// never reads (`vs_block`, `vi_prune`, `max_supernode_width`,
-    /// `vs_block_min_avg_size`): the hashed key went from 16 fields to 12.
+    /// `vs_block_min_avg_size`): the hashed key went from 16 fields to
+    /// 12. Re-recorded again when the compiler's thresholds
+    /// (`peel_col_count`, `max_panel`, `relax_fill`, `relax_cols`)
+    /// became constants and `profile` left the key: 12 fields to 7.
     #[test]
     fn structural_hash_keys_are_pinned() {
         let empty = CscMatrix::try_new(0, 0, vec![0], vec![], vec![]).unwrap();
@@ -1209,31 +1221,26 @@ mod tests {
             ordering: crate::Ordering::Colamd,
             ..opts()
         };
-        assert_eq!(structural_hash(&empty, &opts()), 0xe42c_8012_f380_a054);
-        assert_eq!(structural_hash(&a, &opts()), 0x62b3_081f_f8ab_5f0c);
-        assert_eq!(structural_hash(&a, &colamd), 0x96ae_ee67_f16a_d2ac);
+        assert_eq!(structural_hash(&empty, &opts()), 0x889c_8c44_f6b3_2a41);
+        assert_eq!(structural_hash(&a, &opts()), 0xdc5c_778b_65b6_337c);
+        assert_eq!(structural_hash(&a, &colamd), 0x3614_759e_e9f3_a605);
     }
 
-    /// Every option LU compile reads is identity; the four only the
-    /// trisolve / Cholesky drivers read, and the recovery policy, read
-    /// only while a request runs, are not.
+    /// Every option that changes the compiled LU plan is identity;
+    /// `profile`, which the cache compiles off, and the recovery
+    /// policy, read only while a request runs, are not.
     #[test]
     fn compile_fields_key_the_cache_and_recovery_fields_do_not() {
         let a = gen::circuit_unsym(40, 4, 2, 5);
         let cache = PlanCache::new(CacheConfig::default());
         let base = cache.get_or_compile(&a, &opts()).unwrap();
-        let compile_flips: [fn(&mut SympilerOptions); 12] = [
+        let compile_flips: [fn(&mut SympilerOptions); 7] = [
             |o| o.low_level = !o.low_level,
-            |o| o.peel_col_count = 5,
             |o| o.n_threads = 2,
             |o| o.ordering = crate::Ordering::Rcm,
             |o| o.block_lu = crate::BlockLu::On,
-            |o| o.max_panel = 4,
-            |o| o.relax_fill = 0.0,
-            |o| o.relax_cols = 2,
             |o| o.mc64_scale = true,
             |o| o.pre_pivot = crate::PrePivot::Transversal,
-            |o| o.profile = true,
             |o| o.pivot_perturb = 1e-8,
         ];
         for (k, flip) in compile_flips.iter().enumerate() {
@@ -1248,13 +1255,10 @@ mod tests {
             assert!(!Arc::ptr_eq(&p, &base), "compile field {k} must miss");
             assert_eq!(cache.len(), k + 2, "…and file a distinct entry");
         }
-        // Not identity: the four fields only `SympilerTriSolve` /
-        // `SympilerCholesky` read, and the run-time recovery policy.
-        let shared_flips: [fn(&mut SympilerOptions); 8] = [
-            |o| o.vs_block = !o.vs_block,
-            |o| o.vi_prune = !o.vi_prune,
-            |o| o.max_supernode_width = 8,
-            |o| o.vs_block_min_avg_size = 1.0,
+        // Not identity: `profile`, which the cache compiles off, and
+        // the run-time recovery policy.
+        let shared_flips: [fn(&mut SympilerOptions); 5] = [
+            |o| o.profile = true,
             |o| o.recovery.berr_tol = 1e-6,
             |o| o.recovery.max_refine_iters = 3,
             |o| o.recovery.allow_refactor = false,
@@ -1274,6 +1278,14 @@ mod tests {
             assert!(Arc::ptr_eq(&p, &base), "field {k} shares the base plan");
         }
         assert_eq!(cache.stats().misses, misses, "no such flip compiled");
+        // A profiled request that compiles files the unprofiled plan.
+        let fresh = PlanCache::new(CacheConfig::default());
+        let profiled = SympilerOptions {
+            profile: true,
+            ..opts()
+        };
+        let p = fresh.get_or_compile(&a, &profiled).unwrap();
+        assert!(!p.profiler().is_enabled() && !p.options().profile);
     }
 
     /// A row index that matches the compiled one only after truncation

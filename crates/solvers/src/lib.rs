@@ -17,8 +17,8 @@
 //!   relative indices at run time;
 //! * [`lu`] — the left-looking Gilbert–Peierls LU baseline for
 //!   unsymmetric systems, with runtime (coupled) symbolic analysis, a
-//!   partial-pivoting verification mode, and ordered / pre-pivoted
-//!   entry points (`factor_ordered`, `factor_prepivoted`) that apply
+//!   partial-pivoting verification mode, and one ordered entry point
+//!   (`factor_prepivoted`, with its MC64-scaled variant) that applies
 //!   the same fill-reducing-ordering and row-matching knobs as the
 //!   compiled pipeline, so decoupling comparisons stay
 //!   apples-to-apples even on zero-diagonal systems;

@@ -117,72 +117,24 @@ pub fn lu_solve(f: &GpLuFactors, b: &[f64]) -> Vec<f64> {
     f.solve(b)
 }
 
-/// [`GpLuFactors`] under a fill-reducing ordering: the factors satisfy
-/// `P (Qᵀ A Q) = L U`, and [`Self::solve`] maps between the original
-/// coordinates of `A` and the ordered coordinates of the factors.
-///
-/// This is the runtime baseline's half of the ordering story: the
-/// compiled plan (`sympiler-core`) bakes the same `Q` at compile time,
-/// so with both engines ordered identically, the measured gap is the
-/// decoupling win alone — apples to apples.
-#[derive(Debug, Clone)]
-pub struct OrderedGpLuFactors {
-    /// Factors of the symmetrically permuted matrix `Qᵀ A Q`.
-    pub factors: GpLuFactors,
-    /// `col_perm[new] = old`; `None` under
-    /// [`sympiler_graph::ordering::Ordering::Natural`], in which case
-    /// the factors are plainly those of `A`.
-    pub col_perm: Option<Vec<usize>>,
-}
-
-impl OrderedGpLuFactors {
-    /// Matrix order.
-    pub fn n(&self) -> usize {
-        self.factors.n()
-    }
-
-    /// Solve `A x = b` in original coordinates: gather `b` into
-    /// ordered coordinates, run the factors' permuted solve, scatter
-    /// the result back.
-    pub fn solve(&self, b: &[f64]) -> Vec<f64> {
-        match &self.col_perm {
-            None => self.factors.solve(b),
-            Some(q) => {
-                let bq = sympiler_sparse::ops::gather_perm(q, b);
-                let y = self.factors.solve(&bq);
-                sympiler_sparse::ops::scatter_perm(q, &y)
-            }
-        }
-    }
-}
-
 impl GpLu {
-    /// Factor `a` under a fill-reducing ordering from the same
-    /// [`sympiler_graph::ordering::Ordering`] knob the compiled
-    /// pipeline uses: compute `Q`, form `Qᵀ A Q` (symmetric
-    /// application keeps the diagonal in place, so
-    /// [`Pivoting::None`] stays meaningful), and run the coupled
-    /// factorization on it.
-    pub fn factor_ordered(
+    /// The ordering half of [`Self::factor_prepivoted`]: compute `Q`
+    /// from the same [`sympiler_graph::ordering::Ordering`] knob the
+    /// compiled pipeline uses, form `Qᵀ A Q` (symmetric application
+    /// keeps the diagonal in place, so [`Pivoting::None`] stays
+    /// meaningful), and run the coupled factorization on it. Returns
+    /// the factors and `Q` (`None` under natural order).
+    fn factor_ordered(
         a: &CscMatrix,
         pivoting: Pivoting,
         ordering: sympiler_graph::ordering::Ordering,
-    ) -> Result<OrderedGpLuFactors, LuError> {
-        if !a.is_square() {
-            return Err(LuError::BadInput("matrix must be square".into()));
-        }
+    ) -> Result<(GpLuFactors, Option<Vec<usize>>), LuError> {
         match sympiler_graph::ordering::compute_ordering(a, ordering) {
-            None => Ok(OrderedGpLuFactors {
-                factors: Self::factor(a, pivoting)?,
-                col_perm: None,
-            }),
+            None => Ok((Self::factor(a, pivoting)?, None)),
             Some(q) => {
                 let b = sympiler_sparse::ops::permute_rows_cols(a, &q)
                     .map_err(|e| LuError::BadInput(format!("ordering application: {e}")))?;
-                Ok(OrderedGpLuFactors {
-                    factors: Self::factor(&b, pivoting)?,
-                    col_perm: Some(q),
-                })
+                Ok((Self::factor(&b, pivoting)?, Some(q)))
             }
         }
     }
@@ -221,10 +173,10 @@ impl GpLu {
             }
             None => a,
         };
-        let ordered = Self::factor_ordered(pivoted, pivoting, ordering)?;
+        let (factors, q) = Self::factor_ordered(pivoted, pivoting, ordering)?;
         // Compose the row maps: row `new` of the factored system is
         // row `rowp[q[new]]` of the caller's matrix.
-        let (row_perm, col_perm) = match (rowp, ordered.col_perm) {
+        let (row_perm, col_perm) = match (rowp, q) {
             (None, None) => (None, None),
             (Some(p), None) => (Some(p), None),
             (None, Some(q)) => (Some(q.clone()), Some(q)),
@@ -234,7 +186,7 @@ impl GpLu {
             }
         };
         Ok(PrePivotedGpLuFactors {
-            factors: ordered.factors,
+            factors,
             row_perm,
             col_perm,
         })
@@ -801,13 +753,14 @@ mod tests {
     #[test]
     fn ordered_baseline_solves_original_system() {
         use sympiler_graph::ordering::Ordering;
+        use sympiler_graph::transversal::PrePivot;
         for seed in 0..4u64 {
             let a = gen::circuit_unsym(60, 4, 2, seed);
             let n = a.n_cols();
             let b: Vec<f64> = (0..n).map(|i| 1.0 + (i % 6) as f64).collect();
             let x_ref = GpLu::factor(&a, Pivoting::None).unwrap().solve(&b);
             for ord in [Ordering::Natural, Ordering::Rcm, Ordering::Colamd] {
-                let f = GpLu::factor_ordered(&a, Pivoting::None, ord).unwrap();
+                let f = GpLu::factor_prepivoted(&a, Pivoting::None, PrePivot::Off, ord).unwrap();
                 assert_eq!(f.col_perm.is_none(), ord == Ordering::Natural);
                 let x = f.solve(&b);
                 assert!(ops::rel_residual(&a, &x, &b) < 1e-10, "{ord:?} seed {seed}");
@@ -821,15 +774,19 @@ mod tests {
     #[test]
     fn ordered_baseline_reduces_fill_with_colamd() {
         use sympiler_graph::ordering::Ordering;
+        use sympiler_graph::transversal::PrePivot;
         let a = gen::circuit_unsym(200, 4, 2, 3);
         let nat = GpLu::factor(&a, Pivoting::None).unwrap();
-        let ord = GpLu::factor_ordered(&a, Pivoting::None, Ordering::Colamd).unwrap();
+        let ordered = |pivoting| {
+            GpLu::factor_prepivoted(&a, pivoting, PrePivot::Off, Ordering::Colamd).unwrap()
+        };
+        let ord = ordered(Pivoting::None);
         assert!(
             ord.factors.l.nnz() + ord.factors.u.nnz() < nat.l.nnz() + nat.u.nnz(),
             "colamd must cut baseline fill too"
         );
         // Partial pivoting also runs on the ordered matrix.
-        let pp = GpLu::factor_ordered(&a, Pivoting::Partial, Ordering::Colamd).unwrap();
+        let pp = ordered(Pivoting::Partial);
         let b: Vec<f64> = (0..200).map(|i| (i as f64).sin() + 2.0).collect();
         assert!(ops::rel_residual(&a, &pp.solve(&b), &b) < 1e-10);
     }
@@ -871,12 +828,13 @@ mod tests {
         use sympiler_graph::ordering::Ordering;
         use sympiler_graph::transversal::PrePivot;
         // Zero-free diagonal: Transversal is a no-op and the result
-        // must match factor_ordered exactly.
+        // must match the ordering alone (`PrePivot::Off`) exactly.
         let a = gen::circuit_unsym(50, 4, 2, 8);
         let f =
             GpLu::factor_prepivoted(&a, Pivoting::None, PrePivot::Transversal, Ordering::Colamd)
                 .unwrap();
-        let g = GpLu::factor_ordered(&a, Pivoting::None, Ordering::Colamd).unwrap();
+        let g =
+            GpLu::factor_prepivoted(&a, Pivoting::None, PrePivot::Off, Ordering::Colamd).unwrap();
         assert_eq!(f.col_perm, g.col_perm);
         assert_eq!(f.row_perm, f.col_perm, "no pre-pivot: row map is Q");
         for (x, y) in f.factors.u.values().iter().zip(g.factors.u.values()) {

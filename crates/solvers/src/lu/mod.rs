@@ -10,15 +10,13 @@
 //! * [`lu_solve`](gplu::GpLuFactors::solve) — the end-to-end
 //!   `P A x = b` solve path (`P b -> L y = P b -> U x = y`).
 
-//! * [`gplu::OrderedGpLuFactors`] — the baseline under the same
-//!   fill-reducing [`Ordering`](sympiler_graph::ordering::Ordering)
-//!   knob the compiled pipeline uses, so decoupling comparisons stay
-//!   apples-to-apples when orderings are on.
 //! * [`gplu::PrePivotedGpLuFactors`] — the baseline under the static
 //!   [`PrePivot`](sympiler_graph::transversal::PrePivot) row-matching
-//!   knob composed with an ordering (`Qᵀ·P·A·Q`), the comparator for
-//!   compiled plans on matrices whose raw diagonal is structurally
-//!   zero.
+//!   knob composed with the same fill-reducing
+//!   [`Ordering`](sympiler_graph::ordering::Ordering) knob the compiled
+//!   pipeline uses (`Qᵀ·P·A·Q`; `PrePivot::Off` orders alone), so
+//!   decoupling comparisons stay apples-to-apples when orderings are
+//!   on and on matrices whose raw diagonal is structurally zero.
 //! * [`gplu::ScaledPrePivotedGpLuFactors`] — the same baseline on the
 //!   MC64-equilibrated matrix `Dr·A·Dc`, the comparator for compiled
 //!   plans running with `mc64_scale` on.
@@ -26,6 +24,6 @@
 pub mod gplu;
 
 pub use gplu::{
-    lu_backward_error, lu_reconstruction_error, lu_solve, GpLu, GpLuFactors, LuError,
-    OrderedGpLuFactors, Pivoting, PrePivotedGpLuFactors, ScaledPrePivotedGpLuFactors,
+    lu_backward_error, lu_reconstruction_error, lu_solve, GpLu, GpLuFactors, LuError, Pivoting,
+    PrePivotedGpLuFactors, ScaledPrePivotedGpLuFactors,
 };

@@ -2,6 +2,9 @@
 //! extreme options — the inputs a downstream user will eventually feed
 //! the library.
 
+use sympiler::core::plan::chol::{CholPlan, MAX_SUPERNODE_WIDTH};
+use sympiler::core::plan::lu_supernodal::{RELAX_COLS, RELAX_FILL};
+use sympiler::core::plan::tri::{TriScratch, TriVariant, PEEL_COL_COUNT};
 use sympiler::prelude::*;
 use sympiler::sparse::gen;
 
@@ -60,11 +63,7 @@ fn dense_rhs_equals_unpruned_plan() {
 fn extreme_supernode_width_caps() {
     let a = gen::banded_spd(30, 5, 4);
     for width in [1usize, 2, 64, 1000] {
-        let opts = SympilerOptions {
-            max_supernode_width: width,
-            ..Default::default()
-        };
-        let chol = SympilerCholesky::compile(&a, &opts).unwrap();
+        let chol = CholPlan::build(&a, width, RELAX_FILL, RELAX_COLS, true).unwrap();
         let f = chol.factor(&a).unwrap();
         let b = vec![1.0; 30];
         let x = f.solve(&b);
@@ -76,13 +75,8 @@ fn extreme_supernode_width_caps() {
 #[test]
 fn all_options_off_still_correct() {
     let a = gen::grid2d_laplacian(6, 6, false, 5);
-    let opts = SympilerOptions {
-        vs_block: false,
-        vi_prune: false,
-        low_level: false,
-        ..Default::default()
-    };
-    let chol = SympilerCholesky::compile(&a, &opts).unwrap();
+    // Width-1 supernodes (no VS-Block), no low-level kernels.
+    let chol = CholPlan::build(&a, 1, RELAX_FILL, RELAX_COLS, false).unwrap();
     let f = chol.factor(&a).unwrap();
     let l_ref = sympiler::solvers::SimplicialCholesky::analyze(&a)
         .unwrap()
@@ -94,8 +88,14 @@ fn all_options_off_still_correct() {
     // Trisolve with everything off.
     let l = f.to_csc();
     let b = SparseVec::try_new(36, vec![0], vec![1.0]).unwrap();
-    let mut ts = SympilerTriSolve::compile(&l, b.indices(), &opts);
-    let x = ts.solve(&b);
+    let off = TriVariant {
+        vs_block: false,
+        vi_prune: false,
+        low_level: false,
+    };
+    let ts = TriSolvePlan::build(&l, b.indices(), off, MAX_SUPERNODE_WIDTH, PEEL_COL_COUNT);
+    let mut x = vec![0.0; 36];
+    ts.solve(&b, &mut x, &mut TriScratch::default());
     let mut expect = b.to_dense();
     sympiler::solvers::trisolve::naive_forward(&l, &mut expect);
     for (p, q) in x.iter().zip(&expect) {
@@ -107,20 +107,19 @@ fn all_options_off_still_correct() {
 fn huge_peel_threshold_disables_peeling() {
     let l = gen::random_lower_triangular(40, 5, 6);
     let beta: Vec<usize> = vec![0, 3];
-    let opts = SympilerOptions {
-        peel_col_count: usize::MAX,
-        ..Default::default()
-    };
-    let ts = SympilerTriSolve::compile(&l, &beta, &opts);
-    assert_eq!(ts.plan().n_peeled(), 0);
+    // The variant `SympilerTriSolve::compile` picks, at other peel
+    // thresholds.
+    let compiled = SympilerTriSolve::compile(&l, &beta, &SympilerOptions::default());
+    let variant = compiled.plan().variant();
+    let ts = TriSolvePlan::build(&l, &beta, variant, MAX_SUPERNODE_WIDTH, usize::MAX);
+    assert_eq!(ts.n_peeled(), 0);
     // Threshold 0 peels everything reached (every column has >= 1 nnz).
-    let opts0 = SympilerOptions {
-        peel_col_count: 0,
+    let unblocked = TriVariant {
         vs_block: false,
-        ..Default::default()
+        ..variant
     };
-    let ts0 = SympilerTriSolve::compile(&l, &beta, &opts0);
-    assert_eq!(ts0.plan().n_peeled(), ts0.reach().len());
+    let ts0 = TriSolvePlan::build(&l, &beta, unblocked, MAX_SUPERNODE_WIDTH, 0);
+    assert_eq!(ts0.n_peeled(), compiled.reach().len());
 }
 
 #[test]

@@ -9,8 +9,23 @@
 //! * the pruned symbolic LU equals boolean elimination.
 
 use proptest::prelude::*;
+use sympiler::core::plan::lu_supernodal::{MAX_PANEL, RELAX_COLS, RELAX_FILL};
 use sympiler::prelude::*;
 use sympiler::solvers::{SimplicialCholesky, SupernodalCholesky};
+
+/// The supernodal plan `BlockLu::On` compiles for `a` under `opts`,
+/// with panels detected at cap `max_panel` and budget `relax_fill` in
+/// place of the compiler's `MAX_PANEL` / `RELAX_FILL`.
+fn panels_under(
+    a: &CscMatrix,
+    opts: &SympilerOptions,
+    max_panel: usize,
+    relax_fill: f64,
+) -> SupernodalLuPlan {
+    let plan = LuPlan::build(a, opts).unwrap();
+    let panels = SupernodalLuPlan::detect_panels(&plan, max_panel, relax_fill, RELAX_COLS);
+    SupernodalLuPlan::from_panels(plan, panels, opts.n_threads)
+}
 
 /// Strategy: a random square unsymmetric, statically pivotable matrix.
 fn unsym_matrix() -> impl Strategy<Value = CscMatrix> {
@@ -410,13 +425,8 @@ proptest! {
             }).unwrap();
             let f_serial = serial.factor(&a).unwrap();
             for max_panel in [0usize, 3] {
-                let sup = SympilerLu::compile(&a, &SympilerOptions {
-                    ordering,
-                    block_lu: BlockLu::On,
-                    max_panel,
-                    ..Default::default()
-                }).unwrap();
-                let plan = sup.supernodal().expect("On always compiles the engine");
+                let opts = SympilerOptions { ordering, ..Default::default() };
+                let plan = panels_under(&a, &opts, max_panel, RELAX_FILL);
                 let widths: usize = (0..plan.n_panels())
                     .map(|s| plan.partition().width(s))
                     .sum();
@@ -424,7 +434,7 @@ proptest! {
                 if max_panel > 0 {
                     prop_assert!(plan.max_panel_width() <= max_panel.max(1));
                 }
-                let f_sup = sup.factor(&a).unwrap();
+                let f_sup = plan.factor(&a).unwrap();
                 prop_assert!(f_sup.l().same_pattern(f_serial.l()));
                 prop_assert!(f_sup.u().same_pattern(f_serial.u()));
                 for (x, y) in f_sup.l().values().iter().chain(f_sup.u().values())
@@ -457,11 +467,7 @@ proptest! {
                 };
                 let serial = SympilerLu::compile(&a, &base_opts).unwrap();
                 let f_serial = serial.factor(&a).unwrap();
-                let strict = SympilerLu::compile(&a, &SympilerOptions {
-                    block_lu: BlockLu::On,
-                    relax_fill: 0.0,
-                    ..base_opts.clone()
-                }).unwrap();
+                let strict = panels_under(&a, &base_opts, MAX_PANEL, 0.0);
                 let f_strict = strict.factor(&a).unwrap();
                 for threads in [1usize, 3] {
                     let relaxed = SympilerLu::compile(&a, &SympilerOptions {
@@ -498,24 +504,21 @@ proptest! {
         for ordering in [Ordering::Natural, Ordering::Colamd] {
             let opts = SympilerOptions {
                 ordering,
-                block_lu: BlockLu::On,
-                relax_fill: 0.0,
                 ..Default::default()
             };
-            let lu0 = SympilerLu::compile(&a, &opts).unwrap();
-            let sup0 = lu0.supernodal().expect("On always compiles the engine");
+            let sup0 = panels_under(&a, &opts, MAX_PANEL, 0.0);
             prop_assert_eq!(sup0.padded_zeros(), 0,
                 "a zero budget must admit no explicit zeros");
             let strict = SupernodalLuPlan::from_panels(
-                lu0.plan().clone(),
-                SupernodalLuPlan::detect_panels(lu0.plan(), opts.max_panel, 0.0, 0),
+                sup0.serial().clone(),
+                SupernodalLuPlan::detect_panels(sup0.serial(), MAX_PANEL, 0.0, 0),
                 1,
             );
             prop_assert_eq!(sup0.n_panels(), strict.n_panels());
             for s in 0..strict.n_panels() {
                 prop_assert_eq!(sup0.partition().width(s), strict.partition().width(s));
             }
-            let f0 = lu0.factor(&a).unwrap();
+            let f0 = sup0.factor(&a).unwrap();
             let fs = strict.factor(&a).unwrap();
             for (x, y) in f0.l().values().iter().chain(f0.u().values())
                 .zip(fs.l().values().iter().chain(fs.u().values()))
@@ -958,11 +961,13 @@ fn check_walker_in_every_cell(a: &CscMatrix, pre_pivots: &[PrePivot]) -> Result<
     };
     for ordering in Ordering::ALL {
         for &pre_pivot in pre_pivots {
-            for (low_level, peel_col_count) in [(false, 2), (true, 0), (true, 2)] {
+            // The peeled tier at other thresholds than `PEEL_COL_COUNT`
+            // is covered by `plan::lu::positions`' cells.
+            for low_level in [false, true] {
                 for pivot_perturb in [0.0, 1e-6, 0.9] {
                     for mc64_scale in [false, true] {
                         let cell = format!(
-                            "{}+{} low_level={low_level} peel={peel_col_count} \
+                            "{}+{} low_level={low_level} \
                              perturb={pivot_perturb} mc64={mc64_scale}",
                             ordering.label(),
                             pre_pivot.label()
@@ -973,7 +978,6 @@ fn check_walker_in_every_cell(a: &CscMatrix, pre_pivots: &[PrePivot]) -> Result<
                             mc64_scale,
                             pivot_perturb,
                             low_level,
-                            peel_col_count,
                             block_lu: BlockLu::Off,
                             ..Default::default()
                         };

@@ -5,6 +5,7 @@
 //! `compile()` + `factor()` path, bitwise where the tier promises it.
 
 use std::sync::Arc;
+use sympiler::core::plan::lu_supernodal::{MAX_PANEL, RELAX_COLS, RELAX_FILL};
 use sympiler::prelude::*;
 use sympiler::sparse::gen;
 
@@ -120,11 +121,14 @@ fn options_are_part_of_the_cache_key() {
     assert!(Arc::ptr_eq(&p1, &p1b), "same (pattern, options) must hit");
 }
 
-/// The amalgamation and equilibration knobs participate in cache
-/// identity: plans compiled under differing `relax_fill`,
-/// `relax_cols`, or `mc64_scale` have different baked tables (panel
-/// layouts, scaling vectors), so the cache must treat each as a
-/// distinct key and hit only on an exact option match.
+/// The equilibration knob participates in cache identity: plans
+/// compiled under differing `mc64_scale` have different baked tables
+/// (scaling vectors), so the cache must treat each as a distinct key and
+/// hit only on an exact option match. The amalgamation budget is the
+/// compiler's own (`RELAX_FILL`, `RELAX_COLS`), so every cached panel
+/// layout is the one those constants detect; a strict or narrower
+/// budget, built through the plan constructor, lays panels out
+/// differently.
 #[test]
 fn amalgamation_and_scaling_options_key_the_cache() {
     let a = gen::circuit_unsym(80, 4, 2, 11);
@@ -134,34 +138,35 @@ fn amalgamation_and_scaling_options_key_the_cache() {
         block_lu: BlockLu::On,
         ..SympilerOptions::default()
     };
-    let strict = SympilerOptions {
-        relax_fill: 0.0,
-        ..relaxed.clone()
-    };
-    let narrow = SympilerOptions {
-        relax_cols: 4,
-        ..relaxed.clone()
-    };
     let scaled = SympilerOptions {
         mc64_scale: true,
         ..relaxed.clone()
     };
     let p_rel = cache.get_or_compile(&a, &relaxed).expect("relaxed");
-    let p_str = cache.get_or_compile(&a, &strict).expect("strict");
-    let p_nar = cache.get_or_compile(&a, &narrow).expect("narrow");
     let p_sca = cache.get_or_compile(&a, &scaled).expect("scaled");
-    for (label, other) in [
-        ("relax_fill", &p_str),
-        ("relax_cols", &p_nar),
-        ("mc64_scale", &p_sca),
-    ] {
-        assert!(
-            !Arc::ptr_eq(&p_rel, other),
-            "differing {label} must not share a plan"
+    assert!(
+        !Arc::ptr_eq(&p_rel, &p_sca),
+        "differing mc64_scale must not share a plan"
+    );
+    let layout = |sup: &SupernodalLuPlan| {
+        (0..sup.n_panels())
+            .map(|s| sup.partition().width(s))
+            .collect::<Vec<_>>()
+    };
+    let cached = layout(p_rel.supernodal().expect("On compiles the engine"));
+    assert_eq!(
+        cached,
+        layout(&panels_under(&p_rel, RELAX_FILL, RELAX_COLS))
+    );
+    for (label, relax_fill, relax_cols) in [("strict", 0.0, RELAX_COLS), ("narrow", RELAX_FILL, 4)]
+    {
+        assert_ne!(
+            cached,
+            layout(&panels_under(&p_rel, relax_fill, relax_cols)),
+            "a {label} budget must lay panels out differently"
         );
     }
-    assert!(!Arc::ptr_eq(&p_str, &p_nar) && !Arc::ptr_eq(&p_str, &p_sca));
-    assert_eq!(cache.stats().misses, 4, "four distinct keys, four compiles");
+    assert_eq!(cache.stats().misses, 2, "two distinct keys, two compiles");
     assert_eq!(cache.stats().hits, 0);
     // Exact option match is the only thing that hits.
     assert!(Arc::ptr_eq(
@@ -173,7 +178,15 @@ fn amalgamation_and_scaling_options_key_the_cache() {
         &cache.get_or_compile(&a, &scaled).expect("scaled again")
     ));
     assert_eq!(cache.stats().hits, 2);
-    assert_eq!(cache.stats().misses, 4);
+    assert_eq!(cache.stats().misses, 2);
+}
+
+/// The supernodal plan of `lu`'s scalar plan with panels detected under
+/// the given amalgamation budget instead of the compiler's.
+fn panels_under(lu: &SympilerLu, relax_fill: f64, relax_cols: usize) -> SupernodalLuPlan {
+    let plan = lu.plan();
+    let panels = SupernodalLuPlan::detect_panels(plan, MAX_PANEL, relax_fill, relax_cols);
+    SupernodalLuPlan::from_panels(plan.clone(), panels, 1)
 }
 
 /// The cache's byte accounting sees the execution tier that will
@@ -190,12 +203,8 @@ fn cached_bytes_account_for_padded_panel_layouts() {
         block_lu: BlockLu::On,
         ..SympilerOptions::default()
     };
-    let strict = SympilerOptions {
-        relax_fill: 0.0,
-        ..relaxed.clone()
-    };
     let lu_rel = SympilerLu::compile(&a, &relaxed).expect("relaxed compile");
-    let lu_str = SympilerLu::compile(&a, &strict).expect("strict compile");
+    let strict = panels_under(&lu_rel, 0.0, RELAX_COLS);
     let sup = lu_rel.supernodal().expect("On compiles the engine");
     assert!(
         sup.padded_zeros() > 0,
@@ -207,7 +216,7 @@ fn cached_bytes_account_for_padded_panel_layouts() {
     );
     assert_ne!(
         lu_rel.table_bytes(),
-        lu_str.table_bytes(),
+        strict.table_bytes(),
         "the amalgamation budget must be visible in the byte accounting"
     );
     let cache = PlanCache::new(CacheConfig::default());
@@ -217,10 +226,15 @@ fn cached_bytes_account_for_padded_panel_layouts() {
         lu_rel.table_bytes(),
         "the cache must account the panel layout, not just the scalar plan"
     );
-    cache.get_or_compile(&a, &strict).expect("cache strict");
+    let scaled = SympilerOptions {
+        mc64_scale: true,
+        ..relaxed
+    };
+    let lu_sca = SympilerLu::compile(&a, &scaled).expect("scaled compile");
+    cache.get_or_compile(&a, &scaled).expect("cache scaled");
     assert_eq!(
         cache.stats().bytes,
-        lu_rel.table_bytes() + lu_str.table_bytes()
+        lu_rel.table_bytes() + lu_sca.table_bytes()
     );
 }
 

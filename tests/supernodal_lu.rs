@@ -5,6 +5,7 @@
 //! DAG parallel execution, the bitwise-determinism and workspace
 //! contracts, and sparse-RHS solves through factors from every tier.
 
+use sympiler::core::plan::lu_supernodal::{MAX_PANEL, RELAX_COLS, RELAX_FILL};
 use sympiler::prelude::*;
 use sympiler::sparse::suite::{unsym_suite, SuiteScale};
 use sympiler::sparse::{ops, SparseVec};
@@ -12,6 +13,21 @@ use sympiler::sparse::{ops, SparseVec};
 /// Serial-vs-supernodal agreement bound: dense kernels reassociate the
 /// update sums, nothing more.
 const TOL: f64 = 1e-12;
+
+/// The supernodal plan `BlockLu::On` compiles from `lu`'s scalar plan
+/// for `n_threads` workers, with panels detected at cap `max_panel` and
+/// budget `relax_fill` in place of the compiler's `MAX_PANEL` /
+/// `RELAX_FILL`.
+fn panels_under(
+    lu: &SympilerLu,
+    max_panel: usize,
+    relax_fill: f64,
+    n_threads: usize,
+) -> SupernodalLuPlan {
+    let plan = lu.plan();
+    let panels = SupernodalLuPlan::detect_panels(plan, max_panel, relax_fill, RELAX_COLS);
+    SupernodalLuPlan::from_panels(plan.clone(), panels, n_threads)
+}
 
 fn assert_factors_close(a: &LuFactor, b: &LuFactor, what: &str) {
     assert!(a.l().same_pattern(b.l()), "{what}: L pattern");
@@ -142,20 +158,8 @@ fn colamd_circuit_flops_run_in_dense_panels() {
             plan.dense_executed_flops(),
             plan.dense_structural_flops()
         );
-        let on = |relax_fill| {
-            SympilerLu::compile(
-                &p.matrix,
-                &SympilerOptions {
-                    ordering: Ordering::Colamd,
-                    block_lu: BlockLu::On,
-                    relax_fill,
-                    ..Default::default()
-                },
-            )
-            .unwrap()
-        };
-        let (relaxed, strict) = (on(0.3), on(0.0));
-        let (relaxed, strict) = (relaxed.supernodal().unwrap(), strict.supernodal().unwrap());
+        let on = |relax_fill| panels_under(&auto, MAX_PANEL, relax_fill, 1);
+        let (relaxed, strict) = (on(RELAX_FILL), on(0.0));
         assert_eq!(strict.padded_zeros(), 0);
         assert!(
             relaxed.mean_panel_width() > strict.mean_panel_width(),
@@ -265,17 +269,25 @@ fn supernodal_factors_are_bitwise_stable_and_backward_stable() {
                 if *name == "zero_diag" && pre_pivot == PrePivot::Off {
                     continue; // hard error by contract
                 }
-                for relax_fill in [0.0, 0.3] {
+                let opts = SympilerOptions {
+                    ordering,
+                    pre_pivot,
+                    mc64_scale: pre_pivot == PrePivot::WeightedMatching,
+                    block_lu: BlockLu::On,
+                    ..Default::default()
+                };
+                let lu = SympilerLu::compile(a, &opts).unwrap();
+                let profiled = SympilerLu::compile(
+                    a,
+                    &SympilerOptions {
+                        profile: true,
+                        ..opts.clone()
+                    },
+                )
+                .unwrap();
+                for relax_fill in [0.0, RELAX_FILL] {
                     let what = format!("{name} {ordering:?}+{pre_pivot:?} relax {relax_fill}");
-                    let opts = SympilerOptions {
-                        ordering,
-                        pre_pivot,
-                        relax_fill,
-                        mc64_scale: pre_pivot == PrePivot::WeightedMatching,
-                        block_lu: BlockLu::On,
-                        ..Default::default()
-                    };
-                    let one = SympilerLu::compile(a, &opts).unwrap();
+                    let one = panels_under(&lu, MAX_PANEL, relax_fill, 1);
                     let f1 = one.factor(a).unwrap();
                     let reference = factor_bits(&f1);
                     let mut ws = LuWorkspace::new();
@@ -289,31 +301,16 @@ fn supernodal_factors_are_bitwise_stable_and_backward_stable() {
                         assert!(ws.is_clear(), "{what}: accumulator all-zero");
                     }
                     for threads in [2usize, 4] {
-                        let par = SympilerLu::compile(
-                            a,
-                            &SympilerOptions {
-                                n_threads: threads,
-                                ..opts.clone()
-                            },
-                        )
-                        .unwrap();
-                        assert!(par.is_supernodal());
+                        let par = panels_under(&lu, MAX_PANEL, relax_fill, threads);
                         assert_eq!(
                             factor_bits(&par.factor(a).unwrap()),
                             reference,
                             "{what}: {threads} threads"
                         );
                     }
-                    let profiled = SympilerLu::compile(
-                        a,
-                        &SympilerOptions {
-                            profile: true,
-                            ..opts.clone()
-                        },
-                    )
-                    .unwrap();
+                    let traced = panels_under(&profiled, MAX_PANEL, relax_fill, 1);
                     assert_eq!(
-                        factor_bits(&profiled.factor(a).unwrap()),
+                        factor_bits(&traced.factor(a).unwrap()),
                         reference,
                         "{what}: profiling on"
                     );
@@ -322,7 +319,7 @@ fn supernodal_factors_are_bitwise_stable_and_backward_stable() {
                         u: f1.u().clone(),
                         row_perm: identity.clone(),
                     };
-                    let eta = lu_backward_error(&composed_system(&one, a), &as_gp);
+                    let eta = lu_backward_error(&composed_system(&lu, a), &as_gp);
                     assert!(eta <= 1e-10, "{what}: backward error {eta:.3e}");
                 }
             }
@@ -333,22 +330,21 @@ fn supernodal_factors_are_bitwise_stable_and_backward_stable() {
 #[test]
 fn max_panel_knob_caps_widths_and_stays_correct() {
     let p = &unsym_suite(SuiteScale::Test)[2]; // circuit_small_u
+    let lu = SympilerLu::compile(
+        &p.matrix,
+        &SympilerOptions {
+            block_lu: BlockLu::On,
+            ..Default::default()
+        },
+    )
+    .unwrap();
     let mut reference: Option<LuFactor> = None;
     for max_panel in [2usize, 8, 0] {
-        let sup = SympilerLu::compile(
-            &p.matrix,
-            &SympilerOptions {
-                block_lu: BlockLu::On,
-                max_panel,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        let plan = sup.supernodal().unwrap();
+        let plan = panels_under(&lu, max_panel, RELAX_FILL, 1);
         if max_panel > 0 {
             assert!(plan.max_panel_width() <= max_panel, "cap {max_panel}");
         }
-        let f = sup.factor(&p.matrix).unwrap();
+        let f = plan.factor(&p.matrix).unwrap();
         match &reference {
             None => reference = Some(f),
             Some(r) => assert_factors_close(&f, r, &format!("cap {max_panel}")),
