@@ -39,6 +39,7 @@
 //! uses fused multiply-add where the CPU has it, so an FMA and a
 //! non-FMA host agree to rounding, not bitwise.
 
+use super::pattern::CompiledPattern;
 use crate::inspector::CholVIPruneInspector;
 use crate::report::{timed, SymbolicReport};
 use std::sync::Arc;
@@ -189,12 +190,10 @@ struct CholSchedule {
 /// A compiled Cholesky factorization specialized to one pattern.
 #[derive(Debug, Clone)]
 pub struct CholPlan {
-    a_nnz: usize,
-    /// Copy of the compiled pattern, checked on every `factor` call —
-    /// the static-sparsity contract (§1.2) made enforceable. O(|A|)
-    /// per check, negligible next to the factorization itself.
-    a_col_ptr: Vec<usize>,
-    a_row_idx: Vec<u32>,
+    /// The compiled pattern, checked on every `factor` call — the
+    /// static-sparsity contract (§1.2) made enforceable: free for the
+    /// compiled matrix and its clones, O(|A|) for any other input.
+    pattern: CompiledPattern,
     layout: Arc<CholLayout>,
     schedule: CholSchedule,
     /// Explicit zeros the amalgamated trapezoids carry.
@@ -235,6 +234,14 @@ impl CholPlan {
             return Err(CholPlanError::BadInput(
                 "matrix must be in lower-triangular storage".into(),
             ));
+        }
+        // Row indices and the compiled pattern narrow to u32.
+        if a_lower.n_cols() as u64 >= 1 << 32 || a_lower.nnz() as u64 >= 1 << 32 {
+            return Err(CholPlanError::BadInput(format!(
+                "matrix order {} / {} entries exceed the plan's 2^32 - 1 index limit",
+                a_lower.n_cols(),
+                a_lower.nnz()
+            )));
         }
         let mut report = SymbolicReport::default();
 
@@ -294,9 +301,7 @@ impl CholPlan {
         report.set_size("scatter pool", schedule.scatter_pool.len());
 
         Ok(Self {
-            a_nnz: a_lower.nnz(),
-            a_col_ptr: a_lower.col_ptr().to_vec(),
-            a_row_idx: a_lower.row_idx().iter().map(|&r| r as u32).collect(),
+            pattern: CompiledPattern::new(a_lower),
             layout: Arc::new(layout),
             schedule,
             padded_zeros,
@@ -464,18 +469,10 @@ impl CholPlan {
     /// Numeric factorization: pure loads/stores/flops over precomputed
     /// indices.
     pub fn factor(&self, a_lower: &CscMatrix) -> Result<CholFactor, CholPlanError> {
-        let layout = &*self.layout;
-        if a_lower.n_cols() != layout.n
-            || a_lower.nnz() != self.a_nnz
-            || a_lower.col_ptr() != self.a_col_ptr.as_slice()
-            || !a_lower
-                .row_idx()
-                .iter()
-                .zip(&self.a_row_idx)
-                .all(|(&r, &c)| r as u32 == c)
-        {
+        if !self.pattern.matches(a_lower) {
             return Err(CholPlanError::PatternMismatch);
         }
+        let layout = &*self.layout;
         let a_values = a_lower.values();
         let sched = &self.schedule;
         let mut values = vec![0.0f64; *layout.val_ptr.last().unwrap()];
@@ -715,6 +712,7 @@ impl CholFactor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::pattern::{moved_one_row, rebuilt};
     use sympiler_solvers::SimplicialCholesky;
     use sympiler_sparse::suite::nd_grid3d;
     use sympiler_sparse::{gen, ops};
@@ -909,6 +907,44 @@ mod tests {
             plan.factor(&b),
             Err(CholPlanError::PatternMismatch)
         ));
+    }
+
+    /// The identity handle is never a false hit: once the compiled
+    /// matrix and every clone are gone the plan names no live pattern,
+    /// and a different pattern of the same order and entry count is
+    /// refused.
+    #[test]
+    fn identity_is_never_a_false_hit() {
+        let a = gen::grid2d_laplacian(6, 6, false, 9);
+        let moved = moved_one_row(&a);
+        assert_eq!((moved.n_cols(), moved.nnz()), (a.n_cols(), a.nnz()));
+        let compiled = rebuilt(&a); // a pattern of its own
+        let plan = CholPlan::build(&compiled, 0, 0.3, 16, true).unwrap();
+        let copies = vec![compiled.clone(), compiled.clone()];
+        let id = compiled.pattern_id();
+        drop((compiled, copies));
+        assert!(!id.is_live(), "the plan keeps the caller's indices alive");
+        assert_eq!(
+            plan.factor(&moved).err(),
+            Some(CholPlanError::PatternMismatch)
+        );
+    }
+
+    /// The compiled pattern rebuilt from fresh arrays takes the full
+    /// compare, passes it, and factors to the bits of a clone of the
+    /// compiled matrix.
+    #[test]
+    fn a_rebuilt_pattern_factors_like_a_clone() {
+        let a = gen::grid2d_laplacian(6, 6, false, 9);
+        let plan = CholPlan::build(&a, 0, 0.3, 16, true).unwrap();
+        let fresh = rebuilt(&a);
+        assert!(!a.pattern_id().is_pattern_of(&fresh));
+        let (via_clone, via_rebuilt) = (
+            plan.factor(&a.clone()).unwrap(),
+            plan.factor(&fresh).unwrap(),
+        );
+        let bits = |f: &CholFactor| f.values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&via_clone), bits(&via_rebuilt));
     }
 
     #[test]

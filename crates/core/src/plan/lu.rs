@@ -50,6 +50,7 @@ pub use positions::POSITION_MAX_OPS_PER_ENTRY;
 pub use workspace::LuWorkspace;
 
 use super::level_schedule::{walk, LaneScratch, LevelSchedule, SharedValues, WalkLabels};
+use super::pattern::CompiledPattern;
 use super::tri::PEEL_COL_COUNT;
 use crate::compile::SympilerOptions;
 use crate::inspector::LuVIPruneInspector;
@@ -250,11 +251,9 @@ pub struct LuPlan {
     /// static-sparsity contract made enforceable, like `CholPlan`).
     /// Always the **original** (unordered) pattern: callers hand
     /// `factor` the same matrix they compiled for, and the baked
-    /// permutation is the plan's internal affair.
-    /// Both narrowed to `u32` (the plan rejects `nnz(A) ≥ 2³²`) and
-    /// compared widened, never the input truncated.
-    a_col_ptr: Vec<u32>,
-    a_row_idx: Vec<u32>,
+    /// permutation is the plan's internal affair. Its indices are
+    /// narrowed to `u32` (the plan rejects `nnz(A) ≥ 2³²`).
+    pattern: CompiledPattern,
     /// Which ordering strategy contributed to [`Self::baked`].
     ordering: Ordering,
     /// Which pre-pivoting strategy contributed to [`Self::baked`].
@@ -441,7 +440,7 @@ impl LuPlan {
         // schedule (VI-Prune made executable); packing narrows them.
         let flops = sym.factor_flops();
         let narrow = |idx: &[usize]| idx.iter().map(|&i| i as u32).collect::<Vec<u32>>();
-        let (a_col_ptr, a_row_idx, structure) = timed_traced(
+        let (pattern, structure) = timed_traced(
             &mut report,
             &profiler,
             "transform + pack (schedule)",
@@ -452,14 +451,13 @@ impl LuPlan {
                     l_col_ptr: sym.l_col_ptr,
                     u_col_ptr: sym.u_col_ptr,
                 };
-                (narrow(a.col_ptr()), narrow(a.row_idx()), structure)
+                (CompiledPattern::new(a), structure)
             },
         );
         let mut plan = Self {
             n,
             a_nnz: a.nnz(),
-            a_col_ptr,
-            a_row_idx,
+            pattern,
             ordering,
             pre_pivot,
             matched_diag,
@@ -671,32 +669,14 @@ impl LuPlan {
 
     /// Check that `a` carries exactly the compiled sparsity pattern
     /// (every numeric phase runs it first, and the plan cache runs it
-    /// on every candidate hit). It is a safety check — the numeric
-    /// kernels address baked tables by `a`'s entries — so it stays on
-    /// every call and is made to run at memory speed instead: column
-    /// pointers and row indices are compared in fixed-size chunks with
-    /// an OR-accumulated difference, no early exit inside a chunk,
-    /// which vectorises. The compiled `u32` is widened, never the input
-    /// narrowed: an index of `c + 2³²` is a mismatch, not a truncated
-    /// match.
+    /// on every candidate hit): free for the compiled matrix and the
+    /// value sets cloned from it, a full compare for any other input
+    /// ([`CompiledPattern::matches`]).
     pub(crate) fn check_pattern(&self, a: &CscMatrix) -> Result<(), LuPlanError> {
-        fn same_indices(given: &[usize], compiled: &[u32]) -> bool {
-            const CHUNK: usize = 64;
-            // Lengths first, so the chunks pair up exactly.
-            given.len() == compiled.len()
-                && given
-                    .chunks(CHUNK)
-                    .zip(compiled.chunks(CHUNK))
-                    .all(|(g, c)| {
-                        let diff = g.iter().zip(c).fold(0, |d, (&g, &c)| d | (g ^ c as usize));
-                        diff == 0
-                    })
-        }
-        let same = a.n_cols() == self.n
-            && a.values().len() == self.a_nnz
-            && same_indices(a.col_ptr(), &self.a_col_ptr)
-            && same_indices(a.row_idx(), &self.a_row_idx);
-        same.then_some(()).ok_or(LuPlanError::PatternMismatch)
+        self.pattern
+            .matches(a)
+            .then_some(())
+            .ok_or(LuPlanError::PatternMismatch)
     }
 
     /// Wrap a filled value array (`L` then `U`, laid out by the
@@ -1154,7 +1134,7 @@ impl LuPlan {
 
     /// Resident size, in bytes, of the compiled tables this plan keeps
     /// alive: factor layouts, the pattern copy backing
-    /// [`Self::factor`]'s cheap pattern check, permutation maps, and
+    /// [`Self::factor`]'s pattern check, permutation maps, and
     /// the walker's position tables when baked, and the level schedule
     /// of a [`Self::leveled`] plan. This is the footprint a plan cache
     /// charges an entry for — factor *values* are per-call and not
@@ -1165,7 +1145,7 @@ impl LuPlan {
         let st = &*self.structure;
         let mut bytes = (st.l_col_ptr.len() + st.u_col_ptr.len()) * usz
             + (st.l_row_idx.len() + st.u_row_idx.len()) * 4
-            + (self.a_col_ptr.len() + self.a_row_idx.len()) * 4;
+            + self.pattern.bytes();
         if let Some(bp) = &self.baked {
             // irperm + cperm, and rperm unless it is cperm's allocation.
             let maps = if Arc::ptr_eq(&bp.rperm, &bp.cperm) {
@@ -1224,6 +1204,7 @@ impl LuPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::pattern::{moved_one_row, rebuilt};
     use sympiler_solvers::lu::{GpLu, Pivoting};
     use sympiler_sparse::{gen, ops, SparseVec};
 
@@ -1303,6 +1284,52 @@ mod tests {
             plan.factor(&smaller),
             Err(LuPlanError::PatternMismatch)
         ));
+    }
+
+    /// Bitwise image of a factor's values.
+    fn bits(f: &LuFactor) -> Vec<u64> {
+        let (l, u) = f.values();
+        l.iter().chain(u).map(|v| v.to_bits()).collect()
+    }
+
+    /// The identity handle is never a false hit: once the compiled
+    /// matrix and every clone are gone the plan names no live pattern,
+    /// and a different pattern of the same order and entry count is
+    /// refused.
+    #[test]
+    fn identity_is_never_a_false_hit() {
+        let a = gen::circuit_unsym(60, 4, 2, 3);
+        let moved = moved_one_row(&a);
+        assert_eq!((moved.n_cols(), moved.nnz()), (a.n_cols(), a.nnz()));
+        for opts in [
+            SympilerOptions::default(),
+            pivoted(Ordering::Colamd, PrePivot::Off),
+        ] {
+            let compiled = rebuilt(&a); // a pattern of its own
+            let plan = LuPlan::build(&compiled, &opts).unwrap();
+            let copies = vec![compiled.clone(), compiled.clone()];
+            let id = compiled.pattern_id();
+            drop((compiled, copies));
+            assert!(!id.is_live(), "the plan keeps the caller's indices alive");
+            assert_eq!(
+                plan.factor(&moved).unwrap_err(),
+                LuPlanError::PatternMismatch
+            );
+        }
+    }
+
+    /// The compiled pattern rebuilt from fresh arrays takes the full
+    /// compare, passes it, and factors to the bits of a clone of the
+    /// compiled matrix.
+    #[test]
+    fn a_rebuilt_pattern_factors_like_a_clone() {
+        let a = gen::circuit_unsym(60, 4, 2, 3);
+        let plan = LuPlan::build(&a, &pivoted(Ordering::Colamd, PrePivot::Off)).unwrap();
+        let fresh = rebuilt(&a);
+        assert!(!a.pattern_id().is_pattern_of(&fresh));
+        let clone = a.clone();
+        let (via_clone, via_rebuilt) = (plan.factor(&clone).unwrap(), plan.factor(&fresh).unwrap());
+        assert_eq!(bits(&via_clone), bits(&via_rebuilt));
     }
 
     #[test]

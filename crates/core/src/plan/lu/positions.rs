@@ -148,10 +148,11 @@ impl LuPlan {
             // Same `dr·v·dc` expression shape as `scatter_a_column`.
             Some(s) => {
                 let av = a.values();
-                for (j, w) in self.a_col_ptr.windows(2).enumerate() {
+                let a_rows = &self.pattern.row_idx;
+                for (j, w) in self.pattern.col_ptr.windows(2).enumerate() {
                     let dcj = s.dc[j];
                     for p in w[0] as usize..w[1] as usize {
-                        let dri = s.dr[self.a_row_idx[p] as usize];
+                        let dri = s.dr[a_rows[p] as usize];
                         vals[tables.a_dst[p] as usize] = dri * av[p] * dcj;
                     }
                 }
@@ -235,8 +236,9 @@ impl LuPlan {
                 None => (j, None),
                 Some(bp) => (bp.cperm[j], Some(&bp.irperm)),
             };
-            for p in self.a_col_ptr[oc] as usize..self.a_col_ptr[oc + 1] as usize {
-                let i = self.a_row_idx[p] as usize;
+            let a_col_ptr = &self.pattern.col_ptr;
+            for p in a_col_ptr[oc] as usize..a_col_ptr[oc + 1] as usize {
+                let i = self.pattern.row_idx[p] as usize;
                 a_dst[p] = pos[irperm.map_or(i, |ip| ip[i])];
             }
             let first = ops.len();

@@ -25,6 +25,7 @@ pub mod chol;
 pub mod level_schedule;
 pub mod lu;
 pub mod lu_supernodal;
+pub(crate) mod pattern;
 pub mod tri;
 
 /// Unit tests of the leveled scalar walk ([`lu::LuPlan::leveled`]). The

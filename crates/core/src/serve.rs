@@ -1378,6 +1378,34 @@ mod tests {
         assert_eq!(cache.get_or_compile(&b, &opts()).unwrap().plan().n(), 30);
     }
 
+    /// Identity is a shortcut, never the key: a request cloned from the
+    /// matrix an entry was compiled from and one carrying the same
+    /// pattern in fresh arrays resolve to one plan — one compile — and
+    /// answer to the same bits.
+    #[test]
+    fn a_clone_and_a_rebuilt_pattern_share_one_plan() {
+        use crate::plan::pattern::rebuilt;
+        let a = gen::circuit_unsym(60, 4, 2, 5);
+        let cache = Arc::new(PlanCache::new(CacheConfig::default()));
+        let service = FactorService::new(1, Arc::clone(&cache));
+        let rhs = vec![(0..60).map(|i| 1.0 + (i % 7) as f64).collect::<Vec<_>>()];
+        let serve = |a: CscMatrix| {
+            let req = ServeRequest {
+                a,
+                opts: opts(),
+                rhs: rhs.clone(),
+            };
+            let x = service.call(req).unwrap().solutions.remove(0);
+            x.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+        };
+        assert_eq!(serve(a.clone()), serve(rebuilt(&a)));
+        let plan = cache.get_or_compile(&a.clone(), &opts()).unwrap();
+        let other = cache.get_or_compile(&rebuilt(&a), &opts()).unwrap();
+        assert!(Arc::ptr_eq(&plan, &other));
+        let s = cache.stats();
+        assert_eq!((s.misses, s.hits, s.entries), (1, 3, 1));
+    }
+
     /// A cache recording onto an enabled profiler.
     fn traced_cache() -> (Arc<Profiler>, PlanCache) {
         let prof = Arc::new(Profiler::enabled());

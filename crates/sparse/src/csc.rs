@@ -5,9 +5,27 @@
 //! `row_idx` (`Li`) holds the row index of each stored entry, and
 //! `values` (`Lx`) the numeric value. Entries within a column are sorted
 //! by row index and duplicate-free.
+//!
+//! The pattern (`n_rows`, `n_cols`, `Lp`, `Li`) is immutable once built
+//! and `Arc`-shared: a clone copies the values only, so the value sets
+//! of one pattern — the paper's premise that "the sparsity pattern
+//! changes little or not at all" — hold one copy of its indices, and a
+//! compiled plan can recognise that pattern by its allocation
+//! ([`PatternId`]) instead of by comparing every index.
 
 use crate::error::SparseError;
 use crate::Result;
+use std::sync::{Arc, Weak};
+
+/// The structure of a [`CscMatrix`]: shape, column pointers and row
+/// indices. Never mutated after construction; shared by every clone.
+#[derive(Debug, Clone, PartialEq)]
+struct Pattern {
+    n_rows: usize,
+    n_cols: usize,
+    col_ptr: Vec<usize>,
+    row_idx: Vec<usize>,
+}
 
 /// A sparse matrix in compressed sparse column format.
 ///
@@ -16,13 +34,51 @@ use crate::Result;
 ///   non-decreasing, `col_ptr[n_cols] == row_idx.len() == values.len()`;
 /// * within each column, row indices are strictly increasing and
 ///   `< n_rows`.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// The pattern is shared and immutable, the values owned: `clone()`
+/// copies `values` and bumps a reference count, and [`Self::values_mut`]
+/// is the only mutable access.
+#[derive(Debug, Clone)]
 pub struct CscMatrix {
-    n_rows: usize,
-    n_cols: usize,
-    col_ptr: Vec<usize>,
-    row_idx: Vec<usize>,
+    pattern: Arc<Pattern>,
     values: Vec<f64>,
+}
+
+/// Equal shape, pattern and values (`f64` equality, so a NaN value is
+/// unequal to itself) — whether or not the two share a pattern.
+impl PartialEq for CscMatrix {
+    fn eq(&self, other: &Self) -> bool {
+        self.same_pattern(other) && self.values == other.values
+    }
+}
+
+/// An identity handle on the pattern allocation of a [`CscMatrix`]
+/// ([`CscMatrix::pattern_id`]): what a compiled plan keeps to recognise
+/// the matrices it was compiled from without comparing their indices.
+///
+/// The handle is a [`Weak`] reference, so it never keeps a pattern's
+/// indices alive — once every matrix sharing the pattern is dropped the
+/// indices are freed and [`Self::is_live`] turns false — but it does keep
+/// the allocation's address reserved. [`Self::is_pattern_of`] is
+/// therefore exact: a pattern is never mutated, and no other pattern can
+/// be allocated at this address while the handle exists.
+#[derive(Debug, Clone)]
+pub struct PatternId(Weak<Pattern>);
+
+impl PatternId {
+    /// True if `a` carries this very pattern allocation — and so,
+    /// exactly, the pattern the handle was taken from. False for an
+    /// equal pattern built separately: that is for a content comparison
+    /// to decide.
+    #[inline]
+    pub fn is_pattern_of(&self, a: &CscMatrix) -> bool {
+        std::ptr::eq(self.0.as_ptr(), Arc::as_ptr(&a.pattern))
+    }
+
+    /// True while some matrix still holds the pattern.
+    pub fn is_live(&self) -> bool {
+        self.0.strong_count() > 0
+    }
 }
 
 impl CscMatrix {
@@ -82,13 +138,26 @@ impl CscMatrix {
                 }
             }
         }
-        Ok(Self {
-            n_rows,
-            n_cols,
-            col_ptr,
-            row_idx,
+        Ok(Self::assemble(n_rows, n_cols, col_ptr, row_idx, values))
+    }
+
+    /// Wrap validated arrays: the one place a pattern is allocated.
+    fn assemble(
+        n_rows: usize,
+        n_cols: usize,
+        col_ptr: Vec<usize>,
+        row_idx: Vec<usize>,
+        values: Vec<f64>,
+    ) -> Self {
+        Self {
+            pattern: Arc::new(Pattern {
+                n_rows,
+                n_cols,
+                col_ptr,
+                row_idx,
+            }),
             values,
-        })
+        }
     }
 
     /// Build without validation. Used on hot paths where the caller has
@@ -111,13 +180,7 @@ impl CscMatrix {
             .is_ok(),
             "from_parts_unchecked given invalid CSC arrays"
         );
-        Self {
-            n_rows,
-            n_cols,
-            col_ptr,
-            row_idx,
-            values,
-        }
+        Self::assemble(n_rows, n_cols, col_ptr, row_idx, values)
     }
 
     /// An `n x n` identity matrix.
@@ -135,30 +198,30 @@ impl CscMatrix {
 
     #[inline]
     pub fn n_rows(&self) -> usize {
-        self.n_rows
+        self.pattern.n_rows
     }
 
     #[inline]
     pub fn n_cols(&self) -> usize {
-        self.n_cols
+        self.pattern.n_cols
     }
 
     /// Number of stored (structural) nonzeros.
     #[inline]
     pub fn nnz(&self) -> usize {
-        self.row_idx.len()
+        self.values.len()
     }
 
     /// The column pointer array (`Lp` in the paper).
     #[inline]
     pub fn col_ptr(&self) -> &[usize] {
-        &self.col_ptr
+        &self.pattern.col_ptr
     }
 
     /// The row index array (`Li` in the paper).
     #[inline]
     pub fn row_idx(&self) -> &[usize] {
-        &self.row_idx
+        &self.pattern.row_idx
     }
 
     /// The value array (`Lx` in the paper).
@@ -169,6 +232,8 @@ impl CscMatrix {
 
     /// Mutable access to values only — the pattern stays fixed, which is
     /// exactly the contract Sympiler relies on (static sparsity, §1.2).
+    /// A clone's values are its own: writing them leaves every other
+    /// matrix sharing the pattern untouched.
     #[inline]
     pub fn values_mut(&mut self) -> &mut [f64] {
         &mut self.values
@@ -177,13 +242,14 @@ impl CscMatrix {
     /// The half-open range of storage indices for column `j`.
     #[inline]
     pub fn col_range(&self, j: usize) -> std::ops::Range<usize> {
-        self.col_ptr[j]..self.col_ptr[j + 1]
+        let col_ptr = &self.pattern.col_ptr;
+        col_ptr[j]..col_ptr[j + 1]
     }
 
     /// Row indices of column `j`.
     #[inline]
     pub fn col_rows(&self, j: usize) -> &[usize] {
-        &self.row_idx[self.col_range(j)]
+        &self.pattern.row_idx[self.col_range(j)]
     }
 
     /// Values of column `j`.
@@ -196,14 +262,14 @@ impl CscMatrix {
     /// (the paper's "column count" for `L`).
     #[inline]
     pub fn col_nnz(&self, j: usize) -> usize {
-        self.col_ptr[j + 1] - self.col_ptr[j]
+        self.col_ptr()[j + 1] - self.col_ptr()[j]
     }
 
     /// Iterate over `(row, value)` pairs of column `j`.
     #[inline]
     pub fn col_iter(&self, j: usize) -> impl Iterator<Item = (usize, f64)> + '_ {
         let r = self.col_range(j);
-        self.row_idx[r.clone()]
+        self.pattern.row_idx[r.clone()]
             .iter()
             .copied()
             .zip(self.values[r].iter().copied())
@@ -213,10 +279,13 @@ impl CscMatrix {
     /// Binary search; O(log nnz(col j)). For tests and convenience, not
     /// for inner loops.
     pub fn get(&self, i: usize, j: usize) -> f64 {
-        assert!(i < self.n_rows && j < self.n_cols, "index out of bounds");
+        assert!(
+            i < self.n_rows() && j < self.n_cols(),
+            "index out of bounds"
+        );
         let rows = self.col_rows(j);
         match rows.binary_search(&i) {
-            Ok(k) => self.values[self.col_ptr[j] + k],
+            Ok(k) => self.values[self.col_ptr()[j] + k],
             Err(_) => 0.0,
         }
     }
@@ -224,13 +293,13 @@ impl CscMatrix {
     /// Storage position of entry `(i, j)` if present.
     pub fn find(&self, i: usize, j: usize) -> Option<usize> {
         let rows = self.col_rows(j);
-        rows.binary_search(&i).ok().map(|k| self.col_ptr[j] + k)
+        rows.binary_search(&i).ok().map(|k| self.col_ptr()[j] + k)
     }
 
     /// True if the matrix is square.
     #[inline]
     pub fn is_square(&self) -> bool {
-        self.n_rows == self.n_cols
+        self.n_rows() == self.n_cols()
     }
 
     /// True if every stored entry lies on or below the diagonal **and**
@@ -240,7 +309,7 @@ impl CscMatrix {
         if !self.is_square() {
             return false;
         }
-        (0..self.n_cols).all(|j| {
+        (0..self.n_cols()).all(|j| {
             let rows = self.col_rows(j);
             rows.first() == Some(&j)
         })
@@ -249,7 +318,7 @@ impl CscMatrix {
     /// True if only entries on or below the diagonal are stored
     /// (the symmetric-lower storage convention of the paper's `A`).
     pub fn is_lower_storage(&self) -> bool {
-        (0..self.n_cols).all(|j| self.col_rows(j).iter().all(|&i| i >= j))
+        (0..self.n_cols()).all(|j| self.col_rows(j).iter().all(|&i| i >= j))
     }
 
     /// True if every column's last stored entry is exactly the
@@ -262,7 +331,7 @@ impl CscMatrix {
         if !self.is_square() {
             return false;
         }
-        (0..self.n_cols).all(|j| {
+        (0..self.n_cols()).all(|j| {
             let rows = self.col_rows(j);
             rows.last() == Some(&j)
         })
@@ -271,45 +340,51 @@ impl CscMatrix {
     /// Densify into a column-major `Vec` (`n_rows * n_cols`).
     /// For tests and small examples only.
     pub fn to_dense(&self) -> Vec<f64> {
-        let mut d = vec![0.0; self.n_rows * self.n_cols];
-        for j in 0..self.n_cols {
+        let (n_rows, n_cols) = (self.n_rows(), self.n_cols());
+        let mut d = vec![0.0; n_rows * n_cols];
+        for j in 0..n_cols {
             for (i, v) in self.col_iter(j) {
-                d[j * self.n_rows + i] = v;
+                d[j * n_rows + i] = v;
             }
         }
         d
     }
 
     /// The sparsity pattern with all values set to a constant. Useful for
-    /// symbolic-phase tests where only structure matters.
+    /// symbolic-phase tests where only structure matters. Shares this
+    /// matrix's pattern.
     pub fn pattern_only(&self, fill: f64) -> CscMatrix {
         CscMatrix {
-            n_rows: self.n_rows,
-            n_cols: self.n_cols,
-            col_ptr: self.col_ptr.clone(),
-            row_idx: self.row_idx.clone(),
+            pattern: Arc::clone(&self.pattern),
             values: vec![fill; self.nnz()],
         }
     }
 
-    /// True if the two matrices have the identical sparsity pattern.
+    /// True if the two matrices have the identical sparsity pattern:
+    /// at once when they share the pattern allocation, by comparing
+    /// shape and indices otherwise.
     pub fn same_pattern(&self, other: &CscMatrix) -> bool {
-        self.n_rows == other.n_rows
-            && self.n_cols == other.n_cols
-            && self.col_ptr == other.col_ptr
-            && self.row_idx == other.row_idx
+        Arc::ptr_eq(&self.pattern, &other.pattern) || self.pattern == other.pattern
+    }
+
+    /// The identity handle of this matrix's pattern allocation, shared
+    /// by its clones and [`Self::pattern_only`] copies.
+    pub fn pattern_id(&self) -> PatternId {
+        PatternId(Arc::downgrade(&self.pattern))
     }
 
     /// Consume the matrix, returning `(n_rows, n_cols, col_ptr, row_idx,
-    /// values)`.
+    /// values)`. The index arrays are moved out when no other matrix
+    /// shares the pattern and copied when one does, which leaves that
+    /// matrix intact.
     pub fn into_parts(self) -> (usize, usize, Vec<usize>, Vec<usize>, Vec<f64>) {
-        (
-            self.n_rows,
-            self.n_cols,
-            self.col_ptr,
-            self.row_idx,
-            self.values,
-        )
+        let Pattern {
+            n_rows,
+            n_cols,
+            col_ptr,
+            row_idx,
+        } = Arc::unwrap_or_clone(self.pattern);
+        (n_rows, n_cols, col_ptr, row_idx, self.values)
     }
 }
 
@@ -441,6 +516,90 @@ mod tests {
         assert!(p.values().iter().all(|&v| v == 1.0));
         let other = CscMatrix::identity(3);
         assert!(!m.same_pattern(&other));
+    }
+
+    #[test]
+    fn values_mut_on_a_clone_leaves_the_original() {
+        let m = small_lower();
+        let before: Vec<u64> = m.values().iter().map(|v| v.to_bits()).collect();
+        let mut c = m.clone();
+        for v in c.values_mut() {
+            *v = -*v * 3.0;
+        }
+        assert!(
+            m.pattern_id().is_pattern_of(&c),
+            "the clone shares the pattern"
+        );
+        let after: Vec<u64> = m.values().iter().map(|v| v.to_bits()).collect();
+        assert_eq!(before, after);
+        assert_ne!(m, c);
+    }
+
+    #[test]
+    fn into_parts_of_a_shared_matrix_copies_and_leaves_the_other_clone() {
+        let m = small_lower();
+        let c = m.clone();
+        let (n_rows, n_cols, col_ptr, row_idx, values) = c.into_parts();
+        assert_eq!((n_rows, n_cols), (3, 3));
+        assert_eq!(col_ptr, m.col_ptr());
+        assert_eq!(row_idx, m.row_idx());
+        assert_eq!(values, m.values());
+        // The survivor is whole, and now the pattern's only holder: its
+        // own `into_parts` moves the arrays out.
+        assert_eq!(m, small_lower());
+        let id = m.pattern_id();
+        let parts = m.into_parts();
+        assert_eq!(parts.3, vec![0, 1, 1, 2, 2]);
+        assert!(!id.is_live());
+    }
+
+    #[test]
+    fn equality_and_same_pattern_compare_contents_across_allocations() {
+        let (m, rebuilt) = (small_lower(), small_lower());
+        assert!(!m.pattern_id().is_pattern_of(&rebuilt));
+        assert!(m == rebuilt && m.same_pattern(&rebuilt));
+        // One row index differs (column 0: rows {0, 2} instead of {0, 1}).
+        let moved = CscMatrix::try_new(
+            3,
+            3,
+            vec![0, 2, 4, 5],
+            vec![0, 2, 1, 2, 2],
+            m.values().to_vec(),
+        )
+        .unwrap();
+        assert!(m != moved && !m.same_pattern(&moved));
+        // Only `n_rows` differs.
+        let taller = CscMatrix::try_new(
+            4,
+            3,
+            m.col_ptr().to_vec(),
+            m.row_idx().to_vec(),
+            m.values().to_vec(),
+        )
+        .unwrap();
+        assert!(m != taller && !m.same_pattern(&taller));
+    }
+
+    #[test]
+    fn pattern_only_shares_the_allocation() {
+        let m = small_lower();
+        let p = m.pattern_only(0.5);
+        assert!(m.pattern_id().is_pattern_of(&p));
+        assert!(p.pattern_id().is_pattern_of(&m));
+    }
+
+    #[test]
+    fn the_identity_handle_never_keeps_a_pattern_alive() {
+        let m = small_lower();
+        let c = m.clone();
+        let id = m.pattern_id();
+        drop(m);
+        assert!(id.is_live() && id.is_pattern_of(&c));
+        drop(c);
+        assert_eq!(id.0.strong_count(), 0);
+        assert!(!id.is_live());
+        // A new matrix never lands on the handle's reserved address.
+        assert!(!id.is_pattern_of(&small_lower()));
     }
 
     #[test]

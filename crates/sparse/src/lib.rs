@@ -24,7 +24,7 @@ pub mod sparsevec;
 pub mod suite;
 pub mod triplet;
 
-pub use csc::CscMatrix;
+pub use csc::{CscMatrix, PatternId};
 pub use error::SparseError;
 pub use sparsevec::SparseVec;
 pub use triplet::TripletMatrix;

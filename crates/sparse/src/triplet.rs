@@ -113,18 +113,24 @@ impl TripletMatrix {
             values[p] = self.vals[k];
             next[j] += 1;
         }
-        // Sort each column by row and merge duplicates (compacting).
-        let mut out_ptr = vec![0usize; n_cols + 1];
-        let mut out_rows = Vec::with_capacity(self.len());
-        let mut out_vals = Vec::with_capacity(self.len());
+        // Sort each column by row and merge duplicates, compacting in
+        // place: the matrix is built on the scatter arrays themselves,
+        // not on a second copy allocated while they are live, so its
+        // pattern — which every clone shares and keeps alive — does not
+        // sit above the hole they leave. Column `j` is copied out of
+        // `col_ptr[j]..col_ptr[j + 1]` before anything is written at or
+        // past `col_ptr[j]`, and its end is read before the pointer is
+        // overwritten with the compacted one.
         let mut scratch: Vec<(usize, f64)> = Vec::new();
+        let (mut start, mut w) = (0, 0);
         for j in 0..n_cols {
+            let end = col_ptr[j + 1];
             scratch.clear();
             scratch.extend(
-                row_idx[col_ptr[j]..col_ptr[j + 1]]
+                row_idx[start..end]
                     .iter()
                     .copied()
-                    .zip(values[col_ptr[j]..col_ptr[j + 1]].iter().copied()),
+                    .zip(values[start..end].iter().copied()),
             );
             scratch.sort_unstable_by_key(|&(r, _)| r);
             let mut k = 0;
@@ -135,13 +141,17 @@ impl TripletMatrix {
                     v += scratch[k2].1;
                     k2 += 1;
                 }
-                out_rows.push(r);
-                out_vals.push(v);
+                row_idx[w] = r;
+                values[w] = v;
+                w += 1;
                 k = k2;
             }
-            out_ptr[j + 1] = out_rows.len();
+            col_ptr[j + 1] = w;
+            start = end;
         }
-        CscMatrix::try_new(self.n_rows, n_cols, out_ptr, out_rows, out_vals)
+        row_idx.truncate(w);
+        values.truncate(w);
+        CscMatrix::try_new(self.n_rows, n_cols, col_ptr, row_idx, values)
     }
 
     /// Assemble, requiring the result to be square.

@@ -395,3 +395,62 @@ fn lu_row_index_beyond_u32_is_a_pattern_mismatch_in_every_tier() {
         }
     }
 }
+
+/// `good`'s column pointers and values over `n_rows` rows with the
+/// given row indices, in fresh arrays — an input every plan compares in
+/// full.
+fn reshaped(good: &CscMatrix, n_rows: usize, rows: Vec<usize>) -> CscMatrix {
+    let (col_ptr, vals) = (good.col_ptr().to_vec(), good.values().to_vec());
+    CscMatrix::try_new(n_rows, good.n_cols(), col_ptr, rows, vals).unwrap()
+}
+
+/// The compiled Cholesky pattern is compared widened, never the input
+/// narrowed: a row index equal to the compiled one modulo 2³² is a
+/// mismatch.
+#[cfg(target_pointer_width = "64")]
+#[test]
+fn chol_row_index_beyond_u32_is_a_pattern_mismatch() {
+    use sympiler::core::plan::chol::CholPlanError;
+    let good = gen::grid2d_laplacian(6, 6, false, 3);
+    let chol = SympilerCholesky::compile(&good, &SympilerOptions::default()).unwrap();
+    assert!(chol.factor(&good).is_ok());
+    let mut rows = good.row_idx().to_vec();
+    rows[good.col_ptr()[1] - 1] += 1 << 32; // last (largest) row of column 0
+    let bad = reshaped(&good, good.n_rows() + (1 << 32), rows);
+    assert_eq!(
+        chol.factor(&bad).err(),
+        Some(CholPlanError::PatternMismatch)
+    );
+}
+
+/// An `(n + 3) × n` copy of the compiled matrix — the same column
+/// pointers, row indices and values over three more rows — is not the
+/// compiled matrix, in either LU tier or in Cholesky.
+#[test]
+fn a_taller_copy_of_the_compiled_matrix_is_a_pattern_mismatch() {
+    use sympiler::core::plan::chol::CholPlanError;
+    use sympiler::core::plan::lu::LuPlanError;
+    let a = gen::circuit_unsym(80, 4, 2, 11);
+    let taller = reshaped(&a, a.n_rows() + 3, a.row_idx().to_vec());
+    for block_lu in [BlockLu::Off, BlockLu::On] {
+        let opts = SympilerOptions {
+            block_lu,
+            ..Default::default()
+        };
+        let lu = SympilerLu::compile(&a, &opts).unwrap();
+        assert!(lu.factor(&a).is_ok());
+        assert_eq!(
+            lu.factor(&taller).unwrap_err(),
+            LuPlanError::PatternMismatch,
+            "{block_lu:?}"
+        );
+    }
+    let spd = gen::grid2d_laplacian(6, 6, false, 3);
+    let chol = SympilerCholesky::compile(&spd, &SympilerOptions::default()).unwrap();
+    assert!(chol.factor(&spd).is_ok());
+    let taller = reshaped(&spd, spd.n_rows() + 3, spd.row_idx().to_vec());
+    assert_eq!(
+        chol.factor(&taller).err(),
+        Some(CholPlanError::PatternMismatch)
+    );
+}
