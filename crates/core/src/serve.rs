@@ -28,16 +28,14 @@
 //!   `RobustLu` read them from the request, `compile` never does. Requests
 //!   that differ only in those five fields share one plan.
 //!
-//!   **What a hit costs.** One pass of [`structural_hash`] over the
-//!   index words (four independent multiply–rotate lanes, ~13 µs for
-//!   the 256 KB pattern of an n = 8000 circuit), then one exact
-//!   pattern comparison (chunked, vectorised) and a compile-key
-//!   comparison under the cache mutex — a whole lookup is ~21 µs.
-//!   Both passes are safety checks and stay on every request. Two
-//!   further steps were measured and declined: a caller-held *pattern
-//!   handle* that skips the hash could save at most those ~13 µs of a
-//!   ~0.47 ms hit, and no caller or workload would use it; moving the
-//!   exact check outside the mutex (or sharding the lock) would save
+//!   **What a hit costs.** [`structural_hash`] folds the pattern's
+//!   fingerprint ([`CscMatrix::pattern_fingerprint`], computed once per
+//!   pattern allocation and kept in the shared pattern) with the
+//!   compile key, so a request cloned from an earlier one never reads
+//!   an index to find its plan; then one exact pattern check (identity
+//!   first, chunked compare otherwise) and a compile-key comparison
+//!   under the cache mutex. Moving the exact check outside the mutex
+//!   (or sharding the lock) was measured and declined: it would save
 //!   nothing uncontended — lookup minus hash is 7–8 µs.
 //! * [`FactorService`] — a thread-pool front end accepting
 //!   factor(+solve) requests, routing every request through one
@@ -56,12 +54,13 @@
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering as MemOrder};
-use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, PoisonError};
-use std::time::Duration;
+use std::sync::mpsc::{self, TryRecvError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::time::{Duration, Instant};
 
 use crate::compile::{SympilerLu, SympilerOptions};
 use crate::plan::lu::{LuFactor, LuPlanError, LuWorkspace};
-use sympiler_obs::{Profiler, MAX_LANES};
+use sympiler_obs::{Counter, Profiler, MAX_LANES};
 use sympiler_sparse::CscMatrix;
 
 /// Deterministic fault-injection hooks for the serving tier, used by
@@ -173,56 +172,14 @@ impl From<LuPlanError> for ServeError {
     }
 }
 
-/// Independent multiply–rotate chains the pattern words are dealt
-/// across. One chain is bound by the latency of its 64-bit multiply;
-/// four chains a word at a time keep the multiplier busy and put the
-/// hash near the speed the index arrays stream from cache.
-const LANES: usize = 4;
-
-/// Fixed odd constants (the FNV-1a offset and prime, the golden-ratio
-/// increment and the splitmix64 / xxh64 multipliers): no `RandomState`,
-/// so keys — and the hit rates the benches report — repeat across runs
-/// and platforms.
+/// Fixed FNV-1a offset basis and prime: no `RandomState`, so keys — and
+/// the hit rates the benches report — repeat across runs and platforms.
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-const LANE_SEED: [u64; LANES] = [
-    FNV_OFFSET,
-    0x9e37_79b9_7f4a_7c15,
-    0xbf58_476d_1ce4_e5b9,
-    0x94d0_49bb_1331_11eb,
-];
-const LANE_MUL: [u64; LANES] = [
-    0x9e37_79b1_85eb_ca87,
-    0xc2b2_ae3d_27d4_eb4f,
-    0x1656_67b1_9e37_79f9,
-    0x27d4_eb2f_1656_67c5,
-];
 
-/// One step of a lane: a bijection of the state for a fixed word and
-/// of the word for a fixed state, so changing one word always changes
-/// its lane; the rotate carries the product's high bits back down.
-#[inline(always)]
-fn lane_step(h: u64, word: u64, lane: usize) -> u64 {
-    (h ^ word).wrapping_mul(LANE_MUL[lane]).rotate_left(29)
-}
-
-/// Absorb one index stream: its length first (so `[.., x] ++ []` and
-/// `[..] ++ [x]` differ), then word `i` into lane `i % LANES`.
-fn absorb(mut h: [u64; LANES], words: &[usize]) -> [u64; LANES] {
-    h[0] = lane_step(h[0], words.len() as u64, 0);
-    let mut groups = words.chunks_exact(LANES);
-    for g in &mut groups {
-        for lane in 0..LANES {
-            h[lane] = lane_step(h[lane], g[lane] as u64, lane);
-        }
-    }
-    for (lane, &w) in groups.remainder().iter().enumerate() {
-        h[lane] = lane_step(h[lane], w as u64, lane);
-    }
-    h
-}
-
-/// Folds the lanes and the derived `Hash` of the options' compile key
+/// Folds the pattern's fingerprint lanes
+/// ([`CscMatrix::pattern_fingerprint`]) and the derived `Hash` of the
+/// options' compile key
 /// into the 64-bit cache key: FNV-1a over whole words, then the splitmix64
 /// finalizer so every input bit reaches every key bit. `usize` fields
 /// are widened to 64 bits, keeping keys equal across pointer widths.
@@ -262,12 +219,14 @@ impl Hasher for KeyHasher {
 /// probabilistic, which is why [`PlanCache`] verifies candidates with
 /// an exact pattern check and a compile-key comparison before
 /// reporting a hit.
+///
+/// The pattern half is the fingerprint its shared pattern keeps, so
+/// only the first hash of a pattern allocation reads its indices; a
+/// request cloned from an earlier one costs a fold of four words and
+/// the compile key.
 pub fn structural_hash(a: &CscMatrix, opts: &SympilerOptions) -> u64 {
-    let lanes = absorb(LANE_SEED, &[a.n_rows(), a.n_cols()]);
-    let lanes = absorb(lanes, a.col_ptr());
-    let lanes = absorb(lanes, a.row_idx());
     let mut h = KeyHasher(FNV_OFFSET);
-    for lane in lanes {
+    for lane in a.pattern_fingerprint() {
         h.write_u64(lane);
     }
     opts.compile_key().hash(&mut h);
@@ -777,10 +736,52 @@ pub struct ServeResponse {
     pub solutions: Vec<Vec<f64>>,
 }
 
+/// How long [`Ticket::wait`] polls for its reply before it parks in
+/// `recv`. Covers a hit (0.4–0.7 ms on the `serve_churn` patterns) with
+/// room to spare; a compile outlasts it and parks. Picked from the
+/// sweep in ARCHITECTURE.md, "Concurrency".
+const WAIT_SPIN: Duration = Duration::from_millis(1);
+
+/// How long a worker polls the job queue after each reply before it
+/// parks: long enough for a client that answers a reply with its next
+/// request, short enough that an idle pool stops spinning at once.
+const QUEUE_SPIN: Duration = Duration::from_micros(200);
+
+/// Whether a pool of `n_workers` may spin: only when it leaves a core
+/// for the client. On fewer cores a spinning waiter takes the core its
+/// own worker needs, so the pool parks at once, as a blocking channel
+/// would.
+fn spin_gate(n_workers: usize, cores: usize) -> bool {
+    n_workers < cores
+}
+
+/// Call `poll` until it returns `Some` or `budget` has passed, giving
+/// the core away between calls. A zero budget never polls: the caller
+/// parks at once, exactly as a plain blocking receive.
+fn poll_for<T>(budget: Duration, mut poll: impl FnMut() -> Option<T>) -> Option<T> {
+    if budget.is_zero() {
+        return None;
+    }
+    let start = Instant::now();
+    loop {
+        if let Some(v) = poll() {
+            return Some(v);
+        }
+        if start.elapsed() >= budget {
+            return None;
+        }
+        std::thread::yield_now();
+    }
+}
+
 /// A pending [`FactorService`] reply.
 pub struct Ticket {
     id: u64,
     rx: mpsc::Receiver<Result<ServeResponse, ServeError>>,
+    /// [`WAIT_SPIN`] when the pool leaves a core spare, zero otherwise.
+    spin: Duration,
+    /// `serve.wait.parked`: waits whose poll budget ran out.
+    parked: Counter,
 }
 
 impl Ticket {
@@ -796,19 +797,42 @@ impl Ticket {
     /// dead worker and never panics: a dropped reply sender (worker
     /// died mid-request, or the service was dropped with the request
     /// still queued) resolves to [`ServeError::Disconnected`].
+    ///
+    /// The reply is polled for up to a fixed budget before the thread
+    /// parks, so a fast request is picked up without a sleep and a
+    /// wake-up; a pool that leaves no core spare parks at once.
     pub fn wait(self) -> Result<ServeResponse, ServeError> {
+        if let Some(result) = poll_for(self.spin, || self.poll()) {
+            return result;
+        }
+        self.parked.add(1);
         self.rx.recv().unwrap_or(Err(ServeError::Disconnected))
     }
 
     /// [`Self::wait`] with a deadline: gives up with
     /// [`ServeError::Timeout`] when no reply lands within `dur`. The
     /// ticket is consumed either way — a timed-out request's eventual
-    /// result is discarded, exactly like a dropped ticket's.
+    /// result is discarded, exactly like a dropped ticket's. Polling
+    /// never runs past the deadline.
     pub fn wait_timeout(self, dur: Duration) -> Result<ServeResponse, ServeError> {
-        match self.rx.recv_timeout(dur) {
+        let start = Instant::now();
+        if let Some(result) = poll_for(self.spin.min(dur), || self.poll()) {
+            return result;
+        }
+        self.parked.add(1);
+        match self.rx.recv_timeout(dur.saturating_sub(start.elapsed())) {
             Ok(result) => result,
             Err(mpsc::RecvTimeoutError::Timeout) => Err(ServeError::Timeout { waited: dur }),
             Err(mpsc::RecvTimeoutError::Disconnected) => Err(ServeError::Disconnected),
+        }
+    }
+
+    /// The reply if it has landed (or can never land), without blocking.
+    fn poll(&self) -> Option<Result<ServeResponse, ServeError>> {
+        match self.rx.try_recv() {
+            Ok(result) => Some(result),
+            Err(TryRecvError::Disconnected) => Some(Err(ServeError::Disconnected)),
+            Err(TryRecvError::Empty) => None,
         }
     }
 }
@@ -853,6 +877,15 @@ fn worker_lane(slot: usize) -> usize {
 /// request's options, a factorization failure is retried once through
 /// the recovery ladder's cheap rungs (pivot perturbation + iterative
 /// refinement) before the error is returned.
+///
+/// Hand-off: when the pool leaves a core spare (`n_workers + 1 ≤`
+/// [`std::thread::available_parallelism`]), an idle worker polls the
+/// queue for a short budget after each reply and a waiting client polls
+/// its reply ([`Ticket::wait`]) before either parks, so a request
+/// stream that keeps the pool busy crosses threads without a sleep and
+/// a wake-up. Budgets that run out are counted as `serve.queue.parked`
+/// and `serve.wait.parked` on the cache's profiler. With no core spare
+/// both sides park at once.
 pub struct FactorService {
     tx: Option<mpsc::Sender<Job>>,
     /// One slot per worker; a sentinel overwrites its own slot with
@@ -867,6 +900,10 @@ pub struct FactorService {
     cache: Arc<PlanCache>,
     /// Monotonic request-id source (ids are handed out at submit).
     req_seq: AtomicU64,
+    /// Whether workers and waiters poll before parking ([`spin_gate`]).
+    spin: bool,
+    /// `serve.wait.parked`, handed to every ticket.
+    wait_parked: Counter,
 }
 
 type Registry = Arc<Mutex<Vec<Option<std::thread::JoinHandle<()>>>>>;
@@ -881,6 +918,7 @@ struct Sentinel {
     rx: Arc<Mutex<mpsc::Receiver<Job>>>,
     cache: Arc<PlanCache>,
     registry: Registry,
+    spin: bool,
 }
 
 impl Drop for Sentinel {
@@ -892,8 +930,13 @@ impl Drop for Sentinel {
                 &[("slot", self.slot as f64)],
                 &[],
             );
-            let fresh =
-                FactorService::spawn_worker(self.slot, &self.rx, &self.cache, &self.registry);
+            let fresh = FactorService::spawn_worker(
+                self.slot,
+                &self.rx,
+                &self.cache,
+                &self.registry,
+                self.spin,
+            );
             self.registry.lock().unwrap_or_else(PoisonError::into_inner)[self.slot] = Some(fresh);
         }
     }
@@ -905,6 +948,8 @@ impl FactorService {
         let (tx, rx) = mpsc::channel::<Job>();
         let rx = Arc::new(Mutex::new(rx));
         let n = n_workers.max(1);
+        let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
+        let spin = spin_gate(n, cores);
         let workers: Registry = Arc::new(Mutex::new((0..n).map(|_| None).collect()));
         {
             // Register under the lock: a worker dying instantly blocks
@@ -912,15 +957,17 @@ impl FactorService {
             // so a replacement can never be clobbered by this loop.
             let mut reg = workers.lock().unwrap();
             for slot in 0..n {
-                reg[slot] = Some(Self::spawn_worker(slot, &rx, &cache, &workers));
+                reg[slot] = Some(Self::spawn_worker(slot, &rx, &cache, &workers, spin));
             }
         }
         Self {
             tx: Some(tx),
             workers,
             rx,
+            wait_parked: cache.profiler.counter("serve.wait.parked"),
             cache,
             req_seq: AtomicU64::new(0),
+            spin,
         }
     }
 
@@ -929,6 +976,7 @@ impl FactorService {
         rx: &Arc<Mutex<mpsc::Receiver<Job>>>,
         cache: &Arc<PlanCache>,
         registry: &Registry,
+        spin: bool,
     ) -> std::thread::JoinHandle<()> {
         let rx = Arc::clone(rx);
         let cache = Arc::clone(cache);
@@ -946,15 +994,29 @@ impl FactorService {
                 rx: Arc::clone(&rx),
                 cache: Arc::clone(&cache),
                 registry,
+                spin,
             };
+            let budget = if spin { QUEUE_SPIN } else { Duration::ZERO };
+            let parked = cache.profiler.counter("serve.queue.parked");
             let mut ws = LuWorkspace::new();
             loop {
                 // Hold the queue lock only for the dequeue; recover
-                // the lock if a sibling died while holding it.
-                let job = match rx.lock().unwrap_or_else(PoisonError::into_inner).recv() {
-                    Ok(job) => job,
-                    Err(_) => break, // service dropped, queue drained
+                // the lock if a sibling died while holding it. Poll
+                // before parking; `None` once the service is dropped
+                // and the queue drained.
+                let job = {
+                    let queue = rx.lock().unwrap_or_else(PoisonError::into_inner);
+                    let polled = poll_for(budget, || match queue.try_recv() {
+                        Ok(job) => Some(Some(job)),
+                        Err(TryRecvError::Disconnected) => Some(None),
+                        Err(TryRecvError::Empty) => None,
+                    });
+                    polled.unwrap_or_else(|| {
+                        parked.add(1);
+                        queue.recv().ok()
+                    })
                 };
+                let Some(job) = job else { break };
                 // Hard-fault hook: dies here, after the queue lock is
                 // released but before any reply — the ticket sees a
                 // disconnect, exactly like a real worker death.
@@ -1034,7 +1096,12 @@ impl FactorService {
                 reply,
             })
             .expect("service holds a receiver until drop");
-        Ticket { id, rx }
+        Ticket {
+            id,
+            rx,
+            spin: if self.spin { WAIT_SPIN } else { Duration::ZERO },
+            parked: self.wait_parked.clone(),
+        }
     }
 
     /// Submit and wait: one factor (+ solves) through the pool.
@@ -1187,6 +1254,14 @@ mod tests {
         SympilerOptions::default()
     }
 
+    /// The [`fault`] hooks are process-global — they arm the next jobs
+    /// of *any* worker — so every test here that runs a
+    /// [`FactorService`] holds this lock.
+    fn service_lock() -> MutexGuard<'static, ()> {
+        static SERVICE_TESTS: Mutex<()> = Mutex::new(());
+        SERVICE_TESTS.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     #[test]
     fn structural_hash_is_pattern_and_options_keyed() {
         let a = gen::circuit_unsym(50, 4, 2, 3);
@@ -1224,6 +1299,22 @@ mod tests {
         assert_eq!(structural_hash(&empty, &opts()), 0x889c_8c44_f6b3_2a41);
         assert_eq!(structural_hash(&a, &opts()), 0xdc5c_778b_65b6_337c);
         assert_eq!(structural_hash(&a, &colamd), 0x3614_759e_e9f3_a605);
+    }
+
+    /// The key reads the pattern's kept fingerprint: a clone (which
+    /// shares it) and a pattern rebuilt from fresh arrays (which computes
+    /// its own) key alike, one row index or `n_rows` apart do not.
+    #[test]
+    fn structural_hash_is_shared_by_clones_and_rebuilt_patterns() {
+        use crate::plan::pattern::{moved_one_row, rebuilt};
+        let a = gen::circuit_unsym(50, 4, 2, 3);
+        let key = structural_hash(&a, &opts());
+        assert_eq!(structural_hash(&a.clone(), &opts()), key);
+        assert_eq!(structural_hash(&rebuilt(&a), &opts()), key);
+        assert_ne!(structural_hash(&moved_one_row(&a), &opts()), key);
+        let (_, n_cols, col_ptr, row_idx, values) = a.clone().into_parts();
+        let taller = CscMatrix::try_new(n_cols + 1, n_cols, col_ptr, row_idx, values).unwrap();
+        assert_ne!(structural_hash(&taller, &opts()), key);
     }
 
     /// Every option that changes the compiled LU plan is identity;
@@ -1385,6 +1476,7 @@ mod tests {
     #[test]
     fn a_clone_and_a_rebuilt_pattern_share_one_plan() {
         use crate::plan::pattern::rebuilt;
+        let _serial = service_lock();
         let a = gen::circuit_unsym(60, 4, 2, 5);
         let cache = Arc::new(PlanCache::new(CacheConfig::default()));
         let service = FactorService::new(1, Arc::clone(&cache));
@@ -1621,6 +1713,7 @@ mod tests {
 
     #[test]
     fn request_ids_are_unique_and_traced_on_worker_lanes() {
+        let _serial = service_lock();
         let prof = Arc::new(Profiler::enabled());
         let cache = Arc::new(PlanCache::with_profiler(
             CacheConfig::default(),
@@ -1687,6 +1780,285 @@ mod tests {
                 })
                 .count();
             assert!(children >= 3, "request tree has its phase children");
+        }
+    }
+
+    /// A pool spins only when it leaves a core for the client; on any
+    /// box, a pool as wide as the machine parks at once, as a blocking
+    /// channel would.
+    #[test]
+    fn the_spin_gate_is_closed_without_a_spare_core() {
+        for cores in 1..=16 {
+            for n_workers in 1..=17 {
+                assert_eq!(
+                    spin_gate(n_workers, cores),
+                    cores.saturating_sub(n_workers) >= 1,
+                    "{n_workers} workers on {cores} cores"
+                );
+            }
+        }
+        let _serial = service_lock();
+        let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
+        let cache = Arc::new(PlanCache::new(CacheConfig::default()));
+        let a = gen::circuit_unsym(40, 4, 2, 9);
+        for n_workers in [cores - 1, cores, cores + 1] {
+            let service = FactorService::new(n_workers, Arc::clone(&cache));
+            let open = n_workers.max(1) < cores;
+            assert_eq!(service.spin, open, "{n_workers} workers on {cores} cores");
+            let ticket = service.submit(ServeRequest {
+                a: a.clone(),
+                opts: opts(),
+                rhs: Vec::new(),
+            });
+            let budget = if open { WAIT_SPIN } else { Duration::ZERO };
+            assert_eq!(ticket.spin, budget);
+            ticket.wait().unwrap();
+        }
+    }
+
+    /// A compile outlasts the waiter's poll budget, so the wait parks
+    /// and the profiled service counts it.
+    #[test]
+    fn a_wait_on_a_cold_compile_parks_and_is_counted() {
+        let _serial = service_lock();
+        let prof = Arc::new(Profiler::enabled());
+        let cache = Arc::new(PlanCache::with_profiler(
+            CacheConfig::default(),
+            Arc::clone(&prof),
+        ));
+        let service = FactorService::new(1, cache);
+        let a = gen::circuit_unsym(20000, 1, 0, 31);
+        service
+            .call(ServeRequest {
+                a,
+                opts: opts(),
+                rhs: Vec::new(),
+            })
+            .unwrap();
+        assert_eq!(prof.counter_value("serve.cache.miss"), 1);
+        assert!(prof.counter_value("serve.wait.parked") >= 1);
+        // With nothing more to do, the worker's poll budget runs out and
+        // it parks on the empty queue.
+        let start = Instant::now();
+        while prof.counter_value("serve.queue.parked") == 0 {
+            assert!(start.elapsed() < Duration::from_secs(10), "never parked");
+            std::thread::yield_now();
+        }
+    }
+
+    /// Silences the panics the [`fault`] hooks inject while it lives;
+    /// every other panic still reaches the hook it replaced.
+    struct QuietFaults(Arc<PanicHook>);
+
+    type PanicHook = dyn Fn(&std::panic::PanicHookInfo<'_>) + Send + Sync;
+
+    impl QuietFaults {
+        fn install() -> Self {
+            let prev: Arc<PanicHook> = Arc::from(std::panic::take_hook());
+            let next = Arc::clone(&prev);
+            std::panic::set_hook(Box::new(move |info| {
+                let injected = info
+                    .payload()
+                    .downcast_ref::<&str>()
+                    .is_some_and(|s| s.contains("(fault hook)"));
+                if !injected {
+                    next(info);
+                }
+            }));
+            Self(prev)
+        }
+    }
+
+    impl Drop for QuietFaults {
+        fn drop(&mut self) {
+            // A panicking thread may not swap hooks; the filter stays.
+            if std::thread::panicking() {
+                return;
+            }
+            let prev = Arc::clone(&self.0);
+            std::panic::set_hook(Box::new(move |info| prev(info)));
+        }
+    }
+
+    /// splitmix64: a seeded stream for the stress schedule.
+    struct Rng(u64);
+
+    impl Rng {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            (z ^ (z >> 31)) % n
+        }
+    }
+
+    /// How long this thread has been runnable but not running (Linux
+    /// schedstat); zero where the kernel does not say. A timed wait is
+    /// held to its deadline net of this: on a box busy with other tests
+    /// the scheduler can keep any thread off the CPU for a time slice
+    /// or two, and no wait can return while it is.
+    fn run_queue_delay() -> Duration {
+        std::fs::read_to_string("/proc/thread-self/schedstat")
+            .ok()
+            .and_then(|s| s.split_whitespace().nth(1)?.parse().ok())
+            .map_or(Duration::ZERO, Duration::from_nanos)
+    }
+
+    /// One seeded run of the stress schedule against an `n_workers`
+    /// pool: submits, waits, timed waits, dropped tickets and armed
+    /// faults interleaved, then a service dropped with tickets queued.
+    /// Every waited ticket must resolve to its own request's solution,
+    /// bitwise as the direct path computes it, or to an infrastructure
+    /// `ServeError`; no request may be answered twice.
+    fn stress_run(seed: u64, n_workers: usize) {
+        const WAITS: [Option<Duration>; 4] = [
+            None,
+            Some(Duration::ZERO),
+            Some(Duration::from_micros(50)),
+            Some(Duration::from_secs(30)),
+        ];
+        let bases: Vec<CscMatrix> = (0..2)
+            .map(|s| gen::circuit_unsym(60, 4, 2, 21 + s))
+            .collect();
+        let direct: Vec<SympilerLu> = bases
+            .iter()
+            .map(|a| SympilerLu::compile(a, &opts()).unwrap())
+            .collect();
+        let b: Vec<f64> = (0..60).map(|i| 1.0 + (i % 5) as f64).collect();
+        let prof = Arc::new(Profiler::enabled());
+        let cache = Arc::new(PlanCache::with_profiler(
+            CacheConfig::default(),
+            Arc::clone(&prof),
+        ));
+        let service = FactorService::new(n_workers, cache);
+        let mut rng = Rng(seed);
+        // (ticket, the direct path's solution bits)
+        let mut pending: Vec<(Ticket, Vec<u64>)> = Vec::new();
+        let (mut armed_panics, mut armed_deaths) = (0, 0);
+        let (mut panics, mut deaths, mut ok_ids) = (0, 0, Vec::new());
+        let mut resolve = |(ticket, want): (Ticket, Vec<u64>), wait: Option<Duration>| {
+            let id = ticket.id();
+            let queued = run_queue_delay();
+            let t = Instant::now();
+            let result = match wait {
+                None => ticket.wait(),
+                Some(d) => ticket.wait_timeout(d),
+            };
+            if let Some(d) = wait {
+                let took = t.elapsed();
+                let descheduled = run_queue_delay().saturating_sub(queued);
+                assert!(
+                    took.saturating_sub(descheduled) <= d + Duration::from_millis(5),
+                    "wait_timeout({d:?}) took {took:?}, {descheduled:?} of it \
+                     runnable but descheduled ({n_workers} workers)"
+                );
+            }
+            match result {
+                Ok(resp) => {
+                    let got: Vec<u64> = resp.solutions[0].iter().map(|v| v.to_bits()).collect();
+                    assert_eq!(got, want, "request {id} got another request's answer");
+                    ok_ids.push(id);
+                }
+                Err(ServeError::WorkerPanic { .. }) => panics += 1,
+                Err(ServeError::Disconnected) => deaths += 1,
+                Err(ServeError::Timeout { waited }) => {
+                    assert_eq!(Some(waited), wait, "only a timed wait times out")
+                }
+                Err(e) => panic!("request {id}: {e}"),
+            }
+        };
+        let submit = |rng: &mut Rng, pending: &mut Vec<(Ticket, Vec<u64>)>| {
+            let p = rng.below(2) as usize;
+            let mut a = bases[p].clone();
+            let scale = 1.0 + rng.below(64) as f64 / 16.0;
+            a.values_mut().iter_mut().for_each(|v| *v *= scale);
+            let want = direct[p].factor(&a).unwrap().solve(&b);
+            let ticket = service.submit(ServeRequest {
+                a,
+                opts: opts(),
+                rhs: vec![b.clone()],
+            });
+            pending.push((ticket, want.iter().map(|v| v.to_bits()).collect()));
+        };
+        for _ in 0..80 {
+            match rng.below(16) {
+                0..=6 => submit(&mut rng, &mut pending),
+                7..=12 if !pending.is_empty() => {
+                    let at = rng.below(pending.len() as u64) as usize;
+                    let wait = WAITS[rng.below(WAITS.len() as u64) as usize];
+                    resolve(pending.swap_remove(at), wait);
+                }
+                13 if !pending.is_empty() => {
+                    let at = rng.below(pending.len() as u64) as usize;
+                    drop(pending.swap_remove(at));
+                }
+                14 => {
+                    fault::arm_worker_panics(1);
+                    armed_panics += 1;
+                }
+                15 => {
+                    fault::arm_worker_deaths(1);
+                    armed_deaths += 1;
+                }
+                _ => {}
+            }
+        }
+        // Drop the service with a burst still queued: the queue drains.
+        for _ in 0..6 {
+            submit(&mut rng, &mut pending);
+        }
+        drop(service);
+        for entry in pending.drain(..) {
+            let wait = WAITS[rng.below(WAITS.len() as u64) as usize];
+            resolve(entry, wait);
+        }
+        fault::disarm();
+        assert!(panics <= armed_panics && deaths <= armed_deaths);
+        // Exactly once: a worker ends a request's root span, naming the
+        // request, just before it replies, so no request id may carry
+        // two, and every ticket that resolved to a solution carries one.
+        // (A replacement spawned while the service dropped is never
+        // joined and may still be running a dropped ticket's request:
+        // its root span is open and names nobody yet.)
+        let snap = prof.snapshot("stress");
+        let mut answered: Vec<u64> = snap
+            .spans_named("request")
+            .filter_map(|s| s.args.iter().find(|(k, _)| k == "req"))
+            .map(|&(_, id)| id as u64)
+            .collect();
+        answered.sort_unstable();
+        let before = answered.len();
+        answered.dedup();
+        assert_eq!(answered.len(), before, "a request was answered twice");
+        assert!(ok_ids.iter().all(|id| answered.binary_search(id).is_ok()));
+    }
+
+    #[test]
+    fn every_waited_ticket_resolves_exactly_once_under_faults_and_drops() {
+        let _serial = service_lock();
+        let _quiet = QuietFaults::install();
+        // Nothing may outlive the global deadline: a lost wake-up or a
+        // stranded job shows up here as a timeout, not a hung suite.
+        let (done, finished) = mpsc::channel();
+        let run = std::thread::spawn(move || {
+            for seed in 0..4 {
+                for n_workers in 1..=3 {
+                    stress_run(0x5eed_0000 + 4 * seed + n_workers as u64, n_workers);
+                }
+            }
+            let _ = done.send(());
+        });
+        match finished.recv_timeout(Duration::from_secs(120)) {
+            Ok(()) => run.join().unwrap(),
+            Err(mpsc::RecvTimeoutError::Disconnected) => {
+                fault::disarm();
+                std::panic::resume_unwind(run.join().unwrap_err())
+            }
+            Err(mpsc::RecvTimeoutError::Timeout) => {
+                fault::disarm();
+                panic!("the stress run outlived its 120 s deadline")
+            }
         }
     }
 }

@@ -11,20 +11,82 @@
 //! of one pattern — the paper's premise that "the sparsity pattern
 //! changes little or not at all" — hold one copy of its indices, and a
 //! compiled plan can recognise that pattern by its allocation
-//! ([`PatternId`]) instead of by comparing every index.
+//! ([`PatternId`]) instead of by comparing every index. For the same
+//! reason the pattern's fingerprint ([`CscMatrix::pattern_fingerprint`])
+//! is computed once per allocation and read by every clone.
 
 use crate::error::SparseError;
 use crate::Result;
-use std::sync::{Arc, Weak};
+use std::sync::{Arc, OnceLock, Weak};
 
 /// The structure of a [`CscMatrix`]: shape, column pointers and row
 /// indices. Never mutated after construction; shared by every clone.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 struct Pattern {
     n_rows: usize,
     n_cols: usize,
     col_ptr: Vec<usize>,
     row_idx: Vec<usize>,
+    /// The fingerprint of the four fields above, memoised on first use.
+    /// Sound because they never change; a cache, so not part of `==`.
+    fingerprint: OnceLock<[u64; LANES]>,
+}
+
+impl PartialEq for Pattern {
+    fn eq(&self, other: &Self) -> bool {
+        self.n_rows == other.n_rows
+            && self.n_cols == other.n_cols
+            && self.col_ptr == other.col_ptr
+            && self.row_idx == other.row_idx
+    }
+}
+
+/// Independent multiply–rotate chains the pattern words are dealt
+/// across. One chain is bound by the latency of its 64-bit multiply;
+/// four chains a word at a time keep the multiplier busy and put the
+/// hash near the speed the index arrays stream from cache.
+const LANES: usize = 4;
+
+/// Fixed odd constants (the FNV-1a offset basis, the golden-ratio
+/// increment and the splitmix64 / xxh64 multipliers): no `RandomState`,
+/// so fingerprints — and every key derived from them — repeat across
+/// runs and platforms.
+const LANE_SEED: [u64; LANES] = [
+    0xcbf2_9ce4_8422_2325,
+    0x9e37_79b9_7f4a_7c15,
+    0xbf58_476d_1ce4_e5b9,
+    0x94d0_49bb_1331_11eb,
+];
+const LANE_MUL: [u64; LANES] = [
+    0x9e37_79b1_85eb_ca87,
+    0xc2b2_ae3d_27d4_eb4f,
+    0x1656_67b1_9e37_79f9,
+    0x27d4_eb2f_1656_67c5,
+];
+
+/// One step of a lane: a bijection of the state for a fixed word and
+/// of the word for a fixed state, so changing one word always changes
+/// its lane; the rotate carries the product's high bits back down.
+#[inline(always)]
+fn lane_step(h: u64, word: u64, lane: usize) -> u64 {
+    (h ^ word).wrapping_mul(LANE_MUL[lane]).rotate_left(29)
+}
+
+/// Absorb one index stream: its length first (so `[.., x] ++ []` and
+/// `[..] ++ [x]` differ), then word `i` into lane `i % LANES`. Words
+/// are widened to 64 bits, so fingerprints agree across pointer widths.
+fn absorb(mut h: [u64; LANES], words: &[usize]) -> [u64; LANES] {
+    h[0] = lane_step(h[0], words.len() as u64, 0);
+    let mut groups = words.chunks_exact(LANES);
+    for g in &mut groups {
+        for lane in 0..LANES {
+            h[lane] = lane_step(h[lane], g[lane] as u64, lane);
+        }
+    }
+    for (lane, &w) in groups.remainder().iter().enumerate() {
+        h[lane] = lane_step(h[lane], w as u64, lane);
+    }
+    h
 }
 
 /// A sparse matrix in compressed sparse column format.
@@ -155,6 +217,7 @@ impl CscMatrix {
                 n_cols,
                 col_ptr,
                 row_idx,
+                fingerprint: OnceLock::new(),
             }),
             values,
         }
@@ -367,6 +430,27 @@ impl CscMatrix {
         Arc::ptr_eq(&self.pattern, &other.pattern) || self.pattern == other.pattern
     }
 
+    /// The pattern's fingerprint: four 64-bit lanes digesting the shape
+    /// (`[n_rows, n_cols]`), every `col_ptr` word and every `row_idx`
+    /// word — never a value. Equal patterns have equal fingerprints;
+    /// unequal ones almost always differ, which is why a cache keyed by
+    /// it still compares patterns exactly before trusting a match.
+    ///
+    /// The first call on a pattern allocation reads its indices once
+    /// (O(nnz)); the result is kept in the shared pattern, so every
+    /// later call — on this matrix, its clones or its
+    /// [`Self::pattern_only`] copies — returns it without reading an
+    /// index. A pattern is never mutated, so the kept value cannot go
+    /// stale.
+    pub fn pattern_fingerprint(&self) -> [u64; LANES] {
+        let p = &*self.pattern;
+        *p.fingerprint.get_or_init(|| {
+            let lanes = absorb(LANE_SEED, &[p.n_rows, p.n_cols]);
+            let lanes = absorb(lanes, &p.col_ptr);
+            absorb(lanes, &p.row_idx)
+        })
+    }
+
     /// The identity handle of this matrix's pattern allocation, shared
     /// by its clones and [`Self::pattern_only`] copies.
     pub fn pattern_id(&self) -> PatternId {
@@ -383,6 +467,7 @@ impl CscMatrix {
             n_cols,
             col_ptr,
             row_idx,
+            ..
         } = Arc::unwrap_or_clone(self.pattern);
         (n_rows, n_cols, col_ptr, row_idx, self.values)
     }
@@ -600,6 +685,85 @@ mod tests {
         assert!(!id.is_live());
         // A new matrix never lands on the handle's reserved address.
         assert!(!id.is_pattern_of(&small_lower()));
+    }
+
+    /// The memo is a cache: whether a pattern has computed its
+    /// fingerprint never changes what `==` or `same_pattern` answer.
+    #[test]
+    fn equality_ignores_whether_the_fingerprint_is_memoised() {
+        let memoised = small_lower();
+        memoised.pattern_fingerprint();
+        let (unmemoised, rebuilt) = (small_lower(), small_lower());
+        rebuilt.pattern_fingerprint();
+        assert!(unmemoised.pattern.fingerprint.get().is_none());
+        for (x, y) in [
+            (&memoised, &unmemoised),
+            (&unmemoised, &memoised),
+            (&memoised, &rebuilt),
+            (&unmemoised, &rebuilt),
+        ] {
+            assert!(x == y && x.same_pattern(y));
+        }
+        assert!(unmemoised.pattern.fingerprint.get().is_none());
+        let other = CscMatrix::identity(3);
+        other.pattern_fingerprint();
+        assert!(memoised != other && !memoised.same_pattern(&other));
+        assert!(unmemoised != other && !unmemoised.same_pattern(&other));
+    }
+
+    #[test]
+    fn a_clone_reads_its_sources_fingerprint() {
+        let m = small_lower();
+        let fp = m.pattern_fingerprint();
+        let (c, p) = (m.clone(), m.pattern_only(0.0));
+        assert!(Arc::ptr_eq(&m.pattern, &c.pattern));
+        assert_eq!(c.pattern.fingerprint.get(), Some(&fp));
+        assert_eq!((c.pattern_fingerprint(), p.pattern_fingerprint()), (fp, fp));
+    }
+
+    #[test]
+    fn a_pattern_rebuilt_from_its_parts_has_the_same_fingerprint() {
+        let m = small_lower();
+        let fp = m.pattern_fingerprint();
+        let (n_rows, n_cols, col_ptr, row_idx, values) = m.clone().into_parts();
+        let fresh = CscMatrix::try_new(n_rows, n_cols, col_ptr, row_idx, values).unwrap();
+        assert!(!m.pattern_id().is_pattern_of(&fresh));
+        assert!(fresh.pattern.fingerprint.get().is_none(), "a fresh memo");
+        assert_eq!(fresh.pattern_fingerprint(), fp);
+    }
+
+    #[test]
+    fn one_index_or_the_row_count_changes_the_fingerprint() {
+        let m = small_lower();
+        let moved = CscMatrix::try_new(
+            3,
+            3,
+            vec![0, 2, 4, 5],
+            vec![0, 2, 1, 2, 2],
+            m.values().to_vec(),
+        )
+        .unwrap();
+        let taller = CscMatrix::try_new(
+            4,
+            3,
+            m.col_ptr().to_vec(),
+            m.row_idx().to_vec(),
+            m.values().to_vec(),
+        )
+        .unwrap();
+        let fp = m.pattern_fingerprint();
+        assert_ne!(moved.pattern_fingerprint(), fp);
+        assert_ne!(taller.pattern_fingerprint(), fp);
+        // Values are not pattern.
+        let mut scaled = m.clone().into_parts();
+        scaled.4.iter_mut().for_each(|v| *v *= -2.0);
+        let (r, c, p, i, v) = scaled;
+        assert_eq!(
+            CscMatrix::try_new(r, c, p, i, v)
+                .unwrap()
+                .pattern_fingerprint(),
+            fp
+        );
     }
 
     #[test]
