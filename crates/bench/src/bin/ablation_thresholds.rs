@@ -1,10 +1,10 @@
 //! **Ablation A2**: sensitivity of the VS-Block decision to
 //! the supernode-size threshold (§4.2's hand-tuned 160), swept on two
 //! contrasting matrices — one supernode-rich, one supernode-poor —
-//! and, for LU, the crossover behind `BlockLu::Auto`'s per-panel rule:
-//! the flops-per-accumulator-entry threshold below which a wide panel is
-//! dissolved into scalar columns, swept from "every panel dense"
-//! (`BlockLu::On`) to "none" (`BlockLu::Off`) on a fill-free and a
+//! and, for LU, the crossover behind `SympilerLu::compile`'s per-panel
+//! rule: the flops-per-accumulator-entry threshold below which a wide
+//! panel is dissolved into scalar columns, swept from "every panel
+//! dense" to "none" (the scalar plan) on a fill-free and a
 //! heavy-fill circuit and two suite problems. Then the bound behind the
 //! serial tier's position tables: both scalar kernels (accumulator and
 //! position-addressed walker) against multiply-adds per factor entry,
@@ -226,11 +226,11 @@ fn lu_threshold_sweep(t: &mut Table, name: &str, a: &CscMatrix) {
         });
         let structural = sup.dense_structural_flops();
         let label = if threshold == 0.0 {
-            "0 (BlockLu::On)".to_string()
+            "0 (every panel dense)".to_string()
         } else if threshold.is_infinite() {
             "inf (no dense panel)".to_string()
         } else if threshold == DENSE_PANEL_MIN_FLOPS_PER_ENTRY {
-            format!("{threshold} (BlockLu::Auto)")
+            format!("{threshold} (compile's rule)")
         } else {
             threshold.to_string()
         };
@@ -418,7 +418,7 @@ fn main() {
             "dense flop share",
             "executed / structural",
             "supernodal factor",
-            "scalar plan (BlockLu::Off)",
+            "scalar plan",
         ],
     );
     lu_threshold_sweep(

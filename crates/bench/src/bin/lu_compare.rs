@@ -57,10 +57,10 @@
 //! **mean panel width** (`<name>:<ordering>_panel_width`, of the
 //! detected relaxed-amalgamation panel layout), and each ordering's
 //! **dense flop share** (`<name>:<ordering>_dense_share`: the share of
-//! structural flops in the panels `BlockLu::Auto` keeps dense after
-//! dissolving the thin ones — what the dense kernels actually get;
-//! asserted ≥ 0.9 on the COLAMD circuit problems). The supernodal
-//! columns time exactly that `Auto` partition. The zero-diagonal
+//! structural flops in the panels `SympilerLu::compile` keeps dense
+//! after dissolving the thin ones — what the dense kernels actually
+//! get; asserted ≥ 0.9 on the COLAMD circuit problems). The supernodal
+//! columns time exactly that partition. The zero-diagonal
 //! problems add:
 //! `<name>:zero_diag` (count of structurally missing diagonals —
 //! proves the scenario is genuinely degenerate),
@@ -97,19 +97,19 @@ use sympiler_bench::engines::time_lu_factorizer;
 use sympiler_bench::harness::{geomean, gflops, Table};
 use sympiler_bench::perf::PerfReport;
 use sympiler_bench::workloads::prepare_lu_suite;
-use sympiler_core::plan::lu::{LuPlan, LuPlanError};
+use sympiler_core::plan::lu::{LuPlan, LuPlanError, POSITION_MAX_OPS_PER_ENTRY};
 use sympiler_core::plan::lu_supernodal::{
     SupernodalLuPlan, DENSE_PANEL_MIN_FLOPS_PER_ENTRY, MAX_PANEL, RELAX_COLS, RELAX_FILL,
 };
-use sympiler_core::{BlockLu, Ordering, PrePivot, SympilerLu, SympilerOptions, TraceFile};
+use sympiler_core::{Ordering, PrePivot, SympilerLu, SympilerOptions, TraceFile};
 use sympiler_solvers::lu::{lu_backward_error, GpLu, Pivoting};
 use sympiler_sparse::suite::SuiteScale;
 
-/// The supernodal plan `BlockLu::Auto` runs on `plan` — relaxed
+/// The supernodal plan `SympilerLu::compile` runs on `plan` — relaxed
 /// detection under the default budget, thin panels dissolved — built
-/// unconditionally (even when no dense panel survives and `Auto` would
-/// fall back to the scalar tier), plus the detected partition's mean
-/// panel width.
+/// unconditionally (even when no dense panel survives and the compiler
+/// would fall back to the scalar tier), plus the detected partition's
+/// mean panel width.
 fn auto_supernodal(plan: &LuPlan) -> (SupernodalLuPlan, f64) {
     let detected = SupernodalLuPlan::detect_panels(plan, MAX_PANEL, RELAX_FILL, RELAX_COLS);
     let kept =
@@ -150,7 +150,7 @@ fn profile_problem(p: &sympiler_bench::workloads::LuBenchProblem, trace: &mut Tr
         .factor(&p.a)
         .expect("profiled parallel factor");
     let parallel = profiler.counter_value("flops.scalar") - before;
-    // Supernodal tier, the partition `Auto` runs — the flop counters
+    // Supernodal tier, the partition the compiler keeps — the flop counters
     // charge structural work only, so padded layouts and dissolved
     // panels must not disturb the exact accounting.
     let before_d = profiler.counter_value("flops.dense");
@@ -233,14 +233,8 @@ fn main() {
             // but the numeric phase must hit the structural zero.
             let zeros = sympiler_sparse::ops::structurally_zero_diagonals(&p.a);
             assert!(zeros > 0, "{}: zero_diag flag vs pattern", p.name);
-            let off = SympilerLu::compile(
-                &p.a,
-                &SympilerOptions {
-                    block_lu: BlockLu::Off,
-                    ..Default::default()
-                },
-            )
-            .expect("Off compiles even on zero-diag patterns");
+            let off = SympilerLu::compile(&p.a, &SympilerOptions::default())
+                .expect("Off compiles even on zero-diag patterns");
             assert!(
                 matches!(off.factor(&p.a), Err(LuPlanError::ZeroPivot { .. })),
                 "{}: static pivoting without a pre-pivot must fail",
@@ -268,8 +262,9 @@ fn main() {
             let mut natural_lu_nnz = 0usize;
             for (oi, &ordering) in Ordering::ALL.iter().enumerate() {
                 let t = std::time::Instant::now();
-                // Pin the scalar serial tier: "plan serial" measures the
-                // column plan; the supernodal engine gets its own column.
+                // The scalar serial tier, baked as the compiler bakes
+                // it: "plan serial" measures the column plan; the
+                // supernodal engine gets its own column.
                 // Zero-diagonal problems additionally turn on MC64
                 // equilibration — the scaling that lets the pattern-only
                 // transversal meet the same strict tolerance as the
@@ -277,11 +272,12 @@ fn main() {
                 let opts = SympilerOptions {
                     ordering,
                     pre_pivot,
-                    block_lu: BlockLu::Off,
                     mc64_scale: p.zero_diag,
                     ..Default::default()
                 };
-                let lu = SympilerLu::compile(&p.a, &opts).unwrap();
+                let lu = LuPlan::build(&p.a, &opts)
+                    .unwrap()
+                    .with_position_tables(POSITION_MAX_OPS_PER_ENTRY);
                 let compile_time = t.elapsed();
                 assert_eq!(
                     lu.matched_diagonals(),
@@ -296,7 +292,7 @@ fn main() {
                 // shape the plan's gather maps use, so the baseline
                 // factors the bitwise-same numbers.
                 let identity: Vec<usize> = (0..p.n()).collect();
-                let scaled_a = match lu.plan().mc64_scaling() {
+                let scaled_a = match lu.mc64_scaling() {
                     Some((dr, dc)) => sympiler_sparse::ops::scale_rows_cols(&p.a, dr, dc).unwrap(),
                     None => p.a.clone(),
                 };
@@ -402,8 +398,8 @@ fn main() {
                 // The parallel numeric phase must reproduce the serial
                 // plan bitwise at every thread count. Leveling reuses
                 // the compiled plan — no second symbolic pass.
-                let par2 = lu.plan().clone().leveled(2);
-                let par4 = lu.plan().clone().leveled(4);
+                let par2 = lu.clone().leveled(2);
+                let par4 = lu.clone().leveled(4);
                 for par in [&par2, &par4] {
                     let threads = par.n_threads();
                     let fp = par.factor(&p.a).expect("parallel factors");
@@ -426,9 +422,9 @@ fn main() {
                 // same baseline factors — dense GETRF/TRSM/GEMM kernels
                 // reassociate the update sums, so bitwise identity is
                 // not expected, but the acceptance tolerance is. Built
-                // the way `Auto` builds it, so the timings and the
+                // the way the compiler builds it, so the timings and the
                 // dense share are what a default compile would run.
-                let (sup, detected_width) = auto_supernodal(lu.plan());
+                let (sup, detected_width) = auto_supernodal(&lu);
                 let f_sup = sup.factor(&p.a).expect("supernodal factors");
                 assert!(
                     f_sup.l().same_pattern(&base.l) && f_sup.u().same_pattern(&base.u),
@@ -487,7 +483,7 @@ fn main() {
                 // growth is unbounded by design and its correctness
                 // rests on the bitwise factor check, the backward-
                 // error gate, and the refined solve above.
-                let health = lu.plan().health_of(&p.a, &f);
+                let health = lu.health_of(&p.a, &f);
                 if !p.zero_diag || pre_pivot == PrePivot::WeightedMatching {
                     assert!(
                         health.growth < 1e2,

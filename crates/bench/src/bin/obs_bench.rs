@@ -2,8 +2,12 @@
 //! layer is effectively free and bit-exact before CI lets it ship.
 //!
 //! For each execution tier (serial, column-parallel `n_threads = 2`,
-//! supernodal VS-Block) and each suite problem, the same cached
-//! request stream runs twice through a pre-warmed [`PlanCache`]:
+//! supernodal VS-Block) and each input the compiler routes to that
+//! tier, the same cached request stream runs twice through a
+//! pre-warmed [`PlanCache`]. The scalar tiers run a circuit that
+//! COLAMD keeps fill-free (`circuit_fillfree_u`), the supernodal tier
+//! suite problems 1 and 3 in natural order; the table's `name` column
+//! (and `results/obs_bench.csv`) names each tier's input.
 //!
 //! - **telemetry-off** — inert [`Profiler`], no histogram, no per
 //!   request clock reads: the bare serving hit path.
@@ -46,38 +50,41 @@ use sympiler_bench::harness::Table;
 use sympiler_bench::perf::PerfReport;
 use sympiler_bench::workloads::{prepare_lu_subset, LuBenchProblem};
 use sympiler_core::serve::{CacheConfig, PlanCache};
-use sympiler_core::{BlockLu, LuWorkspace, Profiler, SympilerLu, SympilerOptions};
+use sympiler_core::{LuWorkspace, Ordering, Profiler, SympilerLu, SympilerOptions};
 use sympiler_obs::{Histogram, MetricsRegistry, MetricsSnapshot};
 
-/// The three configurations the bitwise contract spans: scalar columns
-/// in order, scalar columns leveled, supernodal panels.
-fn tiers() -> Vec<(&'static str, SympilerOptions)> {
-    let base = SympilerOptions::default();
-    vec![
-        (
-            "serial",
-            SympilerOptions {
-                n_threads: 1,
-                block_lu: BlockLu::Off,
-                ..base.clone()
-            },
-        ),
-        (
-            "parallel",
-            SympilerOptions {
-                n_threads: 2,
-                block_lu: BlockLu::Off,
-                ..base.clone()
-            },
-        ),
-        (
-            "supernodal",
-            SympilerOptions {
-                block_lu: BlockLu::On,
-                ..base
-            },
-        ),
+/// The three configurations the bitwise contract spans — scalar
+/// columns in order, scalar columns leveled, supernodal panels — each
+/// with the options and inputs the compiler routes to it: under
+/// COLAMD the fill-free circuits compile scalar, and in natural order
+/// the `blocking` suite problems compile supernodal.
+fn tiers<'a>(
+    fill_free: &'a [LuBenchProblem],
+    blocking: &'a [LuBenchProblem],
+) -> [(&'static str, SympilerOptions, &'a [LuBenchProblem]); 3] {
+    let colamd = |n_threads| SympilerOptions {
+        ordering: Ordering::Colamd,
+        n_threads,
+        ..SympilerOptions::default()
+    };
+    [
+        ("serial", colamd(1), fill_free),
+        ("parallel", colamd(2), fill_free),
+        ("supernodal", SympilerOptions::default(), blocking),
     ]
+}
+
+/// A circuit COLAMD keeps fill-free, sized like suite problem 3.
+fn fill_free_circuit(test_scale: bool) -> LuBenchProblem {
+    let n = if test_scale { 300 } else { 2400 };
+    LuBenchProblem {
+        id: 0,
+        name: "circuit_fillfree_u",
+        family: "circuit-unsym",
+        zero_diag: false,
+        a: sympiler_sparse::gen::circuit_unsym(n, 1, 0, 203),
+        b: vec![1.0; n],
+    }
 }
 
 /// Deterministic per-request value perturbation (same scheme as
@@ -201,6 +208,7 @@ fn main() {
     };
     let problems = prepare_lu_subset(scale, &[1, 3]);
     assert!(problems.len() >= 2, "churn segment needs two patterns");
+    let fill_free = [fill_free_circuit(test_scale)];
 
     let metrics = MetricsRegistry::new();
     let mut report = PerfReport::new("obs_bench");
@@ -217,8 +225,16 @@ fn main() {
     );
 
     let mut worst: f64 = f64::NEG_INFINITY;
-    for (tier, opts) in tiers() {
-        for p in &problems {
+    for (tier, opts, inputs) in tiers(&fill_free, &problems) {
+        for p in inputs {
+            // Each tier measures the engine it names.
+            let lu = SympilerLu::compile(&p.a, &opts).expect("tier compile");
+            assert_eq!(
+                (lu.is_supernodal(), lu.n_threads()),
+                (tier == "supernodal", opts.n_threads),
+                "{tier}/{}: the compiler picked another tier",
+                p.name
+            );
             let hist = metrics.histogram(&format!("obs.{tier}.{}.latency_ns", p.name));
             let mut t_off = Duration::MAX;
             let mut t_on = Duration::MAX;
@@ -269,8 +285,7 @@ fn main() {
     report.push("obs:worst_overhead_pct", worst * 100.0);
 
     // Journal artifact from the eviction-churn segment.
-    let serial = tiers().remove(0).1;
-    let churn_profiler = churn(&problems, &serial);
+    let churn_profiler = churn(&problems, &SympilerOptions::default());
     let journal = churn_profiler.journal();
     let events = journal.events();
     assert!(
@@ -300,10 +315,9 @@ fn main() {
     report.write_results().expect("write perf report");
     println!(
         "telemetry gate: worst overhead {:+.2}% (budget {:.0}%), bitwise identical \
-         across {} tiers x {} problems",
+         across {} tiers",
         worst * 100.0,
         budget * 100.0,
-        tiers().len(),
-        problems.len()
+        tiers(&fill_free, &problems).len()
     );
 }

@@ -6,11 +6,12 @@ use crate::harness::median_time;
 use crate::workloads::{BenchProblem, LuBenchProblem};
 use std::time::Duration;
 use sympiler_core::plan::chol::{CholPlan, MAX_SUPERNODE_WIDTH};
-use sympiler_core::plan::lu_supernodal::{RELAX_COLS, RELAX_FILL};
+use sympiler_core::plan::lu::{LuPlan, POSITION_MAX_OPS_PER_ENTRY};
+use sympiler_core::plan::lu_supernodal::{SupernodalLuPlan, MAX_PANEL, RELAX_COLS, RELAX_FILL};
 use sympiler_core::plan::tri::{
     TriScratch, TriSolvePlan, TriVariant, PEEL_COL_COUNT, VS_BLOCK_MIN_AVG_SIZE,
 };
-use sympiler_core::{BlockLu, Ordering, SympilerLu, SympilerOptions};
+use sympiler_core::{Ordering, SympilerOptions};
 use sympiler_solvers::cholesky::simplicial::SimplicialCholesky;
 use sympiler_solvers::cholesky::supernodal::SupernodalCholesky;
 use sympiler_solvers::lu::{GpLu, Pivoting};
@@ -273,38 +274,33 @@ pub fn time_lu_engine_ordered(
             let a = ordered_input();
             time_lu_factorizer(|| GpLu::factor(&a, Pivoting::Partial).expect("factor"))
         }
+        // The Sympiler engines are built through the plan constructors,
+        // so each measures its own tier whatever tier the compiler
+        // would pick for the pattern, baked as the compiler bakes it.
         LuEngine::SympilerPlan => {
-            // Pin the scalar tier so the engine measures exactly the
-            // serial column plan whatever the auto-blocking rule says.
-            let opts = SympilerOptions {
-                ordering,
-                block_lu: BlockLu::Off,
-                ..Default::default()
-            };
-            let lu = SympilerLu::compile(&p.a, &opts).expect("compile");
-            time_lu_factorizer(|| lu.factor(&p.a).expect("factor"))
+            let plan = scalar_plan(p, ordering).with_position_tables(POSITION_MAX_OPS_PER_ENTRY);
+            time_lu_factorizer(|| plan.factor(&p.a).expect("factor"))
         }
         LuEngine::SympilerParallel { threads } => {
-            let opts = SympilerOptions {
-                n_threads: threads,
-                ordering,
-                block_lu: BlockLu::Off,
-                ..Default::default()
-            };
-            let lu = SympilerLu::compile(&p.a, &opts).expect("compile");
-            time_lu_factorizer(|| lu.factor(&p.a).expect("factor"))
+            let plan = scalar_plan(p, ordering).leveled(threads);
+            time_lu_factorizer(|| plan.factor(&p.a).expect("factor"))
         }
         LuEngine::SympilerSupernodal => {
-            let opts = SympilerOptions {
-                ordering,
-                block_lu: BlockLu::On,
-                ..Default::default()
-            };
-            let lu = SympilerLu::compile(&p.a, &opts).expect("compile");
-            debug_assert!(lu.is_supernodal());
-            time_lu_factorizer(|| lu.factor(&p.a).expect("factor"))
+            // Every detected panel dense.
+            let plan = scalar_plan(p, ordering);
+            let panels = SupernodalLuPlan::detect_panels(&plan, MAX_PANEL, RELAX_FILL, RELAX_COLS);
+            let sup = SupernodalLuPlan::from_panels(plan, panels, 1);
+            time_lu_factorizer(|| sup.factor(&p.a).expect("factor"))
         }
     }
+}
+
+fn scalar_plan(p: &LuBenchProblem, ordering: Ordering) -> LuPlan {
+    let opts = SympilerOptions {
+        ordering,
+        ..Default::default()
+    };
+    LuPlan::build(&p.a, &opts).expect("compile")
 }
 
 /// Exact LU factorization flop count (identical across engines).
@@ -328,7 +324,7 @@ pub fn chol_flops(p: &BenchProblem) -> u64 {
 mod tests {
     use super::*;
     use crate::workloads::prepare_subset;
-    use sympiler_core::PrePivot;
+    use sympiler_core::{PrePivot, SympilerLu};
     use sympiler_sparse::suite::SuiteScale;
 
     #[test]

@@ -18,29 +18,6 @@ use sympiler_sparse::{CscMatrix, SparseVec};
 pub use sympiler_graph::ordering::Ordering;
 pub use sympiler_graph::transversal::PrePivot;
 
-/// Whether the LU pipeline compiles the supernodal (VS-Block) numeric
-/// engine — dense panel kernels instead of the scalar column kernel.
-/// See [`SympilerOptions::block_lu`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum BlockLu {
-    /// Detect panels and keep dense only those that pay: a wide panel
-    /// whose structural flops per accumulator entry moved fall below
-    /// [`crate::plan::lu_supernodal::DENSE_PANEL_MIN_FLOPS_PER_ENTRY`]
-    /// is dissolved into scalar columns, and the supernodal engine is
-    /// compiled only when a dense panel survives — otherwise the
-    /// scalar plan. The default, the paper's
-    /// supernode-size threshold for VS-Block applied panel by panel.
-    #[default]
-    Auto,
-    /// Always compile the supernodal engine with every detected panel
-    /// dense (singleton panels still execute through the scalar column
-    /// kernel, so this is safe on any pattern — just slower where
-    /// panels are thin).
-    On,
-    /// Never block: the scalar column kernel only.
-    Off,
-}
-
 /// What the caller asks of the compiler: the problem's switches, not
 /// the compiler's thresholds.
 ///
@@ -49,13 +26,18 @@ pub enum BlockLu {
 /// arguments by the plan constructors that sweep or force them:
 /// [`PEEL_COL_COUNT`], [`VS_BLOCK_MIN_AVG_SIZE`],
 /// [`MAX_SUPERNODE_WIDTH`], [`MAX_PANEL`], [`RELAX_FILL`] and
-/// [`RELAX_COLS`].
+/// [`RELAX_COLS`]. The transformation decisions are the compiler's
+/// too: VS-Block and the low-level tier are taken from the inspection
+/// sets (see [`SympilerLu::compile`]), never from an option; code that
+/// forces a tier builds it through the plan constructors
+/// ([`LuPlan::build`], [`crate::plan::lu_supernodal::SupernodalLuPlan`],
+/// [`CholPlan::build`], [`TriSolvePlan::build`]).
 ///
 /// The LU pipeline's compile-time knobs compose: a static pre-pivot
 /// ([`Self::pre_pivot`]) makes the diagonal usable, a fill-reducing
-/// ordering ([`Self::ordering`]) shrinks the factors, and the
-/// execution tier ([`Self::n_threads`] / [`Self::block_lu`]) picks the
-/// numeric engine — all resolved once per pattern.
+/// ordering ([`Self::ordering`]) shrinks the factors, and
+/// [`Self::n_threads`] levels the numeric engine the compiler picked —
+/// all resolved once per pattern.
 ///
 /// ```
 /// use sympiler_core::{Ordering, PrePivot, SympilerLu, SympilerOptions};
@@ -74,25 +56,24 @@ pub enum BlockLu {
 /// assert!(sympiler_sparse::ops::rel_residual(&a, &x, &vec![1.0; 48]) < 1e-10);
 /// ```
 ///
-/// Plan-cache identity is the 7 fields that change the plan
-/// [`SympilerLu::compile`] builds (`low_level`, `n_threads`,
-/// `ordering`, `block_lu`, `mc64_scale`, `pre_pivot`,
-/// `pivot_perturb`): a [`crate::serve::PlanCache`] entry matches a
-/// request only when those fields compare equal to the ones the entry
-/// was compiled with (the structural hash alone is not trusted).
+/// Plan-cache identity is the 5 fields that change the plan
+/// [`SympilerLu::compile`] builds (`n_threads`, `ordering`,
+/// `mc64_scale`, `pre_pivot`, `pivot_perturb`), each normalised to the
+/// plan it compiles (`n_threads` 0 is 1, `pivot_perturb` −0.0 is 0.0):
+/// a [`crate::serve::PlanCache`] entry matches a request only when
+/// those compare equal to the ones the entry was compiled with (the
+/// structural hash alone is not trusted).
 /// Requests that differ only elsewhere share one plan:
 /// [`Self::recovery`] is read while a request runs and never reaches
 /// `compile`, and the cache compiles every entry with
 /// [`Self::profile`] off, recording onto its own profiler instead.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SympilerOptions {
-    /// Enable the low-level transformations (peeling, unrolled
-    /// specialized kernels).
-    pub low_level: bool,
-    /// Worker threads for the LU numeric phase. `1` (the default)
-    /// walks columns (or panels) in order on the calling thread; higher
-    /// values level the column elimination DAG (or the panel DAG) and
-    /// bake cost-balanced per-thread chunks
+    /// Worker threads for the LU numeric phase. `1` (the default; `0`
+    /// means the same) walks columns (or panels) in order on the
+    /// calling thread; higher values level the column elimination DAG
+    /// (or the panel DAG, on the supernodal tier) and bake
+    /// cost-balanced per-thread chunks
     /// ([`crate::plan::level_schedule::LevelSchedule`]).
     pub n_threads: usize,
     /// Fill-reducing ordering for the LU pipeline, computed once at
@@ -110,16 +91,6 @@ pub struct SympilerOptions {
     /// and the elimination DAG are unchanged, etree subtrees become
     /// contiguous, and panel detection finds wider panels on them.
     pub ordering: Ordering,
-    /// Supernodal (VS-Block) LU: detect column panels in the predicted
-    /// `L` and route the numeric phase through dense GETRF/TRSM/GEMM
-    /// kernels panel by panel. [`BlockLu::Auto`] (the default) keeps
-    /// dense only the panels with enough flops per accumulator entry
-    /// moved to pay for it, and engages the engine only if one
-    /// survives — patterns that never block keep the cheaper scalar
-    /// plans. With
-    /// `n_threads > 1` the supernodal engine levels the **panel** DAG
-    /// instead of the column DAG.
-    pub block_lu: BlockLu,
     /// Finish MC64: derive row/column equilibration scalings `Dr`/`Dc`
     /// from the weighted-matching dual potentials and fold them into
     /// the plan's baked gather maps — the numeric phase factors
@@ -166,7 +137,8 @@ pub struct SympilerOptions {
     /// [`crate::robust::RobustLu`]) to repair the answer. `0.0` (the
     /// default) disables the guard entirely: the numeric phase is
     /// bitwise identical to a build without this feature. A typical
-    /// enabled value is `1e-8` (≈√ε).
+    /// enabled value is `1e-8` (≈√ε). A negative, NaN or infinite
+    /// value fails compilation with [`LuPlanError::BadInput`].
     pub pivot_perturb: f64,
     /// Escalation policy for [`crate::robust::RobustLu`] (layer 3 of
     /// the recovery ladder) and, when
@@ -182,10 +154,8 @@ pub struct SympilerOptions {
 impl Default for SympilerOptions {
     fn default() -> Self {
         Self {
-            low_level: true,
             n_threads: 1,
             ordering: Ordering::Natural,
-            block_lu: BlockLu::Auto,
             mc64_scale: false,
             pre_pivot: PrePivot::Off,
             profile: false,
@@ -196,17 +166,16 @@ impl Default for SympilerOptions {
 }
 
 /// The part of [`SympilerOptions`] that is plan-cache identity: every
-/// field that changes the plan [`SympilerLu::compile`] builds (`f64`s
+/// field that changes the plan [`SympilerLu::compile`] builds, each
+/// normalised so that values compiling one plan key alike (`f64`s then
 /// by bit pattern, so the derived `Eq`/`Hash` are exact), and nothing
 /// that is only read while a request runs or that the cache turns off.
 /// [`crate::serve::structural_hash`] hashes it and
 /// [`crate::serve::PlanCache`] compares it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub(crate) struct CompileKey {
-    low_level: bool,
     n_threads: usize,
     ordering: Ordering,
-    block_lu: BlockLu,
     mc64_scale: bool,
     pre_pivot: PrePivot,
     pivot_perturb: u64,
@@ -220,10 +189,8 @@ impl SympilerOptions {
     /// dropped, like `recovery`).
     pub(crate) fn compile_key(&self) -> CompileKey {
         let Self {
-            low_level,
             n_threads,
             ordering,
-            block_lu,
             mc64_scale,
             pre_pivot,
             // `PlanCache` compiles every entry unprofiled and records
@@ -244,13 +211,14 @@ impl SympilerOptions {
                 },
         } = *self;
         CompileKey {
-            low_level,
-            n_threads,
+            // `compile` runs 0 threads as 1.
+            n_threads: n_threads.max(1),
             ordering,
-            block_lu,
             mc64_scale,
             pre_pivot,
-            pivot_perturb: pivot_perturb.to_bits(),
+            // −0.0 disables the guard like 0.0: adding +0.0 maps it to
+            // +0.0 and leaves every other value's bits as they are.
+            pivot_perturb: (pivot_perturb + 0.0).to_bits(),
         }
     }
 }
@@ -272,9 +240,11 @@ impl SympilerTriSolve {
     /// Applies the paper's transformation ordering: VS-Block first
     /// (when the supernode-size threshold [`VS_BLOCK_MIN_AVG_SIZE`]
     /// admits it), then VI-Prune, then the low-level transformations
-    /// when `opts.low_level` is set — the one field read. Other
-    /// variants and thresholds are built with [`TriSolvePlan::build`].
-    pub fn compile(l: &CscMatrix, beta: &[usize], opts: &SympilerOptions) -> Self {
+    /// (columns with more than [`PEEL_COL_COUNT`] entries peeled).
+    /// Every decision is the compiler's: `opts` is accepted for
+    /// signature stability and no field of it is read. Other variants
+    /// and thresholds are built with [`TriSolvePlan::build`].
+    pub fn compile(l: &CscMatrix, beta: &[usize], _opts: &SympilerOptions) -> Self {
         let mut report = SymbolicReport::default();
         // Inspection: reach-set (VI-Prune set).
         let reach = timed(&mut report, "inspect: reach-set (DFS)", || {
@@ -292,8 +262,7 @@ impl SympilerTriSolve {
         report.set_size("supernodes", part.n_supernodes());
         let variant = TriVariant {
             vs_block: avg >= VS_BLOCK_MIN_AVG_SIZE,
-            vi_prune: true,
-            low_level: opts.low_level,
+            ..TriVariant::full()
         };
         let plan = timed(&mut report, "transform + pack (plan build)", || {
             TriSolvePlan::build(l, beta, variant, MAX_SUPERNODE_WIDTH, PEEL_COL_COUNT)
@@ -356,17 +325,13 @@ pub struct SympilerCholesky {
 impl SympilerCholesky {
     /// Compile for the SPD matrix `a` in lower-triangular storage:
     /// supernodes capped at [`MAX_SUPERNODE_WIDTH`] and amalgamated
-    /// under [`RELAX_FILL`] / [`RELAX_COLS`], specialized kernels when
-    /// `opts.low_level` is set — the one field read. Other widths and
-    /// budgets are built with [`CholPlan::build`].
-    pub fn compile(a_lower: &CscMatrix, opts: &SympilerOptions) -> Result<Self, CholPlanError> {
-        let plan = CholPlan::build(
-            a_lower,
-            MAX_SUPERNODE_WIDTH,
-            RELAX_FILL,
-            RELAX_COLS,
-            opts.low_level,
-        )?;
+    /// under [`RELAX_FILL`] / [`RELAX_COLS`], specialized kernels on
+    /// the small diagonal blocks. Every decision is the compiler's:
+    /// `opts` is accepted for signature stability and no field of it
+    /// is read. Other widths, budgets and kernel tiers are built with
+    /// [`CholPlan::build`].
+    pub fn compile(a_lower: &CscMatrix, _opts: &SympilerOptions) -> Result<Self, CholPlanError> {
+        let plan = CholPlan::build(a_lower, MAX_SUPERNODE_WIDTH, RELAX_FILL, RELAX_COLS, true)?;
         Ok(Self { plan })
     }
 
@@ -420,8 +385,8 @@ pub struct SympilerLu {
     exec: LuExec,
 }
 
-/// The item kernel selected at compile time by
-/// [`SympilerOptions::block_lu`]; either runs in index order or, with
+/// The item kernel [`SympilerLu::compile`] selects from the panels it
+/// detects; either runs in index order or, with
 /// [`SympilerOptions::n_threads`] `> 1`, leveled over its DAG.
 #[derive(Debug, Clone)]
 enum LuExec {
@@ -432,12 +397,17 @@ enum LuExec {
 }
 
 impl SympilerLu {
-    /// Compile for the square matrix `a` (full storage). `low_level`
-    /// selects the peeled update tier exactly like the triangular-solve
-    /// pipeline; `block_lu` controls the supernodal (VS-Block) tier,
-    /// which routes wide column panels of the predicted `L` (detected
-    /// under [`MAX_PANEL`], [`RELAX_FILL`] and [`RELAX_COLS`]) through
-    /// dense GETRF/TRSM/GEMM kernels.
+    /// Compile for the square matrix `a` (full storage). The compiler
+    /// picks the tier from the inspection sets (§4.2): update columns
+    /// with more than [`PEEL_COL_COUNT`] entries run peeled
+    /// ([`LuPlan::build`]), and the supernodal (VS-Block) tier, which
+    /// routes wide column panels of the predicted `L` through dense
+    /// GETRF/TRSM/GEMM kernels, engages only when a panel pays for it:
+    /// panels are detected under [`MAX_PANEL`], [`RELAX_FILL`] and
+    /// [`RELAX_COLS`], every wide panel with fewer structural flops
+    /// per accumulator entry moved than
+    /// [`DENSE_PANEL_MIN_FLOPS_PER_ENTRY`] is dissolved into scalar
+    /// columns, and the scalar plan runs unless a wide panel survives.
     /// `pre_pivot` and `ordering` select the
     /// static row pre-pivot and fill-reducing ordering computed at
     /// inspection time and baked into the plan ([`LuPlan::build`]);
@@ -447,29 +417,41 @@ impl SympilerLu {
     /// the column elimination DAG (the panel DAG on the supernodal
     /// tier) and executed by that many workers — results stay bitwise
     /// identical to the one-thread plan of the same tier.
+    ///
+    /// ```
+    /// use sympiler_core::{Ordering, SympilerLu, SympilerOptions};
+    /// use sympiler_sparse::gen;
+    ///
+    /// let opts = SympilerOptions {
+    ///     ordering: Ordering::Colamd,
+    ///     ..Default::default()
+    /// };
+    /// // A grid's fill amalgamates into panels dense enough to pay.
+    /// let grid = gen::convection_diffusion_2d(8, 8, 1.0, 6);
+    /// assert!(SympilerLu::compile(&grid, &opts).unwrap().is_supernodal());
+    /// // A circuit that COLAMD keeps fill-free has no panel worth a
+    /// // dense kernel.
+    /// let circuit = gen::circuit_unsym(200, 1, 0, 1);
+    /// assert!(!SympilerLu::compile(&circuit, &opts).unwrap().is_supernodal());
+    /// ```
+    ///
+    /// [`DENSE_PANEL_MIN_FLOPS_PER_ENTRY`]: crate::plan::lu_supernodal::DENSE_PANEL_MIN_FLOPS_PER_ENTRY
     pub fn compile(a: &CscMatrix, opts: &SympilerOptions) -> Result<Self, LuPlanError> {
         let plan = LuPlan::build(a, opts)?;
         let n_threads = opts.n_threads.max(1);
-        // Supernodal tier. Panel detection runs once; under `Auto`
-        // every wide panel too thin to pay for the dense path is
-        // dissolved into scalar columns, and the tier engages only if
-        // a dense panel survives — otherwise the scalar plan, which
-        // carries no panel tables at all, runs the same columns.
+        // Supernodal tier. Panel detection runs once; every wide panel
+        // too thin to pay for the dense path is dissolved into scalar
+        // columns, and the tier engages only if a dense panel survives
+        // — otherwise the scalar plan, which carries no panel tables at
+        // all, runs the same columns.
         use crate::plan::lu_supernodal::{SupernodalLuPlan, DENSE_PANEL_MIN_FLOPS_PER_ENTRY};
-        let detect = || SupernodalLuPlan::detect_panels(&plan, MAX_PANEL, RELAX_FILL, RELAX_COLS);
-        let panels = match opts.block_lu {
-            BlockLu::Off => None,
-            BlockLu::On => Some(detect()),
-            BlockLu::Auto => {
-                let kept = SupernodalLuPlan::dissolve_thin_panels(
-                    &plan,
-                    &detect(),
-                    DENSE_PANEL_MIN_FLOPS_PER_ENTRY,
-                );
-                // Fewer panels than columns ⇔ a wide panel survived.
-                (kept.part.n_supernodes() < plan.n()).then_some(kept)
-            }
-        };
+        let kept = SupernodalLuPlan::dissolve_thin_panels(
+            &plan,
+            &SupernodalLuPlan::detect_panels(&plan, MAX_PANEL, RELAX_FILL, RELAX_COLS),
+            DENSE_PANEL_MIN_FLOPS_PER_ENTRY,
+        );
+        // Fewer panels than columns ⇔ a wide panel survived.
+        let panels = (kept.part.n_supernodes() < plan.n()).then_some(kept);
         let exec = match panels {
             Some(panels) => LuExec::Supernodal(Box::new(SupernodalLuPlan::from_panels(
                 plan, panels, n_threads,
@@ -727,10 +709,8 @@ mod tests {
         assert_eq!(PEEL_COL_COUNT, 2);
         assert_eq!(MAX_SUPERNODE_WIDTH, 64);
         let o = SympilerOptions::default();
-        assert!(o.low_level);
         assert_eq!(o.n_threads, 1, "serial numeric phase by default");
         assert_eq!(o.ordering, Ordering::Natural, "no reordering by default");
-        assert_eq!(o.block_lu, BlockLu::Auto, "supernodal LU auto-detects");
         assert_eq!(MAX_PANEL, 32, "panel cap keeps block buffers small");
         assert_eq!(RELAX_FILL, 0.3, "CHOLMOD-style relaxation budget");
         assert_eq!(RELAX_COLS, 16, "amalgamated panels stay cache-sized");
@@ -747,16 +727,17 @@ mod tests {
 
     #[test]
     fn profile_option_attaches_an_enabled_profiler() {
-        let a = gen::circuit_unsym(40, 4, 2, 6);
+        let a = gen::circuit_unsym(60, 1, 0, 6);
         let lu = SympilerLu::compile(
             &a,
             &SympilerOptions {
                 profile: true,
-                block_lu: BlockLu::Off,
+                ordering: Ordering::Colamd,
                 ..Default::default()
             },
         )
         .unwrap();
+        assert!(!lu.is_supernodal(), "the circuit compiles scalar");
         assert!(lu.profiler().is_enabled());
         let f = lu.factor(&a).unwrap();
         assert!(f.health().is_some(), "profiled factor carries health");
@@ -793,39 +774,29 @@ mod tests {
     }
 
     #[test]
-    fn block_lu_knob_selects_the_supernodal_tier() {
-        // The dense trailing block is a panel that pays: Auto must
-        // keep it dense and engage the supernodal engine, Off must
-        // not, and both tiers agree to 1e-12.
+    fn compile_blocks_only_where_a_panel_pays() {
+        // The dense trailing block is a panel that pays: compile must
+        // keep it dense and engage the supernodal engine, and agree
+        // with the scalar plan of the same pattern to 1e-12.
         let a = heavily_blocking_matrix();
-        let auto = SympilerLu::compile(&a, &SympilerOptions::default()).unwrap();
-        assert!(auto.is_supernodal(), "dense trailing block must auto-block");
-        let sup = auto.supernodal().unwrap();
+        let lu = SympilerLu::compile(&a, &SympilerOptions::default()).unwrap();
+        assert!(lu.is_supernodal(), "dense trailing block must block");
+        let sup = lu.supernodal().unwrap();
         assert!(sup.mean_panel_width() >= 2.0);
         assert!(sup.dense_flop_share() > 0.5, "dense kernels carry the work");
-        let off = SympilerLu::compile(
-            &a,
-            &SympilerOptions {
-                block_lu: BlockLu::Off,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        assert!(!off.is_supernodal());
-        assert!(off.supernodal().is_none());
-        let f_sup = auto.factor(&a).unwrap();
-        let f_off = off.factor(&a).unwrap();
-        for (x, y) in f_sup.u().values().iter().zip(f_off.u().values()) {
+        let f_sup = lu.factor(&a).unwrap();
+        let scalar = LuPlan::build(&a, &SympilerOptions::default()).unwrap();
+        let f_scalar = scalar.factor(&a).unwrap();
+        for (x, y) in f_sup.u().values().iter().zip(f_scalar.u().values()) {
             assert!((x - y).abs() <= 1e-12 * (1.0 + y.abs()));
         }
-        // A grid pattern blocks too sparsely for Auto under strict
-        // nesting (mean width ~1.1): with relaxation disabled every
-        // wide panel is too thin to pay, all are dissolved, and Auto
-        // keeps the scalar plan. The default amalgamation budget
-        // merges the near-nesting grid columns into panels that do
-        // pay, so Auto engages — relaxation is exactly what makes
-        // such patterns blockable. On forces the engine regardless
-        // and stays correct.
+        // A grid pattern blocks too sparsely under strict nesting
+        // (mean width ~1.1): with relaxation disabled every wide panel
+        // is too thin to pay and all are dissolved. The default
+        // amalgamation budget merges the near-nesting grid columns
+        // into panels that do pay, so compile blocks — relaxation is
+        // exactly what makes such patterns blockable. The strict
+        // panels, forced dense, stay correct.
         use crate::plan::lu_supernodal::{SupernodalLuPlan, DENSE_PANEL_MIN_FLOPS_PER_ENTRY};
         let g = gen::convection_diffusion_2d(8, 8, 1.0, 6);
         let plan = LuPlan::build(&g, &SympilerOptions::default()).unwrap();
@@ -835,29 +806,27 @@ mod tests {
         assert_eq!(
             never.part.n_supernodes(),
             plan.n(),
-            "strict sparse blocking must not engage Auto"
+            "strict sparse blocking must not pay"
         );
         let relaxed = SympilerLu::compile(&g, &SympilerOptions::default()).unwrap();
         assert!(
             relaxed.is_supernodal(),
             "default amalgamation budget blocks the grid"
         );
+        let f_scalar = plan.factor(&g).unwrap();
         let forced = SupernodalLuPlan::from_panels(plan, strict, 1);
         assert!(forced.n_wide_panels() > 0);
         let f_forced = forced.factor(&g).unwrap();
-        let f_scalar = SympilerLu::compile(
-            &g,
-            &SympilerOptions {
-                block_lu: BlockLu::Off,
-                ..Default::default()
-            },
-        )
-        .unwrap()
-        .factor(&g)
-        .unwrap();
         for (x, y) in f_forced.u().values().iter().zip(f_scalar.u().values()) {
             assert!((x - y).abs() <= 1e-12 * (1.0 + y.abs()));
         }
+        // A circuit that COLAMD keeps fill-free has no panel that pays.
+        let colamd = SympilerOptions {
+            ordering: Ordering::Colamd,
+            ..Default::default()
+        };
+        let c = gen::circuit_unsym(200, 1, 0, 1);
+        assert!(!SympilerLu::compile(&c, &colamd).unwrap().is_supernodal());
     }
 
     #[test]

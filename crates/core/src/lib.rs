@@ -39,7 +39,7 @@ pub mod robust;
 pub mod serve;
 
 pub use compile::{
-    BlockLu, Ordering, PrePivot, SympilerCholesky, SympilerLu, SympilerOptions, SympilerTriSolve,
+    Ordering, PrePivot, SympilerCholesky, SympilerLu, SympilerOptions, SympilerTriSolve,
 };
 pub use plan::lu::{BatchError, LuWorkspace, PerturbReport, RefineReport};
 pub use report::SymbolicReport;

@@ -287,7 +287,8 @@ pub struct LuPlan {
     /// The low-level tier decision, resolved per update from the
     /// layout: an update by column `k` runs peeled (unguarded,
     /// unrolled) iff `L(:, k)` has more than this many sub-diagonal
-    /// entries. `usize::MAX` when the tier is compiled out.
+    /// entries: [`PEEL_COL_COUNT`], unless a crate test moved it
+    /// (`usize::MAX` compiles the tier out).
     peel_above: usize,
     /// Exact factorization flops.
     flops: u64,
@@ -308,19 +309,21 @@ pub struct LuPlan {
 
 impl LuPlan {
     /// Compile a plan for the square (generally unsymmetric) matrix
-    /// `a` — the one constructor. Of `opts` it reads exactly
-    /// [`low_level`](SympilerOptions::low_level) (the peeled update
-    /// tier: update columns with more than [`PEEL_COL_COUNT`]
+    /// `a` — the one constructor. The peeled update tier is always
+    /// compiled in: update columns with more than [`PEEL_COL_COUNT`]
     /// off-diagonal entries unroll, Figure 1e's rule applied to
-    /// factorization updates), [`ordering`](SympilerOptions::ordering)
-    /// and [`pre_pivot`](SympilerOptions::pre_pivot),
+    /// factorization updates. Of `opts` it reads exactly
+    /// [`ordering`](SympilerOptions::ordering) and
+    /// [`pre_pivot`](SympilerOptions::pre_pivot),
     /// [`mc64_scale`](SympilerOptions::mc64_scale),
-    /// [`pivot_perturb`](SympilerOptions::pivot_perturb) and
-    /// [`profile`](SympilerOptions::profile); the execution-tier fields
-    /// (`n_threads`, `block_lu`) belong to
+    /// [`pivot_perturb`](SympilerOptions::pivot_perturb) (a negative,
+    /// NaN or infinite value is a [`LuPlanError::BadInput`]) and
+    /// [`profile`](SympilerOptions::profile); the execution tier
+    /// (`n_threads`, and whether panels go dense) belongs to
     /// [`crate::SympilerLu::compile`], which calls this and then
     /// [`Self::leveled`], [`Self::with_position_tables`] or
-    /// [`super::lu_supernodal::SupernodalLuPlan::from_panels`].
+    /// [`super::lu_supernodal::SupernodalLuPlan::from_panels`] — the
+    /// calls that force a tier on any pattern.
     ///
     /// Pre-pivot and ordering are pure symbolic-phase decisions: the
     /// row matching `P` (maximum transversal / weighted matching) and
@@ -342,10 +345,12 @@ impl LuPlan {
     /// profiler is disabled and all of that is a no-op.
     pub fn build(a: &CscMatrix, opts: &SympilerOptions) -> Result<Self, LuPlanError> {
         let (ordering, pre_pivot) = (opts.ordering, opts.pre_pivot);
-        assert!(
-            opts.pivot_perturb >= 0.0 && opts.pivot_perturb.is_finite(),
-            "perturbation tolerance must be finite and non-negative"
-        );
+        if !(opts.pivot_perturb >= 0.0 && opts.pivot_perturb.is_finite()) {
+            return Err(LuPlanError::BadInput(format!(
+                "pivot_perturb {} must be finite and non-negative",
+                opts.pivot_perturb
+            )));
+        }
         let profiler = Arc::new(if opts.profile {
             Profiler::enabled()
         } else {
@@ -469,11 +474,7 @@ impl LuPlan {
                 None
             },
             structure: Arc::new(structure),
-            peel_above: if opts.low_level {
-                PEEL_COL_COUNT
-            } else {
-                usize::MAX
-            },
+            peel_above: PEEL_COL_COUNT,
             flops,
             positions: None,
             levels: None,
@@ -1353,14 +1354,7 @@ mod tests {
         let a = gen::convection_diffusion_2d(9, 9, 1.0, 2);
         let full = LuPlan::build(&a, &SympilerOptions::default()).unwrap();
         assert!(full.n_peeled() > 0, "expected peeled updates");
-        let plain = LuPlan::build(
-            &a,
-            &SympilerOptions {
-                low_level: false,
-                ..Default::default()
-            },
-        )
-        .unwrap();
+        let plain = full.clone().with_peel_above(usize::MAX);
         assert_eq!(plain.n_peeled(), 0);
         let f1 = full.factor(&a).unwrap();
         let f2 = plain.factor(&a).unwrap();
@@ -1702,23 +1696,16 @@ mod tests {
     fn the_schedule_is_the_pattern_of_u() {
         let a = gen::convection_diffusion_2d(9, 9, 1.0, 2);
         let sym = sympiler_graph::lu_symbolic(&a);
-        for (low_level, peel) in [(true, 2), (true, 0), (false, 0)] {
-            let opts = SympilerOptions {
-                low_level,
-                ..Default::default()
-            };
-            let plan = LuPlan::build(&a, &opts).unwrap();
-            let plan = if low_level {
-                plan.with_peel_above(peel)
-            } else {
-                plan
-            };
+        for peel in [2, 0, usize::MAX] {
+            let plan = LuPlan::build(&a, &SympilerOptions::default())
+                .unwrap()
+                .with_peel_above(peel);
             let mut peeled = 0;
             for j in 0..plan.n() {
                 assert!(plan.schedule(j).eq(sym.reach(j).iter().copied()));
                 for (k, tier) in plan.schedule_with_tiers(j) {
                     let heavy = sym.l_col_pattern(k).len() - 1 > peel;
-                    assert_eq!(tier, low_level && heavy);
+                    assert_eq!(tier, heavy);
                     peeled += tier as usize;
                 }
             }

@@ -333,22 +333,17 @@ mod tests {
             ];
             for (a, pre_pivot) in &inputs {
                 for ordering in Ordering::ALL {
-                    for (low_level, peel) in [(false, 2), (true, 0), (true, 2)] {
+                    // usize::MAX compiles the peeled tier out.
+                    for peel in [usize::MAX, 0, 2] {
                         // 0.9 perturbs pivots on these inputs; 0 is off.
                         for tol in [0.0, 1e-3, 0.9] {
                             for mc64 in [false, true] {
                                 let opts = SympilerOptions {
-                                    low_level,
                                     pivot_perturb: tol,
                                     mc64_scale: mc64,
                                     ..pivoted(ordering, *pre_pivot)
                                 };
-                                let plan = LuPlan::build(a, &opts).unwrap();
-                                let plan = if low_level {
-                                    plan.with_peel_above(peel)
-                                } else {
-                                    plan
-                                };
+                                let plan = LuPlan::build(a, &opts).unwrap().with_peel_above(peel);
                                 let walker = walker_of(&plan);
                                 assert_eq!(
                                     walker
@@ -361,8 +356,8 @@ mod tests {
                                 assert_eq!(
                                     outcome(&walker, a),
                                     outcome(&plan, a),
-                                    "{ordering:?} {pre_pivot:?} low_level={low_level} \
-                                     peel={peel} tol={tol} mc64={mc64} seed={seed}"
+                                    "{ordering:?} {pre_pivot:?} peel={peel} tol={tol} \
+                                     mc64={mc64} seed={seed}"
                                 );
                                 // The leveled walk of the same cell, which
                                 // the public API reaches only at peel 2.

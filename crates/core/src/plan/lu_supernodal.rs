@@ -34,9 +34,9 @@
 //!   dense TRSM ([`sympiler_dense::trsm_right_upper`]). Width-1 panels
 //!   fall back to the scalar per-column kernel
 //!   (`LuPlan::column_numeric`), so sparsity that never blocks costs
-//!   nothing extra — and under [`crate::BlockLu::Auto`] wide panels
-//!   too thin to pay for the dense path are dissolved into such
-//!   columns at compile time ([`SupernodalLuPlan::dissolve_thin_panels`]).
+//!   nothing extra — and [`crate::SympilerLu::compile`] dissolves wide
+//!   panels too thin to pay for the dense path into such columns at
+//!   compile time ([`SupernodalLuPlan::dissolve_thin_panels`]).
 //! * **Parallelism** — with more than one thread, the panel DAG (panel
 //!   `s` depends on every panel that sources one of its updates) goes
 //!   through the one [`LevelSchedule`] the leveled column plan uses:
@@ -107,7 +107,7 @@ pub struct SupernodalLuPlan {
     dense_executed_flops: u64,
 }
 
-/// [`crate::BlockLu::Auto`]'s per-panel rule: a wide panel stays dense
+/// [`crate::SympilerLu::compile`]'s per-panel rule: a wide panel stays dense
 /// when its structural flops reach this many per accumulator entry the
 /// dense path moves for it (see
 /// [`SupernodalLuPlan::dissolve_thin_panels`]). The scalar column
@@ -221,7 +221,7 @@ impl SupernodalLuPlan {
 
     /// Dissolve every wide panel whose structural flops per accumulator
     /// entry the dense path moves fall below `min_flops_per_entry`
-    /// into scalar columns ([`crate::BlockLu::Auto`] passes
+    /// into scalar columns ([`crate::SympilerLu::compile`] passes
     /// [`DENSE_PANEL_MIN_FLOPS_PER_ENTRY`]). Exact compile-time
     /// quantities only: the panel's flops (sum of its columns'), and
     /// `stride × (union rows + Σ rows of every source panel)` with the
@@ -1127,7 +1127,7 @@ mod tests {
         // `LevelSchedule`: per fixture and thread count, the level,
         // chunk and barrier tables the two deleted builders produced —
         // over the column DAG, and over the panel DAG of the partition
-        // `BlockLu::Auto` keeps (singletons and wide panels mixed) —
+        // `SympilerLu::compile` keeps (singletons and wide panels mixed) —
         // and the supernodal factor itself. The one builder and the one
         // walker must reproduce all of them.
         let fixtures = [

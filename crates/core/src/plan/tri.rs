@@ -20,7 +20,7 @@ use sympiler_sparse::{CscMatrix, SparseVec};
 /// LU plan applies the same rule to its column updates (an update
 /// peels when its source column of `L` has more than this many
 /// off-diagonal entries). Read by [`crate::SympilerTriSolve::compile`]
-/// and [`super::lu::LuPlan::build`] when `low_level` is on;
+/// and [`super::lu::LuPlan::build`];
 /// [`TriSolvePlan::build`] takes it as an argument.
 pub const PEEL_COL_COUNT: usize = 2;
 

@@ -1288,6 +1288,9 @@ mod tests {
     /// 12. Re-recorded again when the compiler's thresholds
     /// (`peel_col_count`, `max_panel`, `relax_fill`, `relax_cols`)
     /// became constants and `profile` left the key: 12 fields to 7.
+    /// Re-recorded once more when the tier choice became the
+    /// compiler's (`low_level` and `block_lu` left the options): 7
+    /// fields to 5.
     #[test]
     fn structural_hash_keys_are_pinned() {
         let empty = CscMatrix::try_new(0, 0, vec![0], vec![], vec![]).unwrap();
@@ -1296,9 +1299,9 @@ mod tests {
             ordering: crate::Ordering::Colamd,
             ..opts()
         };
-        assert_eq!(structural_hash(&empty, &opts()), 0x889c_8c44_f6b3_2a41);
-        assert_eq!(structural_hash(&a, &opts()), 0xdc5c_778b_65b6_337c);
-        assert_eq!(structural_hash(&a, &colamd), 0x3614_759e_e9f3_a605);
+        assert_eq!(structural_hash(&empty, &opts()), 0x3366_d05b_d739_4cbe);
+        assert_eq!(structural_hash(&a, &opts()), 0x6bb2_d152_5450_f728);
+        assert_eq!(structural_hash(&a, &colamd), 0x5644_6b4c_33d9_7a14);
     }
 
     /// The key reads the pattern's kept fingerprint: a clone (which
@@ -1318,18 +1321,17 @@ mod tests {
     }
 
     /// Every option that changes the compiled LU plan is identity;
-    /// `profile`, which the cache compiles off, and the recovery
-    /// policy, read only while a request runs, are not.
+    /// `profile`, which the cache compiles off, the recovery policy,
+    /// read only while a request runs, and option values that compile
+    /// the same plan as others are not.
     #[test]
     fn compile_fields_key_the_cache_and_recovery_fields_do_not() {
         let a = gen::circuit_unsym(40, 4, 2, 5);
         let cache = PlanCache::new(CacheConfig::default());
         let base = cache.get_or_compile(&a, &opts()).unwrap();
-        let compile_flips: [fn(&mut SympilerOptions); 7] = [
-            |o| o.low_level = !o.low_level,
+        let compile_flips: [fn(&mut SympilerOptions); 5] = [
             |o| o.n_threads = 2,
             |o| o.ordering = crate::Ordering::Rcm,
-            |o| o.block_lu = crate::BlockLu::On,
             |o| o.mc64_scale = true,
             |o| o.pre_pivot = crate::PrePivot::Transversal,
             |o| o.pivot_perturb = 1e-8,
@@ -1346,9 +1348,12 @@ mod tests {
             assert!(!Arc::ptr_eq(&p, &base), "compile field {k} must miss");
             assert_eq!(cache.len(), k + 2, "…and file a distinct entry");
         }
-        // Not identity: `profile`, which the cache compiles off, and
-        // the run-time recovery policy.
-        let shared_flips: [fn(&mut SympilerOptions); 5] = [
+        // Not identity: `profile`, which the cache compiles off, the
+        // run-time recovery policy, and values that compile the base
+        // plan (0 threads run as 1, a −0.0 tolerance is off).
+        let shared_flips: [fn(&mut SympilerOptions); 7] = [
+            |o| o.n_threads = 0,
+            |o| o.pivot_perturb = -0.0,
             |o| o.profile = true,
             |o| o.recovery.berr_tol = 1e-6,
             |o| o.recovery.max_refine_iters = 3,
@@ -1359,7 +1364,12 @@ mod tests {
         for (k, flip) in shared_flips.iter().enumerate() {
             let mut flipped = opts();
             flip(&mut flipped);
-            assert_ne!(flipped, opts(), "flip {k} changes the options");
+            // `Debug`, not `==`: −0.0 == 0.0, but the field differs.
+            assert_ne!(
+                format!("{flipped:?}"),
+                format!("{:?}", opts()),
+                "flip {k} changes the options"
+            );
             assert_eq!(
                 structural_hash(&a, &flipped),
                 structural_hash(&a, &opts()),
@@ -1377,6 +1387,41 @@ mod tests {
         };
         let p = fresh.get_or_compile(&a, &profiled).unwrap();
         assert!(!p.profiler().is_enabled() && !p.options().profile);
+    }
+
+    /// A perturbation tolerance the plan cannot use is the request's
+    /// error, typed, on every path to a compile — not a worker panic.
+    #[test]
+    fn a_bad_pivot_perturb_is_a_typed_plan_error() {
+        let _serial = service_lock();
+        let a = gen::circuit_unsym(40, 4, 2, 5);
+        let cache = Arc::new(PlanCache::new(CacheConfig::default()));
+        let service = FactorService::new(1, Arc::clone(&cache));
+        for tol in [-1e-8, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let bad = SympilerOptions {
+                pivot_perturb: tol,
+                ..opts()
+            };
+            let named = |e: &LuPlanError| match e {
+                LuPlanError::BadInput(m) => m.contains(&tol.to_string()),
+                _ => false,
+            };
+            let e = SympilerLu::compile(&a, &bad).unwrap_err();
+            assert!(named(&e), "{tol}: compile gave {e:?}");
+            let e = cache.get_or_compile(&a, &bad).unwrap_err();
+            assert!(named(&e), "{tol}: cache gave {e:?}");
+            let reply = service.call(ServeRequest {
+                a: a.clone(),
+                opts: bad,
+                rhs: vec![vec![1.0; 40]],
+            });
+            match reply {
+                Err(ServeError::Plan(e)) => assert!(named(&e), "{tol}: service gave {e:?}"),
+                Err(e) => panic!("{tol}: service gave {e}"),
+                Ok(_) => panic!("{tol}: service factored"),
+            }
+        }
+        assert!(cache.is_empty(), "no failed compile is filed");
     }
 
     /// A row index that matches the compiled one only after truncation

@@ -29,8 +29,9 @@
 //! triangular solve, so its VI-Prune set is a reach set on the growing
 //! `DG_L`. LU's numeric phase is **two kernels under one scheduler**:
 //! scalar columns, or supernodal VS-Block panels routed through dense
-//! GETRF/TRSM/GEMM kernels ([`SympilerOptions::block_lu`], ~1e-12
-//! agreement with the columns — dense kernels reassociate sums), either
+//! GETRF/TRSM/GEMM kernels (picked by the compiler where a panel pays
+//! for it, ~1e-12 agreement with the columns — dense kernels
+//! reassociate sums), either
 //! walked in order or leveled over its dependence DAG across threads
 //! ([`SympilerOptions::n_threads`], bitwise identical to one thread at
 //! any thread count). Two further compile-time knobs compose with
@@ -53,7 +54,6 @@
 //! [`SympilerOptions::pivot_perturb`]: prelude::SympilerOptions
 //!
 //! [`SympilerOptions::n_threads`]: prelude::SympilerOptions
-//! [`SympilerOptions::block_lu`]: prelude::SympilerOptions
 //! [`SympilerOptions::ordering`]: prelude::SympilerOptions
 //! [`SympilerOptions::pre_pivot`]: prelude::SympilerOptions
 //! [`SympilerOptions::profile`]: prelude::SympilerOptions
@@ -91,8 +91,7 @@ pub use sympiler_sparse as sparse;
 /// Convenient glob-import surface for examples and downstream users.
 pub mod prelude {
     pub use sympiler_core::compile::{
-        BlockLu, Ordering, PrePivot, SympilerCholesky, SympilerLu, SympilerOptions,
-        SympilerTriSolve,
+        Ordering, PrePivot, SympilerCholesky, SympilerLu, SympilerOptions, SympilerTriSolve,
     };
     pub use sympiler_core::plan::chol::CholFactor;
     pub use sympiler_core::plan::level_schedule::LevelSchedule;

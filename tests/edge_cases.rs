@@ -260,10 +260,10 @@ fn lu_walker_matches_the_accumulator_kernel_on_degenerate_and_non_finite_input()
         for pre_pivot in [PrePivot::Off, PrePivot::Transversal] {
             let opts = SympilerOptions {
                 pre_pivot,
-                block_lu: BlockLu::Off,
                 ..Default::default()
             };
             let lu = SympilerLu::compile(pattern, &opts).unwrap();
+            assert!(!lu.is_supernodal(), "{label}: no panel pays here");
             // A full diagonal matches to the identity: nothing is baked.
             assert!(lu.row_perm().is_none(), "{label}: identity fast path");
             let reference = LuPlan::build(pattern, &opts).unwrap();
@@ -289,14 +289,8 @@ fn lu_workspace_shared_between_direct_and_supernodal_plans_stays_valid() {
     let dense = gen::circuit_unsym(120, 4, 2, 6);
     let walker = SympilerLu::compile(&sparse, &SympilerOptions::default()).unwrap();
     assert!(!walker.is_supernodal(), "fill-free circuits run scalar");
-    let supernodal = SympilerLu::compile(
-        &dense,
-        &SympilerOptions {
-            block_lu: BlockLu::On,
-            ..Default::default()
-        },
-    )
-    .unwrap();
+    let supernodal = SympilerLu::compile(&dense, &SympilerOptions::default()).unwrap();
+    assert!(supernodal.is_supernodal(), "the heavy-fill circuit blocks");
     let accumulator = LuPlan::build(&dense, &SympilerOptions::default()).unwrap();
     let mut zero_pivot = sparse.clone();
     let first_diag = (0..zero_pivot.col_ptr()[1])
@@ -346,36 +340,46 @@ fn lu_workspace_shared_between_direct_and_supernodal_plans_stays_valid() {
 #[test]
 fn lu_row_index_beyond_u32_is_a_pattern_mismatch_in_every_tier() {
     use sympiler::core::plan::lu::LuPlanError;
-    let good = gen::circuit_unsym(80, 4, 2, 11);
-    let mut rows = good.row_idx().to_vec();
-    let last = good.col_ptr()[1] - 1; // last (largest) row of column 0
-    rows[last] += 1 << 32;
-    // Valid CSC (so debug builds construct it): the row count grows
-    // with the index, the column count stays the compiled one.
-    let bad = CscMatrix::from_parts_unchecked(
-        good.n_rows() + (1 << 32),
-        good.n_cols(),
-        good.col_ptr().to_vec(),
-        rows,
-        good.values().to_vec(),
-    );
+    let beyond_u32 = |good: &CscMatrix| {
+        let mut rows = good.row_idx().to_vec();
+        let last = good.col_ptr()[1] - 1; // last (largest) row of column 0
+        rows[last] += 1 << 32;
+        // Valid CSC (so debug builds construct it): the row count grows
+        // with the index, the column count stays the compiled one.
+        CscMatrix::from_parts_unchecked(
+            good.n_rows() + (1 << 32),
+            good.n_cols(),
+            good.col_ptr().to_vec(),
+            rows,
+            good.values().to_vec(),
+        )
+    };
+    // The compiler keeps the fill-free circuit scalar and blocks the
+    // heavy-fill one.
+    let sparse = gen::circuit_unsym(80, 1, 0, 2);
+    let dense = gen::circuit_unsym(80, 4, 2, 11);
     let tiers = [
-        ("serial", 1, BlockLu::Off),
-        ("2-thread", 2, BlockLu::Off),
-        ("supernodal", 1, BlockLu::On),
-        ("supernodal 2-thread", 2, BlockLu::On),
+        ("serial", 1, &sparse),
+        ("2-thread", 2, &sparse),
+        ("supernodal", 1, &dense),
+        ("supernodal 2-thread", 2, &dense),
     ];
-    for (label, n_threads, block_lu) in tiers {
+    for (label, n_threads, good) in tiers {
+        let bad = beyond_u32(good);
         // COLAMD bakes an inverse row map the bad index would overrun.
         for ordering in [Ordering::Natural, Ordering::Colamd] {
             let opts = SympilerOptions {
                 n_threads,
-                block_lu,
                 ordering,
                 ..Default::default()
             };
-            let lu = SympilerLu::compile(&good, &opts).unwrap();
-            assert!(lu.factor(&good).is_ok());
+            let lu = SympilerLu::compile(good, &opts).unwrap();
+            assert_eq!(
+                (lu.is_supernodal(), lu.n_threads()),
+                (label.starts_with("supernodal"), n_threads),
+                "{label} {ordering:?}: the tier under test"
+            );
+            assert!(lu.factor(good).is_ok());
             assert_eq!(
                 lu.factor(&bad).unwrap_err(),
                 LuPlanError::PatternMismatch,
@@ -386,7 +390,7 @@ fn lu_row_index_beyond_u32_is_a_pattern_mismatch_in_every_tier() {
                 LuPlanError::PatternMismatch,
                 "{label} factor_with"
             );
-            let err = lu.factor_batch(&[&good, &bad]).unwrap_err();
+            let err = lu.factor_batch(&[good, &bad]).unwrap_err();
             assert_eq!(
                 (err.index, err.error),
                 (1, LuPlanError::PatternMismatch),
@@ -432,18 +436,16 @@ fn a_taller_copy_of_the_compiled_matrix_is_a_pattern_mismatch() {
     use sympiler::core::plan::lu::LuPlanError;
     let a = gen::circuit_unsym(80, 4, 2, 11);
     let taller = reshaped(&a, a.n_rows() + 3, a.row_idx().to_vec());
-    for block_lu in [BlockLu::Off, BlockLu::On] {
-        let opts = SympilerOptions {
-            block_lu,
-            ..Default::default()
-        };
-        let lu = SympilerLu::compile(&a, &opts).unwrap();
-        assert!(lu.factor(&a).is_ok());
-        assert_eq!(
-            lu.factor(&taller).unwrap_err(),
-            LuPlanError::PatternMismatch,
-            "{block_lu:?}"
-        );
+    let opts = SympilerOptions::default();
+    let lu = SympilerLu::compile(&a, &opts).unwrap();
+    assert!(lu.is_supernodal(), "the heavy-fill circuit blocks");
+    let scalar = LuPlan::build(&a, &opts).unwrap();
+    for (tier, good, bad) in [
+        ("supernodal", lu.factor(&a), lu.factor(&taller)),
+        ("scalar", scalar.factor(&a), scalar.factor(&taller)),
+    ] {
+        assert!(good.is_ok(), "{tier}");
+        assert_eq!(bad.unwrap_err(), LuPlanError::PatternMismatch, "{tier}");
     }
     let spd = gen::grid2d_laplacian(6, 6, false, 3);
     let chol = SympilerCholesky::compile(&spd, &SympilerOptions::default()).unwrap();

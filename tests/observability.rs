@@ -3,6 +3,9 @@
 //! lanes, exact flop attribution across both LU kernels, in order and
 //! leveled, and the numerical-health monitors.
 
+mod common;
+
+use common::factor_on_tier;
 use std::sync::Arc;
 use sympiler::prelude::*;
 use sympiler::sparse::gen;
@@ -55,18 +58,13 @@ fn profile_json_round_trips_through_chrome_trace() {
 #[test]
 fn disabled_profiler_keeps_all_three_tiers_bitwise_identical() {
     let a = problem();
-    let collect = |profile: bool, block_lu: BlockLu, n_threads: usize| -> Vec<u64> {
-        let lu = SympilerLu::compile(
-            &a,
-            &SympilerOptions {
-                profile,
-                block_lu,
-                n_threads,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        let f = lu.factor(&a).unwrap();
+    let collect = |profile: bool, supernodal: bool, n_threads: usize| -> Vec<u64> {
+        let opts = SympilerOptions {
+            profile,
+            n_threads,
+            ..Default::default()
+        };
+        let f = factor_on_tier(&a, &opts, supernodal).unwrap();
         f.l()
             .values()
             .iter()
@@ -77,16 +75,12 @@ fn disabled_profiler_keeps_all_three_tiers_bitwise_identical() {
     // Serial, parallel, and supernodal: profiling on vs. off must not
     // change a single bit of the factors (instrumentation is purely
     // observational).
-    for (block_lu, n_threads) in [
-        (BlockLu::Off, 1),
-        (BlockLu::Off, 4),
-        (BlockLu::On, 1),
-        (BlockLu::On, 4),
-    ] {
+    for (supernodal, n_threads) in [(false, 1), (false, 4), (true, 1), (true, 4)] {
         assert_eq!(
-            collect(false, block_lu, n_threads),
-            collect(true, block_lu, n_threads),
-            "profiling must be invisible to the numbers ({block_lu:?}, {n_threads} threads)"
+            collect(false, supernodal, n_threads),
+            collect(true, supernodal, n_threads),
+            "profiling must be invisible to the numbers (supernodal {supernodal}, \
+             {n_threads} threads)"
         );
     }
 }

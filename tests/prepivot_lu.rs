@@ -8,6 +8,9 @@
 //! true no-op, and turn structural singularity into a typed
 //! compile-time error.
 
+mod common;
+
+use common::factor_on_tier;
 use sympiler::prelude::*;
 use sympiler::solvers::lu::{lu_backward_error, GpLuFactors};
 use sympiler::sparse::ops;
@@ -54,8 +57,8 @@ fn zero_diag_is_a_hard_error_without_a_pre_pivot() {
 /// The system the compiled engines actually factor, reconstructed in
 /// factored coordinates: `Qᵀ·P·(Dr·A·Dc)·Q` (scaling and permutations
 /// identity when not compiled).
-fn composed_system(lu: &SympilerLu, a: &CscMatrix) -> CscMatrix {
-    let scaled = match lu.plan().mc64_scaling() {
+fn composed_system(lu: &LuPlan, a: &CscMatrix) -> CscMatrix {
+    let scaled = match lu.mc64_scaling() {
         Some((dr, dc)) => ops::scale_rows_cols(a, dr, dc).unwrap(),
         None => a.clone(),
     };
@@ -85,24 +88,19 @@ fn every_combination_factors_through_every_tier() {
                     ordering,
                     pre_pivot,
                     mc64_scale: true,
-                    block_lu: BlockLu::Off,
                     ..Default::default()
                 };
-                let serial = SympilerLu::compile(&a, &opts).unwrap();
+                let serial = LuPlan::build(&a, &opts).unwrap();
                 assert_eq!(serial.pre_pivot(), pre_pivot);
                 assert_eq!(serial.matched_diagonals(), n, "{name}: full matching");
-                let f = serial.factor(&a).unwrap();
+                let f = factor_on_tier(&a, &opts, false).unwrap();
                 // Serial vs parallel: bitwise at 2 and 4 threads.
                 for threads in [2usize, 4] {
-                    let par = SympilerLu::compile(
-                        &a,
-                        &SympilerOptions {
-                            n_threads: threads,
-                            ..opts.clone()
-                        },
-                    )
-                    .unwrap();
-                    let fp = par.factor(&a).unwrap();
+                    let leveled = SympilerOptions {
+                        n_threads: threads,
+                        ..opts.clone()
+                    };
+                    let fp = factor_on_tier(&a, &leveled, false).unwrap();
                     for (x, y) in fp
                         .l()
                         .values()
@@ -122,16 +120,7 @@ fn every_combination_factors_through_every_tier() {
                 // the reassociation drift stays inside the strict
                 // element tolerance there; both pre-pivots then gate
                 // on the backward error of the factored system.
-                let sup = SympilerLu::compile(
-                    &a,
-                    &SympilerOptions {
-                        block_lu: BlockLu::On,
-                        ..opts.clone()
-                    },
-                )
-                .unwrap();
-                assert!(sup.is_supernodal());
-                let fs = sup.factor(&a).unwrap();
+                let fs = factor_on_tier(&a, &opts, true).unwrap();
                 if pre_pivot == PrePivot::WeightedMatching {
                     for (x, y) in fs
                         .l()
@@ -235,14 +224,13 @@ fn mc64_scaling_collapses_pivot_growth_under_the_weighted_matching() {
                 ordering,
                 pre_pivot: PrePivot::WeightedMatching,
                 mc64_scale: true,
-                block_lu: BlockLu::Off,
                 ..Default::default()
             };
-            let lu = SympilerLu::compile(&a, &opts).unwrap();
-            let (dr, dc) = lu.plan().mc64_scaling().expect("scalings compiled");
+            let lu = LuPlan::build(&a, &opts).unwrap();
+            let (dr, dc) = lu.mc64_scaling().expect("scalings compiled");
             assert_eq!((dr.len(), dc.len()), (n, n));
             let f = lu.factor(&a).unwrap();
-            let health = lu.plan().health_of(&a, &f);
+            let health = lu.health_of(&a, &f);
             assert!(
                 health.growth < 1e2,
                 "{name} under {ordering:?}: scaled pivot growth {:.3e} must stay O(1)",

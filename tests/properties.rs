@@ -8,14 +8,17 @@
 //! * LU engines satisfy `P A = L U` against the dense reference;
 //! * the pruned symbolic LU equals boolean elimination.
 
+mod common;
+
+use common::factor_on_tier;
 use proptest::prelude::*;
 use sympiler::core::plan::lu_supernodal::{MAX_PANEL, RELAX_COLS, RELAX_FILL};
 use sympiler::prelude::*;
 use sympiler::solvers::{SimplicialCholesky, SupernodalCholesky};
 
-/// The supernodal plan `BlockLu::On` compiles for `a` under `opts`,
-/// with panels detected at cap `max_panel` and budget `relax_fill` in
-/// place of the compiler's `MAX_PANEL` / `RELAX_FILL`.
+/// `a`'s plan under `opts` with every panel detected at cap
+/// `max_panel` and budget `relax_fill` (in place of the compiler's
+/// `MAX_PANEL` / `RELAX_FILL`) dense.
 fn panels_under(
     a: &CscMatrix,
     opts: &SympilerOptions,
@@ -418,14 +421,9 @@ proptest! {
         // ordering and panel cap, with identical patterns and a valid
         // panel partition.
         for ordering in Ordering::ALL {
-            let serial = SympilerLu::compile(&a, &SympilerOptions {
-                ordering,
-                block_lu: BlockLu::Off,
-                ..Default::default()
-            }).unwrap();
-            let f_serial = serial.factor(&a).unwrap();
+            let opts = SympilerOptions { ordering, ..Default::default() };
+            let f_serial = LuPlan::build(&a, &opts).unwrap().factor(&a).unwrap();
             for max_panel in [0usize, 3] {
-                let opts = SympilerOptions { ordering, ..Default::default() };
                 let plan = panels_under(&a, &opts, max_panel, RELAX_FILL);
                 let widths: usize = (0..plan.n_panels())
                     .map(|s| plan.partition().width(s))
@@ -462,20 +460,16 @@ proptest! {
                 let base_opts = SympilerOptions {
                     ordering,
                     pre_pivot,
-                    block_lu: BlockLu::Off,
                     ..Default::default()
                 };
-                let serial = SympilerLu::compile(&a, &base_opts).unwrap();
-                let f_serial = serial.factor(&a).unwrap();
+                let f_serial = LuPlan::build(&a, &base_opts).unwrap().factor(&a).unwrap();
                 let strict = panels_under(&a, &base_opts, MAX_PANEL, 0.0);
                 let f_strict = strict.factor(&a).unwrap();
                 for threads in [1usize, 3] {
-                    let relaxed = SympilerLu::compile(&a, &SympilerOptions {
-                        block_lu: BlockLu::On,
+                    let relaxed = panels_under(&a, &SympilerOptions {
                         n_threads: threads,
                         ..base_opts.clone()
-                    }).unwrap();
-                    prop_assert!(relaxed.is_supernodal());
+                    }, MAX_PANEL, RELAX_FILL);
                     let fr = relaxed.factor(&a).unwrap();
                     prop_assert!(fr.l().same_pattern(f_serial.l()));
                     prop_assert!(fr.u().same_pattern(f_serial.u()));
@@ -605,18 +599,13 @@ proptest! {
                 let opts = SympilerOptions {
                     ordering,
                     pre_pivot,
-                    block_lu: BlockLu::Off,
                     ..Default::default()
                 };
-                let serial = SympilerLu::compile(&a, &opts).unwrap();
+                let serial = LuPlan::build(&a, &opts).unwrap();
                 prop_assert_eq!(serial.matched_diagonals(), n);
                 let f = serial.factor(&a).unwrap();
                 // Parallel: bitwise identical.
-                let par = SympilerLu::compile(&a, &SympilerOptions {
-                    n_threads: 3,
-                    ..opts.clone()
-                }).unwrap();
-                let fp = par.factor(&a).unwrap();
+                let fp = serial.clone().leveled(3).factor(&a).unwrap();
                 for (x, y) in fp.l().values().iter().chain(fp.u().values())
                     .zip(f.l().values().iter().chain(f.u().values()))
                 {
@@ -626,10 +615,7 @@ proptest! {
                 // Supernodal: relative agreement (growth-aware for the
                 // pattern-only transversal, which may pivot small).
                 let vtol = if pre_pivot == PrePivot::Transversal { 1e-7 } else { 1e-10 };
-                let sup = SympilerLu::compile(&a, &SympilerOptions {
-                    block_lu: BlockLu::On,
-                    ..opts.clone()
-                }).unwrap();
+                let sup = panels_under(&a, &opts, MAX_PANEL, RELAX_FILL);
                 let fs = sup.factor(&a).unwrap();
                 for (x, y) in fs.l().values().iter().chain(fs.u().values())
                     .zip(f.l().values().iter().chain(f.u().values()))
@@ -640,12 +626,11 @@ proptest! {
                 }
                 // Supernodal over the panel DAG: bitwise the in-order
                 // panels.
-                let sup3 = SympilerLu::compile(&a, &SympilerOptions {
-                    block_lu: BlockLu::On,
+                let sup3 = panels_under(&a, &SympilerOptions {
                     n_threads: 3,
                     ..opts.clone()
-                }).unwrap();
-                prop_assert!(sup3.is_supernodal() && sup3.n_threads() == 3);
+                }, MAX_PANEL, RELAX_FILL);
+                prop_assert_eq!(sup3.n_threads(), 3);
                 let fs3 = sup3.factor(&a).unwrap();
                 for (x, y) in fs3.l().values().iter().chain(fs3.u().values())
                     .zip(fs.l().values().iter().chain(fs.u().values()))
@@ -682,21 +667,18 @@ proptest! {
         // tier, and an *armed* tolerance that never fires (empty
         // PerturbReport) must also leave the factors bitwise identical
         // to the untouched path.
-        let tiers: [(&str, SympilerOptions); 4] = [
-            ("serial", SympilerOptions { block_lu: BlockLu::Off, ..Default::default() }),
-            ("parallel", SympilerOptions {
-                n_threads: 3, block_lu: BlockLu::Off, ..Default::default()
-            }),
-            ("supernodal", SympilerOptions { block_lu: BlockLu::On, ..Default::default() }),
-            ("supernodal, leveled", SympilerOptions {
-                n_threads: 3, block_lu: BlockLu::On, ..Default::default()
-            }),
+        let tiers = [
+            ("serial", 1, false),
+            ("parallel", 3, false),
+            ("supernodal", 1, true),
+            ("supernodal, leveled", 3, true),
         ];
-        for (label, base) in tiers {
-            let plain = SympilerLu::compile(&a, &base).unwrap().factor(&a).unwrap();
-            let explicit = SympilerLu::compile(&a, &SympilerOptions {
+        for (label, n_threads, supernodal) in tiers {
+            let base = SympilerOptions { n_threads, ..Default::default() };
+            let plain = factor_on_tier(&a, &base, supernodal).unwrap();
+            let explicit = factor_on_tier(&a, &SympilerOptions {
                 pivot_perturb: 0.0, ..base.clone()
-            }).unwrap().factor(&a).unwrap();
+            }, supernodal).unwrap();
             prop_assert!(plain.perturb_report().is_empty());
             prop_assert!(explicit.perturb_report().is_empty());
             for (x, y) in explicit.l().values().iter().chain(explicit.u().values())
@@ -705,9 +687,9 @@ proptest! {
                 prop_assert_eq!(x.to_bits(), y.to_bits(),
                     "{}: explicit pivot_perturb=0.0 moved bits", label);
             }
-            let armed = SympilerLu::compile(&a, &SympilerOptions {
+            let armed = factor_on_tier(&a, &SympilerOptions {
                 pivot_perturb: 1e-10, ..base.clone()
-            }).unwrap().factor(&a).unwrap();
+            }, supernodal).unwrap();
             if armed.perturb_report().is_empty() {
                 for (x, y) in armed.l().values().iter().chain(armed.u().values())
                     .zip(plain.l().values().iter().chain(plain.u().values()))
@@ -789,9 +771,9 @@ proptest! {
 /// map (scaled by `Dr`), run both sweeps over the **materialised**
 /// `usize` CSC pair, scatter back through the column map (scaled by
 /// `Dc`).
-fn reference_solve(lu: &SympilerLu, f: &LuFactor, b: &[f64]) -> Vec<f64> {
+fn reference_solve(lu: &LuPlan, f: &LuFactor, b: &[f64]) -> Vec<f64> {
     let n = b.len();
-    let scaling = lu.plan().mc64_scaling();
+    let scaling = lu.mc64_scaling();
     let mut x: Vec<f64> = match (scaling, f.row_perm()) {
         (None, None) => b.to_vec(),
         (None, Some(p)) => p.iter().map(|&old| b[old]).collect(),
@@ -850,18 +832,13 @@ fn check_factor_object_in_every_cell(a: &CscMatrix, pre_pivots: &[PrePivot]) -> 
                 .collect()
         })
         .collect();
-    let tiers = [
-        (BlockLu::Off, 1),
-        (BlockLu::Off, 3),
-        (BlockLu::On, 1),
-        (BlockLu::On, 3),
-    ];
+    let tiers = [(false, 1), (false, 3), (true, 1), (true, 3)];
     for ordering in Ordering::ALL {
         for &pre_pivot in pre_pivots {
             for mc64_scale in [false, true] {
-                for (block_lu, n_threads) in tiers {
+                for (supernodal, n_threads) in tiers {
                     let cell = format!(
-                        "{}+{} mc64={mc64_scale} {block_lu:?} @{n_threads}T",
+                        "{}+{} mc64={mc64_scale} supernodal={supernodal} @{n_threads}T",
                         ordering.label(),
                         pre_pivot.label()
                     );
@@ -869,12 +846,11 @@ fn check_factor_object_in_every_cell(a: &CscMatrix, pre_pivots: &[PrePivot]) -> 
                         ordering,
                         pre_pivot,
                         mc64_scale,
-                        block_lu,
                         n_threads,
                         ..Default::default()
                     };
-                    let lu = SympilerLu::compile(a, &opts).unwrap();
-                    let f = lu.factor(a).unwrap();
+                    let lu = LuPlan::build(a, &opts).unwrap();
+                    let f = factor_on_tier(a, &opts, supernodal).unwrap();
                     // Solved before `l()` / `u()` are ever asked for.
                     let x = f.solve(&rhs[0]);
                     let xs = f.solve_batch(&rhs);
@@ -923,7 +899,7 @@ fn check_factor_object_in_every_cell(a: &CscMatrix, pre_pivots: &[PrePivot]) -> 
                     }
                     // A clone is its own factor, and `into_parts` hands
                     // out the same pair whether or not it was built.
-                    let unbuilt = lu.factor(a).unwrap().into_parts();
+                    let unbuilt = factor_on_tier(a, &opts, supernodal).unwrap().into_parts();
                     let (l, u) = f.clone().into_parts();
                     prop_assert!(l == *f.l() && u == *f.u(), "{}: into_parts", cell);
                     prop_assert!(
@@ -938,15 +914,15 @@ fn check_factor_object_in_every_cell(a: &CscMatrix, pre_pivots: &[PrePivot]) -> 
     Ok(())
 }
 
-/// Every (ordering × pre-pivot × mc64 × pivot_perturb × low-level
-/// tier) cell through the public API: the position-addressed walker —
-/// forced on, and as `SympilerLu::compile` selects it for the serial
-/// tier — and the accumulator kernel leveled over 1 to 4 threads
-/// produce the factor values, perturbation record or zero-pivot column
-/// of the in-order accumulator kernel (a plan built directly, which
-/// carries no tables) bit for bit.
+/// Every (ordering × pre-pivot × mc64 × pivot_perturb) cell through
+/// the public API: the position-addressed walker — forced on, and as
+/// `SympilerLu::compile` bakes it for the serial tier — and the
+/// accumulator kernel leveled over 1 to 4 threads produce the factor
+/// values, perturbation record or zero-pivot column of the in-order
+/// accumulator kernel (a plan built directly, which carries no tables)
+/// bit for bit.
 fn check_walker_in_every_cell(a: &CscMatrix, pre_pivots: &[PrePivot]) -> Result<(), String> {
-    use sympiler::core::plan::lu::LuPlan;
+    use sympiler::core::plan::lu::POSITION_MAX_OPS_PER_ENTRY;
     let outcome = |f: Result<LuFactor, _>| {
         f.map(|f| {
             let bits: Vec<u64> = f
@@ -961,54 +937,46 @@ fn check_walker_in_every_cell(a: &CscMatrix, pre_pivots: &[PrePivot]) -> Result<
     };
     for ordering in Ordering::ALL {
         for &pre_pivot in pre_pivots {
-            // The peeled tier at other thresholds than `PEEL_COL_COUNT`
-            // is covered by `plan::lu::positions`' cells.
-            for low_level in [false, true] {
-                for pivot_perturb in [0.0, 1e-6, 0.9] {
-                    for mc64_scale in [false, true] {
-                        let cell = format!(
-                            "{}+{} low_level={low_level} \
-                             perturb={pivot_perturb} mc64={mc64_scale}",
-                            ordering.label(),
-                            pre_pivot.label()
-                        );
-                        let opts = SympilerOptions {
-                            ordering,
-                            pre_pivot,
-                            mc64_scale,
-                            pivot_perturb,
-                            low_level,
-                            block_lu: BlockLu::Off,
-                            ..Default::default()
-                        };
-                        let reference = LuPlan::build(a, &opts).unwrap();
-                        let want = outcome(reference.factor(a));
-                        for threads in 1..=4 {
-                            prop_assert_eq!(
-                                &outcome(reference.clone().leveled(threads).factor(a)),
-                                &want,
-                                "{}: leveled over {} threads",
-                                &cell,
-                                threads
-                            );
-                        }
-                        let walker = reference.clone().with_position_tables(f64::MAX);
-                        prop_assert!(
-                            walker.table_bytes() > reference.table_bytes(),
-                            "{}: tables baked",
-                            cell
-                        );
-                        prop_assert_eq!(&outcome(walker.factor(a)), &want, "{}: walker", &cell);
-                        let lu = SympilerLu::compile(a, &opts).unwrap();
-                        prop_assert_eq!(&outcome(lu.factor(a)), &want, "{}: compiled", &cell);
-                        let batch = lu.factor_batch(&[a, a]).map(|mut fs| fs.remove(1));
+            // The peeled tier at other thresholds than `PEEL_COL_COUNT`,
+            // and compiled out, is covered by `plan::lu::positions`' cells.
+            for pivot_perturb in [0.0, 1e-6, 0.9] {
+                for mc64_scale in [false, true] {
+                    let cell = format!(
+                        "{}+{} perturb={pivot_perturb} mc64={mc64_scale}",
+                        ordering.label(),
+                        pre_pivot.label()
+                    );
+                    let opts = SympilerOptions {
+                        ordering,
+                        pre_pivot,
+                        mc64_scale,
+                        pivot_perturb,
+                        ..Default::default()
+                    };
+                    let reference = LuPlan::build(a, &opts).unwrap();
+                    let want = outcome(reference.factor(a));
+                    for threads in 1..=4 {
                         prop_assert_eq!(
-                            outcome(batch.map_err(|e| e.error)),
-                            want,
-                            "{}: batch",
-                            cell
+                            &outcome(reference.clone().leveled(threads).factor(a)),
+                            &want,
+                            "{}: leveled over {} threads",
+                            &cell,
+                            threads
                         );
                     }
+                    let walker = reference.clone().with_position_tables(f64::MAX);
+                    prop_assert!(
+                        walker.table_bytes() > reference.table_bytes(),
+                        "{}: tables baked",
+                        cell
+                    );
+                    prop_assert_eq!(&outcome(walker.factor(a)), &want, "{}: walker", &cell);
+                    let serial = reference
+                        .clone()
+                        .with_position_tables(POSITION_MAX_OPS_PER_ENTRY);
+                    prop_assert_eq!(&outcome(serial.factor(a)), &want, "{}: serial tier", &cell);
+                    let batch = serial.factor_batch(&[a, a]).map(|mut fs| fs.remove(1));
+                    prop_assert_eq!(outcome(batch.map_err(|e| e.error)), want, "{}: batch", cell);
                 }
             }
         }

@@ -5,8 +5,12 @@
 //! (`std::error::Error` + `source()` chaining), and deterministic
 //! worker-fault injection against the `FactorService` pool.
 
+mod common;
+
+use common::factor_on_tier;
 use std::sync::Arc;
 use std::time::Duration;
+use sympiler::core::plan::lu::LuPlanError;
 use sympiler::core::serve::fault;
 use sympiler::prelude::*;
 use sympiler::sparse::faults::{tiny_diagonals, zero_diagonals};
@@ -28,23 +32,28 @@ fn zeroed_first_pivot() -> CscMatrix {
     faulted
 }
 
-fn options(tier: &str) -> SympilerOptions {
-    match tier {
-        "serial" => SympilerOptions {
-            block_lu: BlockLu::Off,
-            ..Default::default()
-        },
-        "parallel" => SympilerOptions {
-            n_threads: 4,
-            block_lu: BlockLu::Off,
-            ..Default::default()
-        },
-        "supernodal" => SympilerOptions {
-            block_lu: BlockLu::On,
-            ..Default::default()
-        },
-        _ => unreachable!(),
-    }
+/// The three LU execution tiers: name, worker threads, and whether
+/// panels run dense. Each is forced on the test matrix through the plan
+/// constructors ([`factor_on_tier`]).
+const TIERS: [(&str, usize, bool); 3] = [
+    ("serial", 1, false),
+    ("parallel", 4, false),
+    ("supernodal", 1, true),
+];
+
+/// `a` factored on one tier under the default options, with a
+/// perturbation tolerance.
+fn factor_perturbed(
+    a: &CscMatrix,
+    pivot_perturb: f64,
+    (n_threads, supernodal): (usize, bool),
+) -> Result<LuFactor, LuPlanError> {
+    let opts = SympilerOptions {
+        n_threads,
+        pivot_perturb,
+        ..Default::default()
+    };
+    factor_on_tier(a, &opts, supernodal)
 }
 
 // --- Layer 1: static pivot perturbation, all three tiers -----------
@@ -52,9 +61,8 @@ fn options(tier: &str) -> SympilerOptions {
 #[test]
 fn zero_pivot_fails_every_tier_without_perturbation() {
     let a = zeroed_first_pivot();
-    for tier in ["serial", "parallel", "supernodal"] {
-        let lu = SympilerLu::compile(&a, &options(tier)).unwrap();
-        match lu.factor(&a) {
+    for (tier, n_threads, supernodal) in TIERS {
+        match factor_perturbed(&a, 0.0, (n_threads, supernodal)) {
             Err(e) => assert!(
                 format!("{e}").contains("pivot"),
                 "{tier}: error must name the pivot: {e}"
@@ -67,14 +75,8 @@ fn zero_pivot_fails_every_tier_without_perturbation() {
 #[test]
 fn perturbation_unblocks_every_tier_and_reports_the_column() {
     let a = zeroed_first_pivot();
-    for tier in ["serial", "parallel", "supernodal"] {
-        let opts = SympilerOptions {
-            pivot_perturb: 1e-8,
-            ..options(tier)
-        };
-        let lu = SympilerLu::compile(&a, &opts).unwrap();
-        let f = lu
-            .factor(&a)
+    for (tier, n_threads, supernodal) in TIERS {
+        let f = factor_perturbed(&a, 1e-8, (n_threads, supernodal))
             .unwrap_or_else(|e| panic!("{tier}: perturbed factor failed: {e}"));
         let report = f.perturb_report();
         assert!(
@@ -100,13 +102,8 @@ fn tiny_pivots_below_threshold_are_perturbed_in_every_tier() {
     let base = healthy();
     let (a, hit) = tiny_diagonals(&base, &[0], 1e-300);
     assert_eq!(hit, vec![0]);
-    for tier in ["serial", "parallel", "supernodal"] {
-        let opts = SympilerOptions {
-            pivot_perturb: 1e-8,
-            ..options(tier)
-        };
-        let lu = SympilerLu::compile(&a, &opts).unwrap();
-        let f = lu.factor(&a).unwrap();
+    for (tier, n_threads, supernodal) in TIERS {
+        let f = factor_perturbed(&a, 1e-8, (n_threads, supernodal)).unwrap();
         assert!(
             f.perturb_report().columns.contains(&0),
             "{tier}: 1e-300 pivot sits far below tol*max|A| and must be caught"
@@ -120,18 +117,13 @@ fn perturbation_off_is_bitwise_identical_across_tiers() {
     // factor bitwise untouched: the guard `|pivot| < 0.0` can never
     // fire on a non-negative magnitude.
     let a = healthy();
-    for tier in ["serial", "parallel", "supernodal"] {
-        let plain = SympilerLu::compile(&a, &options(tier)).unwrap();
-        let explicit = SympilerLu::compile(
-            &a,
-            &SympilerOptions {
-                pivot_perturb: 0.0,
-                ..options(tier)
-            },
-        )
-        .unwrap();
-        let f0 = plain.factor(&a).unwrap();
-        let f1 = explicit.factor(&a).unwrap();
+    for (tier, n_threads, supernodal) in TIERS {
+        let plain = SympilerOptions {
+            n_threads,
+            ..Default::default()
+        };
+        let f0 = factor_on_tier(&a, &plain, supernodal).unwrap();
+        let f1 = factor_perturbed(&a, 0.0, (n_threads, supernodal)).unwrap();
         assert!(f0.perturb_report().is_empty() && f1.perturb_report().is_empty());
         let same = f0
             .l()

@@ -5,7 +5,9 @@
 //! `compile()` + `factor()` path, bitwise where the tier promises it.
 
 use std::sync::Arc;
-use sympiler::core::plan::lu_supernodal::{MAX_PANEL, RELAX_COLS, RELAX_FILL};
+use sympiler::core::plan::lu_supernodal::{
+    DENSE_PANEL_MIN_FLOPS_PER_ENTRY, MAX_PANEL, RELAX_COLS, RELAX_FILL,
+};
 use sympiler::prelude::*;
 use sympiler::sparse::gen;
 
@@ -26,15 +28,6 @@ fn bitwise_eq(a: &LuFactor, b: &LuFactor) -> bool {
         .chain(a.u().values())
         .zip(b.l().values().iter().chain(b.u().values()))
         .all(|(x, y)| x.to_bits() == y.to_bits())
-}
-
-fn close(a: &LuFactor, b: &LuFactor, tol: f64) -> bool {
-    a.l()
-        .values()
-        .iter()
-        .chain(a.u().values())
-        .zip(b.l().values().iter().chain(b.u().values()))
-        .all(|(x, y)| (x - y).abs() <= tol * (1.0 + x.abs()))
 }
 
 /// Many threads hammer one cache with a mix of patterns sized so the
@@ -106,12 +99,12 @@ fn options_are_part_of_the_cache_key() {
     let a = gen::convection_diffusion_2d(12, 12, 2.0, 5);
     let cache = PlanCache::new(CacheConfig::default());
     let serial = SympilerOptions::default();
-    let blocked = SympilerOptions {
-        block_lu: BlockLu::On,
+    let leveled = SympilerOptions {
+        n_threads: 2,
         ..SympilerOptions::default()
     };
     let p1 = cache.get_or_compile(&a, &serial).expect("serial");
-    let p2 = cache.get_or_compile(&a, &blocked).expect("blocked");
+    let p2 = cache.get_or_compile(&a, &leveled).expect("leveled");
     assert!(
         !Arc::ptr_eq(&p1, &p2),
         "distinct options must not share a plan"
@@ -135,7 +128,6 @@ fn amalgamation_and_scaling_options_key_the_cache() {
     let cache = PlanCache::new(CacheConfig::default());
     let relaxed = SympilerOptions {
         ordering: Ordering::Colamd,
-        block_lu: BlockLu::On,
         ..SympilerOptions::default()
     };
     let scaled = SympilerOptions {
@@ -153,7 +145,7 @@ fn amalgamation_and_scaling_options_key_the_cache() {
             .map(|s| sup.partition().width(s))
             .collect::<Vec<_>>()
     };
-    let cached = layout(p_rel.supernodal().expect("On compiles the engine"));
+    let cached = layout(p_rel.supernodal().expect("the circuit's panels pay"));
     assert_eq!(
         cached,
         layout(&panels_under(&p_rel, RELAX_FILL, RELAX_COLS))
@@ -181,12 +173,16 @@ fn amalgamation_and_scaling_options_key_the_cache() {
     assert_eq!(cache.stats().misses, 2);
 }
 
-/// The supernodal plan of `lu`'s scalar plan with panels detected under
-/// the given amalgamation budget instead of the compiler's.
+/// The supernodal plan `SympilerLu::compile` builds on `lu`'s scalar
+/// plan, with panels detected under the given amalgamation budget
+/// instead of the compiler's (thin panels dissolved as it dissolves
+/// them).
 fn panels_under(lu: &SympilerLu, relax_fill: f64, relax_cols: usize) -> SupernodalLuPlan {
     let plan = lu.plan();
-    let panels = SupernodalLuPlan::detect_panels(plan, MAX_PANEL, relax_fill, relax_cols);
-    SupernodalLuPlan::from_panels(plan.clone(), panels, 1)
+    let detected = SupernodalLuPlan::detect_panels(plan, MAX_PANEL, relax_fill, relax_cols);
+    let kept =
+        SupernodalLuPlan::dissolve_thin_panels(plan, &detected, DENSE_PANEL_MIN_FLOPS_PER_ENTRY);
+    SupernodalLuPlan::from_panels(plan.clone(), kept, 1)
 }
 
 /// The cache's byte accounting sees the execution tier that will
@@ -200,12 +196,11 @@ fn cached_bytes_account_for_padded_panel_layouts() {
     let a = gen::circuit_unsym(80, 4, 2, 11);
     let relaxed = SympilerOptions {
         ordering: Ordering::Colamd,
-        block_lu: BlockLu::On,
         ..SympilerOptions::default()
     };
     let lu_rel = SympilerLu::compile(&a, &relaxed).expect("relaxed compile");
     let strict = panels_under(&lu_rel, 0.0, RELAX_COLS);
-    let sup = lu_rel.supernodal().expect("On compiles the engine");
+    let sup = lu_rel.supernodal().expect("the circuit's panels pay");
     assert!(
         sup.padded_zeros() > 0,
         "COLAMD circuit panels must amalgamate with explicit zeros"
@@ -284,10 +279,10 @@ fn cached_bytes_account_for_position_tables() {
 /// which stores no schedule, is charged for none.
 #[test]
 fn cached_bytes_account_for_the_level_schedule() {
-    let a = gen::circuit_unsym(400, 4, 2, 3);
+    // COLAMD keeps this circuit fill-free: it compiles scalar.
+    let a = gen::circuit_unsym(400, 1, 0, 3);
     let scalar = SympilerOptions {
         ordering: Ordering::Colamd,
-        block_lu: BlockLu::Off,
         n_threads: 2,
         ..SympilerOptions::default()
     };
@@ -302,65 +297,54 @@ fn cached_bytes_account_for_the_level_schedule() {
     cache.get_or_compile(&a, &scalar).expect("cache");
     assert_eq!(cache.stats().bytes, lu.table_bytes());
 
+    // This one fills in enough to block.
+    let blocking = gen::circuit_unsym(400, 4, 2, 3);
     let panels = |n_threads| {
         let opts = SympilerOptions {
-            block_lu: BlockLu::On,
             n_threads,
             ..scalar.clone()
         };
-        SympilerLu::compile(&a, &opts).expect("compile")
+        SympilerLu::compile(&blocking, &opts).expect("compile")
     };
     let (one, two) = (panels(1), panels(2));
-    let sup = one.supernodal().expect("On compiles the engine");
+    let sup = one.supernodal().expect("the circuit's panels pay");
     assert!(sup.levels().is_none(), "one thread stores no schedule");
     let schedule = two.supernodal().unwrap().levels().expect("leveled panels");
     assert_eq!(two.table_bytes(), one.table_bytes() + schedule.bytes());
 }
 
-/// Batched factorization agrees with the one-at-a-time loop on every
-/// execution tier: bitwise for the scalar serial and column-parallel
-/// tiers (whose batch path runs the same per-lane arithmetic), and to
-/// dense-kernel tolerance for the supernodal tier (whose `factor()`
-/// itself reassociates sums — the batch path delegates to it).
+/// Batched factorization agrees bitwise with the one-at-a-time loop on
+/// every execution tier: the batch path runs the same per-lane
+/// arithmetic on the scalar tiers and delegates to `factor()` on the
+/// supernodal one. Each tier runs an input the compiler routes to it.
 #[test]
 fn factor_batch_agrees_on_all_three_tiers() {
-    let base = gen::convection_diffusion_2d(16, 16, 3.0, 9);
-    let mats: Vec<CscMatrix> = (0..5).map(|k| perturbed(&base, k)).collect();
-    let refs: Vec<&CscMatrix> = mats.iter().collect();
-
+    let circuit = gen::circuit_unsym(300, 1, 0, 9);
+    let grid = gen::convection_diffusion_2d(16, 16, 3.0, 9);
+    let colamd = |n_threads| SympilerOptions {
+        ordering: Ordering::Colamd,
+        n_threads,
+        ..SympilerOptions::default()
+    };
     let tiers = [
-        ("serial", SympilerOptions::default(), true),
-        (
-            "parallel",
-            SympilerOptions {
-                n_threads: 3,
-                ..SympilerOptions::default()
-            },
-            true,
-        ),
-        (
-            "supernodal",
-            SympilerOptions {
-                block_lu: BlockLu::On,
-                ..SympilerOptions::default()
-            },
-            true,
-        ),
+        ("serial", &circuit, colamd(1), false),
+        ("parallel", &circuit, colamd(3), false),
+        ("supernodal", &grid, SympilerOptions::default(), true),
     ];
-    for (name, opts, bitwise) in tiers {
-        let lu = SympilerLu::compile(&base, &opts).expect("compile");
+    for (name, base, opts, supernodal) in tiers {
+        let mats: Vec<CscMatrix> = (0..5).map(|k| perturbed(base, k)).collect();
+        let refs: Vec<&CscMatrix> = mats.iter().collect();
+        let lu = SympilerLu::compile(base, &opts).expect("compile");
+        assert_eq!(lu.is_supernodal(), supernodal, "{name} tier");
+        assert_eq!(lu.n_threads(), opts.n_threads, "{name} tier");
         let batched = lu.factor_batch(&refs).expect("batch");
         assert_eq!(batched.len(), mats.len());
         for (k, (b, a)) in batched.iter().zip(&mats).enumerate() {
             let single = lu.factor(a).expect("single");
-            if bitwise {
-                assert!(
-                    bitwise_eq(b, &single),
-                    "{name} tier: batch[{k}] diverged from factor()"
-                );
-            } else {
-                assert!(close(b, &single, 1e-12), "{name} tier: batch[{k}] off");
-            }
+            assert!(
+                bitwise_eq(b, &single),
+                "{name} tier: batch[{k}] diverged from factor()"
+            );
         }
     }
 }

@@ -1,8 +1,8 @@
 //! Integration tests for the supernodal (VS-Block) LU tier: panel
-//! detection quality and `BlockLu::Auto`'s per-panel dense/scalar
+//! detection quality and the compiler's per-panel dense/scalar
 //! choice, agreement with the serial plan across the whole
-//! unsymmetric suite under every ordering, the `block_lu` knob, panel
-//! DAG parallel execution, the bitwise-determinism and workspace
+//! unsymmetric suite under every ordering, the panel cap, panel DAG
+//! parallel execution, the bitwise-determinism and workspace
 //! contracts, and sparse-RHS solves through factors from every tier.
 
 use sympiler::core::plan::lu_supernodal::{MAX_PANEL, RELAX_COLS, RELAX_FILL};
@@ -14,10 +14,9 @@ use sympiler::sparse::{ops, SparseVec};
 /// update sums, nothing more.
 const TOL: f64 = 1e-12;
 
-/// The supernodal plan `BlockLu::On` compiles from `lu`'s scalar plan
-/// for `n_threads` workers, with panels detected at cap `max_panel` and
-/// budget `relax_fill` in place of the compiler's `MAX_PANEL` /
-/// `RELAX_FILL`.
+/// `lu`'s scalar plan with every panel detected at cap `max_panel` and
+/// budget `relax_fill` (in place of the compiler's `MAX_PANEL` /
+/// `RELAX_FILL`) dense, for `n_threads` workers.
 fn panels_under(
     lu: &SympilerLu,
     max_panel: usize,
@@ -60,36 +59,24 @@ fn supernodal_matches_serial_across_suite_and_orderings() {
             } else {
                 PrePivot::Off
             };
-            let serial = SympilerLu::compile(
+            let lu = SympilerLu::compile(
                 &p.matrix,
                 &SympilerOptions {
                     ordering,
                     pre_pivot,
-                    block_lu: BlockLu::Off,
                     ..Default::default()
                 },
             )
             .unwrap();
-            let sup = SympilerLu::compile(
-                &p.matrix,
-                &SympilerOptions {
-                    ordering,
-                    pre_pivot,
-                    block_lu: BlockLu::On,
-                    ..Default::default()
-                },
-            )
-            .unwrap();
-            assert!(sup.is_supernodal() && !serial.is_supernodal());
-            let f_serial = serial.factor(&p.matrix).unwrap();
-            let f_sup = sup.factor(&p.matrix).unwrap();
-            assert_factors_close(
-                &f_sup,
-                &f_serial,
-                &format!("{} under {}", p.name, ordering.label()),
-            );
+            assert!(lu.is_supernodal(), "{}: every suite problem blocks", p.name);
+            let what = format!("{} under {}", p.name, ordering.label());
+            let f_serial = lu.plan().factor(&p.matrix).unwrap();
+            // The panels the compiler keeps, and every detected panel.
+            let plan = panels_under(&lu, MAX_PANEL, RELAX_FILL, 1);
+            for f_sup in [lu.factor(&p.matrix), plan.factor(&p.matrix)] {
+                assert_factors_close(&f_sup.unwrap(), &f_serial, &what);
+            }
             // Panel statistics are well-formed.
-            let plan = sup.supernodal().unwrap();
             assert!(plan.mean_panel_width() >= 1.0);
             assert!(plan.dense_flop_share() >= 0.0 && plan.dense_flop_share() <= 1.0);
             let widths: usize = (0..plan.n_panels())
@@ -106,15 +93,10 @@ fn suite_blocks_on_every_problem() {
     // engine has real dense work on all of them (the lu_compare
     // numbers rest on this).
     for p in unsym_suite(SuiteScale::Test) {
-        let sup = SympilerLu::compile(
-            &p.matrix,
-            &SympilerOptions {
-                block_lu: BlockLu::On,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        let plan = sup.supernodal().unwrap();
+        let lu = SympilerLu::compile(&p.matrix, &SympilerOptions::default()).unwrap();
+        let plan = lu
+            .supernodal()
+            .unwrap_or_else(|| panic!("{} never blocked", p.name));
         assert!(plan.n_wide_panels() > 0, "{} never blocked", p.name);
         assert!(plan.mean_panel_width() > 1.0, "{}", p.name);
     }
@@ -123,19 +105,25 @@ fn suite_blocks_on_every_problem() {
 #[test]
 fn colamd_circuit_flops_run_in_dense_panels() {
     // The acceptance bar, stated as what the dense kernels need: under
-    // `BlockLu::Auto` (relaxed amalgamation, then thin panels
+    // the compiler's rule (relaxed amalgamation, then thin panels
     // dissolved) COLAMD-ordered circuit factorizations keep ≥ 90 % of
     // their structural flops in dense panels, and the dense path
     // executes at most 2× those flops — wide panels alone are not the
     // goal, useful dense work is. The strict-nesting partition
     // (`relax_fill = 0`) stays available, pads nothing, and blocks
-    // less.
-    for p in unsym_suite(SuiteScale::Test) {
-        if p.family != "circuit-unsym" {
-            continue;
-        }
+    // less. The solve ledger's `refactor_dense` circuit joins the
+    // suite's: this pins the tier that workload runs.
+    let circuits = unsym_suite(SuiteScale::Test)
+        .into_iter()
+        .filter(|p| p.family == "circuit-unsym")
+        .map(|p| (p.name, p.matrix))
+        .chain([(
+            "refactor_dense",
+            sympiler::sparse::gen::circuit_unsym(1200, 4, 2, 1),
+        )]);
+    for (name, matrix) in circuits {
         let auto = SympilerLu::compile(
-            &p.matrix,
+            &matrix,
             &SympilerOptions {
                 ordering: Ordering::Colamd,
                 ..Default::default()
@@ -144,17 +132,17 @@ fn colamd_circuit_flops_run_in_dense_panels() {
         .unwrap();
         let plan = auto
             .supernodal()
-            .unwrap_or_else(|| panic!("{}: Auto must keep dense panels", p.name));
+            .unwrap_or_else(|| panic!("{}: compile must keep dense panels", name));
         assert!(
             plan.dense_flop_share() >= 0.9,
             "{}: only {:.1}% of the flops run in dense panels",
-            p.name,
+            name,
             plan.dense_flop_share() * 100.0
         );
         assert!(
             plan.dense_executed_flops() <= 2 * plan.dense_structural_flops(),
             "{}: dense path executes {} flops for {} structural",
-            p.name,
+            name,
             plan.dense_executed_flops(),
             plan.dense_structural_flops()
         );
@@ -164,9 +152,9 @@ fn colamd_circuit_flops_run_in_dense_panels() {
         assert!(
             relaxed.mean_panel_width() > strict.mean_panel_width(),
             "{}: the relaxed budget must widen panels over strict nesting",
-            p.name
+            name
         );
-        // `On` keeps every detected panel dense; `Auto` only thins.
+        // Forcing keeps every detected panel dense; compile only thins.
         assert!(plan.n_wide_panels() <= relaxed.n_wide_panels());
     }
 }
@@ -176,38 +164,24 @@ fn auto_runs_fill_free_circuits_scalar() {
     // A near-fill-free circuit (fill 1.24): relaxed amalgamation
     // merges *any* adjacent columns, so every detected panel is 3–4
     // columns with disjoint singleton sources and the dense path
-    // would execute ~10× the structural flops. `Auto` must not.
+    // would execute ~10× the structural flops. Compile must not block.
+    // The pattern is the solve ledger's `refactor_sparse`: this pins
+    // the tier that workload runs.
     let a = sympiler::sparse::gen::circuit_unsym(20000, 1, 0, 1);
     let opts = SympilerOptions {
         ordering: Ordering::Colamd,
         ..Default::default()
     };
-    let on = SympilerLu::compile(
-        &a,
-        &SympilerOptions {
-            block_lu: BlockLu::On,
-            ..opts.clone()
-        },
-    )
-    .unwrap();
-    let on = on.supernodal().unwrap();
+    let auto = SympilerLu::compile(&a, &opts).unwrap();
+    // No dense panel survives: the scalar tier, no dense flop.
+    assert!(!auto.is_supernodal() && auto.supernodal().is_none());
+    let on = panels_under(&auto, MAX_PANEL, RELAX_FILL, 1);
     assert!(
         on.dense_executed_flops() > 5 * on.dense_structural_flops(),
         "the pattern must exhibit the waste: {} executed for {} structural",
         on.dense_executed_flops(),
         on.dense_structural_flops()
     );
-    let auto = SympilerLu::compile(&a, &opts).unwrap();
-    match auto.supernodal() {
-        // No dense panel survives: the scalar tier, no dense flop.
-        None => assert!(!auto.is_supernodal()),
-        Some(plan) => assert!(
-            plan.dense_executed_flops() <= 2 * plan.dense_structural_flops(),
-            "Auto executes {} dense flops for {} structural",
-            plan.dense_executed_flops(),
-            plan.dense_structural_flops()
-        ),
-    }
     let n = a.n_cols();
     let b: Vec<f64> = (0..n).map(|i| 1.0 + (i % 3) as f64).collect();
     let x = auto.factor(&a).unwrap().solve(&b);
@@ -273,7 +247,6 @@ fn supernodal_factors_are_bitwise_stable_and_backward_stable() {
                     ordering,
                     pre_pivot,
                     mc64_scale: pre_pivot == PrePivot::WeightedMatching,
-                    block_lu: BlockLu::On,
                     ..Default::default()
                 };
                 let lu = SympilerLu::compile(a, &opts).unwrap();
@@ -330,14 +303,7 @@ fn supernodal_factors_are_bitwise_stable_and_backward_stable() {
 #[test]
 fn max_panel_knob_caps_widths_and_stays_correct() {
     let p = &unsym_suite(SuiteScale::Test)[2]; // circuit_small_u
-    let lu = SympilerLu::compile(
-        &p.matrix,
-        &SympilerOptions {
-            block_lu: BlockLu::On,
-            ..Default::default()
-        },
-    )
-    .unwrap();
+    let lu = SympilerLu::compile(&p.matrix, &SympilerOptions::default()).unwrap();
     let mut reference: Option<LuFactor> = None;
     for max_panel in [2usize, 8, 0] {
         let plan = panels_under(&lu, max_panel, RELAX_FILL, 1);
@@ -357,10 +323,10 @@ fn panel_parallel_execution_is_deterministic_and_correct() {
     let p = &unsym_suite(SuiteScale::Test)[3]; // circuit_rails_u
     let opts1 = SympilerOptions {
         ordering: Ordering::Colamd,
-        block_lu: BlockLu::On,
         ..Default::default()
     };
     let one = SympilerLu::compile(&p.matrix, &opts1).unwrap();
+    assert!(one.is_supernodal(), "the COLAMD circuit blocks");
     let f1 = one.factor(&p.matrix).unwrap();
     for threads in [2usize, 4] {
         let par = SympilerLu::compile(
@@ -395,25 +361,18 @@ fn sparse_rhs_solves_agree_with_dense_across_tiers() {
     let idx: Vec<usize> = (0..n).filter(|i| i % 41 == 3).collect();
     let vals: Vec<f64> = idx.iter().map(|&i| 1.0 + (i % 3) as f64).collect();
     let b = SparseVec::try_new(n, idx, vals).unwrap();
-    for (label, opts) in [
-        (
-            "serial",
-            SympilerOptions {
-                block_lu: BlockLu::Off,
-                ..Default::default()
-            },
-        ),
-        (
-            "supernodal+colamd",
-            SympilerOptions {
-                ordering: Ordering::Colamd,
-                block_lu: BlockLu::On,
-                ..Default::default()
-            },
-        ),
+    let serial = LuPlan::build(&p.matrix, &SympilerOptions::default()).unwrap();
+    let colamd = SympilerOptions {
+        ordering: Ordering::Colamd,
+        ..Default::default()
+    };
+    let supernodal = SympilerLu::compile(&p.matrix, &colamd).unwrap();
+    assert!(supernodal.is_supernodal(), "the COLAMD grid blocks");
+    for (label, f) in [
+        ("serial", serial.factor(&p.matrix)),
+        ("supernodal+colamd", supernodal.factor(&p.matrix)),
     ] {
-        let lu = SympilerLu::compile(&p.matrix, &opts).unwrap();
-        let f = lu.factor(&p.matrix).unwrap();
+        let f = f.unwrap();
         let xs = f.solve_sparse(&b);
         let xd = f.solve(&b.to_dense());
         let xs_dense = xs.to_dense();
