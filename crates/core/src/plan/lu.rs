@@ -34,9 +34,11 @@
 //! after [`LuPlan::leveled`] — level by level over the column
 //! elimination DAG across threads. The **position-addressed walker**
 //! (the `positions` module, [`LuPlan::with_position_tables`]) resolves
-//! every index at compile time instead, for the in-order walk only; its
-//! tables cost 12 bytes per multiply-add, so [`crate::SympilerLu`]
-//! bakes them only on patterns with at most
+//! every index at compile time instead and runs the column DAG level
+//! by level as flat streams, for one thread only; its factors solve by
+//! level-grouped row streams baked beside it. Its tables cost 12 bytes
+//! per multiply-add plus about 11 per factor entry, so
+//! [`crate::SympilerLu`] bakes them only on patterns with at most
 //! [`POSITION_MAX_OPS_PER_ENTRY`] multiply-adds per factor entry.
 
 mod error;
@@ -709,6 +711,7 @@ impl LuPlan {
         LuFactor {
             structure: Arc::clone(&self.structure),
             vals,
+            sweeps: self.positions.as_ref().map(|t| Arc::clone(&t.sweeps)),
             csc: OnceLock::new(),
             rperm: self.baked.as_ref().map(|b| b.rperm.clone()),
             irperm: self.baked.as_ref().map(|b| b.irperm.clone()),

@@ -1,6 +1,7 @@
 //! The factor object an LU plan produces — values over the plan's
 //! shared structure — and its solves.
 
+use super::positions::SolveSweeps;
 #[cfg(doc)]
 use super::LuPlan;
 use super::{refine_with, LuStructure, PerturbReport, RefineReport, ScalePair};
@@ -27,6 +28,10 @@ pub struct LuFactor {
     pub(super) structure: Arc<LuStructure>,
     /// Values of `L` then `U` in one array, laid out by `structure`.
     pub(super) vals: Vec<f64>,
+    /// The level-grouped row streams of both triangular solves, shared
+    /// with the producing plan when it carries position tables; `None`
+    /// runs [`Self::solve`]'s column sweeps.
+    pub(super) sweeps: Option<Arc<SolveSweeps>>,
     /// The `(L, U)` CSC pair behind [`Self::l`] / [`Self::u`], built on
     /// first use — a factor that is only solved with never builds it.
     pub(super) csc: OnceLock<(CscMatrix, CscMatrix)>,
@@ -131,7 +136,10 @@ impl LuFactor {
     /// compiled MC64 scaling), run `L y = Qᵀ·P·Dr·b` then `U z = y`,
     /// and scatter back through the column map, unscaling by `Dc`
     /// (`x = Dc·Q·z`). The permutation and scaling applications are
-    /// O(n) gathers — no per-solve symbolic work of any kind.
+    /// O(n) gathers — no per-solve symbolic work of any kind. A factor
+    /// of a plan with position tables runs the triangular solves as
+    /// the plan's level-grouped row streams, any other as column
+    /// sweeps; the answers are the same to the bit.
     pub fn solve(&self, b: &[f64]) -> Vec<f64> {
         let n = self.structure.n();
         assert_eq!(b.len(), n, "rhs length mismatch");
@@ -297,9 +305,14 @@ impl LuFactor {
     }
 
     /// The two triangular sweeps, entirely in the factors' (ordered)
-    /// coordinate system.
+    /// coordinate system: the plan's level-grouped row streams when it
+    /// baked them, else one column sweep per triangle. Both apply each
+    /// row's terms in the same order, so they agree to the bit.
     fn solve_in_factor_coords(&self, x: &mut [f64]) {
         let st = &*self.structure;
+        if let Some(sweeps) = &self.sweeps {
+            return sweeps.solve(st, &self.vals, x);
+        }
         let (lx, ux) = self.values();
         let n = st.n();
         // Forward: L has diagonal-first unit columns.

@@ -54,7 +54,7 @@
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering as MemOrder};
-use std::sync::mpsc::{self, TryRecvError};
+use std::sync::mpsc::{self, TryRecvError, TrySendError};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -140,6 +140,9 @@ pub enum ServeError {
         /// How long the caller waited.
         waited: Duration,
     },
+    /// The job queue already held [`QUEUE_CAPACITY`] requests: this one
+    /// was refused at submit and never ran. Retry once tickets drain.
+    Overloaded,
 }
 
 impl std::fmt::Display for ServeError {
@@ -152,6 +155,12 @@ impl std::fmt::Display for ServeError {
             ServeError::Disconnected => f.write_str("serving worker disconnected before replying"),
             ServeError::Timeout { waited } => {
                 write!(f, "serve reply timed out after {waited:?}")
+            }
+            ServeError::Overloaded => {
+                write!(
+                    f,
+                    "serving queue full ({QUEUE_CAPACITY} jobs): request refused"
+                )
             }
         }
     }
@@ -887,7 +896,7 @@ fn worker_lane(slot: usize) -> usize {
 /// and `serve.wait.parked` on the cache's profiler. With no core spare
 /// both sides park at once.
 pub struct FactorService {
-    tx: Option<mpsc::Sender<Job>>,
+    tx: Option<mpsc::SyncSender<Job>>,
     /// One slot per worker; a sentinel overwrites its own slot with
     /// the replacement handle when its worker dies. The dead thread's
     /// handle is dropped (detached) — it is already past doing work.
@@ -907,6 +916,14 @@ pub struct FactorService {
 }
 
 type Registry = Arc<Mutex<Vec<Option<std::thread::JoinHandle<()>>>>>;
+
+/// Requests a [`FactorService`] queues before it refuses more with
+/// [`ServeError::Overloaded`]. A constant, not an option: far above
+/// the tickets a caller that waits on them keeps in flight
+/// (`serve_bench` submits 200, or 1000 at bench scale, before its
+/// first wait), so only a caller that stops waiting reaches it, and
+/// the queue's memory stays bounded either way.
+pub const QUEUE_CAPACITY: usize = 1024;
 
 /// Declared first in every worker closure, so its `Drop` runs during
 /// the unwind of any panic that escapes the request guard: it spawns
@@ -945,7 +962,7 @@ impl Drop for Sentinel {
 impl FactorService {
     /// Spawn `n_workers` serving threads (at least one) over `cache`.
     pub fn new(n_workers: usize, cache: Arc<PlanCache>) -> Self {
-        let (tx, rx) = mpsc::channel::<Job>();
+        let (tx, rx) = mpsc::sync_channel::<Job>(QUEUE_CAPACITY);
         let rx = Arc::new(Mutex::new(rx));
         let n = n_workers.max(1);
         let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
@@ -1081,21 +1098,36 @@ impl FactorService {
     /// Enqueue a request; the returned [`Ticket`] resolves when a
     /// worker has factored (and solved) it. Each submission is stamped
     /// with a service-wide request id ([`Ticket::id`]) and its submit
-    /// time, from which the worker derives the queue-wait span.
+    /// time, from which the worker derives the queue-wait span. Submit
+    /// never blocks: with [`QUEUE_CAPACITY`] jobs already queued the
+    /// ticket resolves at once to [`ServeError::Overloaded`] (counted
+    /// as `serve.overloaded`).
     pub fn submit(&self, req: ServeRequest) -> Ticket {
         let id = self.req_seq.fetch_add(1, MemOrder::Relaxed);
         let submit_ns = self.cache.profiler.now_ns();
         let (reply, rx) = mpsc::channel();
-        self.tx
+        let job = Job {
+            id,
+            submit_ns,
+            req,
+            reply,
+        };
+        match self
+            .tx
             .as_ref()
             .expect("sender lives until drop")
-            .send(Job {
-                id,
-                submit_ns,
-                req,
-                reply,
-            })
-            .expect("service holds a receiver until drop");
+            .try_send(job)
+        {
+            Ok(()) => {}
+            Err(TrySendError::Full(job)) => {
+                self.cache.profiler.counter("serve.overloaded").add(1);
+                // The ticket holds the receiver: this send cannot fail.
+                let _ = job.reply.send(Err(ServeError::Overloaded));
+            }
+            Err(TrySendError::Disconnected(_)) => {
+                panic!("service holds a receiver until drop")
+            }
+        }
         Ticket {
             id,
             rx,

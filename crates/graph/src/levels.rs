@@ -54,10 +54,15 @@ impl LevelSets {
         self.levels.iter().map(Vec::len).max().unwrap_or(0)
     }
 
-    /// Group `level_of` into ascending per-level node lists.
+    /// Group `level_of` into ascending per-level node lists, each
+    /// allocated once at its exact size.
     fn from_level_of(level_of: Vec<usize>) -> Self {
         let n_levels = level_of.iter().copied().max().map_or(0, |m| m + 1);
-        let mut levels = vec![Vec::new(); n_levels];
+        let mut sizes = vec![0usize; n_levels];
+        for &lv in &level_of {
+            sizes[lv] += 1;
+        }
+        let mut levels: Vec<Vec<usize>> = sizes.into_iter().map(Vec::with_capacity).collect();
         for (j, &lv) in level_of.iter().enumerate() {
             levels[lv].push(j);
         }
@@ -69,7 +74,10 @@ impl LevelSets {
 /// lists: `succs(u)` yields every `v` that depends on `u` (edge
 /// `u -> v`). Nodes need not be topologically numbered; Kahn's
 /// algorithm orders them and `level_of[v] = 1 + max level_of[u]` over
-/// `v`'s predecessors. O(V + E); `succs` is invoked twice per node.
+/// `v`'s predecessors. O(V + E); `succs` is invoked twice per node. A
+/// graph numbered in a topological order (every edge `u -> v` with
+/// `u < v`, as in `DG_L`) levels in one pass over `succs` instead,
+/// with the same result: longest-path levels are unique.
 ///
 /// # Panics
 /// If an edge leaves `0..n`, is a self-loop, or the graph has a cycle.
@@ -78,6 +86,23 @@ where
     F: FnMut(usize) -> I,
     I: IntoIterator<Item = usize>,
 {
+    let mut level_of = vec![0usize; n];
+    let topological = (0..n).all(|u| {
+        let next = level_of[u] + 1;
+        for v in succs(u) {
+            assert!(v < n, "edge {u}->{v} leaves the graph");
+            assert_ne!(v, u, "self-loop at {u}");
+            if v < u {
+                return false;
+            }
+            level_of[v] = level_of[v].max(next);
+        }
+        true
+    });
+    if topological {
+        return LevelSets::from_level_of(level_of);
+    }
+    level_of.fill(0);
     let mut indeg = vec![0usize; n];
     for u in 0..n {
         for v in succs(u) {
@@ -87,7 +112,6 @@ where
         }
     }
     let mut queue: VecDeque<usize> = (0..n).filter(|&u| indeg[u] == 0).collect();
-    let mut level_of = vec![0usize; n];
     let mut seen = 0usize;
     while let Some(u) = queue.pop_front() {
         seen += 1;
@@ -107,8 +131,12 @@ where
 }
 
 /// Longest-path levels of a DAG given by **predecessor** lists:
-/// `preds(j)` yields every node `j` depends on. Builds the successor
-/// adjacency once (CSR), then levels via [`dag_levels_from_succs`].
+/// `preds(j)` yields every node `j` depends on. A graph numbered in a
+/// topological order (every predecessor smaller than its node, as in
+/// the LU column DAG or a triangular solve's) levels in one pass over
+/// `preds`; any other builds the successor adjacency once (CSR), then
+/// levels via [`dag_levels_from_succs`]. Either way the levels are the
+/// same: longest-path levels are unique.
 ///
 /// # Panics
 /// If an edge leaves `0..n`, is a self-loop, or the graph has a cycle.
@@ -117,6 +145,22 @@ where
     F: FnMut(usize) -> I,
     I: IntoIterator<Item = usize>,
 {
+    let mut level_of = vec![0usize; n];
+    let topological = (0..n).all(|j| {
+        let mut level = 0;
+        for k in preds(j) {
+            assert_ne!(k, j, "self-loop at {j}");
+            if k > j {
+                return false;
+            }
+            level = level.max(level_of[k] + 1);
+        }
+        level_of[j] = level;
+        true
+    });
+    if topological {
+        return LevelSets::from_level_of(level_of);
+    }
     // Two passes over `preds` build the successor CSR without
     // per-node Vec allocations.
     let mut succ_ptr = vec![0usize; n + 1];
@@ -281,6 +325,37 @@ mod tests {
             .flat_map(|j| preds[j].iter().map(move |&k| (k, j)))
             .collect();
         assert_eq!(ls.level_of, reference_longest_path(n, &edges));
+    }
+
+    #[test]
+    fn topologically_numbered_dags_level_alike_in_one_pass() {
+        // Every edge ascends, so both entry points take the one-pass
+        // path; one descending edge sends them to the general one.
+        for seed in 0..8u64 {
+            let n = 40;
+            let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15).wrapping_add(3);
+            let mut edges: Vec<(usize, usize)> = Vec::new();
+            for v in 0..n {
+                for u in 0..v {
+                    state ^= state << 13;
+                    state ^= state >> 7;
+                    state ^= state << 17;
+                    if state % 10 < 2 {
+                        edges.push((u, v));
+                    }
+                }
+            }
+            // The extra node n feeds node 0: no cycle, one descent.
+            for (n, extra) in [(n, None), (n + 1, Some((n, 0)))] {
+                let mut edges = edges.clone();
+                edges.extend(extra);
+                let preds = |j: usize| edges.iter().filter(move |e| e.1 == j).map(|e| e.0);
+                let succs = |u: usize| edges.iter().filter(move |e| e.0 == u).map(|e| e.1);
+                let from_preds = dag_levels_from_preds(n, preds);
+                assert_eq!(from_preds, dag_levels_from_succs(n, succs), "seed {seed}");
+                assert_eq!(from_preds.level_of, reference_longest_path(n, &edges));
+            }
+        }
     }
 
     #[test]

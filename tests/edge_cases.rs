@@ -231,13 +231,30 @@ fn lu_pattern_mismatch_and_zero_pivot_are_reported() {
 /// leave it nothing to walk — `n ∈ {0, 1}`, a diagonal (empty op
 /// stream), the pre-pivot's identity fast path — and on non-finite
 /// values: always the bits of a directly built plan, which runs the
-/// accumulator kernel.
+/// accumulator kernel, and of its factors' solves, which run the
+/// column sweeps.
 #[test]
 fn lu_walker_matches_the_accumulator_kernel_on_degenerate_and_non_finite_input() {
     use sympiler::core::plan::lu::LuPlan;
+    // Factor values, then the solves of a right-hand side with zeros
+    // (whose terms both sweeps skip) and of the same with a NaN.
     let bits = |f: &LuFactor| -> Vec<u64> {
+        let n = f.l().n_cols();
+        let b: Vec<f64> = (0..n)
+            .map(|i| if i % 2 == 0 { 0.0 } else { -(i as f64) })
+            .collect();
+        let mut nan = b.clone();
+        if let Some(v) = nan.last_mut() {
+            *v = f64::NAN;
+        }
         let (l, u) = (f.l().values(), f.u().values());
-        l.iter().chain(u).map(|v| v.to_bits()).collect()
+        let (x, y) = (f.solve(&b), f.solve(&nan));
+        l.iter()
+            .chain(u)
+            .chain(&x)
+            .chain(&y)
+            .map(|v| v.to_bits())
+            .collect()
     };
     let empty = CscMatrix::try_new(0, 0, vec![0], vec![], vec![]).unwrap();
     let mut one = TripletMatrix::new(1, 1);

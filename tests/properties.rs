@@ -920,16 +920,27 @@ fn check_factor_object_in_every_cell(a: &CscMatrix, pre_pivots: &[PrePivot]) -> 
 /// accumulator kernel leveled over 1 to 4 threads produce the factor
 /// values, perturbation record or zero-pivot column of the in-order
 /// accumulator kernel (a plan built directly, which carries no tables)
-/// bit for bit.
+/// bit for bit — and the answers of `solve`, `solve_batch` and
+/// `solve_refined`, which the walker's factors compute by the plan's
+/// level-grouped row streams and the others by column sweeps.
 fn check_walker_in_every_cell(a: &CscMatrix, pre_pivots: &[PrePivot]) -> Result<(), String> {
     use sympiler::core::plan::lu::POSITION_MAX_OPS_PER_ENTRY;
+    let n = a.n_cols();
+    let b: Vec<f64> = (0..n).map(|i| 0.5 - (i % 5) as f64 * 0.75).collect();
+    let c: Vec<f64> = (0..n)
+        .map(|i| if i % 3 == 0 { 0.0 } else { i as f64 })
+        .collect();
     let outcome = |f: Result<LuFactor, _>| {
         f.map(|f| {
+            let mut answers = vec![f.solve(&b)];
+            answers.extend(f.solve_batch(&[&b, &c]));
+            answers.push(f.solve_refined(a, &c, 1e-14, 3).0);
             let bits: Vec<u64> = f
                 .l()
                 .values()
                 .iter()
                 .chain(f.u().values())
+                .chain(answers.iter().flatten())
                 .map(|v| v.to_bits())
                 .collect();
             (bits, f.perturb_report().clone())

@@ -234,11 +234,14 @@ fn cached_bytes_account_for_padded_panel_layouts() {
 }
 
 /// The serial tier's position tables are resident memory like any
-/// other compiled table: the cache charges them, to the byte — 12 per
-/// multiply-add, 4 per entry of `A`, 4 per column — on top of what the
-/// same plan weighs without them.
+/// other compiled table: the cache charges them, to the byte, on top of
+/// what the same plan weighs without them — the factor walk's 12 per
+/// multiply-add, 4 per entry of `A`, 4 per column, 8 per division and
+/// 24 per level, and its solve sweeps' 12 per off-diagonal factor
+/// entry, 4 per row and 8 + 16 per level of the two solves.
 #[test]
 fn cached_bytes_account_for_position_tables() {
+    use sympiler::graph::levels::{dag_levels_from_preds, dag_levels_from_succs, level_sets};
     let a = gen::circuit_unsym(400, 1, 0, 3);
     let opts = SympilerOptions {
         ordering: Ordering::Colamd,
@@ -250,9 +253,32 @@ fn cached_bytes_account_for_position_tables() {
     let plan = lu.plan();
     let multiply_adds = plan.n_multiply_adds() as usize;
     assert!(multiply_adds > 0 && multiply_adds <= plan.l_nnz() + plan.u_nnz());
+    let n = a.n_cols();
+    let f = lu.factor(&a).expect("factor");
+    let u = f.u();
+    // The three DAGs the tables are leveled by: columns, L's rows and
+    // U's rows (numbered backwards, so that edges ascend).
+    let column_levels = dag_levels_from_preds(n, |j| plan.schedule(j)).n_levels();
+    let fwd_levels = level_sets(f.l()).n_levels();
+    let bwd_levels = dag_levels_from_succs(n, |r| {
+        let rows = u.col_rows(n - 1 - r);
+        rows[..rows.len() - 1].iter().map(move |&i| n - 1 - i)
+    })
+    .n_levels();
+    let (l_sub, u_off) = (plan.l_nnz() - n, plan.u_nnz() - n);
+    assert!(column_levels > 2 && fwd_levels > 2 && bwd_levels > 2);
     assert_eq!(
         lu.table_bytes(),
-        bare.table_bytes() + 12 * multiply_adds + 4 * a.nnz() + 4 * a.n_cols()
+        bare.table_bytes()
+            + 12 * multiply_adds
+            + 4 * a.nnz()
+            + 4 * n
+            + 8 * l_sub
+            + 24 * column_levels
+            + 12 * (l_sub + u_off)
+            + 4 * n
+            + 8 * fwd_levels
+            + 16 * bwd_levels
     );
     let cache = PlanCache::new(CacheConfig::default());
     cache.get_or_compile(&a, &opts).expect("cache");
@@ -392,6 +418,59 @@ fn solve_batch_is_bitwise_per_rhs() {
         );
     }
     assert!(f.solve_batch(&Vec::<Vec<f64>>::new()).is_empty());
+}
+
+/// A full queue refuses at once: behind a cold compile that keeps the
+/// one worker busy, submits past `QUEUE_CAPACITY` resolve to
+/// `ServeError::Overloaded` without running, every accepted request is
+/// still served, and once the queue drains submits are served again.
+/// The compile only makes the refusals come early: a submit is far
+/// cheaper than a request, so the queue fills either way.
+#[test]
+fn a_full_queue_refuses_at_once_and_serves_again_once_drained() {
+    use sympiler::core::serve::QUEUE_CAPACITY;
+    let prof = Arc::new(Profiler::enabled());
+    let cache = Arc::new(PlanCache::with_profiler(
+        CacheConfig::default(),
+        Arc::clone(&prof),
+    ));
+    let service = FactorService::new(1, cache);
+    let opts = SympilerOptions::default();
+    let slow = service.submit(ServeRequest {
+        a: gen::circuit_unsym(20000, 1, 0, 37),
+        opts: opts.clone(),
+        rhs: Vec::new(),
+    });
+    let small = gen::circuit_unsym(30, 3, 1, 5);
+    let request = || ServeRequest {
+        a: small.clone(),
+        opts: opts.clone(),
+        rhs: vec![vec![1.0; 30]],
+    };
+    let tickets: Vec<Ticket> = (0..4 * QUEUE_CAPACITY)
+        .map(|_| service.submit(request()))
+        .collect();
+    slow.wait().expect("the cold compile is served");
+    let (mut served, mut refused) = (0, 0);
+    for ticket in tickets {
+        match ticket.wait() {
+            Ok(resp) => {
+                assert_eq!(resp.solutions.len(), 1);
+                served += 1;
+            }
+            Err(ServeError::Overloaded) => refused += 1,
+            Err(e) => panic!("{e}"),
+        }
+    }
+    // When the first refusal came, the queue held QUEUE_CAPACITY jobs,
+    // the cold compile at most one of them.
+    assert!(
+        refused >= 1 && served + 1 >= QUEUE_CAPACITY,
+        "{served} served, {refused} refused"
+    );
+    assert_eq!(prof.counter_value("serve.overloaded"), refused as u64);
+    assert_eq!(service.call(request()).expect("served").solutions.len(), 1);
+    assert_eq!(prof.counter_value("serve.overloaded"), refused as u64);
 }
 
 /// End to end: a mixed-pattern request stream through the thread-pool
