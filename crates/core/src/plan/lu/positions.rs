@@ -803,6 +803,27 @@ mod tests {
         t.to_csc().unwrap()
     }
 
+    /// A pattern whose level walk visits a higher column before a lower
+    /// one: column 1 waits for column 0 through `U(0, 1)`, column 2 for
+    /// nothing, so the walk runs columns 0 and 2, then 1. Column 1's
+    /// pivot is `1 - 1·1 = 0` and column 2's is `A`'s own zero.
+    fn two_zero_pivots_out_of_walk_order() -> (LuPlan, CscMatrix) {
+        let a = matrix_of(
+            3,
+            &[
+                (0, 0, 1.0),
+                (1, 0, 1.0),
+                (0, 1, 1.0),
+                (1, 1, 1.0),
+                (2, 2, 0.0),
+            ],
+        );
+        let plan = LuPlan::build(&a, &SympilerOptions::default()).unwrap();
+        let walked = walker_of(&plan).positions.unwrap().cols;
+        assert_eq!(walked, [0, 2, 1], "the walk visits column 2 first");
+        (plan, a)
+    }
+
     #[test]
     fn walker_is_bitwise_the_accumulator_kernel_in_every_cell() {
         // The reference is the same plan without tables: `factor` is
@@ -891,6 +912,16 @@ mod tests {
         assert_eq!(report.columns, free[..2]);
         assert!(report.threshold > 0.0);
         assert_eq!(Ok((bits, report)), outcome(&plan, &a));
+        // Perturbed out of walk order, reported ascending.
+        let (_, a) = two_zero_pivots_out_of_walk_order();
+        let opts = SympilerOptions {
+            pivot_perturb: 1e-3,
+            ..Default::default()
+        };
+        let plan = LuPlan::build(&a, &opts).unwrap();
+        let (bits, report) = outcome(&walker_of(&plan), &a).unwrap();
+        assert_eq!(report.columns, [1, 2]);
+        assert_eq!(Ok((bits, report)), outcome(&plan, &a));
     }
 
     #[test]
@@ -966,6 +997,12 @@ mod tests {
             Err(LuPlanError::ZeroPivot { .. })
         ));
         assert_eq!(outcome(&walker_of(&off), &zd), outcome(&off, &zd));
+        // Zero pivots met out of column order: the smallest is named,
+        // the column the accumulator kernel stops at.
+        let (plan_3, a_3) = two_zero_pivots_out_of_walk_order();
+        let err = walker_of(&plan_3).factor(&a_3).unwrap_err();
+        assert_eq!(err, LuPlanError::ZeroPivot { column: 1 });
+        assert_eq!(Err(err), outcome(&plan_3, &a_3));
         for poison in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
             for at in [0, a0.nnz() / 2, diag(&a0, 20)] {
                 let mut a = a0.clone();
@@ -1019,44 +1056,6 @@ mod tests {
         assert!(!PositionTables::admits((1 << 31) + 1, 8, 0, inf));
         assert!(PositionTables::admits(60, 40, 200, 2.0));
         assert!(!PositionTables::admits(60, 40, 201, 2.0));
-    }
-
-    #[test]
-    fn walker_reports_in_column_order_not_walk_order() {
-        // Column 1 waits for column 0 through U(0, 1); column 2 waits
-        // for nothing. The level walk runs columns 0 and 2, then 1 —
-        // column 2 before column 1. Column 1's pivot is 1 - 1·1 = 0
-        // and column 2's is A's own zero.
-        let a = matrix_of(
-            3,
-            &[
-                (0, 0, 1.0),
-                (1, 0, 1.0),
-                (0, 1, 1.0),
-                (1, 1, 1.0),
-                (2, 2, 0.0),
-            ],
-        );
-        let plan = LuPlan::build(&a, &SympilerOptions::default()).unwrap();
-        let walker = walker_of(&plan);
-        let t = walker.positions.as_ref().unwrap();
-        assert_eq!(t.cols, [0, 2, 1], "the walk visits column 2 first");
-        // Both pivots zero: the accumulator kernel stops at column 1.
-        assert_eq!(
-            walker.factor(&a).unwrap_err(),
-            LuPlanError::ZeroPivot { column: 1 }
-        );
-        assert_eq!(outcome(&walker, &a), outcome(&plan, &a));
-        // Perturbation catches both, reported ascending, with the
-        // accumulator kernel's factors and solves.
-        let opts = SympilerOptions {
-            pivot_perturb: 1e-3,
-            ..Default::default()
-        };
-        let plan = LuPlan::build(&a, &opts).unwrap();
-        let (bits, report) = outcome(&walker_of(&plan), &a).unwrap();
-        assert_eq!(report.columns, [1, 2]);
-        assert_eq!(Ok((bits, report)), outcome(&plan, &a));
     }
 
     #[test]
