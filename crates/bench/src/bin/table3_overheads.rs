@@ -8,8 +8,10 @@
 //! * node-equivalence supernode detection: proportional to nnz(L)
 //! * COLAMD (unsymmetric suite): ns per nnz(A), the size of the
 //!   quotient graph it eliminates
-//! * the pruned symbolic LU: roughly constant ns per nnz(L+U), with
-//!   its adjacency reads next to the factor size they are bounded by
+//! * the symbolic LU: roughly constant ns per nnz(L+U), with the
+//!   traversal that ran (etree up-traversal on a structurally
+//!   symmetric pattern, pruned DFS otherwise) and its edge reads next
+//!   to the factor size they are bounded by
 //!
 //! Writes `results/overheads.csv` and — numeric, one row per LU suite
 //! problem — `results/table3_overheads.csv`.
@@ -89,6 +91,7 @@ fn main() {
             "colamd ns/nnz(A)",
             "lu_symbolic us",
             "lu_symbolic ns/nnz(L+U)",
+            "strategy",
             "dfs edges",
         ],
     );
@@ -112,6 +115,7 @@ fn main() {
             format!("{:.1}", t_colamd.as_nanos() as f64 / p.a.nnz() as f64),
             format!("{:.1}", t_sym.as_secs_f64() * 1e6),
             format!("{:.1}", t_sym.as_nanos() as f64 / factor_nnz as f64),
+            sym.strategy().label().to_string(),
             sym.dfs_edges().to_string(),
         ]);
     }

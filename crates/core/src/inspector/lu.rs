@@ -7,8 +7,13 @@
 //! graph is the dependence graph of the (growing) `L` with the RHS
 //! patterns `SP(A(:,j))`, the strategy is DFS, and the inspection set
 //! is one reach set per column — the complete symbolic factorization.
+//! When the pre-pivoted, ordered pattern is structurally symmetric,
+//! [`lu_symbolic`] inspects it as Cholesky instead (etree + `SP(A)`,
+//! single-node up-traversal) and returns the same sets;
+//! [`LuSymbolic::strategy`] says which ran.
 
 use super::{EnabledTransformation, InspectionGraph, InspectionStrategy, SymbolicInspector};
+use std::borrow::Cow;
 use sympiler_graph::lu_symbolic::{lu_symbolic, LuSymbolic};
 use sympiler_graph::ordering::{compute_ordering, Ordering};
 use sympiler_graph::transversal::{compute_pre_pivot, PrePivot};
@@ -62,8 +67,13 @@ impl LuVIPruneInspector {
     ///    pre-pivoted matrix and apply it **symmetrically**
     ///    (`Qᵀ·(P·A)·Q`, preserving the matched diagonal), composed
     ///    with `P` into one [`ops::permute_general`] of `a`;
-    /// 3. **reach sets** — pruned Gilbert–Peierls symbolic
-    ///    factorization of the resulting pattern.
+    /// 3. **reach sets** — the symbolic factorization of the resulting
+    ///    pattern ([`lu_symbolic`]: the etree up-traversal when it is
+    ///    structurally symmetric, the pruned Gilbert–Peierls DFS
+    ///    otherwise).
+    ///
+    /// [`Self::pre_pivot`], [`Self::order`] and [`Self::reach_sets`]
+    /// are the three steps, for a caller that times each.
     ///
     /// The returned reach sets, patterns, and schedules all live in
     /// the final (pivoted + ordered) coordinates; `row_perm` and
@@ -83,19 +93,39 @@ impl LuVIPruneInspector {
         ordering: Ordering,
         pre_pivot: PrePivot,
     ) -> Result<LuReachSets, SparseError> {
+        let pivoted = Self::pre_pivot(a, pre_pivot)?;
+        let ordered = Self::order(a, pivoted, ordering)?;
+        Ok(Self::reach_sets(ordered))
+    }
+
+    /// Step 1 of [`Self::inspect_pivoted`]: the row matching `P` and
+    /// `P·A` (borrowed when `P` is the identity).
+    ///
+    /// # Errors
+    /// As [`Self::inspect_pivoted`].
+    pub fn pre_pivot(a: &CscMatrix, pre_pivot: PrePivot) -> Result<Pivoted<'_>, SparseError> {
         let row_perm = compute_pre_pivot(a, pre_pivot)?;
-        let pivoted_storage;
-        let pivoted = match &row_perm {
-            Some(p) => {
-                pivoted_storage = ops::permute_rows(a, p)?;
-                &pivoted_storage
-            }
-            None => a,
+        let matrix = match &row_perm {
+            Some(p) => Cow::Owned(ops::permute_rows(a, p)?),
+            None => Cow::Borrowed(a),
         };
-        let col_perm = compute_ordering(pivoted, ordering);
-        let symbolic = match &col_perm {
-            // One pass from `a` to `Qᵀ·P·A·Q`: row `new` of the ordered
-            // system is row `p[q[new]]` of `a`.
+        Ok(Pivoted { row_perm, matrix })
+    }
+
+    /// Step 2: the ordering `Q` of `P·A` and the matrix `Qᵀ·P·A·Q`,
+    /// permuted from `a` in one pass.
+    ///
+    /// # Errors
+    /// As [`Self::inspect_pivoted`].
+    pub fn order<'a>(
+        a: &'a CscMatrix,
+        pivoted: Pivoted<'a>,
+        ordering: Ordering,
+    ) -> Result<Ordered<'a>, SparseError> {
+        let Pivoted { row_perm, matrix } = pivoted;
+        let col_perm = compute_ordering(&matrix, ordering);
+        let matrix = match &col_perm {
+            // Row `new` of the ordered system is row `p[q[new]]` of `a`.
             Some(q) => {
                 let composed: Vec<usize>;
                 let rperm = match &row_perm {
@@ -105,16 +135,45 @@ impl LuVIPruneInspector {
                     }
                     None => q,
                 };
-                lu_symbolic(&ops::permute_general(a, rperm, q)?)
+                Cow::Owned(ops::permute_general(a, rperm, q)?)
             }
-            None => lu_symbolic(pivoted),
+            None => matrix,
         };
-        Ok(LuReachSets {
-            symbolic,
-            col_perm,
+        Ok(Ordered {
             row_perm,
+            col_perm,
+            matrix,
         })
     }
+
+    /// Step 3: the symbolic factorization of the ordered matrix.
+    pub fn reach_sets(ordered: Ordered<'_>) -> LuReachSets {
+        LuReachSets {
+            symbolic: lu_symbolic(&ordered.matrix),
+            col_perm: ordered.col_perm,
+            row_perm: ordered.row_perm,
+        }
+    }
+}
+
+/// The result of [`LuVIPruneInspector::pre_pivot`].
+#[derive(Debug)]
+pub struct Pivoted<'a> {
+    /// As [`LuReachSets::row_perm`].
+    pub row_perm: Option<Vec<usize>>,
+    /// `P·A`.
+    pub matrix: Cow<'a, CscMatrix>,
+}
+
+/// The result of [`LuVIPruneInspector::order`].
+#[derive(Debug)]
+pub struct Ordered<'a> {
+    /// As [`LuReachSets::row_perm`].
+    pub row_perm: Option<Vec<usize>>,
+    /// As [`LuReachSets::col_perm`].
+    pub col_perm: Option<Vec<usize>>,
+    /// `Qᵀ·P·A·Q`, the matrix the symbolic factorization inspects.
+    pub matrix: Cow<'a, CscMatrix>,
 }
 
 impl SymbolicInspector for LuVIPruneInspector {
@@ -126,6 +185,8 @@ impl SymbolicInspector for LuVIPruneInspector {
         InspectionGraph::DependenceGraphWithRhs
     }
 
+    /// The general strategy; a structurally symmetric pattern takes
+    /// the single-node up-traversal ([`LuSymbolic::strategy`]).
     fn strategy(&self) -> InspectionStrategy {
         InspectionStrategy::Dfs
     }

@@ -56,7 +56,7 @@ use super::pattern::CompiledPattern;
 use super::tri::PEEL_COL_COUNT;
 use crate::compile::SympilerOptions;
 use crate::inspector::LuVIPruneInspector;
-use crate::report::{timed_traced, SymbolicReport};
+use crate::report::{timed_traced, timed_traced_as, SymbolicReport};
 use std::sync::{Arc, OnceLock};
 use sympiler_graph::colamd;
 use sympiler_graph::ordering::Ordering;
@@ -382,21 +382,37 @@ impl LuPlan {
         let mut report = SymbolicReport::default();
 
         // --- Inspection: static pre-pivot (row matching) and
-        // fill-reducing ordering (both resolved once), then per-column
-        // reach sets (Gilbert–Peierls symbolic factorization) of the
-        // pivoted + ordered pattern.
-        let sets = timed_traced(
-            &mut report,
-            &profiler,
-            "inspect: pre-pivot + ordering + LU reach sets (DFS)",
-            || LuVIPruneInspector.inspect_pivoted(a, ordering, pre_pivot),
-        );
-        let sets = sets.map_err(|e| match e {
+        // fill-reducing ordering (both resolved once), then the
+        // symbolic factorization of the pivoted + ordered pattern,
+        // whose stage names the traversal that ran.
+        let inspection_error = |e| match e {
             sympiler_sparse::SparseError::StructurallySingular { n, structural_rank } => {
                 LuPlanError::StructurallySingular { n, structural_rank }
             }
             other => LuPlanError::BadInput(format!("inspection: {other}")),
-        })?;
+        };
+        let pivoted = timed_traced(&mut report, &profiler, "inspect: pre-pivot", || {
+            LuVIPruneInspector::pre_pivot(a, pre_pivot)
+        })
+        .map_err(inspection_error)?;
+        let ordered = timed_traced(
+            &mut report,
+            &profiler,
+            "inspect: ordering + permute",
+            || LuVIPruneInspector::order(a, pivoted, ordering),
+        )
+        .map_err(inspection_error)?;
+        let sets = timed_traced_as(
+            &mut report,
+            &profiler,
+            || LuVIPruneInspector::reach_sets(ordered),
+            |sets| {
+                format!(
+                    "inspect: LU symbolic ({})",
+                    sets.symbolic.strategy().label()
+                )
+            },
+        );
         let baked = match (&sets.row_perm, &sets.col_perm) {
             (None, None) => None,
             (rowp, q) => {
@@ -1379,18 +1395,37 @@ mod tests {
 
     #[test]
     fn inspection_reads_no_more_than_twice_the_factor_pattern() {
-        // The complexity gate for the pruned symbolic, as a count that
-        // repeats exactly: on the COLAMD-ordered benchmark patterns the
-        // inspection reads about one adjacency entry per factor entry
-        // (the unpruned traversal read ~77 per entry on the first).
-        for (a, pre_pivot) in [
-            (gen::circuit_unsym(1200, 4, 2, 1), PrePivot::Off),
+        // The complexity gate for the symbolic, as a count that repeats
+        // exactly, and the report's record of which inspector ran. The
+        // COLAMD-ordered benchmark patterns are structurally symmetric:
+        // the up-traversal climbs one etree edge per entry of L below
+        // the diagonal. The scrambled pattern is not: the pruned DFS
+        // reads about one adjacency entry per factor entry (the
+        // unpruned traversal read ~77 per entry on the first pattern).
+        for (a, pre_pivot, strategy) in [
+            (
+                gen::circuit_unsym(1200, 4, 2, 1),
+                PrePivot::Off,
+                "etree up-traversal",
+            ),
             (
                 gen::circuit_zero_diag(800, 4, 2, 1),
                 PrePivot::WeightedMatching,
+                "etree up-traversal",
             ),
+            (gen::random_unsym(250, 4, 205), PrePivot::Off, "DFS"),
         ] {
             let plan = LuPlan::build(&a, &pivoted(Ordering::Colamd, pre_pivot)).unwrap();
+            let stages: Vec<&str> = plan.report().stages.iter().map(|(s, _)| &s[..]).collect();
+            let symbolic = format!("inspect: LU symbolic ({strategy})");
+            assert_eq!(
+                &stages[..3],
+                [
+                    "inspect: pre-pivot",
+                    "inspect: ordering + permute",
+                    &symbolic
+                ]
+            );
             let edges = plan.report().size_of("symbolic dfs edges").unwrap();
             assert!(edges > 0);
             assert!(

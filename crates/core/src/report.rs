@@ -100,6 +100,27 @@ pub fn timed_traced<T>(
     out
 }
 
+/// As [`timed_traced`], for a stage that decides inside it how it runs:
+/// `name` reads the stage's name off its result.
+pub fn timed_traced_as<T>(
+    report: &mut SymbolicReport,
+    profiler: &Profiler,
+    f: impl FnOnce() -> T,
+    name: impl FnOnce(&T) -> String,
+) -> T {
+    let start_ns = profiler.now_ns();
+    let start = std::time::Instant::now();
+    let out = f();
+    let elapsed = start.elapsed();
+    let name = name(&out);
+    report.stage(&name, elapsed);
+    if profiler.is_enabled() {
+        let dur_ns = profiler.now_ns().saturating_sub(start_ns);
+        profiler.add_span(0, &format!("compile: {name}"), start_ns, dur_ns, &[]);
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -140,10 +161,17 @@ mod tests {
         assert_eq!(snap.spans.len(), 1);
         assert_eq!(snap.spans[0].name, "compile: dfs");
 
+        // Named from the result: the same one measurement in both.
+        let v = timed_traced_as(&mut r, &prof, || 3, |v| format!("stage {v}"));
+        assert_eq!(v, 3);
+        assert_eq!(r.stages[1].0, "stage 3");
+        assert_eq!(prof.snapshot("t").spans[1].name, "compile: stage 3");
+
         // Disabled profiler: report still filled, no spans anywhere.
         let off = Profiler::disabled();
         timed_traced(&mut r, &off, "pack", || ());
-        assert_eq!(r.stages.len(), 2);
+        timed_traced_as(&mut r, &off, || (), |_| "named".into());
+        assert_eq!(r.stages.len(), 4);
         assert!(off.snapshot("t").spans.is_empty());
     }
 

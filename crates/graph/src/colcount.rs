@@ -8,11 +8,12 @@
 
 use crate::etree::etree;
 use crate::symbolic::SymbolicFactor;
-use sympiler_sparse::{ops, CscMatrix};
+use sympiler_sparse::CscMatrix;
 
 /// Column counts of `L` (including the diagonal), computed without
-/// materializing the full pattern: counts the ereach of every row.
-/// `O(|L|)` time, `O(n)` extra memory.
+/// materializing the full pattern: the walk of the etree up-traversal
+/// ([`mod@crate::ereach`]), counting only. `O(|L|)` time, `O(n)` extra
+/// memory.
 pub fn col_counts(a_lower: &CscMatrix) -> Vec<usize> {
     let parent = etree(a_lower);
     col_counts_with_etree(a_lower, &parent)
@@ -20,18 +21,9 @@ pub fn col_counts(a_lower: &CscMatrix) -> Vec<usize> {
 
 /// As [`col_counts`], reusing a precomputed etree.
 pub fn col_counts_with_etree(a_lower: &CscMatrix, parent: &[usize]) -> Vec<usize> {
-    let n = a_lower.n_cols();
-    let at = ops::transpose(a_lower);
-    let mut counts = vec![1usize; n]; // diagonals
-    let mut ws = crate::ereach::EreachWorkspace::new(n);
-    let mut row = Vec::new();
-    for k in 0..n {
-        crate::ereach::ereach_into(&at, k, parent, &mut ws, &mut row);
-        for &j in &row {
-            counts[j] += 1;
-        }
-    }
-    counts
+    use crate::ereach::{strict_upper_pattern, up_traversal_counts, UpperPattern};
+    let (col_ptr, row_idx) = strict_upper_pattern(a_lower);
+    up_traversal_counts(UpperPattern::of_csc(&col_ptr, &row_idx), parent)
 }
 
 /// Column counts read off a completed symbolic factorization.

@@ -11,13 +11,15 @@
 //! * [`mod@postorder`] — postorder of an elimination forest (two
 //!   sweeps, no search);
 //! * [`mod@ereach`] — row sparsity patterns of `L` via etree up-traversal
-//!   (Cholesky prune-sets);
+//!   (Cholesky prune-sets), and the one traversal behind every
+//!   symmetric symbolic factorization;
 //! * [`symbolic`] — the full fill pattern of `L` from Eq. (1) of the
 //!   paper, enabling ahead-of-time allocation;
-//! * [`mod@lu_symbolic`] — column-by-column symbolic LU (Gilbert–Peierls
-//!   with Eisenstat–Liu symmetric pruning): per-column reach sets over
-//!   the growing, pruned `DG_L`, predicting the patterns of both LU
-//!   factors for a statically pivoted ordering;
+//! * [`mod@lu_symbolic`] — symbolic LU, predicting the patterns of both
+//!   LU factors for a statically pivoted ordering: the etree
+//!   up-traversal when the pattern is structurally symmetric, otherwise
+//!   column-by-column Gilbert–Peierls reach sets over the growing `DG_L`
+//!   with Eisenstat–Liu symmetric pruning;
 //! * [`colcount`] — column counts of `L`;
 //! * [`supernode`] — supernode detection: the etree merge rule
 //!   (Cholesky block-sets), its relaxed amalgamation along etree parent
@@ -75,7 +77,7 @@ pub use lu_supernode::{
     flop_share_in_wide_panels, flop_share_in_wide_panels_from_parts, panel_flops, supernodes_lu,
     supernodes_lu_from_parts,
 };
-pub use lu_symbolic::{lu_symbolic, LuSymbolic};
+pub use lu_symbolic::{lu_symbolic, LuStrategy, LuSymbolic};
 pub use ordering::{compute_ordering, postorder_by_etree, symmetrized_etree, Ordering};
 pub use postorder::postorder;
 pub use rcm::rcm_ordering;

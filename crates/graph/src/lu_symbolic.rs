@@ -1,14 +1,46 @@
-//! Column-by-column symbolic LU factorization (Gilbert & Peierls 1988)
-//! with Eisenstat–Liu symmetric pruning, the inspection stage of the
-//! sparse LU subsystem.
+//! Symbolic LU factorization under static pivoting, the inspection
+//! stage of the sparse LU subsystem: the elimination-tree up-traversal
+//! for structurally symmetric patterns, and column-by-column
+//! Gilbert–Peierls reach (Gilbert & Peierls 1988) with Eisenstat–Liu
+//! symmetric pruning for the rest.
 //!
-//! Left-looking LU computes column `j` of the factors by solving the
-//! lower-triangular system `L(0:j-1, 0:j-1) * x = A(:, j)` — so the
-//! nonzero pattern of column `j` is exactly `Reach_L(SP(A(:,j)))` on the
-//! dependence graph of the partially built `L`, the same reach-set idea
-//! [`crate::dfs`] implements for triangular solve. Because `L` grows
-//! one column per step, the traversal runs over the growing CSC arrays
-//! rather than a finished [`CscMatrix`].
+//! **Two inspectors, one output.** The pattern of exact boolean
+//! elimination does not depend on how it is found, so [`lu_symbolic`]
+//! picks the cheaper traversal for the pattern, and both return the
+//! same patterns and flop count:
+//!
+//! * **Structurally symmetric** (`A(i, j) != 0 ⇔ A(j, i) != 0` off the
+//!   diagonal; the diagonal may be structurally zero). An `O(nnz(A))`
+//!   cursor check decides. Elimination keeps such a pattern symmetric,
+//!   so `L` is the Cholesky factor's pattern and `U = Lᵀ`. The
+//!   inspection graph is the elimination tree and the strategy the
+//!   single-node up-traversal of [`mod@crate::ereach`] — the paper's
+//!   Cholesky inspector (Table 1). One walk of every row subtree builds
+//!   the etree on the way, writes the rows of `L` (the columns of `U`)
+//!   and counts its columns; scattering the rows writes the columns.
+//!   `O(nnz(A) + nnz(L))`, no comparison sort, every output at its
+//!   exact size. The flop count `Σ_k (c_k + 2 c_k²)`, with `c_k`
+//!   sub-diagonal entries in `L(:, k)`, is the DFS path's sum regrouped
+//!   by source column.
+//! * **Otherwise** the pruned DFS below: `O(nnz(A) + Σ_j Σ_{k ∈ U(:,j)}
+//!   |adj(k)|)` plus a sort of each column's reach, with `adj(k)` the
+//!   pruned prefix. Without a single symmetric pair nothing is cut,
+//!   and the unpruned bound — `flops(LU) / 2` adjacency reads — is what
+//!   remains.
+//!
+//! [`LuSymbolic::strategy`] names the path that ran, and
+//! [`LuSymbolic::dfs_edges`] counts its traversal: adjacency entries of
+//! `L` read by the DFS, or etree edges climbed by the up-traversal —
+//! one per off-diagonal entry of `L`.
+//!
+//! **The DFS path.** Left-looking LU computes column `j` of the factors
+//! by solving the lower-triangular system `L(0:j-1, 0:j-1) * x =
+//! A(:, j)` — so the nonzero pattern of column `j` is exactly
+//! `Reach_L(SP(A(:,j)))` on the dependence graph of the partially built
+//! `L`, the same reach-set idea [`crate::dfs`] implements for
+//! triangular solve. Because `L` grows one column per step, the
+//! traversal runs over the growing CSC arrays rather than a finished
+//! [`CscMatrix`].
 //!
 //! **Pruning.** A reach set does not need every edge of `L`, only a
 //! subgraph with the same reachability. Every finished column
@@ -21,7 +53,10 @@
 //! kept edge `k → j`. Discarding dependence edges that others imply
 //! leaves the output untouched — the patterns are those of the unpruned
 //! traversal, entry for entry. A column is cut at most once (at its
-//! first symmetric pair; later pairs lie outside the prefix).
+//! first symmetric pair; later pairs lie outside the prefix). On a
+//! symmetric pattern every column would be read in full once, by its
+//! etree parent, which cuts it to that one edge — the up-traversal
+//! walks exactly those parent edges and skips the rest.
 //!
 //! **Schedule.** Only the reach *set* is needed, not a post-order:
 //! `U(:, j)` is emitted sorted, and ascending source column is a valid
@@ -39,17 +74,8 @@
 //! a verification mode). Every predicted pattern is therefore exact for
 //! any numeric values with the same structure, barring accidental
 //! cancellation.
-//!
-//! Complexity: `O(nnz(A) + Σ_j Σ_{k ∈ U(:,j)} |adj(k)|)` plus the
-//! per-column sorts, with `adj(k)` the pruned prefix. On a structurally
-//! symmetric pattern every column is read in full once, by its
-//! elimination-tree parent, which cuts it to that one edge, so the sum
-//! stays under `nnz(L) + nnz(U)`; on the COLAMD-ordered circuit patterns of the benchmark it measures just
-//! under `nnz(L + U)` ([`LuSymbolic::dfs_edges`]), against
-//! `flops(LU) / 2` for the unpruned traversal. Without a single
-//! symmetric pair nothing is cut and the unpruned bound is what
-//! remains.
 
+use crate::ereach::{up_traversal, UpperPattern};
 use sympiler_sparse::CscMatrix;
 
 /// The symbolic LU factorization of one sparsity pattern: predicted
@@ -74,6 +100,28 @@ pub struct LuSymbolic {
     flops: u64,
     /// Adjacency entries of `L` the inspection read.
     dfs_edges: u64,
+    /// The traversal that produced the patterns.
+    strategy: LuStrategy,
+}
+
+/// The traversal [`lu_symbolic`] ran — a compile-time decision read
+/// off the pattern, recorded so a report can name it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum LuStrategy {
+    /// Etree up-traversal of a structurally symmetric pattern.
+    EtreeUpTraversal,
+    /// Gilbert–Peierls DFS with symmetric pruning, any pattern.
+    Dfs,
+}
+
+impl LuStrategy {
+    /// Human-readable name, as reports print it.
+    pub fn label(self) -> &'static str {
+        match self {
+            Self::EtreeUpTraversal => "etree up-traversal",
+            Self::Dfs => "DFS",
+        }
+    }
 }
 
 impl LuSymbolic {
@@ -112,10 +160,19 @@ impl LuSymbolic {
         self.flops
     }
 
-    /// Adjacency entries of the (pruned) `L` the inspection read — its
-    /// deterministic cost, to hold against `nnz(L) + nnz(U)`.
+    /// The inspection's deterministic traversal cost, to hold against
+    /// `nnz(L) + nnz(U)`: under [`LuStrategy::Dfs`] the adjacency
+    /// entries of the (pruned) `L` the DFS read; under
+    /// [`LuStrategy::EtreeUpTraversal`] the etree edges the row
+    /// subtrees climb, one per off-diagonal entry of `L`
+    /// (`nnz(L) − n`). Both stay within `factor_flops() / 2`.
     pub fn dfs_edges(&self) -> u64 {
         self.dfs_edges
+    }
+
+    /// Which traversal produced the patterns.
+    pub fn strategy(&self) -> LuStrategy {
+        self.strategy
     }
 
     /// Exact flop count of each column's solve: its divisions plus a
@@ -142,12 +199,93 @@ impl LuSymbolic {
 }
 
 /// Run the symbolic LU inspection for a square matrix `a` (full,
-/// generally unsymmetric storage) under static diagonal pivoting.
+/// generally unsymmetric storage) under static diagonal pivoting: the
+/// etree up-traversal when the pattern is structurally symmetric, the
+/// pruned DFS otherwise (module docs).
 ///
 /// # Panics
 /// If `a` is not square.
 pub fn lu_symbolic(a: &CscMatrix) -> LuSymbolic {
     assert!(a.is_square(), "LU needs a square matrix");
+    match upper_ends(a) {
+        Some(ends) => lu_symbolic_up_traversal(a, &ends),
+        None => lu_symbolic_dfs(a),
+    }
+}
+
+/// Whether every off-diagonal entry of the square matrix `a` has its
+/// mirror image (`A(i, j) != 0 ⇔ A(j, i) != 0` for `i != j`; the
+/// diagonal may hold structural zeros). Sorted rows make every
+/// symmetric pattern pass; unsorted rows or duplicate entries may only
+/// send a symmetric pattern to the DFS.
+pub fn is_structurally_symmetric(a: &CscMatrix) -> bool {
+    upper_ends(a).is_some()
+}
+
+/// The structural symmetry check, one pass over the entries: columns
+/// in increasing order, each entry `(i, j)` below the diagonal consumes
+/// column `i`'s next entry, which must be `(j, i)`. When column `j`'s
+/// turn comes, every mirror of its entries above the diagonal has been
+/// seen, so its consumed prefix must be all of them: what follows may
+/// be the diagonal, then only entries below it. On success that prefix
+/// is returned for every column — where its strictly upper entries end.
+fn upper_ends(a: &CscMatrix) -> Option<Vec<usize>> {
+    let n = a.n_cols();
+    let (col_ptr, row_idx) = (a.col_ptr(), a.row_idx());
+    let mut cursor = col_ptr[..n].to_vec();
+    for j in 0..n {
+        let (mut p, end) = (cursor[j], col_ptr[j + 1]);
+        if p < end && row_idx[p] == j {
+            p += 1;
+        }
+        for &i in &row_idx[p..end] {
+            if i <= j {
+                return None;
+            }
+            let c = cursor[i];
+            if c == col_ptr[i + 1] || row_idx[c] != j {
+                return None;
+            }
+            cursor[i] = c + 1;
+        }
+    }
+    Some(cursor)
+}
+
+/// The symmetric path: `L` from the etree up-traversal, `U(:, j)` = row
+/// `j` of `L`, then the diagonal. Column `k` of `L` with `c_k`
+/// sub-diagonal entries updates exactly the `c_k` columns of its rows,
+/// so the flop count is `Σ_k (c_k + 2 c_k²)`, the DFS path's sum
+/// regrouped by source column.
+fn lu_symbolic_up_traversal(a: &CscMatrix, upper_ends: &[usize]) -> LuSymbolic {
+    let n = a.n_cols();
+    let upper = UpperPattern {
+        starts: &a.col_ptr()[..n],
+        ends: upper_ends,
+        rows: a.row_idx(),
+    };
+    let f = up_traversal(upper, None, true);
+    let flops = (0..n)
+        .map(|k| {
+            let c = (f.l_col_ptr[k + 1] - f.l_col_ptr[k] - 1) as u64;
+            c + 2 * c * c
+        })
+        .sum();
+    LuSymbolic {
+        n,
+        dfs_edges: (f.l_row_idx.len() - n) as u64,
+        l_col_ptr: f.l_col_ptr,
+        l_row_idx: f.l_row_idx,
+        u_col_ptr: f.row_ptr,
+        u_row_idx: f.row_idx,
+        flops,
+        strategy: LuStrategy::EtreeUpTraversal,
+    }
+}
+
+/// The general path: column-by-column Gilbert–Peierls reach over the
+/// growing, pruned `L` (module docs).
+fn lu_symbolic_dfs(a: &CscMatrix) -> LuSymbolic {
     let n = a.n_cols();
 
     let mut l_col_ptr = Vec::with_capacity(n + 1);
@@ -237,6 +375,7 @@ pub fn lu_symbolic(a: &CscMatrix) -> LuSymbolic {
         u_row_idx,
         flops,
         dfs_edges,
+        strategy: LuStrategy::Dfs,
     }
 }
 
@@ -424,9 +563,12 @@ mod tests {
         // nonzero by symmetry and no earlier column reaches k — so
         // column p reads L(:, k) in full and cuts it to the edge
         // k -> p, and every later update reads that one entry.
+        // `lu_symbolic` sends this pattern to the up-traversal, so the
+        // DFS is called directly.
         let lower = gen::grid2d_laplacian(7, 6, false, 2);
         let a = sympiler_sparse::ops::symmetrize_from_lower(&lower).unwrap();
-        let sym = lu_symbolic(&a);
+        let sym = lu_symbolic_dfs(&a);
+        assert_eq!(sym.strategy(), LuStrategy::Dfs);
         let (l_ref, u_ref) = dense_symbolic_lu(&a);
         for j in 0..a.n_cols() {
             assert_eq!(sym.l_col_pattern(j), l_ref[j].as_slice(), "L col {j}");
@@ -437,6 +579,187 @@ mod tests {
         let first_reads = sym.l_nnz() - n;
         let later_reads = sym.u_nnz() - n - non_roots;
         assert_eq!(sym.dfs_edges(), (first_reads + later_reads) as u64);
+        // The up-traversal climbs one etree edge per entry of L below
+        // the diagonal — the DFS's first reads alone.
+        let up = lu_symbolic(&a);
+        assert_eq!(up.strategy(), LuStrategy::EtreeUpTraversal);
+        assert_same(&up, &sym, "grid");
+        assert_eq!(up.dfs_edges(), first_reads as u64);
+    }
+
+    /// Every public field and the flop count agree; `dfs_edges` and
+    /// `strategy` name the traversal and are not compared.
+    fn assert_same(up: &LuSymbolic, dfs: &LuSymbolic, label: &str) {
+        assert_eq!(up.n, dfs.n, "{label}: n");
+        assert_eq!(up.l_col_ptr, dfs.l_col_ptr, "{label}: l_col_ptr");
+        assert_eq!(up.l_row_idx, dfs.l_row_idx, "{label}: l_row_idx");
+        assert_eq!(up.u_col_ptr, dfs.u_col_ptr, "{label}: u_col_ptr");
+        assert_eq!(up.u_row_idx, dfs.u_row_idx, "{label}: u_row_idx");
+        assert_eq!(up.factor_flops(), dfs.factor_flops(), "{label}: flops");
+        assert!(up.dfs_edges() <= up.factor_flops() / 2, "{label}: edges");
+    }
+
+    /// `lu_symbolic` on `a`: a symmetric pattern takes the up-traversal
+    /// and equals the DFS; any other takes the DFS.
+    fn check_dispatch(a: &CscMatrix, label: &str) -> LuStrategy {
+        let got = lu_symbolic(a);
+        let dfs = lu_symbolic_dfs(a);
+        if is_structurally_symmetric(a) {
+            assert_eq!(got.strategy(), LuStrategy::EtreeUpTraversal, "{label}");
+            assert_same(&got, &dfs, label);
+        } else {
+            assert_eq!(got, dfs, "{label}");
+        }
+        got.strategy()
+    }
+
+    /// Splitmix64: seeded patterns without a dependency.
+    fn next(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    fn from_entries(n: usize, entries: &[(usize, usize)]) -> CscMatrix {
+        let mut t = TripletMatrix::new(n, n);
+        for &(i, j) in entries {
+            t.push(i, j, 1.0);
+        }
+        t.to_csc().unwrap()
+    }
+
+    #[test]
+    fn the_up_traversal_equals_the_dfs_on_the_lu_suite() {
+        use crate::ordering::{compute_ordering, Ordering};
+        use crate::transversal::{compute_pre_pivot, PrePivot};
+        use sympiler_sparse::ops;
+        use sympiler_sparse::suite::{unsym_suite, SuiteScale};
+        // The bench-scale suite runs in release builds only.
+        let scales: &[SuiteScale] = if cfg!(debug_assertions) {
+            &[SuiteScale::Test]
+        } else {
+            &[SuiteScale::Test, SuiteScale::Bench]
+        };
+        let mut symmetric = 0;
+        for &scale in scales {
+            for p in unsym_suite(scale) {
+                for ordering in [Ordering::Natural, Ordering::Colamd] {
+                    for pre_pivot in [PrePivot::Off, PrePivot::WeightedMatching] {
+                        let a = &p.matrix;
+                        let rperm = compute_pre_pivot(a, pre_pivot).unwrap();
+                        let pivoted = match &rperm {
+                            Some(r) => ops::permute_rows(a, r).unwrap(),
+                            None => a.clone(),
+                        };
+                        let b = match compute_ordering(&pivoted, ordering) {
+                            Some(q) => ops::permute_rows_cols(&pivoted, &q).unwrap(),
+                            None => pivoted,
+                        };
+                        let label = format!("{} {ordering:?} {pre_pivot:?}", p.name);
+                        let strategy = check_dispatch(&b, &label);
+                        symmetric += (strategy == LuStrategy::EtreeUpTraversal) as usize;
+                        // The symmetrized pattern always takes the
+                        // up-traversal.
+                        let n = b.n_cols();
+                        let mirrored: Vec<(usize, usize)> = (0..n)
+                            .flat_map(|j| b.col_rows(j).iter().flat_map(move |&i| [(i, j), (j, i)]))
+                            .collect();
+                        let sum = from_entries(n, &mirrored);
+                        let s = check_dispatch(&sum, &format!("{label} + transpose"));
+                        assert_eq!(s, LuStrategy::EtreeUpTraversal, "{label}");
+                    }
+                }
+            }
+        }
+        assert!(symmetric >= 8, "only {symmetric} suite cells are symmetric");
+    }
+
+    #[test]
+    fn the_up_traversal_equals_the_dfs_on_random_symmetric_patterns() {
+        let mut state = 7u64;
+        for case in 0..300 {
+            let n = 1 + (next(&mut state) % 40) as usize;
+            let per_col = 1 + (next(&mut state) % 4) as usize;
+            let mut entries = Vec::new();
+            for j in 0..n {
+                // Every third pattern has structurally zero diagonals.
+                if case % 3 != 0 || next(&mut state).is_multiple_of(2) {
+                    entries.push((j, j));
+                }
+                for _ in 0..per_col {
+                    let i = (next(&mut state) % n as u64) as usize;
+                    if i != j {
+                        entries.extend([(i, j), (j, i)]);
+                    }
+                }
+            }
+            let a = from_entries(n, &entries);
+            let label = format!("case {case}");
+            assert!(is_structurally_symmetric(&a), "{label}");
+            assert_eq!(check_dispatch(&a, &label), LuStrategy::EtreeUpTraversal);
+            let sym = lu_symbolic(&a);
+            let (l_ref, u_ref) = dense_symbolic_lu(&a);
+            for j in 0..n {
+                assert_eq!(sym.l_col_pattern(j), l_ref[j].as_slice(), "{label} L {j}");
+                assert_eq!(sym.u_col_pattern(j), u_ref[j].as_slice(), "{label} U {j}");
+            }
+            // One mirror entry gone: the DFS path, still exact.
+            let off: Vec<usize> = (0..entries.len())
+                .filter(|&e| entries[e].0 != entries[e].1)
+                .collect();
+            if !off.is_empty() {
+                let (i, j) = entries[off[(next(&mut state) % off.len() as u64) as usize]];
+                let kept: Vec<(usize, usize)> =
+                    entries.iter().copied().filter(|&e| e != (i, j)).collect();
+                let b = from_entries(n, &kept);
+                assert!(!is_structurally_symmetric(&b), "{label} without ({i}, {j})");
+                assert_eq!(check_dispatch(&b, &label), LuStrategy::Dfs);
+                let (l_ref, u_ref) = dense_symbolic_lu(&b);
+                let sym = lu_symbolic(&b);
+                for j in 0..n {
+                    assert_eq!(sym.l_col_pattern(j), l_ref[j].as_slice(), "{label} L {j}");
+                    assert_eq!(sym.u_col_pattern(j), u_ref[j].as_slice(), "{label} U {j}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn every_pattern_of_order_zero_one_and_two_takes_the_right_path() {
+        let empty = CscMatrix::zeros(0, 0);
+        assert_eq!(
+            check_dispatch(&empty, "n = 0"),
+            LuStrategy::EtreeUpTraversal
+        );
+        assert_eq!(lu_symbolic(&empty).l_nnz(), 0);
+        for diag in [false, true] {
+            let a = from_entries(1, if diag { &[(0, 0)] } else { &[] });
+            assert_eq!(check_dispatch(&a, "n = 1"), LuStrategy::EtreeUpTraversal);
+            assert_eq!(lu_symbolic(&a).u_col_pattern(0), &[0]);
+        }
+        let slots = [(0, 0), (1, 1), (1, 0), (0, 1)];
+        for mask in 0..16u32 {
+            let entries: Vec<(usize, usize)> = (0..4)
+                .filter(|&b| mask >> b & 1 == 1)
+                .map(|b| slots[b])
+                .collect();
+            let a = from_entries(2, &entries);
+            let mirrored = (mask >> 2 & 1) == (mask >> 3 & 1);
+            let expect = if mirrored {
+                LuStrategy::EtreeUpTraversal
+            } else {
+                LuStrategy::Dfs
+            };
+            assert_eq!(check_dispatch(&a, &format!("n = 2, {mask:04b}")), expect);
+            let (l_ref, u_ref) = dense_symbolic_lu(&a);
+            let sym = lu_symbolic(&a);
+            for j in 0..2 {
+                assert_eq!(sym.l_col_pattern(j), l_ref[j].as_slice(), "{mask:04b}");
+                assert_eq!(sym.u_col_pattern(j), u_ref[j].as_slice(), "{mask:04b}");
+            }
+        }
     }
 
     #[test]

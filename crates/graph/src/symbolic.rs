@@ -10,8 +10,17 @@
 //! Knowing the pattern ahead of time lets Sympiler allocate `L` once and
 //! eliminate all dynamic memory allocation from the numeric phase
 //! (§3.2). Two independent implementations are provided — the production
-//! one built from row patterns (ereach + transpose) and a direct Eq. (1)
-//! evaluator — and cross-checked in tests.
+//! one, an etree up-traversal, and a direct Eq. (1) evaluator — and
+//! cross-checked in tests.
+//!
+//! Complexity: the production path ([`symbolic_cholesky_with_etree`])
+//! is one [`mod@crate::ereach`] up-traversal. It walks every row subtree
+//! twice (once to count, once to write the columns) and transposes the
+//! columns into the row patterns: `O(nnz(A) + nnz(L))` time, every
+//! output allocated at its exact size, and no comparison sort — rows
+//! taken in increasing order write each column sorted, and scanning
+//! the columns in order writes each row sorted. The etree itself is
+//! Liu's algorithm, nearly `O(nnz(A))`.
 
 use crate::ereach;
 use crate::etree::{etree, NONE};
@@ -93,40 +102,16 @@ pub fn symbolic_cholesky(a_lower: &CscMatrix) -> SymbolicFactor {
 /// As [`symbolic_cholesky`], reusing a precomputed etree.
 pub fn symbolic_cholesky_with_etree(a_lower: &CscMatrix, parent: Vec<usize>) -> SymbolicFactor {
     let n = a_lower.n_cols();
-    let (row_ptr, row_idx) = ereach::row_patterns(a_lower, &parent);
-    // Column counts: 1 (diagonal) + number of rows k whose pattern
-    // contains j.
-    let mut counts = vec![1usize; n];
-    for &j in &row_idx {
-        counts[j] += 1;
-    }
-    let mut l_col_ptr = vec![0usize; n + 1];
-    for j in 0..n {
-        l_col_ptr[j + 1] = l_col_ptr[j] + counts[j];
-    }
-    let nnz = l_col_ptr[n];
-    let mut l_row_idx = vec![0usize; nnz];
-    let mut next = l_col_ptr[..n].to_vec();
-    // Diagonal first in every column.
-    for j in 0..n {
-        l_row_idx[next[j]] = j;
-        next[j] += 1;
-    }
-    // Scatter row patterns; scanning rows k in increasing order keeps
-    // each column's indices sorted.
-    for k in 0..n {
-        for &j in &row_idx[row_ptr[k]..row_ptr[k + 1]] {
-            l_row_idx[next[j]] = k;
-            next[j] += 1;
-        }
-    }
+    let (col_ptr, row_idx) = ereach::strict_upper_pattern(a_lower);
+    let upper = ereach::UpperPattern::of_csc(&col_ptr, &row_idx);
+    let f = ereach::up_traversal(upper, Some(&parent), false);
     SymbolicFactor {
         n,
         parent,
-        l_col_ptr,
-        l_row_idx,
-        row_ptr,
-        row_idx,
+        l_col_ptr: f.l_col_ptr,
+        l_row_idx: f.l_row_idx,
+        row_ptr: f.row_ptr,
+        row_idx: f.row_idx,
     }
 }
 

@@ -716,8 +716,9 @@ proptest! {
                 .expect("zero diagonals force a non-identity matching");
             sympiler::sparse::ops::permute_rows(&z, &rowp).unwrap()
         };
-        // Structurally symmetric: every column prunes at its first
-        // off-diagonal (its elimination-tree parent).
+        // Structurally symmetric: `lu_symbolic` takes the etree
+        // up-traversal (its DFS would prune every column at its first
+        // off-diagonal, the elimination-tree parent).
         let n = a.n_cols();
         let mut sym_t = TripletMatrix::new(n, n);
         // No symmetric pair in A: the strictly-lower part, plus
@@ -748,8 +749,16 @@ proptest! {
                 let reach = sym.reach(j);
                 prop_assert!(reach.windows(2).all(|w| w[0] < w[1]), "{}: reach({})", label, j);
             }
-            // Pruning only ever removes reads.
+            // Pruning only ever removes reads; the up-traversal climbs
+            // one etree edge per entry of L below the diagonal.
             prop_assert!(sym.dfs_edges() <= sym.factor_flops() / 2, "{}", label);
+            let up = sym.strategy() == sympiler::graph::LuStrategy::EtreeUpTraversal;
+            prop_assert_eq!(
+                up,
+                sympiler::graph::lu_symbolic::is_structurally_symmetric(m),
+                "{}",
+                label
+            );
         }
     }
 
