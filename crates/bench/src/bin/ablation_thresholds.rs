@@ -218,7 +218,7 @@ fn lu_threshold_sweep(t: &mut Table, name: &str, a: &CscMatrix) {
     let t_scalar = time_lu_factorizer(|| plan.factor(a).expect("factor"));
     for threshold in [0.0, 0.5, 1.0, 2.0, 3.0, 4.0, 6.0, 8.0, 12.0, f64::INFINITY] {
         let panels = SupernodalLuPlan::dissolve_thin_panels(&plan, &detected, threshold);
-        let sup = SupernodalLuPlan::from_panels(plan.clone(), panels, 1);
+        let sup = SupernodalLuPlan::from_panels(plan.clone(), panels);
         // The box is noisy and the plateau is flat: more runs than the
         // paper's five keep the crossover readable.
         let time = median_time(4 * RUNS + 1, || {

@@ -1,7 +1,7 @@
 //! The sparse-LU experiment: baseline Gilbert–Peierls (symbolic DFS
 //! coupled into every numeric factorization) vs. the Sympiler LU plan
-//! (symbolic analysis once at compile time, numeric-only factor),
-//! serial and level-scheduled parallel — swept across the
+//! (symbolic analysis once at compile time, numeric-only factor) —
+//! swept across the
 //! fill-reducing **ordering knob** (natural / RCM / COLAMD) and, on
 //! the zero-diagonal problems, the **pre-pivot knob** (maximum
 //! transversal / weighted matching) with **MC64 equilibration**
@@ -10,11 +10,10 @@
 //! For every unsymmetric suite problem and every applicable
 //! (pre-pivot, ordering) pair this prints the median numeric
 //! factorization time of each engine, the decoupling speedup, the fill
-//! ratio `nnz(L+U)/nnz(A)`, the parallel numeric times at 2 and 4
-//! workers with the 4-worker scaling ratio and the elimination DAG's
-//! available parallelism, and verifies that (a) the plan reproduces
-//! the identically pre-pivoted, identically ordered (and, on the
-//! zero-diagonal problems, identically MC64-scaled), statically
+//! ratio `nnz(L+U)/nnz(A)` and the elimination DAG's available
+//! parallelism (columns per level), and verifies that (a) the plan
+//! reproduces the identically pre-pivoted, identically ordered (and,
+//! on the zero-diagonal problems, identically MC64-scaled), statically
 //! pivoted baseline factors in pattern and to a **uniform strict
 //! 1e-10** (relative) in values on every combination — both scalar
 //! engines run their update sums in the same ascending pivot
@@ -25,8 +24,7 @@
 //! asserted `< 1e2` wherever the pivots come from the weighted
 //! matching (equilibration collapses it from ~1e8–1e12 to O(1)
 //! there; a values-blind transversal's growth is unbounded by
-//! design), (b) the parallel plan reproduces the serial plan
-//! **bitwise** at every thread count, and (c) the end-to-end solve
+//! design), and (b) the end-to-end solve
 //! answers the *original* system regardless of the permutations and
 //! scalings baked inside — through both the compiled plan and the
 //! independently derived `GpLu::factor_prepivoted` /
@@ -38,7 +36,7 @@
 //! numeric time, decoupling speedup, and the per-problem panel
 //! statistics, with its factors verified against the same baseline
 //! under every combination — so the zero-diagonal problems exercise
-//! **both kernels, in order and leveled**.
+//! **both kernels**.
 //!
 //! The two zero-diagonal problems (`circuit_zdiag_u`,
 //! `saddle_point_u`) are hard errors without a pre-pivot — asserted
@@ -75,13 +73,13 @@
 //! fill gains catch ordering regressions.
 //!
 //! Every run additionally takes one **profiled** pass per problem
-//! through the scalar plan in order, the scalar plan leveled, and the
-//! supernodal plan (enabled `Profiler`, natural
+//! through the scalar plan and the supernodal plan (enabled
+//! `Profiler`, natural
 //! order, a weighted-matching pre-pivot on the zero-diagonal
 //! problems) and checks the observability layer's flop accounting
-//! against the compile-time count: serial `flops.scalar`, parallel
-//! `flops.scalar`, and supernodal `flops.dense + flops.scalar` must
-//! each equal `plan.flops()` **exactly** — gated per problem as the
+//! against the compile-time count: serial `flops.scalar` and
+//! supernodal `flops.dense + flops.scalar` must each equal
+//! `plan.flops()` **exactly** — gated per problem as the
 //! deterministic `<name>:flop_accounting` entry (1.0). With
 //! `--profile` the collected traces are also written to
 //! `results/PROFILE_lu_compare.json` (chrome://tracing loadable) and
@@ -102,6 +100,7 @@ use sympiler_core::plan::lu_supernodal::{
     SupernodalLuPlan, DENSE_PANEL_MIN_FLOPS_PER_ENTRY, MAX_PANEL, RELAX_COLS, RELAX_FILL,
 };
 use sympiler_core::{Ordering, PrePivot, SympilerLu, SympilerOptions, TraceFile};
+use sympiler_graph::levels::dag_levels_from_preds;
 use sympiler_solvers::lu::{lu_backward_error, GpLu, Pivoting};
 use sympiler_sparse::suite::SuiteScale;
 
@@ -115,13 +114,13 @@ fn auto_supernodal(plan: &LuPlan) -> (SupernodalLuPlan, f64) {
     let kept =
         SupernodalLuPlan::dissolve_thin_panels(plan, &detected, DENSE_PANEL_MIN_FLOPS_PER_ENTRY);
     (
-        SupernodalLuPlan::from_panels(plan.clone(), kept, 1),
+        SupernodalLuPlan::from_panels(plan.clone(), kept),
         detected.mean_width(),
     )
 }
 
-/// One profiled pass per problem through the scalar plan in order, the
-/// scalar plan leveled and the supernodal plan, all recording into the
+/// One profiled pass per problem through the scalar plan and the
+/// supernodal plan, both recording into the
 /// plan's own enabled profiler; returns the flop-accounting ratio
 /// (profiled / compile-time, exactly 1.0 when the observability layer
 /// attributes every flop) and pushes the snapshot onto the trace.
@@ -143,13 +142,6 @@ fn profile_problem(p: &sympiler_bench::workloads::LuBenchProblem, trace: &mut Tr
     let before = profiler.counter_value("flops.scalar");
     plan.factor(&p.a).expect("profiled serial factor");
     let serial = profiler.counter_value("flops.scalar") - before;
-    // Leveled (4 workers; plan clones share the profiler).
-    let before = profiler.counter_value("flops.scalar");
-    plan.clone()
-        .leveled(4)
-        .factor(&p.a)
-        .expect("profiled parallel factor");
-    let parallel = profiler.counter_value("flops.scalar") - before;
     // Supernodal tier, the partition the compiler keeps — the flop counters
     // charge structural work only, so padded layouts and dissolved
     // panels must not disturb the exact accounting.
@@ -165,11 +157,10 @@ fn profile_problem(p: &sympiler_bench::workloads::LuBenchProblem, trace: &mut Tr
     // re-verify the accounting from the JSON alone.
     profiler.gauge("flops.plan", want as f64);
     profiler.gauge("flops.serial", serial as f64);
-    profiler.gauge("flops.parallel", parallel as f64);
     profiler.gauge("flops.supernodal_dense", sup_dense as f64);
     profiler.gauge("flops.supernodal_scalar", sup_scalar as f64);
     trace.push(profiler.snapshot(p.name));
-    (serial + parallel + sup_dense + sup_scalar) as f64 / (3 * want) as f64
+    (serial + sup_dense + sup_scalar) as f64 / (2 * want) as f64
 }
 
 fn main() {
@@ -201,9 +192,6 @@ fn main() {
             "panels",
             "mean w",
             "dense flops",
-            "plan 2T",
-            "plan 4T",
-            "scal 4T",
             "DAG par",
             "plan GF/s",
             "growth",
@@ -215,7 +203,6 @@ fn main() {
     let mut speedups = Vec::new();
     let mut sup_speedups = Vec::new();
     let mut zd_speedups = Vec::new();
-    let mut scalings_by_ordering = vec![Vec::new(); Ordering::ALL.len()];
     let mut report = PerfReport::new("lu_compare");
     for p in &problems {
         // Which pre-pivots to sweep: zero-diagonal problems need one
@@ -243,7 +230,7 @@ fn main() {
             report.push(&format!("{}:zero_diag", p.name), zeros as f64);
         }
         // Observability self-check: one profiled pass through the
-        // scalar plan in order, leveled, and the supernodal plan; the
+        // scalar plan and the supernodal plan; the
         // attributed flops must reproduce the compile-time count
         // exactly (ratio 1.0, gated in CI).
         let accounting = profile_problem(p, &mut trace);
@@ -260,7 +247,7 @@ fn main() {
         let mut scaled_growth = 0.0f64;
         for &pre_pivot in pre_pivots {
             let mut natural_lu_nnz = 0usize;
-            for (oi, &ordering) in Ordering::ALL.iter().enumerate() {
+            for &ordering in &Ordering::ALL {
                 let t = std::time::Instant::now();
                 // The scalar serial tier, baked as the compiler bakes
                 // it: "plan serial" measures the column plan; the
@@ -395,29 +382,6 @@ fn main() {
                     "{}: baseline solve residual {residb}",
                     p.name
                 );
-                // The parallel numeric phase must reproduce the serial
-                // plan bitwise at every thread count. Leveling reuses
-                // the compiled plan — no second symbolic pass.
-                let par2 = lu.clone().leveled(2);
-                let par4 = lu.clone().leveled(4);
-                for par in [&par2, &par4] {
-                    let threads = par.n_threads();
-                    let fp = par.factor(&p.a).expect("parallel factors");
-                    for (x, y) in fp
-                        .l()
-                        .values()
-                        .iter()
-                        .chain(fp.u().values())
-                        .zip(f.l().values().iter().chain(f.u().values()))
-                    {
-                        assert_eq!(
-                            x.to_bits(),
-                            y.to_bits(),
-                            "{}: parallel ({threads} threads) must match serial bitwise",
-                            p.name
-                        );
-                    }
-                }
                 // The supernodal (VS-Block) engine must reproduce the
                 // same baseline factors — dense GETRF/TRSM/GEMM kernels
                 // reassociate the update sums, so bitwise identity is
@@ -468,8 +432,6 @@ fn main() {
                 });
                 let t_plan = time_lu_factorizer(|| lu.factor(&p.a).expect("factor"));
                 let t_sup = time_lu_factorizer(|| sup.factor(&p.a).expect("factor"));
-                let t_par2 = time_lu_factorizer(|| par2.factor(&p.a).expect("factor"));
-                let t_par4 = time_lu_factorizer(|| par4.factor(&p.a).expect("factor"));
                 let flops = lu.flops();
                 // Numerical-health monitors of the verified factor:
                 // pivot growth and the smallest pivot magnitude.
@@ -500,8 +462,6 @@ fn main() {
                 let lu_nnz = f.l().nnz() + f.u().nnz();
                 let speedup = t_coupled.as_secs_f64() / t_plan.as_secs_f64().max(1e-12);
                 let sup_speedup = t_coupled.as_secs_f64() / t_sup.as_secs_f64().max(1e-12);
-                let scaling = t_plan.as_secs_f64() / t_par4.as_secs_f64().max(1e-12);
-                scalings_by_ordering[oi].push(scaling);
                 // Gate entries. The historical names are reserved for
                 // the Off sweep; pre-pivoted runs gate under
                 // `:<prepivot>`-suffixed names plus the deterministic
@@ -586,12 +546,9 @@ fn main() {
                     format!("{} ({} wide)", sup.n_panels(), sup.n_wide_panels()),
                     format!("{detected_width:.2}"),
                     format!("{:.0}%", sup.dense_flop_share() * 100.0),
-                    format!("{:.3?}", t_par2),
-                    format!("{:.3?}", t_par4),
-                    format!("{scaling:.2}x"),
                     format!(
                         "{:.1}",
-                        par4.levels().expect("four threads level").avg_parallelism()
+                        dag_levels_from_preds(lu.n(), |j| lu.schedule(j)).avg_parallelism()
                     ),
                     format!("{:.3}", gflops(flops, t_plan)),
                     format!("{:.1e}", health.growth),
@@ -629,19 +586,11 @@ fn main() {
         geomean(&zd_speedups),
         zd_speedups.len()
     );
-    for (oi, &ordering) in Ordering::ALL.iter().enumerate() {
-        println!(
-            "geomean 4-thread scaling under {} (serial plan / 4T plan): {:.2}x",
-            ordering.label(),
-            geomean(&scalings_by_ordering[oi])
-        );
-    }
     println!(
         "all factor patterns + values verified against the identically pre-pivoted, \
          identically ordered, identically MC64-scaled baseline at a uniform strict \
          1e-10 (serial bitwise; supernodal via the growth-independent |PA-LU|/(|L||U|) \
          backward error); pivot growth < 1e2 on every weighted-matching combination; \
-         parallel factors bitwise-identical to serial at 2 and 4 threads; \
          zero-diagonal problems hard-fail without a pre-pivot and solve \
          the original systems with one"
     );

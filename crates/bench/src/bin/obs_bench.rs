@@ -1,11 +1,11 @@
 //! The telemetry overhead gate: proves the serving observability
 //! layer is effectively free and bit-exact before CI lets it ship.
 //!
-//! For each execution tier (serial, column-parallel `n_threads = 2`,
-//! supernodal VS-Block) and each input the compiler routes to that
-//! tier, the same cached request stream runs twice through a
-//! pre-warmed [`PlanCache`]. The scalar tiers run a circuit that
-//! COLAMD keeps fill-free (`circuit_fillfree_u`), the supernodal tier
+//! For each execution tier (serial scalar columns, supernodal
+//! VS-Block) and each input the compiler routes to that tier, the same
+//! cached request stream runs twice through a pre-warmed
+//! [`PlanCache`]. The scalar tier runs a circuit that COLAMD keeps
+//! fill-free (`circuit_fillfree_u`), the supernodal tier
 //! suite problems 1 and 3 in natural order; the table's `name` column
 //! (and `results/obs_bench.csv`) names each tier's input.
 //!
@@ -53,23 +53,21 @@ use sympiler_core::serve::{CacheConfig, PlanCache};
 use sympiler_core::{LuWorkspace, Ordering, Profiler, SympilerLu, SympilerOptions};
 use sympiler_obs::{Histogram, MetricsRegistry, MetricsSnapshot};
 
-/// The three configurations the bitwise contract spans — scalar
-/// columns in order, scalar columns leveled, supernodal panels — each
-/// with the options and inputs the compiler routes to it: under
+/// The two configurations the bitwise contract spans — scalar columns
+/// and supernodal panels — each with the options and inputs the
+/// compiler routes to it: under
 /// COLAMD the fill-free circuits compile scalar, and in natural order
 /// the `blocking` suite problems compile supernodal.
 fn tiers<'a>(
     fill_free: &'a [LuBenchProblem],
     blocking: &'a [LuBenchProblem],
-) -> [(&'static str, SympilerOptions, &'a [LuBenchProblem]); 3] {
-    let colamd = |n_threads| SympilerOptions {
+) -> [(&'static str, SympilerOptions, &'a [LuBenchProblem]); 2] {
+    let colamd = SympilerOptions {
         ordering: Ordering::Colamd,
-        n_threads,
         ..SympilerOptions::default()
     };
     [
-        ("serial", colamd(1), fill_free),
-        ("parallel", colamd(2), fill_free),
+        ("serial", colamd, fill_free),
         ("supernodal", SympilerOptions::default(), blocking),
     ]
 }
@@ -230,8 +228,8 @@ fn main() {
             // Each tier measures the engine it names.
             let lu = SympilerLu::compile(&p.a, &opts).expect("tier compile");
             assert_eq!(
-                (lu.is_supernodal(), lu.n_threads()),
-                (tier == "supernodal", opts.n_threads),
+                lu.is_supernodal(),
+                tier == "supernodal",
                 "{tier}/{}: the compiler picked another tier",
                 p.name
             );

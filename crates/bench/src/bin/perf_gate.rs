@@ -11,15 +11,14 @@
 //! the same process) and, for `lu_compare`, the per-ordering **fill
 //! gains** `nnz(L+U)_natural / nnz(L+U)_ordered` — deterministic
 //! structural ratios, so a COLAMD quality regression beyond the
-//! tolerance fails CI like any timing regression. Raw times and
-//! parallel-scaling numbers are deliberately *not* gated (they depend
-//! on core count and machine load) — they ride along in the uploaded
-//! artifact instead.
+//! tolerance fails CI like any timing regression. Raw times are
+//! deliberately *not* gated (they depend on core count and machine
+//! load) — they ride along in the uploaded artifact instead.
 //!
 //! When the results directory also carries observability traces
 //! (`PROFILE_<experiment>.json`, written by `lu_compare --profile`),
 //! each profile's flop-attribution gauges are re-verified from the
-//! JSON alone: `flops.serial`, `flops.parallel`, and
+//! JSON alone: `flops.serial` and
 //! `flops.supernodal_dense + flops.supernodal_scalar` must each equal
 //! `flops.plan` **exactly** — a deterministic accounting gate on the
 //! instrumentation layer itself.
@@ -62,7 +61,6 @@ fn check_profile_flops(path: &Path) -> Vec<String> {
         let g = |name: &str| profile.gauge(name).unwrap_or(-1.0);
         let tiers = [
             ("serial", g("flops.serial")),
-            ("parallel", g("flops.parallel")),
             (
                 "supernodal",
                 g("flops.supernodal_dense") + g("flops.supernodal_scalar"),

@@ -205,9 +205,6 @@ pub enum LuEngine {
     /// The Sympiler LU plan: symbolic analysis at compile time, numeric
     /// factorization only in the timed region (scalar serial columns).
     SympilerPlan,
-    /// The Sympiler LU plan with the level-scheduled parallel numeric
-    /// phase over the column elimination DAG at this worker count.
-    SympilerParallel { threads: usize },
     /// The supernodal (VS-Block) LU engine: wide column panels routed
     /// through dense GETRF/TRSM/GEMM kernels, singleton panels through
     /// the scalar column kernel.
@@ -220,9 +217,6 @@ impl LuEngine {
             LuEngine::GpluCoupled => "GPLU (coupled symbolic)",
             LuEngine::GpluPartial => "GPLU (partial pivoting)",
             LuEngine::SympilerPlan => "Sympiler LU plan (numeric)",
-            LuEngine::SympilerParallel { threads: 2 } => "Sympiler LU plan (2 threads)",
-            LuEngine::SympilerParallel { threads: 4 } => "Sympiler LU plan (4 threads)",
-            LuEngine::SympilerParallel { .. } => "Sympiler LU plan (parallel)",
             LuEngine::SympilerSupernodal => "Sympiler LU plan (supernodal)",
         }
     }
@@ -281,15 +275,11 @@ pub fn time_lu_engine_ordered(
             let plan = scalar_plan(p, ordering).with_position_tables(POSITION_MAX_OPS_PER_ENTRY);
             time_lu_factorizer(|| plan.factor(&p.a).expect("factor"))
         }
-        LuEngine::SympilerParallel { threads } => {
-            let plan = scalar_plan(p, ordering).leveled(threads);
-            time_lu_factorizer(|| plan.factor(&p.a).expect("factor"))
-        }
         LuEngine::SympilerSupernodal => {
             // Every detected panel dense.
             let plan = scalar_plan(p, ordering);
             let panels = SupernodalLuPlan::detect_panels(&plan, MAX_PANEL, RELAX_FILL, RELAX_COLS);
-            let sup = SupernodalLuPlan::from_panels(plan, panels, 1);
+            let sup = SupernodalLuPlan::from_panels(plan, panels);
             time_lu_factorizer(|| sup.factor(&p.a).expect("factor"))
         }
     }
@@ -400,23 +390,11 @@ mod tests {
                 LuEngine::GpluCoupled,
                 LuEngine::GpluPartial,
                 LuEngine::SympilerPlan,
-                LuEngine::SympilerParallel { threads: 2 },
+                LuEngine::SympilerSupernodal,
             ] {
                 assert!(time_lu_engine(p, e).as_nanos() > 0, "{}", e.label());
             }
             assert!(lu_flops(p) > 0);
-            // The parallel engine must agree with the serial plan.
-            let opts = SympilerOptions {
-                n_threads: 4,
-                ..Default::default()
-            };
-            let par = SympilerLu::compile(&p.a, &opts)
-                .unwrap()
-                .factor(&p.a)
-                .unwrap();
-            for (x, y) in par.u().values().iter().zip(f.u().values()) {
-                assert_eq!(x.to_bits(), y.to_bits(), "{}", p.name);
-            }
         }
     }
 
@@ -441,7 +419,7 @@ mod tests {
             for e in [
                 LuEngine::GpluCoupled,
                 LuEngine::SympilerPlan,
-                LuEngine::SympilerParallel { threads: 2 },
+                LuEngine::SympilerSupernodal,
             ] {
                 assert!(
                     time_lu_engine_ordered(p, e, ordering).as_nanos() > 0,

@@ -34,10 +34,9 @@ pub use sympiler_graph::transversal::PrePivot;
 /// [`CholPlan::build`], [`TriSolvePlan::build`]).
 ///
 /// The LU pipeline's compile-time knobs compose: a static pre-pivot
-/// ([`Self::pre_pivot`]) makes the diagonal usable, a fill-reducing
-/// ordering ([`Self::ordering`]) shrinks the factors, and
-/// [`Self::n_threads`] levels the numeric engine the compiler picked —
-/// all resolved once per pattern.
+/// ([`Self::pre_pivot`]) makes the diagonal usable and a fill-reducing
+/// ordering ([`Self::ordering`]) shrinks the factors — both resolved
+/// once per pattern.
 ///
 /// ```
 /// use sympiler_core::{Ordering, PrePivot, SympilerLu, SympilerOptions};
@@ -56,25 +55,27 @@ pub use sympiler_graph::transversal::PrePivot;
 /// assert!(sympiler_sparse::ops::rel_residual(&a, &x, &vec![1.0; 48]) < 1e-10);
 /// ```
 ///
-/// Plan-cache identity is the 5 fields that change the plan
-/// [`SympilerLu::compile`] builds (`n_threads`, `ordering`,
-/// `mc64_scale`, `pre_pivot`, `pivot_perturb`), each normalised to the
-/// plan it compiles (`n_threads` 0 is 1, `pivot_perturb` −0.0 is 0.0):
+/// Plan-cache identity is the 4 fields that change the plan
+/// [`SympilerLu::compile`] builds (`ordering`, `mc64_scale`,
+/// `pre_pivot`, `pivot_perturb`), each normalised to the plan it
+/// compiles (`pivot_perturb` −0.0 is 0.0):
 /// a [`crate::serve::PlanCache`] entry matches a request only when
 /// those compare equal to the ones the entry was compiled with (the
 /// structural hash alone is not trusted).
 /// Requests that differ only elsewhere share one plan:
+/// [`Self::n_threads`] no longer changes the plan,
 /// [`Self::recovery`] is read while a request runs and never reaches
 /// `compile`, and the cache compiles every entry with
 /// [`Self::profile`] off, recording onto its own profiler instead.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SympilerOptions {
-    /// Worker threads for the LU numeric phase. `1` (the default; `0`
-    /// means the same) walks columns (or panels) in order on the
-    /// calling thread; higher values level the column elimination DAG
-    /// (or the panel DAG, on the supernodal tier) and bake
-    /// cost-balanced per-thread chunks
-    /// ([`crate::plan::level_schedule::LevelSchedule`]).
+    /// Accepted and ignored: an LU factorization runs on the calling
+    /// thread at every value, and [`SympilerLu::compile`] builds the
+    /// same plan for all of them. Parallelism is across requests, one
+    /// factorization per [`crate::serve::FactorService`] worker. On the
+    /// machines measured, a level-scheduled numeric phase made every
+    /// benchmark pattern slower (ARCHITECTURE.md, "Why one thread per
+    /// factor"); the field stays so existing callers keep compiling.
     pub n_threads: usize,
     /// Fill-reducing ordering for the LU pipeline, computed once at
     /// inspection time and baked into the plan (applied symmetrically,
@@ -83,10 +84,9 @@ pub struct SympilerOptions {
     /// the compiled pattern contract is per-matrix and callers may
     /// already order upstream; [`Ordering::Colamd`] is the recommended
     /// setting for unordered unsymmetric systems, cutting both fill
-    /// (numeric flops) and elimination-DAG depth (what the parallel
-    /// executor scales on). Every computed ordering (`Rcm`, `Colamd`)
-    /// is postordered by the elimination tree of the symmetrized
-    /// permuted pattern before it is baked
+    /// (numeric flops) and elimination-DAG depth. Every computed
+    /// ordering (`Rcm`, `Colamd`) is postordered by the elimination
+    /// tree of the symmetrized permuted pattern before it is baked
     /// ([`sympiler_graph::ordering::postorder_by_etree`]): fill, flops
     /// and the elimination DAG are unchanged, etree subtrees become
     /// contiguous, and panel detection finds wider panels on them.
@@ -116,8 +116,8 @@ pub struct SympilerOptions {
     /// permutation rides the same baked gather maps as the ordering.
     pub pre_pivot: PrePivot,
     /// Attach an enabled [`sympiler_obs::Profiler`] to the compiled LU
-    /// plan: compile stages, numeric-phase spans (per-level work,
-    /// barriers, dense panel kernels), kernel counters, and
+    /// plan: compile stages, numeric-phase spans (the factor, its dense
+    /// panel kernels), kernel counters, and
     /// numerical-health gauges all land on one trace, retrievable via
     /// [`SympilerLu::profiler`]. `false` (the default) compiles a
     /// disabled profiler whose hooks are single-branch no-ops — the
@@ -174,7 +174,6 @@ impl Default for SympilerOptions {
 /// [`crate::serve::PlanCache`] compares it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub(crate) struct CompileKey {
-    n_threads: usize,
     ordering: Ordering,
     mc64_scale: bool,
     pre_pivot: PrePivot,
@@ -189,7 +188,8 @@ impl SympilerOptions {
     /// dropped, like `recovery`).
     pub(crate) fn compile_key(&self) -> CompileKey {
         let Self {
-            n_threads,
+            // Every thread count compiles one serial plan.
+            n_threads: _,
             ordering,
             mc64_scale,
             pre_pivot,
@@ -211,8 +211,6 @@ impl SympilerOptions {
                 },
         } = *self;
         CompileKey {
-            // `compile` runs 0 threads as 1.
-            n_threads: n_threads.max(1),
             ordering,
             mc64_scale,
             pre_pivot,
@@ -386,8 +384,7 @@ pub struct SympilerLu {
 }
 
 /// The item kernel [`SympilerLu::compile`] selects from the panels it
-/// detects; either runs in index order or, with
-/// [`SympilerOptions::n_threads`] `> 1`, leveled over its DAG.
+/// detects; either runs in index order on the calling thread.
 #[derive(Debug, Clone)]
 enum LuExec {
     /// Scalar columns.
@@ -412,11 +409,8 @@ impl SympilerLu {
     /// static row pre-pivot and fill-reducing ordering computed at
     /// inspection time and baked into the plan ([`LuPlan::build`]);
     /// `factor` still takes the original matrix, and
-    /// [`LuFactor::solve`] speaks original coordinates. With
-    /// `n_threads > 1` the numeric phase is additionally leveled over
-    /// the column elimination DAG (the panel DAG on the supernodal
-    /// tier) and executed by that many workers — results stay bitwise
-    /// identical to the one-thread plan of the same tier.
+    /// [`LuFactor::solve`] speaks original coordinates. `n_threads` is
+    /// not read: every value compiles this one plan.
     ///
     /// ```
     /// use sympiler_core::{Ordering, SympilerLu, SympilerOptions};
@@ -438,7 +432,6 @@ impl SympilerLu {
     /// [`DENSE_PANEL_MIN_FLOPS_PER_ENTRY`]: crate::plan::lu_supernodal::DENSE_PANEL_MIN_FLOPS_PER_ENTRY
     pub fn compile(a: &CscMatrix, opts: &SympilerOptions) -> Result<Self, LuPlanError> {
         let plan = LuPlan::build(a, opts)?;
-        let n_threads = opts.n_threads.max(1);
         // Supernodal tier. Panel detection runs once; every wide panel
         // too thin to pay for the dense path is dissolved into scalar
         // columns, and the tier engages only if a dense panel survives
@@ -453,18 +446,16 @@ impl SympilerLu {
         // Fewer panels than columns ⇔ a wide panel survived.
         let panels = (kept.part.n_supernodes() < plan.n()).then_some(kept);
         let exec = match panels {
-            Some(panels) => LuExec::Supernodal(Box::new(SupernodalLuPlan::from_panels(
-                plan, panels, n_threads,
-            ))),
-            // In-order columns alone can use the position-addressed
-            // walker: its tables are baked here, where the pattern
-            // keeps them small ([`POSITION_MAX_OPS_PER_ENTRY`]);
-            // otherwise, and leveled, they run the accumulator kernel.
-            None => LuExec::Scalar(Box::new(if n_threads == 1 {
-                plan.with_position_tables(POSITION_MAX_OPS_PER_ENTRY)
-            } else {
-                plan.leveled(n_threads)
-            })),
+            Some(panels) => {
+                LuExec::Supernodal(Box::new(SupernodalLuPlan::from_panels(plan, panels)))
+            }
+            // Scalar columns run the position-addressed walker where
+            // the pattern keeps its tables small
+            // ([`POSITION_MAX_OPS_PER_ENTRY`]), the accumulator kernel
+            // otherwise.
+            None => LuExec::Scalar(Box::new(
+                plan.with_position_tables(POSITION_MAX_OPS_PER_ENTRY),
+            )),
         };
         Ok(Self { exec })
     }
@@ -485,9 +476,7 @@ impl SympilerLu {
     /// allocation: the dense accumulator on the scalar tier (none at
     /// all, and the workspace untouched, when the plan carries position
     /// tables); the block accumulator, solve block and trapezoid arena
-    /// on the supernodal tier. Plans compiled for `n_threads > 1` run
-    /// their first lane against the workspace and allocate the scratch
-    /// of every further lane per call.
+    /// on the supernodal tier.
     pub fn factor_with(
         &self,
         a: &CscMatrix,
@@ -518,21 +507,13 @@ impl SympilerLu {
         }
     }
 
-    /// Worker threads the numeric phase was compiled for.
-    pub fn n_threads(&self) -> usize {
-        match &self.exec {
-            LuExec::Scalar(plan) => plan.n_threads(),
-            LuExec::Supernodal(sup) => sup.n_threads(),
-        }
-    }
-
     /// True when the supernodal (VS-Block) engine was compiled in.
     pub fn is_supernodal(&self) -> bool {
         matches!(self.exec, LuExec::Supernodal(_))
     }
 
     /// The compiled supernodal plan, when the supernodal engine is the
-    /// selected executor (panel statistics, panel-DAG schedule).
+    /// selected executor (panel statistics, panel update schedule).
     pub fn supernodal(&self) -> Option<&crate::plan::lu_supernodal::SupernodalLuPlan> {
         match &self.exec {
             LuExec::Supernodal(sup) => Some(sup),
@@ -546,7 +527,7 @@ impl SympilerLu {
     }
 
     /// Resident bytes of the compiled tables for the tier actually
-    /// executing, level schedule included — the supernodal tier adds
+    /// executing — the supernodal tier adds
     /// its panel layouts (amalgamation padding included) and update
     /// schedule on top of the scalar plan's tables.
     pub fn table_bytes(&self) -> usize {
@@ -814,7 +795,7 @@ mod tests {
             "default amalgamation budget blocks the grid"
         );
         let f_scalar = plan.factor(&g).unwrap();
-        let forced = SupernodalLuPlan::from_panels(plan, strict, 1);
+        let forced = SupernodalLuPlan::from_panels(plan, strict);
         assert!(forced.n_wide_panels() > 0);
         let f_forced = forced.factor(&g).unwrap();
         for (x, y) in f_forced.u().values().iter().zip(f_scalar.u().values()) {
@@ -857,74 +838,68 @@ mod tests {
         }
     }
 
-    #[test]
-    fn lu_ordering_combines_with_parallel_executor_bitwise() {
-        let a = gen::circuit_unsym(90, 4, 2, 17);
-        for ordering in [Ordering::Rcm, Ordering::Colamd] {
-            let serial = SympilerLu::compile(
-                &a,
-                &SympilerOptions {
-                    ordering,
-                    ..Default::default()
-                },
-            )
-            .unwrap();
-            let f_s = serial.factor(&a).unwrap();
-            for threads in [2usize, 4] {
-                let par = SympilerLu::compile(
-                    &a,
-                    &SympilerOptions {
-                        ordering,
-                        n_threads: threads,
-                        ..Default::default()
-                    },
-                )
-                .unwrap();
-                let f_p = par.factor(&a).unwrap();
-                for (x, y) in f_s
-                    .l()
-                    .values()
-                    .iter()
-                    .chain(f_s.u().values())
-                    .zip(f_p.l().values().iter().chain(f_p.u().values()))
-                {
-                    assert_eq!(
-                        x.to_bits(),
-                        y.to_bits(),
-                        "{ordering:?} @ {threads}T must stay bitwise serial"
-                    );
-                }
-            }
-        }
+    /// Bitwise image of a factor's values and of its answers to one
+    /// right-hand side through `solve`, `solve_batch` and
+    /// `solve_refined`.
+    fn factor_and_solve_bits(lu: &SympilerLu, a: &CscMatrix) -> Vec<u64> {
+        let f = lu.factor(a).unwrap();
+        let b: Vec<f64> = (0..a.n_cols()).map(|i| 1.0 + (i % 5) as f64).collect();
+        let batch = f.solve_batch(&[&b[..]]).remove(0);
+        let (refined, _) = f.solve_refined(a, &b, 0.0, 2);
+        f.l()
+            .values()
+            .iter()
+            .chain(f.u().values())
+            .chain(&f.solve(&b))
+            .chain(&batch)
+            .chain(&refined)
+            .map(|v| v.to_bits())
+            .collect()
     }
 
     #[test]
-    fn lu_n_threads_knob_selects_parallel_executor() {
-        let a = gen::circuit_unsym(60, 4, 2, 8);
-        let serial = SympilerLu::compile(&a, &SympilerOptions::default()).unwrap();
-        assert_eq!(serial.n_threads(), 1);
-        let opts = SympilerOptions {
-            n_threads: 4,
-            ..Default::default()
-        };
-        let par = SympilerLu::compile(&a, &opts).unwrap();
-        assert_eq!(par.n_threads(), 4);
-        // Identical symbolic products and bitwise-identical factors.
-        assert_eq!(par.flops(), serial.flops());
-        let f_s = serial.factor(&a).unwrap();
-        let f_p = par.factor(&a).unwrap();
-        for (x, y) in f_s
-            .l()
-            .values()
-            .iter()
-            .chain(f_s.u().values())
-            .zip(f_p.l().values().iter().chain(f_p.u().values()))
-        {
-            assert_eq!(
-                x.to_bits(),
-                y.to_bits(),
-                "thread count must not change bits"
-            );
+    fn every_thread_count_compiles_one_plan() {
+        // `n_threads` reaches neither the plan nor the cache key: every
+        // value compiles the same tier, factors and solves to the bit
+        // and files one `PlanCache` entry — on a scalar pattern (both
+        // walkers, by ordering) and a supernodal one.
+        use crate::serve::{structural_hash, CacheConfig, PlanCache};
+        let circuit = gen::circuit_unsym(90, 4, 2, 17);
+        let grid = gen::convection_diffusion_2d(8, 8, 1.0, 6);
+        for (a, ordering) in [
+            (&circuit, Ordering::Natural),
+            (&circuit, Ordering::Colamd),
+            (&grid, Ordering::Colamd),
+        ] {
+            let cache = PlanCache::new(CacheConfig::default());
+            let opts = |n_threads| SympilerOptions {
+                n_threads,
+                ordering,
+                ..Default::default()
+            };
+            let one = SympilerLu::compile(a, &opts(1)).unwrap();
+            let expect = factor_and_solve_bits(&one, a);
+            let first = cache.get_or_compile(a, &opts(0)).unwrap();
+            for n_threads in [0, 1, 2, 8] {
+                let lu = SympilerLu::compile(a, &opts(n_threads)).unwrap();
+                assert_eq!(lu.is_supernodal(), one.is_supernodal());
+                assert_eq!(lu.table_bytes(), one.table_bytes());
+                assert_eq!(
+                    factor_and_solve_bits(&lu, a),
+                    expect,
+                    "{ordering:?} @ {n_threads} threads"
+                );
+                assert_eq!(structural_hash(a, &opts(n_threads)), first.key());
+                let cached = cache.get_or_compile(a, &opts(n_threads)).unwrap();
+                assert!(std::sync::Arc::ptr_eq(&cached, &first));
+            }
+            assert_eq!((cache.len(), cache.stats().misses), (1, 1));
         }
+        assert!(
+            SympilerLu::compile(&grid, &SympilerOptions::default())
+                .unwrap()
+                .is_supernodal(),
+            "the grid covers the panel tier"
+        );
     }
 }

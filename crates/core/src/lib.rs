@@ -15,10 +15,9 @@
 //!    Rust loops, with **VI-Prune**, **VS-Block** and the low-level
 //!    transformations (peeling, unrolled specialized kernels) applied
 //!    while the plan is packed. The plan is this reproduction's
-//!    generated code. The LU plans additionally execute
-//!    level-scheduled across threads through one scheduler and walker,
-//!    [`plan::level_schedule`] (the column elimination DAG, or the
-//!    panel DAG of the supernodal plan).
+//!    generated code. A factorization runs on the calling thread;
+//!    parallelism is across requests, in the [`serve`] layer's
+//!    workers.
 //! 3. [`compile`] — the user-facing driver:
 //!    [`compile::SympilerTriSolve`], [`compile::SympilerCholesky`] and
 //!    [`compile::SympilerLu`].
@@ -29,6 +28,13 @@
 //! [`emit`] holds the one C emitter, the matrix-specialized triangular
 //! solve of Figure 1e — the paper's output artifact, golden-tested and
 //! built and run with `cc` by `tests/fig1_golden.rs`.
+//!
+//! Every numeric kernel walks its items in an order where each item's
+//! inputs sit at lower offsets of the value arrays than its outputs,
+//! so safe borrows express the whole crate, and the crate-level
+//! `forbid` below keeps it that way.
+
+#![forbid(unsafe_code)]
 
 pub mod compile;
 pub mod emit;

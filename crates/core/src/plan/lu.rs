@@ -26,20 +26,18 @@
 //!   cost, and [`LuFactor::solve`] still speaks the original
 //!   coordinates.
 //!
-//! Two numeric kernels walk one plan and produce `to_bits`-identical
-//! factors. The **accumulator kernel** (`LuPlan::column_numeric`)
-//! scatters a column of `A` into a dense vector, applies the schedule,
-//! gathers `U` and `L` and clears; the one walker of
-//! [`super::level_schedule`] runs it column by column, in order or —
-//! after [`LuPlan::leveled`] — level by level over the column
-//! elimination DAG across threads. The **position-addressed walker**
-//! (the `positions` module, [`LuPlan::with_position_tables`]) resolves
-//! every index at compile time instead and runs the column DAG level
-//! by level as flat streams, for one thread only; its factors solve by
-//! level-grouped row streams baked beside it. Its tables cost 12 bytes
-//! per multiply-add plus about 11 per factor entry, so
-//! [`crate::SympilerLu`] bakes them only on patterns with at most
-//! [`POSITION_MAX_OPS_PER_ENTRY`] multiply-adds per factor entry.
+//! Two numeric kernels walk one plan, in column order on the calling
+//! thread, and produce `to_bits`-identical factors. The **accumulator
+//! kernel** (`LuPlan::column_numeric`) scatters a column of `A` into a
+//! dense vector, applies the schedule, gathers `U` and `L` and clears.
+//! The **position-addressed walker** (the `positions` module,
+//! [`LuPlan::with_position_tables`]) resolves every index at compile
+//! time instead and runs the column DAG level by level as flat
+//! streams; its factors solve by level-grouped row streams baked beside
+//! it. Its tables cost 12 bytes per multiply-add plus about 11 per
+//! factor entry, so [`crate::SympilerLu`] bakes them only on patterns
+//! with at most [`POSITION_MAX_OPS_PER_ENTRY`] multiply-adds per factor
+//! entry.
 
 mod error;
 mod factor;
@@ -51,7 +49,6 @@ pub use factor::LuFactor;
 pub use positions::POSITION_MAX_OPS_PER_ENTRY;
 pub use workspace::LuWorkspace;
 
-use super::level_schedule::{walk, LaneScratch, LevelSchedule, SharedValues, WalkLabels};
 use super::pattern::CompiledPattern;
 use super::tri::PEEL_COL_COUNT;
 use crate::compile::SympilerOptions;
@@ -77,8 +74,8 @@ pub(crate) enum PivotStatus {
 }
 
 impl PivotStatus {
-    /// The outcome of column `j` as the walker's item kernels report
-    /// it: a perturbed column joins `perturbed`, a failed one is
+    /// The outcome of column `j` as the in-order loops of both tiers
+    /// record it: a perturbed column joins `perturbed`, a failed one is
     /// returned (`usize::MAX` when the pivot was usable).
     pub(crate) fn report(self, j: usize, perturbed: &mut Vec<usize>) -> usize {
         match self {
@@ -297,10 +294,6 @@ pub struct LuPlan {
     /// Baked positions for the accumulator-free walker, present only
     /// after [`Self::with_position_tables`] admitted the pattern.
     positions: Option<positions::PositionTables>,
-    /// The column elimination DAG leveled over worker threads, present
-    /// only after [`Self::leveled`]: the accumulator kernel then runs
-    /// level by level instead of in column order.
-    levels: Option<LevelSchedule>,
     report: SymbolicReport,
     /// The observability sink every numeric phase built from this plan
     /// records into. Disabled (a no-op) unless the plan was compiled
@@ -321,9 +314,9 @@ impl LuPlan {
     /// [`pivot_perturb`](SympilerOptions::pivot_perturb) (a negative,
     /// NaN or infinite value is a [`LuPlanError::BadInput`]) and
     /// [`profile`](SympilerOptions::profile); the execution tier
-    /// (`n_threads`, and whether panels go dense) belongs to
+    /// (whether panels go dense) belongs to
     /// [`crate::SympilerLu::compile`], which calls this and then
-    /// [`Self::leveled`], [`Self::with_position_tables`] or
+    /// [`Self::with_position_tables`] or
     /// [`super::lu_supernodal::SupernodalLuPlan::from_panels`] — the
     /// calls that force a tier on any pattern.
     ///
@@ -495,7 +488,6 @@ impl LuPlan {
             peel_above: PEEL_COL_COUNT,
             flops,
             positions: None,
-            levels: None,
             report: SymbolicReport::default(),
             profiler,
         };
@@ -847,43 +839,31 @@ impl LuPlan {
         }
     }
 
-    /// The accumulator kernel — the per-column numeric solve every
-    /// executor can run: scatter `A(:, j)`, apply the update schedule in
-    /// topological order, gather `U(:, j)`/`L(:, j)` through the fixed
-    /// layouts, and clear the accumulator back to zero. `thresh` is
-    /// the absolute pivot-perturbation threshold for this
-    /// factorization ([`Self::perturb_threshold`]); a pivot below it
-    /// is replaced by the signed threshold and reported as
-    /// [`PivotStatus::Perturbed`]. Returns [`PivotStatus::Zero`] on a
-    /// zero pivot with perturbation off; the column's values are still
-    /// written (division by zero is IEEE-defined), so a parallel
-    /// caller may keep going and report the error after the fact.
+    /// The accumulator kernel — the per-column numeric solve of the
+    /// scalar tier and of the supernodal tier's singleton panels:
+    /// scatter `A(:, j)`, apply the update schedule in topological
+    /// order, gather `U(:, j)`/`L(:, j)` through the fixed layouts, and
+    /// clear the accumulator back to zero. `thresh` is the absolute
+    /// pivot-perturbation threshold for this factorization
+    /// ([`Self::perturb_threshold`]); a pivot below it is replaced by
+    /// the signed threshold and reported as [`PivotStatus::Perturbed`].
+    /// Returns [`PivotStatus::Zero`] on a zero pivot with perturbation
+    /// off; the column's values are still written (division by zero is
+    /// IEEE-defined).
     ///
-    /// Keeping this in one place is what makes the leveled plan
-    /// **bitwise deterministic**: every walk performs the exact same
-    /// operation sequence per column, whatever the thread count.
-    ///
-    /// # Safety
-    /// `lx` and `ux` must point to the plan's full factor value arrays
-    /// (`l_nnz()` / `u_nnz()` elements). The caller must guarantee that
-    /// (a) no other thread accesses column `j`'s value ranges during
-    /// the call, and (b) every update column scheduled for `j` has been
-    /// fully written and synchronized before the call. The walker of
-    /// [`super::level_schedule`] provides both: in index order
-    /// trivially, and over a [`LevelSchedule`] built from
-    /// [`Self::schedule`] by the four facts `LevelSchedule::validate`
-    /// checks — `j` sits in one level and one worker's chunk of it (a),
-    /// its update columns in strictly earlier levels, and a barrier
-    /// separates two levels unless worker 0 owns both wholesale (b).
-    /// `x` must be an all-zeros dense accumulator of length `n`
-    /// (restored to zeros before returning).
-    pub(crate) unsafe fn column_numeric(
+    /// `lx` and `ux` are the full factor value arrays (`l_nnz()` /
+    /// `u_nnz()` elements), with every column of `j`'s schedule already
+    /// written: each schedule column sits at a lower offset of `lx` than
+    /// `j`, so the reads and the writes are sequential borrows. `x` must
+    /// be an all-zeros dense accumulator of length `n` (restored to
+    /// zeros before returning).
+    pub(crate) fn column_numeric(
         &self,
         j: usize,
         a: &CscMatrix,
         x: &mut [f64],
-        lx: *mut f64,
-        ux: *mut f64,
+        lx: &mut [f64],
+        ux: &mut [f64],
         thresh: f64,
     ) -> PivotStatus {
         // Scatter A(:, j) (fixed pattern, numeric-only). Under a baked
@@ -902,10 +882,7 @@ impl LuPlan {
             let xk = x[k];
             let range = st.l_col_ptr[k] + 1..st.l_col_ptr[k + 1];
             let rows = &st.l_row_idx[range.clone()];
-            // SAFETY: column k precedes j in the schedule, so by the
-            // caller's contract its values are final and no thread
-            // writes them concurrently.
-            let vals = std::slice::from_raw_parts(lx.add(range.start), range.len());
+            let vals = &lx[range];
             if rows.len() > self.peel_above {
                 // Peeled tier: no zero guard (the reach set
                 // guarantees structural work), unrolled by two.
@@ -927,10 +904,13 @@ impl LuPlan {
             }
         }
         // Gather U(:, j) through the fixed layout; diagonal last.
-        for p in u_range.clone() {
-            *ux.add(p) = x[st.u_row_idx[p] as usize];
+        let u_rows = &st.u_row_idx[u_range.clone()];
+        let u_vals = &mut ux[u_range];
+        for (v, &r) in u_vals.iter_mut().zip(u_rows) {
+            *v = x[r as usize];
         }
-        let mut pivot = *ux.add(u_range.end - 1);
+        let pivot_slot = u_vals.last_mut().expect("U(:, j) holds its diagonal");
+        let mut pivot = *pivot_slot;
         let mut status = PivotStatus::Clean;
         // Static perturbation: with thresh == 0.0 (perturbation off)
         // the strict `<` can never hold, so this branch compiles to
@@ -941,23 +921,24 @@ impl LuPlan {
             } else {
                 thresh
             };
-            *ux.add(u_range.end - 1) = pivot;
+            *pivot_slot = pivot;
             status = PivotStatus::Perturbed;
         } else if pivot == 0.0 {
             status = PivotStatus::Zero;
         }
         // Gather L(:, j): unit diagonal, scaled sub-diagonal.
         let l_range = st.l_col_ptr[j]..st.l_col_ptr[j + 1];
-        *lx.add(l_range.start) = 1.0;
-        for p in l_range.start + 1..l_range.end {
-            *lx.add(p) = x[st.l_row_idx[p] as usize] / pivot;
+        let l_rows = &st.l_row_idx[l_range.start + 1..l_range.end];
+        let (l_diag, l_sub) = lx[l_range]
+            .split_first_mut()
+            .expect("L(:, j) holds its diagonal");
+        *l_diag = 1.0;
+        for (v, &r) in l_sub.iter_mut().zip(l_rows) {
+            *v = x[r as usize] / pivot;
         }
         // Clear the accumulator (touch only the column's pattern).
-        for p in u_range {
-            x[st.u_row_idx[p] as usize] = 0.0;
-        }
-        for p in l_range.start + 1..l_range.end {
-            x[st.l_row_idx[p] as usize] = 0.0;
+        for &r in u_rows.iter().chain(l_rows) {
+            x[r as usize] = 0.0;
         }
         status
     }
@@ -985,8 +966,7 @@ impl LuPlan {
     /// workspace only replaces the accumulator allocation, never the
     /// operation order. A plan carrying position tables
     /// ([`Self::with_position_tables`]) needs no accumulator and leaves
-    /// `ws` untouched; a [`Self::leveled`] plan runs its first lane
-    /// against `ws` and allocates one accumulator per further lane.
+    /// `ws` untouched.
     pub fn factor_with(
         &self,
         a: &CscMatrix,
@@ -1000,15 +980,12 @@ impl LuPlan {
         // execute the same numeric loop and produce bitwise-identical
         // factors.
         let prof = &*self.profiler;
+        let span = prof.begin(0, "factor:serial");
         let walked = match &self.positions {
-            Some(tables) => {
-                let span = prof.begin(0, "factor:serial");
-                let walked = self.walk_positions(tables, a, &mut vals, thresh);
-                prof.end_with(span, &[("flops", self.flops as f64)]);
-                walked
-            }
+            Some(tables) => self.walk_positions(tables, a, &mut vals, thresh),
             None => self.walk_accumulator(a, ws.ensure(self.n), &mut vals, thresh),
         };
+        prof.end_with(span, &[("flops", self.flops as f64)]);
         let columns = walked?;
         if prof.is_enabled() {
             prof.counter("flops.scalar").add(self.flops);
@@ -1024,10 +1001,9 @@ impl LuPlan {
         ))
     }
 
-    /// The accumulator kernel over every column through the one walker
-    /// — in column order, or over the level schedule of a
-    /// [`Self::leveled`] plan; `x` is the first lane's accumulator.
-    /// Returns the perturbed columns.
+    /// The accumulator kernel over every column, in order, against the
+    /// all-zeros accumulator `x`. Returns the perturbed columns,
+    /// ascending, or stops at the first zero pivot.
     fn walk_accumulator(
         &self,
         a: &CscMatrix,
@@ -1036,83 +1012,15 @@ impl LuPlan {
         thresh: f64,
     ) -> Result<Vec<usize>, LuPlanError> {
         let (lx, ux) = vals.split_at_mut(self.l_nnz());
-        let values = SharedValues {
-            lx: lx.as_mut_ptr(),
-            ux: ux.as_mut_ptr(),
-            sx: std::ptr::null_mut(),
-        };
-        let labels = WalkLabels {
-            span: match self.levels {
-                Some(_) => "factor:parallel",
-                None => "factor:serial",
-            },
-            lanes: "par",
-            flops: self.flops,
-        };
-        let scratch = LaneScratch { x, bt: &mut [] };
-        let levels = self.levels.as_ref();
-        let prof = &self.profiler;
-        walk(
-            levels,
-            self.n,
-            prof,
-            labels,
-            &values,
-            scratch,
-            |j, _lane, values, scratch, perturbed| {
-                // SAFETY: `values` points at the two halves of a full
-                // value array that outlives the walk. The walk runs
-                // each column exactly once, and only after every column
-                // of its schedule — the predecessors `leveled` built
-                // the level schedule from, all smaller indices for the
-                // in-order walk — is final and synchronized
-                // (`SharedValues`); the lane's accumulator is all zeros
-                // between columns.
-                let status =
-                    unsafe { self.column_numeric(j, a, scratch.x, values.lx, values.ux, thresh) };
-                status.report(j, perturbed)
-            },
-        )
-        .map_err(|column| LuPlanError::ZeroPivot { column })
-    }
-
-    /// Level the column elimination DAG over `n_threads` workers: the
-    /// numeric phase then runs the accumulator kernel level by level
-    /// ([`LevelSchedule`]) instead of in column order, with factors
-    /// bitwise identical to the in-order plan's at any thread count.
-    /// Pure schedule re-arrangement — no symbolic analysis re-runs: the
-    /// DAG is read straight off [`Self::schedule`], the per-column
-    /// costs off the layouts. Position tables are dropped (they resolve
-    /// the in-order walk only). One thread is the in-order plan: no
-    /// schedule is built and nothing is dropped.
-    ///
-    /// This is where orderings pay twice: less fill means fewer numeric
-    /// flops, and the reordered DAG is shallower and bushier, so the
-    /// leveling finds real concurrency where the natural order yields
-    /// near-chains.
-    pub fn leveled(mut self, n_threads: usize) -> Self {
-        assert!(n_threads >= 1, "need at least one thread");
-        if n_threads == 1 {
-            self.levels = None;
-            return self;
+        let mut perturbed = Vec::new();
+        for j in 0..self.n {
+            let status = self.column_numeric(j, a, x, lx, ux, thresh);
+            let column = status.report(j, &mut perturbed);
+            if column != usize::MAX {
+                return Err(LuPlanError::ZeroPivot { column });
+            }
         }
-        let costs = self.per_column_costs(&self.per_column_flops());
-        let levels = LevelSchedule::build(self.n, n_threads, |j| self.schedule(j), &costs);
-        self.levels = Some(levels);
-        self.positions = None;
-        self
-    }
-
-    /// The level schedule of a [`Self::leveled`] plan; `None` for a
-    /// plan that walks its columns in order.
-    pub fn levels(&self) -> Option<&LevelSchedule> {
-        self.levels.as_ref()
-    }
-
-    /// Threads the numeric phase runs on: the level schedule's worker
-    /// count, 1 without one.
-    pub fn n_threads(&self) -> usize {
-        self.levels.as_ref().map_or(1, LevelSchedule::n_threads)
+        Ok(perturbed)
     }
 
     /// Factor a batch of **same-pattern** matrices, one after another
@@ -1155,8 +1063,7 @@ impl LuPlan {
     /// Resident size, in bytes, of the compiled tables this plan keeps
     /// alive: factor layouts, the pattern copy backing
     /// [`Self::factor`]'s pattern check, permutation maps, and
-    /// the walker's position tables when baked, and the level schedule
-    /// of a [`Self::leveled`] plan. This is the footprint a plan cache
+    /// and the walker's position tables when baked. This is the footprint a plan cache
     /// charges an entry for — factor *values* are per-call and not
     /// counted.
     pub fn table_bytes(&self) -> usize {
@@ -1182,25 +1089,7 @@ impl LuPlan {
         if let Some(tables) = &self.positions {
             bytes += tables.bytes();
         }
-        if let Some(levels) = &self.levels {
-            bytes += levels.bytes();
-        }
         bytes
-    }
-
-    /// Per-column cost model for balancing the parallel numeric phase:
-    /// the column's exact flops ([`Self::per_column_flops`], passed in
-    /// so a caller that needs both computes them once) plus its
-    /// pattern size (memory traffic of the scatter/gather), so
-    /// structurally trivial columns still carry nonzero weight.
-    pub(crate) fn per_column_costs(&self, col_flops: &[u64]) -> Vec<u64> {
-        let st = &*self.structure;
-        let pattern = |j: usize| {
-            st.l_col_ptr[j + 1] - st.l_col_ptr[j] + st.u_col_ptr[j + 1] - st.u_col_ptr[j]
-        };
-        (0..self.n)
-            .map(|j| col_flops[j] + pattern(j) as u64)
-            .collect()
     }
 }
 

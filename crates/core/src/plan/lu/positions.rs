@@ -656,22 +656,18 @@ impl LuPlan {
     /// pattern admits them: positions fit `u32` and the schedule holds
     /// at most `max_ops_per_entry` multiply-adds per entry of `L + U`
     /// (else the plan is returned as it came and keeps the accumulator
-    /// kernel — as is a [`Self::leveled`] plan, whose columns run on
-    /// its own schedule). [`crate::SympilerLu::compile`] calls this with
-    /// [`POSITION_MAX_OPS_PER_ENTRY`] for the one-thread scalar plan —
-    /// leveled columns and panels never read the tables, so plans
-    /// built directly stay without them (`f64::MAX` forces the walker
-    /// onto any in-order plan, which is how tests and the ablation
-    /// compare the kernels). One `O(nnz + ops)` pass over the layouts
+    /// kernel). [`crate::SympilerLu::compile`] calls this with
+    /// [`POSITION_MAX_OPS_PER_ENTRY`] for the scalar plan — panels never
+    /// read the tables, so plans built directly stay without them
+    /// (`f64::MAX` forces the walker onto any plan, which is how tests
+    /// and the ablation compare the kernels). One `O(nnz + ops)` pass over the layouts
     /// and three levelings (the column DAG and both solves');
     /// [`Self::factor`] results are bitwise those of the accumulator
     /// kernel, and the factors solve by the baked level-grouped row
     /// streams, bitwise the column sweeps.
     pub fn with_position_tables(mut self, max_ops_per_entry: f64) -> Self {
         let n_ops = self.n_multiply_adds();
-        if self.levels.is_some()
-            || !PositionTables::admits(self.l_nnz(), self.u_nnz(), n_ops, max_ops_per_entry)
-        {
+        if !PositionTables::admits(self.l_nnz(), self.u_nnz(), n_ops, max_ops_per_entry) {
             return self;
         }
         let st = &*self.structure;
@@ -871,13 +867,6 @@ mod tests {
                                     "{ordering:?} {pre_pivot:?} peel={peel} tol={tol} \
                                      mc64={mc64} seed={seed}"
                                 );
-                                // The leveled walk of the same cell, which
-                                // the public API reaches only at peel 2.
-                                assert_eq!(
-                                    outcome(&plan.clone().leveled(2), a),
-                                    outcome(&plan, a),
-                                    "leveled: {ordering:?} {pre_pivot:?} peel={peel} seed={seed}"
-                                );
                                 cells += 1;
                             }
                         }
@@ -1042,12 +1031,6 @@ mod tests {
                 + 8 * sweeps.fwd_levels.len()
                 + 16 * sweeps.bwd_levels.len()
         );
-        // Tables resolve the in-order walk only: leveling drops them,
-        // and a leveled plan takes none. One thread is in order.
-        assert!(under.clone().leveled(2).positions.is_none());
-        let leveled = plan.clone().leveled(2).with_position_tables(f64::MAX);
-        assert!(leveled.positions.is_none() && leveled.n_threads() == 2);
-        assert!(under.clone().leveled(1).positions.is_some());
         // Positions that would not fit u32 keep the accumulator kernel,
         // whatever the ratio (no such matrix fits a test).
         let inf = f64::INFINITY;

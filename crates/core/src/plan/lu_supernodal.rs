@@ -1,7 +1,6 @@
 //! Supernodal (VS-Block) LU: the dense **panel** kernel of the compiled
 //! LU pipeline, beside the scalar column kernel of
-//! [`super::lu::LuPlan`] and under the same scheduler and walker
-//! ([`super::level_schedule`]).
+//! [`super::lu::LuPlan`].
 //!
 //! The paper's VS-Block transformation (§3.2) converts column-at-a-time
 //! sparse kernels into blocked code over supernodes so the numeric
@@ -37,25 +36,21 @@
 //!   nothing extra — and [`crate::SympilerLu::compile`] dissolves wide
 //!   panels too thin to pay for the dense path into such columns at
 //!   compile time ([`SupernodalLuPlan::dissolve_thin_panels`]).
-//! * **Parallelism** — with more than one thread, the panel DAG (panel
-//!   `s` depends on every panel that sources one of its updates) goes
-//!   through the one [`LevelSchedule`] the leveled column plan uses:
-//!   levels of independent panels execute across workers with one
-//!   barrier per kept level boundary, barriers elided across same-owner
-//!   runs. A one-thread plan walks its panels in index order and stores
-//!   no schedule.
+//! * **Order** — panels run in index order on the calling thread:
+//!   every source of panel `s` is a panel `t < s`, so its values (and
+//!   its trapezoid, at a lower offset of the arena) are final before
+//!   `s` reads them.
 //!
 //! Results are **not** bit-identical to the scalar plans — dense
 //! kernels reassociate the update sums — but agree to ~1e-12 relative
 //! (verified across the suite by `lu_compare` and the property tests),
 //! and the zero-pivot column reported is the same. They **are**
-//! bit-identical across thread counts and with profiling on or off on
-//! one host: every panel runs one fixed operation sequence. Across
+//! bit-identical with profiling on or off on one host: every panel
+//! runs one fixed operation sequence. Across
 //! hosts the update kernel uses fused multiply-add where the CPU has
 //! it (run-time detection), so factors from an FMA and a non-FMA host
 //! differ in the last bits — within the same backward-error gate.
 
-use super::level_schedule::{walk, LaneScratch, LevelSchedule, SharedValues, WalkLabels};
 use super::lu::{LuFactor, LuPlan, LuPlanError, LuWorkspace, PerturbReport};
 use sympiler_dense::{
     getrf_nopiv_perturbed, panel_update_sub, trsm_right_lower_trans_unit, trsm_right_upper,
@@ -87,9 +82,6 @@ pub struct SupernodalLuPlan {
     /// predecessors of `s` in the panel DAG.
     upd_ptr: Vec<usize>,
     upd_panels: Vec<u32>,
-    /// The panel DAG leveled over worker threads; `None` for a
-    /// one-thread plan, which walks its panels in index order.
-    levels: Option<LevelSchedule>,
     /// Widest panel (workspace sizing).
     max_width: usize,
     /// Fraction of factorization flops carried by wide panels — the
@@ -126,7 +118,7 @@ pub const DENSE_PANEL_MIN_FLOPS_PER_ENTRY: f64 = 2.0;
 /// Cap on LU panel width [`crate::SympilerLu::compile`] detects panels
 /// with (the supernodal relaxation knob: wider panels amortize more
 /// scalar work into dense kernels but grow the dense block accumulator,
-/// `n × MAX_PANEL` doubles per worker). Amalgamated panels stop at
+/// `n × MAX_PANEL` doubles). Amalgamated panels stop at
 /// [`RELAX_COLS`] first, so 32 binds only on strictly nesting panels —
 /// dense trailing blocks. [`SupernodalLuPlan::detect_panels`] takes it
 /// as an argument (0 = unlimited).
@@ -268,17 +260,15 @@ impl SupernodalLuPlan {
         })
     }
 
-    /// Bake the panel layouts — and, for `n_threads > 1`, the leveled
-    /// panel-DAG schedule — for a panel partition of `plan`'s columns:
-    /// one [`Self::detect_panels`] produced, possibly thinned by
-    /// [`Self::dissolve_thin_panels`]. Pure schedule construction — no
-    /// symbolic analysis re-runs. The scalar fallback of singleton
+    /// Bake the panel layouts for a panel partition of `plan`'s
+    /// columns: one [`Self::detect_panels`] produced, possibly thinned
+    /// by [`Self::dissolve_thin_panels`]. Pure schedule construction —
+    /// no symbolic analysis re-runs. The scalar fallback of singleton
     /// panels, the permutations, scalings, perturbation tolerance and
-    /// profiler are `plan`'s ([`LuPlan::build`]); a level schedule or
-    /// position tables `plan` itself carries serve [`Self::serial`]
-    /// alone, never the panel walk.
-    pub fn from_panels(plan: LuPlan, panels: LuPanels, n_threads: usize) -> Self {
-        assert!(n_threads >= 1, "need at least one thread");
+    /// profiler are `plan`'s ([`LuPlan::build`]); position tables
+    /// `plan` itself carries serve [`Self::serial`] alone, never the
+    /// panel walk.
+    pub fn from_panels(plan: LuPlan, panels: LuPanels) -> Self {
         assert_eq!(panels.part.n_cols(), plan.n(), "panels must cover the plan");
         let part = &panels.part;
         let n_panels = part.n_supernodes();
@@ -332,23 +322,7 @@ impl SupernodalLuPlan {
             &plan.structure.u_row_idx,
         );
 
-        // Level the panel DAG and cost-balance each level's panels
-        // across workers — the scheduler the leveled column plan
-        // drives, fed panels instead of columns.
         let col_flops = plan.per_column_flops();
-        let levels = (n_threads > 1).then(|| {
-            let col_costs = plan.per_column_costs(&col_flops);
-            let panel_costs: Vec<u64> = (0..n_panels)
-                .map(|s| part.cols(s).map(|j| col_costs[j]).sum())
-                .collect();
-            let sources = |s: usize| {
-                upd_panels[upd_ptr[s]..upd_ptr[s + 1]]
-                    .iter()
-                    .map(|&t| t as usize)
-            };
-            LevelSchedule::build(n_panels, n_threads, sources, &panel_costs)
-        });
-
         let panel_flops: Vec<u64> = (0..n_panels)
             .map(|s| part.cols(s).map(|j| col_flops[j]).sum())
             .collect();
@@ -385,7 +359,6 @@ impl SupernodalLuPlan {
             sx_ptr,
             upd_ptr,
             upd_panels,
-            levels,
             max_width,
             dense_flop_share,
             panel_flops,
@@ -419,9 +392,8 @@ impl SupernodalLuPlan {
 
     /// Resident size, in bytes, of the supernodal tables this plan
     /// keeps alive beyond the serial plan's ([`LuPlan::table_bytes`]):
-    /// panel row lists (padded layouts included), trapezoid offsets,
-    /// the panel-level update schedule, and — for `n_threads > 1` —
-    /// the leveled worker schedule. What a plan cache charges a
+    /// panel row lists (padded layouts included), trapezoid offsets and
+    /// the panel-level update schedule. What a plan cache charges a
     /// supernodal entry for.
     pub fn table_bytes(&self) -> usize {
         use std::mem::size_of;
@@ -433,7 +405,6 @@ impl SupernodalLuPlan {
             + self.sx_ptr.len() * usz
             + self.upd_ptr.len() * usz
             + self.upd_panels.len() * 4
-            + self.levels.as_ref().map_or(0, LevelSchedule::bytes)
             + self.panel_flops.len() * 8
     }
 
@@ -488,54 +459,34 @@ impl SupernodalLuPlan {
         self.dense_executed_flops
     }
 
-    /// Threads the numeric phase runs on: the panel schedule's worker
-    /// count, 1 without one.
-    pub fn n_threads(&self) -> usize {
-        self.levels.as_ref().map_or(1, LevelSchedule::n_threads)
-    }
-
-    /// The leveled panel DAG of a plan built for more than one thread;
-    /// `None` for a plan that walks its panels in index order.
-    pub fn levels(&self) -> Option<&LevelSchedule> {
-        self.levels.as_ref()
-    }
-
     /// Execute one panel: the scalar column kernel for singletons, the
     /// dense TRSM / fused-update / GETRF pipeline for wide panels.
     /// Returns the smallest zero-pivot column, or `usize::MAX` when
     /// clean; values are always fully written (IEEE semantics on zero
-    /// pivots), so a leveled walk records and keeps going. The
-    /// accumulator is all zeros again on return whenever every value
-    /// the panel read was finite.
+    /// pivots). The accumulator is all zeros again on return whenever
+    /// every value the panel read was finite.
     ///
-    /// # Safety
-    /// `lx` / `ux` / `sx` must point to the full factor and trapezoid
-    /// value arrays. The caller must guarantee that (a) no other thread
-    /// accesses this panel's value ranges during the call and (b) every
-    /// source panel in the baked schedule has been fully written and
-    /// synchronized before the call — what [`walk`] provides, exactly
-    /// as for `LuPlan::column_numeric`: in index order trivially, and
-    /// over a [`LevelSchedule`] built from those sources by the four
-    /// facts `LevelSchedule::validate` checks (the panel sits in one
-    /// level and one worker's chunk of it; its sources in strictly
-    /// earlier levels; a barrier separates two levels unless worker 0
-    /// owns both wholesale). `ws.x` must be an
-    /// all-zeros accumulator of `n × acc_stride(max_width)` doubles
-    /// (restored to zeros before returning, given finite values) —
-    /// panel `s` of width `w` addresses its leading `n × ldx` doubles
-    /// **row-major** (`x[row · ldx + c]`, `ldx = acc_stride(w)`), a
-    /// singleton its leading `n` as a plain column — and `ws.bt`
+    /// `lx` / `ux` / `sx` are the full factor and trapezoid value
+    /// arrays, with every source panel of `s` already written: sources
+    /// are panels `t < s`, whose columns sit at lower offsets of `lx`
+    /// and whose trapezoids sit below `sx_ptr[s]` in `sx`, so the reads
+    /// and the writes are sequential borrows or a split of `sx`. `x`
+    /// must be an all-zeros accumulator of `n × acc_stride(max_width)`
+    /// doubles (restored to zeros before returning, given finite
+    /// values) — panel `s` of width `w` addresses its leading `n × ldx`
+    /// doubles **row-major** (`x[row · ldx + c]`, `ldx = acc_stride(w)`),
+    /// a singleton its leading `n` as a plain column — and `bt`
     /// `acc_stride(max_width)²` doubles, for the solved source block
     /// handed to the update kernel and for the diagonal-block copy.
-    unsafe fn panel_numeric(
+    fn panel_numeric(
         &self,
         s: usize,
         a: &CscMatrix,
-        ws: &mut LaneScratch<'_>,
-        lx: *mut f64,
-        ux: *mut f64,
-        sx: *mut f64,
-        lane: usize,
+        x: &mut [f64],
+        bt: &mut [f64],
+        lx: &mut [f64],
+        ux: &mut [f64],
+        sx: &mut [f64],
         thresh: f64,
         perturbed: &mut Vec<usize>,
     ) -> usize {
@@ -547,9 +498,8 @@ impl SupernodalLuPlan {
         if w == 1 {
             // Scalar fallback: the shared per-column kernel, reading
             // and writing the CSC factor arrays directly.
-            let x = &mut ws.x[..n];
             return plan
-                .column_numeric(f, a, x, lx, ux, thresh)
+                .column_numeric(f, a, &mut x[..n], lx, ux, thresh)
                 .report(f, perturbed);
         }
 
@@ -560,7 +510,7 @@ impl SupernodalLuPlan {
         let prof = plan.profiler().as_ref();
         let enabled = prof.is_enabled();
         let panel_span = if enabled {
-            prof.begin(lane, "panel")
+            prof.begin(0, "panel")
         } else {
             None
         };
@@ -593,7 +543,9 @@ impl SupernodalLuPlan {
         // contiguous run `x[r * ldx..(r + 1) * ldx]`, its `w` columns
         // first, then the zero pad columns (see `acc_stride`).
         let ldx = acc_stride(w);
-        let x = &mut ws.x[..n * ldx];
+        let x = &mut x[..n * ldx];
+        // Every source trapezoid lies below this panel's own.
+        let (sx_sources, sx_own) = sx.split_at_mut(self.sx_ptr[s]);
 
         // --- Scatter the panel's (ordered) input columns.
         for c in 0..w {
@@ -610,16 +562,12 @@ impl SupernodalLuPlan {
             // consecutive (g..g+v), hence one contiguous `v × ldx`
             // row-major block — column-major `ldx × v` to the TRSM.
             let diag = g * ldx..(g + v) * ldx;
-            // Sub-diagonal rows and values of the source, all
-            // finalized by the caller's contract.
+            // Sub-diagonal rows and values of the source, all final.
             let (sub_rows, sub_vals, ldl) = if v == 1 {
                 // Singleton source column: its CSC column below the
                 // unit diagonal; nothing to solve.
                 let range = l_ptr[g] + 1..l_ptr[g + 1];
-                // SAFETY: column g is finalized and no thread writes
-                // it concurrently.
-                let vals = std::slice::from_raw_parts(lx.add(range.start), range.len());
-                (&l_rows[range.clone()], vals, range.len())
+                (&l_rows[range.clone()], &lx[range.clone()], range.len())
             } else {
                 // Wide source panel: its trapezoid holds the unit-lower
                 // diagonal block (strict lower part; U values sit on
@@ -628,9 +576,7 @@ impl SupernodalLuPlan {
                 // hold exact ±0.0, so they contribute nothing.
                 let rows_t = self.panels.panel_rows(t);
                 let m_t = rows_t.len();
-                // SAFETY: panel t precedes s in the schedule —
-                // finalized, no concurrent writes.
-                let sx_t = std::slice::from_raw_parts(sx.add(self.sx_ptr[t]), m_t * v);
+                let sx_t = &sx_sources[self.sx_ptr[t]..][..m_t * v];
                 // Internal solve of the source panel applied to all
                 // target columns at once, in place:
                 // Bt := Bt · L_dd^{-T}  ⇔  B := L_dd^{-1} B. The solved
@@ -640,7 +586,7 @@ impl SupernodalLuPlan {
                 if enabled {
                     let t1 = prof.now_ns();
                     prof.add_span(
-                        lane,
+                        0,
                         "trsm",
                         t0,
                         t1 - t0,
@@ -659,7 +605,7 @@ impl SupernodalLuPlan {
             }
             // The update reads the solved block while it writes other
             // rows of the same accumulator: hand it a copy.
-            let bt = &mut ws.bt[..v * ldx];
+            let bt = &mut bt[..v * ldx];
             bt.copy_from_slice(&x[diag]);
             let t0 = if enabled { prof.now_ns() } else { 0 };
             panel_update_sub(ldx, v, sub_rows, sub_vals, ldl, bt, x, ldx);
@@ -667,7 +613,7 @@ impl SupernodalLuPlan {
                 let t1 = prof.now_ns();
                 let flops = 2.0 * m_sub as f64 * ldx as f64 * v as f64;
                 prof.add_span(
-                    lane,
+                    0,
                     "gemm",
                     t0,
                     t1 - t0,
@@ -687,8 +633,7 @@ impl SupernodalLuPlan {
         // source). Packing a row clears it: the union rows cover every
         // accumulator entry at or below the diagonal run; the pad
         // columns are zero already and stay out of the trapezoid.
-        // SAFETY: this worker is the unique owner of panel s.
-        let trap = std::slice::from_raw_parts_mut(sx.add(self.sx_ptr[s]), m * w);
+        let trap = &mut sx_own[..m * w];
         for (i, &r) in rows.iter().enumerate() {
             let xr = &mut x[r as usize * ldx..][..w];
             for (c, xv) in xr.iter_mut().enumerate() {
@@ -707,7 +652,7 @@ impl SupernodalLuPlan {
         if enabled {
             let t1 = prof.now_ns();
             prof.add_span(
-                lane,
+                0,
                 "getrf",
                 t0,
                 t1 - t0,
@@ -718,7 +663,7 @@ impl SupernodalLuPlan {
             // Divide the sub-diagonal rows by the panel's U: copy the
             // factored diagonal block aside (TRSM reads U while writing
             // the sub-block of the same buffer).
-            let db = &mut ws.bt[..w * w];
+            let db = &mut bt[..w * w];
             for c in 0..w {
                 for r in 0..=c {
                     db[c * w + r] = trap[c * m + r];
@@ -729,7 +674,7 @@ impl SupernodalLuPlan {
             if enabled {
                 let t1 = prof.now_ns();
                 prof.add_span(
-                    lane,
+                    0,
                     "trsm",
                     t0,
                     t1 - t0,
@@ -747,16 +692,18 @@ impl SupernodalLuPlan {
         let u_rows = &plan.structure.u_row_idx;
         for c in 0..w {
             let j = f + c;
+            let trap_c = &trap[c * m..][..m];
             // U above the panel comes from (and clears) the
             // accumulator — its rows sit above the diagonal run, which
             // the packing pass never visits; U inside the diagonal
             // block comes from the trapezoid.
-            for p in u_ptr[j]..u_ptr[j + 1] {
-                let r = u_rows[p] as usize;
-                *ux.add(p) = if r < f {
+            let u_range = u_ptr[j]..u_ptr[j + 1];
+            for (u, &r) in ux[u_range.clone()].iter_mut().zip(&u_rows[u_range]) {
+                let r = r as usize;
+                *u = if r < f {
                     std::mem::take(&mut x[r * ldx + c])
                 } else {
-                    trap[c * m + (r - f)]
+                    trap_c[r - f]
                 };
             }
             // L write-back walks the column's own CSC pattern and
@@ -766,18 +713,23 @@ impl SupernodalLuPlan {
             // suffix c+1..m; under relaxed amalgamation it skips the
             // padded slots, which never reach the CSC factor.
             let l_range = l_ptr[j]..l_ptr[j + 1];
-            *lx.add(l_range.start) = 1.0;
+            let (l_diag, l_sub) = lx[l_range.clone()]
+                .split_first_mut()
+                .expect("L(:, j) holds its diagonal");
+            *l_diag = 1.0;
             let mut ri = c + 1;
-            for p in l_range.start + 1..l_range.end {
-                let r = l_rows[p];
+            for (l, &r) in l_sub
+                .iter_mut()
+                .zip(&l_rows[l_range.start + 1..l_range.end])
+            {
                 while rows[ri] != r {
                     ri += 1;
                 }
-                *lx.add(p) = trap[c * m + ri];
+                *l = trap_c[ri];
                 ri += 1;
             }
             // The structural pivot is the diagonal of the panel's U.
-            if trap[c * m + c] == 0.0 {
+            if trap_c[c] == 0.0 {
                 first_bad = first_bad.min(j);
             }
         }
@@ -801,9 +753,8 @@ impl SupernodalLuPlan {
 
     /// Supernodal numeric factorization. Matches the serial plan to
     /// ~1e-12 (dense kernels reassociate sums; patterns and the
-    /// zero-pivot column are identical), and is deterministic at every
-    /// thread count — each panel executes one fixed operation sequence
-    /// whichever worker runs it.
+    /// zero-pivot column are identical) and is deterministic — each
+    /// panel executes one fixed operation sequence.
     ///
     /// Allocates fresh scratch per call; a caller factoring in a loop
     /// should hold a [`LuWorkspace`] and use [`Self::factor_with`].
@@ -813,11 +764,8 @@ impl SupernodalLuPlan {
 
     /// [`Self::factor`] against a caller-held [`LuWorkspace`] — bitwise
     /// identical results. The block accumulator, solve block and
-    /// trapezoid arena live in `ws`, so a one-thread plan's only
-    /// per-call allocation is the factor value array; with
-    /// `n_threads > 1` the first lane runs against `ws` and every
-    /// further lane allocates an accumulator and solve block of its own
-    /// per call.
+    /// trapezoid arena live in `ws`, so the only per-call allocation is
+    /// the factor value array.
     pub fn factor_with(
         &self,
         a: &CscMatrix,
@@ -830,40 +778,15 @@ impl SupernodalLuPlan {
         let thresh = self.plan.perturb_threshold(a);
         let ldx = acc_stride(self.max_width);
         let (x, bt, sx) = ws.ensure_panels(self.plan.n() * ldx, ldx * ldx, sx_len);
-        let values = SharedValues {
-            lx: lx.as_mut_ptr(),
-            ux: ux.as_mut_ptr(),
-            sx: sx.as_mut_ptr(),
-        };
         let prof = self.plan.profiler().as_ref();
-        let labels = WalkLabels {
-            span: "factor:supernodal",
-            lanes: "sup",
-            flops: self.plan.flops(),
-        };
-        let walked = walk(
-            self.levels.as_ref(),
-            self.n_panels(),
-            prof,
-            labels,
-            &values,
-            LaneScratch { x, bt },
-            |s, lane, values, scratch, perturbed| {
-                // SAFETY: `values` points at the two halves of a full
-                // value array and a full trapezoid arena, all outliving
-                // the walk. The walk runs each panel exactly once, and
-                // only after every panel of its update schedule — the
-                // predecessors `from_panels` built the level schedule
-                // from, all smaller indices for the in-order walk — is
-                // final and synchronized (`SharedValues`); the lane's
-                // scratch has the lengths sized above and its
-                // accumulator is all zeros between panels.
-                unsafe {
-                    let (lx, ux, sx) = (values.lx, values.ux, values.sx);
-                    self.panel_numeric(s, a, scratch, lx, ux, sx, lane, thresh, perturbed)
-                }
-            },
-        );
+        let span = prof.begin(0, "factor:supernodal");
+        // Panels in index order: every source of a panel precedes it.
+        let mut perturbed = Vec::new();
+        let bad = (0..self.n_panels())
+            .map(|s| self.panel_numeric(s, a, x, bt, lx, ux, sx, thresh, &mut perturbed))
+            .find(|&bad| bad != usize::MAX);
+        prof.end_with(span, &[("flops", self.plan.flops() as f64)]);
+        let walked = bad.map_or(Ok(perturbed), Err);
         // The update kernel writes every column of a row it touches,
         // and only finite products keep the entries no column's pattern
         // owns at zero: after a zero pivot (its quotients are ±Inf/NaN)
@@ -917,10 +840,10 @@ mod tests {
     }
 
     /// `plan`'s strictly nesting panels (relaxation off) capped at
-    /// `max_panel` columns, for `n_threads` workers.
-    fn strict_panels(plan: LuPlan, max_panel: usize, n_threads: usize) -> SupernodalLuPlan {
+    /// `max_panel` columns.
+    fn strict_panels(plan: LuPlan, max_panel: usize) -> SupernodalLuPlan {
         let panels = SupernodalLuPlan::detect_panels(&plan, max_panel, 0.0, 0);
-        SupernodalLuPlan::from_panels(plan, panels, n_threads)
+        SupernodalLuPlan::from_panels(plan, panels)
     }
 
     fn assert_close(a: &LuFactor, b: &LuFactor, tol: f64, what: &str) {
@@ -950,7 +873,7 @@ mod tests {
             let serial = scalar_plan(&a, FillOrdering::Natural);
             let f_serial = serial.factor(&a).unwrap();
             for max_panel in [0usize, 4] {
-                let sup = strict_panels(serial.clone(), max_panel, 1);
+                let sup = strict_panels(serial.clone(), max_panel);
                 let f_sup = sup.factor(&a).unwrap();
                 assert_close(
                     &f_sup,
@@ -965,7 +888,7 @@ mod tests {
     #[test]
     fn grid_problems_produce_wide_panels() {
         let a = gen::convection_diffusion_2d(10, 10, 1.0, 5);
-        let sup = strict_panels(scalar_plan(&a, FillOrdering::Natural), 0, 1);
+        let sup = strict_panels(scalar_plan(&a, FillOrdering::Natural), 0);
         assert!(sup.n_wide_panels() > 0, "grid fill must block");
         assert!(sup.mean_panel_width() > 1.0);
         assert!(sup.max_panel_width() > 1);
@@ -978,7 +901,7 @@ mod tests {
         for ordering in [FillOrdering::Rcm, FillOrdering::Colamd] {
             let serial = scalar_plan(&a, ordering);
             let f_serial = serial.factor(&a).unwrap();
-            let sup = strict_panels(serial, 16, 1);
+            let sup = strict_panels(serial, 16);
             let f_sup = sup.factor(&a).unwrap();
             assert_close(&f_sup, &f_serial, 1e-12, &format!("{ordering:?}"));
             // And the solve still answers the original system.
@@ -990,39 +913,17 @@ mod tests {
     }
 
     #[test]
-    fn parallel_panels_match_single_thread_bitwise() {
-        // Panel execution is a fixed operation sequence per panel, so
-        // thread count must not change a single bit.
-        let a = gen::convection_diffusion_2d(9, 9, 2.0, 13);
-        let one = strict_panels(scalar_plan(&a, FillOrdering::Natural), 8, 1);
-        let f1 = one.factor(&a).unwrap();
-        for threads in [2usize, 3, 4] {
-            let par = strict_panels(one.serial().clone(), 8, threads);
-            assert_eq!(par.n_threads(), threads);
-            let fp = par.factor(&a).unwrap();
-            for (x, y) in f1
-                .l()
-                .values()
-                .iter()
-                .chain(f1.u().values())
-                .zip(fp.l().values().iter().chain(fp.u().values()))
-            {
-                assert_eq!(x.to_bits(), y.to_bits(), "{threads} threads");
-            }
-        }
-    }
-
-    #[test]
     fn odd_widths_follow_the_padded_stride_in_every_workspace() {
         // Widest panels of 13, 15 and 21 columns address their
-        // accumulators at strides 16, 16 and 24: the caller's workspace
-        // and every worker's own must be sized for the rounded width,
-        // the factors must not depend on who ran a panel, and the pad
-        // columns must be zero again when the factor returns.
+        // accumulators at strides 16, 16 and 24: a fresh workspace and
+        // one reused across the widths must be sized for the rounded
+        // width, the factors must not depend on which one ran, and the
+        // pad columns must be zero again when the factor returns.
         let a = gen::convection_diffusion_2d(24, 6, 1.5, 5);
         let serial = scalar_plan(&a, FillOrdering::Natural);
+        let mut reused = LuWorkspace::new();
         for width in [13usize, 15, 21] {
-            let one = strict_panels(serial.clone(), width, 1);
+            let one = strict_panels(serial.clone(), width);
             assert_eq!(one.max_panel_width(), width, "the cap must bind");
             assert!(acc_stride(width) > width);
             let mut ws = LuWorkspace::new();
@@ -1030,43 +931,27 @@ mod tests {
             assert!(ws.capacity() >= a.n_cols() * acc_stride(width));
             assert!(ws.is_clear(), "width {width}: pad columns left dirty");
             assert_close(&f1, &serial.factor(&a).unwrap(), 1e-12, "vs serial");
-            for threads in [2usize, 3] {
-                let par = strict_panels(serial.clone(), width, threads);
-                let fp = par.factor_with(&a, &mut ws).unwrap();
-                assert_eq!(bits(&fp), bits(&f1), "width {width}, {threads} threads");
-                assert!(ws.is_clear());
-            }
+            let f2 = one.factor_with(&a, &mut reused).unwrap();
+            assert_eq!(bits(&f2), bits(&f1), "width {width}, reused workspace");
+            assert!(reused.is_clear());
         }
     }
 
     #[test]
-    fn panel_levels_cover_all_panels_and_respect_deps() {
+    fn source_panels_precede_their_targets() {
+        // The in-order walk reads a source panel's values and trapezoid
+        // before the target's own offsets: every source must be a
+        // lower-numbered panel, whose trapezoid ends where a later
+        // one's begins.
         let a = gen::circuit_unsym(90, 4, 2, 3);
-        let sup = strict_panels(scalar_plan(&a, FillOrdering::Colamd), 8, 3);
-        let sched = sup.levels().expect("three threads level the panel DAG");
-        let mut seen = vec![false; sup.n_panels()];
-        for lv in 0..sched.n_levels() {
-            let mut level: Vec<u32> = Vec::new();
-            for t in 0..sup.n_threads() {
-                level.extend_from_slice(sched.chunk(lv, t));
+        let sup = strict_panels(scalar_plan(&a, FillOrdering::Colamd), 8);
+        assert!(sup.n_wide_panels() > 0);
+        for s in 0..sup.n_panels() {
+            for &t in &sup.upd_panels[sup.upd_ptr[s]..sup.upd_ptr[s + 1]] {
+                assert!((t as usize) < s, "source panel {t} must precede {s}");
             }
-            for &s in &level {
-                let s = s as usize;
-                assert!(!seen[s], "panel {s} scheduled twice");
-                seen[s] = true;
-                for &t in &sup.upd_panels[sup.upd_ptr[s]..sup.upd_ptr[s + 1]] {
-                    assert!(seen[t as usize], "source panel {t} must precede {s}");
-                }
-            }
+            assert!(sup.sx_ptr[s] <= sup.sx_ptr[s + 1]);
         }
-        assert!(seen.iter().all(|&s| s), "all panels scheduled");
-        assert!(sched.avg_parallelism() >= 1.0);
-        assert!(sched.n_barriers() < sched.n_levels().max(1));
-        // One thread walks the panels in index order: no schedule is
-        // built, stored or charged.
-        let one = strict_panels(sup.serial().clone(), 8, 1);
-        assert!(one.levels().is_none() && one.n_threads() == 1);
-        assert_eq!(one.table_bytes() + sched.bytes(), sup.table_bytes());
     }
 
     fn fnv(words: impl Iterator<Item = u64>) -> u64 {
@@ -1075,41 +960,23 @@ mod tests {
         })
     }
 
-    /// FNV-1a over a level schedule: per level its items, every
-    /// worker's chunk length and the barrier flag.
-    fn schedule_hash(sched: &LevelSchedule) -> u64 {
+    /// FNV-1a over a plan's panel update schedule: per panel its
+    /// width and its source panels — the table the in-order walk reads.
+    fn schedule_hash(sup: &SupernodalLuPlan) -> u64 {
         let mut words: Vec<u64> = Vec::new();
-        for lv in 0..sched.n_levels() {
-            words.push(sched.level(lv).len() as u64);
-            words.extend(sched.level(lv).iter().map(|&i| i as u64));
-            words.extend((0..sched.n_threads()).map(|t| sched.chunk(lv, t).len() as u64));
-            words.push(sched.barrier_after(lv) as u64);
+        for s in 0..sup.n_panels() {
+            let sources = &sup.upd_panels[sup.upd_ptr[s]..sup.upd_ptr[s + 1]];
+            words.push(sup.panels.part.width(s) as u64);
+            words.push(sources.len() as u64);
+            words.extend(sources.iter().map(|&t| t as u64));
         }
         fnv(words.into_iter())
     }
 
-    const RECORDED_COLUMN_SCHEDULES: [u64; 9] = [
-        0xdb2a_0ab7_097f_81a2,
-        0x3d33_7cf7_0dd7_28aa,
-        0x0d82_81e9_b688_a276,
-        0xe8dc_78f7_4ad2_916d,
-        0xb3f0_e7c9_6ed3_47a5,
-        0xb3a2_ad27_4c68_18ed,
-        0x4396_eee9_943b_fd72,
-        0x3fe9_a360_26dd_134a,
-        0x73dd_1383_0d80_3d1e,
-    ];
-
-    const RECORDED_PANEL_SCHEDULES: [u64; 9] = [
-        0xec8c_0c6e_3cec_d1a1,
-        0x3b88_4ef5_e326_5cc3,
-        0x2ba5_f2e0_3b4a_f451,
-        0x6b50_ff84_fbd7_d175,
-        0xedbd_fd76_bfda_3e85,
-        0x013c_929a_7784_96d5,
-        0xad03_472a_6072_a04a,
-        0x8724_5bf8_6ec1_d0e4,
-        0xbd32_4eae_1779_fb5a,
+    const RECORDED_PANEL_SCHEDULES: [u64; 3] = [
+        0xed8b_a3cb_8575_3b54,
+        0x3bee_106a_088b_b0f5,
+        0xea47_cb92_f13b_ab53,
     ];
 
     /// Factor values on a host whose dense kernels run the `avx2,fma`
@@ -1122,14 +989,11 @@ mod tests {
 
     #[test]
     fn schedules_and_factors_match_the_recorded_ones() {
-        // Recorded at the commit before the column-parallel plan and
-        // the supernodal plan's own leveling loop were folded into
-        // `LevelSchedule`: per fixture and thread count, the level,
-        // chunk and barrier tables the two deleted builders produced —
-        // over the column DAG, and over the panel DAG of the partition
-        // `SympilerLu::compile` keeps (singletons and wide panels mixed) —
-        // and the supernodal factor itself. The one builder and the one
-        // walker must reproduce all of them.
+        // The panel update schedule and the supernodal factor of the
+        // partition `SympilerLu::compile` keeps (singletons and wide
+        // panels mixed), pinned by hash: a change to panel detection,
+        // the schedule build, the panel kernels or their walk that
+        // moves one entry or one bit must re-record these on purpose.
         let fixtures = [
             (gen::circuit_unsym(150, 4, 2, 7), FillOrdering::Colamd),
             (
@@ -1138,7 +1002,7 @@ mod tests {
             ),
             (gen::random_unsym(120, 4, 11), FillOrdering::Natural),
         ];
-        let (mut columns, mut panels, mut factors) = (Vec::new(), Vec::new(), Vec::new());
+        let (mut schedules, mut factors) = (Vec::new(), Vec::new());
         for (a, ordering) in &fixtures {
             let plan = scalar_plan(a, *ordering);
             let detected = SupernodalLuPlan::detect_panels(&plan, 32, 0.3, 16);
@@ -1147,20 +1011,12 @@ mod tests {
                 &detected,
                 DENSE_PANEL_MIN_FLOPS_PER_ENTRY,
             );
-            let one = SupernodalLuPlan::from_panels(plan.clone(), kept.clone(), 1);
-            assert!(one.n_wide_panels() > 0 && one.n_wide_panels() < one.n_panels());
-            let f_one = bits(&one.factor(a).unwrap());
-            factors.push(fnv(f_one.iter().copied()));
-            for threads in [2usize, 3, 4] {
-                let leveled = plan.clone().leveled(threads);
-                columns.push(schedule_hash(leveled.levels().unwrap()));
-                let sup = SupernodalLuPlan::from_panels(plan.clone(), kept.clone(), threads);
-                panels.push(schedule_hash(sup.levels().unwrap()));
-                assert_eq!(bits(&sup.factor(a).unwrap()), f_one, "{threads} threads");
-            }
+            let sup = SupernodalLuPlan::from_panels(plan, kept);
+            assert!(sup.n_wide_panels() > 0 && sup.n_wide_panels() < sup.n_panels());
+            schedules.push(schedule_hash(&sup));
+            factors.push(fnv(bits(&sup.factor(a).unwrap()).into_iter()));
         }
-        assert_eq!(columns, RECORDED_COLUMN_SCHEDULES, "got {columns:#x?}");
-        assert_eq!(panels, RECORDED_PANEL_SCHEDULES, "got {panels:#x?}");
+        assert_eq!(schedules, RECORDED_PANEL_SCHEDULES, "got {schedules:#x?}");
         #[cfg(target_arch = "x86_64")]
         if sympiler_dense::isa::detect() == sympiler_dense::isa::Isa::Avx2Fma {
             assert_eq!(factors, RECORDED_FACTORS_AVX2_FMA, "got {factors:#x?}");
@@ -1180,7 +1036,7 @@ mod tests {
         }
         let a0 = t.to_csc().unwrap();
         let serial = scalar_plan(&a0, FillOrdering::Natural);
-        let sup = strict_panels(serial.clone(), 0, 1);
+        let sup = strict_panels(serial.clone(), 0);
         assert_eq!(sup.n_panels(), 1, "dense matrix is one panel");
         let f_ok = sup.factor(&a0).unwrap();
         assert_close(&f_ok, &serial.factor(&a0).unwrap(), 1e-12, "dense");
@@ -1202,7 +1058,7 @@ mod tests {
         // A diagonal matrix never blocks: every panel is a singleton
         // and the engine is exactly the scalar plan.
         let a = CscMatrix::identity(9);
-        let sup = strict_panels(scalar_plan(&a, FillOrdering::Natural), 0, 2);
+        let sup = strict_panels(scalar_plan(&a, FillOrdering::Natural), 0);
         assert_eq!(sup.n_wide_panels(), 0);
         assert_eq!(sup.dense_flop_share(), 0.0);
         let f = sup.factor(&a).unwrap();
@@ -1212,7 +1068,7 @@ mod tests {
     #[test]
     fn repeated_factorization_reuses_the_panel_schedule() {
         let a0 = gen::convection_diffusion_2d(7, 7, 1.0, 2);
-        let sup = strict_panels(scalar_plan(&a0, FillOrdering::Natural), 8, 1);
+        let sup = strict_panels(scalar_plan(&a0, FillOrdering::Natural), 8);
         let mut a = a0.clone();
         for round in 1..=3 {
             for v in a.values_mut() {
@@ -1241,8 +1097,8 @@ mod tests {
         // the second factorization of a pattern.
         let a1 = gen::convection_diffusion_2d(9, 8, 1.5, 3);
         let a2 = gen::circuit_unsym(150, 4, 2, 7);
-        let sup1 = strict_panels(scalar_plan(&a1, FillOrdering::Natural), 8, 1);
-        let sup2 = strict_panels(scalar_plan(&a2, FillOrdering::Colamd), 32, 1);
+        let sup1 = strict_panels(scalar_plan(&a1, FillOrdering::Natural), 8);
+        let sup2 = strict_panels(scalar_plan(&a2, FillOrdering::Colamd), 32);
         assert!(sup1.n_wide_panels() > 0 && sup2.n_wide_panels() > 0);
         let mut ws = LuWorkspace::new();
         for round in 0..2 {
@@ -1278,7 +1134,7 @@ mod tests {
             }
         }
         let a0 = t.to_csc().unwrap();
-        let sup = strict_panels(scalar_plan(&a0, FillOrdering::Natural), 4, 1);
+        let sup = strict_panels(scalar_plan(&a0, FillOrdering::Natural), 4);
         assert!(
             sup.n_wide_panels() > 1,
             "need a wide source and a wide target"
@@ -1303,7 +1159,7 @@ mod tests {
         // is (rightly) full of NaN; the workspace must not carry it
         // into the next request.
         let a = gen::circuit_unsym(150, 4, 2, 7);
-        let sup = strict_panels(scalar_plan(&a, FillOrdering::Colamd), 32, 1);
+        let sup = strict_panels(scalar_plan(&a, FillOrdering::Colamd), 32);
         let good = sup.factor(&a).unwrap();
         let mut ws = LuWorkspace::new();
         for poison in [f64::NAN, f64::INFINITY] {
@@ -1331,7 +1187,7 @@ mod tests {
         // first wide panel points past the matrix. The debug invariant
         // check must name it before any accumulator index does.
         let a = gen::convection_diffusion_2d(7, 7, 1.0, 2);
-        let mut sup = strict_panels(scalar_plan(&a, FillOrdering::Natural), 8, 1);
+        let mut sup = strict_panels(scalar_plan(&a, FillOrdering::Natural), 8);
         let s = (0..sup.n_panels())
             .find(|&s| sup.panels.part.width(s) > 1)
             .expect("grid blocks");
@@ -1345,7 +1201,7 @@ mod tests {
     #[should_panic(expected = "diagonal run must lead")]
     fn broken_diagonal_run_trips_the_invariant_check() {
         let a = gen::convection_diffusion_2d(7, 7, 1.0, 2);
-        let mut sup = strict_panels(scalar_plan(&a, FillOrdering::Natural), 8, 1);
+        let mut sup = strict_panels(scalar_plan(&a, FillOrdering::Natural), 8);
         let s = (0..sup.n_panels())
             .find(|&s| sup.panels.part.width(s) > 1)
             .expect("grid blocks");
@@ -1364,7 +1220,7 @@ mod tests {
         let a = gen::circuit_unsym(150, 4, 2, 7);
         let plan = scalar_plan(&a, FillOrdering::Colamd);
         let detected = SupernodalLuPlan::detect_panels(&plan, 32, 0.3, 16);
-        let all = SupernodalLuPlan::from_panels(plan.clone(), detected.clone(), 1);
+        let all = SupernodalLuPlan::from_panels(plan.clone(), detected.clone());
         assert!(all.dense_executed_flops() >= all.dense_structural_flops());
         assert_eq!(
             all.dense_structural_flops(),
@@ -1375,7 +1231,7 @@ mod tests {
             &detected,
             DENSE_PANEL_MIN_FLOPS_PER_ENTRY,
         );
-        let auto = SupernodalLuPlan::from_panels(plan.clone(), kept, 1);
+        let auto = SupernodalLuPlan::from_panels(plan.clone(), kept);
         assert!(auto.n_wide_panels() > 0 && auto.n_wide_panels() < all.n_wide_panels());
         assert!(auto.padded_zeros() <= all.padded_zeros());
         assert_close(
@@ -1387,7 +1243,7 @@ mod tests {
         let none = SupernodalLuPlan::dissolve_thin_panels(&plan, &detected, f64::INFINITY);
         assert_eq!(none.part.n_supernodes(), plan.n());
         assert_eq!(none.padded_zeros, 0);
-        let scalar = SupernodalLuPlan::from_panels(plan.clone(), none, 1);
+        let scalar = SupernodalLuPlan::from_panels(plan.clone(), none);
         assert_eq!(scalar.dense_executed_flops(), 0);
         assert_eq!(
             bits(&scalar.factor(&a).unwrap()),
@@ -1398,7 +1254,7 @@ mod tests {
     #[test]
     fn empty_matrix() {
         let a = CscMatrix::zeros(0, 0);
-        let sup = strict_panels(scalar_plan(&a, FillOrdering::Natural), 0, 2);
+        let sup = strict_panels(scalar_plan(&a, FillOrdering::Natural), 0);
         assert_eq!(sup.n_panels(), 0);
         assert_eq!(sup.mean_panel_width(), 0.0);
         let f = sup.factor(&a).unwrap();

@@ -13,29 +13,18 @@
 //! ([`crate::emit::emit_trisolve_c`]) is kept as the paper's artifact
 //! and is built and run with `cc` by a test.
 //!
-//! The LU pipeline is two item kernels under one scheduler: the scalar
-//! **column** kernel of [`lu::LuPlan`] and the dense **panel** kernel of
+//! The LU pipeline is two item kernels: the scalar **column** kernel of
+//! [`lu::LuPlan`] and the dense **panel** kernel of
 //! [`lu_supernodal::SupernodalLuPlan`] (VS-Block column panels routed
-//! through dense GETRF/TRSM/GEMM kernels), each walked by
-//! [`level_schedule`] — in index order on one thread, or leveled over
-//! its dependence DAG (column elimination DAG, panel DAG) across
-//! workers.
+//! through dense GETRF/TRSM/GEMM kernels), each walked in index order
+//! on the calling thread — every item's predecessors are lower-numbered
+//! items, so safe sequential borrows of the value arrays suffice.
 
 pub mod chol;
-pub mod level_schedule;
 pub mod lu;
 pub mod lu_supernodal;
 pub(crate) mod pattern;
 pub mod tri;
-
-/// Unit tests of the leveled scalar walk ([`lu::LuPlan::leveled`]). The
-/// module keeps the name of the file they were written in — the
-/// column-parallel plan's, deleted when that plan became a schedule on
-/// `LuPlan` — so the paths the suite reports them under did not move
-/// with the code.
-#[cfg(test)]
-#[path = "lu/leveled_tests.rs"]
-mod lu_parallel;
 
 /// Kernel tier selected at compile (inspection) time for a dense
 /// sub-block — the low-level-transformation decision of §2.4(3).

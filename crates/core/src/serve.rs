@@ -1322,7 +1322,8 @@ mod tests {
     /// became constants and `profile` left the key: 12 fields to 7.
     /// Re-recorded once more when the tier choice became the
     /// compiler's (`low_level` and `block_lu` left the options): 7
-    /// fields to 5.
+    /// fields to 5. And again when `n_threads` stopped changing the
+    /// plan and left the key: 5 fields to 4.
     #[test]
     fn structural_hash_keys_are_pinned() {
         let empty = CscMatrix::try_new(0, 0, vec![0], vec![], vec![]).unwrap();
@@ -1331,9 +1332,9 @@ mod tests {
             ordering: crate::Ordering::Colamd,
             ..opts()
         };
-        assert_eq!(structural_hash(&empty, &opts()), 0x3366_d05b_d739_4cbe);
-        assert_eq!(structural_hash(&a, &opts()), 0x6bb2_d152_5450_f728);
-        assert_eq!(structural_hash(&a, &colamd), 0x5644_6b4c_33d9_7a14);
+        assert_eq!(structural_hash(&empty, &opts()), 0xb876_eb7c_428d_5937);
+        assert_eq!(structural_hash(&a, &opts()), 0xbb92_a1fb_ceec_4a9e);
+        assert_eq!(structural_hash(&a, &colamd), 0x5adc_9362_ab17_0003);
     }
 
     /// The key reads the pattern's kept fingerprint: a clone (which
@@ -1353,16 +1354,16 @@ mod tests {
     }
 
     /// Every option that changes the compiled LU plan is identity;
-    /// `profile`, which the cache compiles off, the recovery policy,
-    /// read only while a request runs, and option values that compile
-    /// the same plan as others are not.
+    /// `n_threads`, which changes no plan, `profile`, which the cache
+    /// compiles off, the recovery policy, read only while a request
+    /// runs, and option values that compile the same plan as others
+    /// are not.
     #[test]
     fn compile_fields_key_the_cache_and_recovery_fields_do_not() {
         let a = gen::circuit_unsym(40, 4, 2, 5);
         let cache = PlanCache::new(CacheConfig::default());
         let base = cache.get_or_compile(&a, &opts()).unwrap();
-        let compile_flips: [fn(&mut SympilerOptions); 5] = [
-            |o| o.n_threads = 2,
+        let compile_flips: [fn(&mut SympilerOptions); 4] = [
             |o| o.ordering = crate::Ordering::Rcm,
             |o| o.mc64_scale = true,
             |o| o.pre_pivot = crate::PrePivot::Transversal,
@@ -1382,9 +1383,11 @@ mod tests {
         }
         // Not identity: `profile`, which the cache compiles off, the
         // run-time recovery policy, and values that compile the base
-        // plan (0 threads run as 1, a −0.0 tolerance is off).
-        let shared_flips: [fn(&mut SympilerOptions); 7] = [
+        // plan (every thread count compiles one plan, a −0.0 tolerance
+        // is off).
+        let shared_flips: [fn(&mut SympilerOptions); 8] = [
             |o| o.n_threads = 0,
+            |o| o.n_threads = 2,
             |o| o.pivot_perturb = -0.0,
             |o| o.profile = true,
             |o| o.recovery.berr_tol = 1e-6,
@@ -1893,8 +1896,11 @@ mod tests {
         }
     }
 
-    /// A compile outlasts the waiter's poll budget, so the wait parks
-    /// and the profiled service counts it.
+    /// A wait whose reply has not landed when its poll budget runs out
+    /// parks, and the profiled service counts it. The reply is held
+    /// back until the ticket's counter reads 1: `wait` adds to it before
+    /// it blocks in `recv`, so the count cannot depend on how long the
+    /// compile took or whether the waiter was preempted.
     #[test]
     fn a_wait_on_a_cold_compile_parks_and_is_counted() {
         let _serial = service_lock();
@@ -1905,15 +1911,27 @@ mod tests {
         ));
         let service = FactorService::new(1, cache);
         let a = gen::circuit_unsym(20000, 1, 0, 31);
-        service
-            .call(ServeRequest {
-                a,
-                opts: opts(),
-                rhs: Vec::new(),
-            })
-            .unwrap();
+        let mut ticket = service.submit(ServeRequest {
+            a,
+            opts: opts(),
+            rhs: Vec::new(),
+        });
+        let (relay, held) = mpsc::channel();
+        let reply = std::mem::replace(&mut ticket.rx, held);
+        let parked = ticket.parked.clone();
+        let gate = std::thread::spawn(move || {
+            let result = reply.recv().unwrap_or(Err(ServeError::Disconnected));
+            while parked.get() == 0 {
+                std::thread::yield_now();
+            }
+            // The waiter may be gone only if the test already failed.
+            let _ = relay.send(result);
+        });
+        ticket.wait().unwrap();
+        gate.join().unwrap();
         assert_eq!(prof.counter_value("serve.cache.miss"), 1);
-        assert!(prof.counter_value("serve.wait.parked") >= 1);
+        // The ticket counted on the service profiler's own counter.
+        assert_eq!(prof.counter_value("serve.wait.parked"), 1);
         // With nothing more to do, the worker's poll budget runs out and
         // it parks on the empty queue.
         let start = Instant::now();

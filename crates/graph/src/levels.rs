@@ -1,24 +1,21 @@
-//! DAG scheduling: level sets (wavefronts) and cost-balanced chunking.
+//! DAG leveling: level sets (wavefronts).
 //!
-//! Columns in the same level have no dependence path between them and
-//! can execute in parallel. The paper lists this as the natural
+//! Columns in the same level have no dependence path between them. The
+//! paper lists parallel execution over such levels as the natural
 //! extension of its inspection framework ("should extend to improve
 //! performance on shared and distributed memory systems", §1; realized
-//! later in the authors' ParSy). Originally this module only leveled
-//! the lower-triangular dependence graph `DG_L`; it is now a general
-//! DAG scheduler used by both parallel executors in `sympiler-core`:
+//! later in the authors' ParSy). Here the levels lay out the compiled
+//! LU plan's position tables and solve streams, and measure how much
+//! concurrency a pattern's DAG holds:
 //!
 //! * [`level_sets`] — wavefronts of `DG_L` for a lower-triangular
-//!   matrix (parallel triangular solve);
+//!   matrix;
 //! * [`lu_column_levels`] — wavefronts of the **column elimination
 //!   DAG** of a symbolic LU factorization, where column `j` depends on
-//!   every column in its update schedule (parallel LU numeric phase);
+//!   every column in its update schedule;
 //! * [`dag_levels_from_succs`] / [`dag_levels_from_preds`] — the
 //!   underlying longest-path leveling for any DAG given by successor
-//!   or predecessor lists (Kahn's algorithm, cycle-checked);
-//! * [`balanced_partition`] — contiguous cost-balanced chunking of one
-//!   level across workers, driven by the exact per-column flop counts
-//!   the inspectors already compute.
+//!   or predecessor lists (Kahn's algorithm, cycle-checked).
 
 use crate::lu_symbolic::LuSymbolic;
 use std::collections::VecDeque;
@@ -205,32 +202,6 @@ pub fn level_sets(l: &CscMatrix) -> LevelSets {
 /// levels, so their numeric column solves commute. O(|U|).
 pub fn lu_column_levels(sym: &LuSymbolic) -> LevelSets {
     dag_levels_from_preds(sym.n, |j| sym.reach(j).iter().copied())
-}
-
-/// Split `costs.len()` items (one level's nodes, in order) into
-/// `parts` contiguous chunks with near-equal total cost. Returns the
-/// `parts + 1` chunk boundaries (`bounds[t]..bounds[t + 1]` is chunk
-/// `t`); chunks may be empty when items are fewer than parts.
-/// Deterministic: boundaries depend only on the prefix sums.
-pub fn balanced_partition(costs: &[u64], parts: usize) -> Vec<usize> {
-    assert!(parts >= 1, "need at least one part");
-    let total: u64 = costs.iter().sum();
-    let mut bounds = Vec::with_capacity(parts + 1);
-    bounds.push(0usize);
-    let mut acc = 0u64;
-    let mut idx = 0usize;
-    for t in 1..parts {
-        // Advance to the first item whose prefix sum reaches the
-        // t-th equal-cost target.
-        let target = (total as u128 * t as u128 / parts as u128) as u64;
-        while idx < costs.len() && acc < target {
-            acc += costs[idx];
-            idx += 1;
-        }
-        bounds.push(idx);
-    }
-    bounds.push(costs.len());
-    bounds
 }
 
 #[cfg(test)]
@@ -441,43 +412,31 @@ mod tests {
     }
 
     #[test]
-    fn balanced_partition_splits_by_cost() {
-        // One heavy item: it gets a chunk of its own.
-        let costs = [1, 1, 100, 1, 1, 1];
-        let bounds = balanced_partition(&costs, 3);
-        assert_eq!(bounds.len(), 4);
-        assert_eq!(bounds[0], 0);
-        assert_eq!(*bounds.last().unwrap(), costs.len());
-        for w in bounds.windows(2) {
-            assert!(w[0] <= w[1], "boundaries must be monotone");
+    fn dag_levels_match_reference_on_unsym_suite() {
+        // The levels the position tier lays its tables out by, against
+        // the reference longest paths over the explicit elimination DAG
+        // of every unsymmetric suite pattern.
+        use sympiler_sparse::suite::{unsym_suite, SuiteScale};
+        for p in unsym_suite(SuiteScale::Test) {
+            let sym = crate::lu_symbolic(&p.matrix);
+            let ls = lu_column_levels(&sym);
+            let n = p.n();
+            // The elimination DAG: one edge per scheduled update.
+            let edges: Vec<(usize, usize)> = (0..n)
+                .flat_map(|j| sym.reach(j).iter().map(move |&k| (k, j)))
+                .collect();
+            assert_eq!(
+                ls.level_of,
+                reference_longest_path(n, &edges),
+                "{}: levels must equal topological longest paths",
+                p.name
+            );
+            // Levels partition the columns and respect every dependence.
+            let total: usize = ls.levels.iter().map(Vec::len).sum();
+            assert_eq!(total, n, "{}", p.name);
+            for &(k, j) in &edges {
+                assert!(ls.level_of[k] < ls.level_of[j], "{}: {k}->{j}", p.name);
+            }
         }
-        // The heavy item's chunk should not also absorb everything
-        // after it: the split lands right after index 2.
-        assert!(bounds.contains(&3), "heavy item should end a chunk");
-
-        // Uniform costs split evenly.
-        let uniform = [5u64; 12];
-        let bounds = balanced_partition(&uniform, 4);
-        assert_eq!(bounds, vec![0, 3, 6, 9, 12]);
-
-        // Fewer items than parts: trailing chunks are empty.
-        let bounds = balanced_partition(&[7], 3);
-        assert_eq!(bounds[0], 0);
-        assert_eq!(*bounds.last().unwrap(), 1);
-
-        // Empty level.
-        assert_eq!(balanced_partition(&[], 2), vec![0, 0, 0]);
-
-        // All-zero costs stay valid (everything in the last chunk is
-        // fine; boundaries just must be monotone and complete).
-        let bounds = balanced_partition(&[0, 0, 0], 2);
-        assert_eq!(bounds.len(), 3);
-        assert_eq!(*bounds.last().unwrap(), 3);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one part")]
-    fn partition_rejects_zero_parts() {
-        balanced_partition(&[1, 2], 0);
     }
 }

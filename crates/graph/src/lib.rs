@@ -44,10 +44,10 @@
 //!   on `P·A`, dispatched through the [`PrePivot`] knob — what lets
 //!   statically pivoted LU factor saddle-point and circuit matrices
 //!   whose diagonals are structurally zero;
-//! * [`levels`] — DAG scheduling: longest-path level sets (wavefronts)
-//!   of any dependence DAG — `DG_L` for the parallel triangular solve,
-//!   the column elimination DAG for the parallel LU numeric phase —
-//!   plus cost-balanced chunking of levels across workers.
+//! * [`levels`] — longest-path level sets (wavefronts) of any
+//!   dependence DAG — `DG_L` of a triangular solve, the column
+//!   elimination DAG of LU, whose levels lay out the compiled plan's
+//!   position tables and solve streams.
 
 pub mod colamd;
 pub mod colcount;
@@ -70,8 +70,7 @@ pub use dfs::{reach, reach_adjacency_into, reach_into};
 pub use ereach::{ereach, ereach_into};
 pub use etree::etree;
 pub use levels::{
-    balanced_partition, dag_levels_from_preds, dag_levels_from_succs, level_sets, lu_column_levels,
-    LevelSets,
+    dag_levels_from_preds, dag_levels_from_succs, level_sets, lu_column_levels, LevelSets,
 };
 pub use lu_supernode::{
     flop_share_in_wide_panels, flop_share_in_wide_panels_from_parts, panel_flops, supernodes_lu,

@@ -177,11 +177,9 @@ impl LuSymbolic {
 
     /// Exact flop count of each column's solve: its divisions plus a
     /// multiply-subtract pair per off-diagonal entry of every update
-    /// column in its schedule. Sums to [`Self::factor_flops`]. This is
-    /// the symbolic-level resolution of the cost model behind
-    /// cost-balanced DAG scheduling (the parallel LU plan balances on
-    /// the equivalent counts read off its baked schedules, plus a
-    /// pattern-size term for scatter/gather traffic).
+    /// column in its schedule. Sums to [`Self::factor_flops`]. The
+    /// compiled LU plan reads the same counts off its baked schedules
+    /// (panel flops, the dense-panel rule).
     pub fn per_column_flops(&self) -> Vec<u64> {
         let off = |k: usize| (self.l_col_ptr[k + 1] - self.l_col_ptr[k] - 1) as u64;
         (0..self.n)

@@ -47,8 +47,8 @@ pub enum Ordering {
     /// COLAMD-style approximate minimum degree on the column
     /// intersection graph of `AᵀA`, computed without forming it
     /// ([`crate::colamd`]). The recommended default for unsymmetric
-    /// factorization: least fill, and the bushier elimination DAG the
-    /// parallel numeric phase needs.
+    /// factorization: least fill, and a shallower, bushier elimination
+    /// DAG.
     Colamd,
 }
 

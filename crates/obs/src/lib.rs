@@ -3,7 +3,7 @@
 //! The paper's argument (Figures 8/9, §4.3) is about *where time goes*
 //! once symbolic analysis is decoupled from the numeric phase. This
 //! crate provides the measurement substrate that makes the numeric
-//! phase inspectable across both LU kernels, in order and leveled:
+//! phase inspectable across both LU kernels:
 //!
 //! - [`Profiler`] — hierarchical wall-clock spans on per-thread lanes,
 //!   named atomic counters, and named gauges. A disabled profiler
@@ -46,9 +46,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-/// Maximum number of span lanes. Lane 0 is the main/compile/serial
-/// lane; parallel tiers use lane `t` for worker `t`. Lanes at or above
-/// the cap are clamped to the last lane (threads beyond 31 share it).
+/// Maximum number of span lanes. Lane 0 is the main/compile/factor
+/// lane; a serving pool records worker `s` on lane `s + 1`. Lanes at
+/// or above the cap are clamped to the last lane (threads beyond 31
+/// share it).
 pub const MAX_LANES: usize = 32;
 
 /// One recorded span: a named wall-clock interval on a lane, with a

@@ -27,15 +27,14 @@
 //! simulation, convection-dominated CFD) by reusing the reach-set
 //! machinery: each left-looking LU column solve *is* a sparse
 //! triangular solve, so its VI-Prune set is a reach set on the growing
-//! `DG_L`. LU's numeric phase is **two kernels under one scheduler**:
-//! scalar columns, or supernodal VS-Block panels routed through dense
-//! GETRF/TRSM/GEMM kernels (picked by the compiler where a panel pays
-//! for it, ~1e-12 agreement with the columns — dense kernels
-//! reassociate sums), either
-//! walked in order or leveled over its dependence DAG across threads
-//! ([`SympilerOptions::n_threads`], bitwise identical to one thread at
-//! any thread count). Two further compile-time knobs compose with
-//! both: a fill-reducing ordering
+//! `DG_L`. LU's numeric phase is **two kernels**: scalar columns, or
+//! supernodal VS-Block panels routed through dense GETRF/TRSM/GEMM
+//! kernels (picked by the compiler where a panel pays for it, ~1e-12
+//! agreement with the columns — dense kernels reassociate sums), each
+//! walked in order on the calling thread; parallelism is across
+//! requests, one factorization per
+//! [`FactorService`](prelude::FactorService) worker. Two compile-time
+//! knobs compose with both: a fill-reducing ordering
 //! ([`SympilerOptions::ordering`]: RCM / COLAMD, applied `Qᵀ A Q`)
 //! and a static pre-pivot ([`SympilerOptions::pre_pivot`]: maximum
 //! transversal / weighted matching, producing a row permutation `P`
@@ -53,7 +52,6 @@
 //!
 //! [`SympilerOptions::pivot_perturb`]: prelude::SympilerOptions
 //!
-//! [`SympilerOptions::n_threads`]: prelude::SympilerOptions
 //! [`SympilerOptions::ordering`]: prelude::SympilerOptions
 //! [`SympilerOptions::pre_pivot`]: prelude::SympilerOptions
 //! [`SympilerOptions::profile`]: prelude::SympilerOptions
@@ -94,7 +92,6 @@ pub mod prelude {
         Ordering, PrePivot, SympilerCholesky, SympilerLu, SympilerOptions, SympilerTriSolve,
     };
     pub use sympiler_core::plan::chol::CholFactor;
-    pub use sympiler_core::plan::level_schedule::LevelSchedule;
     pub use sympiler_core::plan::lu::{
         BatchError, LuFactor, LuPlan, LuWorkspace, PerturbReport, RefineReport,
     };

@@ -375,25 +375,19 @@ fn lu_row_index_beyond_u32_is_a_pattern_mismatch_in_every_tier() {
     // heavy-fill one.
     let sparse = gen::circuit_unsym(80, 1, 0, 2);
     let dense = gen::circuit_unsym(80, 4, 2, 11);
-    let tiers = [
-        ("serial", 1, &sparse),
-        ("2-thread", 2, &sparse),
-        ("supernodal", 1, &dense),
-        ("supernodal 2-thread", 2, &dense),
-    ];
-    for (label, n_threads, good) in tiers {
+    let tiers = [("scalar", &sparse), ("supernodal", &dense)];
+    for (label, good) in tiers {
         let bad = beyond_u32(good);
         // COLAMD bakes an inverse row map the bad index would overrun.
         for ordering in [Ordering::Natural, Ordering::Colamd] {
             let opts = SympilerOptions {
-                n_threads,
                 ordering,
                 ..Default::default()
             };
             let lu = SympilerLu::compile(good, &opts).unwrap();
             assert_eq!(
-                (lu.is_supernodal(), lu.n_threads()),
-                (label.starts_with("supernodal"), n_threads),
+                lu.is_supernodal(),
+                label == "supernodal",
                 "{label} {ordering:?}: the tier under test"
             );
             assert!(lu.factor(good).is_ok());

@@ -1,11 +1,8 @@
 //! Observability-layer integration tests: profile round trips, the
-//! bitwise-identity contract with instrumentation on, per-thread span
-//! lanes, exact flop attribution across both LU kernels, in order and
-//! leveled, and the numerical-health monitors.
+//! bitwise-identity contract with instrumentation on, span-lane
+//! clamping, exact flop attribution across both LU kernels, and the
+//! numerical-health monitors.
 
-mod common;
-
-use common::factor_on_tier;
 use std::sync::Arc;
 use sympiler::prelude::*;
 use sympiler::sparse::gen;
@@ -26,11 +23,10 @@ fn profiled_plan(a: &CscMatrix) -> (LuPlan, Arc<Profiler>) {
     (plan, profiler)
 }
 
-/// `plan`'s strictly nesting panels capped at 32 columns, for
-/// `n_threads` workers.
-fn strict_panels(plan: LuPlan, n_threads: usize) -> SupernodalLuPlan {
+/// `plan`'s strictly nesting panels capped at 32 columns.
+fn strict_panels(plan: LuPlan) -> SupernodalLuPlan {
     let panels = SupernodalLuPlan::detect_panels(&plan, 32, 0.0, 0);
-    SupernodalLuPlan::from_panels(plan, panels, n_threads)
+    SupernodalLuPlan::from_panels(plan, panels)
 }
 
 #[test]
@@ -58,13 +54,19 @@ fn profile_json_round_trips_through_chrome_trace() {
 #[test]
 fn disabled_profiler_keeps_all_three_tiers_bitwise_identical() {
     let a = problem();
-    let collect = |profile: bool, supernodal: bool, n_threads: usize| -> Vec<u64> {
+    // The scalar tier's two kernels and the supernodal tier.
+    let collect = |profile: bool, tier: &str| -> Vec<u64> {
         let opts = SympilerOptions {
             profile,
-            n_threads,
             ..Default::default()
         };
-        let f = factor_on_tier(&a, &opts, supernodal).unwrap();
+        let plan = LuPlan::build(&a, &opts).unwrap();
+        let f = match tier {
+            "accumulator" => plan.factor(&a),
+            "walker" => plan.with_position_tables(f64::MAX).factor(&a),
+            _ => strict_panels(plan).factor(&a),
+        }
+        .unwrap();
         f.l()
             .values()
             .iter()
@@ -72,74 +74,14 @@ fn disabled_profiler_keeps_all_three_tiers_bitwise_identical() {
             .map(|v| v.to_bits())
             .collect()
     };
-    // Serial, parallel, and supernodal: profiling on vs. off must not
-    // change a single bit of the factors (instrumentation is purely
-    // observational).
-    for (supernodal, n_threads) in [(false, 1), (false, 4), (true, 1), (true, 4)] {
+    // Profiling on vs. off must not change a single bit of the
+    // factors (instrumentation is purely observational).
+    for tier in ["accumulator", "walker", "supernodal"] {
         assert_eq!(
-            collect(false, supernodal, n_threads),
-            collect(true, supernodal, n_threads),
-            "profiling must be invisible to the numbers (supernodal {supernodal}, \
-             {n_threads} threads)"
+            collect(false, tier),
+            collect(true, tier),
+            "profiling must be invisible to the numbers ({tier})"
         );
-    }
-}
-
-#[test]
-fn parallel_tier_records_per_thread_lanes_and_counters() {
-    // One walker, one span vocabulary: the leveled column plan and the
-    // leveled supernodal plan differ in their outer span and the
-    // prefix of their lane counters, nothing else.
-    let a = problem();
-    for (lanes, leveled_span, in_order_span) in [
-        ("par", "factor:parallel", "factor:serial"),
-        ("sup", "factor:supernodal", "factor:supernodal"),
-    ] {
-        for threads in [1usize, 2, 4] {
-            let (plan, profiler) = profiled_plan(&a);
-            if lanes == "par" {
-                plan.leveled(threads).factor(&a).unwrap();
-            } else {
-                strict_panels(plan, threads).factor(&a).unwrap();
-            }
-            let snap = profiler.snapshot(lanes);
-            if threads == 1 {
-                // One worker is the in-order walk: no lanes, no levels.
-                assert_eq!(snap.spans_named(in_order_span).count(), 1);
-                assert_eq!(snap.spans_named("work").count(), 0);
-                assert!(snap.counter(&format!("{lanes}.t0.busy_ns")).is_none());
-                continue;
-            }
-            assert_eq!(snap.spans_named(leveled_span).count(), 1);
-            // Every worker must report busy/wait counters and have run
-            // work spans on its own lane; busy time is the sum of the
-            // lane's work segments.
-            for t in 0..threads {
-                let busy = snap.counter(&format!("{lanes}.t{t}.busy_ns"));
-                let worked: u64 = snap
-                    .spans_named("work")
-                    .filter(|s| s.lane == t)
-                    .map(|s| s.dur_ns)
-                    .sum();
-                assert!(
-                    snap.spans_named("work").any(|s| s.lane == t),
-                    "{lanes}: work span on lane {t} at {threads} threads"
-                );
-                assert_eq!(busy, Some(worked), "{lanes}: busy counter of worker {t}");
-                assert!(
-                    snap.counter(&format!("{lanes}.t{t}.wait_ns")).is_some(),
-                    "{lanes}: wait counter for worker {t} at {threads} threads"
-                );
-            }
-            // No counters for workers that don't exist.
-            assert!(snap
-                .counter(&format!("{lanes}.t{threads}.busy_ns"))
-                .is_none());
-            let imbalance = snap
-                .gauge(&format!("{lanes}.imbalance"))
-                .expect("imbalance gauge");
-            assert!(imbalance >= 1.0, "max/mean busy ratio is at least 1");
-        }
     }
 }
 
@@ -153,14 +95,17 @@ fn flop_attribution_matches_compile_time_counts_exactly() {
         want,
         "per-column flops sum to the total"
     );
-    // Serial tier.
+    // Serial tier, both kernels (a clone shares the profiler; the
+    // counter accumulates).
     plan.factor(&a).unwrap();
     assert_eq!(profiler.counter_value("flops.scalar"), want);
-    // Leveled (clone shares the profiler; counter accumulates).
-    plan.clone().leveled(4).factor(&a).unwrap();
+    plan.clone()
+        .with_position_tables(f64::MAX)
+        .factor(&a)
+        .unwrap();
     assert_eq!(profiler.counter_value("flops.scalar"), 2 * want);
     // Supernodal tier: dense + scalar attribution covers every flop.
-    strict_panels(plan.clone(), 2).factor(&a).unwrap();
+    strict_panels(plan.clone()).factor(&a).unwrap();
     let dense = profiler.counter_value("flops.dense");
     let scalar = profiler.counter_value("flops.scalar") - 2 * want;
     assert_eq!(dense + scalar, want, "supernodal dense+scalar == plan");
@@ -182,7 +127,7 @@ fn flop_attribution_matches_compile_time_counts_exactly() {
         .spans_named("panel")
         .all(|s| s.args.iter().any(|(k, _)| k == "gflops")));
     // The in-order walk of the same panels attributes the same split.
-    strict_panels(plan.clone(), 1).factor(&a).unwrap();
+    strict_panels(plan.clone()).factor(&a).unwrap();
     assert_eq!(profiler.counter_value("flops.dense"), 2 * dense);
     assert_eq!(
         profiler.counter_value("flops.scalar"),

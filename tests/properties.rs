@@ -27,7 +27,7 @@ fn panels_under(
 ) -> SupernodalLuPlan {
     let plan = LuPlan::build(a, opts).unwrap();
     let panels = SupernodalLuPlan::detect_panels(&plan, max_panel, relax_fill, RELAX_COLS);
-    SupernodalLuPlan::from_panels(plan, panels, opts.n_threads)
+    SupernodalLuPlan::from_panels(plan, panels)
 }
 
 /// Strategy: a random square unsymmetric, statically pivotable matrix.
@@ -453,8 +453,8 @@ proptest! {
         // (explicit padded zeros admitted under the fill budget) must
         // agree with BOTH the strict-nesting supernodal plan and the
         // scalar serial tier within 1e-12, with identical factor
-        // patterns, across ordering × pre_pivot × thread count —
-        // padding adds exact zeros to the dense panels, never numbers.
+        // patterns, across ordering × pre_pivot — padding adds exact
+        // zeros to the dense panels, never numbers.
         for ordering in Ordering::ALL {
             for pre_pivot in [PrePivot::Off, PrePivot::WeightedMatching] {
                 let base_opts = SympilerOptions {
@@ -465,25 +465,20 @@ proptest! {
                 let f_serial = LuPlan::build(&a, &base_opts).unwrap().factor(&a).unwrap();
                 let strict = panels_under(&a, &base_opts, MAX_PANEL, 0.0);
                 let f_strict = strict.factor(&a).unwrap();
-                for threads in [1usize, 3] {
-                    let relaxed = panels_under(&a, &SympilerOptions {
-                        n_threads: threads,
-                        ..base_opts.clone()
-                    }, MAX_PANEL, RELAX_FILL);
-                    let fr = relaxed.factor(&a).unwrap();
-                    prop_assert!(fr.l().same_pattern(f_serial.l()));
-                    prop_assert!(fr.u().same_pattern(f_serial.u()));
-                    for ((x, s), t) in fr.l().values().iter().chain(fr.u().values())
-                        .zip(f_serial.l().values().iter().chain(f_serial.u().values()))
-                        .zip(f_strict.l().values().iter().chain(f_strict.u().values()))
-                    {
-                        prop_assert!((x - s).abs() <= 1e-12 * (1.0 + s.abs()),
-                            "{}+{} @{}T vs serial: {} vs {}",
-                            ordering.label(), pre_pivot.label(), threads, x, s);
-                        prop_assert!((x - t).abs() <= 1e-12 * (1.0 + t.abs()),
-                            "{}+{} @{}T vs strict panels: {} vs {}",
-                            ordering.label(), pre_pivot.label(), threads, x, t);
-                    }
+                let relaxed = panels_under(&a, &base_opts, MAX_PANEL, RELAX_FILL);
+                let fr = relaxed.factor(&a).unwrap();
+                prop_assert!(fr.l().same_pattern(f_serial.l()));
+                prop_assert!(fr.u().same_pattern(f_serial.u()));
+                for ((x, s), t) in fr.l().values().iter().chain(fr.u().values())
+                    .zip(f_serial.l().values().iter().chain(f_serial.u().values()))
+                    .zip(f_strict.l().values().iter().chain(f_strict.u().values()))
+                {
+                    prop_assert!((x - s).abs() <= 1e-12 * (1.0 + s.abs()),
+                        "{}+{} vs serial: {} vs {}",
+                        ordering.label(), pre_pivot.label(), x, s);
+                    prop_assert!((x - t).abs() <= 1e-12 * (1.0 + t.abs()),
+                        "{}+{} vs strict panels: {} vs {}",
+                        ordering.label(), pre_pivot.label(), x, t);
                 }
             }
         }
@@ -506,7 +501,6 @@ proptest! {
             let strict = SupernodalLuPlan::from_panels(
                 sup0.serial().clone(),
                 SupernodalLuPlan::detect_panels(sup0.serial(), MAX_PANEL, 0.0, 0),
-                1,
             );
             prop_assert_eq!(sup0.n_panels(), strict.n_panels());
             for s in 0..strict.n_panels() {
@@ -587,8 +581,8 @@ proptest! {
 
     #[test]
     fn pre_pivot_composes_with_every_ordering_across_tiers(a in zero_diag_matrix()) {
-        // The satellite contract: serial / parallel / supernodal
-        // agreement plus baseline verification across every
+        // The satellite contract: agreement of both scalar kernels and
+        // the supernodal tier, plus baseline verification across every
         // (ordering, pre_pivot) pair — on matrices the Off pipeline
         // rejects outright.
         prop_assert!(sympiler::sparse::ops::structurally_zero_diagonals(&a) > 0);
@@ -604,13 +598,13 @@ proptest! {
                 let serial = LuPlan::build(&a, &opts).unwrap();
                 prop_assert_eq!(serial.matched_diagonals(), n);
                 let f = serial.factor(&a).unwrap();
-                // Parallel: bitwise identical.
-                let fp = serial.clone().leveled(3).factor(&a).unwrap();
+                // The position-addressed walker: bitwise identical.
+                let fp = serial.clone().with_position_tables(f64::MAX).factor(&a).unwrap();
                 for (x, y) in fp.l().values().iter().chain(fp.u().values())
                     .zip(f.l().values().iter().chain(f.u().values()))
                 {
                     prop_assert_eq!(x.to_bits(), y.to_bits(),
-                        "{}+{}: parallel bits moved", ordering.label(), pre_pivot.label());
+                        "{}+{}: walker bits moved", ordering.label(), pre_pivot.label());
                 }
                 // Supernodal: relative agreement (growth-aware for the
                 // pattern-only transversal, which may pivot small).
@@ -623,21 +617,6 @@ proptest! {
                     prop_assert!((x - y).abs() <= vtol * (1.0 + y.abs()),
                         "{}+{} supernodal: {} vs {}",
                         ordering.label(), pre_pivot.label(), x, y);
-                }
-                // Supernodal over the panel DAG: bitwise the in-order
-                // panels.
-                let sup3 = panels_under(&a, &SympilerOptions {
-                    n_threads: 3,
-                    ..opts.clone()
-                }, MAX_PANEL, RELAX_FILL);
-                prop_assert_eq!(sup3.n_threads(), 3);
-                let fs3 = sup3.factor(&a).unwrap();
-                for (x, y) in fs3.l().values().iter().chain(fs3.u().values())
-                    .zip(fs.l().values().iter().chain(fs.u().values()))
-                {
-                    prop_assert_eq!(x.to_bits(), y.to_bits(),
-                        "{}+{}: leveled supernodal bits moved",
-                        ordering.label(), pre_pivot.label());
                 }
                 // Baseline verification: identical pre-pivoted GPLU
                 // factors (1e-10 under the weighted matching), and the
@@ -667,14 +646,8 @@ proptest! {
         // tier, and an *armed* tolerance that never fires (empty
         // PerturbReport) must also leave the factors bitwise identical
         // to the untouched path.
-        let tiers = [
-            ("serial", 1, false),
-            ("parallel", 3, false),
-            ("supernodal", 1, true),
-            ("supernodal, leveled", 3, true),
-        ];
-        for (label, n_threads, supernodal) in tiers {
-            let base = SympilerOptions { n_threads, ..Default::default() };
+        for (label, supernodal) in [("scalar", false), ("supernodal", true)] {
+            let base = SympilerOptions::default();
             let plain = factor_on_tier(&a, &base, supernodal).unwrap();
             let explicit = factor_on_tier(&a, &SympilerOptions {
                 pivot_perturb: 0.0, ..base.clone()
@@ -826,7 +799,7 @@ fn same_bits(x: &[f64], y: &[f64]) -> bool {
     x.len() == y.len() && x.iter().zip(y).all(|(p, q)| p.to_bits() == q.to_bits())
 }
 
-/// Every (ordering × pre-pivot × mc64 × tier × threads) cell: the
+/// Every (ordering × pre-pivot × mc64 × tier) cell: the
 /// factor that borrows the plan's `u32` structure answers `solve`,
 /// `solve_batch` and `solve_refined` with the bits the reference sweeps
 /// over its own materialised `l()` / `u()` produce, and those views are
@@ -841,13 +814,12 @@ fn check_factor_object_in_every_cell(a: &CscMatrix, pre_pivots: &[PrePivot]) -> 
                 .collect()
         })
         .collect();
-    let tiers = [(false, 1), (false, 3), (true, 1), (true, 3)];
     for ordering in Ordering::ALL {
         for &pre_pivot in pre_pivots {
             for mc64_scale in [false, true] {
-                for (supernodal, n_threads) in tiers {
+                for supernodal in [false, true] {
                     let cell = format!(
-                        "{}+{} mc64={mc64_scale} supernodal={supernodal} @{n_threads}T",
+                        "{}+{} mc64={mc64_scale} supernodal={supernodal}",
                         ordering.label(),
                         pre_pivot.label()
                     );
@@ -855,7 +827,6 @@ fn check_factor_object_in_every_cell(a: &CscMatrix, pre_pivots: &[PrePivot]) -> 
                         ordering,
                         pre_pivot,
                         mc64_scale,
-                        n_threads,
                         ..Default::default()
                     };
                     let lu = LuPlan::build(a, &opts).unwrap();
@@ -925,13 +896,12 @@ fn check_factor_object_in_every_cell(a: &CscMatrix, pre_pivots: &[PrePivot]) -> 
 
 /// Every (ordering × pre-pivot × mc64 × pivot_perturb) cell through
 /// the public API: the position-addressed walker — forced on, and as
-/// `SympilerLu::compile` bakes it for the serial tier — and the
-/// accumulator kernel leveled over 1 to 4 threads produce the factor
-/// values, perturbation record or zero-pivot column of the in-order
+/// `SympilerLu::compile` bakes it for the serial tier — produces the
+/// factor values, perturbation record or zero-pivot column of the
 /// accumulator kernel (a plan built directly, which carries no tables)
 /// bit for bit — and the answers of `solve`, `solve_batch` and
 /// `solve_refined`, which the walker's factors compute by the plan's
-/// level-grouped row streams and the others by column sweeps.
+/// level-grouped row streams and the accumulator's by column sweeps.
 fn check_walker_in_every_cell(a: &CscMatrix, pre_pivots: &[PrePivot]) -> Result<(), String> {
     use sympiler::core::plan::lu::POSITION_MAX_OPS_PER_ENTRY;
     let n = a.n_cols();
@@ -975,15 +945,6 @@ fn check_walker_in_every_cell(a: &CscMatrix, pre_pivots: &[PrePivot]) -> Result<
                     };
                     let reference = LuPlan::build(a, &opts).unwrap();
                     let want = outcome(reference.factor(a));
-                    for threads in 1..=4 {
-                        prop_assert_eq!(
-                            &outcome(reference.clone().leveled(threads).factor(a)),
-                            &want,
-                            "{}: leveled over {} threads",
-                            &cell,
-                            threads
-                        );
-                    }
                     let walker = reference.clone().with_position_tables(f64::MAX);
                     prop_assert!(
                         walker.table_bytes() > reference.table_bytes(),

@@ -1,5 +1,5 @@
 //! Integration tests for the robustness ladder and serving-layer
-//! fault tolerance: static pivot perturbation across all three LU
+//! fault tolerance: static pivot perturbation across both LU
 //! execution tiers, per-lane batch fault reporting, the
 //! `RobustLu` recovery driver, error-surface conformance
 //! (`std::error::Error` + `source()` chaining), and deterministic
@@ -32,37 +32,32 @@ fn zeroed_first_pivot() -> CscMatrix {
     faulted
 }
 
-/// The three LU execution tiers: name, worker threads, and whether
-/// panels run dense. Each is forced on the test matrix through the plan
-/// constructors ([`factor_on_tier`]).
-const TIERS: [(&str, usize, bool); 3] = [
-    ("serial", 1, false),
-    ("parallel", 4, false),
-    ("supernodal", 1, true),
-];
+/// The two LU execution tiers: name, and whether panels run dense.
+/// Each is forced on the test matrix through the plan constructors
+/// ([`factor_on_tier`]).
+const TIERS: [(&str, bool); 2] = [("scalar", false), ("supernodal", true)];
 
 /// `a` factored on one tier under the default options, with a
 /// perturbation tolerance.
 fn factor_perturbed(
     a: &CscMatrix,
     pivot_perturb: f64,
-    (n_threads, supernodal): (usize, bool),
+    supernodal: bool,
 ) -> Result<LuFactor, LuPlanError> {
     let opts = SympilerOptions {
-        n_threads,
         pivot_perturb,
         ..Default::default()
     };
     factor_on_tier(a, &opts, supernodal)
 }
 
-// --- Layer 1: static pivot perturbation, all three tiers -----------
+// --- Layer 1: static pivot perturbation, both tiers ----------------
 
 #[test]
 fn zero_pivot_fails_every_tier_without_perturbation() {
     let a = zeroed_first_pivot();
-    for (tier, n_threads, supernodal) in TIERS {
-        match factor_perturbed(&a, 0.0, (n_threads, supernodal)) {
+    for (tier, supernodal) in TIERS {
+        match factor_perturbed(&a, 0.0, supernodal) {
             Err(e) => assert!(
                 format!("{e}").contains("pivot"),
                 "{tier}: error must name the pivot: {e}"
@@ -75,8 +70,8 @@ fn zero_pivot_fails_every_tier_without_perturbation() {
 #[test]
 fn perturbation_unblocks_every_tier_and_reports_the_column() {
     let a = zeroed_first_pivot();
-    for (tier, n_threads, supernodal) in TIERS {
-        let f = factor_perturbed(&a, 1e-8, (n_threads, supernodal))
+    for (tier, supernodal) in TIERS {
+        let f = factor_perturbed(&a, 1e-8, supernodal)
             .unwrap_or_else(|e| panic!("{tier}: perturbed factor failed: {e}"));
         let report = f.perturb_report();
         assert!(
@@ -102,8 +97,8 @@ fn tiny_pivots_below_threshold_are_perturbed_in_every_tier() {
     let base = healthy();
     let (a, hit) = tiny_diagonals(&base, &[0], 1e-300);
     assert_eq!(hit, vec![0]);
-    for (tier, n_threads, supernodal) in TIERS {
-        let f = factor_perturbed(&a, 1e-8, (n_threads, supernodal)).unwrap();
+    for (tier, supernodal) in TIERS {
+        let f = factor_perturbed(&a, 1e-8, supernodal).unwrap();
         assert!(
             f.perturb_report().columns.contains(&0),
             "{tier}: 1e-300 pivot sits far below tol*max|A| and must be caught"
@@ -117,13 +112,9 @@ fn perturbation_off_is_bitwise_identical_across_tiers() {
     // factor bitwise untouched: the guard `|pivot| < 0.0` can never
     // fire on a non-negative magnitude.
     let a = healthy();
-    for (tier, n_threads, supernodal) in TIERS {
-        let plain = SympilerOptions {
-            n_threads,
-            ..Default::default()
-        };
-        let f0 = factor_on_tier(&a, &plain, supernodal).unwrap();
-        let f1 = factor_perturbed(&a, 0.0, (n_threads, supernodal)).unwrap();
+    for (tier, supernodal) in TIERS {
+        let f0 = factor_on_tier(&a, &SympilerOptions::default(), supernodal).unwrap();
+        let f1 = factor_perturbed(&a, 0.0, supernodal).unwrap();
         assert!(f0.perturb_report().is_empty() && f1.perturb_report().is_empty());
         let same = f0
             .l()

@@ -99,12 +99,12 @@ fn options_are_part_of_the_cache_key() {
     let a = gen::convection_diffusion_2d(12, 12, 2.0, 5);
     let cache = PlanCache::new(CacheConfig::default());
     let serial = SympilerOptions::default();
-    let leveled = SympilerOptions {
-        n_threads: 2,
+    let ordered = SympilerOptions {
+        ordering: Ordering::Colamd,
         ..SympilerOptions::default()
     };
     let p1 = cache.get_or_compile(&a, &serial).expect("serial");
-    let p2 = cache.get_or_compile(&a, &leveled).expect("leveled");
+    let p2 = cache.get_or_compile(&a, &ordered).expect("ordered");
     assert!(
         !Arc::ptr_eq(&p1, &p2),
         "distinct options must not share a plan"
@@ -182,7 +182,7 @@ fn panels_under(lu: &SympilerLu, relax_fill: f64, relax_cols: usize) -> Supernod
     let detected = SupernodalLuPlan::detect_panels(plan, MAX_PANEL, relax_fill, relax_cols);
     let kept =
         SupernodalLuPlan::dissolve_thin_panels(plan, &detected, DENSE_PANEL_MIN_FLOPS_PER_ENTRY);
-    SupernodalLuPlan::from_panels(plan.clone(), kept, 1)
+    SupernodalLuPlan::from_panels(plan.clone(), kept)
 }
 
 /// The cache's byte accounting sees the execution tier that will
@@ -248,7 +248,7 @@ fn cached_bytes_account_for_position_tables() {
         ..SympilerOptions::default()
     };
     let lu = SympilerLu::compile(&a, &opts).expect("compile");
-    assert!(!lu.is_supernodal() && lu.n_threads() == 1);
+    assert!(!lu.is_supernodal());
     let bare = LuPlan::build(&a, &opts).expect("bare plan");
     let plan = lu.plan();
     let multiply_adds = plan.n_multiply_adds() as usize;
@@ -299,74 +299,53 @@ fn cached_bytes_account_for_position_tables() {
     );
 }
 
-/// The level schedule of an `n_threads > 1` plan is a compiled table
-/// like any other, on either kernel: the cache charges it, to the byte,
-/// on top of what the same plan weighs in order — and a one-thread plan,
-/// which stores no schedule, is charged for none.
-#[test]
-fn cached_bytes_account_for_the_level_schedule() {
-    // COLAMD keeps this circuit fill-free: it compiles scalar.
-    let a = gen::circuit_unsym(400, 1, 0, 3);
-    let scalar = SympilerOptions {
-        ordering: Ordering::Colamd,
-        n_threads: 2,
-        ..SympilerOptions::default()
-    };
-    let lu = SympilerLu::compile(&a, &scalar).expect("compile");
-    assert!(!lu.is_supernodal() && lu.n_threads() == 2);
-    // Leveled plans run the accumulator kernel: no position tables.
-    let bare = LuPlan::build(&a, &scalar).expect("bare plan");
-    let schedule = lu.plan().levels().expect("two threads level the columns");
-    assert!(schedule.bytes() >= 4 * a.n_cols());
-    assert_eq!(lu.table_bytes(), bare.table_bytes() + schedule.bytes());
-    let cache = PlanCache::new(CacheConfig::default());
-    cache.get_or_compile(&a, &scalar).expect("cache");
-    assert_eq!(cache.stats().bytes, lu.table_bytes());
-
-    // This one fills in enough to block.
-    let blocking = gen::circuit_unsym(400, 4, 2, 3);
-    let panels = |n_threads| {
-        let opts = SympilerOptions {
-            n_threads,
-            ..scalar.clone()
-        };
-        SympilerLu::compile(&blocking, &opts).expect("compile")
-    };
-    let (one, two) = (panels(1), panels(2));
-    let sup = one.supernodal().expect("the circuit's panels pay");
-    assert!(sup.levels().is_none(), "one thread stores no schedule");
-    let schedule = two.supernodal().unwrap().levels().expect("leveled panels");
-    assert_eq!(two.table_bytes(), one.table_bytes() + schedule.bytes());
-}
-
 /// Batched factorization agrees bitwise with the one-at-a-time loop on
-/// every execution tier: the batch path runs the same per-lane
-/// arithmetic on the scalar tiers and delegates to `factor()` on the
-/// supernodal one. Each tier runs an input the compiler routes to it.
+/// every execution tier: the scalar tier's position walker and
+/// accumulator kernel, and the supernodal panels. The compiled tiers
+/// run inputs the compiler routes to them; the accumulator kernel is
+/// the same circuit's plan built without position tables.
 #[test]
 fn factor_batch_agrees_on_all_three_tiers() {
     let circuit = gen::circuit_unsym(300, 1, 0, 9);
     let grid = gen::convection_diffusion_2d(16, 16, 3.0, 9);
-    let colamd = |n_threads| SympilerOptions {
+    let colamd = SympilerOptions {
         ordering: Ordering::Colamd,
-        n_threads,
         ..SympilerOptions::default()
     };
-    let tiers = [
-        ("serial", &circuit, colamd(1), false),
-        ("parallel", &circuit, colamd(3), false),
-        ("supernodal", &grid, SympilerOptions::default(), true),
+    let walker = SympilerLu::compile(&circuit, &colamd).expect("compile");
+    let supernodal = SympilerLu::compile(&grid, &SympilerOptions::default()).expect("compile");
+    assert!(!walker.is_supernodal() && supernodal.is_supernodal());
+    let accumulator = LuPlan::build(&circuit, &colamd).expect("compile");
+    assert!(accumulator.table_bytes() < walker.table_bytes());
+    type Batch<'a> = Box<dyn Fn(&[&CscMatrix]) -> Vec<LuFactor> + 'a>;
+    type Single<'a> = Box<dyn Fn(&CscMatrix) -> LuFactor + 'a>;
+    let tiers: [(&str, &CscMatrix, Batch, Single); 3] = [
+        (
+            "walker",
+            &circuit,
+            Box::new(|m| walker.factor_batch(m).expect("batch")),
+            Box::new(|a| walker.factor(a).expect("single")),
+        ),
+        (
+            "accumulator",
+            &circuit,
+            Box::new(|m| accumulator.factor_batch(m).expect("batch")),
+            Box::new(|a| accumulator.factor(a).expect("single")),
+        ),
+        (
+            "supernodal",
+            &grid,
+            Box::new(|m| supernodal.factor_batch(m).expect("batch")),
+            Box::new(|a| supernodal.factor(a).expect("single")),
+        ),
     ];
-    for (name, base, opts, supernodal) in tiers {
+    for (name, base, batch, factor) in tiers {
         let mats: Vec<CscMatrix> = (0..5).map(|k| perturbed(base, k)).collect();
         let refs: Vec<&CscMatrix> = mats.iter().collect();
-        let lu = SympilerLu::compile(base, &opts).expect("compile");
-        assert_eq!(lu.is_supernodal(), supernodal, "{name} tier");
-        assert_eq!(lu.n_threads(), opts.n_threads, "{name} tier");
-        let batched = lu.factor_batch(&refs).expect("batch");
+        let batched = batch(&refs);
         assert_eq!(batched.len(), mats.len());
         for (k, (b, a)) in batched.iter().zip(&mats).enumerate() {
-            let single = lu.factor(a).expect("single");
+            let single = factor(a);
             assert!(
                 bitwise_eq(b, &single),
                 "{name} tier: batch[{k}] diverged from factor()"

@@ -1,9 +1,9 @@
 //! Integration tests for the supernodal (VS-Block) LU tier: panel
 //! detection quality and the compiler's per-panel dense/scalar
 //! choice, agreement with the serial plan across the whole
-//! unsymmetric suite under every ordering, the panel cap, panel DAG
-//! parallel execution, the bitwise-determinism and workspace
-//! contracts, and sparse-RHS solves through factors from every tier.
+//! unsymmetric suite under every ordering, the panel cap, the
+//! bitwise-determinism and workspace contracts, and sparse-RHS solves
+//! through factors from every tier.
 
 use sympiler::core::plan::lu_supernodal::{MAX_PANEL, RELAX_COLS, RELAX_FILL};
 use sympiler::prelude::*;
@@ -16,16 +16,11 @@ const TOL: f64 = 1e-12;
 
 /// `lu`'s scalar plan with every panel detected at cap `max_panel` and
 /// budget `relax_fill` (in place of the compiler's `MAX_PANEL` /
-/// `RELAX_FILL`) dense, for `n_threads` workers.
-fn panels_under(
-    lu: &SympilerLu,
-    max_panel: usize,
-    relax_fill: f64,
-    n_threads: usize,
-) -> SupernodalLuPlan {
+/// `RELAX_FILL`) dense.
+fn panels_under(lu: &SympilerLu, max_panel: usize, relax_fill: f64) -> SupernodalLuPlan {
     let plan = lu.plan();
     let panels = SupernodalLuPlan::detect_panels(plan, max_panel, relax_fill, RELAX_COLS);
-    SupernodalLuPlan::from_panels(plan.clone(), panels, n_threads)
+    SupernodalLuPlan::from_panels(plan.clone(), panels)
 }
 
 fn assert_factors_close(a: &LuFactor, b: &LuFactor, what: &str) {
@@ -72,7 +67,7 @@ fn supernodal_matches_serial_across_suite_and_orderings() {
             let what = format!("{} under {}", p.name, ordering.label());
             let f_serial = lu.plan().factor(&p.matrix).unwrap();
             // The panels the compiler keeps, and every detected panel.
-            let plan = panels_under(&lu, MAX_PANEL, RELAX_FILL, 1);
+            let plan = panels_under(&lu, MAX_PANEL, RELAX_FILL);
             for f_sup in [lu.factor(&p.matrix), plan.factor(&p.matrix)] {
                 assert_factors_close(&f_sup.unwrap(), &f_serial, &what);
             }
@@ -146,7 +141,7 @@ fn colamd_circuit_flops_run_in_dense_panels() {
             plan.dense_executed_flops(),
             plan.dense_structural_flops()
         );
-        let on = |relax_fill| panels_under(&auto, MAX_PANEL, relax_fill, 1);
+        let on = |relax_fill| panels_under(&auto, MAX_PANEL, relax_fill);
         let (relaxed, strict) = (on(RELAX_FILL), on(0.0));
         assert_eq!(strict.padded_zeros(), 0);
         assert!(
@@ -175,7 +170,7 @@ fn auto_runs_fill_free_circuits_scalar() {
     let auto = SympilerLu::compile(&a, &opts).unwrap();
     // No dense panel survives: the scalar tier, no dense flop.
     assert!(!auto.is_supernodal() && auto.supernodal().is_none());
-    let on = panels_under(&auto, MAX_PANEL, RELAX_FILL, 1);
+    let on = panels_under(&auto, MAX_PANEL, RELAX_FILL);
     assert!(
         on.dense_executed_flops() > 5 * on.dense_structural_flops(),
         "the pattern must exhibit the waste: {} executed for {} structural",
@@ -214,8 +209,8 @@ fn composed_system(lu: &SympilerLu, a: &CscMatrix) -> CscMatrix {
 #[test]
 fn supernodal_factors_are_bitwise_stable_and_backward_stable() {
     // The determinism contract on one host: a supernodal factor does
-    // not move a bit with the thread count (1/2/4), with profiling on
-    // or off, or with a reused workspace — every panel runs one fixed
+    // not move a bit with profiling on or off, or with a reused
+    // workspace — every panel runs one fixed
     // operation sequence. And across (ordering × pre_pivot × relax)
     // the componentwise backward error of the factored system stays
     // under the strict 1e-10, whichever instantiation of the update
@@ -260,7 +255,7 @@ fn supernodal_factors_are_bitwise_stable_and_backward_stable() {
                 .unwrap();
                 for relax_fill in [0.0, RELAX_FILL] {
                     let what = format!("{name} {ordering:?}+{pre_pivot:?} relax {relax_fill}");
-                    let one = panels_under(&lu, MAX_PANEL, relax_fill, 1);
+                    let one = panels_under(&lu, MAX_PANEL, relax_fill);
                     let f1 = one.factor(a).unwrap();
                     let reference = factor_bits(&f1);
                     let mut ws = LuWorkspace::new();
@@ -273,15 +268,7 @@ fn supernodal_factors_are_bitwise_stable_and_backward_stable() {
                         );
                         assert!(ws.is_clear(), "{what}: accumulator all-zero");
                     }
-                    for threads in [2usize, 4] {
-                        let par = panels_under(&lu, MAX_PANEL, relax_fill, threads);
-                        assert_eq!(
-                            factor_bits(&par.factor(a).unwrap()),
-                            reference,
-                            "{what}: {threads} threads"
-                        );
-                    }
-                    let traced = panels_under(&profiled, MAX_PANEL, relax_fill, 1);
+                    let traced = panels_under(&profiled, MAX_PANEL, relax_fill);
                     assert_eq!(
                         factor_bits(&traced.factor(a).unwrap()),
                         reference,
@@ -306,7 +293,7 @@ fn max_panel_knob_caps_widths_and_stays_correct() {
     let lu = SympilerLu::compile(&p.matrix, &SympilerOptions::default()).unwrap();
     let mut reference: Option<LuFactor> = None;
     for max_panel in [2usize, 8, 0] {
-        let plan = panels_under(&lu, max_panel, RELAX_FILL, 1);
+        let plan = panels_under(&lu, max_panel, RELAX_FILL);
         if max_panel > 0 {
             assert!(plan.max_panel_width() <= max_panel, "cap {max_panel}");
         }
@@ -314,42 +301,6 @@ fn max_panel_knob_caps_widths_and_stays_correct() {
         match &reference {
             None => reference = Some(f),
             Some(r) => assert_factors_close(&f, r, &format!("cap {max_panel}")),
-        }
-    }
-}
-
-#[test]
-fn panel_parallel_execution_is_deterministic_and_correct() {
-    let p = &unsym_suite(SuiteScale::Test)[3]; // circuit_rails_u
-    let opts1 = SympilerOptions {
-        ordering: Ordering::Colamd,
-        ..Default::default()
-    };
-    let one = SympilerLu::compile(&p.matrix, &opts1).unwrap();
-    assert!(one.is_supernodal(), "the COLAMD circuit blocks");
-    let f1 = one.factor(&p.matrix).unwrap();
-    for threads in [2usize, 4] {
-        let par = SympilerLu::compile(
-            &p.matrix,
-            &SympilerOptions {
-                n_threads: threads,
-                ..opts1.clone()
-            },
-        )
-        .unwrap();
-        assert!(par.is_supernodal());
-        assert_eq!(par.n_threads(), threads);
-        let fp = par.factor(&p.matrix).unwrap();
-        // Panels run fixed operation sequences: thread count must not
-        // change a single bit.
-        for (x, y) in f1
-            .l()
-            .values()
-            .iter()
-            .chain(f1.u().values())
-            .zip(fp.l().values().iter().chain(fp.u().values()))
-        {
-            assert_eq!(x.to_bits(), y.to_bits(), "{threads} threads");
         }
     }
 }
