@@ -215,47 +215,13 @@ impl LuFactor {
     /// each returned column is bitwise identical to a one-at-a-time
     /// solve of that RHS.
     pub fn solve_multi(&self, b: &[f64], nrhs: usize) -> Vec<f64> {
-        let st = &*self.structure;
-        let (lx, ux) = self.values();
-        let n = st.n();
+        let n = self.structure.n();
         assert_eq!(b.len(), n * nrhs, "rhs block length mismatch");
         let mut x = vec![0.0f64; n * nrhs];
         for r in 0..nrhs {
             self.gather_rhs_into(&b[r * n..(r + 1) * n], &mut x[r * n..(r + 1) * n]);
         }
-        // Forward: L has diagonal-first unit columns; the column's
-        // rows/values are hoisted out of the RHS loop.
-        for j in 0..n {
-            let range = st.l_col_ptr[j] + 1..st.l_col_ptr[j + 1];
-            let rows = &st.l_row_idx[range.clone()];
-            let vals = &lx[range];
-            for r in 0..nrhs {
-                let xr = &mut x[r * n..(r + 1) * n];
-                let xj = xr[j]; // unit diagonal: no division
-                if xj != 0.0 {
-                    for (&i, &lij) in rows.iter().zip(vals) {
-                        xr[i as usize] -= lij * xj;
-                    }
-                }
-            }
-        }
-        // Backward: U has diagonal-last columns.
-        for j in (0..n).rev() {
-            let range = st.u_col_ptr[j]..st.u_col_ptr[j + 1] - 1;
-            let rows = &st.u_row_idx[range.clone()];
-            let vals = &ux[range.clone()];
-            let pivot = ux[range.end];
-            for r in 0..nrhs {
-                let xr = &mut x[r * n..(r + 1) * n];
-                let xj = xr[j] / pivot;
-                xr[j] = xj;
-                if xj != 0.0 {
-                    for (&i, &uij) in rows.iter().zip(vals) {
-                        xr[i as usize] -= uij * xj;
-                    }
-                }
-            }
-        }
+        self.column_sweeps(&mut x);
         if self.cperm.is_none() && self.scaling.is_none() {
             return x;
         }
@@ -306,33 +272,54 @@ impl LuFactor {
 
     /// The two triangular sweeps, entirely in the factors' (ordered)
     /// coordinate system: the plan's level-grouped row streams when it
-    /// baked them, else one column sweep per triangle. Both apply each
-    /// row's terms in the same order, so they agree to the bit.
+    /// baked them, else [`Self::column_sweeps`] on one right-hand side.
+    /// Both apply each row's terms in the same order, so they agree to
+    /// the bit.
     fn solve_in_factor_coords(&self, x: &mut [f64]) {
-        let st = &*self.structure;
         if let Some(sweeps) = &self.sweeps {
-            return sweeps.solve(st, &self.vals, x);
+            return sweeps.solve(&self.structure, &self.vals, x);
         }
+        self.column_sweeps(x);
+    }
+
+    /// Both triangular sweeps by columns over a block `x` of
+    /// right-hand sides in factor coordinates, stored column-major
+    /// (`n` entries each): each factor column is loaded once and
+    /// applied to every right-hand side, whose terms (including the
+    /// skip of a zero `x[j]`) run in one fixed order per right-hand
+    /// side.
+    fn column_sweeps(&self, x: &mut [f64]) {
+        let st = &*self.structure;
         let (lx, ux) = self.values();
         let n = st.n();
-        // Forward: L has diagonal-first unit columns.
+        // Forward: L has diagonal-first unit columns; the column's
+        // rows/values are hoisted out of the RHS loop.
         for j in 0..n {
             let range = st.l_col_ptr[j] + 1..st.l_col_ptr[j + 1];
-            let xj = x[j]; // unit diagonal: no division
-            if xj != 0.0 {
-                for (&i, &lij) in st.l_row_idx[range.clone()].iter().zip(&lx[range]) {
-                    x[i as usize] -= lij * xj;
+            let rows = &st.l_row_idx[range.clone()];
+            let vals = &lx[range];
+            for xr in x.chunks_exact_mut(n) {
+                let xj = xr[j]; // unit diagonal: no division
+                if xj != 0.0 {
+                    for (&i, &lij) in rows.iter().zip(vals) {
+                        xr[i as usize] -= lij * xj;
+                    }
                 }
             }
         }
         // Backward: U has diagonal-last columns.
         for j in (0..n).rev() {
             let range = st.u_col_ptr[j]..st.u_col_ptr[j + 1] - 1;
-            let xj = x[j] / ux[range.end];
-            x[j] = xj;
-            if xj != 0.0 {
-                for (&i, &uij) in st.u_row_idx[range.clone()].iter().zip(&ux[range]) {
-                    x[i as usize] -= uij * xj;
+            let rows = &st.u_row_idx[range.clone()];
+            let vals = &ux[range.clone()];
+            let pivot = ux[range.end];
+            for xr in x.chunks_exact_mut(n) {
+                let xj = xr[j] / pivot;
+                xr[j] = xj;
+                if xj != 0.0 {
+                    for (&i, &uij) in rows.iter().zip(vals) {
+                        xr[i as usize] -= uij * xj;
+                    }
                 }
             }
         }

@@ -416,6 +416,26 @@ mod tests {
     }
 
     #[test]
+    fn a_nan_value_is_never_accepted() {
+        // A NaN answer has no backward error to meet: the direct solve
+        // and its refinement report no convergence, and every rung ends
+        // in a typed error instead of `Rung::Accept`.
+        let a = gen::circuit_unsym(20, 3, 1, 5);
+        let mut poisoned = a.clone();
+        poisoned.values_mut()[7] = f64::NAN;
+        let robust = RobustLu::compile(&a, &SympilerOptions::default()).unwrap();
+        let b = vec![1.0; 20];
+        let f = robust.lu().factor(&poisoned).unwrap();
+        let (_, report) = f.solve_refined(&poisoned, &b, 1e-12, 5);
+        assert!(!report.converged && report.final_berr == f64::INFINITY);
+        let err = robust.solve(&poisoned, &b).unwrap_err();
+        assert!(
+            matches!(err.trail[0], TrailStep::BerrAboveTol { berr, .. } if berr.is_infinite()),
+            "{err}"
+        );
+    }
+
+    #[test]
     fn transversal_growth_recovers_by_refinement() {
         // The pattern-only transversal on a zero-diagonal circuit is
         // the motivating case: the static pivot sequence factors but

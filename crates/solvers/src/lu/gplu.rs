@@ -14,6 +14,7 @@
 //! triangular with diagonal-last columns, satisfying
 //! `P A = L U` with `P` the returned row permutation.
 
+use sympiler_sparse::ops::max_or_inf;
 use sympiler_sparse::CscMatrix;
 
 /// Pivoting strategy.
@@ -520,7 +521,8 @@ impl GpLu {
 /// every correctly implemented engine — including ones that pivot on
 /// tiny static entries, where any `‖A‖`-relative residual is
 /// unavoidably inflated by `‖L‖‖U‖/‖A‖`. The growth-independent
-/// verification metric for comparing factorization engines.
+/// verification metric for comparing factorization engines. A NaN in
+/// `A`, `L` or `U` reaches the residual and makes it `+∞`.
 pub fn lu_backward_error(a: &CscMatrix, f: &GpLuFactors) -> f64 {
     let n = a.n_cols();
     assert_eq!(f.n(), n, "dimension mismatch");
@@ -557,17 +559,18 @@ pub fn lu_backward_error(a: &CscMatrix, f: &GpLuFactors) -> f64 {
         }
         let mut err = 0.0f64;
         for &i in &touched {
-            err = err.max(acc[i].abs());
+            err = max_or_inf(err, acc[i].abs());
             acc[i] = 0.0;
         }
-        eta = eta.max(err / denom.max(f64::MIN_POSITIVE));
+        eta = max_or_inf(eta, err / denom.max(f64::MIN_POSITIVE));
     }
     eta
 }
 
 /// Max-norm reconstruction error `max |(P A - L U)[i, j]|` scaled by
 /// the 1-norm of `A` — the LU analogue of
-/// [`crate::verify::reconstruction_error`]. O(flops(LU)).
+/// [`crate::verify::reconstruction_error`]. O(flops(LU)); `+∞` when
+/// any entry of the residual is NaN.
 pub fn lu_reconstruction_error(a: &CscMatrix, f: &GpLuFactors) -> f64 {
     let n = a.n_cols();
     assert_eq!(f.n(), n, "dimension mismatch");
@@ -600,7 +603,7 @@ pub fn lu_reconstruction_error(a: &CscMatrix, f: &GpLuFactors) -> f64 {
             acc[r] -= v;
         }
         for &i in &touched {
-            max_err = max_err.max(acc[i].abs());
+            max_err = max_or_inf(max_err, acc[i].abs());
             acc[i] = 0.0;
         }
     }
@@ -858,6 +861,28 @@ mod tests {
                 structural_rank: 1
             }
         );
+    }
+
+    #[test]
+    fn one_nan_in_l_or_u_makes_both_factor_errors_infinite() {
+        let a = gen::circuit_unsym(25, 3, 1, 3);
+        let f = GpLu::factor(&a, Pivoting::None).unwrap();
+        assert!(lu_backward_error(&a, &f) < 1e-14);
+        let (l_off, u_first) = (f.l.col_ptr()[0] + 1, f.u.col_ptr()[1]);
+        for poison_l in [true, false] {
+            let mut g = f.clone();
+            if poison_l {
+                g.l.values_mut()[l_off] = f64::NAN;
+            } else {
+                g.u.values_mut()[u_first] = f64::NAN;
+            }
+            assert_eq!(lu_backward_error(&a, &g), f64::INFINITY, "L: {poison_l}");
+            assert_eq!(
+                lu_reconstruction_error(&a, &g),
+                f64::INFINITY,
+                "L: {poison_l}"
+            );
+        }
     }
 
     #[test]

@@ -1,10 +1,11 @@
 //! Verification helpers shared by tests, examples, and benchmarks.
 
+use sympiler_sparse::ops::max_or_inf;
 use sympiler_sparse::{ops, CscMatrix};
 
 /// Max-norm error of `L L^T - A` over the lower triangle, scaled by the
-/// 1-norm of `A`. `a_lower` is the SPD input in lower storage, `l` the
-/// computed factor.
+/// 1-norm of `A`, `+∞` when any entry of the difference is NaN.
+/// `a_lower` is the SPD input in lower storage, `l` the computed factor.
 pub fn reconstruction_error(a_lower: &CscMatrix, l: &CscMatrix) -> f64 {
     assert_eq!(a_lower.n_cols(), l.n_cols(), "dimension mismatch");
     let n = a_lower.n_cols();
@@ -32,13 +33,13 @@ pub fn reconstruction_error(a_lower: &CscMatrix, l: &CscMatrix) -> f64 {
         // Compare against A's column j (lower part).
         for (i, v) in a_lower.col_iter(j) {
             let err = (acc[i] - v).abs();
-            max_err = max_err.max(err);
+            max_err = max_or_inf(max_err, err);
             acc[i] = 0.0;
         }
         // Fill-in positions must reconstruct to ~zero.
         for (i, _) in l.col_iter(j) {
             if acc[i] != 0.0 {
-                max_err = max_err.max(acc[i].abs());
+                max_err = max_or_inf(max_err, acc[i].abs());
                 acc[i] = 0.0;
             }
         }
@@ -72,6 +73,15 @@ mod tests {
         let nnz = l.nnz();
         l.values_mut()[nnz / 2] += 0.5;
         assert!(reconstruction_error(&a, &l) > 1e-6);
+    }
+
+    #[test]
+    fn one_nan_in_l_is_an_infinite_error() {
+        let a = gen::random_spd(25, 3, 2);
+        let mut l = SimplicialCholesky::analyze(&a).unwrap().factor(&a).unwrap();
+        let nnz = l.nnz();
+        l.values_mut()[nnz / 2] = f64::NAN;
+        assert_eq!(reconstruction_error(&a, &l), f64::INFINITY);
     }
 
     #[test]

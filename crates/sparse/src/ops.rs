@@ -412,7 +412,8 @@ pub fn permute_rows_cols(a: &CscMatrix, perm: &[usize]) -> Result<CscMatrix> {
 }
 
 /// `||A x - b||_inf / (||A||_1 ||x||_inf + ||b||_inf)` — the scaled
-/// residual used to verify solves.
+/// residual used to verify solves; `+∞` when any term is NaN or the
+/// residual is not finite.
 pub fn rel_residual(a: &CscMatrix, x: &[f64], b: &[f64]) -> f64 {
     let mut ax = vec![0.0; a.n_rows()];
     spmv(a, x, &mut ax);
@@ -431,15 +432,29 @@ fn scaled_residual_from(ax: &[f64], a: &CscMatrix, x: &[f64], b: &[f64]) -> f64 
         .iter()
         .zip(b.iter())
         .map(|(p, q)| (p - q).abs())
-        .fold(0.0f64, f64::max);
+        .fold(0.0f64, max_or_inf);
+    if !num.is_finite() {
+        return f64::INFINITY;
+    }
     let a1 = norm_1(a);
-    let xi = x.iter().map(|v| v.abs()).fold(0.0f64, f64::max);
-    let bi = b.iter().map(|v| v.abs()).fold(0.0f64, f64::max);
+    let xi = x.iter().map(|v| v.abs()).fold(0.0f64, max_or_inf);
+    let bi = b.iter().map(|v| v.abs()).fold(0.0f64, max_or_inf);
     let den = a1 * xi + bi;
     if den == 0.0 {
         num
     } else {
-        num / den
+        max_or_inf(0.0, num / den)
+    }
+}
+
+/// `f64::max` for error metrics: a NaN term makes the result `+∞`.
+/// `f64::max` drops a NaN operand, so a fold over it reads a NaN
+/// answer as exact.
+pub fn max_or_inf(acc: f64, v: f64) -> f64 {
+    if v.is_nan() {
+        f64::INFINITY
+    } else {
+        acc.max(v)
     }
 }
 
@@ -450,7 +465,8 @@ fn scaled_residual_from(ax: &[f64], a: &CscMatrix, x: &[f64], b: &[f64]) -> f64 
 /// iterative refinement: a berr near machine epsilon certifies the
 /// solve regardless of how ill-conditioned the factorization path
 /// was. Rows where both numerator and denominator vanish contribute
-/// zero; a nonzero residual over a zero denominator yields infinity.
+/// zero; a nonzero residual over a zero denominator, and a NaN in
+/// either, yield infinity.
 pub fn componentwise_berr(a: &CscMatrix, x: &[f64], b: &[f64]) -> f64 {
     assert_eq!(x.len(), a.n_cols(), "x length mismatch");
     assert_eq!(b.len(), a.n_rows(), "b length mismatch");
@@ -472,6 +488,9 @@ pub fn componentwise_berr(a: &CscMatrix, x: &[f64], b: &[f64]) -> f64 {
     for i in 0..n {
         let num = (b[i] - ax[i]).abs();
         let den = denom[i] + b[i].abs();
+        if num.is_nan() || den.is_nan() {
+            return f64::INFINITY;
+        }
         if den > 0.0 {
             berr = berr.max(num / den);
         } else if num > 0.0 {
@@ -734,6 +753,26 @@ mod tests {
         let mut b = [0.0; 3];
         spmv(&a, &x, &mut b);
         assert!(rel_residual(&a, &x, &b) < 1e-15);
+    }
+
+    #[test]
+    fn one_nan_makes_every_residual_metric_infinite() {
+        let a = lower3();
+        let x = [1.0, 1.0, 1.0];
+        let mut b = [0.0; 3];
+        spmv(&a, &x, &mut b);
+        let one_nan = [1.0, f64::NAN, 1.0];
+        let all_nan = [f64::NAN; 3];
+        for bad in [&one_nan, &all_nan] {
+            assert_eq!(rel_residual(&a, bad, &b), f64::INFINITY);
+            assert_eq!(rel_residual_sym_lower(&a, bad, &b), f64::INFINITY);
+            assert_eq!(componentwise_berr(&a, bad, &b), f64::INFINITY);
+        }
+        let mut poisoned = a.clone();
+        poisoned.values_mut()[2] = f64::NAN;
+        assert_eq!(rel_residual(&poisoned, &x, &b), f64::INFINITY);
+        assert_eq!(componentwise_berr(&poisoned, &x, &b), f64::INFINITY);
+        assert!(componentwise_berr(&a, &x, &b) < 1e-15);
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! Shared by the integration tests that walk every LU execution tier.
+//! Shared by the integration tests that walk the LU execution tiers.
+#![allow(dead_code)] // each test binary uses its own subset
 
 use sympiler::core::plan::lu::{LuPlanError, POSITION_MAX_OPS_PER_ENTRY};
 use sympiler::core::plan::lu_supernodal::{MAX_PANEL, RELAX_COLS, RELAX_FILL};
@@ -16,10 +17,32 @@ pub fn factor_on_tier(
 ) -> Result<LuFactor, LuPlanError> {
     let plan = LuPlan::build(a, opts)?;
     if supernodal {
-        let panels = SupernodalLuPlan::detect_panels(&plan, MAX_PANEL, RELAX_FILL, RELAX_COLS);
-        SupernodalLuPlan::from_panels(plan, panels).factor(a)
+        panels_under(&plan, MAX_PANEL, RELAX_FILL, RELAX_COLS).factor(a)
     } else {
         plan.with_position_tables(POSITION_MAX_OPS_PER_ENTRY)
             .factor(a)
     }
+}
+
+/// `plan` with every panel detected under `max_panel`, `relax_fill`
+/// and `relax_cols` (in place of the compiler's `MAX_PANEL`,
+/// `RELAX_FILL` and `RELAX_COLS`) dense, none dissolved.
+pub fn panels_under(
+    plan: &LuPlan,
+    max_panel: usize,
+    relax_fill: f64,
+    relax_cols: usize,
+) -> SupernodalLuPlan {
+    let panels = SupernodalLuPlan::detect_panels(plan, max_panel, relax_fill, relax_cols);
+    SupernodalLuPlan::from_panels(plan.clone(), panels)
+}
+
+/// The bits of a factor's `L` then `U` values.
+pub fn factor_bits(f: &LuFactor) -> Vec<u64> {
+    f.l()
+        .values()
+        .iter()
+        .chain(f.u().values())
+        .map(|v| v.to_bits())
+        .collect()
 }

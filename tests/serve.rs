@@ -1,9 +1,11 @@
 //! Serving-layer integration tests: the [`PlanCache`] under concurrent
-//! mixed-pattern load and eviction pressure, batched factorization
-//! against every execution tier, the blocked multi-RHS solve, and the
+//! mixed-pattern load and eviction pressure, batch failures, and the
 //! [`FactorService`] end to end — all verified against the direct
 //! `compile()` + `factor()` path, bitwise where the tier promises it.
 
+mod common;
+
+use common::{factor_bits, panels_under};
 use std::sync::Arc;
 use sympiler::core::plan::lu_supernodal::{
     DENSE_PANEL_MIN_FLOPS_PER_ENTRY, MAX_PANEL, RELAX_COLS, RELAX_FILL,
@@ -19,15 +21,6 @@ fn perturbed(base: &CscMatrix, k: usize) -> CscMatrix {
         *v *= s;
     }
     a
-}
-
-fn bitwise_eq(a: &LuFactor, b: &LuFactor) -> bool {
-    a.l()
-        .values()
-        .iter()
-        .chain(a.u().values())
-        .zip(b.l().values().iter().chain(b.u().values()))
-        .all(|(x, y)| x.to_bits() == y.to_bits())
 }
 
 /// Many threads hammer one cache with a mix of patterns sized so the
@@ -64,7 +57,7 @@ fn concurrent_cache_stress_under_eviction_pressure() {
                         .factor(&a)
                         .expect("direct factor");
                     assert!(
-                        bitwise_eq(&cached, &direct),
+                        factor_bits(&cached) == factor_bits(&direct),
                         "thread {t} request {req}: cached factor diverged"
                     );
                 }
@@ -146,15 +139,12 @@ fn amalgamation_and_scaling_options_key_the_cache() {
             .collect::<Vec<_>>()
     };
     let cached = layout(p_rel.supernodal().expect("the circuit's panels pay"));
-    assert_eq!(
-        cached,
-        layout(&panels_under(&p_rel, RELAX_FILL, RELAX_COLS))
-    );
+    assert_eq!(cached, layout(&kept_under(&p_rel, RELAX_FILL, RELAX_COLS)));
     for (label, relax_fill, relax_cols) in [("strict", 0.0, RELAX_COLS), ("narrow", RELAX_FILL, 4)]
     {
         assert_ne!(
             cached,
-            layout(&panels_under(&p_rel, relax_fill, relax_cols)),
+            layout(&kept_under(&p_rel, relax_fill, relax_cols)),
             "a {label} budget must lay panels out differently"
         );
     }
@@ -173,16 +163,17 @@ fn amalgamation_and_scaling_options_key_the_cache() {
     assert_eq!(cache.stats().misses, 2);
 }
 
-/// The supernodal plan `SympilerLu::compile` builds on `lu`'s scalar
-/// plan, with panels detected under the given amalgamation budget
-/// instead of the compiler's (thin panels dissolved as it dissolves
-/// them).
-fn panels_under(lu: &SympilerLu, relax_fill: f64, relax_cols: usize) -> SupernodalLuPlan {
-    let plan = lu.plan();
-    let detected = SupernodalLuPlan::detect_panels(plan, MAX_PANEL, relax_fill, relax_cols);
-    let kept =
-        SupernodalLuPlan::dissolve_thin_panels(plan, &detected, DENSE_PANEL_MIN_FLOPS_PER_ENTRY);
-    SupernodalLuPlan::from_panels(plan.clone(), kept)
+/// The panels `SympilerLu::compile` keeps on `lu`'s scalar plan when it
+/// detects them under the given amalgamation budget instead of the
+/// compiler's.
+fn kept_under(lu: &SympilerLu, relax_fill: f64, relax_cols: usize) -> SupernodalLuPlan {
+    let detected = panels_under(lu.plan(), MAX_PANEL, relax_fill, relax_cols);
+    let kept = SupernodalLuPlan::dissolve_thin_panels(
+        lu.plan(),
+        detected.panel_layout(),
+        DENSE_PANEL_MIN_FLOPS_PER_ENTRY,
+    );
+    SupernodalLuPlan::from_panels(lu.plan().clone(), kept)
 }
 
 /// The cache's byte accounting sees the execution tier that will
@@ -199,7 +190,7 @@ fn cached_bytes_account_for_padded_panel_layouts() {
         ..SympilerOptions::default()
     };
     let lu_rel = SympilerLu::compile(&a, &relaxed).expect("relaxed compile");
-    let strict = panels_under(&lu_rel, 0.0, RELAX_COLS);
+    let strict = kept_under(&lu_rel, 0.0, RELAX_COLS);
     let sup = lu_rel.supernodal().expect("the circuit's panels pay");
     assert!(
         sup.padded_zeros() > 0,
@@ -299,61 +290,6 @@ fn cached_bytes_account_for_position_tables() {
     );
 }
 
-/// Batched factorization agrees bitwise with the one-at-a-time loop on
-/// every execution tier: the scalar tier's position walker and
-/// accumulator kernel, and the supernodal panels. The compiled tiers
-/// run inputs the compiler routes to them; the accumulator kernel is
-/// the same circuit's plan built without position tables.
-#[test]
-fn factor_batch_agrees_on_all_three_tiers() {
-    let circuit = gen::circuit_unsym(300, 1, 0, 9);
-    let grid = gen::convection_diffusion_2d(16, 16, 3.0, 9);
-    let colamd = SympilerOptions {
-        ordering: Ordering::Colamd,
-        ..SympilerOptions::default()
-    };
-    let walker = SympilerLu::compile(&circuit, &colamd).expect("compile");
-    let supernodal = SympilerLu::compile(&grid, &SympilerOptions::default()).expect("compile");
-    assert!(!walker.is_supernodal() && supernodal.is_supernodal());
-    let accumulator = LuPlan::build(&circuit, &colamd).expect("compile");
-    assert!(accumulator.table_bytes() < walker.table_bytes());
-    type Batch<'a> = Box<dyn Fn(&[&CscMatrix]) -> Vec<LuFactor> + 'a>;
-    type Single<'a> = Box<dyn Fn(&CscMatrix) -> LuFactor + 'a>;
-    let tiers: [(&str, &CscMatrix, Batch, Single); 3] = [
-        (
-            "walker",
-            &circuit,
-            Box::new(|m| walker.factor_batch(m).expect("batch")),
-            Box::new(|a| walker.factor(a).expect("single")),
-        ),
-        (
-            "accumulator",
-            &circuit,
-            Box::new(|m| accumulator.factor_batch(m).expect("batch")),
-            Box::new(|a| accumulator.factor(a).expect("single")),
-        ),
-        (
-            "supernodal",
-            &grid,
-            Box::new(|m| supernodal.factor_batch(m).expect("batch")),
-            Box::new(|a| supernodal.factor(a).expect("single")),
-        ),
-    ];
-    for (name, base, batch, factor) in tiers {
-        let mats: Vec<CscMatrix> = (0..5).map(|k| perturbed(base, k)).collect();
-        let refs: Vec<&CscMatrix> = mats.iter().collect();
-        let batched = batch(&refs);
-        assert_eq!(batched.len(), mats.len());
-        for (k, (b, a)) in batched.iter().zip(&mats).enumerate() {
-            let single = factor(a);
-            assert!(
-                bitwise_eq(b, &single),
-                "{name} tier: batch[{k}] diverged from factor()"
-            );
-        }
-    }
-}
-
 /// A zero pivot anywhere in the batch aborts the whole call and names
 /// the offending matrix; the plan stays reusable afterwards.
 #[test]
@@ -374,29 +310,10 @@ fn factor_batch_reports_the_failing_matrix() {
     assert_eq!(err.index, 1, "error must name the batch position: {err}");
     // The plan (and a fresh batch) still works.
     let ok = lu.factor_batch(&[&good0, &good2]).expect("clean batch");
-    assert!(bitwise_eq(&ok[0], &lu.factor(&good0).expect("single")));
-}
-
-/// Blocked multi-RHS solve is bitwise per-RHS `solve()`.
-#[test]
-fn solve_batch_is_bitwise_per_rhs() {
-    let a = gen::convection_diffusion_2d(14, 14, 2.5, 4);
-    let n = a.n_cols();
-    let lu = SympilerLu::compile(&a, &SympilerOptions::default()).expect("compile");
-    let f = lu.factor(&a).expect("factor");
-    let rhs: Vec<Vec<f64>> = (0..7)
-        .map(|r| (0..n).map(|i| 0.5 + ((i * 3 + r) % 11) as f64).collect())
-        .collect();
-    let xs = f.solve_batch(&rhs);
-    assert_eq!(xs.len(), rhs.len());
-    for (r, x) in xs.iter().enumerate() {
-        let want = f.solve(&rhs[r]);
-        assert!(
-            x.iter().zip(&want).all(|(p, q)| p.to_bits() == q.to_bits()),
-            "rhs {r} diverged"
-        );
-    }
-    assert!(f.solve_batch(&Vec::<Vec<f64>>::new()).is_empty());
+    assert_eq!(
+        factor_bits(&ok[0]),
+        factor_bits(&lu.factor(&good0).expect("single"))
+    );
 }
 
 /// A full queue refuses at once: behind a cold compile that keeps the
@@ -485,7 +402,7 @@ fn service_serves_mixed_patterns_correctly() {
             .factor(a)
             .expect("direct factor");
         assert!(
-            bitwise_eq(&resp.factor, &direct),
+            factor_bits(&resp.factor) == factor_bits(&direct),
             "request {req}: served factor diverged"
         );
         let b: Vec<f64> = (0..a.n_cols()).map(|i| 1.0 + (i % 5) as f64).collect();
@@ -569,7 +486,7 @@ fn a_factor_outlives_its_evicted_plan() {
     let (x, want) = (factor.solve(&b), direct.solve(&b));
     assert!(x.iter().zip(&want).all(|(p, q)| p.to_bits() == q.to_bits()));
     assert!(factor.l().same_pattern(direct.l()) && factor.u().same_pattern(direct.u()));
-    assert!(bitwise_eq(&factor, &direct));
+    assert_eq!(factor_bits(&factor), factor_bits(&direct));
 }
 
 /// Cloning a factor copies its values: consuming or materialising one
@@ -583,7 +500,7 @@ fn a_cloned_factor_is_independent() {
     let want = original.solve(&b);
 
     let copy = original.clone();
-    assert!(bitwise_eq(&copy, &original));
+    assert_eq!(factor_bits(&copy), factor_bits(&original));
     let (l, u) = copy.into_parts(); // the clone is consumed…
     assert!(l == *original.l() && u == *original.u());
     let late = original.clone(); // …cloned again after `l()` was built…
