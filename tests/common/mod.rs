@@ -4,6 +4,7 @@
 use sympiler::core::plan::lu::{LuPlanError, POSITION_MAX_OPS_PER_ENTRY};
 use sympiler::core::plan::lu_supernodal::{MAX_PANEL, RELAX_COLS, RELAX_FILL};
 use sympiler::prelude::*;
+use sympiler::sparse::ops;
 
 /// Factor `a` on one LU tier, forced through the public plan
 /// constructors whatever tier `SympilerLu::compile` would pick for the
@@ -45,4 +46,20 @@ pub fn factor_bits(f: &LuFactor) -> Vec<u64> {
         .chain(f.u().values())
         .map(|v| v.to_bits())
         .collect()
+}
+
+/// `Qᵀ·P·(Dr·A·Dc)·Q`: the system `plan` factors (scaling and
+/// permutations identity when not compiled).
+pub fn composed_system(plan: &LuPlan, a: &CscMatrix) -> CscMatrix {
+    let scaled = match plan.mc64_scaling() {
+        Some((dr, dc)) => ops::scale_rows_cols(a, dr, dc).unwrap(),
+        None => a.clone(),
+    };
+    let identity: Vec<usize> = (0..a.n_cols()).collect();
+    match plan.row_perm() {
+        Some(rp) => {
+            ops::permute_general(&scaled, rp, plan.col_perm().unwrap_or(&identity)).unwrap()
+        }
+        None => scaled,
+    }
 }

@@ -149,6 +149,69 @@ fn values_scaled_by_tiny_and_huge_factors() {
 }
 
 #[test]
+fn lu_one_by_one_system() {
+    let mut t = TripletMatrix::new(1, 1);
+    t.push(0, 0, 4.0);
+    let a = t.to_csc().unwrap();
+    let lu = SympilerLu::compile(&a, &SympilerOptions::default()).unwrap();
+    let f = lu.factor(&a).unwrap();
+    assert_eq!(f.l().get(0, 0), 1.0);
+    assert_eq!(f.u().get(0, 0), 4.0);
+    let x = f.solve(&[12.0]);
+    assert!((x[0] - 3.0).abs() < 1e-15);
+}
+
+#[test]
+fn lu_diagonal_matrix_is_trivial() {
+    let mut t = TripletMatrix::new(6, 6);
+    for j in 0..6 {
+        t.push(j, j, (j + 1) as f64);
+    }
+    let a = t.to_csc().unwrap();
+    let lu = SympilerLu::compile(&a, &SympilerOptions::default()).unwrap();
+    assert_eq!(lu.plan().n_updates(), 0, "diagonal needs no updates");
+    let f = lu.factor(&a).unwrap();
+    assert_eq!(f.l().nnz(), 6);
+    assert_eq!(f.u().nnz(), 6);
+    let b: Vec<f64> = (1..=6).map(|i| i as f64).collect();
+    let x = f.solve(&b);
+    for v in x {
+        assert!((v - 1.0).abs() < 1e-15);
+    }
+}
+
+#[test]
+fn lu_fully_dense_column_fills_and_factors() {
+    // A dense first row + column (arrow) plus a superdiagonal chain:
+    // the worst-case single column stays exact.
+    let n = 12;
+    let mut t = TripletMatrix::new(n, n);
+    for j in 0..n {
+        t.push(j, j, 10.0 + j as f64);
+    }
+    for i in 1..n {
+        t.push(i, 0, -0.5);
+        t.push(0, i, -0.25);
+        if i >= 2 {
+            t.push(i - 1, i, -0.125);
+        }
+    }
+    let a = t.to_csc().unwrap();
+    let lu = SympilerLu::compile(&a, &SympilerOptions::default()).unwrap();
+    let f = lu.factor(&a).unwrap();
+    // Column 0 of L is fully dense.
+    assert_eq!(f.l().col_nnz(0), n);
+    let base = GpLu::factor(&a, Pivoting::None).unwrap();
+    assert!(f.l().same_pattern(&base.l));
+    for (p, q) in f.l().values().iter().zip(base.l.values()) {
+        assert!((p - q).abs() < 1e-12);
+    }
+    let b = vec![1.0; n];
+    let x = f.solve(&b);
+    assert!(sympiler::sparse::ops::rel_residual(&a, &x, &b) < 1e-12);
+}
+
+#[test]
 fn lu_pattern_mismatch_and_zero_pivot_are_reported() {
     let a = gen::random_unsym(15, 3, 1);
     let lu = SympilerLu::compile(&a, &SympilerOptions::default()).unwrap();

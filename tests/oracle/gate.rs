@@ -7,7 +7,7 @@
 //! own. ARCHITECTURE.md, "Testing: one oracle", tables which pair is
 //! held to which contract.
 
-use crate::common::panels_under;
+use crate::common::{composed_system, panels_under};
 use std::sync::Arc;
 use sympiler::core::plan::lu::{refine_with, LuPlanError};
 use sympiler::core::plan::lu_supernodal::{MAX_PANEL, RELAX_COLS, RELAX_FILL};
@@ -334,21 +334,6 @@ fn negated_abs(m: &CscMatrix, keep_diagonal: bool) -> CscMatrix {
         }
     }
     out
-}
-
-/// `Qᵀ·P·(Dr·A·Dc)·Q`: the system `plan` factors.
-fn composed_system(plan: &LuPlan, a: &CscMatrix) -> CscMatrix {
-    let scaled = match plan.mc64_scaling() {
-        Some((dr, dc)) => ops::scale_rows_cols(a, dr, dc).unwrap(),
-        None => a.clone(),
-    };
-    let identity: Vec<usize> = (0..a.n_cols()).collect();
-    match plan.row_perm() {
-        Some(rp) => {
-            ops::permute_general(&scaled, rp, plan.col_perm().unwrap_or(&identity)).unwrap()
-        }
-        None => scaled,
-    }
 }
 
 fn all_finite(a: &CscMatrix) -> bool {

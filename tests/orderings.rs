@@ -1,11 +1,12 @@
-//! Integration tests for the fill-reducing ordering knob: every
-//! `Ordering` variant must produce a valid permutation whose etree
-//! postorder moves no fill, and the factors must stay **bitwise
-//! identical** whatever `n_threads` says. COLAMD must additionally
-//! earn its keep: less fill than natural order on every circuit/random
-//! problem, and a wider elimination DAG on the problems whose natural
-//! DAGs collapse to chains. Each ordering against the identically
-//! ordered baseline is the oracle's (`tests/oracle.rs`).
+//! Integration tests for the fill-reducing ordering knob across the
+//! whole LU pipeline: every `Ordering` variant must produce a valid
+//! permutation, factor the unsymmetric suite to the same answers as
+//! the identically ordered runtime baseline (`Qᵀ A Q = L U` to 1e-10),
+//! stay **bitwise identical** whatever `n_threads` says, and solve the
+//! *original* systems. COLAMD must additionally earn its keep:
+//! less fill than natural order on every circuit/random problem, and a
+//! wider elimination DAG on the problems whose natural DAGs collapse
+//! to chains.
 
 mod common;
 
@@ -24,6 +25,62 @@ fn suite_pre_pivot(p: &UnsymProblem) -> PrePivot {
         PrePivot::WeightedMatching
     } else {
         PrePivot::Off
+    }
+}
+
+#[test]
+fn serial_plan_is_bitwise_the_coupled_baseline() {
+    // One canonical update order — ascending pivot position — in both
+    // scalar engines: the compiled serial plan schedules by the sorted
+    // pattern of U(:, j), the coupled baseline sorts its reach the same
+    // way, so their sums associate identically and every factor value
+    // agrees to the bit, under every ordering and pre-pivot.
+    for p in unsym_suite(SuiteScale::Test) {
+        let pre_pivots: &[PrePivot] = if p.zero_diag {
+            &[PrePivot::Transversal, PrePivot::WeightedMatching]
+        } else {
+            &[PrePivot::Off, PrePivot::Transversal]
+        };
+        for ordering in Ordering::ALL {
+            for &pre_pivot in pre_pivots {
+                let opts = SympilerOptions {
+                    ordering,
+                    pre_pivot,
+                    ..Default::default()
+                };
+                let plan = LuPlan::build(&p.matrix, &opts).unwrap();
+                let f = plan.factor(&p.matrix).unwrap();
+                let base = GpLu::factor_prepivoted(&p.matrix, Pivoting::None, pre_pivot, ordering)
+                    .unwrap();
+                assert!(f.l().same_pattern(&base.factors.l), "{}: L", p.name);
+                assert!(f.u().same_pattern(&base.factors.u), "{}: U", p.name);
+                let base_bits: Vec<u64> = base
+                    .factors
+                    .l
+                    .values()
+                    .iter()
+                    .chain(base.factors.u.values())
+                    .map(|v| v.to_bits())
+                    .collect();
+                assert_eq!(
+                    factor_bits(&f),
+                    base_bits,
+                    "{} under {} + {pre_pivot:?}",
+                    p.name,
+                    ordering.label()
+                );
+                // And so is the position-addressed walker, which
+                // replays the same schedule from baked positions.
+                let walker = plan.with_position_tables(f64::MAX);
+                assert_eq!(
+                    factor_bits(&walker.factor(&p.matrix).unwrap()),
+                    base_bits,
+                    "{} walker under {} + {pre_pivot:?}",
+                    p.name,
+                    ordering.label()
+                );
+            }
+        }
     }
 }
 
@@ -124,6 +181,69 @@ fn postordering_moves_no_fill_no_flop_and_no_dag_level_on_the_suite() {
 }
 
 #[test]
+fn ordered_factors_reconstruct_and_match_baseline_on_the_suite() {
+    for p in unsym_suite(SuiteScale::Test) {
+        for ordering in Ordering::ALL {
+            let pre_pivot = suite_pre_pivot(&p);
+            let opts = SympilerOptions {
+                ordering,
+                pre_pivot,
+                ..Default::default()
+            };
+            let lu = SympilerLu::compile(&p.matrix, &opts).unwrap();
+            let f = lu.factor(&p.matrix).unwrap();
+            // The identically pre-pivoted + ordered coupled baseline
+            // must agree to 1e-10 in every factor value.
+            let base =
+                GpLu::factor_prepivoted(&p.matrix, Pivoting::None, pre_pivot, ordering).unwrap();
+            assert!(f.l().same_pattern(&base.factors.l), "{}: L", p.name);
+            assert!(f.u().same_pattern(&base.factors.u), "{}: U", p.name);
+            for (x, y) in f.l().values().iter().chain(f.u().values()).zip(
+                base.factors
+                    .l
+                    .values()
+                    .iter()
+                    .chain(base.factors.u.values()),
+            ) {
+                assert!(
+                    (x - y).abs() < 1e-10,
+                    "{} under {}: factor drift",
+                    p.name,
+                    ordering.label()
+                );
+            }
+            // Qᵀ·P·A·Q = L U to 1e-10, checked through the baseline's
+            // reconstruction machinery on the matrix the factors
+            // actually describe (rebuilt from the plan's baked maps).
+            let identity: Vec<usize> = (0..p.n()).collect();
+            let ordered_a = match lu.row_perm() {
+                Some(rperm) => {
+                    ops::permute_general(&p.matrix, rperm, lu.col_perm().unwrap_or(&identity))
+                        .unwrap()
+                }
+                None => p.matrix.clone(),
+            };
+            let err = sympiler::solvers::lu::lu_reconstruction_error(&ordered_a, &base.factors);
+            assert!(
+                err <= 1e-10,
+                "{} under {}: reconstruction error {err}",
+                p.name,
+                ordering.label()
+            );
+            // And the end-to-end solve answers the original system.
+            let b: Vec<f64> = (0..p.n()).map(|i| 1.0 + (i % 7) as f64).collect();
+            let x = f.solve(&b);
+            assert!(
+                ops::rel_residual(&p.matrix, &x, &b) < 1e-10,
+                "{} under {}: residual",
+                p.name,
+                ordering.label()
+            );
+        }
+    }
+}
+
+#[test]
 fn factors_bitwise_identical_across_thread_counts_for_every_ordering() {
     for p in unsym_suite(SuiteScale::Test) {
         for ordering in Ordering::ALL {
@@ -214,4 +334,48 @@ fn colamd_widens_the_elimination_dag_where_natural_chains() {
         widened >= 2,
         "colamd must widen the DAG on at least two suite problems, got {widened}"
     );
+}
+
+#[test]
+fn rcm_and_colamd_agree_with_natural_solutions() {
+    // Orderings change the arithmetic (different elimination order ⇒
+    // different rounding), but the solutions must agree to solver
+    // accuracy.
+    for p in unsym_suite(SuiteScale::Test) {
+        let pre_pivot = suite_pre_pivot(&p);
+        let b: Vec<f64> = (0..p.n()).map(|i| (i as f64).cos() + 2.0).collect();
+        let x_nat = SympilerLu::compile(
+            &p.matrix,
+            &SympilerOptions {
+                pre_pivot,
+                ..Default::default()
+            },
+        )
+        .unwrap()
+        .factor(&p.matrix)
+        .unwrap()
+        .solve(&b);
+        for ordering in [Ordering::Rcm, Ordering::Colamd] {
+            let x = SympilerLu::compile(
+                &p.matrix,
+                &SympilerOptions {
+                    ordering,
+                    pre_pivot,
+                    ..Default::default()
+                },
+            )
+            .unwrap()
+            .factor(&p.matrix)
+            .unwrap()
+            .solve(&b);
+            for (u, v) in x.iter().zip(&x_nat) {
+                assert!(
+                    (u - v).abs() < 1e-8 * (1.0 + v.abs()),
+                    "{} under {}: {u} vs {v}",
+                    p.name,
+                    ordering.label()
+                );
+            }
+        }
+    }
 }

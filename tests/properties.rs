@@ -1,23 +1,20 @@
-//! Property-based tests (proptest) over the graph-level invariants:
+//! Property-based tests (proptest) over the core invariants:
 //!
+//! * every Cholesky engine reconstructs `A = L L^T`;
+//! * every triangular-solve variant matches dense substitution;
 //! * reach-sets equal brute-force reachability and are topological;
-//! * the symbolic Cholesky pattern is the numeric factor's;
-//! * supernode partitions are contiguous covers with nesting patterns,
-//!   and a zero amalgamation budget is the strict partition;
-//! * orderings are bijections, and their etree postorder moves no fill;
-//! * the pruned symbolic LU equals boolean elimination;
-//! * the structural hash sees every single pattern edit.
-//!
-//! What the kernels compute against the coupled baselines is the
-//! oracle's (`tests/oracle.rs`).
+//! * symbolic predictions (pattern, flops) match numeric reality;
+//! * supernode partitions are contiguous covers with nesting patterns;
+//! * LU engines satisfy `P A = L U` against the dense reference;
+//! * the pruned symbolic LU equals boolean elimination.
 
 mod common;
 
-use common::panels_under;
+use common::{factor_on_tier, panels_under};
 use proptest::prelude::*;
-use sympiler::core::plan::lu_supernodal::{MAX_PANEL, RELAX_COLS};
+use sympiler::core::plan::lu_supernodal::{MAX_PANEL, RELAX_COLS, RELAX_FILL};
 use sympiler::prelude::*;
-use sympiler::solvers::SimplicialCholesky;
+use sympiler::solvers::{SimplicialCholesky, SupernodalCholesky};
 
 /// Strategy: a random square unsymmetric, statically pivotable matrix.
 fn unsym_matrix() -> impl Strategy<Value = CscMatrix> {
@@ -37,6 +34,34 @@ fn unsym_matrix() -> impl Strategy<Value = CscMatrix> {
             }
         }
     })
+}
+
+/// Dense `P A` and `L U` products compared entrywise to `tol`.
+fn assert_pa_eq_lu(
+    a: &CscMatrix,
+    l: &CscMatrix,
+    u: &CscMatrix,
+    row_perm: &[usize],
+    tol: f64,
+) -> Result<(), String> {
+    let n = a.n_cols();
+    let ad = a.to_dense();
+    let ld = l.to_dense();
+    let ud = u.to_dense();
+    for j in 0..n {
+        for i in 0..n {
+            // (L U)[i, j]
+            let mut lu = 0.0;
+            for k in 0..n {
+                lu += ld[k * n + i] * ud[j * n + k];
+            }
+            let pa = ad[j * n + row_perm[i]];
+            if (lu - pa).abs() > tol {
+                return Err(format!("PA != LU at ({i}, {j}): {pa} vs {lu} (n = {n})"));
+            }
+        }
+    }
+    Ok(())
 }
 
 /// Strategy: a random SPD matrix in lower storage (diagonally dominant
@@ -90,11 +115,42 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
+    fn cholesky_engines_reconstruct_a(a in spd_matrix()) {
+        let l_simp = SimplicialCholesky::analyze(&a).unwrap().factor(&a).unwrap();
+        prop_assert!(sympiler::solvers::verify::reconstruction_error(&a, &l_simp) < 1e-9);
+
+        let l_super = SupernodalCholesky::analyze(&a, 0).unwrap().factor(&a).unwrap().to_csc();
+        prop_assert!(sympiler::solvers::verify::reconstruction_error(&a, &l_super) < 1e-9);
+
+        let l_plan = SympilerCholesky::compile(&a, &SympilerOptions::default())
+            .unwrap().factor(&a).unwrap().to_csc();
+        prop_assert!(sympiler::solvers::verify::reconstruction_error(&a, &l_plan) < 1e-9);
+    }
+
+    #[test]
     fn symbolic_pattern_predicts_numeric_factor(a in spd_matrix()) {
         let sym = sympiler::graph::symbolic_cholesky(&a);
         let l = SimplicialCholesky::analyze(&a).unwrap().factor(&a).unwrap();
         prop_assert_eq!(l.col_ptr(), sym.l_col_ptr.as_slice());
         prop_assert_eq!(l.row_idx(), sym.l_row_idx.as_slice());
+    }
+
+    #[test]
+    fn trisolve_variants_agree(l in lower_matrix(), seed in 0u64..100) {
+        let n = l.n_cols();
+        let beta = beta_for(n, seed);
+        let values: Vec<f64> = beta.iter().map(|&i| 1.0 + (i % 3) as f64).collect();
+        let b = SparseVec::try_new(n, beta.clone(), values).unwrap();
+
+        let mut x_ref = b.to_dense();
+        sympiler::solvers::trisolve::naive_forward(&l, &mut x_ref);
+
+        let mut ts = SympilerTriSolve::compile(&l, b.indices(), &SympilerOptions::default());
+        let x = ts.solve(&b);
+        for i in 0..n {
+            prop_assert!((x[i] - x_ref[i]).abs() < 1e-9,
+                "x[{}] = {} vs {}", i, x[i], x_ref[i]);
+        }
     }
 
     #[test]
@@ -233,6 +289,49 @@ proptest! {
     }
 
     #[test]
+    fn factor_flops_are_consistent(a in spd_matrix()) {
+        let sym = sympiler::graph::symbolic_cholesky(&a);
+        let plan = SympilerCholesky::compile(&a, &SympilerOptions::default()).unwrap();
+        prop_assert_eq!(plan.flops(), sym.factor_flops());
+        // Flops lower bound: every stored entry of L costs at least 1.
+        prop_assert!(sym.factor_flops() >= sym.l_nnz() as u64);
+    }
+
+    #[test]
+    fn lu_plan_satisfies_pa_eq_lu(a in unsym_matrix()) {
+        // Sympiler LU plan (static pivoting, P = I): dense reference.
+        let lu = SympilerLu::compile(&a, &SympilerOptions::default()).unwrap();
+        let f = lu.factor(&a).unwrap();
+        let identity: Vec<usize> = (0..a.n_cols()).collect();
+        if let Err(m) = assert_pa_eq_lu(&a, f.l(), f.u(), &identity, 1e-10) {
+            prop_assert!(false, "plan: {}", m);
+        }
+        // The coupled baseline must produce the same factors.
+        let base = GpLu::factor(&a, Pivoting::None).unwrap();
+        prop_assert!(f.l().same_pattern(&base.l));
+        prop_assert!(f.u().same_pattern(&base.u));
+        for (x, y) in f.u().values().iter().zip(base.u.values()) {
+            prop_assert!((x - y).abs() < 1e-10, "factor drift {} vs {}", x, y);
+        }
+    }
+
+    #[test]
+    fn gplu_partial_pivoting_satisfies_pa_eq_lu(a in unsym_matrix()) {
+        let f = GpLu::factor(&a, Pivoting::Partial).unwrap();
+        if let Err(m) = assert_pa_eq_lu(&a, &f.l, &f.u, &f.row_perm, 1e-10) {
+            prop_assert!(false, "partial: {}", m);
+        }
+        // Solve path: A x = b round-trips.
+        let n = a.n_cols();
+        let b: Vec<f64> = (0..n).map(|i| 1.0 + (i % 5) as f64).collect();
+        let x = f.solve(&b);
+        prop_assert!(
+            sympiler::sparse::ops::rel_residual(&a, &x, &b) < 1e-9,
+            "residual too large"
+        );
+    }
+
+    #[test]
     fn orderings_return_valid_permutations(a in unsym_matrix()) {
         for ordering in Ordering::ALL {
             match sympiler::graph::compute_ordering(&a, ordering) {
@@ -275,6 +374,103 @@ proptest! {
     }
 
     #[test]
+    fn ordered_lu_plan_satisfies_qaq_eq_lu(a in unsym_matrix()) {
+        // Under any ordering the compiled factors satisfy Qᵀ A Q = L U
+        // (dense check, identity row perm) and the solve answers the
+        // original system.
+        for ordering in [Ordering::Rcm, Ordering::Colamd] {
+            let opts = SympilerOptions { ordering, ..Default::default() };
+            let lu = SympilerLu::compile(&a, &opts).unwrap();
+            let f = lu.factor(&a).unwrap();
+            let ordered_a = match lu.col_perm() {
+                Some(q) => sympiler::sparse::ops::permute_rows_cols(&a, q).unwrap(),
+                None => a.clone(),
+            };
+            let identity: Vec<usize> = (0..a.n_cols()).collect();
+            if let Err(m) = assert_pa_eq_lu(&ordered_a, f.l(), f.u(), &identity, 1e-10) {
+                prop_assert!(false, "{}: {}", ordering.label(), m);
+            }
+            let n = a.n_cols();
+            let b: Vec<f64> = (0..n).map(|i| 1.0 + (i % 5) as f64).collect();
+            let x = f.solve(&b);
+            prop_assert!(
+                sympiler::sparse::ops::rel_residual(&a, &x, &b) < 1e-9,
+                "{}: residual too large", ordering.label()
+            );
+        }
+    }
+
+    #[test]
+    fn supernodal_lu_matches_serial_plan(a in unsym_matrix()) {
+        // The supernodal tier must agree with the serial plan to
+        // ≤ 1e-12 (dense kernels only reassociate sums) under every
+        // ordering and panel cap, with identical patterns and a valid
+        // panel partition.
+        for ordering in Ordering::ALL {
+            let opts = SympilerOptions { ordering, ..Default::default() };
+            let f_serial = LuPlan::build(&a, &opts).unwrap().factor(&a).unwrap();
+            for max_panel in [0usize, 3] {
+                let plan = panels_under(&LuPlan::build(&a, &opts).unwrap(), max_panel, RELAX_FILL, RELAX_COLS);
+                let widths: usize = (0..plan.n_panels())
+                    .map(|s| plan.partition().width(s))
+                    .sum();
+                prop_assert_eq!(widths, a.n_cols());
+                if max_panel > 0 {
+                    prop_assert!(plan.max_panel_width() <= max_panel.max(1));
+                }
+                let f_sup = plan.factor(&a).unwrap();
+                prop_assert!(f_sup.l().same_pattern(f_serial.l()));
+                prop_assert!(f_sup.u().same_pattern(f_serial.u()));
+                for (x, y) in f_sup.l().values().iter().chain(f_sup.u().values())
+                    .zip(f_serial.l().values().iter().chain(f_serial.u().values()))
+                {
+                    prop_assert!(
+                        (x - y).abs() <= 1e-12 * (1.0 + y.abs()),
+                        "{} cap {}: {} vs {}", ordering.label(), max_panel, x, y
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn relaxed_amalgamation_agrees_with_strict_and_serial(a in unsym_matrix()) {
+        // The amalgamation contract: a relaxed supernodal plan
+        // (explicit padded zeros admitted under the fill budget) must
+        // agree with BOTH the strict-nesting supernodal plan and the
+        // scalar serial tier within 1e-12, with identical factor
+        // patterns, across ordering × pre_pivot — padding adds exact
+        // zeros to the dense panels, never numbers.
+        for ordering in Ordering::ALL {
+            for pre_pivot in [PrePivot::Off, PrePivot::WeightedMatching] {
+                let base_opts = SympilerOptions {
+                    ordering,
+                    pre_pivot,
+                    ..Default::default()
+                };
+                let f_serial = LuPlan::build(&a, &base_opts).unwrap().factor(&a).unwrap();
+                let strict = panels_under(&LuPlan::build(&a, &base_opts).unwrap(), MAX_PANEL, 0.0, RELAX_COLS);
+                let f_strict = strict.factor(&a).unwrap();
+                let relaxed = panels_under(&LuPlan::build(&a, &base_opts).unwrap(), MAX_PANEL, RELAX_FILL, RELAX_COLS);
+                let fr = relaxed.factor(&a).unwrap();
+                prop_assert!(fr.l().same_pattern(f_serial.l()));
+                prop_assert!(fr.u().same_pattern(f_serial.u()));
+                for ((x, s), t) in fr.l().values().iter().chain(fr.u().values())
+                    .zip(f_serial.l().values().iter().chain(f_serial.u().values()))
+                    .zip(f_strict.l().values().iter().chain(f_strict.u().values()))
+                {
+                    prop_assert!((x - s).abs() <= 1e-12 * (1.0 + s.abs()),
+                        "{}+{} vs serial: {} vs {}",
+                        ordering.label(), pre_pivot.label(), x, s);
+                    prop_assert!((x - t).abs() <= 1e-12 * (1.0 + t.abs()),
+                        "{}+{} vs strict panels: {} vs {}",
+                        ordering.label(), pre_pivot.label(), x, t);
+                }
+            }
+        }
+    }
+
+    #[test]
     fn relax_fill_zero_is_bitwise_identical_to_strict_panels(a in unsym_matrix()) {
         // `relax_fill = 0` must be perfectly inert: the same panel
         // partition as the strict-nesting constructor, zero padded
@@ -306,6 +502,50 @@ proptest! {
             }
         }
     }
+
+    #[test]
+    fn sparse_rhs_solve_matches_dense_solve(a in unsym_matrix(), seed in 0u64..50) {
+        let n = a.n_cols();
+        let lu = SympilerLu::compile(&a, &SympilerOptions::default()).unwrap();
+        let f = lu.factor(&a).unwrap();
+        let idx: Vec<usize> = (0..n)
+            .filter(|i| (i * 7 + seed as usize).is_multiple_of(5))
+            .collect();
+        let vals: Vec<f64> = idx.iter().map(|&i| 1.0 + (i % 4) as f64).collect();
+        let b = SparseVec::try_new(n, idx, vals).unwrap();
+        let xs = f.solve_sparse(&b).to_dense();
+        let xd = f.solve(&b.to_dense());
+        for i in 0..n {
+            prop_assert!(
+                (xs[i] - xd[i]).abs() < 1e-10 * (1.0 + xd[i].abs()),
+                "row {}: {} vs {}", i, xs[i], xd[i]
+            );
+        }
+    }
+
+    #[test]
+    fn lu_symbolic_pattern_predicts_numeric_factor(a in unsym_matrix()) {
+        let sym = sympiler::graph::lu_symbolic(&a);
+        let f = GpLu::factor(&a, Pivoting::None).unwrap();
+        prop_assert_eq!(f.l.col_ptr(), sym.l_col_ptr.as_slice());
+        prop_assert_eq!(f.l.row_idx(), sym.l_row_idx.as_slice());
+        prop_assert_eq!(f.u.col_ptr(), sym.u_col_ptr.as_slice());
+        prop_assert_eq!(f.u.row_idx(), sym.u_row_idx.as_slice());
+        // Flop accounting agrees with the compiled plan.
+        let plan = SympilerLu::compile(&a, &SympilerOptions::default()).unwrap();
+        prop_assert_eq!(plan.flops(), sym.factor_flops());
+    }
+
+    #[test]
+    fn spd_solve_has_small_residual(a in spd_matrix(), scale in 1.0f64..4.0) {
+        let n = a.n_cols();
+        let chol = SympilerCholesky::compile(&a, &SympilerOptions::default()).unwrap();
+        let f = chol.factor(&a).unwrap();
+        let b: Vec<f64> = (0..n).map(|i| scale * (1.0 + (i % 4) as f64)).collect();
+        let x = f.solve(&b);
+        let resid = sympiler::sparse::ops::rel_residual_sym_lower(&a, &x, &b);
+        prop_assert!(resid < 1e-9, "residual {}", resid);
+    }
 }
 
 /// Strategy: a random matrix with structurally zero diagonal entries —
@@ -324,6 +564,101 @@ fn zero_diag_matrix() -> impl Strategy<Value = CscMatrix> {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn pre_pivot_composes_with_every_ordering_across_tiers(a in zero_diag_matrix()) {
+        // The satellite contract: agreement of both scalar kernels and
+        // the supernodal tier, plus baseline verification across every
+        // (ordering, pre_pivot) pair — on matrices the Off pipeline
+        // rejects outright.
+        prop_assert!(sympiler::sparse::ops::structurally_zero_diagonals(&a) > 0);
+        let n = a.n_cols();
+        let b: Vec<f64> = (0..n).map(|i| 1.0 + (i % 5) as f64).collect();
+        for ordering in Ordering::ALL {
+            for pre_pivot in [PrePivot::Transversal, PrePivot::WeightedMatching] {
+                let opts = SympilerOptions {
+                    ordering,
+                    pre_pivot,
+                    ..Default::default()
+                };
+                let serial = LuPlan::build(&a, &opts).unwrap();
+                prop_assert_eq!(serial.matched_diagonals(), n);
+                let f = serial.factor(&a).unwrap();
+                // The position-addressed walker: bitwise identical.
+                let fp = serial.clone().with_position_tables(f64::MAX).factor(&a).unwrap();
+                for (x, y) in fp.l().values().iter().chain(fp.u().values())
+                    .zip(f.l().values().iter().chain(f.u().values()))
+                {
+                    prop_assert_eq!(x.to_bits(), y.to_bits(),
+                        "{}+{}: walker bits moved", ordering.label(), pre_pivot.label());
+                }
+                // Supernodal: relative agreement (growth-aware for the
+                // pattern-only transversal, which may pivot small).
+                let vtol = if pre_pivot == PrePivot::Transversal { 1e-7 } else { 1e-10 };
+                let sup = panels_under(&LuPlan::build(&a, &opts).unwrap(), MAX_PANEL, RELAX_FILL, RELAX_COLS);
+                let fs = sup.factor(&a).unwrap();
+                for (x, y) in fs.l().values().iter().chain(fs.u().values())
+                    .zip(f.l().values().iter().chain(f.u().values()))
+                {
+                    prop_assert!((x - y).abs() <= vtol * (1.0 + y.abs()),
+                        "{}+{} supernodal: {} vs {}",
+                        ordering.label(), pre_pivot.label(), x, y);
+                }
+                // Baseline verification: identical pre-pivoted GPLU
+                // factors (1e-10 under the weighted matching), and the
+                // solve answers the original system.
+                let base = GpLu::factor_prepivoted(&a, Pivoting::None, pre_pivot, ordering)
+                    .unwrap();
+                prop_assert!(f.l().same_pattern(&base.factors.l));
+                prop_assert!(f.u().same_pattern(&base.factors.u));
+                for (x, y) in f.u().values().iter().zip(base.factors.u.values()) {
+                    prop_assert!((x - y).abs() < vtol * (1.0 + y.abs()),
+                        "{}+{}: baseline drift {} vs {}",
+                        ordering.label(), pre_pivot.label(), x, y);
+                }
+                let x = f.solve(&b);
+                prop_assert!(
+                    sympiler::sparse::ops::rel_residual(&a, &x, &b) < vtol.max(1e-9),
+                    "{}+{}: residual", ordering.label(), pre_pivot.label()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn perturbation_off_is_bitwise_inert_in_every_tier(a in unsym_matrix()) {
+        // The robustness ladder's Layer-1 contract: pivot_perturb == 0.0
+        // (the default) must not move a single bit in any execution
+        // tier, and an *armed* tolerance that never fires (empty
+        // PerturbReport) must also leave the factors bitwise identical
+        // to the untouched path.
+        for (label, supernodal) in [("scalar", false), ("supernodal", true)] {
+            let base = SympilerOptions::default();
+            let plain = factor_on_tier(&a, &base, supernodal).unwrap();
+            let explicit = factor_on_tier(&a, &SympilerOptions {
+                pivot_perturb: 0.0, ..base.clone()
+            }, supernodal).unwrap();
+            prop_assert!(plain.perturb_report().is_empty());
+            prop_assert!(explicit.perturb_report().is_empty());
+            for (x, y) in explicit.l().values().iter().chain(explicit.u().values())
+                .zip(plain.l().values().iter().chain(plain.u().values()))
+            {
+                prop_assert_eq!(x.to_bits(), y.to_bits(),
+                    "{}: explicit pivot_perturb=0.0 moved bits", label);
+            }
+            let armed = factor_on_tier(&a, &SympilerOptions {
+                pivot_perturb: 1e-10, ..base.clone()
+            }, supernodal).unwrap();
+            if armed.perturb_report().is_empty() {
+                for (x, y) in armed.l().values().iter().chain(armed.u().values())
+                    .zip(plain.l().values().iter().chain(plain.u().values()))
+                {
+                    prop_assert_eq!(x.to_bits(), y.to_bits(),
+                        "{}: an armed-but-silent tolerance moved bits", label);
+                }
+            }
+        }
+    }
 
     #[test]
     fn pruned_lu_symbolic_is_exact_boolean_elimination(
@@ -399,6 +734,223 @@ proptest! {
     }
 }
 
+/// The test reference for `LuFactor::solve` on the shared-structure
+/// factor — the parent's algorithm: gather `b` through the composed row
+/// map (scaled by `Dr`), run both sweeps over the **materialised**
+/// `usize` CSC pair, scatter back through the column map (scaled by
+/// `Dc`).
+fn reference_solve(lu: &LuPlan, f: &LuFactor, b: &[f64]) -> Vec<f64> {
+    let n = b.len();
+    let scaling = lu.mc64_scaling();
+    let mut x: Vec<f64> = match (scaling, f.row_perm()) {
+        (None, None) => b.to_vec(),
+        (None, Some(p)) => p.iter().map(|&old| b[old]).collect(),
+        (Some((dr, _)), None) => b.iter().zip(dr).map(|(&v, &d)| d * v).collect(),
+        (Some((dr, _)), Some(p)) => p.iter().map(|&old| dr[old] * b[old]).collect(),
+    };
+    let (l, u) = (f.l(), f.u());
+    for j in 0..n {
+        let xj = x[j]; // unit diagonal, stored first
+        if xj != 0.0 {
+            for (i, lij) in l.col_iter(j).skip(1) {
+                x[i] -= lij * xj;
+            }
+        }
+    }
+    for j in (0..n).rev() {
+        let (rows, vals) = (u.col_rows(j), u.col_values(j));
+        let last = rows.len() - 1; // pivot, stored last
+        let xj = x[j] / vals[last];
+        x[j] = xj;
+        if xj != 0.0 {
+            for (&i, &uij) in rows[..last].iter().zip(&vals[..last]) {
+                x[i] -= uij * xj;
+            }
+        }
+    }
+    match (scaling, f.col_perm()) {
+        (None, None) => x,
+        (Some((_, dc)), None) => x.iter().zip(dc).map(|(&v, &d)| d * v).collect(),
+        (scaling, Some(q)) => {
+            let mut out = vec![0.0; n];
+            for (&v, &old) in x.iter().zip(q) {
+                out[old] = scaling.map_or(v, |(_, dc)| dc[old] * v);
+            }
+            out
+        }
+    }
+}
+
+fn same_bits(x: &[f64], y: &[f64]) -> bool {
+    x.len() == y.len() && x.iter().zip(y).all(|(p, q)| p.to_bits() == q.to_bits())
+}
+
+/// Every (ordering × pre-pivot × mc64 × tier) cell: the
+/// factor that borrows the plan's `u32` structure answers `solve`,
+/// `solve_batch` and `solve_refined` with the bits the reference sweeps
+/// over its own materialised `l()` / `u()` produce, and those views are
+/// the symbolic layout of the pivoted, ordered matrix.
+fn check_factor_object_in_every_cell(a: &CscMatrix, pre_pivots: &[PrePivot]) -> Result<(), String> {
+    use sympiler::core::plan::lu::refine_with;
+    let n = a.n_cols();
+    let rhs: Vec<Vec<f64>> = (0..3)
+        .map(|r| {
+            (0..n)
+                .map(|i| 1.0 + ((3 * i + r) % 7) as f64 - 0.5 * r as f64)
+                .collect()
+        })
+        .collect();
+    for ordering in Ordering::ALL {
+        for &pre_pivot in pre_pivots {
+            for mc64_scale in [false, true] {
+                for supernodal in [false, true] {
+                    let cell = format!(
+                        "{}+{} mc64={mc64_scale} supernodal={supernodal}",
+                        ordering.label(),
+                        pre_pivot.label()
+                    );
+                    let opts = SympilerOptions {
+                        ordering,
+                        pre_pivot,
+                        mc64_scale,
+                        ..Default::default()
+                    };
+                    let lu = LuPlan::build(a, &opts).unwrap();
+                    let f = factor_on_tier(a, &opts, supernodal).unwrap();
+                    // Solved before `l()` / `u()` are ever asked for.
+                    let x = f.solve(&rhs[0]);
+                    let xs = f.solve_batch(&rhs);
+                    let one = f.solve_batch(&rhs[..1]);
+                    let (xr, report) = f.solve_refined(a, &rhs[1], 1e-15, 2);
+                    prop_assert!(
+                        same_bits(&x, &reference_solve(&lu, &f, &rhs[0])),
+                        "{}: solve",
+                        cell
+                    );
+                    prop_assert!(same_bits(&one[0], &x), "{}: one-rhs solve_batch", cell);
+                    for (r, got) in xs.iter().enumerate() {
+                        prop_assert!(
+                            same_bits(got, &reference_solve(&lu, &f, &rhs[r])),
+                            "{}: solve_batch rhs {}",
+                            cell,
+                            r
+                        );
+                    }
+                    let (want, want_report) =
+                        refine_with(a, &rhs[1], 1e-15, 2, |b| reference_solve(&lu, &f, b));
+                    prop_assert!(same_bits(&xr, &want), "{}: solve_refined", cell);
+                    prop_assert_eq!(&report, &want_report, "{}: refine report", &cell);
+
+                    // The views are ordinary CSC factors: the symbolic
+                    // pattern of the pivoted, ordered matrix, unit
+                    // diagonal first in L, pivot last in U.
+                    let identity: Vec<usize> = (0..n).collect();
+                    let b = match f.row_perm() {
+                        None => a.clone(),
+                        Some(rp) => sympiler::sparse::ops::permute_general(
+                            a,
+                            rp,
+                            f.col_perm().unwrap_or(&identity),
+                        )
+                        .unwrap(),
+                    };
+                    let sym = sympiler::graph::lu_symbolic(&b);
+                    prop_assert_eq!(f.l().col_ptr(), sym.l_col_ptr.as_slice(), "{}", &cell);
+                    prop_assert_eq!(f.l().row_idx(), sym.l_row_idx.as_slice(), "{}", &cell);
+                    prop_assert_eq!(f.u().col_ptr(), sym.u_col_ptr.as_slice(), "{}", &cell);
+                    prop_assert_eq!(f.u().row_idx(), sym.u_row_idx.as_slice(), "{}", &cell);
+                    for j in 0..n {
+                        prop_assert_eq!(f.l().col_iter(j).next(), Some((j, 1.0)), "{}", &cell);
+                        prop_assert_eq!(f.u().col_rows(j).last(), Some(&j), "{}", &cell);
+                    }
+                    // A clone is its own factor, and `into_parts` hands
+                    // out the same pair whether or not it was built.
+                    let unbuilt = factor_on_tier(a, &opts, supernodal).unwrap().into_parts();
+                    let (l, u) = f.clone().into_parts();
+                    prop_assert!(l == *f.l() && u == *f.u(), "{}: into_parts", cell);
+                    prop_assert!(
+                        unbuilt.0 == l && unbuilt.1 == u,
+                        "{}: unbuilt into_parts",
+                        cell
+                    );
+                }
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Every (ordering × pre-pivot × mc64 × pivot_perturb) cell through
+/// the public API: the position-addressed walker — forced on, and as
+/// `SympilerLu::compile` bakes it for the serial tier — produces the
+/// factor values, perturbation record or zero-pivot column of the
+/// accumulator kernel (a plan built directly, which carries no tables)
+/// bit for bit — and the answers of `solve`, `solve_batch` and
+/// `solve_refined`, which the walker's factors compute by the plan's
+/// level-grouped row streams and the accumulator's by column sweeps.
+fn check_walker_in_every_cell(a: &CscMatrix, pre_pivots: &[PrePivot]) -> Result<(), String> {
+    use sympiler::core::plan::lu::POSITION_MAX_OPS_PER_ENTRY;
+    let n = a.n_cols();
+    let b: Vec<f64> = (0..n).map(|i| 0.5 - (i % 5) as f64 * 0.75).collect();
+    let c: Vec<f64> = (0..n)
+        .map(|i| if i % 3 == 0 { 0.0 } else { i as f64 })
+        .collect();
+    let outcome = |f: Result<LuFactor, _>| {
+        f.map(|f| {
+            let mut answers = vec![f.solve(&b)];
+            answers.extend(f.solve_batch(&[&b, &c]));
+            answers.push(f.solve_refined(a, &c, 1e-14, 3).0);
+            let bits: Vec<u64> = f
+                .l()
+                .values()
+                .iter()
+                .chain(f.u().values())
+                .chain(answers.iter().flatten())
+                .map(|v| v.to_bits())
+                .collect();
+            (bits, f.perturb_report().clone())
+        })
+    };
+    for ordering in Ordering::ALL {
+        for &pre_pivot in pre_pivots {
+            // The peeled tier at other thresholds than `PEEL_COL_COUNT`,
+            // and compiled out, is covered by `plan::lu::positions`' cells.
+            for pivot_perturb in [0.0, 1e-6, 0.9] {
+                for mc64_scale in [false, true] {
+                    let cell = format!(
+                        "{}+{} perturb={pivot_perturb} mc64={mc64_scale}",
+                        ordering.label(),
+                        pre_pivot.label()
+                    );
+                    let opts = SympilerOptions {
+                        ordering,
+                        pre_pivot,
+                        mc64_scale,
+                        pivot_perturb,
+                        ..Default::default()
+                    };
+                    let reference = LuPlan::build(a, &opts).unwrap();
+                    let want = outcome(reference.factor(a));
+                    let walker = reference.clone().with_position_tables(f64::MAX);
+                    prop_assert!(
+                        walker.table_bytes() > reference.table_bytes(),
+                        "{}: tables baked",
+                        cell
+                    );
+                    prop_assert_eq!(&outcome(walker.factor(a)), &want, "{}: walker", &cell);
+                    let serial = reference
+                        .clone()
+                        .with_position_tables(POSITION_MAX_OPS_PER_ENTRY);
+                    prop_assert_eq!(&outcome(serial.factor(a)), &want, "{}: serial tier", &cell);
+                    let batch = serial.factor_batch(&[a, a]).map(|mut fs| fs.remove(1));
+                    prop_assert_eq!(outcome(batch.map_err(|e| e.error)), want, "{}: batch", cell);
+                }
+            }
+        }
+    }
+    Ok(())
+}
+
 /// A random square pattern as sorted row lists per column — including
 /// the empty matrix, `n = 1`, empty columns and index streams whose
 /// length is no multiple of the hash's lane count.
@@ -429,6 +981,45 @@ fn csc_of(columns: &[Vec<usize>]) -> Option<CscMatrix> {
     let row_idx: Vec<usize> = columns.concat();
     let values = (0..row_idx.len()).map(|p| 1.0 + p as f64).collect();
     CscMatrix::try_new(n, n, col_ptr, row_idx, values).ok()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    #[test]
+    fn shared_structure_factor_matches_the_csc_reference_in_every_cell(
+        a in unsym_matrix(),
+        z in zero_diag_matrix(),
+    ) {
+        check_factor_object_in_every_cell(
+            &a,
+            &[PrePivot::Off, PrePivot::Transversal, PrePivot::WeightedMatching],
+        )?;
+        check_factor_object_in_every_cell(
+            &z,
+            &[PrePivot::Transversal, PrePivot::WeightedMatching],
+        )?;
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    #[test]
+    fn position_walker_is_bitwise_the_accumulator_kernel_in_every_cell(
+        a in unsym_matrix(),
+        z in zero_diag_matrix(),
+    ) {
+        check_walker_in_every_cell(
+            &a,
+            &[PrePivot::Off, PrePivot::Transversal, PrePivot::WeightedMatching],
+        )?;
+        // `Off` on a zero diagonal: both kernels name the same column.
+        check_walker_in_every_cell(
+            &z,
+            &[PrePivot::Off, PrePivot::Transversal, PrePivot::WeightedMatching],
+        )?;
+    }
 }
 
 proptest! {

@@ -106,6 +106,27 @@ fn tiny_pivots_below_threshold_are_perturbed_in_every_tier() {
     }
 }
 
+#[test]
+fn perturbation_off_is_bitwise_identical_across_tiers() {
+    // pivot_perturb == 0.0 (the default) must leave every tier's
+    // factor bitwise untouched: the guard `|pivot| < 0.0` can never
+    // fire on a non-negative magnitude.
+    let a = healthy();
+    for (tier, supernodal) in TIERS {
+        let f0 = factor_on_tier(&a, &SympilerOptions::default(), supernodal).unwrap();
+        let f1 = factor_perturbed(&a, 0.0, supernodal).unwrap();
+        assert!(f0.perturb_report().is_empty() && f1.perturb_report().is_empty());
+        let same = f0
+            .l()
+            .values()
+            .iter()
+            .chain(f0.u().values())
+            .zip(f1.l().values().iter().chain(f1.u().values()))
+            .all(|(x, y)| x.to_bits() == y.to_bits());
+        assert!(same, "{tier}: perturbation-off factors diverged bitwise");
+    }
+}
+
 // --- factor_batch: per-lane faults ---------------------------------
 
 #[test]

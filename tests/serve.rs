@@ -290,6 +290,61 @@ fn cached_bytes_account_for_position_tables() {
     );
 }
 
+/// Batched factorization agrees bitwise with the one-at-a-time loop on
+/// every execution tier: the scalar tier's position walker and
+/// accumulator kernel, and the supernodal panels. The compiled tiers
+/// run inputs the compiler routes to them; the accumulator kernel is
+/// the same circuit's plan built without position tables.
+#[test]
+fn factor_batch_agrees_on_all_three_tiers() {
+    let circuit = gen::circuit_unsym(300, 1, 0, 9);
+    let grid = gen::convection_diffusion_2d(16, 16, 3.0, 9);
+    let colamd = SympilerOptions {
+        ordering: Ordering::Colamd,
+        ..SympilerOptions::default()
+    };
+    let walker = SympilerLu::compile(&circuit, &colamd).expect("compile");
+    let supernodal = SympilerLu::compile(&grid, &SympilerOptions::default()).expect("compile");
+    assert!(!walker.is_supernodal() && supernodal.is_supernodal());
+    let accumulator = LuPlan::build(&circuit, &colamd).expect("compile");
+    assert!(accumulator.table_bytes() < walker.table_bytes());
+    type Batch<'a> = Box<dyn Fn(&[&CscMatrix]) -> Vec<LuFactor> + 'a>;
+    type Single<'a> = Box<dyn Fn(&CscMatrix) -> LuFactor + 'a>;
+    let tiers: [(&str, &CscMatrix, Batch, Single); 3] = [
+        (
+            "walker",
+            &circuit,
+            Box::new(|m| walker.factor_batch(m).expect("batch")),
+            Box::new(|a| walker.factor(a).expect("single")),
+        ),
+        (
+            "accumulator",
+            &circuit,
+            Box::new(|m| accumulator.factor_batch(m).expect("batch")),
+            Box::new(|a| accumulator.factor(a).expect("single")),
+        ),
+        (
+            "supernodal",
+            &grid,
+            Box::new(|m| supernodal.factor_batch(m).expect("batch")),
+            Box::new(|a| supernodal.factor(a).expect("single")),
+        ),
+    ];
+    for (name, base, batch, factor) in tiers {
+        let mats: Vec<CscMatrix> = (0..5).map(|k| perturbed(base, k)).collect();
+        let refs: Vec<&CscMatrix> = mats.iter().collect();
+        let batched = batch(&refs);
+        assert_eq!(batched.len(), mats.len());
+        for (k, (b, a)) in batched.iter().zip(&mats).enumerate() {
+            let single = factor(a);
+            assert!(
+                factor_bits(b) == factor_bits(&single),
+                "{name} tier: batch[{k}] diverged from factor()"
+            );
+        }
+    }
+}
+
 /// A zero pivot anywhere in the batch aborts the whole call and names
 /// the offending matrix; the plan stays reusable afterwards.
 #[test]
@@ -314,6 +369,28 @@ fn factor_batch_reports_the_failing_matrix() {
         factor_bits(&ok[0]),
         factor_bits(&lu.factor(&good0).expect("single"))
     );
+}
+
+/// Blocked multi-RHS solve is bitwise per-RHS `solve()`.
+#[test]
+fn solve_batch_is_bitwise_per_rhs() {
+    let a = gen::convection_diffusion_2d(14, 14, 2.5, 4);
+    let n = a.n_cols();
+    let lu = SympilerLu::compile(&a, &SympilerOptions::default()).expect("compile");
+    let f = lu.factor(&a).expect("factor");
+    let rhs: Vec<Vec<f64>> = (0..7)
+        .map(|r| (0..n).map(|i| 0.5 + ((i * 3 + r) % 11) as f64).collect())
+        .collect();
+    let xs = f.solve_batch(&rhs);
+    assert_eq!(xs.len(), rhs.len());
+    for (r, x) in xs.iter().enumerate() {
+        let want = f.solve(&rhs[r]);
+        assert!(
+            x.iter().zip(&want).all(|(p, q)| p.to_bits() == q.to_bits()),
+            "rhs {r} diverged"
+        );
+    }
+    assert!(f.solve_batch(&Vec::<Vec<f64>>::new()).is_empty());
 }
 
 /// A full queue refuses at once: behind a cold compile that keeps the
