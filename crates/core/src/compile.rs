@@ -383,11 +383,12 @@ pub struct SympilerLu {
     exec: LuExec,
 }
 
-/// The item kernel [`SympilerLu::compile`] selects from the panels it
-/// detects; either runs in index order on the calling thread.
+/// The tier [`SympilerLu::compile`] selects; either runs in index order
+/// on the calling thread.
 #[derive(Debug, Clone)]
 enum LuExec {
-    /// Scalar columns.
+    /// Scalar columns: the position-addressed walker once the plan
+    /// carries its tables, the accumulator kernel otherwise.
     Scalar(Box<LuPlan>),
     /// Column panels routed through dense kernels.
     Supernodal(Box<crate::plan::lu_supernodal::SupernodalLuPlan>),
@@ -395,22 +396,30 @@ enum LuExec {
 
 impl SympilerLu {
     /// Compile for the square matrix `a` (full storage). The compiler
-    /// picks the tier from the inspection sets (§4.2): update columns
-    /// with more than [`PEEL_COL_COUNT`] entries run peeled
-    /// ([`LuPlan::build`]), and the supernodal (VS-Block) tier, which
-    /// routes wide column panels of the predicted `L` through dense
-    /// GETRF/TRSM/GEMM kernels, engages only when a panel pays for it:
-    /// panels are detected under [`MAX_PANEL`], [`RELAX_FILL`] and
-    /// [`RELAX_COLS`], every wide panel with fewer structural flops
-    /// per accumulator entry moved than
+    /// picks the tier from the inspection sets (§4.2), in this order:
+    /// update columns with more than [`PEEL_COL_COUNT`] entries run
+    /// peeled ([`LuPlan::build`]); a pattern whose schedule holds at most
+    /// [`POSITION_MAX_OPS_PER_ENTRY`] multiply-adds per factor entry runs
+    /// the scalar tier through the position-addressed walker, and no
+    /// panel detection runs; otherwise panels are detected under
+    /// [`MAX_PANEL`], [`RELAX_FILL`] and [`RELAX_COLS`], every wide panel
+    /// with fewer structural flops per accumulator entry moved than
     /// [`DENSE_PANEL_MIN_FLOPS_PER_ENTRY`] is dissolved into scalar
-    /// columns, and the scalar plan runs unless a wide panel survives.
+    /// columns, and the supernodal (VS-Block) tier, which routes the
+    /// surviving panels through dense GETRF/TRSM/GEMM kernels, runs if
+    /// a wide panel survives — the scalar accumulator kernel otherwise.
     /// `pre_pivot` and `ordering` select the
     /// static row pre-pivot and fill-reducing ordering computed at
     /// inspection time and baked into the plan ([`LuPlan::build`]);
     /// `factor` still takes the original matrix, and
     /// [`LuFactor::solve`] speaks original coordinates. `n_threads` is
     /// not read: every value compiles this one plan.
+    ///
+    /// A compile is two stages, inspection (the symbolic analysis and
+    /// the tier decision) and the walker's table bake; the plan cache
+    /// ([`crate::serve::PlanCache`]) runs the second only for a pattern
+    /// that returns. The inspected plan factors and solves bitwise as
+    /// the compiled one.
     ///
     /// ```
     /// use sympiler_core::{Ordering, SympilerLu, SympilerOptions};
@@ -431,12 +440,25 @@ impl SympilerLu {
     ///
     /// [`DENSE_PANEL_MIN_FLOPS_PER_ENTRY`]: crate::plan::lu_supernodal::DENSE_PANEL_MIN_FLOPS_PER_ENTRY
     pub fn compile(a: &CscMatrix, opts: &SympilerOptions) -> Result<Self, LuPlanError> {
+        Ok(Self::inspect(a, opts)?.finish())
+    }
+
+    /// The first stage of [`Self::compile`]: [`LuPlan::build`] and the
+    /// tier decision. Every tier but the walker's is compiled in full
+    /// here; a walker-tier plan runs the accumulator kernel, bitwise the
+    /// walker, until [`Self::finish`] bakes its tables.
+    pub(crate) fn inspect(a: &CscMatrix, opts: &SympilerOptions) -> Result<Self, LuPlanError> {
         let plan = LuPlan::build(a, opts)?;
+        if plan.admits_position_tables(POSITION_MAX_OPS_PER_ENTRY) {
+            return Ok(Self {
+                exec: LuExec::Scalar(Box::new(plan)),
+            });
+        }
         // Supernodal tier. Panel detection runs once; every wide panel
         // too thin to pay for the dense path is dissolved into scalar
         // columns, and the tier engages only if a dense panel survives
         // — otherwise the scalar plan, which carries no panel tables at
-        // all, runs the same columns.
+        // all, runs the same columns through the accumulator kernel.
         use crate::plan::lu_supernodal::{SupernodalLuPlan, DENSE_PANEL_MIN_FLOPS_PER_ENTRY};
         let kept = SupernodalLuPlan::dissolve_thin_panels(
             &plan,
@@ -444,20 +466,36 @@ impl SympilerLu {
             DENSE_PANEL_MIN_FLOPS_PER_ENTRY,
         );
         // Fewer panels than columns ⇔ a wide panel survived.
-        let panels = (kept.part.n_supernodes() < plan.n()).then_some(kept);
-        let exec = match panels {
-            Some(panels) => {
-                LuExec::Supernodal(Box::new(SupernodalLuPlan::from_panels(plan, panels)))
-            }
-            // Scalar columns run the position-addressed walker where
-            // the pattern keeps its tables small
-            // ([`POSITION_MAX_OPS_PER_ENTRY`]), the accumulator kernel
-            // otherwise.
-            None => LuExec::Scalar(Box::new(
-                plan.with_position_tables(POSITION_MAX_OPS_PER_ENTRY),
-            )),
+        let exec = if kept.part.n_supernodes() < plan.n() {
+            LuExec::Supernodal(Box::new(SupernodalLuPlan::from_panels(plan, kept)))
+        } else {
+            LuExec::Scalar(Box::new(plan))
         };
         Ok(Self { exec })
+    }
+
+    /// The second stage of [`Self::compile`]: bake the walker's
+    /// position tables into an inspected walker-tier plan. Any other
+    /// plan is returned as it came.
+    pub(crate) fn finish(self) -> Self {
+        let exec = match self.exec {
+            LuExec::Scalar(plan) if !plan.has_position_tables() => LuExec::Scalar(Box::new(
+                plan.with_position_tables(POSITION_MAX_OPS_PER_ENTRY),
+            )),
+            exec => exec,
+        };
+        Self { exec }
+    }
+
+    /// Whether [`Self::finish`] has nothing left to bake.
+    pub(crate) fn is_finished(&self) -> bool {
+        match &self.exec {
+            LuExec::Scalar(plan) => {
+                plan.has_position_tables()
+                    || !plan.admits_position_tables(POSITION_MAX_OPS_PER_ENTRY)
+            }
+            LuExec::Supernodal(_) => true,
+        }
     }
 
     /// Numeric factorization (no symbolic work): `A = L U`.
@@ -855,6 +893,69 @@ mod tests {
             .chain(&refined)
             .map(|v| v.to_bits())
             .collect()
+    }
+
+    /// Multiply-adds per factor entry: the ratio the tier rule reads
+    /// first.
+    fn ops_per_entry(plan: &LuPlan) -> f64 {
+        plan.n_multiply_adds() as f64 / (plan.l_nnz() + plan.u_nnz()) as f64
+    }
+
+    /// Whether panel detection would keep a wide panel for `plan` —
+    /// what sent a pattern to the supernodal tier before the table
+    /// regime was read first.
+    fn panels_would_survive(plan: &LuPlan) -> bool {
+        use crate::plan::lu_supernodal::{SupernodalLuPlan, DENSE_PANEL_MIN_FLOPS_PER_ENTRY};
+        let panels = SupernodalLuPlan::detect_panels(plan, MAX_PANEL, RELAX_FILL, RELAX_COLS);
+        let kept =
+            SupernodalLuPlan::dissolve_thin_panels(plan, &panels, DENSE_PANEL_MIN_FLOPS_PER_ENTRY);
+        kept.part.n_supernodes() < plan.n()
+    }
+
+    #[test]
+    fn the_table_regime_is_read_before_panels() {
+        let colamd = SympilerOptions {
+            ordering: Ordering::Colamd,
+            ..Default::default()
+        };
+        let natural = SympilerOptions::default();
+        // Inside the table regime: a fill-free COLAMD circuit, and a
+        // natural-order one whose panels would have paid — both run
+        // the walker, inspected without tables, finished with them.
+        for (a, opts, had_panels) in [
+            (gen::circuit_unsym(400, 1, 0, 3), &colamd, false),
+            (gen::circuit_unsym(1200, 1, 0, 0), &natural, true),
+        ] {
+            let bare = LuPlan::build(&a, opts).unwrap();
+            assert!(ops_per_entry(&bare) <= POSITION_MAX_OPS_PER_ENTRY);
+            assert_eq!(panels_would_survive(&bare), had_panels);
+            let inspected = SympilerLu::inspect(&a, opts).unwrap();
+            assert!(!inspected.is_supernodal() && !inspected.is_finished());
+            assert!(!inspected.plan().has_position_tables());
+            assert_eq!(inspected.table_bytes(), bare.table_bytes());
+            let compiled = SympilerLu::compile(&a, opts).unwrap();
+            assert!(!compiled.is_supernodal() && compiled.is_finished());
+            assert!(compiled.plan().has_position_tables());
+            let finished = inspected.clone().finish();
+            assert_eq!(finished.table_bytes(), compiled.table_bytes());
+            let bits = factor_and_solve_bits(&compiled, &a);
+            assert_eq!(factor_and_solve_bits(&inspected, &a), bits);
+            assert_eq!(factor_and_solve_bits(&finished, &a), bits);
+        }
+        // Outside it: panels decide, as before, and inspection is the
+        // whole compile.
+        let a = gen::circuit_unsym(80, 4, 2, 11);
+        let bare = LuPlan::build(&a, &natural).unwrap();
+        assert!(ops_per_entry(&bare) > POSITION_MAX_OPS_PER_ENTRY);
+        let inspected = SympilerLu::inspect(&a, &natural).unwrap();
+        assert!(inspected.is_supernodal() && inspected.is_finished());
+        let compiled = SympilerLu::compile(&a, &natural).unwrap();
+        assert!(compiled.is_supernodal());
+        assert_eq!(inspected.table_bytes(), compiled.table_bytes());
+        assert_eq!(
+            factor_and_solve_bits(&inspected, &a),
+            factor_and_solve_bits(&compiled, &a)
+        );
     }
 
     #[test]

@@ -15,17 +15,18 @@
 //!   schedule, its destination, its `L` source and its `U` source
 //!   position: level by level, a level's columns ascending, each
 //!   column's ops in schedule order.
-//! * Per level, its columns (the pivot tests) and its **divisions**:
-//!   each sub-diagonal entry of those columns' `L` with the position of
-//!   its pivot.
+//! * Per level, one **column record** per column: the position of its
+//!   unit diagonal in `L`, where its `L` run ends and the position of
+//!   its pivot — the pivot test, the unit diagonal and the division of
+//!   the column's sub-diagonal `L` entries by the pivot.
 //! * [`SolveSweeps`]: both triangular solves of the factors as row
 //!   streams, each grouped by the levels of its own DAG.
 //!
 //! [`LuPlan::walk_positions`] is then one streaming pass
 //! `vals[a_dst[p]] = a[p]` and, per level, one flat loop
-//! `vals[dst] -= vals[l] * vals[u]`, the pivot tests and one flat loop
-//! `vals[p] /= vals[pivot]` — no accumulator, no gather, no clear, no
-//! loop nest whose short inner loops mispredict. A column's ops read
+//! `vals[dst] -= vals[l] * vals[u]`, then per column its pivot test and
+//! `vals[p] /= pivot` over its own `L` run — no accumulator, no gather,
+//! no clear, no column-pointer read. A column's ops read
 //! and write its own entries plus `L` of finished earlier columns, so
 //! any topological column order computes every entry from the same
 //! operands in the same order as the column order does: the factors
@@ -71,12 +72,36 @@ struct PosOp {
     u: u32,
 }
 
-/// One division of a level's finish: `vals[pos] /= vals[pivot]`, a
-/// sub-diagonal entry of `L(:, j)` by `U(j, j)`.
+/// The finish of one column `j` once its updates ran: the pivot test
+/// on `vals[pivot]` (`U(j, j)`), the unit diagonal at `vals[l_start]`
+/// and the division of the sub-diagonal run `vals[l_start + 1..l_end]`
+/// of `L(:, j)` by the pivot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Div {
-    pos: u32,
+struct ColRec {
+    l_start: u32,
+    l_end: u32,
     pivot: u32,
+}
+
+impl ColRec {
+    /// The record of column `j`.
+    fn of(st: &LuStructure, j: usize) -> Self {
+        ColRec {
+            l_start: st.l_col_ptr[j] as u32,
+            l_end: st.l_col_ptr[j + 1] as u32,
+            pivot: (st.l_nnz() + st.u_col_ptr[j + 1] - 1) as u32,
+        }
+    }
+
+    /// The column this record finishes, if it is exactly some column's
+    /// record: its unit diagonal starts `L(:, j)` (column pointers are
+    /// strictly increasing, every column holds its diagonal).
+    fn column(&self, st: &LuStructure) -> Option<usize> {
+        let j = st.l_col_ptr[..st.n()]
+            .binary_search(&(self.l_start as usize))
+            .ok()?;
+        (*self == Self::of(st, j)).then_some(j)
+    }
 }
 
 /// Where one level of the factor walk ends in each of its streams; it
@@ -85,7 +110,6 @@ struct Div {
 struct LevelEnd {
     ops: usize,
     cols: usize,
-    divs: usize,
 }
 
 /// Everything the position-addressed walker reads besides the factor
@@ -100,11 +124,9 @@ pub(super) struct PositionTables {
     /// Every multiply-add, level by level: a level's columns ascending,
     /// each column's ops in schedule order.
     ops: Vec<PosOp>,
-    /// The columns of each level, ascending.
-    cols: Vec<u32>,
-    /// The `L` divisions of each level's columns.
-    divs: Vec<Div>,
-    /// Where each level ends in `ops`, `cols` and `divs`.
+    /// The column records of each level, ascending by column.
+    cols: Vec<ColRec>,
+    /// Where each level ends in `ops` and `cols`.
     levels: Vec<LevelEnd>,
     /// The solves of every factor this plan produces, shared with them.
     pub(super) sweeps: Arc<SolveSweeps>,
@@ -114,9 +136,9 @@ impl PositionTables {
     /// Resident bytes of the tables, the solve sweeps included.
     pub(super) fn bytes(&self) -> usize {
         use std::mem::size_of;
-        (self.a_dst.len() + self.cols.len()) * 4
+        self.a_dst.len() * 4
             + self.ops.len() * size_of::<PosOp>()
-            + self.divs.len() * size_of::<Div>()
+            + self.cols.len() * size_of::<ColRec>()
             + self.levels.len() * size_of::<LevelEnd>()
             + self.sweeps.bytes()
     }
@@ -136,9 +158,11 @@ impl PositionTables {
     /// value array and no two entries of `A` share a slot; the level
     /// ranges tile every stream and each column sits in exactly one
     /// level; each op writes its own column, reads `U` inside it and
-    /// `L` of a column in a strictly earlier level; each sub-diagonal
-    /// entry of `L` is divided once, in its column's level, by its
-    /// pivot; and the solve sweeps pass [`SolveSweeps::validate`].
+    /// `L` of a column in a strictly earlier level; each column record
+    /// is exactly one column's unit diagonal, `L` run and pivot, so
+    /// each sub-diagonal entry of `L` is divided once, in its column's
+    /// level, by its pivot; and the solve sweeps pass
+    /// [`SolveSweeps::validate`].
     fn validate(&self, st: &LuStructure) -> Result<(), String> {
         let (n, l_nnz) = (st.n(), st.l_nnz());
         let mut taken = vec![false; st.n_values()];
@@ -156,12 +180,18 @@ impl PositionTables {
             self.cols.len(),
             "column",
         )?;
-        let divs = tiles(
-            self.levels.iter().map(|e| e.divs),
-            self.divs.len(),
-            "division",
-        )?;
-        let level = level_of(n, &self.cols, &cols, "column")?;
+        let mut members = Vec::with_capacity(self.cols.len());
+        for (lv, range) in cols.iter().enumerate() {
+            for rec in &self.cols[range.clone()] {
+                let Some(j) = rec.column(st) else {
+                    return Err(format!(
+                        "level {lv}: {rec:?} is not one column's unit diagonal, L run and pivot"
+                    ));
+                };
+                members.push(j as u32);
+            }
+        }
+        let level = level_of(n, &members, &cols, "column")?;
         for (lv, range) in ops.into_iter().enumerate() {
             for op in &self.ops[range] {
                 let (dst, l, u) = (op.dst as usize, (op.l & !UNGUARDED) as usize, op.u as usize);
@@ -182,32 +212,6 @@ impl PositionTables {
                     ));
                 }
             }
-        }
-        let mut divided = vec![false; l_nnz];
-        for (lv, range) in divs.into_iter().enumerate() {
-            for d in &self.divs[range] {
-                let p = d.pos as usize;
-                let fits = p < l_nnz && {
-                    let j = col_of[p];
-                    p != st.l_col_ptr[j]
-                        && level[j] == lv
-                        && d.pivot as usize == l_nnz + st.u_col_ptr[j + 1] - 1
-                        && !std::mem::replace(&mut divided[p], true)
-                };
-                if !fits {
-                    return Err(format!(
-                        "level {lv}: {d:?} is not a sub-diagonal entry of the level's \
-                         columns, divided once by its pivot"
-                    ));
-                }
-            }
-        }
-        if self.divs.len() != l_nnz - n {
-            return Err(format!(
-                "{} divisions for {} sub-diagonal entries of L",
-                self.divs.len(),
-                l_nnz - n
-            ));
         }
         self.sweeps.validate(st, &col_of)
     }
@@ -569,10 +573,11 @@ fn check_terms(
 
 impl LuPlan {
     /// The position-addressed walker: one streaming pass places `A`'s
-    /// values, then each level runs its slice of the flat op stream,
-    /// the pivot tests of its columns and its flat slice of `L`
-    /// divisions — per entry the accumulator kernel's operations in
-    /// the accumulator kernel's order, with no index left to resolve.
+    /// values, then each level runs its slice of the flat op stream and
+    /// then its column records — each column's pivot test, unit
+    /// diagonal and `L` divisions — per entry the accumulator kernel's
+    /// operations in the accumulator kernel's order, with no index
+    /// left to resolve.
     /// Returns the perturbed columns, ascending.
     ///
     /// A zero pivot does not stop the walk at once: a smaller column
@@ -588,7 +593,6 @@ impl LuPlan {
         thresh: f64,
     ) -> Result<Vec<usize>, LuPlanError> {
         let st = &*self.structure;
-        let l_nnz = st.l_nnz();
         // `check_pattern` pinned `a` to the compiled pattern, so entry
         // `p` of `a.values()` is the entry `a_dst[p]` was baked for.
         match &self.scaling {
@@ -622,26 +626,29 @@ impl LuPlan {
                     vals[op.dst as usize] -= vals[(op.l & !UNGUARDED) as usize] * u;
                 }
             }
-            for &j in &tables.cols[start.cols..end.cols] {
-                let j = j as usize;
-                let diag = l_nnz + st.u_col_ptr[j + 1] - 1;
-                let pivot = vals[diag];
+            for rec in &tables.cols[start.cols..end.cols] {
+                let diag = rec.pivot as usize;
+                let mut pivot = vals[diag];
                 // With thresh == 0.0 (perturbation off) the strict `<`
-                // can never hold.
+                // can never hold. Both rare branches name the column
+                // by search, off the hot path.
                 if pivot.abs() < thresh {
-                    vals[diag] = if pivot.is_sign_negative() {
+                    pivot = if pivot.is_sign_negative() {
                         -thresh
                     } else {
                         thresh
                     };
-                    perturbed.push(j);
+                    vals[diag] = pivot;
+                    perturbed.push(rec.column(st).expect("a validated record"));
                 } else if pivot == 0.0 {
+                    let j = rec.column(st).expect("a validated record");
                     zero_pivot = Some(zero_pivot.map_or(j, |z| z.min(j)));
                 }
-                vals[st.l_col_ptr[j]] = 1.0;
-            }
-            for d in &tables.divs[start.divs..end.divs] {
-                vals[d.pos as usize] /= vals[d.pivot as usize];
+                let l_start = rec.l_start as usize;
+                vals[l_start] = 1.0;
+                for v in &mut vals[l_start + 1..rec.l_end as usize] {
+                    *v /= pivot;
+                }
             }
             start = end;
         }
@@ -666,15 +673,32 @@ impl LuPlan {
     /// kernel, and the factors solve by the baked level-grouped row
     /// streams, bitwise the column sweeps.
     pub fn with_position_tables(mut self, max_ops_per_entry: f64) -> Self {
-        let n_ops = self.n_multiply_adds();
-        if !PositionTables::admits(self.l_nnz(), self.u_nnz(), n_ops, max_ops_per_entry) {
+        if !self.admits_position_tables(max_ops_per_entry) {
             return self;
         }
         let st = &*self.structure;
+        let n_ops = self.n_multiply_adds();
         let tables = self.factor_tables(n_ops, Arc::new(SolveSweeps::build(st)));
         debug_assert_eq!(tables.validate(st), Ok(()));
         self.positions = Some(tables);
         self
+    }
+
+    /// Whether [`Self::with_position_tables`] bakes tables under
+    /// `max_ops_per_entry`: the test alone, read off counts the plan
+    /// already holds.
+    pub(crate) fn admits_position_tables(&self, max_ops_per_entry: f64) -> bool {
+        PositionTables::admits(
+            self.l_nnz(),
+            self.u_nnz(),
+            self.n_multiply_adds(),
+            max_ops_per_entry,
+        )
+    }
+
+    /// Whether the plan carries the walker's tables.
+    pub(crate) fn has_position_tables(&self) -> bool {
+        self.positions.is_some()
     }
 
     /// The factor walk's tables, level by level of the column DAG, with
@@ -686,7 +710,6 @@ impl LuPlan {
         let mut a_dst = vec![0u32; self.a_nnz];
         let mut ops = Vec::with_capacity(n_ops as usize);
         let mut cols = Vec::with_capacity(self.n);
-        let mut divs = Vec::with_capacity(l_nnz - self.n);
         let column_levels = dag_levels_from_preds(self.n, |j| self.schedule(j));
         // `pos[r]`: position of row `r` of the column being baked. Stale
         // rows are never read — the column's pattern holds every row
@@ -726,24 +749,17 @@ impl LuPlan {
                         u: (l_nnz + q) as u32,
                     }));
                 }
-                cols.push(j as u32);
-                let pivot = (l_nnz + u_range.end - 1) as u32;
-                divs.extend(l_sub.map(|p| Div {
-                    pos: p as u32,
-                    pivot,
-                }));
+                cols.push(ColRec::of(st, j));
             }
             levels.push(LevelEnd {
                 ops: ops.len(),
                 cols: cols.len(),
-                divs: divs.len(),
             });
         }
         PositionTables {
             a_dst,
             ops,
             cols,
-            divs,
             levels,
             sweeps,
         }
@@ -815,8 +831,15 @@ mod tests {
             ],
         );
         let plan = LuPlan::build(&a, &SympilerOptions::default()).unwrap();
-        let walked = walker_of(&plan).positions.unwrap().cols;
-        assert_eq!(walked, [0, 2, 1], "the walk visits column 2 first");
+        let walker = walker_of(&plan);
+        let walked: Vec<_> = (walker.positions.as_ref().unwrap().cols.iter())
+            .map(|rec| rec.column(&walker.structure))
+            .collect();
+        assert_eq!(
+            walked,
+            [Some(0), Some(2), Some(1)],
+            "the walk visits column 2 first"
+        );
         (plan, a)
     }
 
@@ -1017,15 +1040,16 @@ mod tests {
         assert_eq!(t.ops.capacity(), t.ops.len(), "exact-capacity tables");
         let (n, l_sub, u_off) = (plan.n(), plan.l_nnz() - plan.n(), plan.u_nnz() - plan.n());
         let sweeps = &*t.sweeps;
-        assert_eq!(t.divs.len(), l_sub);
+        assert_eq!(t.cols.len(), n);
         assert_eq!((sweeps.fwd.len(), sweeps.bwd.len()), (l_sub, u_off));
+        // Per column one 12-byte record (unit diagonal, `L` run end,
+        // pivot) carries every division.
         assert_eq!(
             under.table_bytes() - plan.table_bytes(),
             12 * t.ops.len()
                 + 4 * a.nnz()
-                + 4 * n
-                + 8 * l_sub
-                + 24 * t.levels.len()
+                + 12 * n
+                + 16 * t.levels.len()
                 + 12 * (l_sub + u_off)
                 + 4 * n
                 + 8 * sweeps.fwd_levels.len()
@@ -1060,16 +1084,21 @@ mod tests {
         assert!(broken(&|t| t.a_dst[5] = t.a_dst[6]).contains("repeats a position"));
         assert!(broken(&|t| t.levels.last_mut().unwrap().ops += 1).contains("past"));
         assert!(broken(&|t| {
-            t.divs.pop();
+            t.cols.pop();
         })
         .contains("past"));
         assert!(broken(&|t| {
             t.levels.pop();
         })
         .contains("levels end"));
-        assert!(broken(&|t| t.levels[0].divs -= 1).contains("divided once"));
+        // A record must be exactly one column's: its `L` run cut short
+        // or run on, its pivot moved, its start off a column.
+        let record = "unit diagonal, L run and pivot";
+        assert!(broken(&|t| t.cols[0].l_end -= 1).contains(record));
+        assert!(broken(&|t| t.cols[0].l_end += 1).contains(record));
+        assert!(broken(&|t| t.cols[0].pivot += 1).contains(record));
+        assert!(broken(&|t| t.cols[0].l_start += 1).contains(record));
         assert!(broken(&|t| t.cols[1] = t.cols[0]).contains("sits in two levels"));
-        assert!(broken(&|t| t.divs[0].pivot += 1).contains("divided once"));
         // Level order: merging the first two levels leaves the second
         // level's updates reading L of columns in their own level; the
         // same merge in either solve leaves rows reading rows of theirs.

@@ -13,7 +13,9 @@
 //!   Lookups return `Arc<CachedPlan>`: the plan's gather tables are
 //!   shared, never cloned, and N threads factor against one plan
 //!   concurrently (per-factorization state lives in a
-//!   [`LuWorkspace`], not the plan).
+//!   [`LuWorkspace`], not the plan). A miss admits the compile's first
+//!   stage, the inspected plan; the pattern's first hit bakes the rest
+//!   (see [`PlanCache`]), so a pattern seen once never pays for tables.
 //!
 //!   **What the key covers.** The pattern — dimensions, every
 //!   `col_ptr` word, every `row_idx` word, never a value — and the
@@ -270,6 +272,13 @@ impl Default for CacheConfig {
 /// `plan.factor_with(&a, &mut ws)`, and `plan.factor_batch(&refs)`
 /// all work directly on the `Arc<CachedPlan>` handles the cache hands
 /// out — shared, immutable, never cloned per request.
+///
+/// A plan admitted on a miss is *inspected*: every tier but the
+/// position-table walker is compiled in full, and a walker-tier plan
+/// runs the accumulator kernel until the pattern's first hit bakes its
+/// tables into a *finished* successor ([`Self::is_finished`]). Both
+/// factor and solve to the same bits as [`SympilerLu::compile`]'s
+/// plan.
 #[derive(Debug)]
 pub struct CachedPlan {
     lu: SympilerLu,
@@ -291,9 +300,18 @@ impl CachedPlan {
         &self.opts
     }
 
-    /// Bytes of compiled tables the cache charges this entry for.
+    /// Bytes of compiled tables the cache charges this entry for: the
+    /// plan's own [`SympilerLu::table_bytes`], so an unfinished plan is
+    /// charged without the tables it has yet to bake.
     pub fn bytes(&self) -> usize {
         self.bytes
+    }
+
+    /// Whether the plan is compiled in full — bitwise in its answers
+    /// either way, and false only for a walker-tier plan admitted on a
+    /// miss and not yet hit.
+    pub fn is_finished(&self) -> bool {
+        self.lu.is_finished()
     }
 
     /// The compiled pipeline itself (also reachable via `Deref`).
@@ -321,10 +339,10 @@ struct CacheInner {
     buckets: HashMap<u64, Vec<Entry>>,
     entries: usize,
     bytes: usize,
-    /// Keys some thread is compiling right now (a handful at most).
-    /// Filed by hash alone: a waiter re-runs the exact lookup when the
-    /// flight lands, so a colliding key costs it a wait, never a wrong
-    /// plan.
+    /// Keys some thread is compiling or finishing right now (a handful
+    /// at most). Filed by hash alone: a waiter re-runs the exact lookup
+    /// when the flight lands, so a colliding key costs it a wait, never
+    /// a wrong plan.
     in_flight: Vec<u64>,
 }
 
@@ -332,16 +350,19 @@ struct CacheInner {
 enum Lookup<'a> {
     /// A resident plan matches exactly.
     Hit(Arc<CachedPlan>),
+    /// A resident plan matches exactly but is unfinished, and nobody
+    /// is finishing it: the caller finishes it.
+    Finish(Arc<CachedPlan>, Flight<'a>),
     /// Nothing resident, nobody compiling: the caller compiles.
     Claimed(Flight<'a>),
     /// Another thread is compiling this key.
     InFlight,
 }
 
-/// The right (and duty) to compile one key. Dropping it — after
-/// admitting the plan, on a compile error, or while unwinding from a
-/// panic — retires the claim and wakes every waiter; a waiter that
-/// then finds no plan resident claims the key and compiles itself.
+/// The right (and duty) to compile or finish one key. Dropping it —
+/// after admitting the plan, on a compile error, or while unwinding
+/// from a panic — retires the claim and wakes every waiter; a waiter
+/// that then finds no plan resident claims the key and compiles itself.
 struct Flight<'a> {
     cache: &'a PlanCache,
     key: u64,
@@ -362,7 +383,7 @@ impl Drop for Flight<'_> {
 /// `entries`/`bytes`, which track current residency).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
-    /// Requests answered by a resident plan.
+    /// Requests answered by a resident plan, finished or not.
     pub hits: u64,
     /// Requests that had to compile.
     pub misses: u64,
@@ -389,14 +410,28 @@ impl CacheStats {
 /// A concurrent, bounded cache of compiled LU pipelines, keyed by
 /// [`structural_hash`] and verified exactly on every hit.
 ///
-/// Compilation happens **outside** the cache lock — a slow compile on
-/// one pattern never blocks hits on others — and is **single-flight**:
+/// **Two stages.** A miss runs only the compile's first stage —
+/// inspection and the tier decision — admits that plan and answers
+/// from it; the pattern's first hit runs the second, the walker's
+/// table bake, and swaps the finished plan in (counted as
+/// `serve.cache.finish`). Only a walker-tier plan has a second stage,
+/// and it factors and solves to the same bits either way, so a pattern
+/// seen once never pays for tables it would not use, the LRU itself
+/// decides which patterns return, and every answer stays bitwise an
+/// uncached [`SympilerLu::compile`] + [`SympilerLu::factor`]. Entry
+/// bytes are re-charged at the swap, which may evict; an entry evicted
+/// while it finishes is not re-admitted.
+///
+/// Both stages run **outside** the cache lock — a slow compile on one
+/// pattern never blocks hits on others — and are **single-flight**:
 /// the first thread to miss on a key compiles it, threads that miss on
 /// the same key meanwhile wait and take its plan, so N concurrent
 /// identical misses cost one compile. Waiters count as misses (they
 /// paid compile latency) and also under `serve.cache.coalesced`; if
-/// the compile fails they compile for themselves. Eviction is LRU over
-/// a global use tick, bounded by [`CacheConfig`].
+/// the compile fails they compile for themselves. A hit on a plan
+/// another thread is finishing never waits: it answers from the
+/// unfinished plan. Eviction is LRU over a global use tick, bounded by
+/// [`CacheConfig`].
 ///
 /// ```
 /// use std::sync::Arc;
@@ -548,12 +583,13 @@ impl PlanCache {
     }
 
     /// The plan for `(a's pattern, opts)` — resident if cached,
-    /// compiled (and admitted) otherwise. A hit requires the exact
-    /// compiled pattern and equal compile-relevant options (everything
-    /// but `profile` and `recovery`), not just a matching hash; values
-    /// of `a` are irrelevant. The plan is compiled unprofiled. Returns
-    /// the same `Arc` to every concurrent caller of the same key, so
-    /// gather tables exist once regardless of thread count.
+    /// inspected (and admitted) otherwise, finished on its first hit. A
+    /// hit requires the exact compiled pattern and equal
+    /// compile-relevant options (everything but `profile` and
+    /// `recovery`), not just a matching hash; values of `a` are
+    /// irrelevant. The plan is compiled unprofiled. Concurrent callers
+    /// of one key share one resident plan, so tables exist once
+    /// regardless of thread count.
     pub fn get_or_compile(
         &self,
         a: &CscMatrix,
@@ -563,7 +599,8 @@ impl PlanCache {
     }
 
     /// [`get_or_compile`](Self::get_or_compile), recording its
-    /// `cache-lookup` / `compile-wait` / `compile` spans on the given lane —
+    /// `cache-lookup` / `compile-wait` / `compile` / `finish` spans on
+    /// the given lane —
     /// the entry point [`FactorService`] workers use so each request's
     /// cache time lands on that worker's own trace lane.
     pub fn get_or_compile_on_lane(
@@ -577,18 +614,20 @@ impl PlanCache {
         let key = structural_hash(a, opts);
         let now = self.tick.fetch_add(1, MemOrder::Relaxed);
         let found = self.lookup(key, a, opts, now, false);
-        let hit = matches!(found, Lookup::Hit(_));
+        let hit = matches!(found, Lookup::Hit(_) | Lookup::Finish(..));
         self.profiler.end_with(span, &[("hit", hit as u64 as f64)]);
-        if let Lookup::Hit(plan) = found {
+        if hit {
             self.hits.fetch_add(1, MemOrder::Relaxed);
             self.profiler.counter("serve.cache.hit").add(1);
-            return Ok(plan);
+        } else {
+            self.misses.fetch_add(1, MemOrder::Relaxed);
+            self.profiler.counter("serve.cache.miss").add(1);
         }
-        self.misses.fetch_add(1, MemOrder::Relaxed);
-        self.profiler.counter("serve.cache.miss").add(1);
         let flight = match found {
+            Lookup::Hit(plan) => return Ok(plan),
+            Lookup::Finish(plan, flight) => return Ok(self.finish(plan, flight, lane)),
             Lookup::Claimed(flight) => flight,
-            _ => {
+            Lookup::InFlight => {
                 self.profiler.counter("serve.cache.coalesced").add(1);
                 let span = self.profiler.begin(lane, "compile-wait");
                 let landed = self.lookup(key, a, opts, now, true);
@@ -596,11 +635,13 @@ impl PlanCache {
                 match landed {
                     Lookup::Hit(plan) => return Ok(plan),
                     Lookup::Claimed(flight) => flight,
-                    Lookup::InFlight => unreachable!("a waiting lookup hits or claims"),
+                    Lookup::Finish(..) | Lookup::InFlight => {
+                        unreachable!("a waiting lookup hits or claims")
+                    }
                 }
             }
         };
-        // Compile outside the lock so a slow symbolic phase on one
+        // Inspect outside the lock so a slow symbolic phase on one
         // pattern never serializes hits on others. Unprofiled whatever
         // the request says: `profile` is not in the key, so this entry
         // serves profiled and unprofiled requests alike.
@@ -609,7 +650,7 @@ impl PlanCache {
             ..opts.clone()
         };
         let span = self.profiler.begin(lane, "compile");
-        let compiled = SympilerLu::compile(a, &opts);
+        let compiled = SympilerLu::inspect(a, &opts);
         self.profiler
             .end_with(span, &[("ok", compiled.is_ok() as u64 as f64)]);
         let lu = compiled?;
@@ -624,11 +665,46 @@ impl PlanCache {
         Ok(plan)
     }
 
+    /// The second stage of a compile, run by the first hit on an
+    /// unfinished entry while it holds the key's `flight`: bake the
+    /// tables into a clone outside the lock, then swap the finished
+    /// plan into the entry and re-charge its bytes — unless the entry
+    /// was evicted meanwhile, which stays evicted. Returns the finished
+    /// plan either way.
+    fn finish(&self, plan: Arc<CachedPlan>, flight: Flight<'_>, lane: usize) -> Arc<CachedPlan> {
+        let span = self.profiler.begin(lane, "finish");
+        let lu = plan.lu.clone().finish();
+        self.profiler.end(span);
+        self.profiler.counter("serve.cache.finish").add(1);
+        let finished = Arc::new(CachedPlan {
+            key: plan.key,
+            opts: plan.opts.clone(),
+            bytes: lu.table_bytes(),
+            lu,
+        });
+        let mut inner = self.lock_inner();
+        let swapped = (inner.buckets.get_mut(&plan.key))
+            .and_then(|bucket| bucket.iter_mut().find(|e| Arc::ptr_eq(&e.plan, &plan)))
+            .map(|e| e.plan = Arc::clone(&finished))
+            .is_some();
+        if swapped {
+            inner.bytes = inner.bytes - plan.bytes + finished.bytes;
+            self.evict_locked(&mut inner);
+            self.publish_residency(&inner);
+        }
+        drop(inner);
+        drop(flight);
+        finished
+    }
+
     /// Under one hold of the lock: scan the key's bucket for an entry
-    /// whose compiled pattern and options match exactly; failing that,
-    /// claim the key if nobody is compiling it. With `wait`, a key in
-    /// flight blocks until its compile retires and the scan repeats,
-    /// so the answer is never [`Lookup::InFlight`].
+    /// whose compiled pattern and options match exactly — a hit, which
+    /// claims the key to finish an unfinished plan unless another
+    /// thread holds it; failing that, claim the key if nobody is
+    /// compiling it. With `wait`, a key in flight blocks until its
+    /// compile retires and the scan repeats, so the answer is a hit,
+    /// never [`Lookup::Finish`], or a claim: the plan that landed
+    /// answers as it is, for a waiter paid a compile's latency already.
     fn lookup(
         &self,
         key: u64,
@@ -640,15 +716,20 @@ impl PlanCache {
         let compile_key = opts.compile_key();
         let mut inner = self.lock_inner();
         loop {
-            if let Some(bucket) = inner.buckets.get_mut(&key) {
-                for e in bucket.iter_mut() {
-                    if e.plan.opts.compile_key() == compile_key
+            let found = (inner.buckets.get_mut(&key)).and_then(|bucket| {
+                let e = bucket.iter_mut().find(|e| {
+                    e.plan.opts.compile_key() == compile_key
                         && e.plan.lu.plan().check_pattern(a).is_ok()
-                    {
-                        e.last_use = now;
-                        return Lookup::Hit(e.plan.clone());
-                    }
+                })?;
+                e.last_use = now;
+                Some(Arc::clone(&e.plan))
+            });
+            if let Some(plan) = found {
+                if wait || plan.is_finished() || inner.in_flight.contains(&key) {
+                    return Lookup::Hit(plan);
                 }
+                inner.in_flight.push(key);
+                return Lookup::Finish(plan, Flight { cache: self, key });
             }
             if !inner.in_flight.contains(&key) {
                 inner.in_flight.push(key);
@@ -661,7 +742,7 @@ impl PlanCache {
         }
     }
 
-    /// Insert a freshly compiled plan under its key. The caller holds
+    /// Insert a freshly inspected plan under its key. The caller holds
     /// the key's [`Flight`], so no equivalent plan can be resident.
     fn admit(&self, now: u64, plan: Arc<CachedPlan>) {
         let mut inner = self.lock_inner();
@@ -739,7 +820,9 @@ pub struct ServeRequest {
 /// What a [`ServeRequest`] produces.
 pub struct ServeResponse {
     /// The numeric factorization, bitwise identical to an uncached
-    /// `compile()` + `factor()` of the same request.
+    /// `compile()` + `factor()` of the same request at every sighting
+    /// of its pattern — whether the cache served an inspected plan
+    /// (the accumulator kernel) or a finished one (the table walker).
     pub factor: LuFactor,
     /// One solution per requested right-hand side, in order.
     pub solutions: Vec<Vec<f64>>,
@@ -1789,6 +1872,215 @@ mod tests {
         let snap = prof.snapshot("cleared");
         assert_eq!(snap.gauge("serve.cache.entries"), Some(0.0));
         assert_eq!(snap.gauge("serve.cache.bytes"), Some(0.0));
+    }
+
+    /// Options under which the fill-free circuits run the table
+    /// walker: a cache admits them inspected and finishes them on their
+    /// first hit.
+    fn walker_opts() -> SympilerOptions {
+        SympilerOptions {
+            ordering: crate::Ordering::Colamd,
+            ..opts()
+        }
+    }
+
+    /// A walker-tier pattern: fill-free under COLAMD.
+    fn walker_pattern(seed: u64) -> CscMatrix {
+        gen::circuit_unsym(300, 1, 0, seed)
+    }
+
+    /// Bits of a factor's values and of its answer to one right-hand
+    /// side.
+    fn answer_bits(plan: &SympilerLu, a: &CscMatrix) -> Vec<u64> {
+        let f = plan.factor(a).unwrap();
+        let b: Vec<f64> = (0..a.n_cols())
+            .map(|i| 1.0 - 0.25 * (i % 9) as f64)
+            .collect();
+        let x = f.solve(&b);
+        (f.l().values().iter().chain(f.u().values()).chain(&x))
+            .map(|v| v.to_bits())
+            .collect()
+    }
+
+    #[test]
+    fn a_pattern_seen_once_is_inspected_and_its_first_hit_finishes_it() {
+        let (prof, cache) = traced_cache();
+        let a = walker_pattern(3);
+        let direct = SympilerLu::compile(&a, &walker_opts()).unwrap();
+        let bare = crate::plan::lu::LuPlan::build(&a, &walker_opts()).unwrap();
+        assert!(direct.is_finished() && direct.table_bytes() > bare.table_bytes());
+        let once = cache.get_or_compile(&a, &walker_opts()).unwrap();
+        assert!(!once.is_finished());
+        assert_eq!(once.bytes(), bare.table_bytes());
+        assert_eq!(cache.stats().bytes, bare.table_bytes());
+        let twice = cache.get_or_compile(&a, &walker_opts()).unwrap();
+        assert!(twice.is_finished() && !Arc::ptr_eq(&once, &twice));
+        assert_eq!(twice.bytes(), direct.table_bytes());
+        let s = cache.stats();
+        assert_eq!((s.misses, s.hits, s.entries), (1, 1, 1));
+        assert_eq!(s.bytes, direct.table_bytes());
+        let snap = prof.snapshot("tiers");
+        assert_eq!(snap.spans_named("compile").count(), 1);
+        assert_eq!(snap.spans_named("finish").count(), 1);
+        assert_eq!(prof.counter_value("serve.cache.finish"), 1);
+        // Later hits take the finished plan as it is.
+        let thrice = cache.get_or_compile(&a, &walker_opts()).unwrap();
+        assert!(Arc::ptr_eq(&twice, &thrice));
+        assert_eq!(prof.counter_value("serve.cache.finish"), 1);
+        // Both tiers answer to the direct path's bits.
+        let bits = answer_bits(&direct, &a);
+        assert_eq!(answer_bits(&once, &a), bits);
+        assert_eq!(answer_bits(&twice, &a), bits);
+        // Off the walker tier there is nothing to finish: the miss
+        // admits the compile's own plan, whose bytes it keeps.
+        let heavy = gen::circuit_unsym(60, 4, 2, 3);
+        let p = cache.get_or_compile(&heavy, &opts()).unwrap();
+        assert!(p.is_finished());
+        let direct = SympilerLu::compile(&heavy, &opts()).unwrap();
+        assert_eq!(p.bytes(), direct.table_bytes());
+        let hit = cache.get_or_compile(&heavy, &opts()).unwrap();
+        assert!(Arc::ptr_eq(&p, &hit));
+        assert_eq!(prof.counter_value("serve.cache.finish"), 1);
+    }
+
+    /// Served answers are the direct path's bits at every sighting: the
+    /// first (inspected), the second (finishing) and later ones.
+    #[test]
+    fn served_answers_are_bitwise_the_direct_path_on_both_tiers() {
+        let _serial = service_lock();
+        let cache = Arc::new(PlanCache::new(CacheConfig::default()));
+        let service = FactorService::new(1, Arc::clone(&cache));
+        let a = walker_pattern(5);
+        let direct = SympilerLu::compile(&a, &walker_opts()).unwrap();
+        let b: Vec<f64> = (0..a.n_cols()).map(|i| (i % 5) as f64 - 1.5).collect();
+        let f = direct.factor(&a).unwrap();
+        let want: Vec<u64> = (f.l().values().iter().chain(f.u().values()))
+            .chain(&f.solve(&b))
+            .map(|v| v.to_bits())
+            .collect();
+        for sighting in 0..3 {
+            let mut reply = service
+                .call(ServeRequest {
+                    a: a.clone(),
+                    opts: walker_opts(),
+                    rhs: vec![b.clone()],
+                })
+                .unwrap();
+            let got: Vec<u64> = (reply.factor.l().values().iter())
+                .chain(reply.factor.u().values())
+                .chain(&reply.solutions.remove(0))
+                .map(|v| v.to_bits())
+                .collect();
+            assert_eq!(got, want, "sighting {sighting}");
+        }
+        let plan = cache.get_or_compile(&a, &walker_opts()).unwrap();
+        assert!(plan.is_finished());
+    }
+
+    /// A hit that finds the key being finished answers from the
+    /// unfinished plan at once; only the claimant finishes.
+    #[test]
+    fn racing_hits_finish_once_and_never_wait() {
+        let (prof, cache) = traced_cache();
+        let a = walker_pattern(7);
+        let once = cache.get_or_compile(&a, &walker_opts()).unwrap();
+        let key = structural_hash(&a, &walker_opts());
+        let Lookup::Finish(claimed, flight) = cache.lookup(key, &a, &walker_opts(), 1, false)
+        else {
+            panic!("the first hit claims the finish");
+        };
+        assert!(Arc::ptr_eq(&claimed, &once));
+        // On this very thread, with the claim held: a wait would never
+        // return.
+        let racer = cache.get_or_compile(&a, &walker_opts()).unwrap();
+        assert!(
+            Arc::ptr_eq(&racer, &once),
+            "the racer takes the unfinished plan"
+        );
+        let finished = cache.finish(claimed, flight, 0);
+        assert!(finished.is_finished());
+        assert_eq!(prof.counter_value("serve.cache.finish"), 1);
+        let after = cache.get_or_compile(&a, &walker_opts()).unwrap();
+        assert!(Arc::ptr_eq(&after, &finished));
+        // The claim was taken by `lookup` itself, which counts nothing.
+        assert_eq!(cache.stats().hits, 2);
+        // Truly concurrent first hits: whatever the interleaving, one
+        // finish, and every answer the same bits.
+        let (prof, cache) = traced_cache();
+        let b = walker_pattern(8);
+        cache.get_or_compile(&b, &walker_opts()).unwrap();
+        let start = std::sync::Barrier::new(4);
+        let answers: Vec<_> = std::thread::scope(|scope| {
+            let hits: Vec<_> = (0..4)
+                .map(|_| {
+                    scope.spawn(|| {
+                        start.wait();
+                        let plan = cache.get_or_compile(&b, &walker_opts()).unwrap();
+                        answer_bits(&plan, &b)
+                    })
+                })
+                .collect();
+            hits.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        assert!(answers.iter().all(|x| *x == answers[0]));
+        assert_eq!(prof.counter_value("serve.cache.finish"), 1);
+        assert_eq!(prof.counter_value("serve.cache.coalesced"), 0);
+        let s = cache.stats();
+        assert_eq!((s.misses, s.hits), (1, 4));
+        assert!(cache
+            .get_or_compile(&b, &walker_opts())
+            .unwrap()
+            .is_finished());
+    }
+
+    /// The finish re-charges the entry's bytes, and the budget may
+    /// evict for it: the least recently used entry goes.
+    #[test]
+    fn a_finish_can_evict_under_the_byte_budget() {
+        let (a, b) = (walker_pattern(11), walker_pattern(12));
+        let bare = |m: &CscMatrix| {
+            crate::plan::lu::LuPlan::build(m, &walker_opts())
+                .unwrap()
+                .table_bytes()
+        };
+        let cache = PlanCache::new(CacheConfig {
+            max_entries: 0,
+            max_bytes: bare(&a) + bare(&b),
+        });
+        cache.get_or_compile(&a, &walker_opts()).unwrap();
+        cache.get_or_compile(&b, &walker_opts()).unwrap();
+        assert_eq!((cache.len(), cache.stats().evictions), (2, 0));
+        let finished = cache.get_or_compile(&a, &walker_opts()).unwrap();
+        assert!(finished.is_finished());
+        let s = cache.stats();
+        assert_eq!((s.entries, s.evictions), (1, 1), "b was the LRU entry");
+        assert_eq!(s.bytes, finished.bytes());
+        let again = cache.get_or_compile(&a, &walker_opts()).unwrap();
+        assert!(Arc::ptr_eq(&again, &finished));
+    }
+
+    /// An entry evicted while it finishes stays evicted: the finisher
+    /// answers from its finished plan, and the pattern's next request
+    /// is a miss.
+    #[test]
+    fn an_entry_evicted_while_it_finishes_is_not_readmitted() {
+        let (prof, cache) = traced_cache();
+        let a = walker_pattern(13);
+        cache.get_or_compile(&a, &walker_opts()).unwrap();
+        let key = structural_hash(&a, &walker_opts());
+        let Lookup::Finish(claimed, flight) = cache.lookup(key, &a, &walker_opts(), 1, false)
+        else {
+            panic!("the first hit claims the finish");
+        };
+        cache.clear();
+        let finished = cache.finish(claimed, flight, 0);
+        assert!(finished.is_finished());
+        assert_eq!(prof.counter_value("serve.cache.finish"), 1);
+        let s = cache.stats();
+        assert_eq!((s.entries, s.bytes), (0, 0));
+        let next = cache.get_or_compile(&a, &walker_opts()).unwrap();
+        assert!(!next.is_finished(), "a miss admits the inspected plan");
+        assert_eq!(cache.stats().misses, 2);
     }
 
     #[test]

@@ -212,11 +212,22 @@ impl ScaledMatching {
 /// — one search, both artifacts. See [`ScaledMatching`].
 ///
 /// # Errors
-/// [`SparseError::StructurallySingular`] as for [`weighted_matching`].
+/// [`SparseError::InvalidMatrix`], naming the row, column and value of
+/// the first (column-major) NaN or ±Inf entry, before any search: a
+/// non-finite magnitude has no logarithm the duals could absorb, so no
+/// scaling of it is finite. [`SparseError::StructurallySingular`] as
+/// for [`weighted_matching`].
 ///
 /// # Panics
 /// If `a` is not square.
 pub fn weighted_matching_scaled(a: &CscMatrix) -> Result<ScaledMatching, SparseError> {
+    for j in 0..a.n_cols() {
+        if let Some((i, v)) = a.col_iter(j).find(|(_, v)| !v.is_finite()) {
+            return Err(SparseError::InvalidMatrix(format!(
+                "MC64 scaling needs finite values: A({i}, {j}) = {v}"
+            )));
+        }
+    }
     let full = weighted_matching_full(a)?;
     let n = a.n_cols();
     let mut row_scale = vec![1.0f64; n];
@@ -761,6 +772,29 @@ mod tests {
                     (s - 1.0).abs() < 1e-9,
                     "matched diagonal of column {j} scaled to {s}, not 1"
                 );
+            }
+        }
+    }
+
+    /// A NaN or ±Inf value has no finite scaling: a typed error naming
+    /// the first such entry, column-major, before any search — not an
+    /// overflowed dual.
+    #[test]
+    fn mc64_scaling_of_non_finite_values_is_a_typed_error() {
+        let a = gen::circuit_unsym(30, 4, 2, 9);
+        let at = a.col_ptr()[7] + 1;
+        let (i, j) = (a.row_idx()[at], 7);
+        for poison in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut bad = a.clone();
+            bad.values_mut()[at] = poison;
+            // A later non-finite entry is not the one named.
+            let last = bad.nnz() - 1;
+            bad.values_mut()[last] = f64::INFINITY;
+            match weighted_matching_scaled(&bad) {
+                Err(SparseError::InvalidMatrix(m)) => {
+                    assert!(m.contains(&format!("A({i}, {j}) = {poison}")), "{m}");
+                }
+                other => panic!("{poison}: {other:?}"),
             }
         }
     }

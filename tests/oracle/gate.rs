@@ -401,12 +401,30 @@ fn check_cell(
     let opts = cell.opts();
     let n = a.n_cols();
     let want = baseline(a, cell);
+    // MC64 scaling of a NaN or ±Inf value is a typed error of the
+    // shared inspection, in the baseline and in every tier.
+    let unscalable = cell.mc64_scale && !all_finite(a);
+    ensure!(
+        !unscalable || want.as_ref().is_err_and(|e| e.contains("finite values")),
+        cell,
+        "baseline: MC64 scaling of non-finite input is a typed error",
+        "baseline {:?}",
+        want.as_ref().err()
+    );
     let mut outcomes: Vec<Outcome> = Vec::new();
     let mut structure: Option<(CscMatrix, sympiler::graph::LuSymbolic)> = None;
     let mut accumulator_bytes = 0;
     for tier in TIERS {
         let check = |what: &str| format!("{tier:?}: {what}");
         let plan = match engine.compile(tier, a, &opts) {
+            Ok(_) if unscalable => {
+                return Err(Failure {
+                    cell: cell.to_string(),
+                    check: check("MC64 scaling of non-finite input is a typed error"),
+                    detail: "the plan compiled".to_string(),
+                    lu_cell: None,
+                })
+            }
             Ok(plan) => plan,
             Err(e) => {
                 // Compile errors come from the shared inspection: every
@@ -712,11 +730,10 @@ fn check_solves(
 }
 
 /// Every LU group on `a` at each of `perturbs`, then the per-case
-/// checks. MC64 scaling of a non-finite value has no contract yet (it
-/// is the boundary rule's to set), so those groups run on finite
-/// input only.
+/// checks. On non-finite input the MC64 groups hold both engines to
+/// the typed error of the scaling.
 pub fn check_lu(engine: &dyn Engine, a: &CscMatrix, perturbs: &[f64]) -> Result<(), Failure> {
-    for group in Cell::groups().filter(|g| !g.mc64_scale || all_finite(a)) {
+    for group in Cell::groups() {
         check_group(engine, a, group, perturbs)?;
     }
     check_robust_and_service(a)?;

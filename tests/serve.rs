@@ -227,9 +227,11 @@ fn cached_bytes_account_for_padded_panel_layouts() {
 /// The serial tier's position tables are resident memory like any
 /// other compiled table: the cache charges them, to the byte, on top of
 /// what the same plan weighs without them — the factor walk's 12 per
-/// multiply-add, 4 per entry of `A`, 4 per column, 8 per division and
-/// 24 per level, and its solve sweeps' 12 per off-diagonal factor
-/// entry, 4 per row and 8 + 16 per level of the two solves.
+/// multiply-add, 4 per entry of `A`, 12 per column record and 16 per
+/// level, and its solve sweeps' 12 per off-diagonal factor entry, 4 per
+/// row and 8 + 16 per level of the two solves. A pattern seen once is
+/// charged the bare plan (it has baked nothing yet); its first hit
+/// bakes the tables and re-charges the entry.
 #[test]
 fn cached_bytes_account_for_position_tables() {
     use sympiler::graph::levels::{dag_levels_from_preds, dag_levels_from_succs, level_sets};
@@ -263,28 +265,34 @@ fn cached_bytes_account_for_position_tables() {
         bare.table_bytes()
             + 12 * multiply_adds
             + 4 * a.nnz()
-            + 4 * n
-            + 8 * l_sub
-            + 24 * column_levels
+            + 12 * n
+            + 16 * column_levels
             + 12 * (l_sub + u_off)
             + 4 * n
             + 8 * fwd_levels
             + 16 * bwd_levels
     );
     let cache = PlanCache::new(CacheConfig::default());
-    cache.get_or_compile(&a, &opts).expect("cache");
+    let seen_once = cache.get_or_compile(&a, &opts).expect("miss");
+    assert!(!seen_once.is_finished());
+    assert_eq!(cache.stats().bytes, bare.table_bytes());
+    let seen_twice = cache.get_or_compile(&a, &opts).expect("hit");
+    assert!(seen_twice.is_finished());
     assert_eq!(cache.stats().bytes, lu.table_bytes());
-    // A budget the bare plan would fit but the tabled one does not
-    // holds exactly one such entry.
+    // A budget two bare plans fit, one tabled and one bare plan fit,
+    // but two tabled plans do not: the second pattern's first hit
+    // evicts the first.
     let tight = PlanCache::new(CacheConfig {
         max_entries: 0,
         max_bytes: lu.table_bytes() + bare.table_bytes(),
     });
     let b = gen::circuit_unsym(400, 1, 0, 4);
-    tight.get_or_compile(&a, &opts).expect("first");
-    tight.get_or_compile(&b, &opts).expect("second");
+    for (m, entries) in [(&a, 1), (&b, 2), (&a, 2), (&b, 1)] {
+        tight.get_or_compile(m, &opts).expect("tight");
+        assert_eq!(tight.stats().entries, entries);
+    }
     assert_eq!(
-        tight.stats().entries,
+        tight.stats().evictions,
         1,
         "two tabled plans exceed the budget"
     );
